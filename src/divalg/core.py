@@ -12,6 +12,7 @@ and O.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -73,12 +74,12 @@ class SignPair(NamedTuple):
 
 def left_mult(alg: Algebra, a) -> np.ndarray:
     """Matrix of x -> a x."""
-    return np.einsum("ijk,i->kj", alg.c, np.asarray(a, dtype=float))
+    return left_mult_many(alg, np.asarray(a, dtype=float)[None])[0]
 
 
 def right_mult(alg: Algebra, a) -> np.ndarray:
     """Matrix of x -> x a."""
-    return np.einsum("ijk,j->ki", alg.c, np.asarray(a, dtype=float))
+    return right_mult_many(alg, np.asarray(a, dtype=float)[None])[0]
 
 
 def left_mult_many(alg: Algebra, batch: np.ndarray) -> np.ndarray:
@@ -272,30 +273,6 @@ def commutant(alg: Algebra, tol: float = DEFAULT_TOL) -> np.ndarray:
     return _nullspace(rows, tol)
 
 
-def center(alg: Algebra, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Basis (columns) of the commuting and fully associating elements.
-
-    An element a is central here when L_a = R_a and all three associator
-    slots vanish: (a, x, y), (x, a, y) and (x, y, a) are zero for all
-    x, y.  For C, H and O this is C itself, span{1} and span{1}.
-    """
-    n = alg.dim
-    c = alg.c
-    blocks = [
-        (c - c.transpose(1, 0, 2)).transpose(2, 1, 0).reshape(n * n, n),
-    ]
-    # (a, x, y): (a e_p) e_q - a (e_p e_q);  coefficient of a_i:
-    #   sum_r c[i, p, r] c[r, q, k] - sum_r c[p, q, r] c[i, r, k]
-    t1 = np.einsum("ipr,rqk->ipqk", c, c) - np.einsum("pqr,irk->ipqk", c, c)
-    # (x, a, y): (e_p a) e_q - e_p (a e_q)
-    t2 = np.einsum("pir,rqk->ipqk", c, c) - np.einsum("iqr,prk->ipqk", c, c)
-    # (x, y, a): (e_p e_q) a - e_p (e_q a)
-    t3 = np.einsum("pqr,rik->ipqk", c, c) - np.einsum("qir,prk->ipqk", c, c)
-    for t in (t1, t2, t3):
-        blocks.append(t.transpose(1, 2, 3, 0).reshape(n * n * n, n))
-    return _nullspace(np.vstack(blocks), tol)
-
-
 def _tag(label: str, op: str) -> str:
     return f"{op}({label})" if label else op
 
@@ -326,31 +303,30 @@ def _quaternion_tensor() -> np.ndarray:
 
 
 def _octonion_tensor() -> np.ndarray:
-    # double the quaternions: treat an octonion as a pair (a, b) of
-    # quaternions with (a, b)(c, d) = (a c - conj(d) b, d a + b conj(c))
+    # Cayley-Dickson double of H: an octonion is a pair (a, b) of
+    # quaternions with (a, b)(c, d) = (a c - conj(d) b, d a + b conj(c)).
+    # Each term is one 4 x 4 x 4 block of the tensor.  The conjugated
+    # factor is always the right one, so its signs run along axis 1.
+    # The blocks are accumulated onto zeros so that no entry is -0.0,
+    # which would print as such in written documents.
     h = _quaternion_tensor()
-
-    def qmul(x, y):
-        return np.einsum("ijk,i,j->k", h, x, y)
-
-    def qconj(x):
-        return x * np.array([1.0, -1.0, -1.0, -1.0])
-
+    hop = h.transpose(1, 0, 2)                  # hop[i, j] = e_j e_i in H
+    conj = np.array([1.0, -1.0, -1.0, -1.0])[None, :, None]
     c = np.zeros((8, 8, 8))
-    basis = np.eye(8)
-    for i in range(8):
-        for j in range(8):
-            a, b = basis[i][:4], basis[i][4:]
-            cc, d = basis[j][:4], basis[j][4:]
-            first = qmul(a, cc) - qmul(qconj(d), b)
-            second = qmul(d, a) + qmul(b, qconj(cc))
-            c[i, j, :4] = first
-            c[i, j, 4:] = second
+    c[:4, :4, :4] += h                          # a c
+    c[4:, 4:, :4] -= conj * hop                 # conj(d) b
+    c[:4, 4:, 4:] += hop                        # d a
+    c[4:, :4, 4:] += conj * h                   # b conj(c)
     return c
 
 
+@lru_cache(maxsize=None)
 def classical(name: str) -> Algebra:
-    """The complex numbers, quaternions or octonions ('C', 'H', 'O')."""
+    """The complex numbers, quaternions or octonions ('C', 'H', 'O').
+
+    Cached: every call with the same name returns the same Algebra,
+    which is safe because Algebra is frozen and its tensor read-only.
+    """
     if name == "C":
         return Algebra(_complex_tensor(), label="C")
     if name == "H":

@@ -31,17 +31,25 @@ from .matkit import DEFAULT_TOL
 # are treated as numerically zero when reading off its rank
 _FACTOR_EIG_TOL = 1e-8
 
+# cubic coefficients below this share of the largest projected
+# structure constant are treated as zero when finding idempotents
+_ROOT_EPS = 1e-12
+
 
 def central_idempotents(alg: Algebra, tol: float = DEFAULT_TOL
                         ) -> list[np.ndarray]:
     """All nonzero idempotents inside the commuting subspace.
 
-    The commuting subspace {a : L_a = R_a} has dimension at most 2 for
-    the algebras in scope (CenterTooLarge otherwise).  Within it the
-    equation z o z = z is solved exactly: for a line this is a scalar
-    quadratic; for a plane the polynomial system is reduced by
-    resultants.  Solutions are verified against the full equation and
-    returned in a deterministic order.
+    The commuting subspace W = {a : L_a = R_a} has dimension at most 2
+    for the algebras in scope (CenterTooLarge otherwise).  The nonzero
+    idempotents in W are exactly z = x / lambda for the directions x in
+    W with x o x = lambda x and lambda != 0.  On a line there is one
+    direction; on a plane the directions where the projection of x o x
+    onto W is parallel to x are the real roots of a binary cubic.  Each
+    candidate is verified against the full equation z o z = z, and the
+    solutions are returned in a deterministic order.  A plane on which
+    every direction qualifies holds a continuum of idempotents (or
+    none), and gives no isolated solution.
     """
     basis = commutant(alg, tol)
     d = basis.shape[1]
@@ -49,131 +57,52 @@ def central_idempotents(alg: Algebra, tol: float = DEFAULT_TOL
         return []
     if d > 2:
         raise CenterTooLarge(f"commuting subspace has dimension {d}")
-    if d == 1:
-        sols = _idempotents_on_line(alg, basis[:, 0], tol)
-    else:
-        sols = _idempotents_in_plane(alg, basis, tol)
     out = []
-    for z in sols:
+    for x in _idempotent_directions(alg, basis):
+        lam = float(alg.mul(x, x) @ x) / float(x @ x)
+        if abs(lam) <= tol:
+            continue
+        z = x / lam
         if np.linalg.norm(z) <= tol:
             continue
-        if np.linalg.norm(alg.mul(z, z) - z) <= max(tol, 1e-10):
+        if np.linalg.norm(alg.mul(z, z) - z) > max(tol, 1e-10):
+            continue
+        if not any(np.linalg.norm(z - w) < 1e-6 for w in out):
             out.append(z)
     out.sort(key=lambda z: tuple(np.round(z, 8)))
     return out
 
 
-def _idempotents_on_line(alg, c0, tol):
-    w = alg.mul(c0, c0)
-    lam = float(w @ c0) / float(c0 @ c0)
-    perp = w - lam * c0
-    if np.linalg.norm(perp) > max(tol, 1e-10) * max(1.0, np.linalg.norm(w)):
-        return []
-    if abs(lam) <= tol:
-        return []
-    return [c0 / lam]
+def _idempotent_directions(alg, basis):
+    """Directions x = B t in span(B) with B^T (x o x) parallel to t.
 
-
-def _conic_coeffs(alg, basis):
-    """Equations t^T Q_k t - (basis t)_k = 0 as conic coefficient rows.
-
-    Each row is (a, b, c, d, e, f) for a t1^2 + b t1 t2 + c t2^2
-    + d t1 + e t2 + f.
+    For two columns, u(t) = B^T ((B t) o (B t)) is quadratic in t, and
+    t is parallel to u(t) exactly where the binary cubic
+    t2 u1(t) - t1 u2(t) vanishes.  Its real projective roots are the
+    roots in t1 of the cubic at t2 = 1, plus (1 : 0) when the t1^3
+    coefficient vanishes.  A cubic that vanishes identically leaves no
+    isolated direction.
     """
-    q = np.einsum("ip,jq,ijk->kpq", basis, basis, alg.c)
+    if basis.shape[1] == 1:
+        return [basis[:, 0]]
+    q = np.einsum("ip,jq,ijk,kr->rpq", basis, basis, alg.c, basis)
     q = 0.5 * (q + q.transpose(0, 2, 1))
-    rows = []
-    for k in range(alg.dim):
-        rows.append([q[k, 0, 0], 2.0 * q[k, 0, 1], q[k, 1, 1],
-                     -basis[k, 0], -basis[k, 1], 0.0])
-    return np.array(rows)
-
-
-def _quad_roots(a, b, c):
-    """Real roots of a y^2 + b y + c, handling the degenerate cases."""
-    if abs(a) < 1e-13:
-        if abs(b) < 1e-13:
-            return []
-        return [-c / b]
-    disc = b * b - 4.0 * a * c
-    if disc < -1e-12 * max(b * b, abs(4 * a * c), 1.0):
+    # u_r(t) = q[r, 0, 0] t1^2 + 2 q[r, 0, 1] t1 t2 + q[r, 1, 1] t2^2
+    cubic = np.array([-q[1, 0, 0],
+                      q[0, 0, 0] - 2.0 * q[1, 0, 1],
+                      2.0 * q[0, 0, 1] - q[1, 1, 1],
+                      q[0, 1, 1]])
+    eps = _ROOT_EPS * max(1.0, float(np.max(np.abs(q))))
+    if np.max(np.abs(cubic)) <= eps:
         return []
-    disc = max(disc, 0.0)
-    r = np.sqrt(disc)
-    return [(-b + r) / (2 * a), (-b - r) / (2 * a)]
-
-
-def _idempotents_in_plane(alg, basis, tol):
-    """Common zeros of the idempotent equations on a 2-dim subspace.
-
-    Treats each coordinate equation as a conic in (t1, t2), eliminates
-    t2 between pairs of conics with the classical quadratic resultant,
-    and keeps the candidate points that satisfy every equation.
-    """
-    conics = _conic_coeffs(alg, basis)
-    scale = max(1.0, float(np.max(np.abs(conics))))
-    candidates = [np.zeros(2)]
-
-    def as_y_quad(row):
-        a, b, c, d, e, f = row
-        # coefficients in y = t2, polynomial in x = t1
-        return (np.array([c]),                      # y^2
-                np.array([b, e]),                   # y
-                np.array([a, d, f]))                # 1
-
-    def polymul(p, q):
-        return np.convolve(p, q)
-
-    for k, l in combinations(range(len(conics)), 2):
-        r1, r2 = conics[k], conics[l]
-        if np.max(np.abs(r1)) < tol * scale or np.max(np.abs(r2)) < tol * scale:
-            continue
-        a1, b1, c1 = as_y_quad(r1)
-        a2, b2, c2 = as_y_quad(r2)
-        # resultant of two quadratics in y:
-        # (a1 c2 - c1 a2)^2 - (a1 b2 - b1 a2)(b1 c2 - c1 b2)
-        t1_ = polymul(a1, c2) - _pad(polymul(c1, a2), len(polymul(a1, c2)))
-        u_ = polymul(a1, b2) - _pad(polymul(b1, a2), len(polymul(a1, b2)))
-        v_ = polymul(b1, c2) - _pad(polymul(c1, b2), len(polymul(b1, c2)))
-        res = _polysub(polymul(t1_, t1_), polymul(u_, v_))
-        if np.max(np.abs(res)) <= 1e-12 * scale * scale:
-            continue
-        for x in np.roots(res):
-            if abs(x.imag) > 1e-8:
-                continue
-            x = float(x.real)
-            ys = set()
-            for row in (r1, r2):
-                a, b, c, d, e, f = row
-                ys.update(_quad_roots(c, b * x + e, a * x * x + d * x + f))
-            for y in ys:
-                candidates.append(np.array([x, float(y)]))
-
-    # verify candidates against the full system and dedupe
-    good = []
-    for t in candidates:
-        if not np.all(np.isfinite(t)) or np.max(np.abs(t)) > 1e8:
-            continue
-        z = basis @ t
-        if np.linalg.norm(alg.mul(z, z) - z) <= max(tol, 1e-9) * max(
-                1.0, float(np.linalg.norm(z)) ** 2):
-            good.append(z)
-    out = []
-    for z in good:
-        if not any(np.linalg.norm(z - w) < 1e-6 for w in out):
-            out.append(z)
-    return out
-
-
-def _pad(p, n):
-    if len(p) >= n:
-        return p
-    return np.concatenate([np.zeros(n - len(p)), p])
-
-
-def _polysub(p, q):
-    n = max(len(p), len(q))
-    return _pad(p, n) - _pad(q, n)
+    ts = []
+    if abs(cubic[0]) <= eps:
+        ts.append(np.array([1.0, 0.0]))
+        cubic[0] = 0.0
+    for r in np.roots(cubic):
+        if abs(r.imag) <= 1e-8 * max(1.0, abs(r)):
+            ts.append(np.array([r.real, 1.0]))
+    return [basis @ (t / np.linalg.norm(t)) for t in ts]
 
 
 def is_e_quadratic(alg: Algebra, e, tol: float = DEFAULT_TOL) -> bool:

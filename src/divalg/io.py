@@ -112,9 +112,5 @@ def read_algebra(path) -> Algebra:
     return algebra_from_dict(read_json(path))
 
 
-def read_decorated(path, tol: float = DEFAULT_TOL) -> DecoratedAlgebra:
-    return decorated_from_dict(read_json(path), tol)
-
-
 def read_pair(path) -> tuple[np.ndarray, np.ndarray]:
     return pair_from_dict(read_json(path))

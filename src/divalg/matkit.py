@@ -31,10 +31,7 @@ def sign_det(m, tol: float = DEFAULT_TOL) -> int:
     Raises DegenerateSign when |det| <= tol, so a sign is never reported
     for a matrix that is singular at working precision.
     """
-    d = float(np.linalg.det(as_matrix(m)))
-    if abs(d) <= tol:
-        raise DegenerateSign(f"|det| = {abs(d):.3e} <= tol = {tol:.3e}")
-    return 1 if d > 0 else -1
+    return int(sign_det_many(as_matrix(m)[None], tol)[0])
 
 
 def sign_det_many(ms: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

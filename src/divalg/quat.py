@@ -42,21 +42,16 @@ _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 @lru_cache(maxsize=1)
-def _quaternions() -> Algebra:
-    return classical("H")
-
-
-@lru_cache(maxsize=1)
 def _conj_matrix() -> np.ndarray:
     """kappa of (H, R1, Im H), derived through the decoration functor."""
-    k = kappa(functor_g(_quaternions()))
+    k = kappa(functor_g(classical("H")))
     k.setflags(write=False)
     return k
 
 
 def qmul(x, y) -> np.ndarray:
     """Quaternion product of two coordinate vectors."""
-    return _quaternions().mul(np.asarray(x, float), np.asarray(y, float))
+    return classical("H").mul(np.asarray(x, float), np.asarray(y, float))
 
 
 def qconj(x) -> np.ndarray:
@@ -99,7 +94,7 @@ def k_map(s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if s.shape != (4,):
         raise ValueError("a quaternion is a length-4 vector")
-    h = _quaternions()
+    h = classical("H")
     return left_mult(h, s) @ right_mult(h, qinv(s))
 
 
@@ -161,7 +156,7 @@ def functor_h(alpha: int, beta: int, x: ZObject) -> Algebra:
     """
     if alpha not in (1, -1) or beta not in (1, -1):
         raise ValueError("block signs must be +1 or -1")
-    h = _quaternions()
+    h = classical("H")
     la, ra = left_mult(h, x.a), right_mult(h, x.a)
     lb, rb = left_mult(h, x.b), right_mult(h, x.b)
     k = _conj_matrix()
@@ -195,7 +190,7 @@ def so4_factor(o, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     if (np.max(np.abs(o.T @ o - np.eye(4))) > gate
             or float(np.linalg.det(o)) < 0.0):
         raise NotSpecialOrthogonal("input is not in SO(4) at tolerance")
-    h = _quaternions()
+    h = classical("H")
     basis = np.eye(4)
     lefts = [left_mult(h, basis[i]) for i in range(4)]
     rights = [right_mult(h, basis[j]) for j in range(4)]
@@ -229,7 +224,7 @@ def _extract(m: np.ndarray, side: str, tol: float):
     one-sided factor must be trivial (the reduction moves have already
     cleared it); a nontrivial remainder means the reduction failed.
     """
-    h = _quaternions()
+    h = classical("H")
     p, o = polar_decompose(m)
     aa, bb = so4_factor(o, tol)
     trivial, kept = (bb, aa) if side == "L" else (aa, bb)
@@ -270,7 +265,7 @@ def quat_normal_form(s_op, t_op, tol: float = DEFAULT_TOL):
         raise SingularOperator("S and T must be invertible")
     i_s, i_t = int(det_s < 0), int(det_t < 0)
     alpha, beta = (-1 if i_t else 1), (-1 if i_s else 1)
-    h = _quaternions()
+    h = classical("H")
     src = isotope(h, s, t, tol)
 
     a1, b1, _ = _split_quaternions(s, tol)

@@ -852,15 +852,6 @@ def check_names() -> list[str]:
     return [chk.name for chk in _REGISTRY]
 
 
-def coverage_map() -> dict[str, list[str]]:
-    """module:slug -> names of the checks covering it."""
-    out: dict[str, list[str]] = {}
-    for chk in _REGISTRY:
-        for slug in chk.covers:
-            out.setdefault(slug, []).append(chk.name)
-    return out
-
-
 def run_verify(seed: int = 0, tol: float = DEFAULT_TOL, samples: int = 1000,
                names=None, command: str = "verify") -> Report:
     """Run the registered checks and collect a report.
@@ -868,8 +859,13 @@ def run_verify(seed: int = 0, tol: float = DEFAULT_TOL, samples: int = 1000,
     Failures never raise; a check that raises a package error is
     recorded as failed and drives the exit code to 3 (numerical) or 2
     (input) according to the error class.  Checks see independent
-    streams seeded by (seed, declaration index).
+    streams seeded by (seed, declaration index).  An unknown name in
+    ``names`` raises ValueError before any check runs.
     """
+    if names is not None:
+        unknown = sorted(set(names) - set(check_names()))
+        if unknown:
+            raise ValueError("unknown check name(s): " + ", ".join(unknown))
     ctx = Ctx(seed, tol, samples)
     results = []
     exit_code = 0

@@ -176,3 +176,21 @@ def test_verify_text_subset(capsys):
     lines = out.strip().splitlines()
     assert lines[-1].startswith("2 checks, 0 failures")
     assert all(line.startswith("PASS") for line in lines[1:-1])
+
+
+@pytest.mark.parametrize("only", ["no-such-check", "core-opposition,typo"])
+def test_verify_unknown_check_is_input_error(capsys, only):
+    code = main(["verify", "--only", only])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert only.split(",")[-1] in captured.err
+
+
+def test_failing_check_exits_one(capsys):
+    code, out = run(capsys, "verify", "--only", "dim2-separation",
+                    "--tol", "1e-30")
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert lines[1].startswith("FAIL  dim2-separation")
+    assert lines[-1].startswith("1 checks, 1 failures: dim2-separation")

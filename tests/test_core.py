@@ -47,6 +47,26 @@ def test_octonion_division_and_norm(O):
                        np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1))
 
 
+def test_octonion_is_cayley_dickson_double(H, O):
+    rng = np.random.default_rng(11)
+    conj = np.array([1.0, -1.0, -1.0, -1.0])
+    for _ in range(20):
+        a, b, c, d = rng.standard_normal((4, 4))
+        want = np.concatenate([H.mul(a, c) - H.mul(conj * d, b),
+                               H.mul(d, a) + H.mul(b, conj * c)])
+        got = O.mul(np.concatenate([a, b]), np.concatenate([c, d]))
+        assert np.allclose(got, want, atol=1e-12)
+
+
+def test_classical_is_cached_and_read_only():
+    for name in ("C", "H", "O"):
+        alg = classical(name)
+        assert classical(name) is alg
+        assert not alg.c.flags.writeable
+        with pytest.raises(ValueError):
+            alg.c[0, 0, 0] = 2.0
+
+
 def test_classical_sign_pairs(C, H, O):
     for alg in (C, H, O):
         p = sign_pair(alg)

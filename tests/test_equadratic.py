@@ -34,6 +34,23 @@ def test_central_idempotents_componentwise_pairs():
     es = central_idempotents(componentwise(2))
     got = sorted(tuple(np.round(e, 6)) for e in es)
     assert got == [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+    # transported copies: the idempotents are F e1, F e2 and F (e1 + e2)
+    for seed in range(6):
+        f = random_invertible(2, seed)
+        es = central_idempotents(transport(componentwise(2), f))
+        want = [f[:, 0], f[:, 1], f[:, 0] + f[:, 1]]
+        assert len(es) == 3
+        for w in want:
+            assert min(np.linalg.norm(e - w) for e in es) < 1e-9
+
+
+def test_central_idempotents_continuum_is_empty():
+    # e0 e0 = e0, e0 e1 = e1 e0 = e1 / 2, e1 e1 = 0: every e0 + s e1 is
+    # idempotent, so there is no isolated solution to return
+    c = np.zeros((2, 2, 2))
+    c[0, 0, 0] = 1.0
+    c[0, 1, 1] = c[1, 0, 1] = 0.5
+    assert central_idempotents(Algebra(c)) == []
 
 
 def test_central_idempotents_center_too_large():
