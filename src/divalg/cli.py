@@ -2,8 +2,10 @@
 
 Every command reads JSON documents (see the io module for the schemas),
 prints a short text report by default and the full JSON document with
-``--json``.  Exit codes: 0 success, 1 a verification check failed,
-2 bad input, 3 a numerical invariant broke while computing.
+``--json``.  Exit codes: 0 success, 1 a `verify` check failed (it
+returned a failed verdict or raised), 2 bad input or a bad invocation
+(such as an unknown `verify --only` name), 3 a numerical invariant
+broke while computing in any other command.
 """
 
 from __future__ import annotations

@@ -54,7 +54,8 @@ class Algebra:
 
     def mul(self, x, y) -> np.ndarray:
         """Product of two coordinate vectors."""
-        return np.einsum("ijk,i,j->k", self.c, x, y)
+        n = self.dim
+        return y @ (x @ self.c.reshape(n, n * n)).reshape(n, n)
 
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
@@ -84,12 +85,16 @@ def right_mult(alg: Algebra, a) -> np.ndarray:
 
 def left_mult_many(alg: Algebra, batch: np.ndarray) -> np.ndarray:
     """Stack of left-multiplication matrices, one per row of batch."""
-    return np.einsum("ijk,bi->bkj", alg.c, batch)
+    n = alg.dim
+    rows = batch @ alg.c.reshape(n, n * n)                  # [b, (j, k)]
+    return rows.reshape(-1, n, n).transpose(0, 2, 1)
 
 
 def right_mult_many(alg: Algebra, batch: np.ndarray) -> np.ndarray:
     """Stack of right-multiplication matrices, one per row of batch."""
-    return np.einsum("ijk,bj->bki", alg.c, batch)
+    n = alg.dim
+    rows = batch @ alg.c.transpose(1, 0, 2).reshape(n, n * n)  # [b, (i, k)]
+    return rows.reshape(-1, n, n).transpose(0, 2, 1)
 
 
 def _sample_points(alg: Algebra, samples: int, seed) -> np.ndarray:
@@ -141,8 +146,7 @@ def isotope(alg: Algebra, s_op, t_op, tol: float = DEFAULT_TOL) -> Algebra:
                              f"({alg.dim}, {alg.dim})")
         if abs(np.linalg.det(m)) <= tol:
             raise SingularOperator(f"{name} is singular at tol {tol:.1e}")
-    c = np.einsum("pi,qj,pqk->ijk", s, t, alg.c)
-    return Algebra(c, label=_tag(alg.label, "isotope"))
+    return Algebra(_pull_back(alg.c, s, t), label=_tag(alg.label, "isotope"))
 
 
 def opposite(alg: Algebra) -> Algebra:
@@ -161,16 +165,26 @@ def transport(alg: Algebra, f, tol: float = DEFAULT_TOL) -> Algebra:
     if abs(np.linalg.det(fm)) <= tol:
         raise SingularOperator("transport map is singular")
     g = np.linalg.inv(fm)
-    c = np.einsum("pi,qj,pqr,kr->ijk", g, g, alg.c, fm)
-    return Algebra(c, label=_tag(alg.label, "transport"))
+    return Algebra(_pull_back(alg.c, g, g) @ fm.T,
+                   label=_tag(alg.label, "transport"))
+
+
+def _pull_back(c: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The tensor sum_pq s[p, i] t[q, j] c[p, q, k], indexed [i, j, k].
+
+    Two pairwise contractions, each O(n^4); s and t may be rectangular
+    (m x n_i and m x n_j for a tensor c of shape (m, m, k)).
+    """
+    m, _, k = c.shape
+    x = (s.T @ c.reshape(m, m * k)).reshape(-1, m, k)     # [i, q, k]
+    return np.matmul(t.T, x)
 
 
 def morphism_residual(f, a: Algebra, b: Algebra) -> float:
     """max over basis pairs of || F(e_i e_j)_A - (F e_i)(F e_j)_B ||."""
     fm = np.asarray(f, dtype=float)
-    lhs = np.einsum("ijk,lk->ijl", a.c, fm)
-    rhs = np.einsum("pi,qj,pql->ijl", fm, fm, b.c)
-    return float(np.max(np.linalg.norm(lhs - rhs, axis=2)))
+    diff = a.c @ fm.T - _pull_back(b.c, fm, fm)
+    return float(np.max(np.linalg.norm(diff, axis=2)))
 
 
 def is_morphism(f, a: Algebra, b: Algebra, tol: float = DEFAULT_TOL) -> bool:

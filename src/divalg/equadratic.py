@@ -16,7 +16,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Algebra, commutant, left_mult, right_mult
+from .core import Algebra, commutant, left_mult, left_mult_many, \
+    right_mult
 from .decorated import DecoratedAlgebra, decorate
 from .errors import (
     CenterTooLarge,
@@ -65,7 +66,9 @@ def central_idempotents(alg: Algebra, tol: float = DEFAULT_TOL
         z = x / lam
         if np.linalg.norm(z) <= tol:
             continue
-        if np.linalg.norm(alg.mul(z, z) - z) > max(tol, 1e-10):
+        # the rounding error of z o z grows like |c| |z|^2 eps
+        bound = max(tol, 1e-10) * max(1.0, float(z @ z))
+        if np.linalg.norm(alg.mul(z, z) - z) > bound:
             continue
         if not any(np.linalg.norm(z - w) < 1e-6 for w in out):
             out.append(z)
@@ -85,7 +88,8 @@ def _idempotent_directions(alg, basis):
     """
     if basis.shape[1] == 1:
         return [basis[:, 0]]
-    q = np.einsum("ip,jq,ijk,kr->rpq", basis, basis, alg.c, basis)
+    # q[r, s, t] = b_r . (b_s o b_t) for the columns b of the basis
+    q = (basis.T @ left_mult_many(alg, basis.T) @ basis).transpose(1, 0, 2)
     q = 0.5 * (q + q.transpose(0, 2, 1))
     # u_r(t) = q[r, 0, 0] t1^2 + 2 q[r, 0, 1] t1 t2 + q[r, 1, 1] t2^2
     cubic = np.array([-q[1, 0, 0],
@@ -110,7 +114,8 @@ def is_e_quadratic(alg: Algebra, e, tol: float = DEFAULT_TOL) -> bool:
 
     Checks that all 3 x 3 minors of the n x 3 matrix [e | L_e x | x^2]
     vanish identically in x, by expanding each minor into the
-    symmetrized coefficient tensor of a cubic form.  In dimension 2
+    symmetrized coefficient tensor of a cubic form; the tensors of all
+    row triples are built as one stacked array.  In dimension 2
     there are no such minors and the answer is vacuously true.
     Raises NotIdempotent when e o e != e.
     """
@@ -123,26 +128,18 @@ def is_e_quadratic(alg: Algebra, e, tol: float = DEFAULT_TOL) -> bool:
     le = left_mult(alg, e)
     csym = 0.5 * (alg.c + alg.c.transpose(1, 0, 2))
     quad = csym.transpose(2, 0, 1)          # quad[k] is the form of (x^2)_k
-
-    def cubic(row, k):
-        # coefficient tensor of (le[row] . x) * (x^T quad[k] x)
-        return np.einsum("i,jk->ijk", le[row], quad[k])
-
+    # pairs[a, b] is the coefficient tensor of (le[a] . x) (x^T quad[b] x)
+    # minus that of (le[b] . x) (x^T quad[a] x), flattened over (i, j, k)
+    prod = le[:, None, :, None] * quad.reshape(1, n, 1, n * n)
+    pairs = (prod - prod.transpose(1, 0, 2, 3)).reshape(n, n, n ** 3)
+    p, q, r = np.array(list(combinations(range(n), 3))).T
+    t = (e[p, None] * pairs[q, r] + e[q, None] * pairs[r, p]
+         + e[r, None] * pairs[p, q]).reshape(-1, n, n, n)
+    t = (t + t.transpose(0, 1, 3, 2) + t.transpose(0, 2, 1, 3)
+         + t.transpose(0, 2, 3, 1) + t.transpose(0, 3, 1, 2)
+         + t.transpose(0, 3, 2, 1)) / 6.0
     scale = max(1.0, float(np.max(np.abs(alg.c))) ** 2)
-    for p, q, r in combinations(range(n), 3):
-        t = (e[p] * (cubic(q, r) - cubic(r, q))
-             + e[q] * (cubic(r, p) - cubic(p, r))
-             + e[r] * (cubic(p, q) - cubic(q, p)))
-        t = _symmetrize3(t)
-        if np.max(np.abs(t)) > tol * scale:
-            return False
-    return True
-
-
-def _symmetrize3(t: np.ndarray) -> np.ndarray:
-    return (t + t.transpose(0, 2, 1) + t.transpose(1, 0, 2)
-            + t.transpose(1, 2, 0) + t.transpose(2, 0, 1)
-            + t.transpose(2, 1, 0)) / 6.0
+    return bool(np.max(np.abs(t)) <= tol * scale)
 
 
 def _unit_covector(f: np.ndarray) -> np.ndarray:
@@ -176,7 +173,7 @@ def im_e(alg: Algebra, e, tol: float = DEFAULT_TOL) -> np.ndarray:
     _, _, vt = np.linalg.svd((e / np.linalg.norm(e))[None, :])
     z = vt[1:]                               # (n-1, n), rows span e-perp
     csym = 0.5 * (alg.c + alg.c.transpose(1, 0, 2))
-    forms = np.einsum("ijk,tk->tij", csym, z)   # (n-1, n, n) symmetric
+    forms = (csym @ z.T).transpose(2, 0, 1)     # (n-1, n, n) symmetric
     norms = np.linalg.norm(forms.reshape(n - 1, -1), axis=1)
     scale = max(1.0, float(norms.max()) if norms.size else 1.0)
 

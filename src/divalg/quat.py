@@ -24,8 +24,10 @@ from .core import (
     classical,
     isotope,
     left_mult,
+    left_mult_many,
     morphism_residual,
     right_mult,
+    right_mult_many,
 )
 from .decorated import kappa
 from .equadratic import functor_g
@@ -47,6 +49,21 @@ def _conj_matrix() -> np.ndarray:
     k = kappa(functor_g(classical("H")))
     k.setflags(write=False)
     return k
+
+
+@lru_cache(maxsize=1)
+def _isoclinic_basis() -> np.ndarray:
+    """Row 4 i + j is L_{e_i} R_{e_j} of H, flattened (16 x 16).
+
+    The rows are orthogonal of squared norm 4, so B @ o.ravel() / 4
+    projects o onto them.
+    """
+    h = classical("H")
+    eye = np.eye(4)
+    basis = np.matmul(left_mult_many(h, eye)[:, None],
+                      right_mult_many(h, eye)[None]).reshape(16, 16)
+    basis.setflags(write=False)
+    return basis
 
 
 def qmul(x, y) -> np.ndarray:
@@ -190,17 +207,11 @@ def so4_factor(o, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     if (np.max(np.abs(o.T @ o - np.eye(4))) > gate
             or float(np.linalg.det(o)) < 0.0):
         raise NotSpecialOrthogonal("input is not in SO(4) at tolerance")
-    h = classical("H")
-    basis = np.eye(4)
-    lefts = [left_mult(h, basis[i]) for i in range(4)]
-    rights = [right_mult(h, basis[j]) for j in range(4)]
-    coeff = np.empty((4, 4))
-    for i in range(4):
-        for j in range(4):
-            coeff[i, j] = float(np.tensordot(lefts[i] @ rights[j], o)) / 4.0
+    coeff = (_isoclinic_basis() @ o.ravel()).reshape(4, 4) / 4.0
     u, _, vt = np.linalg.svd(coeff)
     a, eps = _rep(u[:, 0])
     b = eps * vt[0] / float(np.linalg.norm(vt[0]))
+    h = classical("H")
     res = float(np.linalg.norm(left_mult(h, a) @ right_mult(h, b) - o))
     if res > gate:
         raise FactorizationFailed(f"isoclinic residual {res:.3e} > {gate:.1e}")

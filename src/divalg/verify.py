@@ -856,11 +856,13 @@ def run_verify(seed: int = 0, tol: float = DEFAULT_TOL, samples: int = 1000,
                names=None, command: str = "verify") -> Report:
     """Run the registered checks and collect a report.
 
-    Failures never raise; a check that raises a package error is
-    recorded as failed and drives the exit code to 3 (numerical) or 2
-    (input) according to the error class.  Checks see independent
-    streams seeded by (seed, declaration index).  An unknown name in
-    ``names`` raises ValueError before any check runs.
+    Failures never raise: a check that raises a package error or a
+    ValueError (numpy's LinAlgError is one) is recorded as failed, with
+    the exception name in its detail.  The exit code is 1 when any
+    check failed, whether it returned a failed verdict or raised, and 0
+    otherwise.  Checks see independent streams seeded by (seed,
+    declaration index).  An unknown name in ``names`` raises ValueError
+    before any check runs.
     """
     if names is not None:
         unknown = sorted(set(names) - set(check_names()))
@@ -868,7 +870,6 @@ def run_verify(seed: int = 0, tol: float = DEFAULT_TOL, samples: int = 1000,
             raise ValueError("unknown check name(s): " + ", ".join(unknown))
     ctx = Ctx(seed, tol, samples)
     results = []
-    exit_code = 0
     for chk in _REGISTRY:
         if names is not None and chk.name not in names:
             continue
@@ -878,11 +879,9 @@ def run_verify(seed: int = 0, tol: float = DEFAULT_TOL, samples: int = 1000,
             results.append(CheckResult(chk.name, chk.law, bool(passed),
                                        float(residual), int(nsamples),
                                        detail))
-            if not passed:
-                exit_code = max(exit_code, 1)
-        except DivalgError as exc:
+        except (DivalgError, ValueError) as exc:
             results.append(CheckResult(chk.name, chk.law, False, None, 0,
                                        f"{type(exc).__name__}: {exc}"))
-            exit_code = max(exit_code, exc.exit_code)
+    exit_code = 0 if all(r.passed for r in results) else 1
     return Report(command=command, seed=seed, tol=tol, samples=samples,
                   results=tuple(results), exit_code=exit_code)

@@ -194,3 +194,19 @@ def test_failing_check_exits_one(capsys):
     lines = out.strip().splitlines()
     assert lines[1].startswith("FAIL  dim2-separation")
     assert lines[-1].startswith("1 checks, 1 failures: dim2-separation")
+
+
+@pytest.mark.parametrize("tol, only, raised", [
+    # returns a failed verdict, and raises NotEQuadratic
+    ("1e-30", "dim2-separation,equad-decomposition", "NotEQuadratic"),
+    # raises DegenerateSign, and raises NotDivision
+    ("1e-2", "core-sign-constancy,dim2-density", "DegenerateSign"),
+])
+def test_raising_check_exits_one(capsys, tol, only, raised):
+    code, out = run(capsys, "verify", "--only", only, "--tol", tol, "--json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["exit_code"] == 1
+    assert sorted(doc["failures"]) == sorted(only.split(","))
+    details = [c["detail"] for c in doc["checks"]]
+    assert any(d.startswith(raised + ": ") for d in details)

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divalg.core import Algebra, classical, find_unities, is_division, \
-    is_morphism, isotope, left_mult, morphism_residual, opposite, \
-    right_mult, sign_pair, transport
+    is_morphism, isotope, left_mult, left_mult_many, morphism_residual, \
+    opposite, right_mult, right_mult_many, sign_pair, transport
 from divalg.errors import DegenerateSign, DimensionOne, ModeMismatch, \
     SignInconsistent, ZeroMap
 from divalg.matkit import random_invertible
@@ -209,3 +209,43 @@ def test_is_morphism_shape_check(C, H):
 def test_morphism_residual_identity(H):
     assert morphism_residual(np.eye(4), H, H) == 0.0
     assert morphism_residual(2.0 * np.eye(4), H, H) > 1.0
+
+
+def close(got, ref, rtol=1e-12):
+    """Agreement relative to the largest entry of the reference."""
+    return np.max(np.abs(got - ref)) <= rtol * max(np.max(np.abs(ref)), 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_kernels_match_einsum_definitions(n):
+    # random (non-classical) tensors and operators, against the index
+    # formulas the pairwise contractions implement
+    rng = np.random.default_rng([n, 77])
+    a = Algebra(rng.standard_normal((n, n, n)))
+    b = Algebra(rng.standard_normal((n, n, n)))
+    s, t, f = (random_invertible(n, rng) for _ in range(3))
+    x, y = rng.standard_normal(n), rng.standard_normal(n)
+    pts = rng.standard_normal((5, n))
+    g = np.linalg.inv(f)
+    assert close(a.mul(x, y), np.einsum("ijk,i,j->k", a.c, x, y))
+    assert close(left_mult_many(a, pts), np.einsum("ijk,bi->bkj", a.c, pts))
+    assert close(right_mult_many(a, pts),
+                 np.einsum("ijk,bj->bki", a.c, pts))
+    assert close(isotope(a, s, t).c,
+                 np.einsum("pi,qj,pqk->ijk", s, t, a.c))
+    assert close(transport(a, f).c,
+                 np.einsum("pi,qj,pqr,kr->ijk", g, g, a.c, f))
+    lhs = np.einsum("ijk,lk->ijl", a.c, f)
+    rhs = np.einsum("pi,qj,pql->ijl", f, f, b.c)
+    ref = float(np.max(np.linalg.norm(lhs - rhs, axis=2)))
+    assert abs(morphism_residual(f, a, b) - ref) <= 1e-12 * ref
+
+
+def test_rectangular_morphism_embeds_c_in_h(C, H):
+    # 1 -> 1, i -> i: C is the subalgebra span{1, i} of H
+    f = np.zeros((4, 2))
+    f[0, 0] = f[1, 1] = 1.0
+    assert morphism_residual(f, C, H) == 0.0
+    assert is_morphism(f, C, H) is True
+    assert morphism_residual(f[[0, 2, 1, 3]], C, H) == 0.0   # i -> j
+    assert morphism_residual(f[:, ::-1], C, H) > 1.0         # 1 -> i

@@ -53,6 +53,34 @@ def test_central_idempotents_continuum_is_empty():
     assert central_idempotents(Algebra(c)) == []
 
 
+# Symmetrized standard-normal tensors of np.random.default_rng(11), draw
+# 104, and default_rng(12), draw 1340.  Each commutative algebra has three
+# idempotents, one of norm about 717 (resp. 1259) whose product z o z
+# carries a rounding error near 1e-9, so an absolute 1e-9 filter kept or
+# dropped it by luck.
+LARGE_IDEMPOTENT_ALGEBRAS = [
+    ([[[0.8836363033330058, 0.5031824638654618],
+       [0.26875617156772835, -0.15617680886235277]],
+      [[0.26875617156772835, -0.15617680886235277],
+       [-0.6426617736770143, -1.1187301636203146]]], 717.4798027586249),
+    ([[[0.8400410600205097, -0.2849405176576142],
+       [0.3543057767968869, -0.4078765906221506]],
+      [[0.3543057767968869, -0.4078765906221506],
+       [-1.1838903221968935, 0.8853642469579526]]], 1259.0531662391018),
+]
+
+
+@pytest.mark.parametrize("c, big", LARGE_IDEMPOTENT_ALGEBRAS)
+def test_central_idempotents_keeps_large_norm_solutions(c, big):
+    alg = Algebra(np.array(c))
+    es = central_idempotents(alg)
+    assert len(es) == 3
+    norms = sorted(float(np.linalg.norm(z)) for z in es)
+    assert abs(norms[-1] - big) <= 1e-6 * big
+    for z in es:
+        assert np.linalg.norm(alg.mul(z, z) - z) <= 1e-12 * max(1.0, z @ z)
+
+
 def test_central_idempotents_center_too_large():
     with pytest.raises(CenterTooLarge):
         central_idempotents(componentwise(4))

@@ -8,8 +8,8 @@ from divalg.core import classical, isotope, left_mult, morphism_residual, \
 from divalg.errors import NotSpecialOrthogonal, SingularOperator, \
     ZeroQuaternion
 from divalg.matkit import random_rotation, sign_det
-from divalg.quat import ZObject, functor_h, k_map, qconj, qinv, qmul, \
-    quat_normal_form, rep_normalize, so4_factor, z_action
+from divalg.quat import ZObject, _isoclinic_basis, functor_h, k_map, \
+    qconj, qinv, qmul, quat_normal_form, rep_normalize, so4_factor, z_action
 from divalg.samples import random_quat_pair, random_unit_quaternion, \
     random_z_object
 
@@ -149,6 +149,20 @@ def test_so4_factor_roundtrip(seed):
     assert np.linalg.norm(left_mult(h, a) @ right_mult(h, b) - o) <= 1e-10
     first = a[np.flatnonzero(np.abs(a) > 1e-12)[0]]
     assert first > 0
+
+
+def test_so4_coefficients_match_the_product_loop():
+    # the projection of o onto the 16 products L_{e_i} R_{e_j}, against
+    # its definition as 16 Frobenius products
+    h = classical("H")
+    basis = _isoclinic_basis()
+    assert not basis.flags.writeable
+    for seed in range(5):
+        o = random_rotation(4, seed)
+        ref = np.array([[np.tensordot(left_mult(h, ei) @ right_mult(h, ej), o)
+                         for ej in np.eye(4)] for ei in np.eye(4)]) / 4.0
+        got = (basis @ o.ravel()).reshape(4, 4) / 4.0
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_so4_factor_rejects_non_rotation():
