@@ -2,8 +2,9 @@
 
 Generates a corpus across dimensions 2/4/8 (isotopes of the classical
 algebras by invertible operator pairs), tabulates how often each block
-appears per dimension, and then walks one decorated algebra around all
-four blocks with the twist functors to show the orbit is full.
+appears per dimension (one stacked sign_pair_many call per dimension),
+and then walks one decorated algebra around all four blocks with the
+twist functors to show the orbit is full.
 
 Usage: python3 scripts/block_census.py [--count N] [--seed S]
 """
@@ -12,7 +13,9 @@ import argparse
 from collections import Counter
 from dataclasses import dataclass
 
-from divalg.core import sign_pair
+import numpy as np
+
+from divalg.core import SignPair, sign_pair, sign_pair_many
 from divalg.decorated import functor_i
 from divalg.samples import decorated_corpus, division_corpus
 
@@ -35,9 +38,14 @@ def parse_args(argv=None) -> Config:
 
 
 def census(cfg: Config) -> dict[int, Counter]:
-    table: dict[int, Counter] = {2: Counter(), 4: Counter(), 8: Counter()}
+    tensors: dict[int, list] = {2: [], 4: [], 8: []}
     for alg in division_corpus(cfg.count, seed=cfg.seed):
-        table[alg.dim][sign_pair(alg).block] += 1
+        tensors[alg.dim].append(alg.c)
+    table = {}
+    for dim, cs in tensors.items():
+        signs = sign_pair_many(np.stack(cs)) if cs else []
+        table[dim] = Counter(SignPair(int(ell), int(r)).block
+                             for ell, r in signs)
     return table
 
 

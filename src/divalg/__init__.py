@@ -5,8 +5,9 @@ in dimensions 2 and 4, with a seeded verification suite behind the
 """
 
 from .core import Algebra, SignPair, block_of, classical, commutant, \
-    find_unities, is_division, is_morphism, isotope, left_mult, \
-    morphism_residual, opposite, right_mult, sign_pair, transport
+    find_unities, is_division, is_morphism, isotope, isotope_many, \
+    left_mult, morphism_residual, opposite, right_mult, sign_pair, \
+    sign_pair_many, transport, transport_many
 from .decorated import DecoratedAlgebra, decorate, forget, functor_i, kappa
 from .dim2 import NormalForm2D, automorphisms_2d, build2d, hom2d, \
     iso_to_c, normal_form_2d, unitalize
@@ -44,6 +45,7 @@ __all__ = [
     "is_morphism",
     "iso_to_c",
     "isotope",
+    "isotope_many",
     "k_map",
     "kappa",
     "left_mult",
@@ -54,8 +56,10 @@ __all__ = [
     "right_mult",
     "run_verify",
     "sign_pair",
+    "sign_pair_many",
     "so4_factor",
     "transport",
+    "transport_many",
     "unitalize",
     "z_action",
 ]

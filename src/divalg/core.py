@@ -18,13 +18,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    DegenerateSign,
     DimensionOne,
     ModeMismatch,
     SignInconsistent,
     SingularOperator,
     ZeroMap,
 )
-from .matkit import DEFAULT_TOL, sign_det_many
+from .matkit import DEFAULT_TOL
 
 _ALLOWED_DIMS = (1, 2, 4, 8)
 
@@ -42,7 +43,7 @@ class Algebra:
             raise ValueError(f"structure tensor must be cubic, got {c.shape}")
         if c.shape[0] not in _ALLOWED_DIMS:
             raise ValueError(f"dimension must be one of {_ALLOWED_DIMS}")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("structure constants must be finite")
         c = c.copy()
         c.setflags(write=False)
@@ -85,23 +86,52 @@ def right_mult(alg: Algebra, a) -> np.ndarray:
 
 def left_mult_many(alg: Algebra, batch: np.ndarray) -> np.ndarray:
     """Stack of left-multiplication matrices, one per row of batch."""
-    n = alg.dim
-    rows = batch @ alg.c.reshape(n, n * n)                  # [b, (j, k)]
-    return rows.reshape(-1, n, n).transpose(0, 2, 1)
+    return _left_stack(alg.c, batch)
 
 
 def right_mult_many(alg: Algebra, batch: np.ndarray) -> np.ndarray:
     """Stack of right-multiplication matrices, one per row of batch."""
-    n = alg.dim
-    rows = batch @ alg.c.transpose(1, 0, 2).reshape(n, n * n)  # [b, (i, k)]
-    return rows.reshape(-1, n, n).transpose(0, 2, 1)
+    # R_a of an algebra is L_a of its opposite
+    return _left_stack(alg.c.swapaxes(0, 1), batch)
 
 
-def _sample_points(alg: Algebra, samples: int, seed) -> np.ndarray:
+def _left_stack(c: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """L_a for every row a of batch and every tensor of c, which is one
+    tensor (n, n, n) or a stack (..., n, n, n); indexed [..., a, k, j]."""
+    n = c.shape[-1]
+    rows = batch @ c.reshape(*c.shape[:-3], n, n * n)      # [..., a, (j, k)]
+    return rows.reshape(*rows.shape[:-1], n, n).swapaxes(-1, -2)
+
+
+# How many sample-point sets _sample_points keeps, one per (dim, samples,
+# seed) with an int seed.
+_POINT_SETS_CACHED = 16
+
+
+def _sample_points(dim: int, samples: int, seed) -> np.ndarray:
+    """The dim basis vectors, then ``samples`` seeded random unit vectors.
+
+    An int seed always gives the same points, so they are cached
+    (_POINT_SETS_CACHED sets at most) and shared read-only; any other
+    seed (a Generator, a sequence, None) draws afresh on every call.
+    """
+    if isinstance(seed, (int, np.integer)):
+        return _cached_points(dim, samples, int(seed))
+    return _draw_points(dim, samples, seed)
+
+
+@lru_cache(maxsize=_POINT_SETS_CACHED)
+def _cached_points(dim: int, samples: int, seed: int) -> np.ndarray:
+    pts = _draw_points(dim, samples, seed)
+    pts.setflags(write=False)
+    return pts
+
+
+def _draw_points(dim: int, samples: int, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((samples, alg.dim)) if samples else \
-        np.empty((0, alg.dim))
-    pts = np.vstack([np.eye(alg.dim), pts])
+    pts = rng.standard_normal((samples, dim)) if samples else \
+        np.empty((0, dim))
+    pts = np.vstack([np.eye(dim), pts])
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
@@ -113,16 +143,56 @@ def sign_pair(alg: Algebra, samples: int = 100, tol: float = DEFAULT_TOL,
     ``samples`` seeded random unit vectors and demands that each family
     is single-valued.  Disagreement raises SignInconsistent (the input
     cannot be a division algebra), and any near-zero determinant raises
-    DegenerateSign.
+    DegenerateSign.  For an int seed the points are cached per
+    (dimension, samples, seed), the most recent few sets kept, and
+    shared read-only by every call; a Generator seed draws new points
+    on each call.  The B=1 case of sign_pair_many.
     """
-    if alg.dim == 1:
+    ell, r = sign_pair_many(alg.c[None], samples, tol, seed)[0]
+    return SignPair(int(ell), int(r))
+
+
+def sign_pair_many(tensors, samples: int = 100, tol: float = DEFAULT_TOL,
+                   seed=0) -> np.ndarray:
+    """Double signs of a stack of algebras of one dimension.
+
+    ``tensors`` has shape (B, n, n, n); the result has shape (B, 2), row
+    b holding (sign det L, sign det R) of algebra b as +1 or -1, taken
+    at the same points as sign_pair(..., samples, tol, seed).  Raises
+    ValueError when the stack has another shape or a non-finite entry,
+    DimensionOne when n = 1, DegenerateSign naming the algebra (its
+    index in the stack) and the sample point of the first |det| <= tol,
+    and SignInconsistent naming the first algebra whose signs vary.
+    """
+    c = np.asarray(tensors, dtype=float)
+    if c.ndim != 4 or len(set(c.shape[1:])) != 1:
+        raise ValueError(f"expected a (B, n, n, n) tensor stack, got shape "
+                         f"{c.shape}")
+    if not np.isfinite(c).all():
+        raise ValueError("structure constants must be finite")
+    n = c.shape[-1]
+    if n == 1:
         raise DimensionOne("the double sign needs dimension at least 2")
-    pts = _sample_points(alg, samples, seed)
-    ls = sign_det_many(left_mult_many(alg, pts), tol)
-    rs = sign_det_many(right_mult_many(alg, pts), tol)
-    if ls.min() != ls.max() or rs.min() != rs.max():
-        raise SignInconsistent("determinant signs vary over nonzero points")
-    return SignPair(int(ls[0]), int(rs[0]))
+    pts = _sample_points(n, samples, seed)
+    # det L_a, then det R_a as det L_a of the opposite algebra; one side
+    # at a time keeps the peak memory of a large stack to one side's
+    d = np.stack([np.linalg.det(_left_stack(m, pts))
+                  for m in (c, c.swapaxes(1, 2))], axis=1)  # [b, side, point]
+    small = np.abs(d) <= tol
+    if small.any():
+        b, side, p = np.unravel_index(np.argmax(small), small.shape)
+        raise DegenerateSign(
+            f"|det {'LR'[side]}_a| = {abs(d[b, side, p]):.3e} <= tol = "
+            f"{tol:.3e} on algebra {b} of the stack at sample point {p}, "
+            f"a = {np.array2string(pts[p], precision=3)}")
+    # a sign is constant when all or none of the points have det > 0
+    positive = (d > 0).sum(axis=2)                           # [b, side]
+    varies = positive % len(pts)
+    if varies.any():
+        raise SignInconsistent(
+            "determinant signs vary over nonzero points of algebra "
+            f"{int(np.argmax(varies.any(axis=1)))} of the stack")
+    return np.where(positive > 0, 1, -1)
 
 
 def block_of(alg: Algebra, samples: int = 100, tol: float = DEFAULT_TOL,
@@ -137,16 +207,26 @@ def isotope(alg: Algebra, s_op, t_op, tol: float = DEFAULT_TOL) -> Algebra:
     S and T must be invertible; the isotope of a division algebra is
     again division, and iterating isotopes composes the operators:
     the (S', T')-isotope of the (S, T)-isotope is the (SS', TT')-isotope.
+    The B=1 case of isotope_many.
     """
-    s = np.asarray(s_op, dtype=float)
-    t = np.asarray(t_op, dtype=float)
-    for name, m in (("S", s), ("T", t)):
-        if m.shape != (alg.dim, alg.dim):
-            raise ValueError(f"{name} has shape {m.shape}, need "
-                             f"({alg.dim}, {alg.dim})")
-        if abs(np.linalg.det(m)) <= tol:
-            raise SingularOperator(f"{name} is singular at tol {tol:.1e}")
-    return Algebra(_pull_back(alg.c, s, t), label=_tag(alg.label, "isotope"))
+    c = isotope_many(alg, np.asarray(s_op, dtype=float)[None],
+                     np.asarray(t_op, dtype=float)[None], tol)[0]
+    return Algebra(c, label=_tag(alg.label, "isotope"))
+
+
+def isotope_many(alg: Algebra, s_ops, t_ops,
+                 tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Structure tensors of the isotopes of alg by a stack of (S, T) pairs.
+
+    ``s_ops`` and ``t_ops`` have shape (B, n, n); entry b of the
+    (B, n, n, n) result is the tensor of isotope(alg, s_ops[b],
+    t_ops[b]).  Raises ValueError when either stack has another shape
+    or a non-finite entry, and SingularOperator naming the first
+    operator, S[b] before T[b], with |det| <= tol.
+    """
+    st = _checked_operators(alg, tol, "ST", s_ops, t_ops)
+    b = len(st) // 2
+    return _pull_back(alg.c, st[:b], st[b:])
 
 
 def opposite(alg: Algebra) -> Algebra:
@@ -159,25 +239,71 @@ def transport(alg: Algebra, f, tol: float = DEFAULT_TOL) -> Algebra:
     """Carry the multiplication along an invertible F.
 
     The result B satisfies x *_B y = F(F^-1 x *_A F^-1 y), so F is an
-    isomorphism from alg to the transported copy by construction.
+    isomorphism from alg to the transported copy by construction.  The
+    B=1 case of transport_many.
     """
-    fm = np.asarray(f, dtype=float)
-    if abs(np.linalg.det(fm)) <= tol:
-        raise SingularOperator("transport map is singular")
-    g = np.linalg.inv(fm)
-    return Algebra(_pull_back(alg.c, g, g) @ fm.T,
-                   label=_tag(alg.label, "transport"))
+    c = transport_many(alg, np.asarray(f, dtype=float)[None], tol)[0]
+    return Algebra(c, label=_tag(alg.label, "transport"))
+
+
+def transport_many(alg: Algebra, f_ops, tol: float = DEFAULT_TOL
+                   ) -> np.ndarray:
+    """Structure tensors of alg transported along a stack of maps.
+
+    ``f_ops`` has shape (B, n, n); entry b of the (B, n, n, n) result is
+    the tensor of transport(alg, f_ops[b]).  Raises ValueError when the
+    stack has another shape or a non-finite entry, and SingularOperator
+    naming the first F[b] with |det| <= tol.
+    """
+    f = _checked_operators(alg, tol, "F", f_ops)
+    g = np.linalg.inv(f)
+    return _pull_back(alg.c, g, g) @ f.swapaxes(1, 2)[:, None]
+
+
+def _checked_operators(alg: Algebra, tol: float, names: str,
+                       *stacks) -> np.ndarray:
+    """The operator stacks, one per letter of ``names``, validated and
+    concatenated along axis 0.
+
+    Each must have shape (B, n, n) with one B for all and finite
+    entries, or ValueError names it.  SingularOperator names the first
+    operator, in the order of ``names``, with |det| <= tol.
+    """
+    ops = [np.asarray(m, dtype=float) for m in stacks]
+    want = ops[0].shape[:1] + (alg.dim, alg.dim)
+    for name, m in zip(names, ops):
+        if m.shape != want:
+            raise ValueError(f"{name} has shape {m.shape}, need "
+                             f"(B, {alg.dim}, {alg.dim}) with one B")
+    ops = np.concatenate(ops) if len(ops) > 1 else ops[0]
+    # count_nonzero and a list scan: the cheapest tests on a few tiny
+    # matrices, which is what single-item calls pass
+    if np.count_nonzero(np.isfinite(ops)) != ops.size:
+        bad = next(name for name, m in zip(names, stacks)
+                   if not np.isfinite(m).all())
+        raise ValueError(f"{bad} has non-finite entries")
+    singular = [k for k, d in enumerate(np.linalg.det(ops).tolist())
+                if abs(d) <= tol]
+    if singular:
+        per = len(ops) // len(names)
+        i = singular[0]
+        raise SingularOperator(f"{names[i // per]}[{i % per}] is singular "
+                               f"at tol {tol:.1e}")
+    return ops
 
 
 def _pull_back(c: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The tensor sum_pq s[p, i] t[q, j] c[p, q, k], indexed [i, j, k].
 
     Two pairwise contractions, each O(n^4); s and t may be rectangular
-    (m x n_i and m x n_j for a tensor c of shape (m, m, k)).
+    (m x n_i and m x n_j for a tensor c of shape (m, m, k)), and may be
+    equal-length stacks (..., m, n_i) and (..., m, n_j), giving a stack
+    of tensors [..., i, j, k].
     """
     m, _, k = c.shape
-    x = (s.T @ c.reshape(m, m * k)).reshape(-1, m, k)     # [i, q, k]
-    return np.matmul(t.T, x)
+    x = s.swapaxes(-1, -2) @ c.reshape(m, m * k)             # [..., i, (q, k)]
+    x = x.reshape(x.shape[:-1] + (m, k))
+    return t.swapaxes(-1, -2)[..., None, :, :] @ x
 
 
 def morphism_residual(f, a: Algebra, b: Algebra) -> float:
@@ -211,8 +337,10 @@ def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
     quadratic forms in a; the algebra is division exactly when both are
     definite, decided by the eigenvalues of their coefficient matrices.
 
-    mode='sampled': evaluates both determinants at seeded random unit
-    vectors; a near-zero value gives 'not_division', otherwise
+    mode='sampled': evaluates both determinants at the basis vectors and
+    ``samples`` seeded random unit vectors, the same points as
+    sign_pair (shared read-only for an int seed, drawn afresh for a
+    Generator); a near-zero value gives 'not_division', otherwise
     'probably_division' ('division' for dimension 1).
     """
     if mode == "exact2d":
@@ -233,7 +361,7 @@ def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
         raise ModeMismatch(f"unknown mode {mode!r}")
     if alg.dim == 1:
         return "division" if abs(alg.c[0, 0, 0]) > tol else "not_division"
-    pts = _sample_points(alg, samples, seed)
+    pts = _sample_points(alg.dim, samples, seed)
     dl = np.abs(np.linalg.det(left_mult_many(alg, pts)))
     dr = np.abs(np.linalg.det(right_mult_many(alg, pts)))
     if min(dl.min(), dr.min()) <= tol:

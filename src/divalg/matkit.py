@@ -17,9 +17,14 @@ DEFAULT_TOL = 1e-9
 
 def as_matrix(m) -> np.ndarray:
     """Coerce to a finite square float matrix."""
+    return _as_square(m, 2)
+
+
+def _as_square(m, ndim: int) -> np.ndarray:
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
+        want = "a square matrix" if ndim == 2 else "a stack of square matrices"
+        raise ValueError(f"expected {want}, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
@@ -49,17 +54,25 @@ def sign_det_many(ms: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 def polar_decompose(m, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """Left polar decomposition m = p @ o with p SPD and o orthogonal.
 
-    Computed from the SVD m = u s v^T as p = u s u^T, o = u v^T.
-    Raises SingularInput when the smallest singular value is below
-    tol times the largest.
+    ``m`` is one matrix (n, n) or a stack (B, n, n); p and o have its
+    shape.  Computed from the SVD m = u s v^T as p = u s u^T, o = u v^T,
+    the same arithmetic for each matrix of a stack as for one matrix.
+    Raises ValueError for another shape or a non-finite entry, and
+    SingularInput, naming the stack index of the first offender, when
+    the smallest singular value is below tol times the largest.
     """
-    a = as_matrix(m)
+    a = _as_square(m, 3) if np.ndim(m) == 3 else as_matrix(m)
     u, s, vt = np.linalg.svd(a)
-    if s[-1] <= tol * max(s[0], 1.0):
-        raise SingularInput(f"singular values span {s[0]:.3e}..{s[-1]:.3e}")
-    p = (u * s) @ u.T
+    singular = s[..., -1] <= tol * np.maximum(s[..., 0], 1.0)
+    if np.any(singular):
+        i = int(np.argmax(singular))
+        bad = s.reshape(-1, s.shape[-1])[i]
+        where = f" at stack index {i}" if a.ndim == 3 else ""
+        raise SingularInput(f"singular values span {bad[0]:.3e}.."
+                            f"{bad[-1]:.3e}{where}")
+    p = (u * s[..., None, :]) @ u.swapaxes(-1, -2)
     o = u @ vt
-    return 0.5 * (p + p.T), o
+    return 0.5 * (p + p.swapaxes(-1, -2)), o
 
 
 def is_spd1(m, tol: float = DEFAULT_TOL) -> bool:
@@ -105,14 +118,17 @@ def random_invertible(n: int, seed=0, min_det: float = 1e-3,
 
     Standard normal entries, redrawn until |det| >= min_det and the
     condition number stays below max_cond.  The conditioning bound keeps
-    downstream float error well under the package tolerances.
+    downstream float error well under the package tolerances.  The
+    condition number is s_max / s_min from one singular-value
+    computation, exactly what np.linalg.cond returns.
     """
     rng = np.random.default_rng(seed)
     for _ in range(1000):
         m = rng.standard_normal((n, n))
         if abs(np.linalg.det(m)) < min_det:
             continue
-        if np.linalg.cond(m) > max_cond:
+        s = np.linalg.svd(m, compute_uv=False)
+        if s[0] / s[-1] > max_cond:
             continue
         return m
     raise SingularInput("could not draw a well-conditioned invertible matrix")

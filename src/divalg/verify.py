@@ -19,8 +19,9 @@ import numpy as np
 from . import io as io_mod
 from . import samples as smp
 from .core import Algebra, classical, find_unities, is_morphism, isotope, \
-    left_mult, left_mult_many, morphism_residual, opposite, right_mult, \
-    right_mult_many, sign_pair, transport
+    isotope_many, left_mult, left_mult_many, morphism_residual, opposite, \
+    right_mult, right_mult_many, sign_pair, sign_pair_many, transport, \
+    transport_many
 from .decorated import decorate, forget, functor_i, kappa
 from .dim2 import NormalForm2D, build2d, c2_elements, d3_elements, \
     groupoid_hom, hom2d, normal_form_2d
@@ -115,6 +116,16 @@ def _check(name: str, law: str, covers: tuple[str, ...]):
     return deco
 
 
+# Most operators or draws a check hands to one stacked call.  Stacking a
+# whole check at once gains no speed and costs peak memory.
+CHUNK = 25
+
+
+def _chunk_sizes(total: int) -> list[int]:
+    """Sizes of the consecutive CHUNK-sized pieces of total items."""
+    return [min(CHUNK, total - lo) for lo in range(0, total, CHUNK)]
+
+
 class Ctx:
     """Settings plus a cache for corpora shared between checks."""
 
@@ -172,14 +183,22 @@ def _chk_polar(ctx: Ctx, rng):
     count = 0
     per_size = max(1, ctx.samples)
     for n in (2, 4, 8):
-        for _ in range(per_size):
-            m = random_invertible(n, rng)
+        for size in _chunk_sizes(per_size):
+            m = np.stack([random_invertible(n, rng) for _ in range(size)])
             p, o = polar_decompose(m)
-            rel = float(np.linalg.norm(p @ o - m) / np.linalg.norm(m))
-            ortho = float(np.max(np.abs(o.T @ o - np.eye(n))))
-            worst = max(worst, rel, ortho)
-            count += 1
+            rel = _frobenius(p @ o - m) / _frobenius(m)
+            ortho = np.abs(o.swapaxes(1, 2) @ o - np.eye(n)).max(axis=(1, 2))
+            worst = max(worst, float(rel.max()), float(ortho.max()))
+            count += size
     return worst <= 1e-10, worst, count, ""
+
+
+def _frobenius(ms: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, each summed as
+    np.linalg.norm sums one matrix (a dot product of the flattened
+    entries), so a stacked check reports what a loop would."""
+    flat = ms.reshape(len(ms), 1, -1)
+    return np.sqrt((flat @ flat.swapaxes(1, 2))[:, 0, 0])
 
 
 @_check("matkit-gram-spd",
@@ -226,11 +245,16 @@ def _chk_transport(ctx: Ctx, rng):
     count = 0
     for alg in ctx.division_corpus()[:12]:
         base = sign_pair(alg, samples=8, tol=ctx.tol)
-        for _ in range(100):
-            f = random_invertible(alg.dim, rng)
-            if sign_pair(transport(alg, f), samples=8, tol=ctx.tol) != base:
-                return False, 1.0, count, f"changed on {alg.label}"
-            count += 1
+        for size in _chunk_sizes(100):
+            fs = np.stack([random_invertible(alg.dim, rng)
+                           for _ in range(size)])
+            got = sign_pair_many(transport_many(alg, fs, ctx.tol), samples=8,
+                                 tol=ctx.tol)
+            changed = np.flatnonzero((got != base).any(axis=1))
+            if changed.size:
+                return False, 1.0, count + int(changed[0]), \
+                    f"changed on {alg.label}"
+            count += len(got)
     return True, 0.0, count, ""
 
 
@@ -240,17 +264,27 @@ def _chk_transport(ctx: Ctx, rng):
         ("core:isotope-sign-law",))
 def _chk_isotope_law(ctx: Ctx, rng):
     corpus = ctx.division_corpus()[:10]
-    count = 0
-    for k in range(500):
-        alg = corpus[k % len(corpus)]
+    rounds = 500
+    dims = [corpus[k % len(corpus)].dim for k in range(rounds)]
+    ops = [(random_invertible(n, rng), random_invertible(n, rng))
+           for n in dims]
+    first_failure = rounds
+    for a, alg in enumerate(corpus):
+        # draws a, a + len(corpus), ... were made for this algebra
+        s, t = (np.stack(m) for m in zip(*ops[a::len(corpus)]))
         ell, r = sign_pair(alg, samples=8, tol=ctx.tol)
-        s = random_invertible(alg.dim, rng)
-        t = random_invertible(alg.dim, rng)
-        got = sign_pair(isotope(alg, s, t), samples=8, tol=ctx.tol)
-        if got != (ell * sign_det(t), r * sign_det(s)):
-            return False, 1.0, count, f"law failed on {alg.label}"
-        count += 1
-    return True, 0.0, count, ""
+        got = sign_pair_many(isotope_many(alg, s, t, ctx.tol), samples=8,
+                             tol=ctx.tol)
+        want = np.stack([ell * sign_det_many(t), r * sign_det_many(s)],
+                        axis=1)
+        failed = np.flatnonzero((got != want).any(axis=1))
+        if failed.size:
+            first_failure = min(first_failure,
+                                a + len(corpus) * int(failed[0]))
+    if first_failure < rounds:
+        return False, 1.0, first_failure, \
+            f"law failed on {corpus[first_failure % len(corpus)].label}"
+    return True, 0.0, rounds, ""
 
 
 @_check("core-isotope-operators",
@@ -357,10 +391,11 @@ def _chk_klein(ctx: Ctx, rng):
     count = 0
     pairs = [(i, j) for i in (0, 1) for j in (0, 1)]
     for x in ctx.decorated_corpus():
+        images = {(k, l): functor_i(k, l, x) for (k, l) in pairs}
         for (i, j) in pairs:
             for (k, l) in pairs:
-                lhs = functor_i(i, j, functor_i(k, l, x))
-                rhs = functor_i((i + k) % 2, (j + l) % 2, x)
+                lhs = functor_i(i, j, images[k, l])
+                rhs = images[(i + k) % 2, (j + l) % 2]
                 worst = max(worst, float(np.max(np.abs(
                     lhs.alg.c - rhs.alg.c))))
                 if not (np.array_equal(lhs.u, x.u)

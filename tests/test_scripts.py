@@ -26,6 +26,19 @@ def test_block_census_rows_sum_to_count(capsys, count):
     assert all(sum(map(int, r[1:-1])) == int(r[-1]) for r in rows)
 
 
+def test_block_census_matches_per_algebra_loop():
+    from collections import Counter
+
+    from divalg.core import sign_pair
+    from divalg.samples import division_corpus
+
+    mod = load("block_census")
+    want = {2: Counter(), 4: Counter(), 8: Counter()}
+    for alg in division_corpus(60, seed=0):
+        want[alg.dim][sign_pair(alg).block] += 1
+    assert mod.census(mod.Config(count=60, seed=0)) == want
+
+
 def test_separation_demo_top_object_has_six_automorphisms(capsys):
     assert load("separation_demo").main(["--samples", "3",
                                          "--seed", "1"]) == 0
