@@ -6,16 +6,16 @@ in dimensions 2 and 4, with a seeded verification suite behind the
 
 from .core import Algebra, SignPair, block_of, classical, commutant, \
     find_unities, is_division, is_morphism, isotope, isotope_many, \
-    left_mult, morphism_residual, opposite, right_mult, sign_pair, \
-    sign_pair_many, transport, transport_many
+    left_mult, morphism_residual, morphism_residual_many, opposite, \
+    right_mult, sign_pair, sign_pair_many, transport, transport_many
 from .decorated import DecoratedAlgebra, decorate, forget, functor_i, kappa
 from .dim2 import NormalForm2D, automorphisms_2d, build2d, hom2d, \
     iso_to_c, normal_form_2d, unitalize
 from .equadratic import central_idempotents, functor_g, im_e, \
     is_e_quadratic
 from .errors import DivalgError
-from .quat import ZObject, functor_h, k_map, quat_normal_form, so4_factor, \
-    z_action
+from .quat import ZObject, functor_h, functor_h_many, k_map, k_map_many, \
+    quat_normal_form, so4_factor, z_action
 from .verify import Report, run_verify
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "forget",
     "functor_g",
     "functor_h",
+    "functor_h_many",
     "functor_i",
     "hom2d",
     "im_e",
@@ -47,9 +48,11 @@ __all__ = [
     "isotope",
     "isotope_many",
     "k_map",
+    "k_map_many",
     "kappa",
     "left_mult",
     "morphism_residual",
+    "morphism_residual_many",
     "normal_form_2d",
     "opposite",
     "quat_normal_form",

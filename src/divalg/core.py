@@ -298,19 +298,47 @@ def _pull_back(c: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
     Two pairwise contractions, each O(n^4); s and t may be rectangular
     (m x n_i and m x n_j for a tensor c of shape (m, m, k)), and may be
     equal-length stacks (..., m, n_i) and (..., m, n_j), giving a stack
-    of tensors [..., i, j, k].
+    of tensors [..., i, j, k]; c may be a stack (..., m, m, k) of the
+    same length too.
     """
-    m, _, k = c.shape
-    x = s.swapaxes(-1, -2) @ c.reshape(m, m * k)             # [..., i, (q, k)]
-    x = x.reshape(x.shape[:-1] + (m, k))
+    m, _, k = c.shape[-3:]
+    x = s.swapaxes(-1, -2) @ c.reshape(c.shape[:-3] + (m, m * k))
+    x = x.reshape(x.shape[:-1] + (m, k))                    # [..., i, q, k]
     return t.swapaxes(-1, -2)[..., None, :, :] @ x
 
 
 def morphism_residual(f, a: Algebra, b: Algebra) -> float:
     """max over basis pairs of || F(e_i e_j)_A - (F e_i)(F e_j)_B ||."""
     fm = np.asarray(f, dtype=float)
-    diff = a.c @ fm.T - _pull_back(b.c, fm, fm)
-    return float(np.max(np.linalg.norm(diff, axis=2)))
+    return float(np.max(_defects(fm, fm.T, a.c, b.c)))
+
+
+def morphism_residual_many(f_maps, a_tensors, b_tensors) -> np.ndarray:
+    """morphism_residual of each map of a stack, between tensor stacks.
+
+    ``f_maps`` has shape (B, n_b, n_a) and may be rectangular (C -> H is
+    (B, 4, 2)); ``a_tensors`` and ``b_tensors`` have shapes
+    (B, n_a, n_a, n_a) and (B, n_b, n_b, n_b).  Entry b of the (B,)
+    result equals morphism_residual(f_maps[b], Algebra(a_tensors[b]),
+    Algebra(b_tensors[b])), bit for bit: every row norm is summed as the
+    single form sums it.
+    """
+    f = np.asarray(f_maps, dtype=float)
+    a = np.asarray(a_tensors, dtype=float)
+    b = np.asarray(b_tensors, dtype=float)
+    if (f.ndim != 3 or a.shape != (len(f),) + (f.shape[2],) * 3
+            or b.shape != (len(f),) + (f.shape[1],) * 3):
+        raise ValueError(f"maps {f.shape} do not match tensor stacks "
+                         f"{a.shape} -> {b.shape}")
+    return _defects(f, f.swapaxes(1, 2)[:, None], a, b).max(axis=(1, 2))
+
+
+def _defects(f: np.ndarray, ft: np.ndarray, a: np.ndarray,
+             b: np.ndarray) -> np.ndarray:
+    """|| F(e_i e_j)_A - (F e_i)(F e_j)_B || indexed [..., i, j], for one
+    map and tensor pair or equal-length stacks of them; ft is F^T,
+    shaped to broadcast against a."""
+    return np.linalg.norm(a @ ft - _pull_back(b, f, f), axis=-1)
 
 
 def is_morphism(f, a: Algebra, b: Algebra, tol: float = DEFAULT_TOL) -> bool:

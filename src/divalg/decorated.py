@@ -12,7 +12,7 @@ for i, j in {0, 1} and compose like the Klein four-group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,11 +22,17 @@ from .matkit import DEFAULT_TOL
 
 @dataclass(frozen=True, eq=False)
 class DecoratedAlgebra:
-    """An algebra with a chosen odd/even splitting (column bases u, v)."""
+    """An algebra with a chosen odd/even splitting (column bases u, v).
+
+    kappa depends on u and v alone, so it is computed once and kept
+    read-only in _kappa, which the twist functors hand on to the images
+    that share u and v; u and v are not to be changed in place.
+    """
 
     alg: Algebra
     u: np.ndarray
     v: np.ndarray
+    _kappa: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -69,13 +75,18 @@ def kappa(x: DecoratedAlgebra) -> np.ndarray:
 
     Built as W diag(I_m, -I_{n-m}) W^-1 for W = [U | V]; its determinant
     is (-1)^(n-m) = -1 because n is even and m odd, so kappa always
-    flips orientation.
+    flips orientation.  Computed once per decoration and returned
+    read-only.
     """
-    n, m = x.dim, x.m
-    w = np.hstack([x.u, x.v])
-    d = np.ones(n)
-    d[m:] = -1.0
-    return (w * d) @ np.linalg.inv(w)
+    if x._kappa is None:
+        n, m = x.dim, x.m
+        w = np.hstack([x.u, x.v])
+        d = np.ones(n)
+        d[m:] = -1.0
+        k = (w * d) @ np.linalg.inv(w)
+        k.setflags(write=False)
+        object.__setattr__(x, "_kappa", k)
+    return x._kappa
 
 
 def functor_i(i: int, j: int, x: DecoratedAlgebra) -> DecoratedAlgebra:
@@ -95,7 +106,7 @@ def functor_i(i: int, j: int, x: DecoratedAlgebra) -> DecoratedAlgebra:
     n = x.dim
     s = k if i else np.eye(n)
     t = k if j else np.eye(n)
-    return DecoratedAlgebra(isotope(x.alg, s, t), x.u, x.v)
+    return DecoratedAlgebra(isotope(x.alg, s, t), x.u, x.v, k)
 
 
 def forget(x: DecoratedAlgebra) -> Algebra:

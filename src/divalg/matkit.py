@@ -120,18 +120,49 @@ def random_invertible(n: int, seed=0, min_det: float = 1e-3,
     condition number stays below max_cond.  The conditioning bound keeps
     downstream float error well under the package tolerances.  The
     condition number is s_max / s_min from one singular-value
-    computation, exactly what np.linalg.cond returns.
+    computation, exactly what np.linalg.cond returns.  The count = 1
+    case of random_invertible_many, so it gives up after 1000 draws.
+    """
+    return random_invertible_many(n, 1, seed, min_det, max_cond)[0]
+
+
+def random_invertible_many(n: int, count: int, seed=0, min_det: float = 1e-3,
+                           max_cond: float = 50.0) -> np.ndarray:
+    """``count`` seeded random invertible matrices, shape (count, n, n).
+
+    Exactly the matrices, and the generator state, of ``count``
+    sequential random_invertible(n, rng) calls on one Generator: each
+    round draws the missing number of matrices as one block, keeps the
+    ones that pass in draw order and repeats, so no round draws past
+    the last matrix a loop would draw.  Raises SingularInput after
+    1000 * count draws in all, where the loop allows 1000 per matrix.
     """
     rng = np.random.default_rng(seed)
-    for _ in range(1000):
-        m = rng.standard_normal((n, n))
-        if abs(np.linalg.det(m)) < min_det:
-            continue
+    out = np.empty((count, n, n))
+    filled, budget = 0, 1000 * count
+    while filled < count and budget:
+        m = rng.standard_normal((min(count - filled, budget), n, n))
+        budget -= len(m)
         s = np.linalg.svd(m, compute_uv=False)
-        if s[0] / s[-1] > max_cond:
-            continue
-        return m
-    raise SingularInput("could not draw a well-conditioned invertible matrix")
+        ok = [k for k, (d, c) in enumerate(zip(
+                  np.linalg.det(m).tolist(), (s[:, 0] / s[:, -1]).tolist()))
+              if abs(d) >= min_det and c <= max_cond]
+        out[filled:filled + len(ok)] = m[ok]
+        filled += len(ok)
+    if filled < count:
+        raise SingularInput(
+            "could not draw a well-conditioned invertible matrix")
+    return out
+
+
+def squared_norms(xs) -> np.ndarray:
+    """Squared Euclidean norm of each member of a stack: of each row of a
+    (B, n) stack, the squared Frobenius norm of each matrix of a
+    (B, n, n) stack.  Each is summed as the dot product x @ x of the
+    flattened member, which is how np.linalg.norm sums one vector or
+    matrix, so a stacked check reports what a loop would."""
+    flat = np.ascontiguousarray(xs).reshape(len(xs), 1, -1)
+    return (flat @ flat.swapaxes(1, 2))[:, 0, 0]
 
 
 def gram(f: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from .core import (
     Algebra,
     classical,
     isotope,
+    isotope_many,
     left_mult,
     left_mult_many,
     morphism_residual,
@@ -38,7 +39,8 @@ from .errors import (
     SingularOperator,
     ZeroQuaternion,
 )
-from .matkit import DEFAULT_TOL, as_matrix, is_spd1, polar_decompose
+from .matkit import DEFAULT_TOL, _as_square, as_matrix, is_spd1, \
+    polar_decompose, squared_norms
 
 _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
@@ -78,41 +80,83 @@ def qconj(x) -> np.ndarray:
 
 def qinv(x) -> np.ndarray:
     """Quaternion inverse conj(x) / |x|^2."""
-    x = np.asarray(x, dtype=float)
-    n2 = float(x @ x)
-    if n2 <= 1e-24:
-        raise ZeroQuaternion("cannot invert a (numerically) zero quaternion")
-    return qconj(x) / n2
+    return _qinv_many(np.asarray(x, dtype=float)[None])[0]
+
+
+def _qinv_many(x: np.ndarray) -> np.ndarray:
+    n2 = squared_norms(x)
+    _refuse_zero(n2, 1e-24, "cannot invert a (numerically) zero quaternion")
+    return qconj(x) / n2[:, None]
+
+
+def _refuse_zero(norms: np.ndarray, floor: float, what: str) -> None:
+    """ZeroQuaternion naming the stack index of the first member with
+    norm at most floor.  A list scan: the cheapest test on the one or
+    two rows that most calls pass."""
+    for i, v in enumerate(norms.tolist()):
+        if v <= floor:
+            raise ZeroQuaternion(f"{what} at stack index {i}")
+
+
+def _quaternion_stack(qs) -> np.ndarray:
+    qs = np.asarray(qs, dtype=float)
+    if qs.ndim != 2 or qs.shape[1] != 4:
+        raise ValueError(f"expected a (B, 4) stack of quaternions, got "
+                         f"shape {qs.shape}")
+    return qs
 
 
 def rep_normalize(q) -> np.ndarray:
-    """Coset representative in H*/R*: unit norm, first nonzero entry > 0."""
-    return _rep(q)[0]
+    """Coset representative in H*/R*: unit norm, first nonzero entry > 0.
+    The B=1 case of rep_normalize_many."""
+    return _rep_many(np.asarray(q, dtype=float)[None])[0][0]
 
 
-def _rep(q) -> tuple[np.ndarray, int]:
-    q = np.asarray(q, dtype=float)
-    n = float(np.linalg.norm(q))
-    if n <= 1e-12:
-        raise ZeroQuaternion("zero quaternion has no coset representative")
-    q = q / n
-    nz = np.nonzero(np.abs(q) > 1e-12)[0]
-    if nz.size and q[nz[0]] < 0:
-        return -q, -1
-    return q, 1
+def rep_normalize_many(qs) -> np.ndarray:
+    """rep_normalize of each row of a (B, 4) stack, bit for bit.
+
+    Raises ValueError for another shape and ZeroQuaternion naming the
+    index of the first zero row.
+    """
+    return _rep_many(_quaternion_stack(qs))[0]
+
+
+def _rep_many(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Representatives of the rows of q and the signs (+1.0 or -1.0)
+    applied after normalizing."""
+    n = np.sqrt(squared_norms(q))
+    _refuse_zero(n, 1e-12, "zero quaternion has no coset representative")
+    q = q / n[:, None]
+    # a unit row has an entry above 1e-12 in magnitude; flip the rows
+    # whose first such entry is negative
+    lead = q[np.arange(len(q)), (np.abs(q) > 1e-12).argmax(axis=1)]
+    sign = np.where(lead < 0, -1.0, 1.0)
+    return q * sign[:, None], sign
 
 
 def k_map(s) -> np.ndarray:
     """Matrix of the conjugation x -> s x s^-1.
 
     Orthogonal, fixes the real axis, and depends only on the class of s
-    in H*/R*; k_map(s t) = k_map(s) k_map(t).
+    in H*/R*; k_map(s t) = k_map(s) k_map(t).  The B=1 case of
+    k_map_many.
     """
     s = np.asarray(s, dtype=float)
     if s.shape != (4,):
         raise ValueError("a quaternion is a length-4 vector")
+    return k_map_many(s[None])[0]
+
+
+def k_map_many(s) -> np.ndarray:
+    """k_map of each row of a (B, 4) stack, as a (B, 4, 4) stack.
+
+    L_s R_{s^-1} over the stack, bit for bit what k_map gives for each
+    row.  Raises ValueError for another shape and ZeroQuaternion naming
+    the index of the first zero row.
+    """
+    s = _quaternion_stack(s)
     h = classical("H")
-    return left_mult(h, s) @ right_mult(h, qinv(s))
+    return left_mult_many(h, s) @ right_mult_many(h, _qinv_many(s))
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,8 +173,8 @@ class ZObject:
     d: np.ndarray
 
     def __post_init__(self):
-        for name in ("a", "b"):
-            v = rep_normalize(getattr(self, name))
+        ab = np.array([self.a, self.b], dtype=float)
+        for name, v in zip("ab", _rep_many(ab)[0]):
             v.setflags(write=False)
             object.__setattr__(self, name, v)
         for name in ("c", "d"):
@@ -169,25 +213,41 @@ def functor_h(alpha: int, beta: int, x: ZObject) -> Algebra:
     The operator pair is taken from the four-row table (left and right
     multiplications by the representatives, the SPD parts, and kappa in
     the rows with a negative sign); the resulting algebra always has
-    sign pair exactly (alpha, beta).
+    sign pair exactly (alpha, beta).  The B=1 case of functor_h_many.
     """
+    c = _functor_h_stack(alpha, beta, x.a[None], x.b[None], x.c[None],
+                         x.d[None])[0]
+    return Algebra(c, label=f"H[{'+' if alpha > 0 else '-'}"
+                            f"{'+' if beta > 0 else '-'}]")
+
+
+def functor_h_many(alpha: int, beta: int, xs) -> np.ndarray:
+    """Structure tensors of functor_h(alpha, beta, x) for each object x
+    of the sequence xs, as a (B, 4, 4, 4) stack from one isotope_many
+    call; entry b is bit for bit the tensor functor_h gives for xs[b].
+    """
+    return _functor_h_stack(alpha, beta, *(np.array([getattr(x, f)
+                                                     for x in xs])
+                                           for f in "abcd"))
+
+
+def _functor_h_stack(alpha: int, beta: int, a, b, c, d) -> np.ndarray:
+    """The operator table on stacks of representatives (B, 4) and SPD
+    parts (B, 4, 4), then one isotope_many call."""
     if alpha not in (1, -1) or beta not in (1, -1):
         raise ValueError("block signs must be +1 or -1")
     h = classical("H")
-    la, ra = left_mult(h, x.a), right_mult(h, x.a)
-    lb, rb = left_mult(h, x.b), right_mult(h, x.b)
     k = _conj_matrix()
     if (alpha, beta) == (1, 1):
-        sig, tau = la @ x.c, rb @ x.d
+        sig, tau = left_mult_many(h, a) @ c, right_mult_many(h, b) @ d
     elif (alpha, beta) == (1, -1):
-        sig, tau = ra @ x.c @ k, rb @ x.d
+        sig, tau = right_mult_many(h, a) @ c @ k, right_mult_many(h, b) @ d
     elif (alpha, beta) == (-1, 1):
-        sig, tau = la @ x.c, lb @ x.d @ k
+        sig, tau = left_mult_many(h, a) @ c, left_mult_many(h, b) @ d @ k
     else:
-        sig, tau = la @ x.c @ k, rb @ x.d @ k
-    out = isotope(h, sig, tau)
-    return Algebra(out.c, label=f"H[{'+' if alpha > 0 else '-'}"
-                                f"{'+' if beta > 0 else '-'}]")
+        sig, tau = left_mult_many(h, a) @ c @ k, \
+            right_mult_many(h, b) @ d @ k
+    return isotope_many(h, sig, tau)
 
 
 def so4_factor(o, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -199,58 +259,77 @@ def so4_factor(o, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     pair.  a carries the representative convention and b the matching
     joint sign -- L_{-a} R_{-b} = L_a R_b, so only the joint class is
     determined.  The reconstruction is verified before returning.
+
+    ``o`` may also be a (B, 4, 4) stack, split with one projection, one
+    stacked SVD and one stacked reconstruction check into (B, 4) stacks
+    a and b, bit for bit what a loop of single calls gives.
+    NotSpecialOrthogonal and FactorizationFailed name the stack index of
+    the first offender (0 for a single matrix).
     """
-    o = as_matrix(o)
-    if o.shape != (4, 4):
-        raise ValueError("so4_factor expects a 4x4 matrix")
+    stacked = np.ndim(o) == 3
+    o = _as_square(o, 3) if stacked else as_matrix(o)[None]
+    if o.shape[1:] != (4, 4):
+        raise ValueError("so4_factor expects a 4x4 matrix or a (B, 4, 4) "
+                         "stack")
     gate = max(tol, 1e-9)
-    if (np.max(np.abs(o.T @ o - np.eye(4))) > gate
-            or float(np.linalg.det(o)) < 0.0):
-        raise NotSpecialOrthogonal("input is not in SO(4) at tolerance")
-    coeff = (_isoclinic_basis() @ o.ravel()).reshape(4, 4) / 4.0
+    drift = np.abs(o.swapaxes(1, 2) @ o - np.eye(4)).max(axis=(1, 2))
+    for i, (e, d) in enumerate(zip(drift.tolist(),
+                                   np.linalg.det(o).tolist())):
+        if e > gate or d < 0.0:
+            raise NotSpecialOrthogonal(f"input at stack index {i} is not "
+                                       "in SO(4) at tolerance")
+    # basis @ column, as one matrix-vector product per member: a
+    # matrix-matrix product would sum the four terms in another order
+    coeff = (_isoclinic_basis() @ o.reshape(-1, 16, 1)).reshape(-1, 4, 4)
+    coeff = coeff / 4.0
     u, _, vt = np.linalg.svd(coeff)
-    a, eps = _rep(u[:, 0])
-    b = eps * vt[0] / float(np.linalg.norm(vt[0]))
+    a, eps = _rep_many(u[:, :, 0])
+    v = vt[:, 0]
+    b = eps[:, None] * v / np.sqrt(squared_norms(v))[:, None]
     h = classical("H")
-    res = float(np.linalg.norm(left_mult(h, a) @ right_mult(h, b) - o))
-    if res > gate:
-        raise FactorizationFailed(f"isoclinic residual {res:.3e} > {gate:.1e}")
-    return a, b
+    res = np.sqrt(squared_norms(left_mult_many(h, a) @ right_mult_many(h, b)
+                               - o))
+    for i, r in enumerate(res.tolist()):
+        if r > gate:
+            raise FactorizationFailed(f"isoclinic residual {r:.3e} > "
+                                      f"{gate:.1e} at stack index {i}")
+    return (a, b) if stacked else (a[0], b[0])
 
 
-def _split_quaternions(m: np.ndarray, tol: float):
-    """(a, b, i) with m = (SPD) L_a R_b kappa^i and i the det sign bit."""
-    i = 1 if float(np.linalg.det(m)) < 0 else 0
-    _, o = polar_decompose(m)
-    if i:
-        o = o @ _conj_matrix()
-    a, b = so4_factor(o, tol)
-    return a, b, i
+def _split_quaternions(ms: np.ndarray, flips, tol: float):
+    """Stacks a, b with m = (SPD) L_a R_b kappa^i for each matrix m of
+    ms and its det sign bit i in flips."""
+    _, o = polar_decompose(ms)
+    o = np.where(np.asarray(flips, bool)[:, None, None],
+                 o @ _conj_matrix(), o)
+    return so4_factor(o, tol)
 
 
-def _extract(m: np.ndarray, side: str, tol: float):
-    """Read m (det > 0) as lam * L_g C (side 'L') or lam * R_g C ('R').
+def _extract(ms: np.ndarray, sides: str, tol: float):
+    """Read each m of ms (det > 0) as lam * L_g C (its side 'L') or
+    lam * R_g C ('R'); a list of (g, C, lam), one per matrix.
 
     C comes out SPD with determinant 1 and lam > 0.  The opposite
     one-sided factor must be trivial (the reduction moves have already
     cleared it); a nontrivial remainder means the reduction failed.
     """
     h = classical("H")
-    p, o = polar_decompose(m)
-    aa, bb = so4_factor(o, tol)
-    trivial, kept = (bb, aa) if side == "L" else (aa, bb)
-    sign = 1.0 if trivial[0] >= 0 else -1.0
-    unit = np.array([sign, 0.0, 0.0, 0.0])
-    if np.linalg.norm(trivial - unit) > 1e-6:
-        raise NonConvergence(
-            f"{'right' if side == 'L' else 'left'} factor "
-            f"{np.round(trivial, 6)} did not reduce to a real scalar")
-    g = sign * kept
-    op = left_mult(h, g) if side == "L" else right_mult(h, g)
-    c0 = op.T @ p @ op
-    lam = float(np.linalg.det(c0)) ** 0.25
-    c = 0.5 * (c0 + c0.T) / lam
-    return g, c, lam
+    ps, o = polar_decompose(ms)
+    out = []
+    for p, aa, bb, side in zip(ps, *so4_factor(o, tol), sides):
+        trivial, kept = (bb, aa) if side == "L" else (aa, bb)
+        sign = 1.0 if trivial[0] >= 0 else -1.0
+        unit = np.array([sign, 0.0, 0.0, 0.0])
+        if np.linalg.norm(trivial - unit) > 1e-6:
+            raise NonConvergence(
+                f"{'right' if side == 'L' else 'left'} factor "
+                f"{np.round(trivial, 6)} did not reduce to a real scalar")
+        g = sign * kept
+        op = left_mult(h, g) if side == "L" else right_mult(h, g)
+        c0 = op.T @ p @ op
+        lam = float(np.linalg.det(c0)) ** 0.25
+        out.append((g, 0.5 * (c0 + c0.T) / lam, lam))
+    return out
 
 
 def quat_normal_form(s_op, t_op, tol: float = DEFAULT_TOL):
@@ -270,8 +349,8 @@ def quat_normal_form(s_op, t_op, tol: float = DEFAULT_TOL):
     t = as_matrix(t_op)
     if s.shape != (4, 4) or t.shape != (4, 4):
         raise ValueError("operator pair must be 4x4")
-    det_s = float(np.linalg.det(s))
-    det_t = float(np.linalg.det(t))
+    st = np.stack([s, t])
+    det_s, det_t = np.linalg.det(st).tolist()
     if min(abs(det_s), abs(det_t)) <= tol:
         raise SingularOperator("S and T must be invertible")
     i_s, i_t = int(det_s < 0), int(det_t < 0)
@@ -279,8 +358,7 @@ def quat_normal_form(s_op, t_op, tol: float = DEFAULT_TOL):
     h = classical("H")
     src = isotope(h, s, t, tol)
 
-    a1, b1, _ = _split_quaternions(s, tol)
-    a2, b2, _ = _split_quaternions(t, tol)
+    (a1, a2), (b1, b2) = _split_quaternions(st, (i_s, i_t), tol)
 
     # rewrite 1: clear the right factor of S (tensor unchanged)
     w = qinv(b1)
@@ -312,10 +390,10 @@ def quat_normal_form(s_op, t_op, tol: float = DEFAULT_TOL):
         side_s, side_t = "L", "R"
 
     k = _conj_matrix()
-    g_s, c_mat, lam1 = _extract(s1 @ k if i_s else s1, side_s, tol)
-    g_t, d_mat, lam2 = _extract(t1 @ k if i_t else t1, side_t, tol)
-    a_rep, eps1 = _rep(g_s)
-    b_rep, eps2 = _rep(g_t)
+    (g_s, c_mat, lam1), (g_t, d_mat, lam2) = _extract(
+        np.stack([s1 @ k if i_s else s1, t1 @ k if i_t else t1]),
+        side_s + side_t, tol)
+    (a_rep, b_rep), (eps1, eps2) = _rep_many(np.stack([g_s, g_t]))
     iso = (lam1 * lam2 * eps1 * eps2) * iso
 
     x = ZObject(a_rep, b_rep, c_mat, d_mat)

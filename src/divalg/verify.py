@@ -18,10 +18,10 @@ import numpy as np
 
 from . import io as io_mod
 from . import samples as smp
-from .core import Algebra, classical, find_unities, is_morphism, isotope, \
-    isotope_many, left_mult, left_mult_many, morphism_residual, opposite, \
-    right_mult, right_mult_many, sign_pair, sign_pair_many, transport, \
-    transport_many
+from .core import Algebra, SignPair, classical, find_unities, is_morphism, \
+    isotope, isotope_many, left_mult, left_mult_many, morphism_residual, \
+    morphism_residual_many, opposite, right_mult, right_mult_many, sign_pair, \
+    sign_pair_many, transport, transport_many
 from .decorated import decorate, forget, functor_i, kappa
 from .dim2 import NormalForm2D, build2d, c2_elements, d3_elements, \
     groupoid_hom, hom2d, normal_form_2d
@@ -29,9 +29,10 @@ from .equadratic import central_idempotents, functor_g, idempotent_residual, \
     is_e_quadratic
 from .errors import DivalgError, ZeroMap
 from .matkit import DEFAULT_TOL, gram, polar_decompose, random_invertible, \
-    random_rotation, random_spd1, sign_det, sign_det_many
-from .quat import ZObject, functor_h, k_map, qconj, quat_normal_form, \
-    rep_normalize, so4_factor, z_action
+    random_invertible_many, random_rotation, random_spd1, sign_det, \
+    sign_det_many, squared_norms
+from .quat import functor_h, functor_h_many, k_map, k_map_many, \
+    quat_normal_form, rep_normalize_many, so4_factor, z_action
 
 # The laws each module promises, by slug.  The meta-check at the end of
 # the registry (and the test suite) asserts every slug is covered.
@@ -165,12 +166,13 @@ class Ctx:
 def _chk_sign_mult(ctx: Ctx, rng):
     count = 0
     for n in (2, 4, 8):
-        for _ in range(100):
-            m = random_invertible(n, rng)
-            w = random_invertible(n, rng)
-            if sign_det(m @ w) != sign_det(m) * sign_det(w):
-                return False, 1.0, count, f"violated at size {n}"
-            count += 1
+        mw = random_invertible_many(n, 200, rng)       # m, w, m, w, ...
+        m, w = mw[0::2], mw[1::2]
+        bad = np.flatnonzero(sign_det_many(m @ w)
+                             != sign_det_many(m) * sign_det_many(w))
+        if bad.size:
+            return False, 1.0, count + int(bad[0]), f"violated at size {n}"
+        count += len(m)
     return True, 0.0, count, ""
 
 
@@ -184,21 +186,13 @@ def _chk_polar(ctx: Ctx, rng):
     per_size = max(1, ctx.samples)
     for n in (2, 4, 8):
         for size in _chunk_sizes(per_size):
-            m = np.stack([random_invertible(n, rng) for _ in range(size)])
+            m = random_invertible_many(n, size, rng)
             p, o = polar_decompose(m)
-            rel = _frobenius(p @ o - m) / _frobenius(m)
+            rel = np.sqrt(squared_norms(p @ o - m)) / np.sqrt(squared_norms(m))
             ortho = np.abs(o.swapaxes(1, 2) @ o - np.eye(n)).max(axis=(1, 2))
             worst = max(worst, float(rel.max()), float(ortho.max()))
             count += size
     return worst <= 1e-10, worst, count, ""
-
-
-def _frobenius(ms: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack, each summed as
-    np.linalg.norm sums one matrix (a dot product of the flattened
-    entries), so a stacked check reports what a loop would."""
-    flat = ms.reshape(len(ms), 1, -1)
-    return np.sqrt((flat @ flat.swapaxes(1, 2))[:, 0, 0])
 
 
 @_check("matkit-gram-spd",
@@ -246,8 +240,7 @@ def _chk_transport(ctx: Ctx, rng):
     for alg in ctx.division_corpus()[:12]:
         base = sign_pair(alg, samples=8, tol=ctx.tol)
         for size in _chunk_sizes(100):
-            fs = np.stack([random_invertible(alg.dim, rng)
-                           for _ in range(size)])
+            fs = random_invertible_many(alg.dim, size, rng)
             got = sign_pair_many(transport_many(alg, fs, ctx.tol), samples=8,
                                  tol=ctx.tol)
             changed = np.flatnonzero((got != base).any(axis=1))
@@ -266,12 +259,11 @@ def _chk_isotope_law(ctx: Ctx, rng):
     corpus = ctx.division_corpus()[:10]
     rounds = 500
     dims = [corpus[k % len(corpus)].dim for k in range(rounds)]
-    ops = [(random_invertible(n, rng), random_invertible(n, rng))
-           for n in dims]
+    ops = [random_invertible_many(n, 2, rng) for n in dims]     # (S, T)
     first_failure = rounds
     for a, alg in enumerate(corpus):
         # draws a, a + len(corpus), ... were made for this algebra
-        s, t = (np.stack(m) for m in zip(*ops[a::len(corpus)]))
+        s, t = np.stack(ops[a::len(corpus)]).swapaxes(0, 1)
         ell, r = sign_pair(alg, samples=8, tol=ctx.tol)
         got = sign_pair_many(isotope_many(alg, s, t, ctx.tol), samples=8,
                              tol=ctx.tol)
@@ -667,10 +659,6 @@ def _chk_dim2_density(ctx: Ctx, rng):
 # ------------------------------------------------------------------- quat
 
 
-def _expected_block(alpha: int, beta: int) -> str:
-    return ("+" if alpha > 0 else "-") + ("+" if beta > 0 else "-")
-
-
 @_check("quat-functor-blocks",
         "the block functors land where they claim: the image of any "
         "object under the (alpha, beta) functor has that sign pair",
@@ -679,14 +667,34 @@ def _chk_quat_blocks(ctx: Ctx, rng):
     count = 0
     for alpha in (1, -1):
         for beta in (1, -1):
-            for _ in range(50):
-                x = smp.random_z_object(rng)
-                got = sign_pair(functor_h(alpha, beta, x), samples=8,
-                                tol=ctx.tol).block
-                if got != _expected_block(alpha, beta):
-                    return False, 1.0, count, f"landed in {got}"
-                count += 1
+            xs = [smp.random_z_object(rng) for _ in range(50)]
+            got = sign_pair_many(functor_h_many(alpha, beta, xs), samples=8,
+                                 tol=ctx.tol)
+            wrong = np.flatnonzero((got != (alpha, beta)).any(axis=1))
+            if wrong.size:
+                landed = SignPair(*got[wrong[0]]).block
+                return False, 1.0, count + int(wrong[0]), f"landed in {landed}"
+            count += len(xs)
     return True, 0.0, count, ""
+
+
+def _conjugation_residual(rng, draws: int) -> float:
+    """Draw (s, x) pairs, s a unit quaternion and x an object; the
+    largest morphism residual of K_s from the image of x to the image of
+    s acting on x, over all draws and the four block functors."""
+    ss, xs = [], []
+    for _ in range(draws):
+        ss.append(smp.random_unit_quaternion(rng))
+        xs.append(smp.random_z_object(rng))
+    moved = [z_action(s, x) for s, x in zip(ss, xs)]
+    ks = k_map_many(np.stack(ss))
+    worst = 0.0
+    for alpha in (1, -1):
+        for beta in (1, -1):
+            res = morphism_residual_many(ks, functor_h_many(alpha, beta, xs),
+                                         functor_h_many(alpha, beta, moved))
+            worst = max(worst, float(res.max()))
+    return worst
 
 
 @_check("quat-functoriality",
@@ -694,20 +702,8 @@ def _chk_quat_blocks(ctx: Ctx, rng):
         "of x to the image of s acting on x, residual 1e-8",
         ("quat:functoriality",))
 def _chk_quat_functorial(ctx: Ctx, rng):
-    worst = 0.0
-    count = 0
-    for _ in range(100):
-        s = smp.random_unit_quaternion(rng)
-        x = smp.random_z_object(rng)
-        x2 = z_action(s, x)
-        m = k_map(s)
-        for alpha in (1, -1):
-            for beta in (1, -1):
-                worst = max(worst, morphism_residual(
-                    m, functor_h(alpha, beta, x),
-                    functor_h(alpha, beta, x2)))
-        count += 1
-    return worst <= 1e-8, worst, count, ""
+    worst = _conjugation_residual(rng, 100)
+    return worst <= 1e-8, worst, 100, ""
 
 
 @_check("quat-faithfulness",
@@ -715,19 +711,42 @@ def _chk_quat_functorial(ctx: Ctx, rng):
         "representatives, and s with -s give the same matrix",
         ("quat:faithfulness",))
 def _chk_quat_faithful(ctx: Ctx, rng):
-    count = 0
-    for _ in range(max(2, ctx.samples)):
-        s = smp.random_unit_quaternion(rng)
-        t = smp.random_unit_quaternion(rng)
-        same_map = np.max(np.abs(k_map(s) - k_map(t))) <= 1e-6
-        same_rep = np.max(np.abs(rep_normalize(s)
-                                 - rep_normalize(t))) <= 1e-6
-        if same_map != same_rep:
-            return False, 1.0, count, "k_map collided across classes"
-        if np.max(np.abs(k_map(-s) - k_map(s))) > 1e-12:
-            return False, 1.0, count, "k_map split a class"
-        count += 1
-    return True, 0.0, count, ""
+    n = max(2, ctx.samples)
+    # the draws of n (s, t) pairs of random_unit_quaternion, as one block
+    q = rng.standard_normal((n, 2, 4))
+    q = q / np.sqrt(squared_norms(q.reshape(2 * n, 4))).reshape(n, 2, 1)
+    # nonzero real multiples of s, of both signs, stay in its class
+    lam = rng.uniform(0.1, 10.0, size=(n, 1))
+    for lo in range(0, n, CHUNK):
+        bad = _class_failures(q[lo:lo + CHUNK], lam[lo:lo + CHUNK])
+        if bad.any():
+            # the first failure in draw order, as a loop over the draws
+            k = int(np.argmax(bad.any(axis=0)))
+            return False, 1.0, lo + k, \
+                _CLASS_FAILURES[int(np.argmax(bad[:, k]))]
+    return True, 0.0, n, ""
+
+
+_CLASS_FAILURES = ("k_map collided across classes", "k_map split a class",
+                   "representatives split a class")
+
+
+def _class_failures(q: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Flags (3, B), one row per message of _CLASS_FAILURES, for B pairs
+    q[b] = (s, t) of unit quaternions and multipliers lam[b] > 0."""
+    b = len(q)
+    s, t = q[:, 0], q[:, 1]
+    mult = np.concatenate([-s, lam * s, -lam * s])
+    k = k_map_many(np.concatenate([s, t, mult])).reshape(5, b, 4, 4)
+    r = rep_normalize_many(np.concatenate([s, t, mult[b:]])).reshape(4, b, 4)
+
+    def gap(x, y):
+        return np.abs(x - y).reshape(b, -1).max(axis=1)
+
+    return np.stack([(gap(k[0], k[1]) <= 1e-6) != (gap(r[0], r[1]) <= 1e-6),
+                     (gap(k[2], k[0]) > 1e-12)
+                     | (np.maximum(gap(k[3], k[0]), gap(k[4], k[0])) > 1e-6),
+                     np.maximum(gap(r[2], r[0]), gap(r[3], r[0])) > 1e-6])
 
 
 @_check("quat-absolute-valued",
@@ -772,22 +791,10 @@ def _chk_quat_absvalued(ctx: Ctx, rng):
         "K_s is a morphism of all four images simultaneously",
         ("quat:block-equivalence",))
 def _chk_quat_blockeq(ctx: Ctx, rng):
-    count = 0
-    worst = 0.0
-    for _ in range(25):
-        s = smp.random_unit_quaternion(rng)
-        x = smp.random_z_object(rng)
-        x2 = z_action(s, x)
-        m = k_map(s)
-        for alpha in (1, -1):
-            for beta in (1, -1):
-                worst = max(worst, morphism_residual(
-                    m, functor_h(alpha, beta, x),
-                    functor_h(alpha, beta, x2)))
-        ident = k_map(np.array([1.0, 0, 0, 0]))
-        worst = max(worst, float(np.max(np.abs(ident - np.eye(4)))))
-        count += 1
-    return worst <= max(ctx.tol, 1e-8), worst, count, ""
+    worst = _conjugation_residual(rng, 25)
+    ident = k_map(np.array([1.0, 0, 0, 0]))
+    worst = max(worst, float(np.max(np.abs(ident - np.eye(4)))))
+    return worst <= max(ctx.tol, 1e-8), worst, 25, ""
 
 
 @_check("quat-normal-form",
@@ -795,19 +802,23 @@ def _chk_quat_blockeq(ctx: Ctx, rng):
         "read off the determinants, round-trip residual 1e-8",
         ("quat:normal-form",))
 def _chk_quat_nf(ctx: Ctx, rng):
-    worst = 0.0
-    count = 0
-    h = classical("H")
-    for _ in range(100):
+    pairs, forms = [], []
+    for count in range(100):
         s, t = smp.random_quat_pair(rng)
         alpha, beta, x, iso = quat_normal_form(s, t, ctx.tol)
         if (alpha, beta) != (sign_det(t), sign_det(s)):
             return False, 1.0, count, "block disagrees with determinants"
-        res = morphism_residual(iso, isotope(h, s, t),
-                                functor_h(alpha, beta, x))
-        worst = max(worst, res)
-        count += 1
-    return worst <= 1e-8, worst, count, ""
+        pairs.append((s, t))
+        forms.append((alpha, beta, x, iso))
+    s, t = np.stack(pairs).swapaxes(0, 1)
+    target = np.empty((len(forms), 4, 4, 4))
+    for block in {f[:2] for f in forms}:
+        idx = [k for k, f in enumerate(forms) if f[:2] == block]
+        target[idx] = functor_h_many(*block, [forms[k][2] for k in idx])
+    res = morphism_residual_many(np.stack([f[3] for f in forms]),
+                                 isotope_many(classical("H"), s, t), target)
+    worst = float(res.max())
+    return worst <= 1e-8, worst, len(forms), ""
 
 
 @_check("quat-so4-reconstruction",
@@ -815,19 +826,17 @@ def _chk_quat_nf(ctx: Ctx, rng):
         "representative convention, reconstruction residual 1e-10",
         ("quat:so4-reconstruction",))
 def _chk_quat_so4(ctx: Ctx, rng):
-    worst = 0.0
-    count = 0
     h = classical("H")
-    for _ in range(100):
-        o = random_rotation(4, rng)
-        a, b = so4_factor(o, ctx.tol)
-        res = float(np.linalg.norm(left_mult(h, a) @ right_mult(h, b) - o))
-        worst = max(worst, res)
-        first = a[np.flatnonzero(np.abs(a) > 1e-12)[0]]
-        if first <= 0:
-            return False, 1.0, count, "representative convention broken"
-        count += 1
-    return worst <= 1e-10, worst, count, ""
+    o = np.stack([random_rotation(4, rng) for _ in range(100)])
+    a, b = so4_factor(o, ctx.tol)
+    res = np.sqrt(squared_norms(left_mult_many(h, a) @ right_mult_many(h, b)
+                                - o))
+    first = a[np.arange(len(a)), (np.abs(a) > 1e-12).argmax(axis=1)]
+    broken = np.flatnonzero(first <= 0)
+    if broken.size:
+        return False, 1.0, int(broken[0]), "representative convention broken"
+    worst = float(res.max())
+    return worst <= 1e-10, worst, len(o), ""
 
 
 # -------------------------------------------------------------------- cli

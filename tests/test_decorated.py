@@ -126,3 +126,19 @@ def test_random_decorated_deterministic(O):
     a = random_decorated(O, 21)
     b = random_decorated(O, 21)
     assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+
+
+def test_kappa_is_computed_once_per_decoration(O):
+    x = random_decorated(O, 23)
+    k = kappa(x)
+    assert kappa(x) is k
+    assert not k.flags.writeable
+    w = np.hstack([x.u, x.v])
+    d = np.where(np.arange(x.dim) < x.m, 1.0, -1.0)
+    assert np.array_equal(k, (w * d) @ np.linalg.inv(w))
+    # every image shares u and v, so it shares the reflection as well
+    for i in (0, 1):
+        for j in (0, 1):
+            image = functor_i(i, j, x)
+            assert kappa(image) is k
+            assert kappa(functor_i(j, i, image)) is k
