@@ -10,7 +10,7 @@ from .core import Algebra, SignPair, block_of, classical, commutant, \
     right_mult, sign_pair, sign_pair_many, transport, transport_many
 from .decorated import DecoratedAlgebra, decorate, forget, functor_i, kappa
 from .dim2 import NormalForm2D, automorphisms_2d, build2d, hom2d, \
-    iso_to_c, normal_form_2d, unitalize
+    iso_to_c, normal_form_2d, normal_form_2d_many, unitalize
 from .equadratic import central_idempotents, functor_g, im_e, \
     is_e_quadratic
 from .errors import DivalgError
@@ -54,6 +54,7 @@ __all__ = [
     "morphism_residual",
     "morphism_residual_many",
     "normal_form_2d",
+    "normal_form_2d_many",
     "opposite",
     "quat_normal_form",
     "right_mult",

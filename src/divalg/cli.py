@@ -21,7 +21,7 @@ from . import samples as smp
 from .core import classical, is_division, isotope, morphism_residual, \
     opposite, sign_pair
 from .decorated import forget
-from .dim2 import build2d, hom2d, normal_form_2d
+from .dim2 import hom2d, normal_form_2d, normal_form_2d_many
 from .equadratic import functor_g
 from .errors import DivalgError
 from .matkit import DEFAULT_TOL
@@ -105,8 +105,8 @@ def cmd_equad(args) -> int:
 
 def cmd_classify2d(args) -> int:
     alg = io_mod.read_algebra(args.file)
-    nf, iso = normal_form_2d(alg, args.tol)
-    residual = morphism_residual(iso, alg, build2d(nf))
+    forms, isos, residuals = normal_form_2d_many(alg.c[None], args.tol)
+    nf, iso, residual = forms[0], isos[0], float(residuals[0])
     doc = io_mod.normal_form_to_dict(nf)
     doc.update({"command": "classify2d", "block": nf.block.block,
                 "iso": iso.tolist(), "residual": residual})

@@ -363,7 +363,8 @@ def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
 
     mode='exact2d' (dimension 2 only): det L_a and det R_a are binary
     quadratic forms in a; the algebra is division exactly when both are
-    definite, decided by the eigenvalues of their coefficient matrices.
+    definite, decided by the eigenvalues of their coefficient matrices
+    relative to their norms (see _exact2d_division).
 
     mode='sampled': evaluates both determinants at the basis vectors and
     ``samples`` seeded random unit vectors, the same points as
@@ -374,17 +375,8 @@ def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
     if mode == "exact2d":
         if alg.dim != 2:
             raise ModeMismatch("exact2d applies to dimension 2 only")
-        for op in (left_mult_many, right_mult_many):
-            mats = op(alg, np.eye(2))
-            d1 = float(np.linalg.det(mats[0]))
-            d2 = float(np.linalg.det(mats[1]))
-            dm = float(np.linalg.det(mats[0] + mats[1]))
-            beta = dm - d1 - d2
-            coeff = np.array([[d1, beta / 2.0], [beta / 2.0, d2]])
-            w = np.linalg.eigvalsh(coeff)
-            if not (w[0] > tol or w[1] < -tol):
-                return "not_division"
-        return "division"
+        return "division" if _exact2d_division(alg.c[None], tol)[0] \
+            else "not_division"
     if mode != "sampled":
         raise ModeMismatch(f"unknown mode {mode!r}")
     if alg.dim == 1:
@@ -395,6 +387,26 @@ def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
     if min(dl.min(), dr.min()) <= tol:
         return "not_division"
     return "probably_division"
+
+
+def _exact2d_division(c: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each tensor of a stack (B, 2, 2, 2) is a division algebra.
+
+    det L_a is the binary quadratic form in a with coefficient matrix
+    [[d1, h], [h, d2]], d1 = det L_{e0}, d2 = det L_{e1} and 2 h =
+    det L_{e0+e1} - d1 - d2; likewise det R_a.  Both forms must be
+    definite with margin: the eigenvalue of smaller modulus, |m| - r
+    with mean m and radius r, above tol times the larger, |m| + r.  The
+    margin is a ratio, so rescaling the tensor leaves the verdict alone.
+    """
+    both = np.concatenate([c, c.swapaxes(1, 2)])          # L, then R
+    m = _left_stack(both, np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    d = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    d1, d2, dm = d[:, 0], d[:, 1], d[:, 2]
+    mean = np.abs(0.5 * (d1 + d2))
+    radius = np.hypot(0.5 * (d1 - d2), 0.5 * (dm - d1 - d2))
+    definite = mean - radius > tol * (mean + radius)
+    return definite[:len(c)] & definite[len(c):]
 
 
 def find_unities(alg: Algebra, tol: float = DEFAULT_TOL) -> dict:

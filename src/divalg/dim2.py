@@ -10,6 +10,22 @@ Morphisms between normal forms are simultaneous congruences by the
 two-element group {I, K} on the three blocks with a positive sign, and
 by the six-element dihedral group generated by K and the rotation R by
 2 pi / 3 on the (1, 1) block, so hom-sets are enumerated exactly.
+
+The reduction runs in closed complex form.  Reading R^2 as C (e_0 = 1,
+e_1 = i), every real-linear map [[a, b], [c, d]] is z -> alpha z +
+beta conj(z), the pair (alpha, beta) with
+
+    alpha = ((a + d) + i (c - b)) / 2,   beta = ((a - d) + i (c + b)) / 2.
+
+Composition and inversion are complex arithmetic on the pairs, the
+determinant is |alpha|^2 - |beta|^2, the singular values are
+|alpha| +- |beta|, and K is the pair (0, 1).  When the determinant is
+positive, the rotation part of the polar decomposition is
+multiplication by w = alpha / |alpha|, and the SPD determinant-1 factor
+is L(conj w) M / sqrt(det M), the pair (|alpha|, conj(w) beta) /
+sqrt(det M).  Each step of the reduction is array arithmetic on a
+stack of algebras; normal_form_2d and the single-algebra steps
+unitalize, iso_to_c and split_scalar_spd are its B=1 calls.
 """
 
 from __future__ import annotations
@@ -21,22 +37,21 @@ import numpy as np
 from .core import (
     Algebra,
     SignPair,
+    _exact2d_division,
+    _left_stack,
+    _pull_back,
     classical,
-    is_division,
-    is_morphism,
-    isotope,
-    left_mult,
-    morphism_residual,
-    right_mult,
+    morphism_residual_many,
 )
 from .errors import (
     BlockMismatch,
     NoImaginaryUnit,
     NonConvergence,
     NotDivision,
+    SingularInput,
     SingularOperator,
 )
-from .matkit import DEFAULT_TOL, gram, is_spd1, polar_decompose
+from .matkit import DEFAULT_TOL, as_matrix, is_spd1
 
 K2 = np.array([[1.0, 0.0], [0.0, -1.0]])
 ROT3 = 0.5 * np.array([[-1.0, -np.sqrt(3.0)], [np.sqrt(3.0), -1.0]])
@@ -60,14 +75,27 @@ class GroupElement2D:
         return f"<{self.group} element {np.round(self.matrix, 6).tolist()}>"
 
 
+def _group(name: str, mats) -> tuple[np.ndarray, tuple[GroupElement2D, ...]]:
+    stack = np.array(mats)
+    stack.setflags(write=False)
+    return stack, tuple(GroupElement2D(m, name) for m in stack)
+
+
+# Each group once, as a read-only (order, 2, 2) stack and as elements in
+# the same order; the elements are frozen, so callers share them.
+_R2 = ROT3 @ ROT3
+_GROUPS = {
+    "C2": _group("C2", [np.eye(2), K2]),
+    "D3": _group("D3", [np.eye(2), ROT3, _R2, K2, ROT3 @ K2, _R2 @ K2]),
+}
+
+
 def c2_elements() -> list[GroupElement2D]:
-    return [GroupElement2D(np.eye(2), "C2"), GroupElement2D(K2, "C2")]
+    return list(_GROUPS["C2"][1])
 
 
 def d3_elements() -> list[GroupElement2D]:
-    r2 = ROT3 @ ROT3
-    mats = [np.eye(2), ROT3, r2, K2, ROT3 @ K2, r2 @ K2]
-    return [GroupElement2D(m, "D3") for m in mats]
+    return list(_GROUPS["D3"][1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,16 +126,181 @@ class NormalForm2D:
         return f"<NormalForm2D ({self.i},{self.j}) block={self.block.block}>"
 
 
+# --- real-linear maps of C as pairs (alpha, beta) of complex stacks ---
+
+# [a, b, c, d] -> (alpha, beta), and [Re alpha, Im alpha, Re beta, Im beta]
+# -> [a, b, c, d], each one product with a constant matrix
+_TO_PAIR = 0.5 * np.array([[1, 1], [-1j, 1j], [1j, 1j], [1, -1]])
+_TO_MATRIX = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, -1.0, 1.0, 0.0],
+                       [1.0, 0.0, 0.0, -1.0], [0.0, 1.0, 1.0, 0.0]])
+
+
+def _pair(m: np.ndarray):
+    """The pairs of a stack (..., 2, 2) of real matrices."""
+    ab = m.reshape(m.shape[:-2] + (4,)) @ _TO_PAIR
+    return ab[..., 0], ab[..., 1]
+
+
+def _matrix(p) -> np.ndarray:
+    """The real matrices of a pair of stacks: columns alpha + beta (the
+    image of 1) and i (alpha - beta) (the image of i)."""
+    parts = np.stack(p, -1).view(float)
+    return (parts @ _TO_MATRIX).reshape(parts.shape[:-1] + (2, 2))
+
+
+def _compose(p, q):
+    """The pair of p after q."""
+    return (p[0] * q[0] + p[1] * np.conj(q[1]),
+            p[0] * q[1] + p[1] * np.conj(q[0]))
+
+
+def _inverse(p):
+    """The pair of the inverse map: (conj alpha, -beta) / det."""
+    det = np.abs(p[0]) ** 2 - np.abs(p[1]) ** 2
+    return np.conj(p[0]) / det, -p[1] / det
+
+
+def _times_k(p, flag):
+    """The pairs of p K^flag: p after K, which swaps alpha and beta, where
+    flag is set, p elsewhere."""
+    return np.where(flag, p[1], p[0]), np.where(flag, p[0], p[1])
+
+
+def _fail_at(bad: np.ndarray, error, message) -> None:
+    """Raise error for the first member of the stack flagged in bad,
+    with message(index) and the stack index."""
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise error(f"{message(k)} at stack index {k}")
+
+
+# --- the reduction steps, each on a stack ---
+
+def _remove_twist(c: np.ndarray, a: np.ndarray, tol: float):
+    """The (R_a^-1, L_a^-1)-isotopes of a stack (B, n, n, n) of tensors at
+    a stack (B, n) of elements: (tensors, unities u = a a, R_a, L_a).
+
+    R_a or L_a counts as singular when |det| <= tol times the product of
+    its column norms, a test that rescaling the tensor leaves alone.
+    Both unit laws of u are verified.
+    """
+    ra = _left_stack(c.swapaxes(1, 2), a[:, None])[:, 0]
+    la = _left_stack(c, a[:, None])[:, 0]
+    ops = np.stack([ra, la], axis=1)                          # [b, side]
+    singular = (np.abs(np.linalg.det(ops))
+                <= tol * np.prod(np.linalg.norm(ops, axis=-2), axis=-1))
+    _fail_at(singular.any(axis=1), SingularOperator,
+             lambda k: f"{('R_a', 'L_a')[int(np.argmax(singular[k]))]} is "
+                       "singular; a is not invertible")
+    inv = np.linalg.inv(ops)
+    out = _pull_back(c, inv[:, 0], inv[:, 1])
+    u = (la @ a[:, :, None])[:, :, 0]
+    eye = np.eye(c.shape[-1])
+    defect = np.maximum(
+        np.abs(_left_stack(out, u[:, None])[:, 0] - eye).max(axis=(1, 2)),
+        np.abs(_left_stack(out.swapaxes(1, 2), u[:, None])[:, 0]
+               - eye).max(axis=(1, 2)))
+    _fail_at(defect > 100.0 * max(tol, 1e-12), NonConvergence,
+             lambda k: f"unit laws fail at {defect[k]:.3e} after removing "
+                       "the twist")
+    return out, u, ra, la
+
+
+def _basis_of_c(c: np.ndarray, u: np.ndarray, tol: float):
+    """The pairs of the maps C -> algebra, 1 -> u and i -> v with v v = -u,
+    for a stack (B, 2, 2, 2) of unital tensors with unities u (B, 2).
+
+    Completes the square on w w for the basis vector w = e_m with the
+    smaller |u_m|: w w = c0 u + c1 w, so v0 = w - c1 u / 2 squares to
+    mu u with mu = c0 + c1^2 / 4.  mu must be negative beyond tol times
+    |c0| + c1^2 / 4, the size of the terms it sums.  Both signs of v
+    qualify; the one with positive second coordinate is chosen
+    (positive first as the measure-zero tiebreak).
+    """
+    rows = np.arange(len(c))
+    m = np.argmin(np.abs(u), axis=1)
+    o = 1 - m
+    ww = c[rows, m, m]                                   # w w
+    # [u w] is singular only for u = 0, as |u_o| >= |u_m|
+    _fail_at(u[rows, o] == 0.0, np.linalg.LinAlgError,
+             lambda k: "Singular matrix")
+    c0 = ww[rows, o] / u[rows, o]
+    c1 = ww[rows, m] - c0 * u[rows, m]
+    mu = c0 + 0.25 * c1 * c1
+    _fail_at(mu >= -tol * (np.abs(c0) + 0.25 * c1 * c1), NoImaginaryUnit,
+             lambda k: f"w*w completes to {mu[k]:+.3e} u, not negative")
+    v = (np.eye(2)[m] - 0.5 * c1[:, None] * u) / np.sqrt(-mu)[:, None]
+    flip = (v[:, 1] < -tol) | ((np.abs(v[:, 1]) <= tol) & (v[:, 0] < 0))
+    v = np.where(flip[:, None], -v, v)
+    return _pair(np.stack([u, v], axis=-1))
+
+
+def _split(p):
+    """Complex scalars and SPD determinant-1 factors (as pairs) of maps
+    with positive determinant: M = L(scalar) A.
+
+    SingularInput when the smaller singular value is at most 1e-12
+    times the larger, NotDivision when the determinant is negative.
+    """
+    na, nb = np.abs(p[0]), np.abs(p[1])
+    _fail_at(np.abs(na - nb) <= 1e-12 * (na + nb), SingularInput,
+             lambda k: f"singular values span {na[k] + nb[k]:.3e}.."
+                       f"{abs(na[k] - nb[k]):.3e}")
+    _fail_at(na < nb, NotDivision,
+             lambda k: "negative determinant; expected a rotation part")
+    w = p[0] / na
+    root = np.sqrt((na - nb) * (na + nb))
+    return root * w, (na / root + 0j, np.conj(w) * p[1] / root)
+
+
+def _rotated(p, q):
+    """The pairs of L(conj z) A L(z), z = q / |q|, for SPD pairs A = p:
+    (p0, p1 conj(z)^2), with conj(z)^2 = conj(q) / q."""
+    return p[0], p[1] * np.conj(q) / q
+
+
+def _absorbing_scalar(c, i, j):
+    """The w with w * c * conj^i(1/w) * conj^j(1/w) = 1.
+
+    Conjugating the pair by multiplication-with-w multiplies the
+    residual scalar c by w^-1 (slots without K) or conj(w)^-1 (slots
+    with K) on each side; closed forms solve the four cases exactly: c
+    on (0, 0), conj c on (0, 1) and (1, 0), and the cube root
+    |c| e^{-i arg(c) / 3} on (1, 1).
+    """
+    third = np.abs(c) * np.exp(-1j * np.angle(c) / 3.0)
+    return np.where(i & j, third, np.where(i | j, np.conj(c), c))
+
+
+def _build_tensors(i, j, a, b) -> np.ndarray:
+    """build2d's tensors for stacks of exponents (B,) and SPD pairs
+    (B, 2, 2): the (S, T)-isotope of C with S = K A, T = K B on the
+    (1, 1) block and S = A K^i, T = B K^j elsewhere.  A factor K only
+    negates a row or a column, exactly."""
+    neg = np.array([1.0, -1.0])
+    both = (i & j)[:, None, None]
+    s = np.where(both, a * neg[:, None], np.where(i[:, None, None],
+                                                  a * neg, a))
+    t = np.where(both, b * neg[:, None], np.where(j[:, None, None],
+                                                  b * neg, b))
+    return _pull_back(classical("C").c, s, t)
+
+
 def build2d(nf: NormalForm2D) -> Algebra:
     """The algebra the normal form encodes (an explicit isotope of C)."""
-    cc = classical("C")
-    if (nf.i, nf.j) == (1, 1):
-        out = isotope(cc, K2 @ nf.a, K2 @ nf.b)
-    else:
-        s = nf.a @ K2 if nf.i else nf.a
-        t = nf.b @ K2 if nf.j else nf.b
-        out = isotope(cc, s, t)
-    return Algebra(out.c, label=f"C[{nf.i}{nf.j}]")
+    c = _build_tensors(np.array([nf.i], dtype=bool),
+                       np.array([nf.j], dtype=bool), nf.a[None], nf.b[None])
+    return Algebra(c[0], label=f"C[{nf.i}{nf.j}]")
+
+
+def _gram_matches(mats: np.ndarray, x, y, tol: float) -> np.ndarray:
+    """Mask of the group matrices g with (g A g^t, g B g^t) = y, x = (A, B),
+    at tol in every entry; one stacked gram."""
+    src = np.asarray(x, dtype=float)[None]                     # [1, 2, ., .]
+    dst = np.asarray(y, dtype=float)[None]
+    g = mats[:, None]
+    grams = g @ src @ g.swapaxes(-1, -2)                       # [g, 2, ., .]
+    return np.abs(grams - dst).max(axis=(1, 2, 3)) <= tol
 
 
 def groupoid_hom(group: str, x, y, tol: float = DEFAULT_TOL
@@ -117,21 +310,11 @@ def groupoid_hom(group: str, x, y, tol: float = DEFAULT_TOL
     x and y are pairs of 2x2 matrices; the enumeration is exact (the
     groups have 2 and 6 elements), never a numerical search.
     """
-    if group == "C2":
-        elements = c2_elements()
-    elif group == "D3":
-        elements = d3_elements()
-    else:
+    if group not in _GROUPS:
         raise ValueError("group must be 'C2' or 'D3'")
-    a, b = (np.asarray(m, dtype=float) for m in x)
-    c, d = (np.asarray(m, dtype=float) for m in y)
-    out = []
-    for g in elements:
-        m = g.matrix
-        if (np.max(np.abs(gram(m, a) - c)) <= tol
-                and np.max(np.abs(gram(m, b) - d)) <= tol):
-            out.append(g)
-    return out
+    mats, elements = _GROUPS[group]
+    return [g for g, ok in zip(elements, _gram_matches(mats, x, y, tol))
+            if ok]
 
 
 def hom2d(src: NormalForm2D, dst: NormalForm2D, tol: float = DEFAULT_TOL
@@ -142,17 +325,22 @@ def hom2d(src: NormalForm2D, dst: NormalForm2D, tol: float = DEFAULT_TOL
     empty for the structural reason that the block is an isomorphism
     invariant; an empty return value means same block, different
     congruence orbits).  Every returned element is double-checked as an
-    algebra morphism between the built algebras.
+    algebra morphism between the built algebras: all group elements are
+    tested at once, by one stacked gram and one morphism_residual_many
+    call.
     """
     if (src.i, src.j) != (dst.i, dst.j):
         raise BlockMismatch(
             f"blocks {src.block.block} and {dst.block.block} differ; "
             "no morphisms exist across blocks")
-    group = "D3" if (src.i, src.j) == (1, 1) else "C2"
-    cands = groupoid_hom(group, (src.a, src.b), (dst.a, dst.b), tol)
-    a_src, a_dst = build2d(src), build2d(dst)
-    return [g for g in cands
-            if is_morphism(g.matrix, a_src, a_dst, max(tol, 1e-9))]
+    mats, elements = _GROUPS["D3" if (src.i, src.j) == (1, 1) else "C2"]
+    ok = _gram_matches(mats, (src.a, src.b), (dst.a, dst.b), tol)
+    built = _build_tensors(np.array([src.i, dst.i], dtype=bool),
+                           np.array([src.j, dst.j], dtype=bool),
+                           np.stack([src.a, dst.a]), np.stack([src.b, dst.b]))
+    a, b = (np.broadcast_to(t, (len(mats),) + t.shape) for t in built)
+    ok &= morphism_residual_many(mats, a, b) <= max(tol, 1e-9)
+    return [g for g, keep in zip(elements, ok) if keep]
 
 
 def automorphisms_2d(nf: NormalForm2D, tol: float = DEFAULT_TOL
@@ -167,23 +355,13 @@ def unitalize(alg: Algebra, a, tol: float = DEFAULT_TOL
 
     For a division algebra the result has two-sided unity a*a (computed
     in the original algebra); both unit laws are verified before
-    returning.
+    returning.  R_a and L_a are tested for singularity relative to their
+    column norms, so a rescaled algebra passes as the original does.
+    Any dimension; the B=1 case of the reduction's twist removal.
     """
-    a = np.asarray(a, dtype=float)
-    ra = right_mult(alg, a)
-    la = left_mult(alg, a)
-    for name, m in (("R_a", ra), ("L_a", la)):
-        if abs(float(np.linalg.det(m))) <= tol:
-            raise SingularOperator(f"{name} is singular; a is not invertible")
-    out = isotope(alg, np.linalg.inv(ra), np.linalg.inv(la), tol)
-    u = alg.mul(a, a)
-    eye = np.eye(alg.dim)
-    defect = max(np.max(np.abs(left_mult(out, u) - eye)),
-                 np.max(np.abs(right_mult(out, u) - eye)))
-    if defect > 100.0 * max(tol, 1e-12):
-        raise NonConvergence(f"unit laws fail at {defect:.3e} after "
-                             "removing the twist")
-    return Algebra(out.c, label="unital"), u
+    out, u, _, _ = _remove_twist(alg.c[None],
+                                 np.asarray(a, dtype=float)[None], tol)
+    return Algebra(out[0], label="unital"), u[0]
 
 
 def iso_to_c(alg: Algebra, u, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -195,59 +373,24 @@ def iso_to_c(alg: Algebra, u, tol: float = DEFAULT_TOL) -> np.ndarray:
     second coordinate is chosen (positive first as the measure-zero
     tiebreak), which pins iso_to_c(C, 1) = I exactly.
     """
-    u = np.asarray(u, dtype=float)
-    w = np.eye(2)[int(np.argmin(np.abs(u)))]
-    c0, c1 = np.linalg.solve(np.column_stack([u, w]), alg.mul(w, w))
-    v0 = w - 0.5 * c1 * u
-    mu = c0 + 0.25 * c1 * c1
-    if mu >= -abs(tol):
-        raise NoImaginaryUnit(f"w*w completes to {mu:+.3e} u, not negative")
-    v = v0 / np.sqrt(-mu)
-    if v[1] < -tol or (abs(v[1]) <= tol and v[0] < 0):
-        v = -v
-    return np.linalg.inv(np.column_stack([u, v]))
-
-
-def _cnum(m_col) -> complex:
-    return complex(m_col[0], m_col[1])
-
-
-def _lmul(z: complex) -> np.ndarray:
-    """Matrix of multiplication by the complex number z."""
-    return np.array([[z.real, -z.imag], [z.imag, z.real]])
+    basis = _basis_of_c(alg.c[None], np.asarray(u, dtype=float)[None], tol)
+    return _matrix(_inverse(basis))[0]
 
 
 def split_scalar_spd(m, tol: float = DEFAULT_TOL
                      ) -> tuple[complex, np.ndarray]:
     """Factor m with det m > 0 as (complex scalar) * (SPD det 1).
 
-    The rotation part of the polar decomposition is multiplication by a
-    unit complex number w; pulling w out through the SPD part leaves a
-    rotated SPD factor, and the determinant supplies the modulus.
+    The rotation part of the polar decomposition is multiplication by
+    the unit complex number w = alpha / |alpha|; pulling it out leaves
+    the SPD factor L(conj w) m, and the determinant supplies the
+    modulus.  Closed form, no decomposition routine.
     """
-    p, o = polar_decompose(m)
-    if float(np.linalg.det(o)) < 0:
-        raise NotDivision("negative determinant; expected a rotation part")
-    w = _cnum(o[:, 0])
-    scale = float(np.sqrt(max(np.linalg.det(p), 0.0)))
-    a = _lmul(1.0 / w) @ (p / scale) @ _lmul(w)
-    return scale * w, 0.5 * (a + a.T)
-
-
-def _absorbing_scalar(c: complex, i: int, j: int) -> complex:
-    """The w with w * c * conj^i(1/w) * conj^j(1/w) = 1.
-
-    Conjugating the pair by multiplication-with-w multiplies the
-    residual scalar c by w^-1 (slots without K) or conj(w)^-1 (slots
-    with K) on each side; the displayed closed forms solve the four
-    cases exactly.
-    """
-    if (i, j) == (0, 0):
-        return c
-    if (i, j) == (1, 1):
-        r, phi = abs(c), np.angle(c)
-        return complex(r * np.cos(-phi / 3.0), r * np.sin(-phi / 3.0))
-    return c.conjugate()
+    a = as_matrix(m)
+    if a.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
+    scalar, spd = _split(_pair(a[None]))
+    return complex(scalar[0]), _matrix(spd)[0]
 
 
 def normal_form_2d(alg: Algebra, tol: float = DEFAULT_TOL
@@ -255,49 +398,81 @@ def normal_form_2d(alg: Algebra, tol: float = DEFAULT_TOL
     """Reduce a 2-dimensional division algebra to its normal form.
 
     Returns (nf, iso) with iso a verified isomorphism from alg onto
-    build2d(nf).  Pipeline: remove the twist at the first basis vector,
-    map the unital quotient onto C, read the algebra as an isotope
-    C_{S0, T0}, split each operator into complex scalar, SPD factor and
-    K power, and absorb the residual scalar exactly with a single
-    multiplication map (the four-case closed form above).
+    build2d(nf).  The B=1 case of normal_form_2d_many, whose errors it
+    raises.
     """
     if alg.dim != 2:
         raise ValueError("normal forms are defined in dimension 2")
-    if is_division(alg, mode="exact2d", tol=tol) != "division":
-        raise NotDivision("the exact dimension-2 test rejects this algebra")
-    a = np.array([1.0, 0.0])
-    ra, la = right_mult(alg, a), left_mult(alg, a)
-    unital, u = unitalize(alg, a, tol)
-    phi1 = iso_to_c(unital, u, tol)
-    phi1_inv = np.linalg.inv(phi1)
-    s0 = phi1 @ ra @ phi1_inv
-    t0 = phi1 @ la @ phi1_inv
-    i = 1 if float(np.linalg.det(s0)) < 0 else 0
-    j = 1 if float(np.linalg.det(t0)) < 0 else 0
-    ki = K2 if i else np.eye(2)
-    kj = K2 if j else np.eye(2)
-    c1, a1 = split_scalar_spd(s0 @ ki, tol)
-    c2, b1 = split_scalar_spd(t0 @ kj, tol)
+    forms, isos, _ = normal_form_2d_many(alg.c[None], tol)
+    return forms[0], isos[0]
+
+
+def normal_form_2d_many(tensors, tol: float = DEFAULT_TOL
+                        ) -> tuple[list[NormalForm2D], np.ndarray,
+                                   np.ndarray]:
+    """Normal forms of a stack of 2-dimensional division algebras.
+
+    ``tensors`` has shape (B, 2, 2, 2).  Returns (forms, isos,
+    residuals): B normal forms, the (B, 2, 2) isomorphisms, isos[b] from
+    algebra b onto build2d(forms[b]), and the (B,) morphism residuals
+    of those isomorphisms, each bounded by max(tol, 1e-8) times
+    max|isos[b]| max|tensors[b]|, the size of the terms it compares.
+    Member b is, bit for bit, what the B=1 call on tensors[b] gives.
+
+    Pipeline: the exact dimension-2 division test; removal of the twist
+    at the first basis vector; the map of the unital quotient onto C;
+    the algebra read as an isotope C_{S0, T0}; each operator split into
+    complex scalar, SPD factor and K power; and the residual scalar
+    absorbed exactly with one multiplication map (the four-case closed
+    form of _absorbing_scalar).  Raises ValueError for another shape or
+    a non-finite entry, and NotDivision, SingularOperator,
+    NoImaginaryUnit or NonConvergence naming the stack index of the
+    first member that fails a stage.
+    """
+    c = np.asarray(tensors, dtype=float)
+    if c.ndim != 4 or c.shape[1:] != (2, 2, 2):
+        raise ValueError(f"expected a (B, 2, 2, 2) tensor stack, got shape "
+                         f"{c.shape}")
+    if not np.isfinite(c).all():
+        raise ValueError("structure constants must be finite")
+    _fail_at(~_exact2d_division(c, tol), NotDivision,
+             lambda k: "the exact dimension-2 test rejects this algebra")
+    e0 = np.broadcast_to(np.array([1.0, 0.0]), (len(c), 2))
+    unital, u, ra, la = _remove_twist(c, e0, tol)
+    basis = _basis_of_c(unital, u, tol)
+    phi1 = _inverse(basis)
+    s0 = _compose(phi1, _compose(_pair(ra), basis))
+    t0 = _compose(phi1, _compose(_pair(la), basis))
+    i = np.abs(s0[0]) < np.abs(s0[1])                        # det S0 < 0
+    j = np.abs(t0[0]) < np.abs(t0[1])
+    c1, a1 = _split(_times_k(s0, i))
+    c2, b1 = _split(_times_k(t0, j))
     # the scalar freedom C_{S,T} = C_{zS, T/z} pools both scalars in S
-    c = c1 * c2
-    w = _absorbing_scalar(c, i, j)
-    phi2 = _lmul(w)
-    phi2_inv = _lmul(1.0 / w)
-    s2 = phi2 @ _lmul(c) @ a1 @ ki @ phi2_inv
-    t2 = b1 @ kj @ phi2_inv
-    res_s, a2 = split_scalar_spd(s2 @ ki, tol)
-    res_t, b2 = split_scalar_spd(t2 @ kj, tol)
-    residual = res_s * res_t
-    if abs(residual - 1.0) > 1e-6:
-        raise NonConvergence(f"scalar absorption left {residual}, not 1")
-    if (i, j) == (1, 1):
-        nf = NormalForm2D(1, 1, K2 @ a2 @ K2, K2 @ b2 @ K2)
-    else:
-        nf = NormalForm2D(i, j, a2, b2)
-    iso = phi2 @ phi1
-    res = morphism_residual(iso, alg, build2d(nf))
-    if res > max(tol, 1e-8):
-        raise NonConvergence(
-            f"normal-form isomorphism residual {res:.3e} exceeds "
-            f"{max(tol, 1e-8):.1e}")
-    return nf, iso
+    scalar = c1 * c2
+    w = _absorbing_scalar(scalar, i, j)
+    # transported along L(w) the algebra is C_{L(w) S L(1/w), T L(1/w)};
+    # times K^i and K^j its operators are L(w scalar) A1 L(q) and
+    # B1 L(r), q = conj^i(1/w), r = conj^j(1/w); as A1 L(q) = L(q) times
+    # A1 rotated by q / |q|, they split exactly, with scalars w scalar q
+    # and r whose product the absorbing scalar makes 1
+    inv_w = 1.0 / w
+    q = np.where(i, np.conj(inv_w), inv_w)
+    r = np.where(j, np.conj(inv_w), inv_w)
+    left = w * scalar * q * r
+    _fail_at(np.abs(left - 1.0) > 1e-6, NonConvergence,
+             lambda k: f"scalar absorption left {complex(left[k])}, not 1")
+    a2, b2 = _rotated(a1, q), _rotated(b1, r)
+    # the (1, 1) forms hold K A K and K B K: K (p, q) K = (p, conj q)
+    both = i & j
+    a = _matrix((a2[0], np.where(both, np.conj(a2[1]), a2[1])))
+    b = _matrix((b2[0], np.where(both, np.conj(b2[1]), b2[1])))
+    forms = [NormalForm2D(*args) for args in zip(
+        i.astype(int).tolist(), j.astype(int).tolist(), a, b)]
+    isos = _matrix((w * phi1[0], w * phi1[1]))                # L(w) phi1
+    res = morphism_residual_many(isos, c, _build_tensors(i, j, a, b))
+    bound = max(tol, 1e-8) * (np.abs(isos).max(axis=(1, 2))
+                              * np.abs(c).max(axis=(1, 2, 3)))
+    _fail_at(res > bound, NonConvergence,
+             lambda k: f"normal-form isomorphism residual {res[k]:.3e} "
+                       f"exceeds {bound[k]:.1e}")
+    return forms, isos, res

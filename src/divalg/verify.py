@@ -24,7 +24,7 @@ from .core import Algebra, SignPair, classical, find_unities, is_morphism, \
     sign_pair_many, transport, transport_many
 from .decorated import decorate, forget, functor_i, kappa
 from .dim2 import NormalForm2D, build2d, c2_elements, d3_elements, \
-    groupoid_hom, hom2d, normal_form_2d
+    groupoid_hom, hom2d, normal_form_2d_many
 from .equadratic import central_idempotents, functor_g, idempotent_residual, \
     is_e_quadratic
 from .errors import DivalgError, ZeroMap
@@ -619,24 +619,40 @@ def _chk_dim2_separation(ctx: Ctx, rng):
     return True, 0.0, count, ""
 
 
+def _each_or_replayed(stacked, items):
+    """The per-item results that ``stacked(items)`` iterates over; when
+    that raises, those of ``stacked`` on one item at a time, produced
+    lazily, so that the first failure surfaces at the item, and with the
+    detail, that a loop of single calls gives."""
+    try:
+        return list(stacked(items))
+    except (DivalgError, ValueError):
+        return (next(iter(stacked([x]))) for x in items)
+
+
 @_check("dim2-round-trip",
         "building a normal form and reducing it back lands in the same "
         "orbit: same block, nonempty hom-set, isomorphism residual 1e-8",
         ("dim2:round-trip",))
 def _chk_dim2_roundtrip(ctx: Ctx, rng):
+    drawn = [smp.random_normal_form(rng) for _ in range(100)]
+
+    def stacked(nfs):
+        forms, _, res = normal_form_2d_many([build2d(nf).c for nf in nfs],
+                                            ctx.tol)
+        return zip(forms, res)
+
     worst = 0.0
-    count = 0
-    for _ in range(100):
-        nf = smp.random_normal_form(rng)
-        alg = build2d(nf)
-        nf2, iso = normal_form_2d(alg, ctx.tol)
-        if (nf2.i, nf2.j) != (nf.i, nf.j):
-            return False, 1.0, count, "block changed in the round trip"
-        if not hom2d(nf2, nf, ctx.tol):
-            return False, 1.0, count, "reduced form left the orbit"
-        worst = max(worst, morphism_residual(iso, alg, build2d(nf2)))
-        count += 1
-    return worst <= 1e-8, worst, count, ""
+    for lo in range(0, len(drawn), CHUNK):
+        chunk = drawn[lo:lo + CHUNK]
+        reduced = _each_or_replayed(stacked, chunk)
+        for count, (nf, (nf2, res)) in enumerate(zip(chunk, reduced), lo):
+            if (nf2.i, nf2.j) != (nf.i, nf.j):
+                return False, 1.0, count, "block changed in the round trip"
+            if not hom2d(nf2, nf, ctx.tol):
+                return False, 1.0, count, "reduced form left the orbit"
+            worst = max(worst, float(res))
+    return worst <= 1e-8, worst, len(drawn), ""
 
 
 @_check("dim2-density",
@@ -644,16 +660,23 @@ def _chk_dim2_roundtrip(ctx: Ctx, rng):
         "whose block matches their sampled sign pair",
         ("dim2:density",))
 def _chk_dim2_density(ctx: Ctx, rng):
+    drawn = [smp.random_2d_division(rng) for _ in range(100)]
+
+    def stacked(algs):
+        tensors = np.stack([alg.c for alg in algs])
+        forms, _, res = normal_form_2d_many(tensors, ctx.tol)
+        signs = sign_pair_many(tensors, samples=8, tol=ctx.tol)
+        return zip(forms, res, (SignPair(*s) for s in signs.tolist()))
+
     worst = 0.0
-    count = 0
-    for _ in range(100):
-        alg = smp.random_2d_division(rng)
-        nf, iso = normal_form_2d(alg, ctx.tol)
-        if nf.block != sign_pair(alg, samples=8, tol=ctx.tol):
-            return False, 1.0, count, "block disagrees with the sign pair"
-        worst = max(worst, morphism_residual(iso, alg, build2d(nf)))
-        count += 1
-    return worst <= 1e-8, worst, count, ""
+    for lo in range(0, len(drawn), CHUNK):
+        chunk = drawn[lo:lo + CHUNK]
+        reduced = _each_or_replayed(stacked, chunk)
+        for count, (nf, res, sign) in enumerate(reduced, lo):
+            if nf.block != sign:
+                return False, 1.0, count, "block disagrees with the sign pair"
+            worst = max(worst, float(res))
+    return worst <= 1e-8, worst, len(drawn), ""
 
 
 # ------------------------------------------------------------------- quat

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divalg.core import Algebra, classical, is_morphism, isotope, \
-    morphism_residual, sign_pair, transport
+from divalg import dim2
+from divalg.core import Algebra, classical, is_division, is_morphism, \
+    isotope, morphism_residual, sign_pair, transport
 from divalg.dim2 import K2, NormalForm2D, ROT3, build2d, c2_elements, \
     d3_elements, groupoid_hom, hom2d, iso_to_c, normal_form_2d, \
-    split_scalar_spd, unitalize
-from divalg.errors import BlockMismatch, NoImaginaryUnit, NotDivision, \
-    SingularOperator
+    normal_form_2d_many, split_scalar_spd, unitalize
+from divalg.errors import BlockMismatch, NoImaginaryUnit, NonConvergence, \
+    NotDivision, SingularOperator
 from divalg.matkit import is_spd1, random_invertible, random_spd1
 from divalg.samples import random_2d_division, random_normal_form
 
@@ -232,3 +233,144 @@ def test_normal_form_random_division(seed):
     form, iso = normal_form_2d(alg)
     assert form.block == sign_pair(alg, samples=16)
     assert morphism_residual(iso, alg, build2d(form)) <= 1e-8
+
+
+# --- the closed complex form on stacks ---
+
+BLOCKS = [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+# normal_form_2d(random_2d_division(seed)) of the SVD-based reduction
+# this one replaced, recorded at full precision: (seed, A, B, iso)
+PINNED = {
+    (0, 0): (5, [[0.723843450336174, -0.1340103939751202],
+                 [-0.1340103939751202, 1.4063245101141653]],
+             [[0.5277185883782723, -0.17952981738492962],
+              [-0.17952981738492962, 1.9560253856177525]],
+             [[-1.240969475996239, -0.7550618114335519],
+              [-0.13188115972617281, 0.49054322705964637]]),
+    (0, 1): (4, [[0.23222444895512584, 0.9906729758581488],
+                 [0.9906729758581488, 8.532404550902928]],
+             [[0.18188911009991585, -0.511461954160488],
+              [-0.511461954160488, 6.936057523513329]],
+             [[0.8293469194519241, -0.5752256881464737],
+              [0.08107447564629981, 0.21831689703032917]]),
+    (1, 0): (1, [[0.29600603935724257, -0.14663443985637992],
+                 [-0.14663443985637992, 3.45094870756731]],
+             [[0.7973454178479279, -1.114198319354378],
+              [-1.114198319354378, 2.81112532245042]],
+             [[0.13154106681398547, -0.6842792769196708],
+              [0.3977221379278719, -0.25737333627641723]]),
+    (1, 1): (0, [[1.7990603080882246, 0.9702547193534073],
+                 [0.9702547193534073, 1.0791156981783376]],
+             [[3.81502839449251, 1.7667520194945037],
+              [1.7667520194945037, 1.0803098357898735]],
+             [[0.4953914070802886, -0.40772749451459256],
+              [-0.34886689245112956, 0.5948399908616817]]),
+}
+
+
+def mixed_stack(size=25):
+    """Built normal forms of every block and raw random draws, at three
+    scales."""
+    rng = np.random.default_rng(606)
+    tensors = []
+    for k in range(size):
+        if k % 2:
+            t = random_2d_division(rng).c
+        else:
+            t = build2d(random_normal_form(rng, block=BLOCKS[k // 2 % 4])).c
+        tensors.append(t * (1e-3, 1.0, 1e3)[k % 3])
+    return np.stack(tensors)
+
+
+def test_stacked_normal_forms_equal_single_calls_bit_for_bit():
+    stack = mixed_stack()
+    forms, isos, res = normal_form_2d_many(stack)
+    assert {(f.i, f.j) for f in forms} == set(BLOCKS)
+    for k, t in enumerate(stack):
+        (f1,), (iso1,), (res1,) = normal_form_2d_many(t[None])
+        assert (forms[k].i, forms[k].j) == (f1.i, f1.j)
+        assert np.array_equal(forms[k].a, f1.a)
+        assert np.array_equal(forms[k].b, f1.b)
+        assert np.array_equal(isos[k], iso1) and res[k] == res1
+        nf, iso = normal_form_2d(Algebra(t))
+        assert np.array_equal(nf.a, f1.a) and np.array_equal(iso, iso1)
+        assert res1 == morphism_residual(iso1, Algebra(t), build2d(f1))
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_normal_form_pinned_to_the_svd_reduction(block):
+    seed, a, b, iso_ref = PINNED[block]
+    form, iso = normal_form_2d(random_2d_division(seed))
+    assert (form.i, form.j) == block
+    for got, want in ((form.a, a), (form.b, b), (iso, iso_ref)):
+        assert np.max(np.abs(got - np.array(want))) <= 1e-10
+
+
+@pytest.mark.parametrize("scale", [1e-5, 1e5])
+def test_rescaled_complex_numbers_reduce_to_the_identity_form(C, scale):
+    alg = Algebra(scale * C.c)
+    assert is_division(alg, mode="exact2d") == "division"
+    form, iso = normal_form_2d(alg)
+    assert (form.i, form.j) == (0, 0)
+    assert np.max(np.abs(form.a - EYE)) <= 1e-10
+    assert np.max(np.abs(form.b - EYE)) <= 1e-10
+    assert np.allclose(iso, scale * EYE, rtol=1e-12, atol=0.0)
+
+
+def test_rescaled_unitalize_and_iso_to_c(C):
+    for scale in (1e-5, 1e5):
+        unital, u = unitalize(Algebra(scale * C.c), [1.0, 0.0])
+        assert np.allclose(unital.c, C.c / scale, rtol=1e-12, atol=0.0)
+        assert np.allclose(iso_to_c(unital, u), EYE / scale, rtol=1e-12,
+                           atol=0.0)
+
+
+def test_stack_errors_name_the_index(C, monkeypatch):
+    stack = np.stack([C.c] * 5)
+    stack[3] = split_complex().c
+    with pytest.raises(NotDivision, match="stack index 3"):
+        normal_form_2d_many(stack)
+    with pytest.raises(NotDivision, match="stack index 0"):
+        normal_form_2d(split_complex())
+    with pytest.raises(ValueError):
+        normal_form_2d_many(C.c)
+    # a final residual over its bound, at member 2 only
+    monkeypatch.setattr(dim2, "morphism_residual_many",
+                        lambda f, a, b: np.where(np.arange(len(f)) == 2,
+                                                 1.0, 0.0))
+    with pytest.raises(NonConvergence, match="stack index 2"):
+        normal_form_2d_many(np.stack([C.c] * 4))
+
+
+def test_group_stacks_are_read_only():
+    for name, order in (("C2", 2), ("D3", 6)):
+        mats, elements = dim2._GROUPS[name]
+        assert mats.shape == (order, 2, 2) and not mats.flags.writeable
+        with pytest.raises(ValueError):
+            mats[0, 0, 0] = 2.0
+        assert all(not g.matrix.flags.writeable for g in elements)
+    # the public lists share the prebuilt elements
+    assert c2_elements()[1] is c2_elements()[1]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_hom2d_equals_the_per_element_morphism_filter(block):
+    rng = np.random.default_rng(sum(block) + 10 * block[0])
+    group = d3_elements() if block == (1, 1) else c2_elements()
+    nonempty = 0
+    for k in range(12):
+        x = random_normal_form(rng, block=block)
+        if k % 2:
+            y = random_normal_form(rng, block=block)
+        else:
+            g = group[k // 2 % len(group)].matrix
+            y = NormalForm2D(*block, g @ x.a @ g.T, g @ x.b @ g.T)
+        ax, ay = build2d(x), build2d(y)
+        direct = [e for e in group
+                  if morphism_residual(e.matrix, ax, ay) <= 1e-9]
+        got = hom2d(x, y)
+        assert [e.matrix.tolist() for e in got] == \
+            [e.matrix.tolist() for e in direct]
+        nonempty += bool(got)
+    assert nonempty >= 6

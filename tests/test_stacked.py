@@ -11,18 +11,20 @@ batched verify checks must report what the loops reported.
 import numpy as np
 import pytest
 
-from divalg import core, quat, verify
+from divalg import core, dim2, quat, verify
 from divalg.core import Algebra, classical, isotope, isotope_many, \
     left_mult, morphism_residual, morphism_residual_many, right_mult, \
     sign_pair, sign_pair_many, transport, transport_many
-from divalg.errors import DegenerateSign, NotSpecialOrthogonal, \
-    SignInconsistent, SingularInput, SingularOperator, ZeroQuaternion
+from divalg.dim2 import build2d, hom2d, normal_form_2d
+from divalg.errors import DegenerateSign, DivalgError, NonConvergence, \
+    NotSpecialOrthogonal, SignInconsistent, SingularInput, \
+    SingularOperator, ZeroQuaternion
 from divalg.matkit import polar_decompose, random_invertible, \
     random_invertible_many, random_rotation
 from divalg.quat import functor_h, functor_h_many, k_map, k_map_many, \
     qconj, rep_normalize, rep_normalize_many, so4_factor
-from divalg.samples import random_division, random_quat_pair, \
-    random_z_object
+from divalg.samples import random_2d_division, random_division, \
+    random_normal_form, random_quat_pair, random_z_object
 
 DIMS = [2, 4, 8]
 STACKS = [1, 3]
@@ -371,3 +373,75 @@ def test_faithfulness_tests_the_equal_class_branch(monkeypatch):
 def test_faithfulness_sample_counts(samples):
     result = run_check("quat-faithfulness", samples)
     assert result.passed and result.samples == max(2, samples)
+
+
+def dim2_loop(name, tol):
+    """The dim2 round-trip and density checks as loops of single calls,
+    reported as run_verify reports: (passed, residual, samples, detail)."""
+    index = next(c.index for c in verify._REGISTRY if c.name == name)
+    rng = np.random.default_rng([42, index])
+    worst = 0.0
+    try:
+        for count in range(100):
+            if name == "dim2-round-trip":
+                nf = random_normal_form(rng)
+                alg = build2d(nf)
+                nf2, iso = normal_form_2d(alg, tol)
+                if (nf2.i, nf2.j) != (nf.i, nf.j):
+                    return False, 1.0, count, "block changed in the round trip"
+                if not hom2d(nf2, nf, tol):
+                    return False, 1.0, count, "reduced form left the orbit"
+            else:
+                alg = random_2d_division(rng)
+                nf2, iso = normal_form_2d(alg, tol)
+                if nf2.block != sign_pair(alg, samples=8, tol=tol):
+                    return (False, 1.0, count,
+                            "block disagrees with the sign pair")
+            worst = max(worst, morphism_residual(iso, alg, build2d(nf2)))
+    except (DivalgError, ValueError) as exc:
+        return False, None, 0, f"{type(exc).__name__}: {exc}"
+    return worst <= 1e-8, worst, 100, ""
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-2, 1e-30])
+@pytest.mark.parametrize("name", ["dim2-round-trip", "dim2-density"])
+def test_stacked_dim2_checks_report_what_the_loop_reports(name, tol):
+    (got,) = verify.run_verify(42, tol=tol, names=[name]).results
+    assert (got.passed, got.residual, got.samples, got.detail) == \
+        dim2_loop(name, tol)
+
+
+def test_dim2_replay_reports_the_first_failing_item(monkeypatch):
+    # reducing draw 29 raises, so its chunk's stacked call raises; draw
+    # 27's sign pair disagrees with its block, which the loop reports
+    # first, at count 27, and so must the replay
+    index = next(c.index for c in verify._REGISTRY
+                 if c.name == "dim2-density")
+    rng = np.random.default_rng([42, index])
+    drawn = [random_2d_division(rng).c for _ in range(30)]
+    real_reduce, real_signs = verify.normal_form_2d_many, \
+        verify.sign_pair_many
+    calls = []
+
+    def has(tensors, k):
+        return [np.array_equal(t, drawn[k]) for t in tensors]
+
+    def reduce(tensors, tol):
+        calls.append(len(tensors))
+        if any(has(tensors, 29)):
+            raise NonConvergence("scalar absorption left 2, not 1")
+        return real_reduce(tensors, tol)
+
+    def signs(tensors, samples, tol):
+        return real_signs(tensors, samples=samples, tol=tol) \
+            * np.where(has(tensors, 27), -1, 1)[:, None]
+
+    monkeypatch.setattr(verify, "normal_form_2d_many", reduce)
+    result = run_check("dim2-density")
+    assert (result.passed, result.samples) == (False, 0)
+    assert result.detail == "NonConvergence: scalar absorption left 2, not 1"
+    assert calls == [25, 25, 1, 1, 1, 1, 1]
+    monkeypatch.setattr(verify, "sign_pair_many", signs)
+    result = run_check("dim2-density")
+    assert (result.passed, result.samples) == (False, 27)
+    assert result.detail == "block disagrees with the sign pair"
