@@ -25,13 +25,32 @@ from .errors import (
     SingularOperator,
     ZeroMap,
 )
-from .matkit import DEFAULT_TOL
+from .matkit import DEFAULT_TOL, near_singular
 
 _ALLOWED_DIMS = (1, 2, 4, 8)
 
 
+class _Frozen:
+    """Base of the frozen value classes: the public constructor validates
+    and copies, library code builds from valid parts with _trusted."""
+
+    @classmethod
+    def _trusted(cls, **fields):
+        """An instance from all its fields, each fresh or read-only and bit
+        for bit what the public constructor would store; none is checked."""
+        return object.__new__(cls)._freeze(**fields)
+
+    def _freeze(self, **fields):
+        """Set fields, arrays made read-only."""
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        return self
+
+
 @dataclass(frozen=True, eq=False)
-class Algebra:
+class Algebra(_Frozen):
     """A real algebra presented by its structure-constant tensor."""
 
     c: np.ndarray
@@ -45,9 +64,7 @@ class Algebra:
             raise ValueError(f"dimension must be one of {_ALLOWED_DIMS}")
         if not np.isfinite(c).all():
             raise ValueError("structure constants must be finite")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "c", c)
+        self._freeze(c=c.copy())
 
     @property
     def dim(self) -> int:
@@ -211,7 +228,7 @@ def isotope(alg: Algebra, s_op, t_op, tol: float = DEFAULT_TOL) -> Algebra:
     """
     c = isotope_many(alg, np.asarray(s_op, dtype=float)[None],
                      np.asarray(t_op, dtype=float)[None], tol)[0]
-    return Algebra(c, label=_tag(alg.label, "isotope"))
+    return Algebra._trusted(c=c, label=_tag(alg.label, "isotope"))
 
 
 def isotope_many(alg: Algebra, s_ops, t_ops,
@@ -222,7 +239,7 @@ def isotope_many(alg: Algebra, s_ops, t_ops,
     (B, n, n, n) result is the tensor of isotope(alg, s_ops[b],
     t_ops[b]).  Raises ValueError when either stack has another shape
     or a non-finite entry, and SingularOperator naming the first
-    operator, S[b] before T[b], with |det| <= tol.
+    operator, S[b] before T[b], singular at tol (near_singular).
     """
     st = _checked_operators(alg, tol, "ST", s_ops, t_ops)
     b = len(st) // 2
@@ -231,8 +248,8 @@ def isotope_many(alg: Algebra, s_ops, t_ops,
 
 def opposite(alg: Algebra) -> Algebra:
     """Opposite algebra: x o y = y x (swap the factor indices)."""
-    return Algebra(alg.c.transpose(1, 0, 2),
-                   label=_tag(alg.label, "opposite"))
+    return Algebra._trusted(c=alg.c.transpose(1, 0, 2).copy(),  # C order
+                            label=_tag(alg.label, "opposite"))
 
 
 def transport(alg: Algebra, f, tol: float = DEFAULT_TOL) -> Algebra:
@@ -243,7 +260,7 @@ def transport(alg: Algebra, f, tol: float = DEFAULT_TOL) -> Algebra:
     B=1 case of transport_many.
     """
     c = transport_many(alg, np.asarray(f, dtype=float)[None], tol)[0]
-    return Algebra(c, label=_tag(alg.label, "transport"))
+    return Algebra._trusted(c=c, label=_tag(alg.label, "transport"))
 
 
 def transport_many(alg: Algebra, f_ops, tol: float = DEFAULT_TOL
@@ -253,7 +270,7 @@ def transport_many(alg: Algebra, f_ops, tol: float = DEFAULT_TOL
     ``f_ops`` has shape (B, n, n); entry b of the (B, n, n, n) result is
     the tensor of transport(alg, f_ops[b]).  Raises ValueError when the
     stack has another shape or a non-finite entry, and SingularOperator
-    naming the first F[b] with |det| <= tol.
+    naming the first F[b] singular at tol (near_singular).
     """
     f = _checked_operators(alg, tol, "F", f_ops)
     g = np.linalg.inv(f)
@@ -267,7 +284,7 @@ def _checked_operators(alg: Algebra, tol: float, names: str,
 
     Each must have shape (B, n, n) with one B for all and finite
     entries, or ValueError names it.  SingularOperator names the first
-    operator, in the order of ``names``, with |det| <= tol.
+    operator, in the order of ``names``, that near_singular flags at tol.
     """
     ops = [np.asarray(m, dtype=float) for m in stacks]
     want = ops[0].shape[:1] + (alg.dim, alg.dim)
@@ -276,17 +293,16 @@ def _checked_operators(alg: Algebra, tol: float, names: str,
             raise ValueError(f"{name} has shape {m.shape}, need "
                              f"(B, {alg.dim}, {alg.dim}) with one B")
     ops = np.concatenate(ops) if len(ops) > 1 else ops[0]
-    # count_nonzero and a list scan: the cheapest tests on a few tiny
-    # matrices, which is what single-item calls pass
+    # count_nonzero: the cheapest test on a few tiny matrices, which is
+    # what single-item calls pass
     if np.count_nonzero(np.isfinite(ops)) != ops.size:
         bad = next(name for name, m in zip(names, stacks)
                    if not np.isfinite(m).all())
         raise ValueError(f"{bad} has non-finite entries")
-    singular = [k for k, d in enumerate(np.linalg.det(ops).tolist())
-                if abs(d) <= tol]
-    if singular:
+    singular = near_singular(ops, tol)
+    if singular.any():
         per = len(ops) // len(names)
-        i = singular[0]
+        i = int(np.argmax(singular))
         raise SingularOperator(f"{names[i // per]}[{i % per}] is singular "
                                f"at tol {tol:.1e}")
     return ops
@@ -436,23 +452,15 @@ def find_unities(alg: Algebra, tol: float = DEFAULT_TOL) -> dict:
     return out
 
 
-def _nullspace(mat: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of the null space, columns of the result."""
-    if mat.size == 0:
-        return np.eye(mat.shape[1]) if mat.ndim == 2 else np.empty((0, 0))
-    u, s, vt = np.linalg.svd(mat)
-    scale = s[0] if s.size and s[0] > 0 else 1.0
-    rank = int(np.sum(s > tol * max(scale, 1.0)))
-    return vt[rank:].T
-
-
 def commutant(alg: Algebra, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Basis (columns) of {a : L_a = R_a}, the commuting elements."""
+    """Orthonormal basis (columns) of {a : L_a = R_a}, the commuting
+    elements: the null space of the constraint rows."""
     n = alg.dim
     # constraint rows over (k, m): sum_t a_t (c[t, m, k] - c[m, t, k]) = 0
     diff = alg.c - alg.c.transpose(1, 0, 2)
-    rows = diff.transpose(2, 1, 0).reshape(n * n, n)
-    return _nullspace(rows, tol)
+    _, s, vt = np.linalg.svd(diff.transpose(2, 1, 0).reshape(n * n, n))
+    rank = int(np.sum(s > tol * max(s[0], 1.0)))
+    return vt[rank:].T
 
 
 def _tag(label: str, op: str) -> str:

@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Algebra, isotope
+from .core import Algebra, _Frozen, _pull_back, _tag
 from .errors import BadSplit
-from .matkit import DEFAULT_TOL
+from .matkit import DEFAULT_TOL, near_singular
 
 @dataclass(frozen=True, eq=False)
-class DecoratedAlgebra:
+class DecoratedAlgebra(_Frozen):
     """An algebra with a chosen odd/even splitting (column bases u, v).
 
     kappa depends on u and v alone, so it is computed once and kept
@@ -50,7 +50,8 @@ def decorate(alg: Algebra, u, v, tol: float = DEFAULT_TOL) -> DecoratedAlgebra:
     """Attach the splitting (span u, span v) to an algebra.
 
     u and v are column bases (n x m and n x (n - m)).  Raises BadSplit
-    when m is even, m >= n, or [u | v] fails to be invertible at tol.
+    when m is even, m >= n, or [u | v] fails to be invertible at tol,
+    relative to its column norms (matkit.near_singular).
     """
     n = alg.dim
     um = np.atleast_2d(np.asarray(u, dtype=float))
@@ -64,8 +65,7 @@ def decorate(alg: Algebra, u, v, tol: float = DEFAULT_TOL) -> DecoratedAlgebra:
         raise BadSplit(f"U-block dimension {m} must be odd and below {n}")
     if vm.shape[1] != n - m:
         raise BadSplit("V-block dimension must complement U")
-    w = np.hstack([um, vm])
-    if abs(np.linalg.det(w)) <= tol:
+    if near_singular(np.hstack([um, vm]), tol):
         raise BadSplit("[U | V] is singular; the subspaces do not split")
     return DecoratedAlgebra(alg, um, vm)
 
@@ -83,9 +83,7 @@ def kappa(x: DecoratedAlgebra) -> np.ndarray:
         w = np.hstack([x.u, x.v])
         d = np.ones(n)
         d[m:] = -1.0
-        k = (w * d) @ np.linalg.inv(w)
-        k.setflags(write=False)
-        object.__setattr__(x, "_kappa", k)
+        x._freeze(_kappa=(w * d) @ np.linalg.inv(w))
     return x._kappa
 
 
@@ -103,10 +101,11 @@ def functor_i(i: int, j: int, x: DecoratedAlgebra) -> DecoratedAlgebra:
     if i == 0 and j == 0:
         return x
     k = kappa(x)
-    n = x.dim
-    s = k if i else np.eye(n)
-    t = k if j else np.eye(n)
-    return DecoratedAlgebra(isotope(x.alg, s, t), x.u, x.v, k)
+    s, t = (k if f else np.eye(x.dim) for f in (i, j))
+    # kappa is an involution, so s and t are invertible without a check
+    alg = Algebra._trusted(c=_pull_back(x.alg.c, s, t),
+                           label=_tag(x.alg.label, "isotope"))
+    return DecoratedAlgebra(alg, x.u, x.v, k)
 
 
 def forget(x: DecoratedAlgebra) -> Algebra:

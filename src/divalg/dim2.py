@@ -37,6 +37,7 @@ import numpy as np
 from .core import (
     Algebra,
     SignPair,
+    _Frozen,
     _exact2d_division,
     _left_stack,
     _pull_back,
@@ -51,14 +52,14 @@ from .errors import (
     SingularInput,
     SingularOperator,
 )
-from .matkit import DEFAULT_TOL, as_matrix, is_spd1
+from .matkit import DEFAULT_TOL, as_matrix, is_spd1, near_singular
 
 K2 = np.array([[1.0, 0.0], [0.0, -1.0]])
 ROT3 = 0.5 * np.array([[-1.0, -np.sqrt(3.0)], [np.sqrt(3.0), -1.0]])
 
 
 @dataclass(frozen=True, eq=False)
-class GroupElement2D:
+class GroupElement2D(_Frozen):
     """An element of C2 = <K> or D3 = <R, K> as a concrete 2x2 matrix."""
 
     matrix: np.ndarray
@@ -67,9 +68,7 @@ class GroupElement2D:
     def __post_init__(self):
         if self.group not in ("C2", "D3"):
             raise ValueError("group must be 'C2' or 'D3'")
-        m = np.asarray(self.matrix, dtype=float).copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        self._freeze(matrix=np.asarray(self.matrix, dtype=float).copy())
 
     def __repr__(self):
         return f"<{self.group} element {np.round(self.matrix, 6).tolist()}>"
@@ -78,7 +77,8 @@ class GroupElement2D:
 def _group(name: str, mats) -> tuple[np.ndarray, tuple[GroupElement2D, ...]]:
     stack = np.array(mats)
     stack.setflags(write=False)
-    return stack, tuple(GroupElement2D(m, name) for m in stack)
+    return stack, tuple(GroupElement2D._trusted(matrix=m, group=name)
+                        for m in stack)
 
 
 # Each group once, as a read-only (order, 2, 2) stack and as elements in
@@ -99,7 +99,7 @@ def d3_elements() -> list[GroupElement2D]:
 
 
 @dataclass(frozen=True, eq=False)
-class NormalForm2D:
+class NormalForm2D(_Frozen):
     """Exponents (i, j) plus the SPD determinant-1 pair (a, b)."""
 
     i: int
@@ -110,13 +110,11 @@ class NormalForm2D:
     def __post_init__(self):
         if self.i not in (0, 1) or self.j not in (0, 1):
             raise ValueError("exponents must be 0 or 1")
-        for name in ("a", "b"):
-            m = np.asarray(getattr(self, name), dtype=float)
+        ab = [np.asarray(m, dtype=float).copy() for m in (self.a, self.b)]
+        for name, m in zip("ab", ab):
             if m.shape != (2, 2) or not is_spd1(m, 1e-7):
                 raise ValueError(f"{name} must be 2x2 SPD with determinant 1")
-            m = m.copy()
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
+        self._freeze(a=ab[0], b=ab[1])
 
     @property
     def block(self) -> SignPair:
@@ -180,15 +178,13 @@ def _remove_twist(c: np.ndarray, a: np.ndarray, tol: float):
     """The (R_a^-1, L_a^-1)-isotopes of a stack (B, n, n, n) of tensors at
     a stack (B, n) of elements: (tensors, unities u = a a, R_a, L_a).
 
-    R_a or L_a counts as singular when |det| <= tol times the product of
-    its column norms, a test that rescaling the tensor leaves alone.
-    Both unit laws of u are verified.
+    R_a and L_a are tested with near_singular, which rescaling leaves
+    alone.  Both unit laws of u are verified.
     """
     ra = _left_stack(c.swapaxes(1, 2), a[:, None])[:, 0]
     la = _left_stack(c, a[:, None])[:, 0]
     ops = np.stack([ra, la], axis=1)                          # [b, side]
-    singular = (np.abs(np.linalg.det(ops))
-                <= tol * np.prod(np.linalg.norm(ops, axis=-2), axis=-1))
+    singular = near_singular(ops, tol)
     _fail_at(singular.any(axis=1), SingularOperator,
              lambda k: f"{('R_a', 'L_a')[int(np.argmax(singular[k]))]} is "
                        "singular; a is not invertible")
@@ -290,7 +286,7 @@ def build2d(nf: NormalForm2D) -> Algebra:
     """The algebra the normal form encodes (an explicit isotope of C)."""
     c = _build_tensors(np.array([nf.i], dtype=bool),
                        np.array([nf.j], dtype=bool), nf.a[None], nf.b[None])
-    return Algebra(c[0], label=f"C[{nf.i}{nf.j}]")
+    return Algebra._trusted(c=c[0], label=f"C[{nf.i}{nf.j}]")
 
 
 def _gram_matches(mats: np.ndarray, x, y, tol: float) -> np.ndarray:
@@ -361,7 +357,7 @@ def unitalize(alg: Algebra, a, tol: float = DEFAULT_TOL
     """
     out, u, _, _ = _remove_twist(alg.c[None],
                                  np.asarray(a, dtype=float)[None], tol)
-    return Algebra(out[0], label="unital"), u[0]
+    return Algebra._trusted(c=out[0], label="unital"), u[0]
 
 
 def iso_to_c(alg: Algebra, u, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -399,10 +395,8 @@ def normal_form_2d(alg: Algebra, tol: float = DEFAULT_TOL
 
     Returns (nf, iso) with iso a verified isomorphism from alg onto
     build2d(nf).  The B=1 case of normal_form_2d_many, whose errors it
-    raises.
+    raises (ValueError for another dimension than 2).
     """
-    if alg.dim != 2:
-        raise ValueError("normal forms are defined in dimension 2")
     forms, isos, _ = normal_form_2d_many(alg.c[None], tol)
     return forms[0], isos[0]
 
@@ -466,8 +460,9 @@ def normal_form_2d_many(tensors, tol: float = DEFAULT_TOL
     both = i & j
     a = _matrix((a2[0], np.where(both, np.conj(a2[1]), a2[1])))
     b = _matrix((b2[0], np.where(both, np.conj(b2[1]), b2[1])))
-    forms = [NormalForm2D(*args) for args in zip(
-        i.astype(int).tolist(), j.astype(int).tolist(), a, b)]
+    # the closed-form split makes a and b SPD with determinant 1
+    forms = [NormalForm2D._trusted(i=ik, j=jk, a=ak, b=bk) for ik, jk, ak, bk
+             in zip(i.astype(int).tolist(), j.astype(int).tolist(), a, b)]
     isos = _matrix((w * phi1[0], w * phi1[1]))                # L(w) phi1
     res = morphism_residual_many(isos, c, _build_tensors(i, j, a, b))
     bound = max(tol, 1e-8) * (np.abs(isos).max(axis=(1, 2))

@@ -67,9 +67,7 @@ def normal_form_to_dict(nf) -> dict:
 def normal_form_from_dict(doc: dict):
     from .dim2 import NormalForm2D
     try:
-        return NormalForm2D(int(doc["i"]), int(doc["j"]),
-                            np.asarray(doc["A"], dtype=float),
-                            np.asarray(doc["B"], dtype=float))
+        return NormalForm2D(int(doc["i"]), int(doc["j"]), doc["A"], doc["B"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not a normal-form document: {exc}") from exc
 

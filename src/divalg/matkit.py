@@ -51,6 +51,13 @@ def sign_det_many(ms: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return np.where(d > 0, 1, -1).astype(int)
 
 
+def near_singular(ms, tol: float) -> np.ndarray:
+    """Whether |det| <= tol times the product of the column norms (which
+    bound |det|), for each matrix of a stack (..., n, n); scale-free."""
+    return (np.abs(np.linalg.det(ms))
+            <= tol * np.prod(np.linalg.norm(ms, axis=-2), axis=-1))
+
+
 def polar_decompose(m, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """Left polar decomposition m = p @ o with p SPD and o orthogonal.
 

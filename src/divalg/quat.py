@@ -21,9 +21,10 @@ import numpy as np
 
 from .core import (
     Algebra,
+    _Frozen,
+    _pull_back,
     classical,
     isotope,
-    isotope_many,
     left_mult,
     left_mult_many,
     morphism_residual,
@@ -36,7 +37,6 @@ from .errors import (
     FactorizationFailed,
     NonConvergence,
     NotSpecialOrthogonal,
-    SingularOperator,
     ZeroQuaternion,
 )
 from .matkit import DEFAULT_TOL, _as_square, as_matrix, is_spd1, \
@@ -139,12 +139,9 @@ def k_map(s) -> np.ndarray:
 
     Orthogonal, fixes the real axis, and depends only on the class of s
     in H*/R*; k_map(s t) = k_map(s) k_map(t).  The B=1 case of
-    k_map_many.
+    k_map_many, whose shape test rejects anything but a length-4 s.
     """
-    s = np.asarray(s, dtype=float)
-    if s.shape != (4,):
-        raise ValueError("a quaternion is a length-4 vector")
-    return k_map_many(s[None])[0]
+    return k_map_many(np.asarray(s, dtype=float)[None])[0]
 
 
 def k_map_many(s) -> np.ndarray:
@@ -160,7 +157,7 @@ def k_map_many(s) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ZObject:
+class ZObject(_Frozen):
     """A pair of coset representatives with a pair of SPD det-1 matrices.
 
     a and b are normalized on construction (rep_normalize); c and d must
@@ -173,17 +170,12 @@ class ZObject:
     d: np.ndarray
 
     def __post_init__(self):
-        ab = np.array([self.a, self.b], dtype=float)
-        for name, v in zip("ab", _rep_many(ab)[0]):
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
-        for name in ("c", "d"):
-            m = as_matrix(getattr(self, name))
+        ab = _quaternion_stack([self.a, self.b])
+        cd = as_matrix(self.c), as_matrix(self.d)
+        for name, m in zip("cd", cd):
             if m.shape != (4, 4) or not is_spd1(m, 1e-7):
                 raise ValueError(f"{name} must be 4x4 SPD with det 1")
-            m = 0.5 * (m + m.T)
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
+        self._freeze(**_z_fields(*ab, *cd))
 
     def __repr__(self):
         return (f"<ZObject a={np.round(self.a, 4)} b={np.round(self.b, 4)} "
@@ -197,6 +189,13 @@ class ZObject:
                     and np.max(np.abs(self.d - eye)) <= 1e-9)
 
 
+def _z_fields(a, b, c, d) -> dict:
+    """The fields ZObject stores for parts (a, b, c, d), for both ways of
+    building one: a and b made representatives, c and d symmetrized."""
+    ab = _rep_many(np.array([a, b], dtype=float))[0]
+    return dict(a=ab[0], b=ab[1], c=0.5 * (c + c.T), d=0.5 * (d + d.T))
+
+
 def z_action(s, x: ZObject) -> ZObject:
     """Act by [s]: conjugate both representatives and both SPD parts.
 
@@ -204,7 +203,8 @@ def z_action(s, x: ZObject) -> ZObject:
     acting by s then t equals acting by ts coordinatewise.
     """
     k = k_map(s)
-    return ZObject(k @ x.a, k @ x.b, k @ x.c @ k.T, k @ x.d @ k.T)
+    return ZObject._trusted(**_z_fields(k @ x.a, k @ x.b, k @ x.c @ k.T,
+                                        k @ x.d @ k.T))
 
 
 def functor_h(alpha: int, beta: int, x: ZObject) -> Algebra:
@@ -215,16 +215,15 @@ def functor_h(alpha: int, beta: int, x: ZObject) -> Algebra:
     the rows with a negative sign); the resulting algebra always has
     sign pair exactly (alpha, beta).  The B=1 case of functor_h_many.
     """
-    c = _functor_h_stack(alpha, beta, x.a[None], x.b[None], x.c[None],
-                         x.d[None])[0]
-    return Algebra(c, label=f"H[{'+' if alpha > 0 else '-'}"
-                            f"{'+' if beta > 0 else '-'}]")
+    c = functor_h_many(alpha, beta, [x])[0]
+    return Algebra._trusted(c=c, label=f"H[{'+' if alpha > 0 else '-'}"
+                                       f"{'+' if beta > 0 else '-'}]")
 
 
 def functor_h_many(alpha: int, beta: int, xs) -> np.ndarray:
     """Structure tensors of functor_h(alpha, beta, x) for each object x
-    of the sequence xs, as a (B, 4, 4, 4) stack from one isotope_many
-    call; entry b is bit for bit the tensor functor_h gives for xs[b].
+    of the sequence xs, as a (B, 4, 4, 4) stack from one contraction;
+    entry b is bit for bit the tensor functor_h gives for xs[b].
     """
     return _functor_h_stack(alpha, beta, *(np.array([getattr(x, f)
                                                      for x in xs])
@@ -233,7 +232,7 @@ def functor_h_many(alpha: int, beta: int, xs) -> np.ndarray:
 
 def _functor_h_stack(alpha: int, beta: int, a, b, c, d) -> np.ndarray:
     """The operator table on stacks of representatives (B, 4) and SPD
-    parts (B, 4, 4), then one isotope_many call."""
+    parts (B, 4, 4), then one contraction."""
     if alpha not in (1, -1) or beta not in (1, -1):
         raise ValueError("block signs must be +1 or -1")
     h = classical("H")
@@ -247,7 +246,8 @@ def _functor_h_stack(alpha: int, beta: int, a, b, c, d) -> np.ndarray:
     else:
         sig, tau = left_mult_many(h, a) @ c @ k, \
             right_mult_many(h, b) @ d @ k
-    return isotope_many(h, sig, tau)
+    # products of L_a, R_b (unit a, b), SPD parts and kappa: invertible
+    return _pull_back(h.c, sig, tau)
 
 
 def so4_factor(o, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -345,18 +345,13 @@ def quat_normal_form(s_op, t_op, tol: float = DEFAULT_TOL):
     scalars and representative signs are folded into a final scalar
     multiple of the isomorphism.
     """
-    s = as_matrix(s_op)
-    t = as_matrix(t_op)
-    if s.shape != (4, 4) or t.shape != (4, 4):
-        raise ValueError("operator pair must be 4x4")
-    st = np.stack([s, t])
-    det_s, det_t = np.linalg.det(st).tolist()
-    if min(abs(det_s), abs(det_t)) <= tol:
-        raise SingularOperator("S and T must be invertible")
-    i_s, i_t = int(det_s < 0), int(det_t < 0)
-    alpha, beta = (-1 if i_t else 1), (-1 if i_s else 1)
+    s, t = as_matrix(s_op), as_matrix(t_op)
     h = classical("H")
+    # isotope tests the pair: 4x4, finite, neither singular at tol
     src = isotope(h, s, t, tol)
+    st = np.stack([s, t])
+    i_s, i_t = [int(d < 0) for d in np.linalg.det(st).tolist()]
+    alpha, beta = (-1 if i_t else 1), (-1 if i_s else 1)
 
     (a1, a2), (b1, b2) = _split_quaternions(st, (i_s, i_t), tol)
 
@@ -396,7 +391,7 @@ def quat_normal_form(s_op, t_op, tol: float = DEFAULT_TOL):
     (a_rep, b_rep), (eps1, eps2) = _rep_many(np.stack([g_s, g_t]))
     iso = (lam1 * lam2 * eps1 * eps2) * iso
 
-    x = ZObject(a_rep, b_rep, c_mat, d_mat)
+    x = ZObject._trusted(**_z_fields(a_rep, b_rep, c_mat, d_mat))
     target = functor_h(alpha, beta, x)
     res = morphism_residual(iso, src, target)
     if res > max(tol, 1e-8):

@@ -15,7 +15,7 @@ from .dim2 import NormalForm2D
 from .equadratic import functor_g
 from .errors import NotDivision
 from .matkit import random_invertible, random_rotation, random_spd1
-from .quat import ZObject
+from .quat import ZObject, _z_fields
 
 
 def _rng(seed) -> np.random.Generator:
@@ -157,7 +157,11 @@ def random_normal_form(seed=0, block=None) -> NormalForm2D:
     if block is None:
         block = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
     i, j = block
-    return NormalForm2D(i, j, random_spd1(2, rng), random_spd1(2, rng))
+    if i not in (0, 1) or j not in (0, 1):
+        raise ValueError("exponents must be 0 or 1")
+    # random_spd1 draws are SPD with determinant 1 by construction
+    return NormalForm2D._trusted(i=i, j=j, a=random_spd1(2, rng),
+                                 b=random_spd1(2, rng))
 
 
 def random_unit_quaternion(seed=0) -> np.ndarray:
@@ -172,9 +176,10 @@ def random_z_object(seed=0, trivial_spd: bool = False) -> ZObject:
     rng = _rng(seed)
     a = random_unit_quaternion(rng)
     b = random_unit_quaternion(rng)
-    if trivial_spd:
-        return ZObject(a, b, np.eye(4), np.eye(4))
-    return ZObject(a, b, random_spd1(4, rng), random_spd1(4, rng))
+    # random_spd1 draws are SPD with determinant 1 by construction
+    c, d = (np.eye(4), np.eye(4)) if trivial_spd else \
+        (random_spd1(4, rng), random_spd1(4, rng))
+    return ZObject._trusted(**_z_fields(a, b, c, d))
 
 
 def random_quat_pair(seed=0, max_cond: float = 20.0

@@ -536,28 +536,32 @@ def _chk_equad_blocks(ctx: Ctx, rng):
 def _hom_direct(src: NormalForm2D, dst: NormalForm2D, tol: float):
     """Morphism-only route: filter group elements by the algebra law."""
     group = d3_elements() if (src.i, src.j) == (1, 1) else c2_elements()
-    a, b = build2d(src), build2d(dst)
-    return [g for g in group if morphism_residual(g.matrix, a, b) <= tol]
+    a, b = [build2d(src).c] * len(group), [build2d(dst).c] * len(group)
+    res = morphism_residual_many([g.matrix for g in group], a, b)
+    return [g for g, r in zip(group, res.tolist()) if r <= tol]
 
 
-def _fidelity_on_block(block, rng, tol, pairs=20):
-    for k in range(pairs):
-        x = smp.random_normal_form(rng, block=block)
-        if k % 2 == 0:
-            elements = d3_elements() if block == (1, 1) else c2_elements()
-            g = elements[int(rng.integers(0, len(elements)))].matrix
-            y = NormalForm2D(*block, gram(g, x.a), gram(g, x.b))
-        else:
-            y = smp.random_normal_form(rng, block=block)
-        grp = groupoid_hom("D3" if block == (1, 1) else "C2",
-                           (x.a, x.b), (y.a, y.b), max(tol, 1e-9))
-        direct = _hom_direct(x, y, max(tol, 1e-9))
-        via_api = hom2d(x, y, tol)
-        sets = [sorted(tuple(np.round(e.matrix, 6).ravel()) for e in s)
-                for s in (grp, direct, via_api)]
-        if not (sets[0] == sets[1] == sets[2]):
-            return False, k
-    return True, pairs
+def _fidelity(blocks, rng, tol, pairs):
+    """The three hom-set routes compared on ``pairs`` pairs of forms per
+    block, every other pair related by a drawn group element."""
+    for done, block in enumerate(blocks):
+        elements = d3_elements() if block == (1, 1) else c2_elements()
+        for k in range(pairs):
+            x = smp.random_normal_form(rng, block=block)
+            if k % 2 == 0:
+                g = elements[int(rng.integers(0, len(elements)))].matrix
+                y = NormalForm2D(*block, gram(g, x.a), gram(g, x.b))
+            else:
+                y = smp.random_normal_form(rng, block=block)
+            grp = groupoid_hom(elements[0].group, (x.a, x.b), (y.a, y.b),
+                               max(tol, 1e-9))
+            direct = _hom_direct(x, y, max(tol, 1e-9))
+            via_api = hom2d(x, y, tol)
+            sets = [sorted(tuple(np.round(e.matrix, 6).ravel()) for e in s)
+                    for s in (grp, direct, via_api)]
+            if not (sets[0] == sets[1] == sets[2]):
+                return False, 1.0, done * pairs, f"mismatch on block {block}"
+    return True, 0.0, len(blocks) * pairs, ""
 
 
 @_check("dim2-hom-fidelity",
@@ -565,13 +569,7 @@ def _fidelity_on_block(block, rng, tol, pairs=20):
         "the algebra morphisms, element for element",
         ("dim2:hom-fidelity",))
 def _chk_dim2_fidelity(ctx: Ctx, rng):
-    count = 0
-    for block in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        ok, n = _fidelity_on_block(block, rng, ctx.tol)
-        if not ok:
-            return False, 1.0, count, f"mismatch on block {block}"
-        count += n
-    return True, 0.0, count, ""
+    return _fidelity(((0, 0), (0, 1), (1, 0), (1, 1)), rng, ctx.tol, 20)
 
 
 @_check("dim2-block-equivalence",
@@ -579,13 +577,7 @@ def _chk_dim2_fidelity(ctx: Ctx, rng):
         "two-element symmetry",
         ("dim2:block-equivalence",))
 def _chk_dim2_blockeq(ctx: Ctx, rng):
-    count = 0
-    for block in ((0, 0), (0, 1), (1, 0)):
-        ok, n = _fidelity_on_block(block, rng, ctx.tol, pairs=12)
-        if not ok:
-            return False, 1.0, count, f"mismatch on block {block}"
-        count += n
-    return True, 0.0, count, ""
+    return _fidelity(((0, 0), (0, 1), (1, 0)), rng, ctx.tol, 12)
 
 
 @_check("dim2-separation",

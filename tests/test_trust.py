@@ -1,0 +1,191 @@
+"""The construction contract of the value classes.
+
+Algebra, ZObject, NormalForm2D and GroupElement2D are validated and
+copied by their public constructors.  Library functions build the
+objects they return trusted, from parts that are valid by construction:
+every stored field must be, bit for bit, what the public constructor
+stores for the same parts, and every stored array is read-only.  The
+singular-operator tests are relative to the operator's column norms, so
+a rescaled identity is never singular.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from divalg import quat, samples
+from divalg.core import Algebra, classical, isotope, opposite, transport
+from divalg.decorated import decorate, functor_i, kappa
+from divalg.dim2 import GroupElement2D, NormalForm2D, build2d, \
+    c2_elements, d3_elements, normal_form_2d, normal_form_2d_many, \
+    unitalize
+from divalg.errors import BadSplit, SingularOperator
+from divalg.matkit import random_invertible, random_spd1
+from divalg.quat import ZObject, functor_h, k_map, quat_normal_form, \
+    z_action
+from divalg.samples import decorated_corpus, random_2d_division, \
+    random_division, random_normal_form, random_quat_pair, random_z_object
+
+
+def assert_same(got, want):
+    """Equal fields, arrays equal bit for bit in dtype, shape and C
+    layout, and got's arrays read-only."""
+    assert type(got) is type(want)
+    for f in dataclasses.fields(got):
+        g, w = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(w, np.ndarray):
+            assert not g.flags.writeable, f.name
+            assert g.flags.c_contiguous, f.name
+            assert (g.dtype, g.shape) == (w.dtype, w.shape), f.name
+            assert g.tobytes() == w.tobytes(), f.name
+        else:
+            assert type(g) is type(w) and g == w, f.name
+
+
+def rebuilt(obj):
+    """obj through its public constructor, from its own fields."""
+    return type(obj)(**{f.name: getattr(obj, f.name)
+                        for f in dataclasses.fields(obj)})
+
+
+@pytest.fixture
+def z_parts(monkeypatch):
+    """The parts every ZObject construction starts from, in call order."""
+    seen = []
+    fields = quat._z_fields
+
+    def spy(*parts):
+        seen.append(parts)
+        return fields(*parts)
+
+    monkeypatch.setattr(quat, "_z_fields", spy)
+    monkeypatch.setattr(samples, "_z_fields", spy)
+    return seen
+
+
+# --- trusted producers give what the public constructors give
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_core_producers_match_the_public_constructor(seed):
+    rng = np.random.default_rng(seed)
+    for alg in (random_2d_division(rng), random_division(4, rng),
+                random_division(8, rng)):
+        s, t, f = (random_invertible(alg.dim, rng) for _ in range(3))
+        for out in (isotope(alg, s, t), transport(alg, f), opposite(alg)):
+            assert_same(out, rebuilt(out))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dim2_producers_match_the_public_constructor(seed):
+    rng = np.random.default_rng(seed)
+    tensors = np.stack([random_2d_division(rng).c for _ in range(4)])
+    forms, _, _ = normal_form_2d_many(tensors)
+    forms.append(normal_form_2d(Algebra(tensors[0]))[0])
+    forms.append(random_normal_form(rng))
+    forms.append(random_normal_form(rng, block=(1, 1)))
+    for nf in forms:
+        assert_same(nf, rebuilt(nf))
+        assert_same(build2d(nf), rebuilt(build2d(nf)))
+    unital, _ = unitalize(Algebra(tensors[1]), rng.standard_normal(2))
+    assert_same(unital, rebuilt(unital))
+
+
+def test_group_elements_match_the_public_constructor():
+    for g in c2_elements() + d3_elements():
+        assert_same(g, rebuilt(g))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_quat_producers_match_the_public_constructor(seed, z_parts):
+    rng = np.random.default_rng(seed)
+    made = [random_z_object(rng), random_z_object(rng, trivial_spd=True)]
+    x = made[0]
+    made.append(z_action(rng.standard_normal(4), x))
+    made.append(quat_normal_form(*random_quat_pair(rng))[2])
+    parts = list(z_parts)
+    assert len(parts) == len(made)
+    for obj, args in zip(made, parts):
+        assert_same(obj, ZObject(*args))
+    for block in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        alg = functor_h(*block, x)
+        assert_same(alg, rebuilt(alg))
+
+
+def test_functor_i_images_match_the_checked_isotope():
+    for x in decorated_corpus(8, 3):
+        k, eye = kappa(x), np.eye(x.dim)
+        for i, j in ((1, 0), (0, 1), (1, 1)):
+            got = functor_i(i, j, x).alg
+            want = isotope(x.alg, k if i else eye, k if j else eye)
+            assert_same(got, want)
+
+
+# --- public constructors copy and validate
+
+
+def test_public_constructors_copy_their_inputs():
+    c = classical("H").c.copy()
+    a, b = np.eye(2), random_spd1(2, 3)
+    q, d = np.array([0.0, 2.0, 0.0, 0.0]), random_spd1(4, 4)
+    m = np.array([[1.0, 0.0], [0.0, -1.0]])
+    objs = [Algebra(c), NormalForm2D(0, 1, a, b),
+            ZObject(q, q, np.eye(4), d), GroupElement2D(m, "C2")]
+    before = [dataclasses.replace(o) for o in objs]
+    for arr in (c, a, b, q, d, m):
+        arr += 1.0
+    for o, o0 in zip(objs, before):
+        assert_same(o, o0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Algebra(np.full((2, 2, 2), np.nan)),
+    lambda: Algebra(np.zeros((2, 2, 3))),
+    lambda: Algebra(np.zeros((3, 3, 3))),
+    lambda: NormalForm2D(2, 0, np.eye(2), np.eye(2)),
+    lambda: NormalForm2D(0, 0, np.diag([-1.0, -1.0]), np.eye(2)),
+    lambda: ZObject(np.eye(4)[0], np.eye(4)[1],
+                    np.diag([-1.0, -1.0, 1.0, 1.0]), np.eye(4)),
+    lambda: ZObject(np.ones(3), np.ones(3), np.eye(4), np.eye(4)),
+    lambda: GroupElement2D(np.eye(2), "C3"),
+    lambda: random_normal_form(0, block=(2, 0)),
+    lambda: k_map(np.ones(3)),
+    lambda: normal_form_2d(classical("H")),
+], ids=["non-finite", "non-cubic", "dimension-3", "exponent-2",
+        "non-spd-a", "non-spd-c", "non-quaternion", "group",
+        "sample-exponent", "k-map-shape", "normal-form-dimension"])
+def test_public_boundaries_reject_bad_input(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+# --- singular tests relative to the column norms
+
+
+_O, _EYE8 = classical("O"), np.eye(8)
+
+
+@pytest.mark.parametrize("check", [
+    lambda: np.array_equal(isotope(_O, 0.01 * _EYE8, _EYE8).c, 0.01 * _O.c),
+    lambda: np.allclose(transport(_O, 0.05 * _EYE8).c, 20.0 * _O.c,
+                        rtol=1e-14),
+    lambda: quat_normal_form(1e-3 * np.eye(4), np.eye(4))[2].is_y,
+    lambda: decorate(_O, 0.01 * _EYE8[:, :1], 0.01 * _EYE8[:, 1:]).m == 1,
+], ids=["isotope", "transport", "quat-normal-form", "decorate"])
+def test_rescaled_identity_is_not_singular(check):
+    # condition number 1 with |det| far below the default tol
+    assert check()
+
+
+def test_operators_with_a_zero_column_stay_singular():
+    s = _EYE8.copy()
+    s[:, 3] = 0.0
+    with pytest.raises(SingularOperator):
+        isotope(_O, _EYE8, s)
+    with pytest.raises(SingularOperator):
+        transport(_O, s)
+    with pytest.raises(SingularOperator):
+        quat_normal_form(np.eye(4), s[:4, :4])
+    with pytest.raises(BadSplit):
+        decorate(_O, s[:, :1], s[:, 1:])
