@@ -8,14 +8,15 @@ from .core import Algebra, SignPair, block_of, classical, commutant, \
     find_unities, is_division, is_morphism, isotope, isotope_many, \
     left_mult, morphism_residual, morphism_residual_many, opposite, \
     right_mult, sign_pair, sign_pair_many, transport, transport_many
-from .decorated import DecoratedAlgebra, decorate, forget, functor_i, kappa
+from .decorated import DecoratedAlgebra, decorate, forget, functor_i, \
+    functor_i_many, kappa
 from .dim2 import NormalForm2D, automorphisms_2d, build2d, hom2d, \
     iso_to_c, normal_form_2d, normal_form_2d_many, unitalize
 from .equadratic import central_idempotents, functor_g, im_e, \
     is_e_quadratic
 from .errors import DivalgError
 from .quat import ZObject, functor_h, functor_h_many, k_map, k_map_many, \
-    quat_normal_form, so4_factor, z_action
+    quat_normal_form, quat_normal_form_many, so4_factor, z_action
 from .verify import Report, run_verify
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
     "functor_h",
     "functor_h_many",
     "functor_i",
+    "functor_i_many",
     "hom2d",
     "im_e",
     "is_division",
@@ -57,6 +59,7 @@ __all__ = [
     "normal_form_2d_many",
     "opposite",
     "quat_normal_form",
+    "quat_normal_form_many",
     "right_mult",
     "run_verify",
     "sign_pair",

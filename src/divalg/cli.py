@@ -18,14 +18,13 @@ import numpy as np
 
 from . import io as io_mod
 from . import samples as smp
-from .core import classical, is_division, isotope, morphism_residual, \
-    opposite, sign_pair
+from .core import classical, is_division, isotope, opposite, sign_pair
 from .decorated import forget
 from .dim2 import hom2d, normal_form_2d, normal_form_2d_many
 from .equadratic import functor_g
 from .errors import DivalgError
 from .matkit import DEFAULT_TOL
-from .quat import functor_h, quat_normal_form
+from .quat import quat_normal_form_many
 from .verify import run_verify
 
 
@@ -133,10 +132,10 @@ def cmd_hom2d(args) -> int:
 
 def cmd_quat_normal_form(args) -> int:
     s, t = io_mod.read_pair(args.pair)
-    alpha, beta, x, iso = quat_normal_form(s, t, args.tol)
-    h = classical("H")
-    residual = morphism_residual(iso, isotope(h, s, t),
-                                 functor_h(alpha, beta, x))
+    alphas, betas, xs, isos, res = quat_normal_form_many(s[None], t[None],
+                                                         args.tol)
+    alpha, beta, x, iso = int(alphas[0]), int(betas[0]), xs[0], isos[0]
+    residual = float(res[0])
     doc = {"command": "quat normal-form", "alpha": alpha, "beta": beta,
            "a": x.a.tolist(), "b": x.b.tolist(), "C": x.c.tolist(),
            "D": x.d.tolist(), "iso": iso.tolist(), "residual": residual}

@@ -24,15 +24,19 @@ from .matkit import DEFAULT_TOL, near_singular
 class DecoratedAlgebra(_Frozen):
     """An algebra with a chosen odd/even splitting (column bases u, v).
 
-    kappa depends on u and v alone, so it is computed once and kept
-    read-only in _kappa, which the twist functors hand on to the images
-    that share u and v; u and v are not to be changed in place.
+    The constructor stores read-only copies of u and v.  kappa depends
+    on them alone, so it is computed once and kept read-only in _kappa,
+    which the twist functors hand on to the images that share u and v.
     """
 
     alg: Algebra
     u: np.ndarray
     v: np.ndarray
     _kappa: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        self._freeze(u=np.array(self.u, dtype=float),
+                     v=np.array(self.v, dtype=float))
 
     @property
     def dim(self) -> int:
@@ -49,9 +53,10 @@ class DecoratedAlgebra(_Frozen):
 def decorate(alg: Algebra, u, v, tol: float = DEFAULT_TOL) -> DecoratedAlgebra:
     """Attach the splitting (span u, span v) to an algebra.
 
-    u and v are column bases (n x m and n x (n - m)).  Raises BadSplit
-    when m is even, m >= n, or [u | v] fails to be invertible at tol,
-    relative to its column norms (matkit.near_singular).
+    u and v are column bases (n x m and n x (n - m)); the result keeps
+    read-only copies of them.  Raises BadSplit when m is even, m >= n,
+    or [u | v] fails to be invertible at tol, relative to its column
+    norms (matkit.near_singular).
     """
     n = alg.dim
     um = np.atleast_2d(np.asarray(u, dtype=float))
@@ -94,18 +99,37 @@ def functor_i(i: int, j: int, x: DecoratedAlgebra) -> DecoratedAlgebra:
     functors realize the Klein four-group: (0,0) is the identity,
     (1,0) and (0,1) are involutions, and their composite either way
     is (1,1).  Each application multiplies the sign pair by
-    ((-1)^j, (-1)^i).
+    ((-1)^j, (-1)^i).  The B=1 case of functor_i_many.
+    """
+    if (i, j) == (0, 0):
+        return x
+    k = kappa(x)
+    c, _ = functor_i_many(i, j, x.alg.c[None], k[None])
+    alg = Algebra._trusted(c=c[0], label=_tag(x.alg.label, "isotope"))
+    return DecoratedAlgebra._trusted(alg=alg, u=x.u, v=x.v, _kappa=k)
+
+
+def functor_i_many(i: int, j: int, tensors, kappas):
+    """The (i, j) functor on a stack of decorated algebras, each given by
+    its structure tensor and its reflection kappa.
+
+    ``tensors`` has shape (B, n, n, n) and ``kappas`` (B, n, n).  Returns
+    the image tensors, entry b the tensor of A_b twisted by
+    (kappa_b^i, kappa_b^j) from one contraction, bit for bit what
+    functor_i gives, and the images' reflections, which are the given
+    ``kappas`` themselves: the functors keep U and V.  (0, 0) returns
+    both stacks as given.
     """
     if i not in (0, 1) or j not in (0, 1):
         raise ValueError("functor indices must be 0 or 1")
+    tensors = np.asarray(tensors, dtype=float)
+    kappas = np.asarray(kappas, dtype=float)
     if i == 0 and j == 0:
-        return x
-    k = kappa(x)
-    s, t = (k if f else np.eye(x.dim) for f in (i, j))
+        return tensors, kappas
+    eye = np.broadcast_to(np.eye(kappas.shape[-1]), kappas.shape)
+    s, t = (kappas if f else eye for f in (i, j))
     # kappa is an involution, so s and t are invertible without a check
-    alg = Algebra._trusted(c=_pull_back(x.alg.c, s, t),
-                           label=_tag(x.alg.label, "isotope"))
-    return DecoratedAlgebra(alg, x.u, x.v, k)
+    return _pull_back(tensors, s, t), kappas
 
 
 def forget(x: DecoratedAlgebra) -> Algebra:

@@ -24,11 +24,9 @@ from .core import (
     _Frozen,
     _pull_back,
     classical,
-    isotope,
-    left_mult,
+    isotope_many,
     left_mult_many,
-    morphism_residual,
-    right_mult,
+    morphism_residual_many,
     right_mult_many,
 )
 from .decorated import kappa
@@ -191,9 +189,16 @@ class ZObject(_Frozen):
 
 def _z_fields(a, b, c, d) -> dict:
     """The fields ZObject stores for parts (a, b, c, d), for both ways of
-    building one: a and b made representatives, c and d symmetrized."""
-    ab = _rep_many(np.array([a, b], dtype=float))[0]
-    return dict(a=ab[0], b=ab[1], c=0.5 * (c + c.T), d=0.5 * (d + d.T))
+    building one.  The B=1 case of _z_stacks."""
+    ab, cd = _z_stacks(np.array([a, b], dtype=float), np.stack([c, d]))
+    return dict(a=ab[0], b=ab[1], c=cd[0], d=cd[1])
+
+
+def _z_stacks(ab: np.ndarray, cd: np.ndarray):
+    """Stored parts of a stack of quaternion parts (a or b) and of one of
+    matrix parts (c or d): the quaternions made representatives, the
+    matrices symmetrized."""
+    return _rep_many(ab)[0], 0.5 * (cd + cd.swapaxes(1, 2))
 
 
 def z_action(s, x: ZObject) -> ZObject:
@@ -305,31 +310,55 @@ def _split_quaternions(ms: np.ndarray, flips, tol: float):
     return so4_factor(o, tol)
 
 
-def _extract(ms: np.ndarray, sides: str, tol: float):
-    """Read each m of ms (det > 0) as lam * L_g C (its side 'L') or
-    lam * R_g C ('R'); a list of (g, C, lam), one per matrix.
+def _extract(ms: np.ndarray, left: np.ndarray, tol: float):
+    """Read each m of the stack ms = S[0], ..., S[B-1], T[0], ..., T[B-1]
+    (det > 0) as lam L_g C where left is True, as lam R_g C elsewhere;
+    stacks g (2B, 4), C (2B, 4, 4) and lam (2B,).
 
     C comes out SPD with determinant 1 and lam > 0.  The opposite
     one-sided factor must be trivial (the reduction moves have already
-    cleared it); a nontrivial remainder means the reduction failed.
+    cleared it); a nontrivial remainder means the reduction failed, and
+    NonConvergence names the operator of the first.
     """
     h = classical("H")
     ps, o = polar_decompose(ms)
-    out = []
-    for p, aa, bb, side in zip(ps, *so4_factor(o, tol), sides):
-        trivial, kept = (bb, aa) if side == "L" else (aa, bb)
-        sign = 1.0 if trivial[0] >= 0 else -1.0
-        unit = np.array([sign, 0.0, 0.0, 0.0])
-        if np.linalg.norm(trivial - unit) > 1e-6:
+    aa, bb = so4_factor(o, tol)
+    trivial = np.where(left[:, None], bb, aa)
+    kept = np.where(left[:, None], aa, bb)
+    sign = np.where(trivial[:, 0] >= 0, 1.0, -1.0)
+    off = trivial.copy()
+    off[:, 0] -= sign
+    half = len(ms) // 2
+    for k, r in enumerate(np.sqrt(squared_norms(off)).tolist()):
+        if r > 1e-6:
             raise NonConvergence(
-                f"{'right' if side == 'L' else 'left'} factor "
-                f"{np.round(trivial, 6)} did not reduce to a real scalar")
-        g = sign * kept
-        op = left_mult(h, g) if side == "L" else right_mult(h, g)
-        c0 = op.T @ p @ op
-        lam = float(np.linalg.det(c0)) ** 0.25
-        out.append((g, 0.5 * (c0 + c0.T) / lam, lam))
-    return out
+                f"{'right' if left[k] else 'left'} factor "
+                f"{np.round(trivial[k], 6)} of {'ST'[k // half]}[{k % half}] "
+                "did not reduce to a real scalar")
+    g = sign[:, None] * kept
+    op = np.where(left[:, None, None], left_mult_many(h, g),
+                  right_mult_many(h, g))
+    c0 = op.swapaxes(1, 2) @ ps @ op
+    # a float power per member: numpy's vectorized power can round
+    # differently from the scalar one
+    lam = np.array([v ** 0.25 for v in np.linalg.det(c0).tolist()])
+    return g, 0.5 * (c0 + c0.swapaxes(1, 2)) / lam[:, None, None], lam
+
+
+def _members(mask: np.ndarray):
+    """Index of the members where mask holds, None when none does, and a
+    slice when all do, so that a stack of one block is read and written
+    without copies."""
+    idx = np.flatnonzero(mask)
+    if len(idx) == len(mask):
+        return slice(None)
+    return idx if len(idx) else None
+
+
+def _qmul_many(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Quaternion products x[b] y[b] of two (B, 4) stacks, each bit for
+    bit what qmul gives."""
+    return (left_mult_many(classical("H"), x) @ y[:, :, None])[:, :, 0]
 
 
 def quat_normal_form(s_op, t_op, tol: float = DEFAULT_TOL):
@@ -343,59 +372,87 @@ def quat_normal_form(s_op, t_op, tol: float = DEFAULT_TOL):
     (S R_v^-1, R_v T R_v^-1).  One w-rewrite plus at most two
     conjugations clear the off-side quaternion factors in every block;
     scalars and representative signs are folded into a final scalar
-    multiple of the isomorphism.
+    multiple of the isomorphism.  The B=1 case of quat_normal_form_many,
+    which also returns the residual of iso.
     """
-    s, t = as_matrix(s_op), as_matrix(t_op)
-    h = classical("H")
-    # isotope tests the pair: 4x4, finite, neither singular at tol
-    src = isotope(h, s, t, tol)
-    st = np.stack([s, t])
-    i_s, i_t = [int(d < 0) for d in np.linalg.det(st).tolist()]
-    alpha, beta = (-1 if i_t else 1), (-1 if i_s else 1)
+    alphas, betas, xs, isos, _ = quat_normal_form_many(
+        np.asarray(s_op, dtype=float)[None],
+        np.asarray(t_op, dtype=float)[None], tol)
+    return int(alphas[0]), int(betas[0]), xs[0], isos[0]
 
-    (a1, a2), (b1, b2) = _split_quaternions(st, (i_s, i_t), tol)
+
+def quat_normal_form_many(s_ops, t_ops, tol: float = DEFAULT_TOL):
+    """quat_normal_form of each pair of a stack of operator pairs.
+
+    ``s_ops`` and ``t_ops`` have shape (B, 4, 4).  Returns (alphas,
+    betas, objects, isos, residuals): (B,) int arrays of block signs, a
+    list of B ZObjects, the (B, 4, 4) isomorphisms and the (B,) morphism
+    residuals of isos[b] from isotope(H, S[b], T[b]) onto
+    functor_h(alphas[b], betas[b], objects[b]).  Member b is bit for bit
+    what quat_normal_form(S[b], T[b]) gives.
+
+    Raises ValueError for another shape or a non-finite entry,
+    SingularOperator naming S[b] or T[b], and NonConvergence naming the
+    operator or pair that failed to reduce.  The polar and isoclinic
+    steps run on the stack S[0], ..., S[B-1], T[0], ..., T[B-1], so
+    their errors (SingularInput, FactorizationFailed) name index b for
+    S[b] and B + b for T[b].
+    """
+    h = classical("H")
+    s, t = np.asarray(s_ops, dtype=float), np.asarray(t_ops, dtype=float)
+    # isotope_many tests the pairs: 4x4, finite, none singular at tol
+    src = isotope_many(h, s, t, tol)
+    n = len(s)
+    st = np.concatenate([s, t])
+    flips = np.linalg.det(st) < 0
+    i_s, i_t = flips[:n], flips[n:]
+    alphas, betas = np.where(i_t, -1, 1), np.where(i_s, -1, 1)
+    a, b = _split_quaternions(st, flips, tol)
+    a1, a2, b1, b2 = a[:n], a[n:], b[:n], b[n:]
 
     # rewrite 1: clear the right factor of S (tensor unchanged)
-    w = qinv(b1)
-    s1 = right_mult(h, w) @ s
-    t1 = left_mult(h, b1) @ t
-    d = qmul(b1, a2)
-    iso = np.eye(4)
+    s1 = right_mult_many(h, _qinv_many(b1)) @ s
+    t1 = left_mult_many(h, b1) @ t
+    d = _qmul_many(b1, a2)
+    iso = np.repeat(np.eye(4)[None], n, axis=0)
+    block = 2 * i_s + i_t                 # 0: (0,0), 1: (0,1), 2: (1,0), 3
+    # conjugate by L_u in blocks (0,0) and (1,0) with u = d, in (0,1)
+    # with u = conj(b2)
+    g = _members(block != 3)
+    if g is not None:
+        u = np.where((block[g] == 1)[:, None], qconj(b2[g]), d[g])
+        lu, lui = left_mult_many(h, u), left_mult_many(h, _qinv_many(u))
+        s1[g], t1[g], iso[g] = lu @ s1[g] @ lui, t1[g] @ lui, lu @ iso[g]
+    # then by R_v in blocks (1,0), v = conj(d a1), and (1,1), v = conj(d)
+    g = _members(block >= 2)
+    if g is not None:
+        v = qconj(np.where((block[g] == 2)[:, None],
+                           _qmul_many(d[g], a1[g]), d[g]))
+        rv, rvi = right_mult_many(h, v), right_mult_many(h, _qinv_many(v))
+        s1[g], t1[g], iso[g] = s1[g] @ rvi, rv @ t1[g] @ rvi, rv @ iso[g]
 
-    def lmove(u, s_, t_, phi):
-        lu, lui = left_mult(h, u), left_mult(h, qinv(u))
-        return lu @ s_ @ lui, t_ @ lui, lu @ phi
+    ms = np.concatenate([s1, t1])
+    ms = np.where(flips[:, None, None], ms @ _conj_matrix(), ms)
+    # S is read as L_g C except in block (1,0), T as R_g C except in (0,1)
+    q, spd, lam = _extract(ms, np.concatenate([block != 2, block == 1]), tol)
+    reps, eps = _rep_many(q)
+    iso *= (lam[:n] * lam[n:] * eps[:n] * eps[n:])[:, None, None]
 
-    def rmove(v, s_, t_, phi):
-        rv, rvi = right_mult(h, v), right_mult(h, qinv(v))
-        return s_ @ rvi, rv @ t_ @ rvi, rv @ phi
-
-    if (i_s, i_t) == (0, 0):
-        s1, t1, iso = lmove(d, s1, t1, iso)
-        side_s, side_t = "L", "R"
-    elif (i_s, i_t) == (0, 1):
-        s1, t1, iso = lmove(qconj(b2), s1, t1, iso)
-        side_s, side_t = "L", "L"
-    elif (i_s, i_t) == (1, 0):
-        s1, t1, iso = lmove(d, s1, t1, iso)
-        s1, t1, iso = rmove(qconj(qmul(d, a1)), s1, t1, iso)
-        side_s, side_t = "R", "R"
-    else:
-        s1, t1, iso = rmove(qconj(d), s1, t1, iso)
-        side_s, side_t = "L", "R"
-
-    k = _conj_matrix()
-    (g_s, c_mat, lam1), (g_t, d_mat, lam2) = _extract(
-        np.stack([s1 @ k if i_s else s1, t1 @ k if i_t else t1]),
-        side_s + side_t, tol)
-    (a_rep, b_rep), (eps1, eps2) = _rep_many(np.stack([g_s, g_t]))
-    iso = (lam1 * lam2 * eps1 * eps2) * iso
-
-    x = ZObject._trusted(**_z_fields(a_rep, b_rep, c_mat, d_mat))
-    target = functor_h(alpha, beta, x)
-    res = morphism_residual(iso, src, target)
-    if res > max(tol, 1e-8):
-        raise NonConvergence(
-            f"normal-form isomorphism residual {res:.3e} exceeds "
-            f"{max(tol, 1e-8):.1e} at block ({alpha:+d},{beta:+d})")
-    return alpha, beta, x, iso
+    ab, cd = _z_stacks(reps, spd)
+    xs = [ZObject._trusted(a=ab[k], b=ab[n + k], c=cd[k], d=cd[n + k])
+          for k in range(n)]
+    target = np.empty_like(src)
+    for blk in sorted(set(block.tolist())):
+        g = _members(block == blk)
+        target[g] = _functor_h_stack(
+            -1 if blk % 2 else 1, -1 if blk >= 2 else 1,
+            ab[:n][g], ab[n:][g], cd[:n][g], cd[n:][g])
+    res = morphism_residual_many(iso, src, target)
+    gate = max(tol, 1e-8)
+    for k, r in enumerate(res.tolist()):
+        if r > gate:
+            raise NonConvergence(
+                f"normal-form isomorphism residual {r:.3e} exceeds "
+                f"{gate:.1e} at block ({alphas[k]:+d},{betas[k]:+d}) at "
+                f"stack index {k}")
+    return alphas, betas, xs, iso, res

@@ -29,8 +29,9 @@ def random_2d_division(seed=0, max_tries: int = 2000) -> Algebra:
     rejection sampled against the exact discriminant test."""
     rng = _rng(seed)
     for _ in range(max_tries):
-        c = rng.uniform(-2.0, 2.0, size=(2, 2, 2))
-        alg = Algebra(c, label="rand2d")
+        # a fresh uniform draw is finite and cubic
+        alg = Algebra._trusted(c=rng.uniform(-2.0, 2.0, size=(2, 2, 2)),
+                               label="rand2d")
         if is_division(alg, mode="exact2d") == "division":
             return alg
     raise NotDivision("rejection sampling did not hit a division algebra")

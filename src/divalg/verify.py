@@ -11,6 +11,7 @@ merged in declaration order regardless).
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -22,17 +23,17 @@ from .core import Algebra, SignPair, classical, find_unities, is_morphism, \
     isotope, isotope_many, left_mult, left_mult_many, morphism_residual, \
     morphism_residual_many, opposite, right_mult, right_mult_many, sign_pair, \
     sign_pair_many, transport, transport_many
-from .decorated import decorate, forget, functor_i, kappa
+from .decorated import decorate, forget, functor_i, functor_i_many, kappa
 from .dim2 import NormalForm2D, build2d, c2_elements, d3_elements, \
     groupoid_hom, hom2d, normal_form_2d_many
 from .equadratic import central_idempotents, functor_g, idempotent_residual, \
     is_e_quadratic
 from .errors import DivalgError, ZeroMap
 from .matkit import DEFAULT_TOL, gram, polar_decompose, random_invertible, \
-    random_invertible_many, random_rotation, random_spd1, sign_det, \
-    sign_det_many, squared_norms
+    random_invertible_many, random_rotation, random_spd1, sign_det_many, \
+    squared_norms
 from .quat import functor_h, functor_h_many, k_map, k_map_many, \
-    quat_normal_form, rep_normalize_many, so4_factor, z_action
+    quat_normal_form_many, rep_normalize_many, so4_factor, z_action
 
 # The laws each module promises, by slug.  The meta-check at the end of
 # the registry (and the test suite) asserts every slug is covered.
@@ -127,8 +128,34 @@ def _chunk_sizes(total: int) -> list[int]:
     return [min(CHUNK, total - lo) for lo in range(0, total, CHUNK)]
 
 
+def _each_or_replayed(stacked, items):
+    """The per-item results that ``stacked(items)`` iterates over; when
+    that raises, those of ``stacked`` on one item at a time, produced
+    lazily, so that the first failure surfaces at the item, and with the
+    detail, that a loop of single calls gives."""
+    try:
+        return list(stacked(items))
+    except (DivalgError, ValueError):
+        return (next(iter(stacked([x]))) for x in items)
+
+
+def _by_dimension(stacked, items, dims):
+    """The per-item results of ``stacked`` in item order, each stack it
+    is given holding at most CHUNK items of one dimension (the decorated
+    corpus alternates H and O); _each_or_replayed replays a stack that
+    raises, so a failure surfaces at the item a loop would reach it."""
+    runs = {}
+    for n in dict.fromkeys(dims):
+        group = [x for x, d in zip(items, dims) if d == n]
+        chunks = [group[lo:lo + CHUNK] for lo in range(0, len(group), CHUNK)]
+        runs[n] = itertools.chain.from_iterable(
+            _each_or_replayed(stacked, chunk) for chunk in chunks)
+    return (next(runs[d]) for d in dims)
+
+
 class Ctx:
-    """Settings plus a cache for corpora shared between checks."""
+    """Settings plus a cache for corpora, and for what checks derive from
+    them, shared between checks."""
 
     def __init__(self, seed: int, tol: float, samples: int):
         self.seed = seed
@@ -155,6 +182,13 @@ class Ctx:
             "equad",
             lambda: [classical("H"), classical("O")]
             + smp.e_quadratic_corpus(20, [self.seed, 100003]))
+
+    def equad_decorated(self, k: int):
+        """functor_g of entry k of the equad corpus at tol.  Only a result
+        is kept: an entry whose functor_g raises raises again for every
+        check that asks."""
+        return self.corpus(f"equad-g{k}", lambda: functor_g(
+            self.equad_corpus()[k], self.tol))
 
 
 # ----------------------------------------------------------------- matkit
@@ -374,44 +408,65 @@ def _chk_morphism_inj(ctx: Ctx, rng):
 # -------------------------------------------------------------- decorated
 
 
+# the four twist functors (i, j)
+_TWISTS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _decorated_stacks(xs):
+    """The structure tensors and reflections of decorated algebras."""
+    return np.stack([x.alg.c for x in xs]), np.stack([kappa(x) for x in xs])
+
+
 @_check("decorated-klein-four-group",
         "the four twist functors compose by XOR on indices: the full "
         "4 x 4 composition table holds tensor-exactly (1e-12)",
         ("decorated:klein-four-group",))
 def _chk_klein(ctx: Ctx, rng):
+    def stacked(xs):
+        c, k = _decorated_stacks(xs)
+        images = {p: functor_i_many(*p, c, k) for p in _TWISTS}
+        worst, kept = np.zeros(len(xs)), np.ones(len(xs), bool)
+        for (i, j) in _TWISTS:
+            for (p, q), image in images.items():
+                lhs, lhs_kappa = functor_i_many(i, j, *image)
+                rhs = images[(i + p) % 2, (j + q) % 2][0]
+                worst = np.maximum(worst,
+                                   np.abs(lhs - rhs).max(axis=(1, 2, 3)))
+                kept &= (lhs_kappa == k).all(axis=(1, 2))
+        return zip(worst.tolist(), kept.tolist())
+
+    corpus = ctx.decorated_corpus()
     worst = 0.0
-    count = 0
-    pairs = [(i, j) for i in (0, 1) for j in (0, 1)]
-    for x in ctx.decorated_corpus():
-        images = {(k, l): functor_i(k, l, x) for (k, l) in pairs}
-        for (i, j) in pairs:
-            for (k, l) in pairs:
-                lhs = functor_i(i, j, images[k, l])
-                rhs = images[(i + k) % 2, (j + l) % 2]
-                worst = max(worst, float(np.max(np.abs(
-                    lhs.alg.c - rhs.alg.c))))
-                if not (np.array_equal(lhs.u, x.u)
-                        and np.array_equal(lhs.v, x.v)):
-                    return False, 1.0, count, "decoration was disturbed"
-        count += 1
-    return worst <= 1e-12, worst, count, ""
+    for count, (res, kept) in enumerate(
+            _by_dimension(stacked, corpus, [x.dim for x in corpus])):
+        if not kept:
+            return False, 1.0, count, "decoration was disturbed"
+        worst = max(worst, res)
+    return worst <= 1e-12, worst, len(corpus), ""
 
 
 @_check("decorated-block-shift",
         "twisting by (i, j) moves the block (l, r) to ((-1)^j l, (-1)^i r)",
         ("decorated:block-shift",))
 def _chk_block_shift(ctx: Ctx, rng):
-    count = 0
-    for x in ctx.decorated_corpus()[:52]:
-        ell, r = sign_pair(x.alg, samples=8, tol=ctx.tol)
-        for i in (0, 1):
-            for j in (0, 1):
-                got = sign_pair(forget(functor_i(i, j, x)), samples=8,
-                                tol=ctx.tol)
-                if got != ((-1) ** j * ell, (-1) ** i * r):
-                    return False, 1.0, count, f"shift failed at ({i},{j})"
-        count += 1
-    return True, 0.0, count, ""
+    def stacked(xs):
+        c, k = _decorated_stacks(xs)
+        base = sign_pair_many(c, samples=8, tol=ctx.tol)
+        shifted = [(sign_pair_many(functor_i_many(i, j, c, k)[0], samples=8,
+                                   tol=ctx.tol)
+                    != base * ((-1) ** j, (-1) ** i)).any(axis=1).tolist()
+                   for i, j in _TWISTS]
+        # the first twist, in loop order, that moved the block wrongly
+        return (next((p for p, bad in zip(_TWISTS, col) if bad), None)
+                for col in zip(*shifted))
+
+    corpus = ctx.decorated_corpus()[:52]
+    for count, failed in enumerate(
+            _by_dimension(stacked, corpus, [x.dim for x in corpus])):
+        if failed:
+            i, j = failed
+            return False, 1.0, count, f"shift failed at ({i},{j})"
+    return True, 0.0, len(corpus), ""
 
 
 @_check("decorated-kappa-commutation",
@@ -436,19 +491,27 @@ def _chk_kappa_comm(ctx: Ctx, rng):
         "any of the four twist functors",
         ("decorated:morphism-preservation",))
 def _chk_morph_preserve(ctx: Ctx, rng):
-    count = 0
-    worst = 0.0
-    for x in ctx.decorated_corpus()[:30]:
+    corpus = ctx.decorated_corpus()[:30]
+    triples = []
+    for x in corpus:
         n = x.alg.dim
         f = random_invertible(n, rng, max_cond=10.0)
         x2 = decorate(transport(x.alg, f), f @ x.u, f @ x.v)
-        for i in (0, 1):
-            for j in (0, 1):
-                res = morphism_residual(f, forget(functor_i(i, j, x)),
-                                        forget(functor_i(i, j, x2)))
-                worst = max(worst, res)
-        count += 1
-    return worst <= max(ctx.tol, 1e-8), worst, count, ""
+        triples.append((x, f, x2))
+
+    def stacked(items):
+        xs, fs, moved = zip(*items)
+        c, k = _decorated_stacks(xs)
+        c2, k2 = _decorated_stacks(moved)
+        # the four twists of every item, as one stack of 4 B maps
+        res = morphism_residual_many(
+            np.concatenate([np.stack(fs)] * len(_TWISTS)),
+            np.concatenate([functor_i_many(*p, c, k)[0] for p in _TWISTS]),
+            np.concatenate([functor_i_many(*p, c2, k2)[0] for p in _TWISTS]))
+        return res.reshape(len(_TWISTS), len(items)).max(axis=0).tolist()
+
+    worst = max(_by_dimension(stacked, triples, [x.dim for x in corpus]))
+    return worst <= max(ctx.tol, 1e-8), worst, len(corpus), ""
 
 
 # ------------------------------------------------------------- equadratic
@@ -461,8 +524,8 @@ def _chk_morph_preserve(ctx: Ctx, rng):
 def _chk_equad_decomp(ctx: Ctx, rng):
     worst = 0.0
     count = 0
-    for alg in ctx.equad_corpus():
-        x = functor_g(alg, ctx.tol)
+    for k, alg in enumerate(ctx.equad_corpus()):
+        x = ctx.equad_decorated(k)
         w = np.hstack([x.u, x.v])
         if abs(np.linalg.det(w)) <= 1e-6:
             return False, 1.0, count, "degenerate splitting"
@@ -494,8 +557,8 @@ def _chk_equad_compat(ctx: Ctx, rng):
     worst_t = 0.0
     worst_s = 0.0
     count = 0
-    for alg in ctx.equad_corpus():
-        x = functor_g(alg, ctx.tol)
+    for k, alg in enumerate(ctx.equad_corpus()):
+        x = ctx.equad_decorated(k)
         kap = kappa(x)
         lhs = functor_i(1, 1, x)
         rhs = functor_g(isotope(alg, kap, kap), ctx.tol)
@@ -517,11 +580,11 @@ def _chk_equad_compat(ctx: Ctx, rng):
         ("equadratic:block-structure",))
 def _chk_equad_blocks(ctx: Ctx, rng):
     count = 0
-    for alg in ctx.equad_corpus():
+    for k, alg in enumerate(ctx.equad_corpus()):
         block = sign_pair(alg, samples=8, tol=ctx.tol).block
         if block not in ("++", "--"):
             return False, 1.0, count, f"block {block} on {alg.label}"
-        kap = kappa(functor_g(alg, ctx.tol))
+        kap = kappa(ctx.equad_decorated(k))
         flipped = sign_pair(isotope(alg, kap, kap), samples=8,
                             tol=ctx.tol).block
         if flipped != {"++": "--", "--": "++"}[block]:
@@ -609,17 +672,6 @@ def _chk_dim2_separation(ctx: Ctx, rng):
     if worst_order != 2:
         return False, 1.0, count, "never observed the order-2 case"
     return True, 0.0, count, ""
-
-
-def _each_or_replayed(stacked, items):
-    """The per-item results that ``stacked(items)`` iterates over; when
-    that raises, those of ``stacked`` on one item at a time, produced
-    lazily, so that the first failure surfaces at the item, and with the
-    detail, that a loop of single calls gives."""
-    try:
-        return list(stacked(items))
-    except (DivalgError, ValueError):
-        return (next(iter(stacked([x]))) for x in items)
 
 
 @_check("dim2-round-trip",
@@ -817,23 +869,25 @@ def _chk_quat_blockeq(ctx: Ctx, rng):
         "read off the determinants, round-trip residual 1e-8",
         ("quat:normal-form",))
 def _chk_quat_nf(ctx: Ctx, rng):
-    pairs, forms = [], []
-    for count in range(100):
-        s, t = smp.random_quat_pair(rng)
-        alpha, beta, x, iso = quat_normal_form(s, t, ctx.tol)
-        if (alpha, beta) != (sign_det(t), sign_det(s)):
-            return False, 1.0, count, "block disagrees with determinants"
-        pairs.append((s, t))
-        forms.append((alpha, beta, x, iso))
-    s, t = np.stack(pairs).swapaxes(0, 1)
-    target = np.empty((len(forms), 4, 4, 4))
-    for block in {f[:2] for f in forms}:
-        idx = [k for k, f in enumerate(forms) if f[:2] == block]
-        target[idx] = functor_h_many(*block, [forms[k][2] for k in idx])
-    res = morphism_residual_many(np.stack([f[3] for f in forms]),
-                                 isotope_many(classical("H"), s, t), target)
-    worst = float(res.max())
-    return worst <= 1e-8, worst, len(forms), ""
+    # the draws of 100 random_quat_pair calls, as one block: S, T, S, ...
+    ops = random_invertible_many(4, 200, rng, max_cond=20.0)
+
+    def stacked(pairs):
+        s, t = np.stack(pairs).swapaxes(0, 1)
+        alphas, betas, _, _, res = quat_normal_form_many(s, t, ctx.tol)
+        return zip(alphas.tolist(), betas.tolist(), res.tolist(),
+                   sign_det_many(t).tolist(), sign_det_many(s).tolist())
+
+    pairs = list(zip(ops[0::2], ops[1::2]))
+    worst = 0.0
+    for lo in range(0, len(pairs), CHUNK):
+        reduced = _each_or_replayed(stacked, pairs[lo:lo + CHUNK])
+        for count, (alpha, beta, res, sign_t, sign_s) in enumerate(reduced,
+                                                                    lo):
+            if (alpha, beta) != (sign_t, sign_s):
+                return False, 1.0, count, "block disagrees with determinants"
+            worst = max(worst, res)
+    return worst <= 1e-8, worst, len(pairs), ""
 
 
 @_check("quat-so4-reconstruction",

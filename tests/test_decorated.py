@@ -142,3 +142,18 @@ def test_kappa_is_computed_once_per_decoration(O):
             image = functor_i(i, j, x)
             assert kappa(image) is k
             assert kappa(functor_i(j, i, image)) is k
+
+
+def test_decorate_keeps_read_only_copies_of_the_splitting(H):
+    u, v = np.eye(4)[:, :1].copy(), np.eye(4)[:, 1:].copy()
+    x = decorate(H, u, v)
+    k = kappa(x).copy()
+    u[:] = 7.0
+    v[0, 0] = 3.0
+    assert np.array_equal(x.u, np.eye(4)[:, :1])
+    assert np.array_equal(x.v, np.eye(4)[:, 1:])
+    assert np.array_equal(kappa(x), k)
+    assert not x.u.flags.writeable and not x.v.flags.writeable
+    # the twist images share the stored arrays
+    image = functor_i(1, 0, x)
+    assert image.u is x.u and image.v is x.v

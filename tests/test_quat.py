@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 
 from divalg.core import classical, isotope, left_mult, morphism_residual, \
     right_mult, sign_pair
-from divalg.errors import NotSpecialOrthogonal, SingularOperator, \
-    ZeroQuaternion
+from divalg import quat
+from divalg.errors import NonConvergence, NotSpecialOrthogonal, \
+    SingularOperator, ZeroQuaternion
 from divalg.matkit import random_rotation, sign_det
 from divalg.quat import ZObject, _isoclinic_basis, functor_h, k_map, \
-    qconj, qinv, qmul, quat_normal_form, rep_normalize, so4_factor, z_action
+    qconj, qinv, qmul, quat_normal_form, quat_normal_form_many, \
+    rep_normalize, so4_factor, z_action
 from divalg.samples import random_quat_pair, random_unit_quaternion, \
     random_z_object
 
@@ -219,3 +221,56 @@ def test_normal_form_random_pairs(seed):
     res = morphism_residual(iso, isotope(h, s, t),
                             functor_h(alpha, beta, x))
     assert res <= 1e-8
+
+
+def quat_stack(count, seed):
+    rng = np.random.default_rng(seed)
+    pairs = [random_quat_pair(rng) for _ in range(count)]
+    return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+
+
+def test_normal_form_stack_names_the_singular_operator():
+    s, t = quat_stack(4, 47)
+    s[2, :, 1] = 0.0
+    with pytest.raises(SingularOperator, match=r"S\[2\] is singular"):
+        quat_normal_form_many(s, t)
+    s, t = quat_stack(4, 47)
+    t[3, :, 2] = t[3, :, 1]
+    with pytest.raises(SingularOperator, match=r"T\[3\] is singular"):
+        quat_normal_form_many(s, t)
+    with pytest.raises(ValueError):
+        quat_normal_form_many(s[:, :3, :3], t[:, :3, :3])
+
+
+def test_normal_form_stack_names_the_pair_that_did_not_converge(
+        monkeypatch):
+    s, t = quat_stack(5, 48)
+    real = quat.morphism_residual_many
+
+    def off_at_3(f, a, b):
+        res = real(f, a, b)
+        res[3] = 1.0
+        return res
+
+    monkeypatch.setattr(quat, "morphism_residual_many", off_at_3)
+    with pytest.raises(NonConvergence,
+                       match=r"residual 1\.000e\+00 .* at stack index 3$"):
+        quat_normal_form_many(s, t)
+    monkeypatch.undo()
+    # a one-sided factor the moves did not clear: the extraction (the
+    # second isoclinic split) finds a quaternion factor left on T[1]
+    real_split, splits = quat.so4_factor, []
+
+    def spoiled(o, tol):
+        a, b = real_split(o, tol)
+        splits.append(len(o))
+        if len(splits) == 2:
+            a, b = a.copy(), b.copy()
+            a[5 + 1] = b[5 + 1] = [0.6, 0.8, 0.0, 0.0]
+        return a, b
+
+    monkeypatch.setattr(quat, "so4_factor", spoiled)
+    with pytest.raises(NonConvergence,
+                       match=r"factor .* of T\[1\] did not reduce"):
+        quat_normal_form_many(s, t)
+    assert splits == [10, 10]

@@ -1,17 +1,18 @@
 """The stacked kernels against loops of their single-item forms.
 
 isotope_many, transport_many, sign_pair_many, morphism_residual_many,
-random_invertible_many, a stacked polar_decompose and so4_factor, and
-the quaternion stacks k_map_many, rep_normalize_many and functor_h_many
-must give what a loop of single calls gives, raise the same errors with
-the offending index named, and leave seeded draws unchanged; the
-batched verify checks must report what the loops reported.
+random_invertible_many, a stacked polar_decompose and so4_factor, the
+quaternion stacks k_map_many, rep_normalize_many, functor_h_many and
+quat_normal_form_many, and the twist functors functor_i_many must give
+what a loop of single calls gives, raise the same errors with the
+offending index named, and leave seeded draws unchanged; the batched
+verify checks must report what the loops reported.
 """
 
 import numpy as np
 import pytest
 
-from divalg import core, dim2, quat, verify
+from divalg import core, decorated, dim2, quat, verify
 from divalg.core import Algebra, classical, isotope, isotope_many, \
     left_mult, morphism_residual, morphism_residual_many, right_mult, \
     sign_pair, sign_pair_many, transport, transport_many
@@ -19,12 +20,13 @@ from divalg.dim2 import build2d, hom2d, normal_form_2d
 from divalg.errors import DegenerateSign, DivalgError, NonConvergence, \
     NotSpecialOrthogonal, SignInconsistent, SingularInput, \
     SingularOperator, ZeroQuaternion
+from divalg.decorated import forget, functor_i, functor_i_many, kappa
 from divalg.matkit import polar_decompose, random_invertible, \
-    random_invertible_many, random_rotation
+    random_invertible_many, random_rotation, sign_det
 from divalg.quat import functor_h, functor_h_many, k_map, k_map_many, \
-    qconj, rep_normalize, rep_normalize_many, so4_factor
-from divalg.samples import random_2d_division, random_division, \
-    random_normal_form, random_quat_pair, random_z_object
+    qconj, qinv, qmul, rep_normalize, rep_normalize_many, so4_factor
+from divalg.samples import decorated_corpus, random_2d_division, \
+    random_division, random_normal_form, random_quat_pair, random_z_object
 
 DIMS = [2, 4, 8]
 STACKS = [1, 3]
@@ -445,3 +447,268 @@ def test_dim2_replay_reports_the_first_failing_item(monkeypatch):
     result = run_check("dim2-density")
     assert (result.passed, result.samples) == (False, 27)
     assert result.detail == "block disagrees with the sign pair"
+
+
+# --- the quaternion normal form and the twist functors on stacks
+
+
+def quat_pairs(count, seed):
+    """count operator pairs; pair p has det S < 0 when p is odd and
+    det T < 0 when p % 4 >= 2, so every four pairs cover the blocks."""
+    ops = random_invertible_many(4, 2 * count, seed, max_cond=20.0)
+    s, t = ops[0::2], ops[1::2]
+    for p in range(count):
+        for m, negative in ((s[p], p % 2 == 1), (t[p], p % 4 >= 2)):
+            if (np.linalg.det(m) < 0) != negative:
+                m[0] *= -1.0
+    return s, t
+
+
+def quat_normal_form_reference(s, t, tol=1e-9):
+    """The reduction of one pair, one operator and one move at a time,
+    as quat_normal_form did before it ran on stacks: (alpha, beta, x,
+    iso, residual)."""
+    h, k = classical("H"), quat._conj_matrix()
+    i_s, i_t = int(np.linalg.det(s) < 0), int(np.linalg.det(t) < 0)
+    (a1, b1), (a2, b2) = [
+        so4_factor(polar_decompose(m)[1] @ k if flip
+                   else polar_decompose(m)[1], tol)
+        for m, flip in ((s, i_s), (t, i_t))]
+    s1, t1, iso = right_mult(h, qinv(b1)) @ s, left_mult(h, b1) @ t, \
+        np.eye(4)
+    d = qmul(b1, a2)
+    moves = {(0, 0): [("L", d)], (0, 1): [("L", qconj(b2))],
+             (1, 0): [("L", d), ("R", qconj(qmul(d, a1)))],
+             (1, 1): [("R", qconj(d))]}[i_s, i_t]
+    for side, q in moves:
+        if side == "L":
+            lu, lui = left_mult(h, q), left_mult(h, qinv(q))
+            s1, t1, iso = lu @ s1 @ lui, t1 @ lui, lu @ iso
+        else:
+            rv, rvi = right_mult(h, q), right_mult(h, qinv(q))
+            s1, t1, iso = s1 @ rvi, rv @ t1 @ rvi, rv @ iso
+    sides = {(0, 0): "LR", (0, 1): "LL", (1, 0): "RR", (1, 1): "LR"}
+    parts, scale = [], 1.0
+    for m, flip, side in zip((s1, t1), (i_s, i_t), sides[i_s, i_t]):
+        p, o = polar_decompose(m @ k if flip else m)
+        aa, bb = so4_factor(o, tol)
+        trivial, kept = (bb, aa) if side == "L" else (aa, bb)
+        sign = 1.0 if trivial[0] >= 0 else -1.0
+        assert np.linalg.norm(trivial - [sign, 0.0, 0.0, 0.0]) <= 1e-6
+        g = sign * kept
+        op = left_mult(h, g) if side == "L" else right_mult(h, g)
+        c0 = op.T @ p @ op
+        lam = float(np.linalg.det(c0)) ** 0.25
+        rep = rep_normalize(g)
+        scale = scale * lam * (1.0 if rep @ g > 0 else -1.0)
+        parts.append((rep, 0.5 * (c0 + c0.T) / lam))
+    x = quat.ZObject(parts[0][0], parts[1][0], parts[0][1], parts[1][1])
+    alpha, beta = (-1 if i_t else 1), (-1 if i_s else 1)
+    iso = scale * iso
+    return alpha, beta, x, iso, morphism_residual(
+        iso, isotope(h, s, t), functor_h(alpha, beta, x))
+
+
+@pytest.mark.parametrize("b", [1, 3, 25])
+def test_quat_normal_form_many_is_bit_equal_to_the_loop(b):
+    s, t = quat_pairs(50, 45)
+    blocks = set()
+    for lo in range(0, 50, b):
+        alphas, betas, xs, isos, res = quat.quat_normal_form_many(
+            s[lo:lo + b], t[lo:lo + b])
+        assert len(xs) == len(res) == len(isos) == min(b, 50 - lo)
+        for k, x in enumerate(xs):
+            single = quat.quat_normal_form(s[lo + k], t[lo + k])
+            ref = quat_normal_form_reference(s[lo + k], t[lo + k])
+            for want in (single, ref):
+                assert (alphas[k], betas[k]) == want[:2]
+                for f in "abcd":
+                    assert np.array_equal(getattr(x, f), getattr(want[2], f))
+                assert np.array_equal(isos[k], want[3])
+            # the residual is the one a caller would rebuild
+            assert res[k] == ref[4]
+            assert ref[:2] == (sign_det(t[lo + k]), sign_det(s[lo + k]))
+            blocks.add(ref[:2])
+    assert blocks == set(BLOCKS)
+
+
+BLOCK_TWISTS = [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_functor_i_many_is_bit_equal_to_functor_i(n):
+    xs = [x for x in decorated_corpus(12, 46) if x.dim == n]
+    c = np.stack([x.alg.c for x in xs])
+    k = np.stack([kappa(x) for x in xs])
+    for i, j in BLOCK_TWISTS:
+        got, got_kappa = functor_i_many(i, j, c, k)
+        assert got_kappa is k
+        assert np.array_equal(got, np.stack([functor_i(i, j, x).alg.c
+                                             for x in xs]))
+        # and applied twice, to its own images
+        twice, _ = functor_i_many(j, i, got, k)
+        assert np.array_equal(twice, np.stack(
+            [functor_i(j, i, functor_i(i, j, x)).alg.c for x in xs]))
+    assert functor_i_many(0, 0, c, k)[0] is c
+    with pytest.raises(ValueError):
+        functor_i_many(0, 2, c, k)
+
+
+def decorated_loop(name, tol):
+    """The restacked quat-normal-form and decorated checks as the loops
+    of single calls they replace, reported as run_verify reports them."""
+    index = next(c.index for c in verify._REGISTRY if c.name == name)
+    rng = np.random.default_rng([42, index])
+    corpus = decorated_corpus(100, [42, 100002])
+    try:
+        return LOOPS[name](corpus, rng, tol)
+    except (DivalgError, ValueError) as exc:
+        return False, None, 0, f"{type(exc).__name__}: {exc}"
+
+
+def quat_nf_loop(corpus, rng, tol):
+    h, worst = classical("H"), 0.0
+    for count in range(100):
+        s, t = random_quat_pair(rng)
+        alpha, beta, x, iso = quat.quat_normal_form(s, t, tol)
+        if (alpha, beta) != (sign_det(t), sign_det(s)):
+            return False, 1.0, count, "block disagrees with determinants"
+        worst = max(worst, morphism_residual(iso, isotope(h, s, t),
+                                             functor_h(alpha, beta, x)))
+    return worst <= 1e-8, worst, 100, ""
+
+
+def klein_loop(corpus, rng, tol):
+    worst = 0.0
+    for count, x in enumerate(corpus):
+        images = {p: functor_i(*p, x) for p in BLOCK_TWISTS}
+        for i, j in BLOCK_TWISTS:
+            for k, l in BLOCK_TWISTS:
+                lhs = functor_i(i, j, images[k, l])
+                rhs = images[(i + k) % 2, (j + l) % 2]
+                worst = max(worst, float(np.max(np.abs(
+                    lhs.alg.c - rhs.alg.c))))
+                if not (np.array_equal(lhs.u, x.u)
+                        and np.array_equal(lhs.v, x.v)):
+                    return False, 1.0, count, "decoration was disturbed"
+    return worst <= 1e-12, worst, len(corpus), ""
+
+
+def block_shift_loop(corpus, rng, tol):
+    for count, x in enumerate(corpus[:52]):
+        ell, r = sign_pair(x.alg, samples=8, tol=tol)
+        for i, j in BLOCK_TWISTS:
+            got = sign_pair(forget(functor_i(i, j, x)), samples=8, tol=tol)
+            if got != ((-1) ** j * ell, (-1) ** i * r):
+                return False, 1.0, count, f"shift failed at ({i},{j})"
+    return True, 0.0, 52, ""
+
+
+def morphism_loop(corpus, rng, tol):
+    worst = 0.0
+    for x in corpus[:30]:
+        f = random_invertible(x.dim, rng, max_cond=10.0)
+        x2 = decorated.decorate(transport(x.alg, f), f @ x.u, f @ x.v)
+        for i, j in BLOCK_TWISTS:
+            worst = max(worst, morphism_residual(
+                f, forget(functor_i(i, j, x)), forget(functor_i(i, j, x2))))
+    return worst <= max(tol, 1e-8), worst, 30, ""
+
+
+LOOPS = {"quat-normal-form": quat_nf_loop,
+         "decorated-klein-four-group": klein_loop,
+         "decorated-block-shift": block_shift_loop,
+         "decorated-morphism-preservation": morphism_loop}
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-2, 1e-30])
+def test_restacked_checks_report_what_the_loops_report(tol):
+    report = verify.run_verify(42, tol=tol, names=list(LOOPS))
+    for got in report.results:
+        assert (got.passed, got.residual, got.samples, got.detail) == \
+            decorated_loop(got.name, tol), got.name
+    if tol == 1e-2:
+        (shift,) = [r for r in report.results
+                    if r.name == "decorated-block-shift"]
+        assert shift.detail.startswith("DegenerateSign") and \
+            "on algebra 0 of the stack at sample point 1" in shift.detail
+
+
+def test_by_dimension_keeps_item_order_across_stacks():
+    dims = [4, 8] * 30 + [4] * 3
+    items = list(range(len(dims)))
+    stacks = []
+
+    def stacked(xs):
+        stacks.append(xs)
+        return xs
+
+    assert list(verify._by_dimension(stacked, items, dims)) == items
+    assert all(len({dims[x] for x in xs}) == 1 and len(xs) <= verify.CHUNK
+               for xs in stacks)
+
+
+def test_klein_check_fails_on_a_functor_that_moves_the_decoration(
+        monkeypatch):
+    assert run_check("decorated-klein-four-group").passed
+    corpus = decorated_corpus(100, [42, 100002])
+    real = verify.functor_i_many
+
+    def moving(i, j, tensors, kappas):
+        # item 7 (an octonion isotope) comes out with another reflection
+        out, k = real(i, j, tensors, kappas)
+        hit = [np.array_equal(m, kappa(corpus[7])) for m in kappas]
+        return out, np.where(np.array(hit)[:, None, None], -k, k)
+
+    monkeypatch.setattr(verify, "functor_i_many", moving)
+    result = run_check("decorated-klein-four-group")
+    assert (result.passed, result.samples, result.detail) == \
+        (False, 7, "decoration was disturbed")
+
+
+def test_quat_normal_form_replay_reports_the_first_failing_pair(
+        monkeypatch):
+    index = next(c.index for c in verify._REGISTRY
+                 if c.name == "quat-normal-form")
+    ops = random_invertible_many(4, 200, np.random.default_rng([42, index]),
+                                 max_cond=20.0)
+    real, calls = verify.quat_normal_form_many, []
+
+    def reduce(s, t, tol):
+        calls.append(len(s))
+        if any(np.array_equal(m, ops[60]) for m in s):
+            raise NonConvergence("forced at pair 30")
+        return real(s, t, tol)
+
+    monkeypatch.setattr(verify, "quat_normal_form_many", reduce)
+    result = run_check("quat-normal-form")
+    assert (result.passed, result.samples, result.detail) == \
+        (False, 0, "NonConvergence: forced at pair 30")
+    assert calls == [25, 25, 1, 1, 1, 1, 1, 1]
+
+
+def test_equad_checks_share_one_functor_g_per_corpus_entry(monkeypatch):
+    names = ["equad-decomposition", "equad-functor-compat",
+             "equad-block-structure"]
+    real, calls = verify.functor_g, []
+
+    def counted(alg, tol):
+        calls.append(alg)
+        return real(alg, tol)
+
+    monkeypatch.setattr(verify, "functor_g", counted)
+    report = verify.run_verify(43, names=names)
+    assert report.passed
+    # one per entry of the 22-algebra corpus, plus functor-compat's one
+    # on each conjugation isotope
+    assert len(calls) == 44
+    # a failure is not kept: entries 0 and 1 (H and O) reduce once and
+    # are shared, and functor-compat adds their conjugation isotopes,
+    # but entry 2 raises anew in each of the three checks
+    calls.clear()
+    report = verify.run_verify(42, tol=1e-30, names=names)
+    assert [r.detail for r in report.results] == \
+        ["NotEQuadratic: no central idempotent with quadratic squares"] * 3
+    entry2 = verify.Ctx(42, 1e-30, 1000).equad_corpus()[2]
+    assert sum(np.array_equal(a.c, entry2.c) for a in calls) == 3
+    assert len(calls) == 7

@@ -14,8 +14,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from divalg import quat, samples
-from divalg.core import Algebra, classical, isotope, opposite, transport
+from divalg import quat
+from divalg.core import Algebra, classical, is_division, isotope, \
+    opposite, transport
 from divalg.decorated import decorate, functor_i, kappa
 from divalg.dim2 import GroupElement2D, NormalForm2D, build2d, \
     c2_elements, d3_elements, normal_form_2d, normal_form_2d_many, \
@@ -51,16 +52,21 @@ def rebuilt(obj):
 
 @pytest.fixture
 def z_parts(monkeypatch):
-    """The parts every ZObject construction starts from, in call order."""
+    """The parts every ZObject construction starts from, in call order.
+
+    Every construction stores what quat._z_stacks makes of the parts of
+    n objects, stacked as a[0], ..., a[n-1], b[0], ..., b[n-1] and
+    c[0], ..., c[n-1], d[0], ..., d[n-1] (n = 1 through _z_fields).
+    """
     seen = []
-    fields = quat._z_fields
+    stacks = quat._z_stacks
 
-    def spy(*parts):
-        seen.append(parts)
-        return fields(*parts)
+    def spy(ab, cd):
+        n = len(ab) // 2
+        seen.extend((ab[k], ab[n + k], cd[k], cd[n + k]) for k in range(n))
+        return stacks(ab, cd)
 
-    monkeypatch.setattr(quat, "_z_fields", spy)
-    monkeypatch.setattr(samples, "_z_fields", spy)
+    monkeypatch.setattr(quat, "_z_stacks", spy)
     return seen
 
 
@@ -90,6 +96,22 @@ def test_dim2_producers_match_the_public_constructor(seed):
         assert_same(build2d(nf), rebuilt(build2d(nf)))
     unital, _ = unitalize(Algebra(tensors[1]), rng.standard_normal(2))
     assert_same(unital, rebuilt(unital))
+
+
+def test_random_2d_division_matches_a_public_constructor_loop():
+    def reference(rng):
+        while True:
+            alg = Algebra(rng.uniform(-2.0, 2.0, size=(2, 2, 2)),
+                          label="rand2d")
+            if is_division(alg, mode="exact2d") == "division":
+                return alg
+
+    for seed in range(100):
+        gen_a, gen_b = np.random.default_rng(seed), \
+            np.random.default_rng(seed)
+        got, want = random_2d_division(gen_a), reference(gen_b)
+        assert_same(got, want)
+        assert gen_a.bit_generator.state == gen_b.bit_generator.state
 
 
 def test_group_elements_match_the_public_constructor():
