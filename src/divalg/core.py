@@ -24,6 +24,7 @@ from .errors import (
     SignInconsistent,
     SingularOperator,
     ZeroMap,
+    fail_at,
 )
 from .matkit import DEFAULT_TOL, near_singular
 
@@ -191,25 +192,30 @@ def sign_pair_many(tensors, samples: int = 100, tol: float = DEFAULT_TOL,
     if n == 1:
         raise DimensionOne("the double sign needs dimension at least 2")
     pts = _sample_points(n, samples, seed)
-    # det L_a, then det R_a as det L_a of the opposite algebra; one side
-    # at a time keeps the peak memory of a large stack to one side's
-    d = np.stack([np.linalg.det(_left_stack(m, pts))
-                  for m in (c, c.swapaxes(1, 2))], axis=1)  # [b, side, point]
-    small = np.abs(d) <= tol
-    if small.any():
-        b, side, p = np.unravel_index(np.argmax(small), small.shape)
-        raise DegenerateSign(
-            f"|det {'LR'[side]}_a| = {abs(d[b, side, p]):.3e} <= tol = "
-            f"{tol:.3e} on algebra {b} of the stack at sample point {p}, "
-            f"a = {np.array2string(pts[p], precision=3)}")
+    d = _sampled_dets(c, pts)                                # [b, side, point]
+
+    def degenerate(i):
+        b, side, p = np.unravel_index(i, d.shape)
+        return (f"|det {'LR'[side]}_a| = {abs(d[b, side, p]):.3e} <= tol = "
+                f"{tol:.3e} on algebra {b} of the stack at sample point {p}, "
+                f"a = {np.array2string(pts[p], precision=3)}")
+
+    fail_at(np.abs(d) <= tol, DegenerateSign, degenerate)
     # a sign is constant when all or none of the points have det > 0
     positive = (d > 0).sum(axis=2)                           # [b, side]
-    varies = positive % len(pts)
-    if varies.any():
-        raise SignInconsistent(
-            "determinant signs vary over nonzero points of algebra "
-            f"{int(np.argmax(varies.any(axis=1)))} of the stack")
+    fail_at(positive % len(pts) != 0, SignInconsistent,
+            lambda i: "determinant signs vary over nonzero points of "
+                      f"algebra {i // 2} of the stack")
     return np.where(positive > 0, 1, -1)
+
+
+def _sampled_dets(c: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """det L_a and det R_a of each tensor of a stack (B, n, n, n) at each
+    point a of pts (P, n), indexed [b, side, point], L before R."""
+    # det R_a as det L_a of the opposite algebra; one side at a time
+    # keeps the peak memory of a large stack to one side's
+    d = [np.linalg.det(_left_stack(m, pts)) for m in (c, c.swapaxes(1, 2))]
+    return np.concatenate(d, axis=1).reshape(len(c), 2, len(pts))
 
 
 def block_of(alg: Algebra, samples: int = 100, tol: float = DEFAULT_TOL,
@@ -299,12 +305,10 @@ def _checked_operators(alg: Algebra, tol: float, names: str,
         bad = next(name for name, m in zip(names, stacks)
                    if not np.isfinite(m).all())
         raise ValueError(f"{bad} has non-finite entries")
-    singular = near_singular(ops, tol)
-    if singular.any():
-        per = len(ops) // len(names)
-        i = int(np.argmax(singular))
-        raise SingularOperator(f"{names[i // per]}[{i % per}] is singular "
-                               f"at tol {tol:.1e}")
+    per = len(ops) // len(names)
+    fail_at(near_singular(ops, tol), SingularOperator,
+            lambda i: f"{names[i // per]}[{i % per}] is singular at tol "
+                      f"{tol:.1e}")
     return ops
 
 
@@ -397,10 +401,8 @@ def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
         raise ModeMismatch(f"unknown mode {mode!r}")
     if alg.dim == 1:
         return "division" if abs(alg.c[0, 0, 0]) > tol else "not_division"
-    pts = _sample_points(alg.dim, samples, seed)
-    dl = np.abs(np.linalg.det(left_mult_many(alg, pts)))
-    dr = np.abs(np.linalg.det(right_mult_many(alg, pts)))
-    if min(dl.min(), dr.min()) <= tol:
+    d = _sampled_dets(alg.c[None], _sample_points(alg.dim, samples, seed))
+    if np.abs(d).min() <= tol:
         return "not_division"
     return "probably_division"
 

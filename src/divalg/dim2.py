@@ -51,6 +51,7 @@ from .errors import (
     NotDivision,
     SingularInput,
     SingularOperator,
+    fail_at,
 )
 from .matkit import DEFAULT_TOL, as_matrix, is_spd1, near_singular
 
@@ -164,14 +165,6 @@ def _times_k(p, flag):
     return np.where(flag, p[1], p[0]), np.where(flag, p[0], p[1])
 
 
-def _fail_at(bad: np.ndarray, error, message) -> None:
-    """Raise error for the first member of the stack flagged in bad,
-    with message(index) and the stack index."""
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise error(f"{message(k)} at stack index {k}")
-
-
 # --- the reduction steps, each on a stack ---
 
 def _remove_twist(c: np.ndarray, a: np.ndarray, tol: float):
@@ -185,9 +178,9 @@ def _remove_twist(c: np.ndarray, a: np.ndarray, tol: float):
     la = _left_stack(c, a[:, None])[:, 0]
     ops = np.stack([ra, la], axis=1)                          # [b, side]
     singular = near_singular(ops, tol)
-    _fail_at(singular.any(axis=1), SingularOperator,
-             lambda k: f"{('R_a', 'L_a')[int(np.argmax(singular[k]))]} is "
-                       "singular; a is not invertible")
+    fail_at(singular.any(axis=1), SingularOperator,
+            lambda k: f"{'R_a' if singular[k, 0] else 'L_a'} is "
+                      f"singular; a is not invertible at stack index {k}")
     inv = np.linalg.inv(ops)
     out = _pull_back(c, inv[:, 0], inv[:, 1])
     u = (la @ a[:, :, None])[:, :, 0]
@@ -196,9 +189,9 @@ def _remove_twist(c: np.ndarray, a: np.ndarray, tol: float):
         np.abs(_left_stack(out, u[:, None])[:, 0] - eye).max(axis=(1, 2)),
         np.abs(_left_stack(out.swapaxes(1, 2), u[:, None])[:, 0]
                - eye).max(axis=(1, 2)))
-    _fail_at(defect > 100.0 * max(tol, 1e-12), NonConvergence,
-             lambda k: f"unit laws fail at {defect[k]:.3e} after removing "
-                       "the twist")
+    fail_at(defect > 100.0 * max(tol, 1e-12), NonConvergence,
+            lambda k: f"unit laws fail at {defect[k]:.3e} after removing "
+                      f"the twist at stack index {k}")
     return out, u, ra, la
 
 
@@ -218,13 +211,14 @@ def _basis_of_c(c: np.ndarray, u: np.ndarray, tol: float):
     o = 1 - m
     ww = c[rows, m, m]                                   # w w
     # [u w] is singular only for u = 0, as |u_o| >= |u_m|
-    _fail_at(u[rows, o] == 0.0, np.linalg.LinAlgError,
-             lambda k: "Singular matrix")
+    fail_at(u[rows, o] == 0.0, np.linalg.LinAlgError,
+            lambda k: f"Singular matrix at stack index {k}")
     c0 = ww[rows, o] / u[rows, o]
     c1 = ww[rows, m] - c0 * u[rows, m]
     mu = c0 + 0.25 * c1 * c1
-    _fail_at(mu >= -tol * (np.abs(c0) + 0.25 * c1 * c1), NoImaginaryUnit,
-             lambda k: f"w*w completes to {mu[k]:+.3e} u, not negative")
+    fail_at(mu >= -tol * (np.abs(c0) + 0.25 * c1 * c1), NoImaginaryUnit,
+            lambda k: f"w*w completes to {mu[k]:+.3e} u, not negative at "
+                      f"stack index {k}")
     v = (np.eye(2)[m] - 0.5 * c1[:, None] * u) / np.sqrt(-mu)[:, None]
     flip = (v[:, 1] < -tol) | ((np.abs(v[:, 1]) <= tol) & (v[:, 0] < 0))
     v = np.where(flip[:, None], -v, v)
@@ -239,11 +233,12 @@ def _split(p):
     times the larger, NotDivision when the determinant is negative.
     """
     na, nb = np.abs(p[0]), np.abs(p[1])
-    _fail_at(np.abs(na - nb) <= 1e-12 * (na + nb), SingularInput,
-             lambda k: f"singular values span {na[k] + nb[k]:.3e}.."
-                       f"{abs(na[k] - nb[k]):.3e}")
-    _fail_at(na < nb, NotDivision,
-             lambda k: "negative determinant; expected a rotation part")
+    fail_at(np.abs(na - nb) <= 1e-12 * (na + nb), SingularInput,
+            lambda k: f"singular values span {na[k] + nb[k]:.3e}.."
+                      f"{abs(na[k] - nb[k]):.3e} at stack index {k}")
+    fail_at(na < nb, NotDivision,
+            lambda k: "negative determinant; expected a rotation part at "
+                      f"stack index {k}")
     w = p[0] / na
     root = np.sqrt((na - nb) * (na + nb))
     return root * w, (na / root + 0j, np.conj(w) * p[1] / root)
@@ -429,8 +424,9 @@ def normal_form_2d_many(tensors, tol: float = DEFAULT_TOL
                          f"{c.shape}")
     if not np.isfinite(c).all():
         raise ValueError("structure constants must be finite")
-    _fail_at(~_exact2d_division(c, tol), NotDivision,
-             lambda k: "the exact dimension-2 test rejects this algebra")
+    fail_at(~_exact2d_division(c, tol), NotDivision,
+            lambda k: "the exact dimension-2 test rejects this algebra at "
+                      f"stack index {k}")
     e0 = np.broadcast_to(np.array([1.0, 0.0]), (len(c), 2))
     unital, u, ra, la = _remove_twist(c, e0, tol)
     basis = _basis_of_c(unital, u, tol)
@@ -453,8 +449,9 @@ def normal_form_2d_many(tensors, tol: float = DEFAULT_TOL
     q = np.where(i, np.conj(inv_w), inv_w)
     r = np.where(j, np.conj(inv_w), inv_w)
     left = w * scalar * q * r
-    _fail_at(np.abs(left - 1.0) > 1e-6, NonConvergence,
-             lambda k: f"scalar absorption left {complex(left[k])}, not 1")
+    fail_at(np.abs(left - 1.0) > 1e-6, NonConvergence,
+            lambda k: f"scalar absorption left {complex(left[k])}, not 1 at "
+                      f"stack index {k}")
     a2, b2 = _rotated(a1, q), _rotated(b1, r)
     # the (1, 1) forms hold K A K and K B K: K (p, q) K = (p, conj q)
     both = i & j
@@ -467,7 +464,7 @@ def normal_form_2d_many(tensors, tol: float = DEFAULT_TOL
     res = morphism_residual_many(isos, c, _build_tensors(i, j, a, b))
     bound = max(tol, 1e-8) * (np.abs(isos).max(axis=(1, 2))
                               * np.abs(c).max(axis=(1, 2, 3)))
-    _fail_at(res > bound, NonConvergence,
-             lambda k: f"normal-form isomorphism residual {res[k]:.3e} "
-                       f"exceeds {bound[k]:.1e}")
+    fail_at(res > bound, NonConvergence,
+            lambda k: f"normal-form isomorphism residual {res[k]:.3e} "
+                      f"exceeds {bound[k]:.1e} at stack index {k}")
     return forms, isos, res

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateSign, SingularInput
+from .errors import DegenerateSign, SingularInput, fail_at
 
 DEFAULT_TOL = 1e-9
 
@@ -42,12 +42,9 @@ def sign_det(m, tol: float = DEFAULT_TOL) -> int:
 def sign_det_many(ms: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Vectorized sign_det over a stack of matrices (batch, n, n)."""
     d = np.linalg.det(ms)
-    small = np.abs(d) <= tol
-    if np.any(small):
-        i = int(np.argmax(small))
-        raise DegenerateSign(
-            f"|det| = {abs(d[i]):.3e} <= tol = {tol:.3e} at batch index {i}"
-        )
+    fail_at(np.abs(d) <= tol, DegenerateSign,
+            lambda i: f"|det| = {abs(d[i]):.3e} <= tol = {tol:.3e} at batch "
+                      f"index {i}")
     return np.where(d > 0, 1, -1).astype(int)
 
 
@@ -70,13 +67,11 @@ def polar_decompose(m, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """
     a = _as_square(m, 3) if np.ndim(m) == 3 else as_matrix(m)
     u, s, vt = np.linalg.svd(a)
-    singular = s[..., -1] <= tol * np.maximum(s[..., 0], 1.0)
-    if np.any(singular):
-        i = int(np.argmax(singular))
-        bad = s.reshape(-1, s.shape[-1])[i]
-        where = f" at stack index {i}" if a.ndim == 3 else ""
-        raise SingularInput(f"singular values span {bad[0]:.3e}.."
-                            f"{bad[-1]:.3e}{where}")
+    rows = s.reshape(-1, s.shape[-1])
+    fail_at(s[..., -1] <= tol * np.maximum(s[..., 0], 1.0), SingularInput,
+            lambda i: f"singular values span {rows[i, 0]:.3e}.."
+                      f"{rows[i, -1]:.3e}"
+                      + (f" at stack index {i}" if a.ndim == 3 else ""))
     p = (u * s[..., None, :]) @ u.swapaxes(-1, -2)
     o = u @ vt
     return 0.5 * (p + p.swapaxes(-1, -2)), o

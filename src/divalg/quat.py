@@ -5,11 +5,12 @@ scalars and C, D symmetric positive definite of determinant 1 classify
 the isotopes of H.  The group H*/R* acts through the conjugations
 K_s = L_s R_{s^-1}; for each sign pair (alpha, beta) a functor sends an
 object to an isotope of H built from the four-row operator table (with
-kappa the conjugation of H, computed from its canonical decoration) and
-sends [s] to K_s.  quat_normal_form inverts the object map: it reduces
-an arbitrary invertible pair (S, T) to such an object together with a
-verified isomorphism, via the polar decomposition, the isoclinic
-splitting of SO(4), and associativity rewrites of the isotope tensor.
+kappa the conjugation of H, diag(1, -1, -1, -1), the reflection of its
+canonical decoration (H, R1, Im H)) and sends [s] to K_s.
+quat_normal_form inverts the object map: it reduces an arbitrary
+invertible pair (S, T) to such an object together with a verified
+isomorphism, via the polar decomposition, the isoclinic splitting of
+SO(4), and associativity rewrites of the isotope tensor.
 """
 
 from __future__ import annotations
@@ -29,13 +30,12 @@ from .core import (
     morphism_residual_many,
     right_mult_many,
 )
-from .decorated import kappa
-from .equadratic import functor_g
 from .errors import (
     FactorizationFailed,
     NonConvergence,
     NotSpecialOrthogonal,
     ZeroQuaternion,
+    fail_at,
 )
 from .matkit import DEFAULT_TOL, _as_square, as_matrix, is_spd1, \
     polar_decompose, squared_norms
@@ -43,10 +43,9 @@ from .matkit import DEFAULT_TOL, _as_square, as_matrix, is_spd1, \
 _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
 
-@lru_cache(maxsize=1)
 def _conj_matrix() -> np.ndarray:
-    """kappa of (H, R1, Im H), derived through the decoration functor."""
-    k = kappa(functor_g(classical("H")))
+    """kappa of (H, R1, Im H): the identity on R1, minus it on Im H."""
+    k = np.diag(_CONJ_SIGNS)
     k.setflags(write=False)
     return k
 
@@ -83,17 +82,10 @@ def qinv(x) -> np.ndarray:
 
 def _qinv_many(x: np.ndarray) -> np.ndarray:
     n2 = squared_norms(x)
-    _refuse_zero(n2, 1e-24, "cannot invert a (numerically) zero quaternion")
+    fail_at(n2 <= 1e-24, ZeroQuaternion,
+            lambda i: "cannot invert a (numerically) zero quaternion at "
+                      f"stack index {i}")
     return qconj(x) / n2[:, None]
-
-
-def _refuse_zero(norms: np.ndarray, floor: float, what: str) -> None:
-    """ZeroQuaternion naming the stack index of the first member with
-    norm at most floor.  A list scan: the cheapest test on the one or
-    two rows that most calls pass."""
-    for i, v in enumerate(norms.tolist()):
-        if v <= floor:
-            raise ZeroQuaternion(f"{what} at stack index {i}")
 
 
 def _quaternion_stack(qs) -> np.ndarray:
@@ -123,7 +115,9 @@ def _rep_many(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Representatives of the rows of q and the signs (+1.0 or -1.0)
     applied after normalizing."""
     n = np.sqrt(squared_norms(q))
-    _refuse_zero(n, 1e-12, "zero quaternion has no coset representative")
+    fail_at(n <= 1e-12, ZeroQuaternion,
+            lambda i: "zero quaternion has no coset representative at "
+                      f"stack index {i}")
     q = q / n[:, None]
     # a unit row has an entry above 1e-12 in magnitude; flip the rows
     # whose first such entry is negative
@@ -276,13 +270,19 @@ def so4_factor(o, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     if o.shape[1:] != (4, 4):
         raise ValueError("so4_factor expects a 4x4 matrix or a (B, 4, 4) "
                          "stack")
-    gate = max(tol, 1e-9)
     drift = np.abs(o.swapaxes(1, 2) @ o - np.eye(4)).max(axis=(1, 2))
-    for i, (e, d) in enumerate(zip(drift.tolist(),
-                                   np.linalg.det(o).tolist())):
-        if e > gate or d < 0.0:
-            raise NotSpecialOrthogonal(f"input at stack index {i} is not "
-                                       "in SO(4) at tolerance")
+    fail_at((drift > max(tol, 1e-9)) | (np.linalg.det(o) < 0.0),
+            NotSpecialOrthogonal,
+            lambda i: f"input at stack index {i} is not in SO(4) at "
+                      "tolerance")
+    a, b = _so4_split(o, tol)
+    return (a, b) if stacked else (a[0], b[0])
+
+
+def _so4_split(o: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """so4_factor of a (B, 4, 4) stack that is in SO(4) by construction:
+    the split and its reconstruction check, without the input test."""
+    gate = max(tol, 1e-9)
     # basis @ column, as one matrix-vector product per member: a
     # matrix-matrix product would sum the four terms in another order
     coeff = (_isoclinic_basis() @ o.reshape(-1, 16, 1)).reshape(-1, 4, 4)
@@ -294,11 +294,10 @@ def so4_factor(o, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     h = classical("H")
     res = np.sqrt(squared_norms(left_mult_many(h, a) @ right_mult_many(h, b)
                                - o))
-    for i, r in enumerate(res.tolist()):
-        if r > gate:
-            raise FactorizationFailed(f"isoclinic residual {r:.3e} > "
-                                      f"{gate:.1e} at stack index {i}")
-    return (a, b) if stacked else (a[0], b[0])
+    fail_at(res > gate, FactorizationFailed,
+            lambda i: f"isoclinic residual {res[i]:.3e} > {gate:.1e} at "
+                      f"stack index {i}")
+    return a, b
 
 
 def _split_quaternions(ms: np.ndarray, flips, tol: float):
@@ -307,7 +306,8 @@ def _split_quaternions(ms: np.ndarray, flips, tol: float):
     _, o = polar_decompose(ms)
     o = np.where(np.asarray(flips, bool)[:, None, None],
                  o @ _conj_matrix(), o)
-    return so4_factor(o, tol)
+    # polar factors, times kappa where det < 0: in SO(4) by construction
+    return _so4_split(o, tol)
 
 
 def _extract(ms: np.ndarray, left: np.ndarray, tol: float):
@@ -322,19 +322,17 @@ def _extract(ms: np.ndarray, left: np.ndarray, tol: float):
     """
     h = classical("H")
     ps, o = polar_decompose(ms)
-    aa, bb = so4_factor(o, tol)
+    aa, bb = _so4_split(o, tol)
     trivial = np.where(left[:, None], bb, aa)
     kept = np.where(left[:, None], aa, bb)
     sign = np.where(trivial[:, 0] >= 0, 1.0, -1.0)
     off = trivial.copy()
     off[:, 0] -= sign
     half = len(ms) // 2
-    for k, r in enumerate(np.sqrt(squared_norms(off)).tolist()):
-        if r > 1e-6:
-            raise NonConvergence(
-                f"{'right' if left[k] else 'left'} factor "
-                f"{np.round(trivial[k], 6)} of {'ST'[k // half]}[{k % half}] "
-                "did not reduce to a real scalar")
+    fail_at(np.sqrt(squared_norms(off)) > 1e-6, NonConvergence,
+            lambda k: f"{'right' if left[k] else 'left'} factor "
+                      f"{np.round(trivial[k], 6)} of {'ST'[k // half]}"
+                      f"[{k % half}] did not reduce to a real scalar")
     g = sign[:, None] * kept
     op = np.where(left[:, None, None], left_mult_many(h, g),
                   right_mult_many(h, g))
@@ -449,10 +447,8 @@ def quat_normal_form_many(s_ops, t_ops, tol: float = DEFAULT_TOL):
             ab[:n][g], ab[n:][g], cd[:n][g], cd[n:][g])
     res = morphism_residual_many(iso, src, target)
     gate = max(tol, 1e-8)
-    for k, r in enumerate(res.tolist()):
-        if r > gate:
-            raise NonConvergence(
-                f"normal-form isomorphism residual {r:.3e} exceeds "
-                f"{gate:.1e} at block ({alphas[k]:+d},{betas[k]:+d}) at "
-                f"stack index {k}")
+    fail_at(res > gate, NonConvergence,
+            lambda k: f"normal-form isomorphism residual {res[k]:.3e} "
+                      f"exceeds {gate:.1e} at block ({alphas[k]:+d},"
+                      f"{betas[k]:+d}) at stack index {k}")
     return alphas, betas, xs, iso, res

@@ -139,11 +139,15 @@ def _each_or_replayed(stacked, items):
         return (next(iter(stacked([x]))) for x in items)
 
 
-def _by_dimension(stacked, items, dims):
+def _by_dimension(stacked, items, dims=None):
     """The per-item results of ``stacked`` in item order, each stack it
     is given holding at most CHUNK items of one dimension (the decorated
-    corpus alternates H and O); _each_or_replayed replays a stack that
-    raises, so a failure surfaces at the item a loop would reach it."""
+    corpus alternates H and O; dims None puts all items in one group);
+    _each_or_replayed replays a stack that raises, so a failure surfaces
+    at the item a loop would reach it.  Stacks run as results are read,
+    so a check that stops early runs no further stack."""
+    if dims is None:
+        dims = [0] * len(items)
     runs = {}
     for n in dict.fromkeys(dims):
         group = [x for x, d in zip(items, dims) if d == n]
@@ -687,15 +691,13 @@ def _chk_dim2_roundtrip(ctx: Ctx, rng):
         return zip(forms, res)
 
     worst = 0.0
-    for lo in range(0, len(drawn), CHUNK):
-        chunk = drawn[lo:lo + CHUNK]
-        reduced = _each_or_replayed(stacked, chunk)
-        for count, (nf, (nf2, res)) in enumerate(zip(chunk, reduced), lo):
-            if (nf2.i, nf2.j) != (nf.i, nf.j):
-                return False, 1.0, count, "block changed in the round trip"
-            if not hom2d(nf2, nf, ctx.tol):
-                return False, 1.0, count, "reduced form left the orbit"
-            worst = max(worst, float(res))
+    for count, (nf, (nf2, res)) in enumerate(
+            zip(drawn, _by_dimension(stacked, drawn))):
+        if (nf2.i, nf2.j) != (nf.i, nf.j):
+            return False, 1.0, count, "block changed in the round trip"
+        if not hom2d(nf2, nf, ctx.tol):
+            return False, 1.0, count, "reduced form left the orbit"
+        worst = max(worst, float(res))
     return worst <= 1e-8, worst, len(drawn), ""
 
 
@@ -713,13 +715,10 @@ def _chk_dim2_density(ctx: Ctx, rng):
         return zip(forms, res, (SignPair(*s) for s in signs.tolist()))
 
     worst = 0.0
-    for lo in range(0, len(drawn), CHUNK):
-        chunk = drawn[lo:lo + CHUNK]
-        reduced = _each_or_replayed(stacked, chunk)
-        for count, (nf, res, sign) in enumerate(reduced, lo):
-            if nf.block != sign:
-                return False, 1.0, count, "block disagrees with the sign pair"
-            worst = max(worst, float(res))
+    for count, (nf, res, sign) in enumerate(_by_dimension(stacked, drawn)):
+        if nf.block != sign:
+            return False, 1.0, count, "block disagrees with the sign pair"
+        worst = max(worst, float(res))
     return worst <= 1e-8, worst, len(drawn), ""
 
 
@@ -880,13 +879,11 @@ def _chk_quat_nf(ctx: Ctx, rng):
 
     pairs = list(zip(ops[0::2], ops[1::2]))
     worst = 0.0
-    for lo in range(0, len(pairs), CHUNK):
-        reduced = _each_or_replayed(stacked, pairs[lo:lo + CHUNK])
-        for count, (alpha, beta, res, sign_t, sign_s) in enumerate(reduced,
-                                                                    lo):
-            if (alpha, beta) != (sign_t, sign_s):
-                return False, 1.0, count, "block disagrees with determinants"
-            worst = max(worst, res)
+    for count, (alpha, beta, res, sign_t, sign_s) in enumerate(
+            _by_dimension(stacked, pairs)):
+        if (alpha, beta) != (sign_t, sign_s):
+            return False, 1.0, count, "block disagrees with determinants"
+        worst = max(worst, res)
     return worst <= 1e-8, worst, len(pairs), ""
 
 

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from divalg.core import classical, isotope, left_mult, morphism_residual, \
     right_mult, sign_pair
 from divalg import quat
-from divalg.errors import NonConvergence, NotSpecialOrthogonal, \
-    SingularOperator, ZeroQuaternion
+from divalg.decorated import kappa
+from divalg.equadratic import functor_g
+from divalg.errors import FactorizationFailed, NonConvergence, \
+    NotSpecialOrthogonal, SingularOperator, ZeroQuaternion
 from divalg.matkit import random_rotation, sign_det
 from divalg.quat import ZObject, _isoclinic_basis, functor_h, k_map, \
     qconj, qinv, qmul, quat_normal_form, quat_normal_form_many, \
@@ -174,6 +176,28 @@ def test_so4_factor_rejects_non_rotation():
         so4_factor(2.0 * np.eye(4))
 
 
+def test_so4_split_names_the_member_that_does_not_split():
+    # the split trusts its input; a reflection slipped into the stack
+    # has no x -> a x b form, so the reconstruction gate catches it
+    o = np.stack([random_rotation(4, seed) for seed in range(4)])
+    o[2] = np.diag([1.0, 1.0, 1.0, -1.0])
+    with pytest.raises(FactorizationFailed, match=r"at stack index 2$"):
+        quat._so4_split(o, 1e-9)
+    a, b = quat._so4_split(o[:2], 1e-9)
+    assert np.array_equal(a, so4_factor(o[:2])[0])
+    assert np.array_equal(b, so4_factor(o[:2])[1])
+
+
+def test_conj_matrix_is_the_reflection_of_the_canonical_decoration():
+    # the closed form diag(1, -1, -1, -1) is kappa of (H, R1, Im H), bit
+    # for bit, down to the signs of its zeros
+    derived = kappa(functor_g(classical("H")))
+    closed = quat._conj_matrix()
+    assert np.array_equal(closed, derived)
+    assert np.array_equal(np.signbit(closed), np.signbit(derived))
+    assert not closed.flags.writeable
+
+
 def test_normal_form_identity_pair(H):
     alpha, beta, x, iso = quat_normal_form(np.eye(4), np.eye(4))
     assert (alpha, beta) == (1, 1)
@@ -259,7 +283,7 @@ def test_normal_form_stack_names_the_pair_that_did_not_converge(
     monkeypatch.undo()
     # a one-sided factor the moves did not clear: the extraction (the
     # second isoclinic split) finds a quaternion factor left on T[1]
-    real_split, splits = quat.so4_factor, []
+    real_split, splits = quat._so4_split, []
 
     def spoiled(o, tol):
         a, b = real_split(o, tol)
@@ -269,7 +293,7 @@ def test_normal_form_stack_names_the_pair_that_did_not_converge(
             a[5 + 1] = b[5 + 1] = [0.6, 0.8, 0.0, 0.0]
         return a, b
 
-    monkeypatch.setattr(quat, "so4_factor", spoiled)
+    monkeypatch.setattr(quat, "_so4_split", spoiled)
     with pytest.raises(NonConvergence,
                        match=r"factor .* of T\[1\] did not reduce"):
         quat_normal_form_many(s, t)

@@ -19,7 +19,7 @@ from divalg.core import Algebra, classical, isotope, isotope_many, \
 from divalg.dim2 import build2d, hom2d, normal_form_2d
 from divalg.errors import DegenerateSign, DivalgError, NonConvergence, \
     NotSpecialOrthogonal, SignInconsistent, SingularInput, \
-    SingularOperator, ZeroQuaternion
+    SingularOperator, ZeroQuaternion, fail_at
 from divalg.decorated import forget, functor_i, functor_i_many, kappa
 from divalg.matkit import polar_decompose, random_invertible, \
     random_invertible_many, random_rotation, sign_det
@@ -712,3 +712,100 @@ def test_equad_checks_share_one_functor_g_per_corpus_entry(monkeypatch):
     entry2 = verify.Ctx(42, 1e-30, 1000).equad_corpus()[2]
     assert sum(np.array_equal(a.c, entry2.c) for a in calls) == 3
     assert len(calls) == 7
+
+
+def test_fail_at_names_the_first_flagged_member():
+    with pytest.raises(SingularInput, match=r"^member 2$"):
+        fail_at(np.array([False, False, True, True, False, True]),
+                SingularInput, lambda k: f"member {k}")
+    fail_at(np.zeros(5, bool), SingularInput, lambda k: "never")
+    fail_at(np.zeros(0, bool), SingularInput, lambda k: "never")
+
+
+def test_fail_at_counts_a_stacked_mask_flat():
+    # sign_pair_many's mask is indexed [algebra, side, point]; the flat
+    # index it gets back unravels to the first flagged triple
+    bad = np.zeros((3, 2, 5), bool)
+    bad[1, 1, 3] = bad[2, 0, 0] = True
+    got = []
+
+    def message(k):
+        got.append(k)
+        return "flagged"
+
+    with pytest.raises(DegenerateSign):
+        fail_at(bad, DegenerateSign, message)
+    assert np.unravel_index(got[0], bad.shape) == (1, 1, 3)
+    # and sign_pair_many names that triple: in algebra 1, e_0 x = x and
+    # e_1 x = 0, so det L_a = a_0^2 vanishes at point 1 (a = e_1) and
+    # det R_a at every point; side L comes first in flat order
+    c = np.stack([classical("C").c] * 3)
+    c[1] = 0.0
+    c[1, 0] = np.eye(2)
+    with pytest.raises(DegenerateSign, match=r"det L_a\| = 0\.000e\+00 .* on "
+                       "algebra 1 of the stack at sample point 1,"):
+        sign_pair_many(c, samples=3)
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_sampled_dets_are_those_of_the_operator_stacks(n):
+    # is_division's sampled verdict and sign_pair_many read one kernel;
+    # it gives exactly the dets of left_mult_many and right_mult_many
+    rng = np.random.default_rng([45, n])
+    pts = core._sample_points(n, 30, 0)
+    for _ in range(20):
+        alg = random_division(n, rng)
+        d = core._sampled_dets(alg.c[None], pts)
+        assert d.shape == (1, 2, n + 30)
+        assert np.array_equal(d[0, 0], np.linalg.det(
+            core.left_mult_many(alg, pts)))
+        assert np.array_equal(d[0, 1], np.linalg.det(
+            core.right_mult_many(alg, pts)))
+
+
+# the failing checks of suite 42 at the two extreme tolerances, with
+# their sample counts and details, as the report gives them
+FAILURES_AT_TOL = {
+    1e-2: [
+        ("core-sign-constancy", 0, "DegenerateSign: |det| = 7.926e-03 <= "
+         "tol = 1.000e-02 at batch index 7"),
+        ("core-transport-invariance", 0, "DegenerateSign: |det R_a| = "
+         "9.561e-03 <= tol = 1.000e-02 on algebra 15 of the stack at sample "
+         "point 4, a = [-0.829  0.559]"),
+        ("core-isotope-sign-law", 0, "DegenerateSign: |det R_a| = 7.166e-03 "
+         "<= tol = 1.000e-02 on algebra 8 of the stack at sample point 6, "
+         "a = [-0.486 -0.874]"),
+        ("core-unital-blocks", 0, "DegenerateSign: |det L_a| = 6.292e-03 <= "
+         "tol = 1.000e-02 on algebra 0 of the stack at sample point 4, "
+         "a = [-0.829  0.559]"),
+        ("decorated-block-shift", 0, "DegenerateSign: |det R_a| = 4.351e-03 "
+         "<= tol = 1.000e-02 on algebra 0 of the stack at sample point 1, "
+         "a = [0. 1. 0. 0. 0. 0. 0. 0.]"),
+        ("dim2-round-trip", 0, "NotDivision: the exact dimension-2 test "
+         "rejects this algebra at stack index 0"),
+        ("dim2-density", 0, "NotDivision: the exact dimension-2 test "
+         "rejects this algebra at stack index 0"),
+        ("quat-functor-blocks", 0, "DegenerateSign: |det L_a| = 9.559e-03 "
+         "<= tol = 1.000e-02 on algebra 0 of the stack at sample point 4, "
+         "a = [ 0.187 -0.196  0.95   0.156]"),
+    ],
+    1e-30: [
+        ("equad-decomposition", 0, "NotEQuadratic: no central idempotent "
+         "with quadratic squares"),
+        ("equad-uniqueness", 2, "0 idempotents on transport(H)"),
+        ("equad-functor-compat", 0, "NotEQuadratic: no central idempotent "
+         "with quadratic squares"),
+        ("equad-block-structure", 0, "NotEQuadratic: no central idempotent "
+         "with quadratic squares"),
+        ("dim2-separation", 1, "expected 6 automorphisms, got 2"),
+        ("dim2-round-trip", 0, "reduced form left the orbit"),
+    ],
+}
+
+
+@pytest.mark.parametrize("tol", sorted(FAILURES_AT_TOL))
+def test_failing_reports_name_the_same_offenders(tol):
+    report = verify.run_verify(42, tol=tol)
+    assert report.exit_code == 1
+    assert [(r.name, r.samples, r.detail) for r in report.results
+            if not r.passed] == FAILURES_AT_TOL[tol]
