@@ -4,10 +4,10 @@ in dimensions 2 and 4, with a seeded verification suite behind the
 `divalg` command line tool.
 """
 
-from .core import Algebra, SignPair, block_of, classical, commutant, \
-    find_unities, is_division, is_morphism, isotope, isotope_many, \
-    left_mult, morphism_residual, morphism_residual_many, opposite, \
-    right_mult, sign_pair, sign_pair_many, transport, transport_many
+from .core import Algebra, SignPair, classical, commutant, find_unities, \
+    is_division, is_morphism, isotope, isotope_many, left_mult, \
+    morphism_residual, morphism_residual_many, opposite, right_mult, \
+    sign_pair, sign_pair_many, transport, transport_many
 from .decorated import DecoratedAlgebra, decorate, forget, functor_i, \
     functor_i_many, kappa
 from .dim2 import NormalForm2D, automorphisms_2d, build2d, hom2d, \
@@ -28,7 +28,6 @@ __all__ = [
     "DivalgError",
     "Report",
     "automorphisms_2d",
-    "block_of",
     "build2d",
     "central_idempotents",
     "classical",

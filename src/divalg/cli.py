@@ -19,7 +19,6 @@ import numpy as np
 from . import io as io_mod
 from . import samples as smp
 from .core import classical, is_division, isotope, opposite, sign_pair
-from .decorated import forget
 from .dim2 import hom2d, normal_form_2d, normal_form_2d_many
 from .equadratic import functor_g
 from .errors import DivalgError
@@ -189,12 +188,26 @@ def cmd_verify(args) -> int:
     return report.exit_code
 
 
+def _at_least_zero(parse):
+    """The argparse type that parses with ``parse`` and refuses NaN,
+    infinite and negative values: every comparison with a NaN --tol is
+    false, which would switch off the tests it sets."""
+    def checked(text: str):
+        value = parse(text)
+        if not 0 <= value < float("inf"):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and >= 0, got {text!r}")
+        return value
+    checked.__name__ = parse.__name__        # "invalid float value: ..."
+    return checked
+
+
 def _add_common(p, samples=False):
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_at_least_zero(float), default=DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     if samples:
-        p.add_argument("--samples", type=int, default=1000)
+        p.add_argument("--samples", type=_at_least_zero(int), default=1000)
 
 
 def build_parser() -> argparse.ArgumentParser:

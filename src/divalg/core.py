@@ -218,12 +218,6 @@ def _sampled_dets(c: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.concatenate(d, axis=1).reshape(len(c), 2, len(pts))
 
 
-def block_of(alg: Algebra, samples: int = 100, tol: float = DEFAULT_TOL,
-             seed=0) -> str:
-    """Block label '++', '+-', '-+' or '--' from the double sign."""
-    return sign_pair(alg, samples, tol, seed).block
-
-
 def isotope(alg: Algebra, s_op, t_op, tol: float = DEFAULT_TOL) -> Algebra:
     """Isotope with multiplication x o y = (S x)(T y).
 

@@ -39,7 +39,10 @@ def algebra_from_dict(doc: dict) -> Algebra:
     if c.shape != (dim, dim, dim):
         raise ValueError(f"structure shape {c.shape} does not match "
                          f"dim {dim}")
-    return Algebra(c, label="; ".join(str(s) for s in labels))
+    if not (isinstance(labels, list)
+            and all(isinstance(s, str) for s in labels)):
+        raise ValueError(f"labels must be a list of strings, got {labels!r}")
+    return Algebra(c, label="; ".join(labels))
 
 
 def decorated_to_dict(dec: DecoratedAlgebra) -> dict:
@@ -61,13 +64,18 @@ def decorated_from_dict(doc: dict, tol: float = DEFAULT_TOL
 
 
 def normal_form_to_dict(nf) -> dict:
-    return {"i": nf.i, "j": nf.j, "A": nf.a.tolist(), "B": nf.b.tolist()}
+    return {"i": int(nf.i), "j": int(nf.j), "A": nf.a.tolist(),
+            "B": nf.b.tolist()}
 
 
 def normal_form_from_dict(doc: dict):
     from .dim2 import NormalForm2D
     try:
-        return NormalForm2D(int(doc["i"]), int(doc["j"]), doc["A"], doc["B"])
+        i, j = doc["i"], doc["j"]
+        if {type(i), type(j)} != {int}:     # not 1.7 as 1, nor true
+            raise ValueError("exponents i and j must be the integers 0 or 1, "
+                             f"got {i!r}, {j!r}")
+        return NormalForm2D(i, j, doc["A"], doc["B"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not a normal-form document: {exc}") from exc
 

@@ -7,11 +7,16 @@ Checks are independent and deterministic in (seed, tol, samples): each
 one draws from its own seeded stream, so reports with equal settings
 are byte-identical and checks could run in any order (results are
 merged in declaration order regardless).
+
+A failing check reports the first failing item in draw order, whether
+it failed its verdict (residual 1.0, samples its index) or raised
+(residual None, samples 0, the exception as detail); the checks that
+run on stacks get this from one runner, _scan.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 from dataclasses import dataclass
 
@@ -29,9 +34,9 @@ from .dim2 import NormalForm2D, build2d, c2_elements, d3_elements, \
 from .equadratic import central_idempotents, functor_g, idempotent_residual, \
     is_e_quadratic
 from .errors import DivalgError, ZeroMap
-from .matkit import DEFAULT_TOL, gram, polar_decompose, random_invertible, \
-    random_invertible_many, random_rotation, random_spd1, sign_det_many, \
-    squared_norms
+from .matkit import DEFAULT_TOL, gram, near_singular, polar_decompose, \
+    random_invertible, random_invertible_many, random_rotation, random_spd1, \
+    sign_det_many, squared_norms
 from .quat import functor_h, functor_h_many, k_map, k_map_many, \
     quat_normal_form_many, rep_normalize_many, so4_factor, z_action
 
@@ -118,43 +123,40 @@ def _check(name: str, law: str, covers: tuple[str, ...]):
     return deco
 
 
-# Most operators or draws a check hands to one stacked call.  Stacking a
-# whole check at once gains no speed and costs peak memory.
+# Most items a check hands to one stacked call.  Stacking a whole check
+# at once gains no speed and costs peak memory.
 CHUNK = 25
 
 
-def _chunk_sizes(total: int) -> list[int]:
-    """Sizes of the consecutive CHUNK-sized pieces of total items."""
-    return [min(CHUNK, total - lo) for lo in range(0, total, CHUNK)]
+def _scan(stacked, items, keys=None, bound=0.0):
+    """Report a check that runs ``stacked`` on items: stacked(chunk) gives
+    one (residual, detail) per item, detail "" when it passed.  A stack
+    holds at most CHUNK items of one key (keys None: one group) and runs
+    when its first result is read, in item order; a stack that raises is
+    replayed one item at a time.  So the first failing item is the one a
+    loop of single calls meets: a raise propagates, a failed verdict
+    gives (False, 1.0, index, detail).  Otherwise (worst <= bound,
+    worst, len(items), ""), worst the largest residual."""
+    keys = [0] * len(items) if keys is None else keys
 
+    def run(group):
+        for lo in range(0, len(group), CHUNK):
+            chunk = group[lo:lo + CHUNK]
+            try:
+                done = list(stacked(chunk))
+            except (DivalgError, ValueError):
+                done = (next(iter(stacked([x]))) for x in chunk)
+            yield from done
 
-def _each_or_replayed(stacked, items):
-    """The per-item results that ``stacked(items)`` iterates over; when
-    that raises, those of ``stacked`` on one item at a time, produced
-    lazily, so that the first failure surfaces at the item, and with the
-    detail, that a loop of single calls gives."""
-    try:
-        return list(stacked(items))
-    except (DivalgError, ValueError):
-        return (next(iter(stacked([x]))) for x in items)
-
-
-def _by_dimension(stacked, items, dims=None):
-    """The per-item results of ``stacked`` in item order, each stack it
-    is given holding at most CHUNK items of one dimension (the decorated
-    corpus alternates H and O; dims None puts all items in one group);
-    _each_or_replayed replays a stack that raises, so a failure surfaces
-    at the item a loop would reach it.  Stacks run as results are read,
-    so a check that stops early runs no further stack."""
-    if dims is None:
-        dims = [0] * len(items)
-    runs = {}
-    for n in dict.fromkeys(dims):
-        group = [x for x, d in zip(items, dims) if d == n]
-        chunks = [group[lo:lo + CHUNK] for lo in range(0, len(group), CHUNK)]
-        runs[n] = itertools.chain.from_iterable(
-            _each_or_replayed(stacked, chunk) for chunk in chunks)
-    return (next(runs[d]) for d in dims)
+    runs = {key: run([x for x, k in zip(items, keys) if k == key])
+            for key in dict.fromkeys(keys)}
+    worst = 0.0
+    for index, key in enumerate(keys):
+        residual, detail = next(runs[key])
+        if detail:
+            return False, 1.0, index, detail
+        worst = max(worst, residual)
+    return worst <= bound, worst, len(items), ""
 
 
 class Ctx:
@@ -202,16 +204,18 @@ class Ctx:
         "sign det (M N) = sign det M times sign det N for invertible M, N",
         ("matkit:sign-multiplicative",))
 def _chk_sign_mult(ctx: Ctx, rng):
-    count = 0
+    pairs = []
     for n in (2, 4, 8):
         mw = random_invertible_many(n, 200, rng)       # m, w, m, w, ...
-        m, w = mw[0::2], mw[1::2]
-        bad = np.flatnonzero(sign_det_many(m @ w)
-                             != sign_det_many(m) * sign_det_many(w))
-        if bad.size:
-            return False, 1.0, count + int(bad[0]), f"violated at size {n}"
-        count += len(m)
-    return True, 0.0, count, ""
+        pairs += zip(mw[0::2], mw[1::2])
+
+    def stacked(chunk):
+        m, w = np.stack(chunk).swapaxes(0, 1)
+        kept = sign_det_many(m @ w) == sign_det_many(m) * sign_det_many(w)
+        return ((0.0, "" if ok else f"violated at size {len(m[0])}")
+                for ok in kept.tolist())
+
+    return _scan(stacked, pairs, [len(m) for m, _ in pairs])
 
 
 @_check("matkit-polar-roundtrip",
@@ -219,18 +223,18 @@ def _chk_sign_mult(ctx: Ctx, rng):
         "P symmetric positive definite and O orthogonal",
         ("matkit:polar-roundtrip",))
 def _chk_polar(ctx: Ctx, rng):
-    worst = 0.0
-    count = 0
-    per_size = max(1, ctx.samples)
-    for n in (2, 4, 8):
-        for size in _chunk_sizes(per_size):
-            m = random_invertible_many(n, size, rng)
-            p, o = polar_decompose(m)
-            rel = np.sqrt(squared_norms(p @ o - m)) / np.sqrt(squared_norms(m))
-            ortho = np.abs(o.swapaxes(1, 2) @ o - np.eye(n)).max(axis=(1, 2))
-            worst = max(worst, float(rel.max()), float(ortho.max()))
-            count += size
-    return worst <= 1e-10, worst, count, ""
+    ms = [m for n in (2, 4, 8)
+          for m in random_invertible_many(n, max(1, ctx.samples), rng)]
+
+    def stacked(chunk):
+        m = np.stack(chunk)
+        p, o = polar_decompose(m)
+        rel = np.sqrt(squared_norms(p @ o - m)) / np.sqrt(squared_norms(m))
+        ortho = np.abs(o.swapaxes(1, 2) @ o - np.eye(len(m[0]))).max(
+            axis=(1, 2))
+        return ((r, "") for r in np.maximum(rel, ortho).tolist())
+
+    return _scan(stacked, ms, [len(m) for m in ms], bound=1e-10)
 
 
 @_check("matkit-gram-spd",
@@ -274,19 +278,22 @@ def _chk_sign_constancy(ctx: Ctx, rng):
         "the sign pair is unchanged by transport along any invertible map",
         ("core:transport-invariance",))
 def _chk_transport(ctx: Ctx, rng):
-    count = 0
-    for alg in ctx.division_corpus()[:12]:
-        base = sign_pair(alg, samples=8, tol=ctx.tol)
-        for size in _chunk_sizes(100):
-            fs = random_invertible_many(alg.dim, size, rng)
-            got = sign_pair_many(transport_many(alg, fs, ctx.tol), samples=8,
-                                 tol=ctx.tol)
-            changed = np.flatnonzero((got != base).any(axis=1))
-            if changed.size:
-                return False, 1.0, count + int(changed[0]), \
-                    f"changed on {alg.label}"
-            count += len(got)
-    return True, 0.0, count, ""
+    corpus = ctx.division_corpus()[:12]
+    base = functools.cache(
+        lambda a: sign_pair(corpus[a], samples=8, tol=ctx.tol))
+    items = [(a, f) for a, alg in enumerate(corpus)
+             for f in random_invertible_many(alg.dim, 100, rng)]
+
+    def stacked(chunk):
+        a = chunk[0][0]
+        want = base(a)
+        fs = np.stack([f for _, f in chunk])
+        got = sign_pair_many(transport_many(corpus[a], fs, ctx.tol),
+                             samples=8, tol=ctx.tol)
+        return ((0.0, f"changed on {corpus[a].label}" if changed else "")
+                for changed in (got != want).any(axis=1).tolist())
+
+    return _scan(stacked, items, [a for a, _ in items])
 
 
 @_check("core-isotope-sign-law",
@@ -295,26 +302,25 @@ def _chk_transport(ctx: Ctx, rng):
         ("core:isotope-sign-law",))
 def _chk_isotope_law(ctx: Ctx, rng):
     corpus = ctx.division_corpus()[:10]
-    rounds = 500
-    dims = [corpus[k % len(corpus)].dim for k in range(rounds)]
-    ops = [random_invertible_many(n, 2, rng) for n in dims]     # (S, T)
-    first_failure = rounds
-    for a, alg in enumerate(corpus):
-        # draws a, a + len(corpus), ... were made for this algebra
-        s, t = np.stack(ops[a::len(corpus)]).swapaxes(0, 1)
-        ell, r = sign_pair(alg, samples=8, tol=ctx.tol)
-        got = sign_pair_many(isotope_many(alg, s, t, ctx.tol), samples=8,
-                             tol=ctx.tol)
+    base = functools.cache(
+        lambda a: sign_pair(corpus[a], samples=8, tol=ctx.tol))
+    # (algebra index, (S, T)): round k isotopes algebra k mod 10
+    items = [(k % len(corpus),
+              random_invertible_many(corpus[k % len(corpus)].dim, 2, rng))
+             for k in range(500)]
+
+    def stacked(chunk):
+        a = chunk[0][0]
+        s, t = np.stack([st for _, st in chunk]).swapaxes(0, 1)
+        ell, r = base(a)
+        got = sign_pair_many(isotope_many(corpus[a], s, t, ctx.tol),
+                             samples=8, tol=ctx.tol)
         want = np.stack([ell * sign_det_many(t), r * sign_det_many(s)],
                         axis=1)
-        failed = np.flatnonzero((got != want).any(axis=1))
-        if failed.size:
-            first_failure = min(first_failure,
-                                a + len(corpus) * int(failed[0]))
-    if first_failure < rounds:
-        return False, 1.0, first_failure, \
-            f"law failed on {corpus[first_failure % len(corpus)].label}"
-    return True, 0.0, rounds, ""
+        return ((0.0, f"law failed on {corpus[a].label}" if failed else "")
+                for failed in (got != want).any(axis=1).tolist())
+
+    return _scan(stacked, items, [a for a, _ in items])
 
 
 @_check("core-isotope-operators",
@@ -398,7 +404,7 @@ def _chk_morphism_inj(ctx: Ctx, rng):
         other = transport(alg, f)
         if not is_morphism(f, alg, other, max(ctx.tol, 1e-8)):
             return False, 1.0, count, "transport map not accepted"
-        if abs(np.linalg.det(f)) <= ctx.tol:
+        if near_singular(f, ctx.tol):
             return False, 1.0, count, "accepted a singular morphism"
         count += 1
     try:
@@ -437,16 +443,11 @@ def _chk_klein(ctx: Ctx, rng):
                 worst = np.maximum(worst,
                                    np.abs(lhs - rhs).max(axis=(1, 2, 3)))
                 kept &= (lhs_kappa == k).all(axis=(1, 2))
-        return zip(worst.tolist(), kept.tolist())
+        return ((res, "" if ok else "decoration was disturbed")
+                for res, ok in zip(worst.tolist(), kept.tolist()))
 
     corpus = ctx.decorated_corpus()
-    worst = 0.0
-    for count, (res, kept) in enumerate(
-            _by_dimension(stacked, corpus, [x.dim for x in corpus])):
-        if not kept:
-            return False, 1.0, count, "decoration was disturbed"
-        worst = max(worst, res)
-    return worst <= 1e-12, worst, len(corpus), ""
+    return _scan(stacked, corpus, [x.dim for x in corpus], bound=1e-12)
 
 
 @_check("decorated-block-shift",
@@ -458,19 +459,16 @@ def _chk_block_shift(ctx: Ctx, rng):
         base = sign_pair_many(c, samples=8, tol=ctx.tol)
         shifted = [(sign_pair_many(functor_i_many(i, j, c, k)[0], samples=8,
                                    tol=ctx.tol)
-                    != base * ((-1) ** j, (-1) ** i)).any(axis=1).tolist()
+                    != base * ((-1) ** j, (-1) ** i)).any(axis=1)
                    for i, j in _TWISTS]
-        # the first twist, in loop order, that moved the block wrongly
-        return (next((p for p, bad in zip(_TWISTS, col) if bad), None)
-                for col in zip(*shifted))
+        # np.select names the first twist, in loop order, that moved the
+        # block wrongly
+        return ((0.0, d) for d in np.select(
+            shifted, [f"shift failed at ({i},{j})" for i, j in _TWISTS],
+            "").tolist())
 
     corpus = ctx.decorated_corpus()[:52]
-    for count, failed in enumerate(
-            _by_dimension(stacked, corpus, [x.dim for x in corpus])):
-        if failed:
-            i, j = failed
-            return False, 1.0, count, f"shift failed at ({i},{j})"
-    return True, 0.0, len(corpus), ""
+    return _scan(stacked, corpus, [x.dim for x in corpus])
 
 
 @_check("decorated-kappa-commutation",
@@ -498,8 +496,7 @@ def _chk_morph_preserve(ctx: Ctx, rng):
     corpus = ctx.decorated_corpus()[:30]
     triples = []
     for x in corpus:
-        n = x.alg.dim
-        f = random_invertible(n, rng, max_cond=10.0)
+        f = random_invertible(x.dim, rng, max_cond=10.0)
         x2 = decorate(transport(x.alg, f), f @ x.u, f @ x.v)
         triples.append((x, f, x2))
 
@@ -512,10 +509,11 @@ def _chk_morph_preserve(ctx: Ctx, rng):
             np.concatenate([np.stack(fs)] * len(_TWISTS)),
             np.concatenate([functor_i_many(*p, c, k)[0] for p in _TWISTS]),
             np.concatenate([functor_i_many(*p, c2, k2)[0] for p in _TWISTS]))
-        return res.reshape(len(_TWISTS), len(items)).max(axis=0).tolist()
+        return ((r, "") for r in
+                res.reshape(len(_TWISTS), len(items)).max(axis=0).tolist())
 
-    worst = max(_by_dimension(stacked, triples, [x.dim for x in corpus]))
-    return worst <= max(ctx.tol, 1e-8), worst, len(corpus), ""
+    return _scan(stacked, triples, [x.dim for x in corpus],
+                 bound=max(ctx.tol, 1e-8))
 
 
 # ------------------------------------------------------------- equadratic
@@ -531,7 +529,7 @@ def _chk_equad_decomp(ctx: Ctx, rng):
     for k, alg in enumerate(ctx.equad_corpus()):
         x = ctx.equad_decorated(k)
         w = np.hstack([x.u, x.v])
-        if abs(np.linalg.det(w)) <= 1e-6:
+        if near_singular(w, ctx.tol):
             return False, 1.0, count, "degenerate splitting"
         worst = max(worst, idempotent_residual(alg, x.u[:, 0]))
         count += 1
@@ -688,17 +686,15 @@ def _chk_dim2_roundtrip(ctx: Ctx, rng):
     def stacked(nfs):
         forms, _, res = normal_form_2d_many([build2d(nf).c for nf in nfs],
                                             ctx.tol)
-        return zip(forms, res)
+        for nf, nf2, r in zip(nfs, forms, res.tolist()):
+            if (nf2.i, nf2.j) != (nf.i, nf.j):
+                yield r, "block changed in the round trip"
+            elif not hom2d(nf2, nf, ctx.tol):
+                yield r, "reduced form left the orbit"
+            else:
+                yield r, ""
 
-    worst = 0.0
-    for count, (nf, (nf2, res)) in enumerate(
-            zip(drawn, _by_dimension(stacked, drawn))):
-        if (nf2.i, nf2.j) != (nf.i, nf.j):
-            return False, 1.0, count, "block changed in the round trip"
-        if not hom2d(nf2, nf, ctx.tol):
-            return False, 1.0, count, "reduced form left the orbit"
-        worst = max(worst, float(res))
-    return worst <= 1e-8, worst, len(drawn), ""
+    return _scan(stacked, drawn, bound=1e-8)
 
 
 @_check("dim2-density",
@@ -712,14 +708,11 @@ def _chk_dim2_density(ctx: Ctx, rng):
         tensors = np.stack([alg.c for alg in algs])
         forms, _, res = normal_form_2d_many(tensors, ctx.tol)
         signs = sign_pair_many(tensors, samples=8, tol=ctx.tol)
-        return zip(forms, res, (SignPair(*s) for s in signs.tolist()))
+        return ((r, "" if nf.block == SignPair(*sign)
+                 else "block disagrees with the sign pair")
+                for nf, r, sign in zip(forms, res.tolist(), signs.tolist()))
 
-    worst = 0.0
-    for count, (nf, res, sign) in enumerate(_by_dimension(stacked, drawn)):
-        if nf.block != sign:
-            return False, 1.0, count, "block disagrees with the sign pair"
-        worst = max(worst, float(res))
-    return worst <= 1e-8, worst, len(drawn), ""
+    return _scan(stacked, drawn, bound=1e-8)
 
 
 # ------------------------------------------------------------------- quat
@@ -730,18 +723,18 @@ def _chk_dim2_density(ctx: Ctx, rng):
         "object under the (alpha, beta) functor has that sign pair",
         ("quat:functor-blocks",))
 def _chk_quat_blocks(ctx: Ctx, rng):
-    count = 0
-    for alpha in (1, -1):
-        for beta in (1, -1):
-            xs = [smp.random_z_object(rng) for _ in range(50)]
-            got = sign_pair_many(functor_h_many(alpha, beta, xs), samples=8,
-                                 tol=ctx.tol)
-            wrong = np.flatnonzero((got != (alpha, beta)).any(axis=1))
-            if wrong.size:
-                landed = SignPair(*got[wrong[0]]).block
-                return False, 1.0, count + int(wrong[0]), f"landed in {landed}"
-            count += len(xs)
-    return True, 0.0, count, ""
+    items = [((alpha, beta), smp.random_z_object(rng))
+             for alpha in (1, -1) for beta in (1, -1) for _ in range(50)]
+
+    def stacked(chunk):
+        block = chunk[0][0]
+        got = sign_pair_many(functor_h_many(*block, [x for _, x in chunk]),
+                             samples=8, tol=ctx.tol)
+        return ((0.0, "" if tuple(g) == block
+                 else f"landed in {SignPair(*g).block}")
+                for g in got.tolist())
+
+    return _scan(stacked, items, [block for block, _ in items])
 
 
 def _conjugation_residual(rng, draws: int) -> float:
@@ -783,23 +776,17 @@ def _chk_quat_faithful(ctx: Ctx, rng):
     q = q / np.sqrt(squared_norms(q.reshape(2 * n, 4))).reshape(n, 2, 1)
     # nonzero real multiples of s, of both signs, stay in its class
     lam = rng.uniform(0.1, 10.0, size=(n, 1))
-    for lo in range(0, n, CHUNK):
-        bad = _class_failures(q[lo:lo + CHUNK], lam[lo:lo + CHUNK])
-        if bad.any():
-            # the first failure in draw order, as a loop over the draws
-            k = int(np.argmax(bad.any(axis=0)))
-            return False, 1.0, lo + k, \
-                _CLASS_FAILURES[int(np.argmax(bad[:, k]))]
-    return True, 0.0, n, ""
+    return _scan(lambda b: _class_failures(q[b], lam[b]), range(n))
 
 
 _CLASS_FAILURES = ("k_map collided across classes", "k_map split a class",
                    "representatives split a class")
 
 
-def _class_failures(q: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Flags (3, B), one row per message of _CLASS_FAILURES, for B pairs
-    q[b] = (s, t) of unit quaternions and multipliers lam[b] > 0."""
+def _class_failures(q: np.ndarray, lam: np.ndarray):
+    """(0.0, detail) for each of B pairs q[b] = (s, t) of unit quaternions
+    with a multiplier lam[b] > 0: the first of _CLASS_FAILURES the pair
+    shows, "" when none."""
     b = len(q)
     s, t = q[:, 0], q[:, 1]
     mult = np.concatenate([-s, lam * s, -lam * s])
@@ -809,10 +796,11 @@ def _class_failures(q: np.ndarray, lam: np.ndarray) -> np.ndarray:
     def gap(x, y):
         return np.abs(x - y).reshape(b, -1).max(axis=1)
 
-    return np.stack([(gap(k[0], k[1]) <= 1e-6) != (gap(r[0], r[1]) <= 1e-6),
-                     (gap(k[2], k[0]) > 1e-12)
-                     | (np.maximum(gap(k[3], k[0]), gap(k[4], k[0])) > 1e-6),
-                     np.maximum(gap(r[2], r[0]), gap(r[3], r[0])) > 1e-6])
+    bad = [(gap(k[0], k[1]) <= 1e-6) != (gap(r[0], r[1]) <= 1e-6),
+           (gap(k[2], k[0]) > 1e-12)
+           | (np.maximum(gap(k[3], k[0]), gap(k[4], k[0])) > 1e-6),
+           np.maximum(gap(r[2], r[0]), gap(r[3], r[0])) > 1e-6]
+    return ((0.0, d) for d in np.select(bad, _CLASS_FAILURES, "").tolist())
 
 
 @_check("quat-absolute-valued",
@@ -874,17 +862,11 @@ def _chk_quat_nf(ctx: Ctx, rng):
     def stacked(pairs):
         s, t = np.stack(pairs).swapaxes(0, 1)
         alphas, betas, _, _, res = quat_normal_form_many(s, t, ctx.tol)
-        return zip(alphas.tolist(), betas.tolist(), res.tolist(),
-                   sign_det_many(t).tolist(), sign_det_many(s).tolist())
+        agree = (alphas == sign_det_many(t)) & (betas == sign_det_many(s))
+        return ((r, "" if ok else "block disagrees with determinants")
+                for r, ok in zip(res.tolist(), agree.tolist()))
 
-    pairs = list(zip(ops[0::2], ops[1::2]))
-    worst = 0.0
-    for count, (alpha, beta, res, sign_t, sign_s) in enumerate(
-            _by_dimension(stacked, pairs)):
-        if (alpha, beta) != (sign_t, sign_s):
-            return False, 1.0, count, "block disagrees with determinants"
-        worst = max(worst, res)
-    return worst <= 1e-8, worst, len(pairs), ""
+    return _scan(stacked, list(zip(ops[0::2], ops[1::2])), bound=1e-8)
 
 
 @_check("quat-so4-reconstruction",
@@ -893,16 +875,19 @@ def _chk_quat_nf(ctx: Ctx, rng):
         ("quat:so4-reconstruction",))
 def _chk_quat_so4(ctx: Ctx, rng):
     h = classical("H")
-    o = np.stack([random_rotation(4, rng) for _ in range(100)])
-    a, b = so4_factor(o, ctx.tol)
-    res = np.sqrt(squared_norms(left_mult_many(h, a) @ right_mult_many(h, b)
-                                - o))
-    first = a[np.arange(len(a)), (np.abs(a) > 1e-12).argmax(axis=1)]
-    broken = np.flatnonzero(first <= 0)
-    if broken.size:
-        return False, 1.0, int(broken[0]), "representative convention broken"
-    worst = float(res.max())
-    return worst <= 1e-10, worst, len(o), ""
+    rotations = [random_rotation(4, rng) for _ in range(100)]
+
+    def stacked(chunk):
+        o = np.stack(chunk)
+        a, b = so4_factor(o, ctx.tol)
+        res = np.sqrt(squared_norms(left_mult_many(h, a)
+                                    @ right_mult_many(h, b) - o))
+        # the convention: the first nonzero entry of a is positive
+        first = a[np.arange(len(a)), (np.abs(a) > 1e-12).argmax(axis=1)]
+        return ((r, "" if f > 0 else "representative convention broken")
+                for r, f in zip(res.tolist(), first.tolist()))
+
+    return _scan(stacked, rotations, bound=1e-10)
 
 
 # -------------------------------------------------------------------- cli

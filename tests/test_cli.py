@@ -5,9 +5,9 @@ import pytest
 
 from divalg.cli import main
 from divalg.core import Algebra, classical
-from divalg.io import algebra_to_dict, pair_to_dict, write_algebra, \
-    write_json
-from divalg.samples import random_quat_pair
+from divalg.io import algebra_to_dict, normal_form_to_dict, pair_to_dict, \
+    write_algebra, write_json
+from divalg.samples import random_normal_form, random_quat_pair
 
 
 @pytest.fixture
@@ -210,3 +210,43 @@ def test_raising_check_exits_one(capsys, tol, only, raised):
     assert sorted(doc["failures"]) == sorted(only.split(","))
     details = [c["detail"] for c in doc["checks"]]
     assert any(d.startswith(raised + ": ") for d in details)
+
+
+@pytest.mark.parametrize("labels", [None, 7, "abc"])
+def test_labels_that_are_not_a_list_of_strings_are_input_errors(
+        capsys, tmp_path, labels):
+    doc = algebra_to_dict(classical("C"))
+    doc["labels"] = labels
+    path = tmp_path / "labels.json"
+    write_json(doc, path)
+    assert main(["sign-pair", str(path)]) == 2
+    assert "labels must be a list of strings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exponent", [1.7, True])
+def test_exponent_that_is_not_the_integer_0_or_1_is_input_error(
+        capsys, tmp_path, exponent):
+    doc = normal_form_to_dict(random_normal_form(4, block=(1, 0)))
+    doc["i"] = exponent
+    path = tmp_path / "nf.json"
+    write_json(doc, path)
+    assert main(["hom2d", str(path), str(path)]) == 2
+    assert "exponents i and j" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["sign-pair"], ["divcheck"]])
+@pytest.mark.parametrize("option, value", [
+    ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1e-9"),
+    ("--samples", "-1")])
+def test_bad_tolerance_or_sample_count_is_usage_error(
+        capsys, h_file, command, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(command + [h_file, option, value])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+
+
+def test_zero_tolerance_and_sample_count_are_allowed(capsys, h_file):
+    code, out = run(capsys, "sign-pair", h_file, "--tol", "0",
+                    "--samples", "0")
+    assert (code, out.strip()) == (0, "++")

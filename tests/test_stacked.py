@@ -25,8 +25,9 @@ from divalg.matkit import polar_decompose, random_invertible, \
     random_invertible_many, random_rotation, sign_det
 from divalg.quat import functor_h, functor_h_many, k_map, k_map_many, \
     qconj, qinv, qmul, rep_normalize, rep_normalize_many, so4_factor
-from divalg.samples import decorated_corpus, random_2d_division, \
-    random_division, random_normal_form, random_quat_pair, random_z_object
+from divalg.samples import decorated_corpus, division_corpus, \
+    random_2d_division, random_division, random_normal_form, \
+    random_quat_pair, random_unit_quaternion, random_z_object
 
 DIMS = [2, 4, 8]
 STACKS = [1, 3]
@@ -641,9 +642,15 @@ def test_by_dimension_keeps_item_order_across_stacks():
 
     def stacked(xs):
         stacks.append(xs)
-        return xs
+        # item x has residual x and fails from item `first` on
+        return ((float(x), f"item {x}" if x >= first else "") for x in xs)
 
-    assert list(verify._by_dimension(stacked, items, dims)) == items
+    first = len(items)
+    assert verify._scan(stacked, items, dims, bound=len(items) - 1) == \
+        (True, float(len(items) - 1), len(items), "")
+    for first in items:
+        assert verify._scan(stacked, items, dims) == \
+            (False, 1.0, first, f"item {first}")
     assert all(len({dims[x] for x in xs}) == 1 and len(xs) <= verify.CHUNK
                for xs in stacks)
 
@@ -770,11 +777,11 @@ FAILURES_AT_TOL = {
         ("core-sign-constancy", 0, "DegenerateSign: |det| = 7.926e-03 <= "
          "tol = 1.000e-02 at batch index 7"),
         ("core-transport-invariance", 0, "DegenerateSign: |det R_a| = "
-         "9.561e-03 <= tol = 1.000e-02 on algebra 15 of the stack at sample "
+         "9.561e-03 <= tol = 1.000e-02 on algebra 0 of the stack at sample "
          "point 4, a = [-0.829  0.559]"),
-        ("core-isotope-sign-law", 0, "DegenerateSign: |det R_a| = 7.166e-03 "
-         "<= tol = 1.000e-02 on algebra 8 of the stack at sample point 6, "
-         "a = [-0.486 -0.874]"),
+        ("core-isotope-sign-law", 0, "DegenerateSign: |det L_a| = 4.825e-03 "
+         "<= tol = 1.000e-02 on algebra 0 of the stack at sample point 1, "
+         "a = [0. 1.]"),
         ("core-unital-blocks", 0, "DegenerateSign: |det L_a| = 6.292e-03 <= "
          "tol = 1.000e-02 on algebra 0 of the stack at sample point 4, "
          "a = [-0.829  0.559]"),
@@ -809,3 +816,165 @@ def test_failing_reports_name_the_same_offenders(tol):
     assert report.exit_code == 1
     assert [(r.name, r.samples, r.detail) for r in report.results
             if not r.passed] == FAILURES_AT_TOL[tol]
+
+
+# --- the checks moved onto verify._scan, as the loops of single calls
+# they replace; at this sample count the polar and faithfulness checks
+# run one full and one partial stack per group
+SCAN_SAMPLES = verify.CHUNK + 1
+
+
+def sign_mult_loop(rng, tol):
+    count = 0
+    for n in DIMS:
+        for _ in range(100):
+            m, w = random_invertible(n, rng), random_invertible(n, rng)
+            if sign_det(m @ w) != sign_det(m) * sign_det(w):
+                return False, 1.0, count, f"violated at size {n}"
+            count += 1
+    return True, 0.0, count, ""
+
+
+def polar_loop(rng, tol):
+    worst = polar_reference(42, SCAN_SAMPLES)
+    return worst <= 1e-10, worst, 3 * SCAN_SAMPLES, ""
+
+
+def transport_loop(rng, tol):
+    count = 0
+    for alg in division_corpus(54, [42, 100001])[:12]:
+        base = sign_pair(alg, samples=8, tol=tol)
+        for _ in range(100):
+            f = random_invertible(alg.dim, rng)
+            if sign_pair(transport(alg, f, tol), samples=8, tol=tol) != base:
+                return False, 1.0, count, f"changed on {alg.label}"
+            count += 1
+    return True, 0.0, count, ""
+
+
+def isotope_law_loop(rng, tol):
+    corpus = division_corpus(54, [42, 100001])[:10]
+    for k in range(500):
+        alg = corpus[k % len(corpus)]
+        s, t = random_invertible(alg.dim, rng), random_invertible(alg.dim, rng)
+        ell, r = sign_pair(alg, samples=8, tol=tol)
+        got = sign_pair(isotope(alg, s, t, tol), samples=8, tol=tol)
+        if got != (ell * sign_det(t), r * sign_det(s)):
+            return False, 1.0, k, f"law failed on {alg.label}"
+    return True, 0.0, 500, ""
+
+
+def quat_blocks_loop(rng, tol):
+    count = 0
+    for block in BLOCKS:
+        for _ in range(50):
+            got = sign_pair(functor_h(*block, random_z_object(rng)),
+                            samples=8, tol=tol)
+            if got != block:
+                return False, 1.0, count, f"landed in {got.block}"
+            count += 1
+    return True, 0.0, count, ""
+
+
+def gap(x, y):
+    return float(np.max(np.abs(x - y)))
+
+
+def faithful_loop(rng, tol):
+    pairs = [(random_unit_quaternion(rng), random_unit_quaternion(rng))
+             for _ in range(SCAN_SAMPLES)]
+    lams = [rng.uniform(0.1, 10.0) for _ in pairs]
+    for count, ((s, t), lam) in enumerate(zip(pairs, lams)):
+        ks, rs = k_map(s), rep_normalize(s)
+        if (gap(ks, k_map(t)) <= 1e-6) != (gap(rs, rep_normalize(t)) <= 1e-6):
+            return False, 1.0, count, "k_map collided across classes"
+        if gap(k_map(-s), ks) > 1e-12 or max(
+                gap(k_map(lam * s), ks), gap(k_map(-lam * s), ks)) > 1e-6:
+            return False, 1.0, count, "k_map split a class"
+        if max(gap(rep_normalize(lam * s), rs),
+               gap(rep_normalize(-lam * s), rs)) > 1e-6:
+            return False, 1.0, count, "representatives split a class"
+    return True, 0.0, len(pairs), ""
+
+
+def so4_loop(rng, tol):
+    h, worst = classical("H"), 0.0
+    for count in range(100):
+        o = random_rotation(4, rng)
+        a, b = so4_factor(o, tol)
+        if a[np.flatnonzero(np.abs(a) > 1e-12)[0]] <= 0:
+            return False, 1.0, count, "representative convention broken"
+        worst = max(worst, float(np.linalg.norm(
+            left_mult(h, a) @ right_mult(h, b) - o)))
+    return worst <= 1e-10, worst, 100, ""
+
+
+SCAN_LOOPS = {"matkit-sign-multiplicative": sign_mult_loop,
+              "matkit-polar-roundtrip": polar_loop,
+              "core-transport-invariance": transport_loop,
+              "core-isotope-sign-law": isotope_law_loop,
+              "quat-functor-blocks": quat_blocks_loop,
+              "quat-faithfulness": faithful_loop,
+              "quat-so4-reconstruction": so4_loop}
+
+
+def scan_loop(name, tol):
+    """A check moved onto verify._scan as a loop of single calls over its
+    draws, reported as run_verify reports it."""
+    index = next(c.index for c in verify._REGISTRY if c.name == name)
+    try:
+        return SCAN_LOOPS[name](np.random.default_rng([42, index]), tol)
+    except (DivalgError, ValueError) as exc:
+        return False, None, 0, f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-2, 1e-30])
+def test_scanned_checks_report_what_the_loops_report(tol):
+    report = verify.run_verify(42, tol=tol, samples=SCAN_SAMPLES,
+                               names=list(SCAN_LOOPS))
+    for got in report.results:
+        assert (got.passed, got.residual, got.samples, got.detail) == \
+            scan_loop(got.name, tol), got.name
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-2])
+def test_checks_are_independent(tol):
+    # each check draws from its own stream and builds what it shares
+    # through Ctx, so it reports alone what it reports in the full suite
+    full = verify.run_verify(42, tol=tol)
+    for name, want in zip(verify.check_names(), full.results):
+        assert verify.run_verify(42, tol=tol, names=[name]).results == \
+            (want,), name
+
+
+def test_scan_runs_stacks_lazily():
+    stacks = []
+
+    def stacked(xs):
+        stacks.append(xs)
+        return ((0.0, "bad") for _ in xs)
+
+    assert verify._scan(stacked, list(range(60)), [0, 1] * 30) == \
+        (False, 1.0, 0, "bad")
+    assert stacks == [list(range(0, 50, 2))]
+
+
+def test_equad_decomposition_is_scale_free(monkeypatch):
+    # functor_g splits 1e7 H with |det [U | V]| = 1e-7; an absolute
+    # cut-off of 1e-6 called that degenerate
+    big = Algebra(1e7 * classical("H").c, label="1e7 H")
+    monkeypatch.setattr(verify.Ctx, "equad_corpus", lambda self: [big])
+    x = verify.functor_g(big, 1e-9)
+    assert abs(np.linalg.det(np.hstack([x.u, x.v]))) < 1e-6
+    result = run_check("equad-decomposition")
+    assert (result.passed, result.samples, result.detail) == (True, 1, "")
+
+
+def test_morphism_injective_is_scale_free(monkeypatch):
+    # a transport map scaled by 1e-3 is as invertible as the map, though
+    # its determinant is at most 1e-12 of the map's in dimension >= 4
+    real = verify.random_invertible
+    monkeypatch.setattr(verify, "random_invertible",
+                        lambda n, rng: 1e-3 * real(n, rng))
+    result = run_check("core-morphism-injective")
+    assert (result.passed, result.samples, result.detail) == (True, 13, "")
