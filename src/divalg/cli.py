@@ -16,15 +16,12 @@ import sys
 
 import numpy as np
 
+# the modules most commands use; each command imports the rest itself,
+# so a one-shot command in a fresh interpreter loads only what it runs
 from . import io as io_mod
-from . import samples as smp
 from .core import classical, is_division, isotope, opposite, sign_pair
-from .dim2 import hom2d, normal_form_2d, normal_form_2d_many
-from .equadratic import functor_g
 from .errors import DivalgError
 from .matkit import DEFAULT_TOL
-from .quat import quat_normal_form_many
-from .verify import run_verify
 
 
 def _emit(doc: dict, text: str, as_json: bool) -> None:
@@ -44,6 +41,7 @@ def _mat(m) -> str:
 
 def _load_normal_form(path, tol):
     """Normal-form document, or an algebra document reduced on the fly."""
+    from .dim2 import normal_form_2d
     doc = io_mod.read_json(path)
     if "structure" in doc:
         nf, _ = normal_form_2d(io_mod.algebra_from_dict(doc), tol)
@@ -91,6 +89,7 @@ def cmd_divcheck(args) -> int:
 
 
 def cmd_equad(args) -> int:
+    from .equadratic import functor_g
     alg = io_mod.read_algebra(args.file)
     x = functor_g(alg, args.tol)
     block = sign_pair(x.alg, samples=16, tol=args.tol).block
@@ -102,6 +101,7 @@ def cmd_equad(args) -> int:
 
 
 def cmd_classify2d(args) -> int:
+    from .dim2 import normal_form_2d_many
     alg = io_mod.read_algebra(args.file)
     forms, isos, residuals = normal_form_2d_many(alg.c[None], args.tol)
     nf, iso, residual = forms[0], isos[0], float(residuals[0])
@@ -116,6 +116,7 @@ def cmd_classify2d(args) -> int:
 
 
 def cmd_hom2d(args) -> int:
+    from .dim2 import hom2d
     src = _load_normal_form(args.src, args.tol)
     dst = _load_normal_form(args.dst, args.tol)
     homs = hom2d(src, dst, args.tol)
@@ -130,6 +131,7 @@ def cmd_hom2d(args) -> int:
 
 
 def cmd_quat_normal_form(args) -> int:
+    from .quat import quat_normal_form_many
     s, t = io_mod.read_pair(args.pair)
     alphas, betas, xs, isos, res = quat_normal_form_many(s[None], t[None],
                                                          args.tol)
@@ -147,6 +149,7 @@ def cmd_quat_normal_form(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import samples as smp
     kind = args.kind
     if kind == "classical":
         doc = io_mod.algebra_to_dict(classical(args.name))
@@ -168,6 +171,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_verify
     names = args.only.split(",") if args.only else None
     report = run_verify(seed=args.seed, tol=args.tol, samples=args.samples,
                         names=names, command="verify")

@@ -99,6 +99,16 @@ def d3_elements() -> list[GroupElement2D]:
     return list(_GROUPS["D3"][1])
 
 
+def _exponents(i, j) -> tuple[int, int]:
+    """Exponents i and j as Python ints; each must be the integer 0 or 1,
+    not 1.0 or True taken for 1."""
+    if not all(isinstance(e, (int, np.integer)) and not isinstance(e, bool)
+               and e in (0, 1) for e in (i, j)):
+        raise ValueError("exponents i and j must be the integers 0 or 1, "
+                         f"got {i!r}, {j!r}")
+    return int(i), int(j)
+
+
 @dataclass(frozen=True, eq=False)
 class NormalForm2D(_Frozen):
     """Exponents (i, j) plus the SPD determinant-1 pair (a, b)."""
@@ -109,13 +119,12 @@ class NormalForm2D(_Frozen):
     b: np.ndarray
 
     def __post_init__(self):
-        if self.i not in (0, 1) or self.j not in (0, 1):
-            raise ValueError("exponents must be 0 or 1")
+        i, j = _exponents(self.i, self.j)
         ab = [np.asarray(m, dtype=float).copy() for m in (self.a, self.b)]
         for name, m in zip("ab", ab):
             if m.shape != (2, 2) or not is_spd1(m, 1e-7):
                 raise ValueError(f"{name} must be 2x2 SPD with determinant 1")
-        self._freeze(a=ab[0], b=ab[1])
+        self._freeze(i=i, j=j, a=ab[0], b=ab[1])
 
     @property
     def block(self) -> SignPair:

@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import Algebra
-from .decorated import DecoratedAlgebra, decorate
 from .matkit import DEFAULT_TOL
+
+if TYPE_CHECKING:
+    from .decorated import DecoratedAlgebra
 
 
 def algebra_to_dict(alg: Algebra) -> dict:
@@ -54,6 +57,7 @@ def decorated_to_dict(dec: DecoratedAlgebra) -> dict:
 
 def decorated_from_dict(doc: dict, tol: float = DEFAULT_TOL
                         ) -> DecoratedAlgebra:
+    from .decorated import decorate
     alg = algebra_from_dict(doc)
     try:
         u = np.asarray(doc["U"], dtype=float).T
@@ -64,18 +68,13 @@ def decorated_from_dict(doc: dict, tol: float = DEFAULT_TOL
 
 
 def normal_form_to_dict(nf) -> dict:
-    return {"i": int(nf.i), "j": int(nf.j), "A": nf.a.tolist(),
-            "B": nf.b.tolist()}
+    return {"i": nf.i, "j": nf.j, "A": nf.a.tolist(), "B": nf.b.tolist()}
 
 
 def normal_form_from_dict(doc: dict):
     from .dim2 import NormalForm2D
     try:
-        i, j = doc["i"], doc["j"]
-        if {type(i), type(j)} != {int}:     # not 1.7 as 1, nor true
-            raise ValueError("exponents i and j must be the integers 0 or 1, "
-                             f"got {i!r}, {j!r}")
-        return NormalForm2D(i, j, doc["A"], doc["B"])
+        return NormalForm2D(doc["i"], doc["j"], doc["A"], doc["B"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not a normal-form document: {exc}") from exc
 

@@ -11,7 +11,7 @@ import numpy as np
 from .core import Algebra, classical, is_division, isotope, left_mult, \
     right_mult, transport
 from .decorated import DecoratedAlgebra, decorate, kappa
-from .dim2 import NormalForm2D
+from .dim2 import NormalForm2D, _exponents
 from .equadratic import functor_g
 from .errors import NotDivision
 from .matkit import random_invertible, random_rotation, random_spd1
@@ -158,8 +158,7 @@ def random_normal_form(seed=0, block=None) -> NormalForm2D:
     if block is None:
         block = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
     i, j = block
-    if i not in (0, 1) or j not in (0, 1):
-        raise ValueError("exponents must be 0 or 1")
+    i, j = _exponents(i, j)
     # random_spd1 draws are SPD with determinant 1 by construction
     return NormalForm2D._trusted(i=i, j=j, a=random_spd1(2, rng),
                                  b=random_spd1(2, rng))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,9 +135,9 @@ def _scan(stacked, items, keys=None, bound=0.0):
     holds at most CHUNK items of one key (keys None: one group) and runs
     when its first result is read, in item order; a stack that raises is
     replayed one item at a time.  So the first failing item is the one a
-    loop of single calls meets: a raise propagates, a failed verdict
-    gives (False, 1.0, index, detail).  Otherwise (worst <= bound,
-    worst, len(items), ""), worst the largest residual."""
+    loop of single calls meets: a raise propagates, a failed verdict or
+    a NaN residual gives (False, 1.0, index, detail).  Otherwise
+    (worst <= bound, worst, len(items), ""), worst the largest residual."""
     keys = [0] * len(items) if keys is None else keys
 
     def run(group):
@@ -153,6 +154,8 @@ def _scan(stacked, items, keys=None, bound=0.0):
     worst = 0.0
     for index, key in enumerate(keys):
         residual, detail = next(runs[key])
+        if not detail and math.isnan(residual):   # max() would drop it
+            detail = "residual is NaN"
         if detail:
             return False, 1.0, index, detail
         worst = max(worst, residual)

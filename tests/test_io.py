@@ -5,7 +5,6 @@ import pytest
 
 from divalg.core import classical
 from divalg.decorated import random_decorated
-from divalg.dim2 import NormalForm2D
 from divalg.io import algebra_from_dict, algebra_to_dict, \
     decorated_from_dict, decorated_to_dict, normal_form_from_dict, \
     normal_form_to_dict, pair_from_dict, pair_to_dict, read_algebra, \
@@ -80,16 +79,6 @@ def test_normal_form_round_trip():
     back = normal_form_from_dict(doc)
     assert (back.i, back.j) == (nf.i, nf.j)
     assert np.array_equal(back.a, nf.a) and np.array_equal(back.b, nf.b)
-
-
-def test_normal_form_written_with_float_exponents_reads_back():
-    # the public constructor takes 1.0 and True as exponents; the writer
-    # emits the integers the reader requires
-    for i, j in ((1.0, 0), (True, False)):
-        nf = NormalForm2D(i, j, np.eye(2), np.eye(2))
-        doc = json.loads(json.dumps(normal_form_to_dict(nf)))
-        assert (doc["i"], doc["j"]) == (1, 0)
-        assert normal_form_from_dict(doc).block == nf.block
 
 
 def test_read_json_rejects_garbage(tmp_path):

@@ -959,6 +959,15 @@ def test_scan_runs_stacks_lazily():
     assert stacks == [list(range(0, 50, 2))]
 
 
+def test_scan_fails_a_nan_residual():
+    # max(0.0, nan) is 0.0: folded into the worst residual, a NaN passed
+    assert verify._scan(lambda xs: ((float("nan"), "") for x in xs), [1, 2],
+                        bound=1e-8) == (False, 1.0, 0, "residual is NaN")
+    assert verify._scan(lambda xs: ((float("nan") if x else 0.0, "")
+                                    for x in xs), [0, 1]) == \
+        (False, 1.0, 1, "residual is NaN")
+
+
 def test_equad_decomposition_is_scale_free(monkeypatch):
     # functor_g splits 1e7 H with |det [U | V]| = 1e-7; an absolute
     # cut-off of 1e-6 called that degenerate

@@ -91,6 +91,7 @@ def test_dim2_producers_match_the_public_constructor(seed):
     forms.append(normal_form_2d(Algebra(tensors[0]))[0])
     forms.append(random_normal_form(rng))
     forms.append(random_normal_form(rng, block=(1, 1)))
+    forms.append(random_normal_form(rng, block=(np.int64(1), 0)))
     for nf in forms:
         assert_same(nf, rebuilt(nf))
         assert_same(build2d(nf), rebuilt(build2d(nf)))
@@ -166,17 +167,23 @@ def test_public_constructors_copy_their_inputs():
     lambda: Algebra(np.zeros((2, 2, 3))),
     lambda: Algebra(np.zeros((3, 3, 3))),
     lambda: NormalForm2D(2, 0, np.eye(2), np.eye(2)),
+    lambda: NormalForm2D(1.0, 0, np.eye(2), np.eye(2)),
+    lambda: NormalForm2D(0, True, np.eye(2), np.eye(2)),
+    lambda: NormalForm2D(np.float64(1), 0, np.eye(2), np.eye(2)),
     lambda: NormalForm2D(0, 0, np.diag([-1.0, -1.0]), np.eye(2)),
     lambda: ZObject(np.eye(4)[0], np.eye(4)[1],
                     np.diag([-1.0, -1.0, 1.0, 1.0]), np.eye(4)),
     lambda: ZObject(np.ones(3), np.ones(3), np.eye(4), np.eye(4)),
     lambda: GroupElement2D(np.eye(2), "C3"),
     lambda: random_normal_form(0, block=(2, 0)),
+    lambda: random_normal_form(0, block=(True, 0)),
     lambda: k_map(np.ones(3)),
     lambda: normal_form_2d(classical("H")),
 ], ids=["non-finite", "non-cubic", "dimension-3", "exponent-2",
+        "exponent-float", "exponent-bool", "exponent-numpy-float",
         "non-spd-a", "non-spd-c", "non-quaternion", "group",
-        "sample-exponent", "k-map-shape", "normal-form-dimension"])
+        "sample-exponent", "sample-exponent-bool", "k-map-shape",
+        "normal-form-dimension"])
 def test_public_boundaries_reject_bad_input(make):
     with pytest.raises(ValueError):
         make()
