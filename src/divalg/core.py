@@ -26,7 +26,7 @@ from .errors import (
     ZeroMap,
     fail_at,
 )
-from .matkit import DEFAULT_TOL, near_singular
+from .matkit import DEFAULT_TOL, det_many, near_singular
 
 _ALLOWED_DIMS = (1, 2, 4, 8)
 
@@ -179,8 +179,10 @@ def sign_pair_many(tensors, samples: int = 100, tol: float = DEFAULT_TOL,
     at the same points as sign_pair(..., samples, tol, seed).  Raises
     ValueError when the stack has another shape or a non-finite entry,
     DimensionOne when n = 1, DegenerateSign naming the algebra (its
-    index in the stack) and the sample point of the first |det| <= tol,
-    and SignInconsistent naming the first algebra whose signs vary.
+    index in the stack) and the sample point of the first |det| <= tol
+    (or determinant that is not a number), and SignInconsistent naming
+    the first algebra whose signs vary.  A negative ``samples`` is a
+    ValueError.
     """
     c = np.asarray(tensors, dtype=float)
     if c.ndim != 4 or len(set(c.shape[1:])) != 1:
@@ -191,6 +193,7 @@ def sign_pair_many(tensors, samples: int = 100, tol: float = DEFAULT_TOL,
     n = c.shape[-1]
     if n == 1:
         raise DimensionOne("the double sign needs dimension at least 2")
+    _check_samples(samples)
     pts = _sample_points(n, samples, seed)
     d = _sampled_dets(c, pts)                                # [b, side, point]
 
@@ -200,7 +203,7 @@ def sign_pair_many(tensors, samples: int = 100, tol: float = DEFAULT_TOL,
                 f"{tol:.3e} on algebra {b} of the stack at sample point {p}, "
                 f"a = {np.array2string(pts[p], precision=3)}")
 
-    fail_at(np.abs(d) <= tol, DegenerateSign, degenerate)
+    fail_at(~(np.abs(d) > tol), DegenerateSign, degenerate)
     # a sign is constant when all or none of the points have det > 0
     positive = (d > 0).sum(axis=2)                           # [b, side]
     fail_at(positive % len(pts) != 0, SignInconsistent,
@@ -209,13 +212,18 @@ def sign_pair_many(tensors, samples: int = 100, tol: float = DEFAULT_TOL,
     return np.where(positive > 0, 1, -1)
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
+
+
 def _sampled_dets(c: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """det L_a and det R_a of each tensor of a stack (B, n, n, n) at each
     point a of pts (P, n), indexed [b, side, point], L before R."""
     # det R_a as det L_a of the opposite algebra; one side at a time
     # keeps the peak memory of a large stack to one side's
-    d = [np.linalg.det(_left_stack(m, pts)) for m in (c, c.swapaxes(1, 2))]
-    return np.concatenate(d, axis=1).reshape(len(c), 2, len(pts))
+    return np.stack([det_many(_left_stack(m, pts))
+                     for m in (c, c.swapaxes(1, 2))], axis=1)
 
 
 def isotope(alg: Algebra, s_op, t_op, tol: float = DEFAULT_TOL) -> Algebra:
@@ -384,7 +392,9 @@ def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
     ``samples`` seeded random unit vectors, the same points as
     sign_pair (shared read-only for an int seed, drawn afresh for a
     Generator); a near-zero value gives 'not_division', otherwise
-    'probably_division' ('division' for dimension 1).
+    'probably_division' ('division' for dimension 1).  A determinant
+    that is not a number counts as near zero.  A negative ``samples`` is
+    a ValueError.
     """
     if mode == "exact2d":
         if alg.dim != 2:
@@ -393,12 +403,13 @@ def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
             else "not_division"
     if mode != "sampled":
         raise ModeMismatch(f"unknown mode {mode!r}")
+    _check_samples(samples)
     if alg.dim == 1:
         return "division" if abs(alg.c[0, 0, 0]) > tol else "not_division"
     d = _sampled_dets(alg.c[None], _sample_points(alg.dim, samples, seed))
-    if np.abs(d).min() <= tol:
-        return "not_division"
-    return "probably_division"
+    if (np.abs(d) > tol).all():
+        return "probably_division"
+    return "not_division"
 
 
 def _exact2d_division(c: np.ndarray, tol: float) -> np.ndarray:

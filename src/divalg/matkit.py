@@ -39,13 +39,60 @@ def sign_det(m, tol: float = DEFAULT_TOL) -> int:
     return int(sign_det_many(as_matrix(m)[None], tol)[0])
 
 
-def sign_det_many(ms: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Vectorized sign_det over a stack of matrices (batch, n, n)."""
-    d = np.linalg.det(ms)
-    fail_at(np.abs(d) <= tol, DegenerateSign,
+def sign_det_many(ms, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Vectorized sign_det over a stack of matrices (batch, n, n).
+
+    Raises ValueError for another shape or a non-finite entry, and
+    DegenerateSign, naming the batch index of the first offender, when
+    |det| <= tol or the determinant is not a number.
+    """
+    d = det_many(_as_square(ms, 3))
+    fail_at(~(np.abs(d) > tol), DegenerateSign,
             lambda i: f"|det| = {abs(d[i]):.3e} <= tol = {tol:.3e} at batch "
                       f"index {i}")
     return np.where(d > 0, 1, -1).astype(int)
+
+
+# The six column pairs (i, j), i < j, of a 4x4 matrix, i in the first row
+# and j in the second; pair 5 - k is the complement of pair k.
+_PAIRS_4 = np.array([[0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]])
+_LAPLACE_SIGNS_4 = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+
+
+def det_many(ms) -> np.ndarray:
+    """Determinants of a stack of matrices (..., n, n), shape (...).
+
+    n = 2 is ad - bc.  n = 4 is the Laplace expansion along the first two
+    rows: the sum of six signed products of a 2x2 minor of rows 0, 1 with
+    the complementary minor of rows 2, 3, all twelve minors gathered by
+    one index array.  Any other n is np.linalg.det.  A determinant that
+    overflows the closed form (where inf - inf gives NaN) is recomputed
+    by np.linalg.det, which gives +-inf.
+
+    The closed forms pay off on stacks: the 2x2 one at every size, the
+    4x4 one above about 100 matrices.  np.linalg.det is about three
+    times cheaper on a single 4x4 matrix, so callers with one or two
+    4x4 matrices call it directly.  At n = 8 a vectorised LU measured
+    three times slower than LAPACK on a stack of 1,000.
+    """
+    ms = np.asarray(ms, dtype=float)
+    n = ms.shape[-1]
+    if n not in (2, 4):
+        return np.linalg.det(ms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n == 2:
+            d = ms[..., 0, 0] * ms[..., 1, 1] - ms[..., 0, 1] * ms[..., 1, 0]
+        else:
+            g = ms[..., _PAIRS_4]                    # [..., row, i or j, pair]
+            # the 2x2 minors of rows 0, 1 and of rows 2, 3 at each pair
+            minors = (g[..., 0::2, 0, :] * g[..., 1::2, 1, :]
+                      - g[..., 0::2, 1, :] * g[..., 1::2, 0, :])
+            d = (minors[..., 0, :] * minors[..., 1, ::-1]) @ _LAPLACE_SIGNS_4
+    bad = ~np.isfinite(d)
+    if bad.any():
+        d = np.array(d)                 # writable, also for a single matrix
+        d[bad] = np.linalg.det(ms[bad])
+    return d
 
 
 def near_singular(ms, tol: float) -> np.ndarray:

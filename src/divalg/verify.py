@@ -16,7 +16,6 @@ run on stacks get this from one runner, _scan.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -199,6 +198,12 @@ class Ctx:
         return self.corpus(f"equad-g{k}", lambda: functor_g(
             self.equad_corpus()[k], self.tol))
 
+    def base_sign(self, a: int) -> SignPair:
+        """sign_pair(samples=8) of entry a of the division corpus at tol.
+        As in equad_decorated, only a result is kept."""
+        return self.corpus(f"sign{a}", lambda: sign_pair(
+            self.division_corpus()[a], samples=8, tol=self.tol))
+
 
 # ----------------------------------------------------------------- matkit
 
@@ -282,14 +287,12 @@ def _chk_sign_constancy(ctx: Ctx, rng):
         ("core:transport-invariance",))
 def _chk_transport(ctx: Ctx, rng):
     corpus = ctx.division_corpus()[:12]
-    base = functools.cache(
-        lambda a: sign_pair(corpus[a], samples=8, tol=ctx.tol))
     items = [(a, f) for a, alg in enumerate(corpus)
              for f in random_invertible_many(alg.dim, 100, rng)]
 
     def stacked(chunk):
         a = chunk[0][0]
-        want = base(a)
+        want = ctx.base_sign(a)
         fs = np.stack([f for _, f in chunk])
         got = sign_pair_many(transport_many(corpus[a], fs, ctx.tol),
                              samples=8, tol=ctx.tol)
@@ -305,8 +308,6 @@ def _chk_transport(ctx: Ctx, rng):
         ("core:isotope-sign-law",))
 def _chk_isotope_law(ctx: Ctx, rng):
     corpus = ctx.division_corpus()[:10]
-    base = functools.cache(
-        lambda a: sign_pair(corpus[a], samples=8, tol=ctx.tol))
     # (algebra index, (S, T)): round k isotopes algebra k mod 10
     items = [(k % len(corpus),
               random_invertible_many(corpus[k % len(corpus)].dim, 2, rng))
@@ -315,7 +316,7 @@ def _chk_isotope_law(ctx: Ctx, rng):
     def stacked(chunk):
         a = chunk[0][0]
         s, t = np.stack([st for _, st in chunk]).swapaxes(0, 1)
-        ell, r = base(a)
+        ell, r = ctx.base_sign(a)
         got = sign_pair_many(isotope_many(corpus[a], s, t, ctx.tol),
                              samples=8, tol=ctx.tol)
         want = np.stack([ell * sign_det_many(t), r * sign_det_many(s)],
@@ -357,11 +358,11 @@ def _chk_isotope_ops(ctx: Ctx, rng):
         ("core:opposition",))
 def _chk_opposite(ctx: Ctx, rng):
     count = 0
-    for alg in ctx.division_corpus()[:12]:
+    for a, alg in enumerate(ctx.division_corpus()[:12]):
         opp = opposite(alg)
         if not np.array_equal(opposite(opp).c, alg.c):
             return False, 1.0, count, "double opposite is not the identity"
-        ell, r = sign_pair(alg, samples=8, tol=ctx.tol)
+        ell, r = ctx.base_sign(a)
         if sign_pair(opp, samples=8, tol=ctx.tol) != (r, ell):
             return False, 1.0, count, f"swap failed on {alg.label}"
         count += 1

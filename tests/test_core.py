@@ -102,6 +102,41 @@ def test_sign_pair_split_complex_is_inconsistent():
         sign_pair(split_complex())
 
 
+@pytest.mark.parametrize("name", ["C", "H"])
+@pytest.mark.parametrize("lam", [1e-80, 1e80, 1e160])
+def test_sign_decisions_at_extreme_scales(name, lam):
+    # at 1e160 the 2x2 minors of a quaternion operator overflow and the
+    # closed-form det is inf - inf = NaN, which would be degenerate; the
+    # determinant is recomputed by LAPACK, which gives +inf (and warns of
+    # the overflow), so the pair stays ++
+    alg = Algebra(lam * classical(name).c)
+    with np.errstate(over="ignore"):
+        if lam < 1.0:
+            with pytest.raises(DegenerateSign):
+                sign_pair(alg)
+            assert is_division(alg) == "not_division"
+        else:
+            assert sign_pair(alg) == (1, 1)
+            assert is_division(alg) == "probably_division"
+
+
+def test_nan_determinant_is_never_a_sign_or_a_pass(O):
+    # at this scale the operator entries overflow, and some sampled dets
+    # of L_a come out NaN: they are degenerate, not a sign or a pass
+    alg = Algebra(1.7e308 * O.c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DegenerateSign, match="= nan"):
+            sign_pair(alg)
+        assert is_division(alg) == "not_division"
+
+
+def test_negative_sample_count_is_rejected(H):
+    with pytest.raises(ValueError, match="samples"):
+        sign_pair(H, samples=-1)
+    with pytest.raises(ValueError, match="samples"):
+        is_division(H, samples=-3)
+
+
 def test_componentwise_product_is_not_division():
     c = np.zeros((2, 2, 2))
     c[0, 0, 0] = c[1, 1, 1] = 1.0

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divalg.errors import SingularInput
-from divalg.matkit import gram, is_spd1, polar_decompose, random_invertible, \
-    random_rotation, random_spd1, sign_det, sign_det_many
+from divalg.matkit import det_many, gram, is_spd1, polar_decompose, \
+    random_invertible, random_rotation, random_spd1, sign_det, sign_det_many
 
 
 def test_sign_det_orientation():
@@ -20,6 +20,63 @@ def test_sign_det_rejects_near_singular():
     from divalg.errors import DegenerateSign
     with pytest.raises(DegenerateSign):
         sign_det(np.diag([1.0, 1e-15]))
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf])
+def test_sign_det_many_rejects_non_finite_entries(x):
+    # no determinant of such a stack is a sign: LAPACK gives NaN for both
+    with pytest.raises(ValueError, match="finite"):
+        sign_det_many(np.full((1, 2, 2), x))
+
+
+def test_sign_det_many_rejects_a_bad_shape():
+    with pytest.raises(ValueError, match="stack"):
+        sign_det_many(np.eye(2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("lead", [(30,), (3, 7)])
+def test_det_many_matches_lapack(n, lead):
+    # closed forms at n = 2 and 4, LAPACK otherwise; each within 1e-13
+    # of the product of the column norms, which bounds |det|
+    ms = np.random.default_rng([n, len(lead)]).standard_normal(
+        (*lead, n, n))
+    d = det_many(ms)
+    assert d.shape == lead
+    bound = np.prod(np.linalg.norm(ms, axis=-2), axis=-1)
+    assert np.all(np.abs(d - np.linalg.det(ms)) <= 1e-13 * bound)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_det_many_is_exactly_zero_on_singular_integer_stacks(n):
+    # a repeated row, a repeated column and a row that is a multiple of
+    # another, on small integers, which every product and minor holds
+    # exactly
+    rng = np.random.default_rng(n)
+    ms = rng.integers(-9, 10, size=(3, 20, n, n)).astype(float)
+    ms[0, :, -1] = ms[0, :, 0]
+    ms[1, :, :, -1] = ms[1, :, :, 0]
+    ms[2, :, -1] = -3 * ms[2, :, 0]
+    assert np.array_equal(det_many(ms), np.zeros((3, 20)))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_det_many_of_an_empty_stack(n):
+    assert det_many(np.empty((0, n, n))).shape == (0,)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_det_many_overflow_is_lapacks_inf(n):
+    # at 1e320 times the unscaled det, the closed form's products
+    # overflow and their differences are inf - inf = NaN; LAPACK gives
+    # the signed infinity
+    base = np.random.default_rng(n).integers(-9, 10, size=(20, n, n))
+    base = base[np.linalg.det(base) != 0]
+    ms = 10.0 ** (320 / n) * base
+    with np.errstate(over="ignore"):
+        d = det_many(ms)
+        assert np.array_equal(d, np.linalg.det(ms))
+    assert np.array_equal(d, np.sign(det_many(base)) * np.inf)
 
 
 @settings(max_examples=50, deadline=None)

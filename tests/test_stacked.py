@@ -21,7 +21,7 @@ from divalg.errors import DegenerateSign, DivalgError, NonConvergence, \
     NotSpecialOrthogonal, SignInconsistent, SingularInput, \
     SingularOperator, ZeroQuaternion, fail_at
 from divalg.decorated import forget, functor_i, functor_i_many, kappa
-from divalg.matkit import polar_decompose, random_invertible, \
+from divalg.matkit import det_many, polar_decompose, random_invertible, \
     random_invertible_many, random_rotation, sign_det
 from divalg.quat import functor_h, functor_h_many, k_map, k_map_many, \
     qconj, qinv, qmul, rep_normalize, rep_normalize_many, so4_factor
@@ -757,17 +757,19 @@ def test_fail_at_counts_a_stacked_mask_flat():
 @pytest.mark.parametrize("n", DIMS)
 def test_sampled_dets_are_those_of_the_operator_stacks(n):
     # is_division's sampled verdict and sign_pair_many read one kernel;
-    # it gives exactly the dets of left_mult_many and right_mult_many
+    # it gives exactly the det_many of left_mult_many and right_mult_many,
+    # and within 1e-13 of the Hadamard bound what LAPACK gives
     rng = np.random.default_rng([45, n])
     pts = core._sample_points(n, 30, 0)
     for _ in range(20):
         alg = random_division(n, rng)
         d = core._sampled_dets(alg.c[None], pts)
         assert d.shape == (1, 2, n + 30)
-        assert np.array_equal(d[0, 0], np.linalg.det(
-            core.left_mult_many(alg, pts)))
-        assert np.array_equal(d[0, 1], np.linalg.det(
-            core.right_mult_many(alg, pts)))
+        for got, ops in zip(d[0], (core.left_mult_many(alg, pts),
+                                   core.right_mult_many(alg, pts))):
+            assert np.array_equal(got, det_many(ops))
+            bound = np.prod(np.linalg.norm(ops, axis=-2), axis=-1)
+            assert np.all(np.abs(got - np.linalg.det(ops)) <= 1e-13 * bound)
 
 
 # the failing checks of suite 42 at the two extreme tolerances, with
