@@ -26,7 +26,7 @@ from .errors import (
     ZeroMap,
     fail_at,
 )
-from .matkit import DEFAULT_TOL, det_many, near_singular
+from .matkit import DEFAULT_TOL, _degenerate_det, det_many, near_singular
 
 _ALLOWED_DIMS = (1, 2, 4, 8)
 
@@ -199,8 +199,8 @@ def sign_pair_many(tensors, samples: int = 100, tol: float = DEFAULT_TOL,
 
     def degenerate(i):
         b, side, p = np.unravel_index(i, d.shape)
-        return (f"|det {'LR'[side]}_a| = {abs(d[b, side, p]):.3e} <= tol = "
-                f"{tol:.3e} on algebra {b} of the stack at sample point {p}, "
+        why = _degenerate_det(f"det {'LR'[side]}_a", d[b, side, p], tol)
+        return (f"{why} on algebra {b} of the stack at sample point {p}, "
                 f"a = {np.array2string(pts[p], precision=3)}")
 
     fail_at(~(np.abs(d) > tol), DegenerateSign, degenerate)

@@ -48,9 +48,17 @@ def sign_det_many(ms, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     d = det_many(_as_square(ms, 3))
     fail_at(~(np.abs(d) > tol), DegenerateSign,
-            lambda i: f"|det| = {abs(d[i]):.3e} <= tol = {tol:.3e} at batch "
+            lambda i: f"{_degenerate_det('det', d[i], tol)} at batch "
                       f"index {i}")
     return np.where(d > 0, 1, -1).astype(int)
+
+
+def _degenerate_det(name: str, d: float, tol: float) -> str:
+    """Why a determinant ``d`` of the matrix ``name`` gives no sign: it
+    is not a number, or |d| <= tol."""
+    if np.isnan(d):
+        return f"{name} is not a number"
+    return f"|{name}| = {abs(d):.3e} <= tol = {tol:.3e}"
 
 
 # The six column pairs (i, j), i < j, of a 4x4 matrix, i in the first row
@@ -77,9 +85,10 @@ def det_many(ms) -> np.ndarray:
     """
     ms = np.asarray(ms, dtype=float)
     n = ms.shape[-1]
-    if n not in (2, 4):
-        return np.linalg.det(ms)
+    # a determinant out of the float range is +-inf, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
+        if n not in (2, 4):
+            return np.linalg.det(ms)
         if n == 2:
             d = ms[..., 0, 0] * ms[..., 1, 1] - ms[..., 0, 1] * ms[..., 1, 0]
         else:
@@ -88,10 +97,10 @@ def det_many(ms) -> np.ndarray:
             minors = (g[..., 0::2, 0, :] * g[..., 1::2, 1, :]
                       - g[..., 0::2, 1, :] * g[..., 1::2, 0, :])
             d = (minors[..., 0, :] * minors[..., 1, ::-1]) @ _LAPLACE_SIGNS_4
-    bad = ~np.isfinite(d)
-    if bad.any():
-        d = np.array(d)                 # writable, also for a single matrix
-        d[bad] = np.linalg.det(ms[bad])
+        bad = ~np.isfinite(d)
+        if bad.any():
+            d = np.array(d)             # writable, also for a single matrix
+            d[bad] = np.linalg.det(ms[bad])
     return d
 
 
@@ -142,22 +151,47 @@ def random_spd1(n: int, seed=0) -> np.ndarray:
 
     Draws W with uniform entries in [-1, 1], forms W W^T + I/4 (the
     shift keeps the condition number moderate) and rescales to unit
-    determinant.  ``seed`` may be an int or a numpy Generator.
+    determinant.  ``seed`` may be an int or a numpy Generator.  The
+    count = 1 case of random_spd1_many.
+    """
+    return random_spd1_many(n, 1, seed)[0]
+
+
+def random_spd1_many(n: int, count: int, seed=0) -> np.ndarray:
+    """``count`` seeded random_spd1 matrices, shape (count, n, n).
+
+    Exactly the matrices, and the generator state, of ``count``
+    sequential random_spd1(n, rng) calls on one Generator: the uniform
+    draws are one block, and each matrix is rescaled by the Python
+    power of its determinant, which numpy's vectorised power does not
+    always match to the last bit.
     """
     rng = np.random.default_rng(seed)
-    w = rng.uniform(-1.0, 1.0, size=(n, n))
-    m = w @ w.T + 0.25 * np.eye(n)
-    m /= float(np.linalg.det(m)) ** (1.0 / n)
-    return 0.5 * (m + m.T)
+    w = rng.uniform(-1.0, 1.0, size=(count, n, n))
+    m = w @ w.swapaxes(1, 2) + 0.25 * np.eye(n)
+    m /= np.array([d ** (1.0 / n)
+                   for d in np.linalg.det(m).tolist()])[:, None, None]
+    return 0.5 * (m + m.swapaxes(1, 2))
 
 
 def random_rotation(n: int, seed=0) -> np.ndarray:
-    """Seeded random special orthogonal matrix (QR with sign fixing)."""
+    """Seeded random special orthogonal matrix (QR with sign fixing).
+    The count = 1 case of random_rotation_many."""
+    return random_rotation_many(n, 1, seed)[0]
+
+
+def random_rotation_many(n: int, count: int, seed=0) -> np.ndarray:
+    """``count`` seeded random_rotation matrices, shape (count, n, n).
+
+    Exactly the matrices, and the generator state, of ``count``
+    sequential random_rotation(n, rng) calls on one Generator: the
+    normal draws are one block, and the QR, its sign fix and the
+    determinant flip of the first column are per matrix.
+    """
     rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
+    q, r = np.linalg.qr(rng.standard_normal((count, n, n)))
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    q[np.linalg.det(q) < 0, :, 0] *= -1.0
     return q
 
 
@@ -215,5 +249,6 @@ def squared_norms(xs) -> np.ndarray:
 
 
 def gram(f: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Congruence transform f @ s @ f^T."""
-    return f @ s @ f.T
+    """Congruence transform f @ s @ f^T, of one matrix pair or of each
+    pair of two equal-length stacks (B, n, n)."""
+    return f @ s @ np.swapaxes(f, -1, -2)

@@ -184,15 +184,27 @@ class ZObject(_Frozen):
 def _z_fields(a, b, c, d) -> dict:
     """The fields ZObject stores for parts (a, b, c, d), for both ways of
     building one.  The B=1 case of _z_stacks."""
-    ab, cd = _z_stacks(np.array([a, b], dtype=float), np.stack([c, d]))
+    ab, cd, _ = _z_stacks(np.array([a, b], dtype=float), np.stack([c, d]))
     return dict(a=ab[0], b=ab[1], c=cd[0], d=cd[1])
 
 
 def _z_stacks(ab: np.ndarray, cd: np.ndarray):
     """Stored parts of a stack of quaternion parts (a or b) and of one of
     matrix parts (c or d): the quaternions made representatives, the
-    matrices symmetrized."""
-    return _rep_many(ab)[0], 0.5 * (cd + cd.swapaxes(1, 2))
+    matrices symmetrized; then the signs (+1.0 or -1.0) that the
+    representatives applied after normalizing."""
+    reps, eps = _rep_many(ab)
+    return reps, 0.5 * (cd + cd.swapaxes(1, 2)), eps
+
+
+def _z_objects(ab: np.ndarray, cd: np.ndarray) -> list[ZObject]:
+    """The n objects of parts stacked as a[0], ..., a[n-1], b[0], ...,
+    b[n-1] and c[0], ..., c[n-1], d[0], ..., d[n-1], stored as
+    _z_stacks makes them."""
+    ab, cd, _ = _z_stacks(ab, cd)
+    n = len(ab) // 2
+    return [ZObject._trusted(a=ab[k], b=ab[n + k], c=cd[k], d=cd[n + k])
+            for k in range(n)]
 
 
 def z_action(s, x: ZObject) -> ZObject:
@@ -433,10 +445,9 @@ def quat_normal_form_many(s_ops, t_ops, tol: float = DEFAULT_TOL):
     ms = np.where(flips[:, None, None], ms @ _conj_matrix(), ms)
     # S is read as L_g C except in block (1,0), T as R_g C except in (0,1)
     q, spd, lam = _extract(ms, np.concatenate([block != 2, block == 1]), tol)
-    reps, eps = _rep_many(q)
+    # q made representatives once: what ZObject(q_a, q_b, c, d) stores
+    ab, cd, eps = _z_stacks(q, spd)
     iso *= (lam[:n] * lam[n:] * eps[:n] * eps[n:])[:, None, None]
-
-    ab, cd = _z_stacks(reps, spd)
     xs = [ZObject._trusted(a=ab[k], b=ab[n + k], c=cd[k], d=cd[n + k])
           for k in range(n)]
     target = np.empty_like(src)

@@ -8,14 +8,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Algebra, classical, is_division, isotope, left_mult, \
-    right_mult, transport
+from .core import Algebra, classical, is_division, isotope, \
+    left_mult_many, right_mult_many, transport
 from .decorated import DecoratedAlgebra, decorate, kappa
 from .dim2 import NormalForm2D, _exponents
 from .equadratic import functor_g
 from .errors import NotDivision
-from .matkit import random_invertible, random_rotation, random_spd1
-from .quat import ZObject, _z_fields
+from .matkit import random_invertible_many, random_rotation_many, \
+    random_spd1_many, squared_norms
+from .quat import ZObject, _z_objects
 
 
 def _rng(seed) -> np.random.Generator:
@@ -49,17 +50,36 @@ def random_division(dim: int, seed=0, max_cond: float = 20.0) -> Algebra:
         return Algebra(np.ones((1, 1, 1)), label="R")
     if dim == 2:
         return random_2d_division(rng)
-    base = classical("H") if dim == 4 else classical("O")
-    s = random_invertible(dim, rng, max_cond=max_cond)
-    t = random_invertible(dim, rng, max_cond=max_cond)
-    return isotope(base, s, t)
+    s, t = random_invertible_many(dim, 2, rng, max_cond=max_cond)
+    return isotope(_base(dim), s, t)
+
+
+def _base(dim: int) -> Algebra:
+    return classical("H") if dim == 4 else classical("O")
+
+
+def interleave(keys, blocks) -> list:
+    """Deal per-key blocks back into item order: entry k is the next
+    unused member of blocks[keys[k]]."""
+    members = {key: iter(block) for key, block in blocks.items()}
+    return [next(members[key]) for key in keys]
 
 
 def division_corpus(count: int = 54, seed=0) -> list[Algebra]:
-    """Division algebras cycling through dimensions 2, 4, 8."""
+    """Division algebras cycling through dimensions 2, 4, 8.
+
+    Drawn per dimension: the 2-d algebras one after another, then the
+    4-d and then the 8-d isotope operators, each dimension's as one
+    block S, T, S, T, ...
+    """
     rng = _rng(seed)
-    return [random_division(dim, rng)
-            for _, dim in zip(range(count), _cycle248())]
+    dims = [dim for _, dim in zip(range(count), _cycle248())]
+    blocks = {2: [random_2d_division(rng) for _ in range(dims.count(2))]}
+    for n in (4, 8):
+        ops = random_invertible_many(n, 2 * dims.count(n), rng, max_cond=20.0)
+        blocks[n] = [isotope(_base(n), s, t)
+                     for s, t in zip(ops[0::2], ops[1::2])]
+    return interleave(dims, blocks)
 
 
 def _cycle248():
@@ -71,38 +91,56 @@ def _cycle248():
 
 def left_unital_isotope(alg: Algebra, seed=0) -> Algebra:
     """Isotope A_{S, L_w^{-1}} of a division algebra; has left unity
-    S^{-1}w since x -> (Se)(Tx) collapses to the identity there."""
+    S^{-1}w since x -> (Se)(Tx) collapses to the identity there.  The
+    count = 1 case of left_unital_isotope_many."""
+    return left_unital_isotope_many(alg, 1, seed)[0]
+
+
+def left_unital_isotope_many(alg: Algebra, count: int,
+                             seed=0) -> list[Algebra]:
+    """``count`` left_unital_isotope draws: the count operators S as one
+    block, then the count unit vectors w."""
     rng = _rng(seed)
-    s = random_invertible(alg.dim, rng)
-    w = rng.standard_normal(alg.dim)
-    w /= np.linalg.norm(w)
-    return isotope(alg, s, np.linalg.inv(left_mult(alg, w)))
+    s = random_invertible_many(alg.dim, count, rng)
+    w = random_unit_vectors(alg.dim, count, rng)
+    t = np.linalg.inv(left_mult_many(alg, w))
+    return [isotope(alg, *st) for st in zip(s, t)]
 
 
 def right_unital_isotope(alg: Algebra, seed=0) -> Algebra:
-    """Isotope A_{R_v^{-1}, T} with right unity T^{-1}v."""
+    """Isotope A_{R_v^{-1}, T} with right unity T^{-1}v.  The count = 1
+    case of right_unital_isotope_many."""
+    return right_unital_isotope_many(alg, 1, seed)[0]
+
+
+def right_unital_isotope_many(alg: Algebra, count: int,
+                              seed=0) -> list[Algebra]:
+    """``count`` right_unital_isotope draws: the count operators T as one
+    block, then the count unit vectors v."""
     rng = _rng(seed)
-    t = random_invertible(alg.dim, rng)
-    v = rng.standard_normal(alg.dim)
-    v /= np.linalg.norm(v)
-    return isotope(alg, np.linalg.inv(right_mult(alg, v)), t)
+    t = random_invertible_many(alg.dim, count, rng)
+    v = random_unit_vectors(alg.dim, count, rng)
+    s = np.linalg.inv(right_mult_many(alg, v))
+    return [isotope(alg, *st) for st in zip(s, t)]
 
 
-def _signed_rotation(n: int, rng) -> np.ndarray:
-    """Random orthogonal matrix with a coin-flipped determinant sign."""
-    q = random_rotation(n, rng)
-    if rng.integers(0, 2):
-        q = q.copy()
-        q[:, 0] = -q[:, 0]
+def _signed_rotations(n: int, count: int, rng) -> np.ndarray:
+    """Random orthogonal matrices with coin-flipped determinant signs:
+    the count rotations as one block, then the count coins."""
+    q = random_rotation_many(n, count, rng)
+    q[rng.integers(0, 2, size=count).astype(bool), :, 0] *= -1.0
     return q
 
 
-def _mild_invertible(n: int, rng, cond: float = 4.0) -> np.ndarray:
-    """Invertible matrix with condition number at most ``cond``, built
-    from its singular value decomposition (rejection would essentially
-    never succeed at such bounds for n = 8)."""
-    s = cond ** (-rng.uniform(0.0, 1.0, size=n))
-    return random_rotation(n, rng) @ np.diag(s) @ random_rotation(n, rng)
+def _mild_invertible(n: int, count: int, rng,
+                     cond: float = 4.0) -> np.ndarray:
+    """Invertible matrices with condition number at most ``cond``, built
+    from their singular value decompositions (rejection would
+    essentially never succeed at such bounds for n = 8): the singular
+    values, then the left and the right rotations, each as one block."""
+    s = cond ** (-rng.uniform(0.0, 1.0, size=(count, 1, n)))
+    u = random_rotation_many(n, count, rng)
+    return (u * s) @ random_rotation_many(n, count, rng)
 
 
 def decorated_corpus(count: int = 100, seed=0) -> list[DecoratedAlgebra]:
@@ -114,20 +152,32 @@ def decorated_corpus(count: int = 100, seed=0) -> list[DecoratedAlgebra]:
     mildly oblique; both kinds exercise the sign bookkeeping, and the
     unit scale keeps repeated isotope compositions at entrywise float
     precision.
+
+    Entry k decorates an isotope of H (k even) or O (k odd), obliquely
+    when k % 4 >= 2.  Drawn per dimension, 4 then 8, each kind as one
+    block: the S operators, the T operators, the split sizes m, the
+    orthogonal splittings, then the oblique ones.  So one entry draws
+    what the entry-by-entry order drew.
     """
     rng = _rng(seed)
-    out = []
-    for k in range(count):
-        base = classical("H") if k % 2 == 0 else classical("O")
-        n = base.dim
-        alg = isotope(base, _signed_rotation(n, rng), _signed_rotation(n, rng))
-        m = int(rng.choice(np.arange(1, n, 2)))
-        if k % 4 < 2:
-            w = random_rotation(n, rng)
-        else:
-            w = _mild_invertible(n, rng)
-        out.append(decorate(alg, w[:, :m], w[:, m:]))
-    return out
+    made = {}
+    for n in (4, 8):
+        ks = [k for k in range(count) if _base_dim(k) == n]
+        s = _signed_rotations(n, len(ks), rng)
+        t = _signed_rotations(n, len(ks), rng)
+        m = rng.choice(np.arange(1, n, 2), size=len(ks)).tolist()
+        oblique = [k % 4 >= 2 for k in ks]
+        w = interleave(oblique, {
+            False: random_rotation_many(n, oblique.count(False), rng),
+            True: _mild_invertible(n, oblique.count(True), rng)})
+        for k, sk, tk, mk, wk in zip(ks, s, t, m, w):
+            made[k] = decorate(isotope(_base(n), sk, tk), wk[:, :mk],
+                               wk[:, mk:])
+    return [made[k] for k in range(count)]
+
+
+def _base_dim(k: int) -> int:
+    return 4 if k % 2 == 0 else 8
 
 
 def e_quadratic_corpus(count: int = 20, seed=0) -> list[Algebra]:
@@ -136,55 +186,84 @@ def e_quadratic_corpus(count: int = 20, seed=0) -> list[Algebra]:
 
     Conjugation isotopes A_{kappa, kappa} stay e-quadratic: the same
     idempotent works and squares land in the same plane, while the sign
-    pair flips from ++ to --.
+    pair flips from ++ to --.  Entry k transports H (k even) or O (k
+    odd), twisted when k % 4 >= 2, along a rotation; the 4x4 rotations
+    are one block, then the 8x8 ones.
     """
     rng = _rng(seed)
-    out = []
     twisted = {}
+    bases = []
     for k in range(count):
-        base = classical("H") if k % 2 == 0 else classical("O")
+        base = _base(_base_dim(k))
         if k % 4 >= 2:
             if base.dim not in twisted:
                 kap = kappa(functor_g(base))
                 twisted[base.dim] = isotope(base, kap, kap)
             base = twisted[base.dim]
-        out.append(transport(base, random_rotation(base.dim, rng)))
-    return out
+        bases.append(base)
+    dims = [base.dim for base in bases]
+    rotations = {n: random_rotation_many(n, dims.count(n), rng)
+                 for n in (4, 8)}
+    return [transport(base, f)
+            for base, f in zip(bases, interleave(dims, rotations))]
 
 
 def random_normal_form(seed=0, block=None) -> NormalForm2D:
-    """Random 2-d normal form; ``block`` picks the exponent pair."""
+    """Random 2-d normal form; ``block`` picks the exponent pair.  The
+    count = 1 case of random_normal_form_many."""
+    return random_normal_form_many(1, seed, block)[0]
+
+
+def random_normal_form_many(count: int, seed=0,
+                            block=None) -> list[NormalForm2D]:
+    """``count`` random_normal_form draws: the exponent pairs as one block
+    (when ``block`` is None), then the count a parts, then the count b
+    parts."""
     rng = _rng(seed)
     if block is None:
-        block = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
-    i, j = block
-    i, j = _exponents(i, j)
+        blocks = [tuple(ij) for ij in
+                  rng.integers(0, 2, size=(count, 2)).tolist()]
+    else:
+        blocks = [_exponents(*block)] * count
+    a, b = random_spd1_many(2, count, rng), random_spd1_many(2, count, rng)
     # random_spd1 draws are SPD with determinant 1 by construction
-    return NormalForm2D._trusted(i=i, j=j, a=random_spd1(2, rng),
-                                 b=random_spd1(2, rng))
+    return [NormalForm2D._trusted(i=i, j=j, a=a[k], b=b[k])
+            for k, (i, j) in enumerate(blocks)]
 
 
 def random_unit_quaternion(seed=0) -> np.ndarray:
-    rng = _rng(seed)
-    q = rng.standard_normal(4)
-    return q / np.linalg.norm(q)
+    """Random unit quaternion: random_unit_vectors(4, 1, seed)[0]."""
+    return random_unit_vectors(4, 1, seed)[0]
+
+
+def random_unit_vectors(n: int, count: int, seed=0) -> np.ndarray:
+    """``count`` random unit vectors of length n, shape (count, n): one
+    block of standard normal draws, each row normalized."""
+    x = _rng(seed).standard_normal((count, n))
+    return x / np.sqrt(squared_norms(x))[:, None]
 
 
 def random_z_object(seed=0, trivial_spd: bool = False) -> ZObject:
     """Random groupoid object; ``trivial_spd`` restricts to the
-    subcategory with identity positive parts."""
+    subcategory with identity positive parts.  The count = 1 case of
+    random_z_object_many."""
+    return random_z_object_many(1, seed, trivial_spd)[0]
+
+
+def random_z_object_many(count: int, seed=0,
+                         trivial_spd: bool = False) -> list[ZObject]:
+    """``count`` random_z_object draws: the count quaternions a as one
+    block, then the b, then the SPD parts c, then the d."""
     rng = _rng(seed)
-    a = random_unit_quaternion(rng)
-    b = random_unit_quaternion(rng)
+    ab = random_unit_vectors(4, 2 * count, rng)
     # random_spd1 draws are SPD with determinant 1 by construction
-    c, d = (np.eye(4), np.eye(4)) if trivial_spd else \
-        (random_spd1(4, rng), random_spd1(4, rng))
-    return ZObject._trusted(**_z_fields(a, b, c, d))
+    cd = np.broadcast_to(np.eye(4), (2 * count, 4, 4)) if trivial_spd else \
+        random_spd1_many(4, 2 * count, rng)
+    return _z_objects(ab, cd)
 
 
 def random_quat_pair(seed=0, max_cond: float = 20.0
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Random invertible operator pair for quaternion isotopes."""
-    rng = _rng(seed)
-    return (random_invertible(4, rng, max_cond=max_cond),
-            random_invertible(4, rng, max_cond=max_cond))
+    s, t = random_invertible_many(4, 2, seed, max_cond=max_cond)
+    return s, t

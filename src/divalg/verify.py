@@ -6,9 +6,12 @@ listed invariant of every module is covered by at least one check.
 Checks are independent and deterministic in (seed, tol, samples): each
 one draws from its own seeded stream, so reports with equal settings
 are byte-identical and checks could run in any order (results are
-merged in declaration order regardless).
+merged in declaration order regardless).  A check draws its random
+inputs up front, one block per kind, dimension and parameters in the
+order its comment gives, and item k takes the k-th member of each
+block.
 
-A failing check reports the first failing item in draw order, whether
+A failing check reports the first failing item in item order, whether
 it failed its verdict (residual 1.0, samples its index) or raised
 (residual None, samples 0, the exception as detail); the checks that
 run on stacks get this from one runner, _scan.
@@ -24,9 +27,9 @@ import numpy as np
 
 from . import io as io_mod
 from . import samples as smp
-from .core import Algebra, SignPair, classical, find_unities, is_morphism, \
-    isotope, isotope_many, left_mult, left_mult_many, morphism_residual, \
-    morphism_residual_many, opposite, right_mult, right_mult_many, sign_pair, \
+from .core import Algebra, SignPair, _left_stack, classical, find_unities, \
+    is_morphism, isotope, isotope_many, left_mult_many, morphism_residual, \
+    morphism_residual_many, opposite, right_mult_many, sign_pair, \
     sign_pair_many, transport, transport_many
 from .decorated import decorate, forget, functor_i, functor_i_many, kappa
 from .dim2 import NormalForm2D, build2d, c2_elements, d3_elements, \
@@ -35,7 +38,7 @@ from .equadratic import central_idempotents, functor_g, idempotent_residual, \
     is_e_quadratic
 from .errors import DivalgError, ZeroMap
 from .matkit import DEFAULT_TOL, gram, near_singular, polar_decompose, \
-    random_invertible, random_invertible_many, random_rotation, random_spd1, \
+    random_invertible_many, random_rotation_many, random_spd1_many, \
     sign_det_many, squared_norms
 from .quat import functor_h, functor_h_many, k_map, k_map_many, \
     quat_normal_form_many, rep_normalize_many, so4_factor, z_action
@@ -161,6 +164,14 @@ def _scan(stacked, items, keys=None, bound=0.0):
     return worst <= bound, worst, len(items), ""
 
 
+def _per_dim(dims, draw) -> list:
+    """Inputs for items of the given dimensions: draw(n, count) gives the
+    count inputs of dimension n as one block, drawn for n = 2, 4, 8 in
+    turn; item k takes the next member of its dimension's block."""
+    return smp.interleave(dims, {n: draw(n, dims.count(n))
+                                 for n in (2, 4, 8) if n in dims})
+
+
 class Ctx:
     """Settings plus a cache for corpora, and for what checks derive from
     them, shared between checks."""
@@ -249,16 +260,19 @@ def _chk_polar(ctx: Ctx, rng):
         "F S F^T of an SPD matrix S by invertible F stays SPD",
         ("matkit:gram-spd",))
 def _chk_gram(ctx: Ctx, rng):
+    # per size n = 2, 4, 8: 70 random_spd1 S, then 70 random_invertible F
+    drawn = [(n, random_spd1_many(n, 70, rng),
+              random_invertible_many(n, 70, rng)) for n in (2, 4, 8)]
     count = 0
-    for n in (2, 4, 8):
-        for _ in range(70):
-            s = random_spd1(n, rng)
-            f = random_invertible(n, rng)
-            g = gram(f, s)
-            if (np.max(np.abs(g - g.T)) > 1e-8 * np.max(np.abs(g))
-                    or np.linalg.eigvalsh(g)[0] <= 0):
-                return False, 1.0, count, f"lost SPD at size {n}"
-            count += 1
+    for n, s, f in drawn:
+        g = gram(f, s)
+        lost = ((np.abs(g - g.swapaxes(1, 2)).max(axis=(1, 2))
+                 > 1e-8 * np.abs(g).max(axis=(1, 2)))
+                | (np.linalg.eigvalsh(g)[:, 0] <= 0))
+        if lost.any():
+            return False, 1.0, count + int(lost.argmax()), \
+                f"lost SPD at size {n}"
+        count += len(g)
     return True, 0.0, count, ""
 
 
@@ -308,10 +322,13 @@ def _chk_transport(ctx: Ctx, rng):
         ("core:isotope-sign-law",))
 def _chk_isotope_law(ctx: Ctx, rng):
     corpus = ctx.division_corpus()[:10]
-    # (algebra index, (S, T)): round k isotopes algebra k mod 10
-    items = [(k % len(corpus),
-              random_invertible_many(corpus[k % len(corpus)].dim, 2, rng))
-             for k in range(500)]
+    # (algebra index, (S, T)): round k isotopes algebra k mod 10; the
+    # pairs of each dimension, 2 then 4 then 8, are one block S, T, S, ...
+    index = [k % len(corpus) for k in range(500)]
+    items = list(zip(index, _per_dim(
+        [corpus[a].dim for a in index],
+        lambda n, count: random_invertible_many(n, 2 * count, rng).reshape(
+            count, 2, n, n))))
 
     def stacked(chunk):
         a = chunk[0][0]
@@ -332,23 +349,24 @@ def _chk_isotope_law(ctx: Ctx, rng):
         "L_{Sa} T and right multiplication is R_{Ta} S, to 1e-12",
         ("core:isotope-operators",))
 def _chk_isotope_ops(ctx: Ctx, rng):
+    # per algebra C, H, O: the 20 pairs as one block S, T, S, ... of
+    # random_invertible(max_cond=10), then the 20 points a
+    drawn = [(classical(name), random_invertible_many(
+                  n, 40, rng, max_cond=10.0).reshape(20, 2, n, n),
+              smp.random_unit_vectors(n, 20, rng))
+             for name, n in (("C", 2), ("H", 4), ("O", 8))]
     worst = 0.0
     count = 0
-    for name in ("C", "H", "O"):
-        alg = classical(name)
-        n = alg.dim
-        for _ in range(20):
-            s = random_invertible(n, rng, max_cond=10.0)
-            t = random_invertible(n, rng, max_cond=10.0)
-            iso = isotope(alg, s, t)
-            a = rng.standard_normal(n)
-            a /= np.linalg.norm(a)
-            dl = np.max(np.abs(left_mult(iso, a)
-                               - left_mult(alg, s @ a) @ t))
-            dr = np.max(np.abs(right_mult(iso, a)
-                               - right_mult(alg, t @ a) @ s))
-            worst = max(worst, float(dl), float(dr))
-            count += 1
+    for alg, st, a in drawn:
+        s, t = st[:, 0], st[:, 1]
+        iso = isotope_many(alg, s, t)
+        # the operators of each isotope at its own point a
+        left = _left_stack(iso, a[:, None])[:, 0]
+        right = _left_stack(iso.swapaxes(1, 2), a[:, None])[:, 0]
+        dl = left - left_mult_many(alg, (s @ a[:, :, None])[..., 0]) @ t
+        dr = right - right_mult_many(alg, (t @ a[:, :, None])[..., 0]) @ s
+        worst = max(worst, float(np.abs(dl).max()), float(np.abs(dr).max()))
+        count += len(a)
     return worst <= 1e-12, worst, count, ""
 
 
@@ -374,21 +392,24 @@ def _chk_opposite(ctx: Ctx, rng):
         "sign det R = +1, a two-sided unity forces the ++ block",
         ("core:unital-blocks",))
 def _chk_unital(ctx: Ctx, rng):
+    # per algebra C, H, O: 5 left unital isotopes (their S, then their
+    # w), then 5 right ones (their T, then their v)
+    drawn = [(name, smp.left_unital_isotope_many(classical(name), 5, rng),
+              smp.right_unital_isotope_many(classical(name), 5, rng))
+             for name in ("C", "H", "O")]
     count = 0
-    for name in ("C", "H", "O"):
+    for name, lefts, rights in drawn:
         base = classical(name)
         if sign_pair(base, samples=8).block != "++":
             return False, 1.0, count, f"{name} not in ++"
         if not find_unities(base)["two_sided"]:
             return False, 1.0, count, f"{name} lost its unity"
         count += 1
-        for _ in range(5):
-            left = smp.left_unital_isotope(base, rng)
+        for left, right in zip(lefts, rights):
             if not find_unities(left)["left"]:
                 return False, 1.0, count, "left unity not found"
             if sign_pair(left, samples=8, tol=ctx.tol).ell != 1:
                 return False, 1.0, count, "left unity with l = -1"
-            right = smp.right_unital_isotope(base, rng)
             if not find_unities(right)["right"]:
                 return False, 1.0, count, "right unity not found"
             if sign_pair(right, samples=8, tol=ctx.tol).r != 1:
@@ -402,9 +423,12 @@ def _chk_unital(ctx: Ctx, rng):
         "algebras is invertible; the zero map is rejected outright",
         ("core:morphism-injective",))
 def _chk_morphism_inj(ctx: Ctx, rng):
+    corpus = ctx.division_corpus()[:12]
+    # the maps of each dimension, 2 then 4 then 8, as one block
+    maps = _per_dim([alg.dim for alg in corpus],
+                    lambda n, count: random_invertible_many(n, count, rng))
     count = 0
-    for alg in ctx.division_corpus()[:12]:
-        f = random_invertible(alg.dim, rng)
+    for alg, f in zip(corpus, maps):
         other = transport(alg, f)
         if not is_morphism(f, alg, other, max(ctx.tol, 1e-8)):
             return False, 1.0, count, "transport map not accepted"
@@ -475,16 +499,22 @@ def _chk_block_shift(ctx: Ctx, rng):
     return _scan(stacked, corpus, [x.dim for x in corpus])
 
 
+def _split_maps(corpus, rng) -> list:
+    """A random_invertible(max_cond=10) map for each decorated algebra of
+    the corpus, the maps of each dimension, 4 then 8, as one block."""
+    return _per_dim([x.dim for x in corpus], lambda n, count:
+                    random_invertible_many(n, count, rng, max_cond=10.0))
+
+
 @_check("decorated-kappa-commutation",
         "a split-respecting isomorphism F intertwines the reflections: "
         "F kappa = kappa' F to 1e-10",
         ("decorated:kappa-commutation",))
 def _chk_kappa_comm(ctx: Ctx, rng):
+    corpus = ctx.decorated_corpus()[:50]
     worst = 0.0
     count = 0
-    for x in ctx.decorated_corpus()[:50]:
-        n = x.alg.dim
-        f = random_invertible(n, rng, max_cond=10.0)
+    for x, f in zip(corpus, _split_maps(corpus, rng)):
         x2 = decorate(transport(x.alg, f), f @ x.u, f @ x.v)
         worst = max(worst, float(np.max(np.abs(
             f @ kappa(x) - kappa(x2) @ f))))
@@ -498,11 +528,8 @@ def _chk_kappa_comm(ctx: Ctx, rng):
         ("decorated:morphism-preservation",))
 def _chk_morph_preserve(ctx: Ctx, rng):
     corpus = ctx.decorated_corpus()[:30]
-    triples = []
-    for x in corpus:
-        f = random_invertible(x.dim, rng, max_cond=10.0)
-        x2 = decorate(transport(x.alg, f), f @ x.u, f @ x.v)
-        triples.append((x, f, x2))
+    triples = [(x, f, decorate(transport(x.alg, f), f @ x.u, f @ x.v))
+               for x, f in zip(corpus, _split_maps(corpus, rng))]
 
     def stacked(items):
         xs, fs, moved = zip(*items)
@@ -613,15 +640,23 @@ def _hom_direct(src: NormalForm2D, dst: NormalForm2D, tol: float):
 def _fidelity(blocks, rng, tol, pairs):
     """The three hom-set routes compared on ``pairs`` pairs of forms per
     block, every other pair related by a drawn group element."""
-    for done, block in enumerate(blocks):
+    # per block: the pairs forms x, then the pairs // 2 forms y of the
+    # odd pairs, then the indices of the group elements of the even pairs
+    drawn = []
+    for block in blocks:
         elements = d3_elements() if block == (1, 1) else c2_elements()
-        for k in range(pairs):
-            x = smp.random_normal_form(rng, block=block)
+        drawn.append((block, elements,
+                      smp.random_normal_form_many(pairs, rng, block),
+                      smp.random_normal_form_many(pairs // 2, rng, block),
+                      rng.integers(0, len(elements),
+                                   size=pairs - pairs // 2).tolist()))
+    for done, (block, elements, xs, ys, picks) in enumerate(drawn):
+        for k, x in enumerate(xs):
             if k % 2 == 0:
-                g = elements[int(rng.integers(0, len(elements)))].matrix
+                g = elements[picks[k // 2]].matrix
                 y = NormalForm2D(*block, gram(g, x.a), gram(g, x.b))
             else:
-                y = smp.random_normal_form(rng, block=block)
+                y = ys[k // 2]
             grp = groupoid_hom(elements[0].group, (x.a, x.b), (y.a, y.b),
                                max(tol, 1e-9))
             direct = _hom_direct(x, y, max(tol, 1e-9))
@@ -667,8 +702,11 @@ def _chk_dim2_separation(ctx: Ctx, rng):
     worst_order = 0
     blocks = ((0, 0), (0, 1), (1, 0))
     corpus = [NormalForm2D(i, j, eye, eye) for i, j in blocks]
-    corpus += [smp.random_normal_form(rng, block=blocks[k % 3])
-               for k in range(50)]
+    # the forms of each block, in the order of blocks, as one block
+    keys = [blocks[k % 3] for k in range(50)]
+    corpus += smp.interleave(keys, {
+        block: smp.random_normal_form_many(keys.count(block), rng, block)
+        for block in blocks})
     for nf in corpus:
         size = len(hom2d(nf, nf, ctx.tol))
         worst_order = max(worst_order, size)
@@ -685,7 +723,7 @@ def _chk_dim2_separation(ctx: Ctx, rng):
         "orbit: same block, nonempty hom-set, isomorphism residual 1e-8",
         ("dim2:round-trip",))
 def _chk_dim2_roundtrip(ctx: Ctx, rng):
-    drawn = [smp.random_normal_form(rng) for _ in range(100)]
+    drawn = smp.random_normal_form_many(100, rng)
 
     def stacked(nfs):
         forms, _, res = normal_form_2d_many([build2d(nf).c for nf in nfs],
@@ -727,8 +765,9 @@ def _chk_dim2_density(ctx: Ctx, rng):
         "object under the (alpha, beta) functor has that sign pair",
         ("quat:functor-blocks",))
 def _chk_quat_blocks(ctx: Ctx, rng):
-    items = [((alpha, beta), smp.random_z_object(rng))
-             for alpha in (1, -1) for beta in (1, -1) for _ in range(50)]
+    # per block, in this order: 50 random_z_object draws as one block
+    items = [((alpha, beta), x) for alpha in (1, -1) for beta in (1, -1)
+             for x in smp.random_z_object_many(50, rng)]
 
     def stacked(chunk):
         block = chunk[0][0]
@@ -745,12 +784,11 @@ def _conjugation_residual(rng, draws: int) -> float:
     """Draw (s, x) pairs, s a unit quaternion and x an object; the
     largest morphism residual of K_s from the image of x to the image of
     s acting on x, over all draws and the four block functors."""
-    ss, xs = [], []
-    for _ in range(draws):
-        ss.append(smp.random_unit_quaternion(rng))
-        xs.append(smp.random_z_object(rng))
+    # the draws quaternions s as one block, then the draws objects x
+    ss = smp.random_unit_vectors(4, draws, rng)
+    xs = smp.random_z_object_many(draws, rng)
     moved = [z_action(s, x) for s, x in zip(ss, xs)]
-    ks = k_map_many(np.stack(ss))
+    ks = k_map_many(ss)
     worst = 0.0
     for alpha in (1, -1):
         for beta in (1, -1):
@@ -813,35 +851,32 @@ def _class_failures(q: np.ndarray, lam: np.ndarray):
         "produces a witnessed violation",
         ("quat:absolute-valued",))
 def _chk_quat_absvalued(ctx: Ctx, rng):
-    worst = 0.0
     npairs = max(2, ctx.samples)
+    per = npairs // 4 + 1
+    # the four Y objects, then the x and the y points of the four blocks,
+    # then the object off Y and the 50 u and 50 v it is tried on
+    ys_objects = smp.random_z_object_many(4, rng, trivial_spd=True)
+    xs = rng.standard_normal((4, per, 4))
+    ys = rng.standard_normal((4, per, 4))
+    off = smp.random_z_object(rng)
+    uv = rng.standard_normal((2, 50, 4))
+    worst = 0.0
     blocks = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    for k, (alpha, beta) in enumerate(blocks):
-        alg = functor_h(alpha, beta, smp.random_z_object(rng,
-                                                         trivial_spd=True))
-        xs = rng.standard_normal((npairs // 4 + 1, 4))
-        ys = rng.standard_normal((npairs // 4 + 1, 4))
-        prods = np.einsum("ijk,bi,bj->bk", alg.c, xs, ys)
-        lhs = np.linalg.norm(prods, axis=1)
-        rhs = np.linalg.norm(xs, axis=1) * np.linalg.norm(ys, axis=1)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs) / rhs)))
+    for (alpha, beta), x, px, py in zip(blocks, ys_objects, xs, ys):
+        worst = max(worst, float(np.max(_norm_defect(
+            functor_h(alpha, beta, x), px, py))))
     if worst > 1e-10:
         return False, worst, npairs, "norm product failed on a Y image"
-    x = smp.random_z_object(rng)
-    alg = functor_h(1, 1, x)
-    found = False
-    for _ in range(50):
-        u = rng.standard_normal(4)
-        v = rng.standard_normal(4)
-        p = np.einsum("ijk,i,j->k", alg.c, u, v)
-        gap = abs(np.linalg.norm(p)
-                  - np.linalg.norm(u) * np.linalg.norm(v))
-        if gap > 1e-6 * np.linalg.norm(u) * np.linalg.norm(v):
-            found = True
-            break
-    if not found:
+    if not (_norm_defect(functor_h(1, 1, off), *uv) > 1e-6).any():
         return False, worst, npairs, "no violation witness off Y"
     return True, worst, npairs, ""
+
+
+def _norm_defect(alg: Algebra, xs: np.ndarray, ys: np.ndarray):
+    """| |x y| - |x| |y| | / (|x| |y|) for each row pair of xs, ys."""
+    prods = np.einsum("ijk,bi,bj->bk", alg.c, xs, ys)
+    rhs = np.linalg.norm(xs, axis=1) * np.linalg.norm(ys, axis=1)
+    return np.abs(np.linalg.norm(prods, axis=1) - rhs) / rhs
 
 
 @_check("quat-block-equivalence",
@@ -879,7 +914,7 @@ def _chk_quat_nf(ctx: Ctx, rng):
         ("quat:so4-reconstruction",))
 def _chk_quat_so4(ctx: Ctx, rng):
     h = classical("H")
-    rotations = [random_rotation(4, rng) for _ in range(100)]
+    rotations = list(random_rotation_many(4, 100, rng))
 
     def stacked(chunk):
         o = np.stack(chunk)

@@ -86,6 +86,16 @@ def test_divcheck_exact2d(capsys, tmp_path):
     assert out.strip() == "division"
 
 
+@pytest.mark.parametrize("name", ["H", "O"])
+def test_huge_algebra_gets_its_sign_without_a_warning(capsys, tmp_path, name):
+    # every determinant overflows to +inf, which is a sign; the tests turn
+    # a RuntimeWarning into an error, as python -W error does
+    path = tmp_path / "big.json"
+    write_algebra(Algebra(1e80 * classical(name).c), path)
+    assert run(capsys, "sign-pair", str(path)) == (0, "++\n")
+    assert run(capsys, "divcheck", str(path)) == (0, "probably_division\n")
+
+
 def test_equad_quaternions(capsys, h_file):
     code, out = run(capsys, "equad", h_file, "--json")
     doc = json.loads(out)

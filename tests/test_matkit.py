@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divalg.errors import SingularInput
+from divalg.errors import DegenerateSign, SingularInput
 from divalg.matkit import det_many, gram, is_spd1, polar_decompose, \
-    random_invertible, random_rotation, random_spd1, sign_det, sign_det_many
+    random_invertible, random_invertible_many, random_rotation, \
+    random_rotation_many, random_spd1, \
+    random_spd1_many, sign_det, sign_det_many
 
 
 def test_sign_det_orientation():
@@ -17,7 +19,6 @@ def test_sign_det_orientation():
 
 
 def test_sign_det_rejects_near_singular():
-    from divalg.errors import DegenerateSign
     with pytest.raises(DegenerateSign):
         sign_det(np.diag([1.0, 1e-15]))
 
@@ -65,18 +66,29 @@ def test_det_many_of_an_empty_stack(n):
     assert det_many(np.empty((0, n, n))).shape == (0,)
 
 
-@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("n", [2, 4, 8])
 def test_det_many_overflow_is_lapacks_inf(n):
     # at 1e320 times the unscaled det, the closed form's products
     # overflow and their differences are inf - inf = NaN; LAPACK gives
-    # the signed infinity
+    # the signed infinity.  Neither warns: the tests turn a
+    # RuntimeWarning into an error
     base = np.random.default_rng(n).integers(-9, 10, size=(20, n, n))
     base = base[np.linalg.det(base) != 0]
     ms = 10.0 ** (320 / n) * base
+    d = det_many(ms)
     with np.errstate(over="ignore"):
-        d = det_many(ms)
         assert np.array_equal(d, np.linalg.det(ms))
     assert np.array_equal(d, np.sign(det_many(base)) * np.inf)
+
+
+@pytest.mark.parametrize("n, seed, index", [(4, 1, 1), (8, 0, 0)])
+def test_sign_det_many_names_a_nan_determinant(n, seed, index):
+    # the entries are finite, but products overflow to inf - inf; at n = 4
+    # member 0 has the determinant +inf, which is a sign
+    ms = 1.7e308 * np.random.default_rng(seed).uniform(-1, 1, (2, n, n))
+    with pytest.raises(DegenerateSign, match="^det is not a number at "
+                       f"batch index {index}$"):
+        sign_det_many(ms)
 
 
 @settings(max_examples=50, deadline=None)
@@ -136,3 +148,46 @@ def test_generators_are_seed_deterministic():
     assert np.array_equal(random_invertible(4, 7), random_invertible(4, 7))
     assert np.array_equal(random_spd1(4, 7), random_spd1(4, 7))
     assert np.array_equal(random_rotation(4, 7), random_rotation(4, 7))
+
+
+def spd1_reference(n, rng):
+    # random_spd1 as it was written, one matrix per call
+    w = rng.uniform(-1.0, 1.0, size=(n, n))
+    m = w @ w.T + 0.25 * np.eye(n)
+    m /= float(np.linalg.det(m)) ** (1.0 / n)
+    return 0.5 * (m + m.T)
+
+
+def rotation_reference(n, rng):
+    # random_rotation as it was written, one matrix per call
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+@pytest.mark.parametrize("many, single, reference", [
+    (random_spd1_many, random_spd1, spd1_reference),
+    (random_rotation_many, random_rotation, rotation_reference)])
+def test_stacked_samplers_match_sequential_draws(many, single, reference):
+    # a block gives, bit for bit, the matrices and the generator state of
+    # count sequential calls, both of the sampler and of its reference
+    for n in (2, 4, 8):
+        for count in (1, 3, 25):
+            for seed in range(100):
+                gens = [np.random.default_rng(seed) for _ in range(3)]
+                got = many(n, count, gens[0])
+                assert got.shape == (count, n, n)
+                for gen, draw in zip(gens[1:], (single, reference)):
+                    loop = np.stack([draw(n, gen) for _ in range(count)])
+                    assert np.array_equal(got, loop)
+                    assert gen.bit_generator.state == \
+                        gens[0].bit_generator.state
+
+
+def test_gram_of_stacks_is_the_gram_of_each_pair():
+    rng = np.random.default_rng(3)
+    f, s = random_invertible_many(4, 5, rng), random_spd1_many(4, 5, rng)
+    assert np.array_equal(gram(f, s),
+                          np.stack([gram(a, b) for a, b in zip(f, s)]))

@@ -26,8 +26,9 @@ from divalg.matkit import det_many, polar_decompose, random_invertible, \
 from divalg.quat import functor_h, functor_h_many, k_map, k_map_many, \
     qconj, qinv, qmul, rep_normalize, rep_normalize_many, so4_factor
 from divalg.samples import decorated_corpus, division_corpus, \
-    random_2d_division, random_division, random_normal_form, \
-    random_quat_pair, random_unit_quaternion, random_z_object
+    random_2d_division, random_division, random_normal_form_many, \
+    random_quat_pair, random_unit_quaternion, random_z_object, \
+    random_z_object_many
 
 DIMS = [2, 4, 8]
 STACKS = [1, 3]
@@ -383,11 +384,15 @@ def dim2_loop(name, tol):
     reported as run_verify reports: (passed, residual, samples, detail)."""
     index = next(c.index for c in verify._REGISTRY if c.name == name)
     rng = np.random.default_rng([42, index])
+    # the round trip draws its forms as one block, density its algebras
+    # one at a time
+    forms = random_normal_form_many(100, rng) \
+        if name == "dim2-round-trip" else None
     worst = 0.0
     try:
         for count in range(100):
             if name == "dim2-round-trip":
-                nf = random_normal_form(rng)
+                nf = forms[count]
                 alg = build2d(nf)
                 nf2, iso = normal_form_2d(alg, tol)
                 if (nf2.i, nf2.j) != (nf.i, nf.j):
@@ -502,7 +507,8 @@ def quat_normal_form_reference(s, t, tol=1e-9):
         lam = float(np.linalg.det(c0)) ** 0.25
         rep = rep_normalize(g)
         scale = scale * lam * (1.0 if rep @ g > 0 else -1.0)
-        parts.append((rep, 0.5 * (c0 + c0.T) / lam))
+        # the constructor makes g its representative, once
+        parts.append((g, 0.5 * (c0 + c0.T) / lam))
     x = quat.ZObject(parts[0][0], parts[1][0], parts[0][1], parts[1][1])
     alpha, beta = (-1 if i_t else 1), (-1 if i_s else 1)
     iso = scale * iso
@@ -605,10 +611,18 @@ def block_shift_loop(corpus, rng, tol):
     return True, 0.0, 52, ""
 
 
+def per_dim(dims, draw):
+    """draw() for each item, the items of dimension 2, then 4, then 8,
+    handed back in item order."""
+    drawn = {n: iter([draw(n) for d in dims if d == n]) for n in DIMS}
+    return [next(drawn[n]) for n in dims]
+
+
 def morphism_loop(corpus, rng, tol):
     worst = 0.0
-    for x in corpus[:30]:
-        f = random_invertible(x.dim, rng, max_cond=10.0)
+    maps = per_dim([x.dim for x in corpus[:30]],
+                   lambda n: random_invertible(n, rng, max_cond=10.0))
+    for x, f in zip(corpus[:30], maps):
         x2 = decorated.decorate(transport(x.alg, f), f @ x.u, f @ x.v)
         for i, j in BLOCK_TWISTS:
             worst = max(worst, morphism_residual(
@@ -622,17 +636,19 @@ LOOPS = {"quat-normal-form": quat_nf_loop,
          "decorated-morphism-preservation": morphism_loop}
 
 
-@pytest.mark.parametrize("tol", [1e-9, 1e-2, 1e-30])
+# at 5e-2 the block-shift check fails on a raising stack, which the
+# replay must report as the loop does
+@pytest.mark.parametrize("tol", [1e-9, 1e-2, 5e-2, 1e-30])
 def test_restacked_checks_report_what_the_loops_report(tol):
     report = verify.run_verify(42, tol=tol, names=list(LOOPS))
     for got in report.results:
         assert (got.passed, got.residual, got.samples, got.detail) == \
             decorated_loop(got.name, tol), got.name
-    if tol == 1e-2:
+    if tol == 5e-2:
         (shift,) = [r for r in report.results
                     if r.name == "decorated-block-shift"]
         assert shift.detail.startswith("DegenerateSign") and \
-            "on algebra 0 of the stack at sample point 1" in shift.detail
+            "on algebra 0 of the stack at sample point 7" in shift.detail
 
 
 def test_by_dimension_keeps_item_order_across_stacks():
@@ -776,27 +792,23 @@ def test_sampled_dets_are_those_of_the_operator_stacks(n):
 # their sample counts and details, as the report gives them
 FAILURES_AT_TOL = {
     1e-2: [
-        ("core-sign-constancy", 0, "DegenerateSign: |det| = 7.926e-03 <= "
-         "tol = 1.000e-02 at batch index 7"),
+        ("core-sign-constancy", 0, "DegenerateSign: |det| = 4.711e-03 <= "
+         "tol = 1.000e-02 at batch index 398"),
         ("core-transport-invariance", 0, "DegenerateSign: |det R_a| = "
          "9.561e-03 <= tol = 1.000e-02 on algebra 0 of the stack at sample "
          "point 4, a = [-0.829  0.559]"),
-        ("core-isotope-sign-law", 0, "DegenerateSign: |det L_a| = 4.825e-03 "
-         "<= tol = 1.000e-02 on algebra 0 of the stack at sample point 1, "
-         "a = [0. 1.]"),
+        ("core-isotope-sign-law", 0, "SingularOperator: S[0] is singular at "
+         "tol 1.0e-02"),
         ("core-unital-blocks", 0, "DegenerateSign: |det L_a| = 6.292e-03 <= "
          "tol = 1.000e-02 on algebra 0 of the stack at sample point 4, "
          "a = [-0.829  0.559]"),
-        ("decorated-block-shift", 0, "DegenerateSign: |det R_a| = 4.351e-03 "
-         "<= tol = 1.000e-02 on algebra 0 of the stack at sample point 1, "
-         "a = [0. 1. 0. 0. 0. 0. 0. 0.]"),
         ("dim2-round-trip", 0, "NotDivision: the exact dimension-2 test "
          "rejects this algebra at stack index 0"),
         ("dim2-density", 0, "NotDivision: the exact dimension-2 test "
          "rejects this algebra at stack index 0"),
-        ("quat-functor-blocks", 0, "DegenerateSign: |det L_a| = 9.559e-03 "
-         "<= tol = 1.000e-02 on algebra 0 of the stack at sample point 4, "
-         "a = [ 0.187 -0.196  0.95   0.156]"),
+        ("quat-functor-blocks", 0, "DegenerateSign: |det L_a| = 7.619e-03 "
+         "<= tol = 1.000e-02 on algebra 0 of the stack at sample point 6, "
+         "a = [-0.446 -0.802 -0.395  0.026]"),
     ],
     1e-30: [
         ("equad-decomposition", 0, "NotEQuadratic: no central idempotent "
@@ -856,9 +868,10 @@ def transport_loop(rng, tol):
 
 def isotope_law_loop(rng, tol):
     corpus = division_corpus(54, [42, 100001])[:10]
-    for k in range(500):
+    pairs = per_dim([corpus[k % 10].dim for k in range(500)], lambda n: (
+        random_invertible(n, rng), random_invertible(n, rng)))
+    for k, (s, t) in enumerate(pairs):
         alg = corpus[k % len(corpus)]
-        s, t = random_invertible(alg.dim, rng), random_invertible(alg.dim, rng)
         ell, r = sign_pair(alg, samples=8, tol=tol)
         got = sign_pair(isotope(alg, s, t, tol), samples=8, tol=tol)
         if got != (ell * sign_det(t), r * sign_det(s)):
@@ -869,9 +882,8 @@ def isotope_law_loop(rng, tol):
 def quat_blocks_loop(rng, tol):
     count = 0
     for block in BLOCKS:
-        for _ in range(50):
-            got = sign_pair(functor_h(*block, random_z_object(rng)),
-                            samples=8, tol=tol)
+        for x in random_z_object_many(50, rng):
+            got = sign_pair(functor_h(*block, x), samples=8, tol=tol)
             if got != block:
                 return False, 1.0, count, f"landed in {got.block}"
             count += 1
@@ -984,8 +996,8 @@ def test_equad_decomposition_is_scale_free(monkeypatch):
 def test_morphism_injective_is_scale_free(monkeypatch):
     # a transport map scaled by 1e-3 is as invertible as the map, though
     # its determinant is at most 1e-12 of the map's in dimension >= 4
-    real = verify.random_invertible
-    monkeypatch.setattr(verify, "random_invertible",
-                        lambda n, rng: 1e-3 * real(n, rng))
+    real = verify.random_invertible_many
+    monkeypatch.setattr(verify, "random_invertible_many",
+                        lambda n, count, rng: 1e-3 * real(n, count, rng))
     result = run_check("core-morphism-injective")
     assert (result.passed, result.samples, result.detail) == (True, 13, "")
