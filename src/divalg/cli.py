@@ -180,10 +180,11 @@ def cmd_verify(args) -> int:
     else:
         print(f"verify seed={report.seed} tol={report.tol:g} "
               f"samples={report.samples}")
+        width = max((len(r.name) for r in report.results), default=0)
         for r in report.results:
             mark = "PASS" if r.passed else "FAIL"
             res = "-" if r.residual is None else f"{r.residual:.3e}"
-            line = (f"{mark}  {r.name:<28} residual={res:<10} "
+            line = (f"{mark}  {r.name:<{width}} residual={res:<10} "
                     f"samples={r.samples}")
             print(line if not r.detail else f"{line}  [{r.detail}]")
         bad = [r.name for r in report.results if not r.passed]

@@ -8,11 +8,15 @@ is unique.  functor_g turns the splitting into a decoration, which is
 compatible with the (kappa, kappa)-isotope: applying the (1,1) isotope
 functor to the decoration of A gives exactly the decoration of the
 (kappa, kappa)-isotope of A.
+
+When L_e is invertible, as in every division algebra, the squares of an
+e-quadratic algebra obey x^2 = a(x) e + b(x) ex with b linear (for
+n >= 3), and Im_e is the kernel of b.  One least-squares solve for b
+(_square_factor) answers both questions: the law fits exactly when the
+algebra is e-quadratic.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 import numpy as np
 
@@ -23,14 +27,11 @@ from .errors import (
     CenterTooLarge,
     NoHyperplane,
     NonUniqueIdempotent,
+    NotDivision,
     NotEQuadratic,
     NotIdempotent,
 )
-from .matkit import DEFAULT_TOL
-
-# eigenvalues of a factored quadratic form below this (relative) size
-# are treated as numerically zero when reading off its rank
-_FACTOR_EIG_TOL = 1e-8
+from .matkit import DEFAULT_TOL, near_singular
 
 # cubic coefficients below this share of the largest projected
 # structure constant are treated as zero when finding idempotents
@@ -109,37 +110,53 @@ def _idempotent_directions(alg, basis):
     return [basis @ (t / np.linalg.norm(t)) for t in ts]
 
 
+def _square_factor(alg: Algebra, e: np.ndarray):
+    """The linear form b of the squares law x o x = a(x) e + b(x) e x.
+
+    With rows z_t spanning e-perp, the law projected onto z_t reads
+    M_t = (b l_t^T + l_t b^T) / 2 for the symmetric form M_t of
+    z_t . (x o x) and the covector l_t = z_t L_e.  That is linear in b,
+    and its normal equations (|L|_F^2 I + L^T L) b / 2 = sum_t M_t l_t,
+    L the matrix with rows l_t, are one n x n solve whose eigenvalues
+    lie in [|L|_F^2 / 2, |L|_F^2].  Returns b, the fit defect
+    max_t |M_t - (b l_t^T + l_t b^T) / 2| and max(1, max_t |M_t|).
+    """
+    n = alg.dim
+    _, _, vt = np.linalg.svd((e / np.linalg.norm(e))[None, :])
+    z = vt[1:]                                  # (n-1, n), rows span e-perp
+    csym = 0.5 * (alg.c + alg.c.transpose(1, 0, 2))
+    forms = (csym @ z.T).transpose(2, 0, 1)     # (n-1, n, n) symmetric
+    ell = z @ left_mult(alg, e)                 # (n-1, n)
+    gram = 0.5 * (np.sum(ell * ell) * np.eye(n) + ell.T @ ell)
+    rhs = forms.transpose(1, 0, 2).reshape(n, -1) @ ell.ravel()
+    # least squares: a zero L (e x on the e-line for every x) gives b = 0
+    b = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+    outer = b[None, :, None] * ell[:, None, :]
+    defect = np.abs(forms - 0.5 * (outer + outer.transpose(0, 2, 1)))
+    scale = max(1.0, float(np.max(np.abs(forms))))
+    return b, float(np.max(defect)), scale
+
+
 def is_e_quadratic(alg: Algebra, e, tol: float = DEFAULT_TOL) -> bool:
     """Whether every square lies in span{e, e x}.
 
-    Checks that all 3 x 3 minors of the n x 3 matrix [e | L_e x | x^2]
-    vanish identically in x, by expanding each minor into the
-    symmetrized coefficient tensor of a cubic form; the tensors of all
-    row triples are built as one stacked array.  In dimension 2
-    there are no such minors and the answer is vacuously true.
-    Raises NotIdempotent when e o e != e.
+    For n >= 3 and L_e invertible this holds exactly when the squares
+    obey x o x = a(x) e + b(x) e x with b linear, so the test is the fit
+    defect of _square_factor, at most tol times max(1, max_t |M_t|).
+    That equivalence needs L_e invertible, as in every division
+    algebra: raises NotDivision when L_e is singular at tol (n >= 3).
+    In dimension 2 the answer is vacuously true.  Raises NotIdempotent
+    when e o e != e.
     """
     e = np.asarray(e, dtype=float)
     if np.linalg.norm(alg.mul(e, e) - e) > max(tol, 1e-9):
         raise NotIdempotent("e is not an idempotent at tolerance")
-    n = alg.dim
-    if n < 3:
+    if alg.dim < 3:
         return True
-    le = left_mult(alg, e)
-    csym = 0.5 * (alg.c + alg.c.transpose(1, 0, 2))
-    quad = csym.transpose(2, 0, 1)          # quad[k] is the form of (x^2)_k
-    # pairs[a, b] is the coefficient tensor of (le[a] . x) (x^T quad[b] x)
-    # minus that of (le[b] . x) (x^T quad[a] x), flattened over (i, j, k)
-    prod = le[:, None, :, None] * quad.reshape(1, n, 1, n * n)
-    pairs = (prod - prod.transpose(1, 0, 2, 3)).reshape(n, n, n ** 3)
-    p, q, r = np.array(list(combinations(range(n), 3))).T
-    t = (e[p, None] * pairs[q, r] + e[q, None] * pairs[r, p]
-         + e[r, None] * pairs[p, q]).reshape(-1, n, n, n)
-    t = (t + t.transpose(0, 1, 3, 2) + t.transpose(0, 2, 1, 3)
-         + t.transpose(0, 2, 3, 1) + t.transpose(0, 3, 1, 2)
-         + t.transpose(0, 3, 2, 1)) / 6.0
-    scale = max(1.0, float(np.max(np.abs(alg.c))) ** 2)
-    return bool(np.max(np.abs(t)) <= tol * scale)
+    if near_singular(left_mult(alg, e), tol):
+        raise NotDivision(f"L_e is singular at tol {tol:.1e}")
+    _, defect, scale = _square_factor(alg, e)
+    return defect <= tol * scale
 
 
 def _unit_covector(f: np.ndarray) -> np.ndarray:
@@ -160,74 +177,20 @@ def _kernel_basis(f: np.ndarray) -> np.ndarray:
 def im_e(alg: Algebra, e, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Column basis of the hyperplane {v : v^2 in span e}.
 
-    Projects the squaring map onto a complement of the e-line; each
-    component is then a quadratic form vanishing on the hyperplane, so
-    it factors through a linear form.  The factor is read off from the
-    eigendecomposition of a rank <= 2 symmetric matrix, and a candidate
-    is accepted only if every component form vanishes on its kernel
-    (checked on all polarized pairs) and e stays outside the kernel.
+    Off the e-line, v o v = a(v) e + b(v) e v lies on the e-line exactly
+    where b(v) = 0 when L_e is invertible (as in a division algebra), so
+    the hyperplane is the kernel of the square factor b.  Raises
+    NoHyperplane when the squares law does not fit at max(tol, 1e-9)
+    relative, or when e lies in the kernel of b.
     """
     e = np.asarray(e, dtype=float)
-    n = alg.dim
-    # orthonormal complement of the e-line
-    _, _, vt = np.linalg.svd((e / np.linalg.norm(e))[None, :])
-    z = vt[1:]                               # (n-1, n), rows span e-perp
-    csym = 0.5 * (alg.c + alg.c.transpose(1, 0, 2))
-    forms = (csym @ z.T).transpose(2, 0, 1)     # (n-1, n, n) symmetric
-    norms = np.linalg.norm(forms.reshape(n - 1, -1), axis=1)
-    scale = max(1.0, float(norms.max()) if norms.size else 1.0)
-
-    if norms.size == 0 or norms.max() <= tol * scale:
-        # every square already lies on the e-line; any complement works
-        return _coordinate_complement(e)
-
-    def kernel_ok(w):
-        for t in range(n - 1):
-            if np.max(np.abs(w.T @ forms[t] @ w)) > max(tol, 1e-9) * scale:
-                return False
-        return True
-
-    for t in np.argsort(-norms):
-        m = forms[t]
-        if norms[t] <= tol * scale:
-            continue
-        w, vecs = np.linalg.eigh(m)
-        order = np.argsort(-np.abs(w))
-        w, vecs = w[order], vecs[:, order]
-        if np.any(np.abs(w[2:]) > _FACTOR_EIG_TOL * abs(w[0])):
-            continue                        # rank above 2, not factorable
-        if abs(w[1]) <= _FACTOR_EIG_TOL * abs(w[0]):
-            cands = [vecs[:, 0]]            # rank 1: form = +-(f.x)^2
-        else:
-            if w[0] * w[1] > 0:
-                continue                    # definite rank 2, no real factor
-            lp, lm = abs(w[0]), abs(w[1])
-            f1 = np.sqrt(lp) * vecs[:, 0] + np.sqrt(lm) * vecs[:, 1]
-            f2 = np.sqrt(lp) * vecs[:, 0] - np.sqrt(lm) * vecs[:, 1]
-            cands = [f1, f2]
-        cands.sort(key=lambda f: -abs(float(f @ e)) / np.linalg.norm(f))
-        for f in cands:
-            f = _unit_covector(f)
-            if abs(float(f @ e)) <= max(tol, 1e-9):
-                continue                    # e would lie inside the kernel
-            w_basis = _kernel_basis(f)
-            if kernel_ok(w_basis):
-                return w_basis
-    raise NoHyperplane("no factor cuts out the imaginary hyperplane")
-
-
-def _coordinate_complement(e: np.ndarray) -> np.ndarray:
-    n = e.shape[0]
-    drop = int(np.argmax(np.abs(e)))
-    cols = []
-    for i in range(n):
-        if i == drop:
-            continue
-        v = np.zeros(n)
-        v[i] = 1.0
-        v = v - (v @ e) / (e @ e) * e
-        cols.append(v / np.linalg.norm(v))
-    return np.array(cols).T
+    b, defect, scale = _square_factor(alg, e)
+    gate = max(tol, 1e-9)
+    if defect > gate * scale:
+        raise NoHyperplane("the squares law does not fit a linear factor")
+    if not abs(float(b @ e)) > gate * np.linalg.norm(b):
+        raise NoHyperplane("e lies in the kernel of the square factor")
+    return _kernel_basis(_unit_covector(b))
 
 
 def functor_g(alg: Algebra, tol: float = DEFAULT_TOL) -> DecoratedAlgebra:
@@ -235,8 +198,9 @@ def functor_g(alg: Algebra, tol: float = DEFAULT_TOL) -> DecoratedAlgebra:
 
     Defined for dimensions 4 and 8, where the qualifying central
     idempotent is unique.  Raises NotEQuadratic when no commuting
-    idempotent passes the quadraticity test and NonUniqueIdempotent
-    when more than one does.
+    idempotent passes the quadraticity test, NonUniqueIdempotent when
+    more than one does, and NotDivision when a candidate's L_e is
+    singular (outside the domain of is_e_quadratic).
     """
     if alg.dim not in (4, 8):
         raise ValueError("the decoration functor applies to dims 4 and 8")

@@ -105,10 +105,14 @@ def det_many(ms) -> np.ndarray:
 
 
 def near_singular(ms, tol: float) -> np.ndarray:
-    """Whether |det| <= tol times the product of the column norms (which
-    bound |det|), for each matrix of a stack (..., n, n); scale-free."""
-    return (np.abs(np.linalg.det(ms))
-            <= tol * np.prod(np.linalg.norm(ms, axis=-2), axis=-1))
+    """Whether the Hadamard ratio |det| / (product of the column norms),
+    which lies in [0, 1], is at most tol, for each matrix of a stack
+    (..., n, n); scale-free.  The ratio is the determinant of the matrix
+    with unit columns, so it stays in range where the raw determinant
+    overflows or underflows.  A zero column (a NaN ratio) is singular."""
+    with np.errstate(invalid="ignore"):      # 0 / 0 on a zero column
+        ratio = np.linalg.det(ms / np.linalg.norm(ms, axis=-2, keepdims=True))
+    return ~(np.abs(ratio) > tol)
 
 
 def polar_decompose(m, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:

@@ -874,7 +874,7 @@ def _chk_quat_absvalued(ctx: Ctx, rng):
 
 def _norm_defect(alg: Algebra, xs: np.ndarray, ys: np.ndarray):
     """| |x y| - |x| |y| | / (|x| |y|) for each row pair of xs, ys."""
-    prods = np.einsum("ijk,bi,bj->bk", alg.c, xs, ys)
+    prods = (left_mult_many(alg, xs) @ ys[:, :, None])[:, :, 0]
     rhs = np.linalg.norm(xs, axis=1) * np.linalg.norm(ys, axis=1)
     return np.abs(np.linalg.norm(prods, axis=1) - rhs) / rhs
 

@@ -8,6 +8,7 @@ from divalg.core import Algebra, classical
 from divalg.io import algebra_to_dict, normal_form_to_dict, pair_to_dict, \
     write_algebra, write_json
 from divalg.samples import random_normal_form, random_quat_pair
+from divalg.verify import check_names
 
 
 @pytest.fixture
@@ -186,6 +187,14 @@ def test_verify_text_subset(capsys):
     lines = out.strip().splitlines()
     assert lines[-1].startswith("2 checks, 0 failures")
     assert all(line.startswith("PASS") for line in lines[1:-1])
+
+
+def test_verify_text_report_aligns_the_residual_column(capsys):
+    code, out = run(capsys, "verify", "--samples", "5")
+    assert code == 0
+    lines = out.strip().splitlines()[1:-1]
+    assert len(lines) == len(check_names())
+    assert len({line.index("residual=") for line in lines}) == 1
 
 
 @pytest.mark.parametrize("only", ["no-such-check", "core-opposition,typo"])

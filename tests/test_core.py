@@ -120,6 +120,19 @@ def test_sign_decisions_at_extreme_scales(name, lam):
             assert is_division(alg) == "probably_division"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("build", [
+    lambda o: isotope(o, 1e50 * np.eye(8), np.eye(8)),
+    lambda o: transport(o, 1e50 * np.eye(8)),
+    lambda o: isotope(o, 1e-50 * np.eye(8), np.eye(8)),
+], ids=["isotope-1e50", "transport-1e50", "isotope-1e-50"])
+def test_rescaled_identity_operators_are_not_singular(O, build):
+    # det(1e50 I) overflows and det(1e-50 I) underflows; the singular
+    # test reads the determinant of the unit-column matrix instead
+    alg = build(O)
+    assert np.all(np.isfinite(alg.c))
+
+
 def test_nan_determinant_is_never_a_sign_or_a_pass(O):
     # at this scale the operator entries overflow, and some sampled dets
     # of L_a come out NaN: they are degenerate, not a sign or a pass

@@ -1,14 +1,54 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from divalg.core import Algebra, classical, isotope, sign_pair, transport
+from divalg.core import Algebra, classical, isotope, left_mult, sign_pair, \
+    transport
 from divalg.decorated import forget, functor_i, kappa
 from divalg.equadratic import central_idempotents, functor_g, \
     idempotent_residual, im_e, is_e_quadratic
-from divalg.errors import CenterTooLarge, NotEQuadratic, NotIdempotent
+from divalg.errors import CenterTooLarge, NoHyperplane, NotDivision, \
+    NotEQuadratic, NotIdempotent
 from divalg.matkit import random_invertible, random_rotation
+from divalg.samples import e_quadratic_corpus
 
 E0 = np.eye(4)[0]
+
+
+def e_quadratic_by_minors(alg, e, tol=1e-9):
+    """Reference for is_e_quadratic, from the definition: every 3 x 3
+    minor of the n x 3 matrix [e | L_e x | x^2] vanishes identically in
+    x.  Each minor is expanded into the symmetrized coefficient tensor of
+    a cubic form; the tensors of all row triples are one stacked array."""
+    n = alg.dim
+    le = left_mult(alg, e)
+    csym = 0.5 * (alg.c + alg.c.transpose(1, 0, 2))
+    quad = csym.transpose(2, 0, 1)          # quad[k] is the form of (x^2)_k
+    # pairs[a, b] is the coefficient tensor of (le[a] . x) (x^T quad[b] x)
+    # minus that of (le[b] . x) (x^T quad[a] x), flattened over (i, j, k)
+    prod = le[:, None, :, None] * quad.reshape(1, n, 1, n * n)
+    pairs = (prod - prod.transpose(1, 0, 2, 3)).reshape(n, n, n ** 3)
+    p, q, r = np.array(list(combinations(range(n), 3))).T
+    t = (e[p, None] * pairs[q, r] + e[q, None] * pairs[r, p]
+         + e[r, None] * pairs[p, q]).reshape(-1, n, n, n)
+    t = (t + t.transpose(0, 1, 3, 2) + t.transpose(0, 2, 1, 3)
+         + t.transpose(0, 2, 3, 1) + t.transpose(0, 3, 1, 2)
+         + t.transpose(0, 3, 2, 1)) / 6.0
+    scale = max(1.0, float(np.max(np.abs(alg.c))) ** 2)
+    return bool(np.max(np.abs(t)) <= tol * scale)
+
+
+def hyperplane_by_points(alg, e):
+    """Reference for the projector onto Im_e: at the columns x of a fixed
+    rotation, read b(x) off x^2 = a(x) e + b(x) e x by a two-column least
+    squares fit, recover the linear form b, and project onto its kernel."""
+    q = random_rotation(alg.dim, 5)
+    le = left_mult(alg, e)
+    vals = [np.linalg.lstsq(np.column_stack([e, le @ x]), alg.mul(x, x),
+                            rcond=None)[0][1] for x in q.T]
+    b = q @ np.array(vals)
+    return np.eye(alg.dim) - np.outer(b, b) / (b @ b)
 
 
 def componentwise(n):
@@ -178,3 +218,72 @@ def test_blocks_swap(H):
     k = kappa(functor_g(H))
     assert sign_pair(H, samples=16).block == "++"
     assert sign_pair(isotope(H, k, k), samples=16).block == "--"
+
+
+def conjugation_isotope(alg):
+    k = kappa(functor_g(alg))
+    return isotope(alg, k, k)
+
+
+def perturbed_quaternions(delta):
+    """H + delta p (x) p (x) q with p, q imaginary, transported along a
+    fixed rotation F; the idempotent is F e0.  The extra square
+    delta (p . x)^2 q leaves span{e, e x}, so only delta = 0 is
+    e-quadratic."""
+    p = np.array([0.0, 1.0, 2.0, -1.0]) / np.sqrt(6.0)
+    q = np.array([0.0, -1.0, 0.0, 3.0]) / np.sqrt(10.0)
+    c = classical("H").c + delta * p[:, None, None] * p[None, :, None] * q
+    f = random_rotation(4, 31)
+    return transport(Algebra(c), f), f @ E0
+
+
+def _closed_form_cases():
+    cases = []
+    for name in ("H", "O"):
+        alg = classical(name)
+        cases += [pytest.param(alg, id=name),
+                  pytest.param(conjugation_isotope(alg), id=f"{name}-twisted")]
+    for s in (42, 43, 44):
+        cases += [pytest.param(alg, id=f"corpus-{s}-{k}") for k, alg in
+                  enumerate(e_quadratic_corpus(20, [s, 100003]))]
+    return cases
+
+
+@pytest.mark.parametrize("alg", _closed_form_cases())
+def test_closed_form_matches_the_minors_and_the_pointwise_hyperplane(alg):
+    (e,) = central_idempotents(alg)
+    assert is_e_quadratic(alg, e) is e_quadratic_by_minors(alg, e) is True
+    got = projector(im_e(alg, e))
+    assert np.max(np.abs(got - hyperplane_by_points(alg, e))) <= 1e-12
+
+
+@pytest.mark.parametrize("delta", [1e-12, 1e-6, 1.0])
+def test_closed_form_matches_the_minors_off_the_quadratic_law(delta):
+    alg, e = perturbed_quaternions(delta)
+    want = e_quadratic_by_minors(alg, e)
+    assert want is (delta < 1e-9)
+    assert is_e_quadratic(alg, e) is want
+    if want:
+        got = projector(im_e(alg, e))
+        assert np.max(np.abs(got - hyperplane_by_points(alg, e))) <= 1e-12
+
+
+def test_im_e_without_a_linear_square_factor_has_no_hyperplane():
+    alg, e = perturbed_quaternions(1.0)
+    with pytest.raises(NoHyperplane):
+        im_e(alg, e)
+
+
+def test_is_e_quadratic_needs_an_invertible_left_operator():
+    # e e = e, e e1 = e1, e e2 = e e3 = 0: L_e has rank 2.  All squares
+    # lie in span{e0, e1}, so every minor of [e | e x | x^2] vanishes,
+    # but the e1 part 2 x0 x1 + x2 x3 has no factor x1: no linear b.
+    c = np.zeros((4, 4, 4))
+    c[0, 0, 0] = c[1, 1, 0] = c[2, 2, 0] = c[3, 3, 0] = 1.0
+    c[0, 1, 1] = c[1, 0, 1] = 1.0
+    c[2, 3, 1] = c[3, 2, 1] = 0.5
+    alg = Algebra(c)
+    assert np.linalg.matrix_rank(left_mult(alg, E0)) == 2
+    assert e_quadratic_by_minors(alg, E0)
+    with pytest.raises(NotDivision, match="L_e is singular"):
+        is_e_quadratic(alg, E0)
