@@ -21,6 +21,7 @@ from .errors import (
     DegenerateSign,
     DimensionOne,
     ModeMismatch,
+    NonConvergence,
     SignInconsistent,
     SingularOperator,
     ZeroMap,
@@ -361,6 +362,21 @@ def _defects(f: np.ndarray, ft: np.ndarray, a: np.ndarray,
     map and tensor pair or equal-length stacks of them; ft is F^T,
     shaped to broadcast against a."""
     return np.linalg.norm(a @ ft - _pull_back(b, f, f), axis=-1)
+
+
+def _gate_residuals(res: np.ndarray, f: np.ndarray, a: np.ndarray,
+                    tol: float) -> None:
+    """The final gate of the normal forms, scale-free: NonConvergence
+    for the first residual res[k] of f[k] from a[k] that is not a number
+    or above max(tol, 1e-8) max|f[k]| max|a[k]|, the size of the terms
+    it compares."""
+    bound = max(tol, 1e-8) * (np.abs(f).max(axis=(1, 2))
+                              * np.abs(a).max(axis=(1, 2, 3)))
+    fail_at(~(res <= bound), NonConvergence,
+            lambda k: "normal-form isomorphism residual "
+                      + ("is not a number" if np.isnan(res[k]) else
+                         f"{res[k]:.3e} exceeds {bound[k]:.1e}")
+                      + f" at stack index {k}")
 
 
 def is_morphism(f, a: Algebra, b: Algebra, tol: float = DEFAULT_TOL) -> bool:

@@ -20,6 +20,9 @@ from .core import Algebra, _Frozen, _pull_back, _tag
 from .errors import BadSplit
 from .matkit import DEFAULT_TOL, near_singular
 
+_MAX_COND = 20.0        # bound on the condition of a random decoration
+
+
 @dataclass(frozen=True, eq=False)
 class DecoratedAlgebra(_Frozen):
     """An algebra with a chosen odd/even splitting (column bases u, v).
@@ -137,8 +140,7 @@ def forget(x: DecoratedAlgebra) -> Algebra:
     return x.alg
 
 
-def random_decorated(alg: Algebra, seed=0, max_cond: float = 20.0
-                     ) -> DecoratedAlgebra:
+def random_decorated(alg: Algebra, seed=0) -> DecoratedAlgebra:
     """Seeded random decoration of an algebra of even dimension.
 
     Chooses a random odd m < n and a random well-conditioned basis,
@@ -150,6 +152,6 @@ def random_decorated(alg: Algebra, seed=0, max_cond: float = 20.0
     m = int(odd[rng.integers(len(odd))])
     for _ in range(200):
         w = rng.standard_normal((n, n))
-        if np.linalg.cond(w) <= max_cond:
+        if np.linalg.cond(w) <= _MAX_COND:
             return decorate(alg, w[:, :m], w[:, m:])
     raise BadSplit("failed to draw a well-conditioned splitting")

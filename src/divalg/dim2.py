@@ -39,6 +39,7 @@ from .core import (
     SignPair,
     _Frozen,
     _exact2d_division,
+    _gate_residuals,
     _left_stack,
     _pull_back,
     classical,
@@ -471,9 +472,5 @@ def normal_form_2d_many(tensors, tol: float = DEFAULT_TOL
              in zip(i.astype(int).tolist(), j.astype(int).tolist(), a, b)]
     isos = _matrix((w * phi1[0], w * phi1[1]))                # L(w) phi1
     res = morphism_residual_many(isos, c, _build_tensors(i, j, a, b))
-    bound = max(tol, 1e-8) * (np.abs(isos).max(axis=(1, 2))
-                              * np.abs(c).max(axis=(1, 2, 3)))
-    fail_at(res > bound, NonConvergence,
-            lambda k: f"normal-form isomorphism residual {res[k]:.3e} "
-                      f"exceeds {bound[k]:.1e} at stack index {k}")
+    _gate_residuals(res, isos, c, tol)
     return forms, isos, res

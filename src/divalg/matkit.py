@@ -13,6 +13,8 @@ import numpy as np
 from .errors import DegenerateSign, SingularInput, fail_at
 
 DEFAULT_TOL = 1e-9
+_POLAR_TOL = 1e-12      # polar_decompose: least s_min / max(s_max, 1)
+_MIN_DET = 1e-3         # random_invertible: least |det| of a draw
 
 
 def as_matrix(m) -> np.ndarray:
@@ -109,13 +111,16 @@ def near_singular(ms, tol: float) -> np.ndarray:
     which lies in [0, 1], is at most tol, for each matrix of a stack
     (..., n, n); scale-free.  The ratio is the determinant of the matrix
     with unit columns, so it stays in range where the raw determinant
-    overflows or underflows.  A zero column (a NaN ratio) is singular."""
+    overflows or underflows, and each column is first divided by its
+    largest |entry|, so that its norm does too.  A zero column (a NaN
+    ratio) is singular."""
     with np.errstate(invalid="ignore"):      # 0 / 0 on a zero column
+        ms = ms / np.abs(ms).max(axis=-2, keepdims=True)
         ratio = np.linalg.det(ms / np.linalg.norm(ms, axis=-2, keepdims=True))
     return ~(np.abs(ratio) > tol)
 
 
-def polar_decompose(m, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def polar_decompose(m) -> tuple[np.ndarray, np.ndarray]:
     """Left polar decomposition m = p @ o with p SPD and o orthogonal.
 
     ``m`` is one matrix (n, n) or a stack (B, n, n); p and o have its
@@ -123,12 +128,13 @@ def polar_decompose(m, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     the same arithmetic for each matrix of a stack as for one matrix.
     Raises ValueError for another shape or a non-finite entry, and
     SingularInput, naming the stack index of the first offender, when
-    the smallest singular value is below tol times the largest.
+    the smallest singular value is below _POLAR_TOL times the largest.
     """
     a = _as_square(m, 3) if np.ndim(m) == 3 else as_matrix(m)
     u, s, vt = np.linalg.svd(a)
     rows = s.reshape(-1, s.shape[-1])
-    fail_at(s[..., -1] <= tol * np.maximum(s[..., 0], 1.0), SingularInput,
+    fail_at(s[..., -1] <= _POLAR_TOL * np.maximum(s[..., 0], 1.0),
+            SingularInput,
             lambda i: f"singular values span {rows[i, 0]:.3e}.."
                       f"{rows[i, -1]:.3e}"
                       + (f" at stack index {i}" if a.ndim == 3 else ""))
@@ -199,21 +205,20 @@ def random_rotation_many(n: int, count: int, seed=0) -> np.ndarray:
     return q
 
 
-def random_invertible(n: int, seed=0, min_det: float = 1e-3,
-                      max_cond: float = 50.0) -> np.ndarray:
+def random_invertible(n: int, seed=0, max_cond: float = 50.0) -> np.ndarray:
     """Seeded random invertible matrix with bounded condition number.
 
-    Standard normal entries, redrawn until |det| >= min_det and the
+    Standard normal entries, redrawn until |det| >= _MIN_DET and the
     condition number stays below max_cond.  The conditioning bound keeps
     downstream float error well under the package tolerances.  The
     condition number is s_max / s_min from one singular-value
     computation, exactly what np.linalg.cond returns.  The count = 1
     case of random_invertible_many, so it gives up after 1000 draws.
     """
-    return random_invertible_many(n, 1, seed, min_det, max_cond)[0]
+    return random_invertible_many(n, 1, seed, max_cond)[0]
 
 
-def random_invertible_many(n: int, count: int, seed=0, min_det: float = 1e-3,
+def random_invertible_many(n: int, count: int, seed=0,
                            max_cond: float = 50.0) -> np.ndarray:
     """``count`` seeded random invertible matrices, shape (count, n, n).
 
@@ -233,7 +238,7 @@ def random_invertible_many(n: int, count: int, seed=0, min_det: float = 1e-3,
         s = np.linalg.svd(m, compute_uv=False)
         ok = [k for k, (d, c) in enumerate(zip(
                   np.linalg.det(m).tolist(), (s[:, 0] / s[:, -1]).tolist()))
-              if abs(d) >= min_det and c <= max_cond]
+              if abs(d) >= _MIN_DET and c <= max_cond]
         out[filled:filled + len(ok)] = m[ok]
         filled += len(ok)
     if filled < count:

@@ -23,6 +23,7 @@ import numpy as np
 from .core import (
     Algebra,
     _Frozen,
+    _gate_residuals,
     _pull_back,
     classical,
     isotope_many,
@@ -197,14 +198,15 @@ def _z_stacks(ab: np.ndarray, cd: np.ndarray):
     return reps, 0.5 * (cd + cd.swapaxes(1, 2)), eps
 
 
-def _z_objects(ab: np.ndarray, cd: np.ndarray) -> list[ZObject]:
+def _z_objects(ab: np.ndarray, cd: np.ndarray):
     """The n objects of parts stacked as a[0], ..., a[n-1], b[0], ...,
     b[n-1] and c[0], ..., c[n-1], d[0], ..., d[n-1], stored as
-    _z_stacks makes them."""
-    ab, cd, _ = _z_stacks(ab, cd)
+    _z_stacks makes them, and what _z_stacks made."""
+    stacks = _z_stacks(ab, cd)
+    ab, cd, _ = stacks
     n = len(ab) // 2
     return [ZObject._trusted(a=ab[k], b=ab[n + k], c=cd[k], d=cd[n + k])
-            for k in range(n)]
+            for k in range(n)], stacks
 
 
 def z_action(s, x: ZObject) -> ZObject:
@@ -312,63 +314,46 @@ def _so4_split(o: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _split_quaternions(ms: np.ndarray, flips, tol: float):
-    """Stacks a, b with m = (SPD) L_a R_b kappa^i for each matrix m of
-    ms and its det sign bit i in flips."""
-    _, o = polar_decompose(ms)
-    o = np.where(np.asarray(flips, bool)[:, None, None],
-                 o @ _conj_matrix(), o)
-    # polar factors, times kappa where det < 0: in SO(4) by construction
-    return _so4_split(o, tol)
-
-
-def _extract(ms: np.ndarray, left: np.ndarray, tol: float):
-    """Read each m of the stack ms = S[0], ..., S[B-1], T[0], ..., T[B-1]
-    (det > 0) as lam L_g C where left is True, as lam R_g C elsewhere;
-    stacks g (2B, 4), C (2B, 4, 4) and lam (2B,).
-
-    C comes out SPD with determinant 1 and lam > 0.  The opposite
-    one-sided factor must be trivial (the reduction moves have already
-    cleared it); a nontrivial remainder means the reduction failed, and
-    NonConvergence names the operator of the first.
-    """
-    h = classical("H")
-    ps, o = polar_decompose(ms)
-    aa, bb = _so4_split(o, tol)
-    trivial = np.where(left[:, None], bb, aa)
-    kept = np.where(left[:, None], aa, bb)
-    sign = np.where(trivial[:, 0] >= 0, 1.0, -1.0)
-    off = trivial.copy()
-    off[:, 0] -= sign
-    half = len(ms) // 2
-    fail_at(np.sqrt(squared_norms(off)) > 1e-6, NonConvergence,
-            lambda k: f"{'right' if left[k] else 'left'} factor "
-                      f"{np.round(trivial[k], 6)} of {'ST'[k // half]}"
-                      f"[{k % half}] did not reduce to a real scalar")
-    g = sign[:, None] * kept
-    op = np.where(left[:, None, None], left_mult_many(h, g),
-                  right_mult_many(h, g))
-    c0 = op.swapaxes(1, 2) @ ps @ op
-    # a float power per member: numpy's vectorized power can round
-    # differently from the scalar one
-    lam = np.array([v ** 0.25 for v in np.linalg.det(c0).tolist()])
-    return g, 0.5 * (c0 + c0.swapaxes(1, 2)) / lam[:, None, None], lam
-
-
 def _members(mask: np.ndarray):
-    """Index of the members where mask holds, None when none does, and a
-    slice when all do, so that a stack of one block is read and written
-    without copies."""
+    """Index of the members where mask holds, or a slice when all do, so
+    that a stack of one block is read and written without copies."""
     idx = np.flatnonzero(mask)
-    if len(idx) == len(mask):
-        return slice(None)
-    return idx if len(idx) else None
+    return slice(None) if len(idx) == len(mask) else idx
 
 
 def _qmul_many(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Quaternion products x[b] y[b] of two (B, 4) stacks, each bit for
     bit what qmul gives."""
     return (left_mult_many(classical("H"), x) @ y[:, :, None])[:, :, 0]
+
+
+def _moves(x: np.ndarray, a: np.ndarray, b: np.ndarray,
+           block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The reduction moves of quat_normal_form_many on the operators
+    (x[0]) and their polar factors (x[1]), split as a, b; returns x
+    moved and the composites of the conjugations.  Each move multiplies
+    by an orthogonal L_q or R_q (unit q), and polar(U M V) = (U P U^T,
+    U O V), so the moved x[1] is the polar factor of the moved x[0]."""
+    h = classical("H")
+    n = len(block)
+    a1, a2, b1, b2 = a[:n], a[n:], b[:n], b[n:]
+    # rewrite 1: clear the right factor of S (tensor unchanged)
+    x = np.concatenate([right_mult_many(h, _qinv_many(b1)) @ x[:, :n],
+                        left_mult_many(h, b1) @ x[:, n:]], axis=1)
+    d = _qmul_many(b1, a2)
+    col = block[:, None]
+    one = np.broadcast_to([1.0, 0.0, 0.0, 0.0], (n, 4))
+    # conjugate by L_u in blocks (0,0) and (1,0) with u = d, in (0,1)
+    # with u = conj(b2); then by R_v in blocks (1,0), v = conj(d a1), and
+    # (1,1), v = conj(d).  A block without a move takes 1, and L_1 and
+    # R_1 are exactly the identity.
+    u = np.where(col == 1, qconj(b2), np.where(col == 3, one, d))
+    v = np.where(col == 2, qconj(_qmul_many(d, a1)),
+                 np.where(col == 3, qconj(d), one))
+    lu, lui = left_mult_many(h, u), left_mult_many(h, _qinv_many(u))
+    rv, rvi = right_mult_many(h, v), right_mult_many(h, _qinv_many(v))
+    return np.concatenate([lu @ x[:, :n] @ lui @ rvi,
+                           rv @ (x[:, n:] @ lui) @ rvi], axis=1), rv @ lu
 
 
 def quat_normal_form(s_op, t_op, tol: float = DEFAULT_TOL):
@@ -382,8 +367,10 @@ def quat_normal_form(s_op, t_op, tol: float = DEFAULT_TOL):
     (S R_v^-1, R_v T R_v^-1).  One w-rewrite plus at most two
     conjugations clear the off-side quaternion factors in every block;
     scalars and representative signs are folded into a final scalar
-    multiple of the isomorphism.  The B=1 case of quat_normal_form_many,
-    which also returns the residual of iso.
+    multiple of the isomorphism.  One polar decomposition and one
+    isoclinic split of each operator, taken before the moves, give the
+    object: the polar factor moves with its operator.  The B=1 case of
+    quat_normal_form_many, which also returns the residual of iso.
     """
     alphas, betas, xs, isos, _ = quat_normal_form_many(
         np.asarray(s_op, dtype=float)[None],
@@ -398,7 +385,8 @@ def quat_normal_form_many(s_ops, t_ops, tol: float = DEFAULT_TOL):
     betas, objects, isos, residuals): (B,) int arrays of block signs, a
     list of B ZObjects, the (B, 4, 4) isomorphisms and the (B,) morphism
     residuals of isos[b] from isotope(H, S[b], T[b]) onto
-    functor_h(alphas[b], betas[b], objects[b]).  Member b is bit for bit
+    functor_h(alphas[b], betas[b], objects[b]), each at most max(tol,
+    1e-8) max|isos[b]| max|isotope tensor|.  Member b is bit for bit
     what quat_normal_form(S[b], T[b]) gives.
 
     Raises ValueError for another shape or a non-finite entry,
@@ -417,49 +405,37 @@ def quat_normal_form_many(s_ops, t_ops, tol: float = DEFAULT_TOL):
     flips = np.linalg.det(st) < 0
     i_s, i_t = flips[:n], flips[n:]
     alphas, betas = np.where(i_t, -1, 1), np.where(i_s, -1, 1)
-    a, b = _split_quaternions(st, flips, tol)
-    a1, a2, b1, b2 = a[:n], a[n:], b[:n], b[n:]
-
-    # rewrite 1: clear the right factor of S (tensor unchanged)
-    s1 = right_mult_many(h, _qinv_many(b1)) @ s
-    t1 = left_mult_many(h, b1) @ t
-    d = _qmul_many(b1, a2)
-    iso = np.repeat(np.eye(4)[None], n, axis=0)
+    k = _conj_matrix()
+    _, o = polar_decompose(st)
+    # polar factors, times kappa where det < 0: in SO(4) by construction
+    a, b = _so4_split(np.where(flips[:, None, None], o @ k, o), tol)
     block = 2 * i_s + i_t                 # 0: (0,0), 1: (0,1), 2: (1,0), 3
-    # conjugate by L_u in blocks (0,0) and (1,0) with u = d, in (0,1)
-    # with u = conj(b2)
-    g = _members(block != 3)
-    if g is not None:
-        u = np.where((block[g] == 1)[:, None], qconj(b2[g]), d[g])
-        lu, lui = left_mult_many(h, u), left_mult_many(h, _qinv_many(u))
-        s1[g], t1[g], iso[g] = lu @ s1[g] @ lui, t1[g] @ lui, lu @ iso[g]
-    # then by R_v in blocks (1,0), v = conj(d a1), and (1,1), v = conj(d)
-    g = _members(block >= 2)
-    if g is not None:
-        v = qconj(np.where((block[g] == 2)[:, None],
-                           _qmul_many(d[g], a1[g]), d[g]))
-        rv, rvi = right_mult_many(h, v), right_mult_many(h, _qinv_many(v))
-        s1[g], t1[g], iso[g] = s1[g] @ rvi, rv @ t1[g] @ rvi, rv @ iso[g]
+    x, iso = _moves(np.stack([st, o]), a, b, block)
+    ms, o = np.where(flips[:, None, None], x @ k, x)
 
-    ms = np.concatenate([s1, t1])
-    ms = np.where(flips[:, None, None], ms @ _conj_matrix(), ms)
-    # S is read as L_g C except in block (1,0), T as R_g C except in (0,1)
-    q, spd, lam = _extract(ms, np.concatenate([block != 2, block == 1]), tol)
-    # q made representatives once: what ZObject(q_a, q_b, c, d) stores
-    ab, cd, eps = _z_stacks(q, spd)
+    # S is read as lam L_g C except in block (1,0), T as lam R_g C except
+    # in (0,1); the moved polar factor is L_g or R_g, and g its image of 1
+    left = np.concatenate([block != 2, block == 1])[:, None, None]
+    g = o[:, :, 0]
+    op = np.where(left, left_mult_many(h, g), right_mult_many(h, g))
+    off = np.sqrt(squared_norms(op - o))
+    fail_at(off > 1e-6, NonConvergence,
+            lambda j: f"{'right' if left[j, 0, 0] else 'left'} factor of "
+                      f"{'ST'[j // n]}[{j % n}] did not reduce to a real "
+                      f"scalar: its polar factor is {off[j]:.3e} from "
+                      "a one-sided multiplication")
+    c0 = op.swapaxes(1, 2) @ ms          # lam C, symmetrized by _z_objects
+    # a float power per member: numpy's vectorized power can round
+    # differently from the scalar one
+    lam = np.array([w ** 0.25 for w in np.linalg.det(c0).tolist()])
+    xs, (ab, cd, eps) = _z_objects(g, c0 / lam[:, None, None])
     iso *= (lam[:n] * lam[n:] * eps[:n] * eps[n:])[:, None, None]
-    xs = [ZObject._trusted(a=ab[k], b=ab[n + k], c=cd[k], d=cd[n + k])
-          for k in range(n)]
     target = np.empty_like(src)
     for blk in sorted(set(block.tolist())):
-        g = _members(block == blk)
-        target[g] = _functor_h_stack(
+        sel = _members(block == blk)
+        target[sel] = _functor_h_stack(
             -1 if blk % 2 else 1, -1 if blk >= 2 else 1,
-            ab[:n][g], ab[n:][g], cd[:n][g], cd[n:][g])
+            ab[:n][sel], ab[n:][sel], cd[:n][sel], cd[n:][sel])
     res = morphism_residual_many(iso, src, target)
-    gate = max(tol, 1e-8)
-    fail_at(res > gate, NonConvergence,
-            lambda k: f"normal-form isomorphism residual {res[k]:.3e} "
-                      f"exceeds {gate:.1e} at block ({alphas[k]:+d},"
-                      f"{betas[k]:+d}) at stack index {k}")
+    _gate_residuals(res, iso, src, tol)
     return alphas, betas, xs, iso, res

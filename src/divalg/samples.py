@@ -18,6 +18,9 @@ from .matkit import random_invertible_many, random_rotation_many, \
     random_spd1_many, squared_norms
 from .quat import ZObject, _z_objects
 
+_MAX_COND = 20.0        # bound on the condition of the isotope operators
+_MAX_TRIES = 2000       # draws random_2d_division makes before it fails
+
 
 def _rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
@@ -25,11 +28,11 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def random_2d_division(seed=0, max_tries: int = 2000) -> Algebra:
+def random_2d_division(seed=0) -> Algebra:
     """Random 2-d division algebra: uniform [-2, 2] structure constants,
     rejection sampled against the exact discriminant test."""
     rng = _rng(seed)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         # a fresh uniform draw is finite and cubic
         alg = Algebra._trusted(c=rng.uniform(-2.0, 2.0, size=(2, 2, 2)),
                                label="rand2d")
@@ -38,7 +41,7 @@ def random_2d_division(seed=0, max_tries: int = 2000) -> Algebra:
     raise NotDivision("rejection sampling did not hit a division algebra")
 
 
-def random_division(dim: int, seed=0, max_cond: float = 20.0) -> Algebra:
+def random_division(dim: int, seed=0) -> Algebra:
     """Random division algebra of the given dimension.
 
     Dimension 2 draws raw structure constants; 4 and 8 take random
@@ -50,7 +53,7 @@ def random_division(dim: int, seed=0, max_cond: float = 20.0) -> Algebra:
         return Algebra(np.ones((1, 1, 1)), label="R")
     if dim == 2:
         return random_2d_division(rng)
-    s, t = random_invertible_many(dim, 2, rng, max_cond=max_cond)
+    s, t = random_invertible_many(dim, 2, rng, max_cond=_MAX_COND)
     return isotope(_base(dim), s, t)
 
 
@@ -76,7 +79,8 @@ def division_corpus(count: int = 54, seed=0) -> list[Algebra]:
     dims = [dim for _, dim in zip(range(count), _cycle248())]
     blocks = {2: [random_2d_division(rng) for _ in range(dims.count(2))]}
     for n in (4, 8):
-        ops = random_invertible_many(n, 2 * dims.count(n), rng, max_cond=20.0)
+        ops = random_invertible_many(n, 2 * dims.count(n), rng,
+                                     max_cond=_MAX_COND)
         blocks[n] = [isotope(_base(n), s, t)
                      for s, t in zip(ops[0::2], ops[1::2])]
     return interleave(dims, blocks)
@@ -259,11 +263,10 @@ def random_z_object_many(count: int, seed=0,
     # random_spd1 draws are SPD with determinant 1 by construction
     cd = np.broadcast_to(np.eye(4), (2 * count, 4, 4)) if trivial_spd else \
         random_spd1_many(4, 2 * count, rng)
-    return _z_objects(ab, cd)
+    return _z_objects(ab, cd)[0]
 
 
-def random_quat_pair(seed=0, max_cond: float = 20.0
-                     ) -> tuple[np.ndarray, np.ndarray]:
+def random_quat_pair(seed=0) -> tuple[np.ndarray, np.ndarray]:
     """Random invertible operator pair for quaternion isotopes."""
-    s, t = random_invertible_many(4, 2, seed, max_cond=max_cond)
+    s, t = random_invertible_many(4, 2, seed, max_cond=_MAX_COND)
     return s, t

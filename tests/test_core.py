@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divalg import core
 from divalg.core import Algebra, classical, find_unities, is_division, \
     is_morphism, isotope, left_mult, left_mult_many, morphism_residual, \
     opposite, right_mult, right_mult_many, sign_pair, transport
 from divalg.errors import DegenerateSign, DimensionOne, ModeMismatch, \
-    SignInconsistent, ZeroMap
+    NonConvergence, SignInconsistent, ZeroMap
 from divalg.matkit import random_invertible
 
 E0, E1, E2, E3 = np.eye(4)
@@ -125,10 +126,15 @@ def test_sign_decisions_at_extreme_scales(name, lam):
     lambda o: isotope(o, 1e50 * np.eye(8), np.eye(8)),
     lambda o: transport(o, 1e50 * np.eye(8)),
     lambda o: isotope(o, 1e-50 * np.eye(8), np.eye(8)),
-], ids=["isotope-1e50", "transport-1e50", "isotope-1e-50"])
+    lambda o: isotope(o, 1e160 * np.eye(8), np.eye(8)),
+    lambda o: isotope(o, 1e-170 * np.eye(8), np.eye(8)),
+], ids=["isotope-1e50", "transport-1e50", "isotope-1e-50", "isotope-1e160",
+        "isotope-1e-170"])
 def test_rescaled_identity_operators_are_not_singular(O, build):
     # det(1e50 I) overflows and det(1e-50 I) underflows; the singular
-    # test reads the determinant of the unit-column matrix instead
+    # test reads the determinant of the unit-column matrix instead.  The
+    # column norms of 1e160 I and 1e-170 I overflow and underflow too
+    # (the norm squares the entries); each column is scaled first
     alg = build(O)
     assert np.all(np.isfinite(alg.c))
 
@@ -298,3 +304,17 @@ def test_rectangular_morphism_embeds_c_in_h(C, H):
     assert is_morphism(f, C, H) is True
     assert morphism_residual(f[[0, 2, 1, 3]], C, H) == 0.0   # i -> j
     assert morphism_residual(f[:, ::-1], C, H) > 1.0         # 1 -> i
+
+
+def test_normal_form_gate_scales_with_the_terms_and_refuses_nan():
+    # the bound is max(tol, 1e-8) max|f| max|a|: 1e-8, 1e-5 and 1e-8 here
+    f = np.stack([np.eye(2), 1e3 * np.eye(2), np.eye(2)])
+    a = np.ones((3, 2, 2, 2))
+    core._gate_residuals(np.array([1e-8, 1e-5, 0.0]), f, a, 1e-9)
+    with pytest.raises(NonConvergence, match=r"^normal-form isomorphism "
+                       r"residual 2\.000e-08 exceeds 1\.0e-08 at stack "
+                       r"index 0$"):
+        core._gate_residuals(np.array([2e-8, 0.0, 0.0]), f, a, 1e-9)
+    with pytest.raises(NonConvergence, match=r"residual is not a number "
+                       r"at stack index 2$"):
+        core._gate_residuals(np.array([0.0, 0.0, np.nan]), f, a, 1e-9)

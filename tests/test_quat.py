@@ -10,7 +10,8 @@ from divalg.decorated import kappa
 from divalg.equadratic import functor_g
 from divalg.errors import FactorizationFailed, NonConvergence, \
     NotSpecialOrthogonal, SingularOperator, ZeroQuaternion
-from divalg.matkit import random_rotation, sign_det
+from divalg.matkit import random_invertible_many, random_rotation, \
+    sign_det
 from divalg.quat import ZObject, _isoclinic_basis, functor_h, k_map, \
     qconj, qinv, qmul, quat_normal_form, quat_normal_form_many, \
     rep_normalize, so4_factor, z_action
@@ -281,20 +282,33 @@ def test_normal_form_stack_names_the_pair_that_did_not_converge(
                        match=r"residual 1\.000e\+00 .* at stack index 3$"):
         quat_normal_form_many(s, t)
     monkeypatch.undo()
-    # a one-sided factor the moves did not clear: the extraction (the
-    # second isoclinic split) finds a quaternion factor left on T[1]
+    # a one-sided factor the moves did not clear: the one isoclinic
+    # split misreads T[1], so the moves built from it leave a quaternion
+    # factor on the moved polar factor of T[1]
     real_split, splits = quat._so4_split, []
 
     def spoiled(o, tol):
         a, b = real_split(o, tol)
         splits.append(len(o))
-        if len(splits) == 2:
-            a, b = a.copy(), b.copy()
-            a[5 + 1] = b[5 + 1] = [0.6, 0.8, 0.0, 0.0]
+        a, b = a.copy(), b.copy()
+        a[5 + 1] = b[5 + 1] = [0.6, 0.8, 0.0, 0.0]
         return a, b
 
     monkeypatch.setattr(quat, "_so4_split", spoiled)
     with pytest.raises(NonConvergence,
-                       match=r"factor .* of T\[1\] did not reduce"):
+                       match=r"factor of T\[1\] did not reduce"):
         quat_normal_form_many(s, t)
-    assert splits == [10, 10]
+    assert splits == [10]
+
+
+@pytest.mark.parametrize("lam",
+                         [2.0 ** 20, 2.0 ** -20, 1e3, 1e-3, 1e6, 1e-6])
+def test_normal_form_of_a_rescaled_s_keeps_its_blocks(lam):
+    # the final gate is relative to the size of the isomorphism and of
+    # the isotope tensor, so the 100 verify-style pairs reduce, in the
+    # same blocks, at each of these scales of S
+    ops = random_invertible_many(4, 200, 0, max_cond=20.0)
+    s, t = ops[0::2], ops[1::2]
+    alphas, betas, _, _, _ = quat_normal_form_many(s, t)
+    got_a, got_b, _, _, _ = quat_normal_form_many(lam * s, t)
+    assert np.array_equal(got_a, alphas) and np.array_equal(got_b, betas)

@@ -107,8 +107,9 @@ def test_gen_outputs_are_unchanged(capsys):
     for seed in SEEDS:
         s = str(seed)
         rng = np.random.default_rng(seed)
-        want = isotope(classical("O"), random_invertible(8, rng, 1e-3, 20.0),
-                       random_invertible(8, rng, 1e-3, 20.0))
+        want = isotope(classical("O"),
+                       random_invertible(8, rng, max_cond=20.0),
+                       random_invertible(8, rng, max_cond=20.0))
         assert gen_doc(capsys, "isotope", "--name", "O", "--seed", s) == \
             doc(want)
         rng = np.random.default_rng(seed)

@@ -306,21 +306,40 @@ def test_morphism_residual_many_rectangular_c_in_h(C, H):
                                np.stack([C.c] * 3))
 
 
-def test_normal_form_of_a_pair_is_unchanged_by_stacking_its_steps():
-    # quat_normal_form splits S and T in one stacked call; each factor
-    # is what a single so4_factor call on its polar part gives
+def test_normal_form_of_a_pair_is_unchanged_by_stacking_its_steps(
+        monkeypatch):
+    # quat_normal_form takes one polar decomposition and one isoclinic
+    # split, each on the stack [S, T]; each factor of the split is what
+    # a single so4_factor call on its polar part gives
     h = classical("H")
+    polars, splits = [], []
+    real_polar, real_split = quat.polar_decompose, quat._so4_split
+
+    def polar_spy(m):
+        polars.append(len(m))
+        return real_polar(m)
+
+    def split_spy(o, tol):
+        splits.append(real_split(o, tol))
+        return splits[-1]
+
+    monkeypatch.setattr(quat, "polar_decompose", polar_spy)
+    monkeypatch.setattr(quat, "_so4_split", split_spy)
     for seed in range(5):
         s, t = random_quat_pair(seed)
+        polars.clear()
+        splits.clear()
         alpha, beta, x, iso = quat.quat_normal_form(s, t)
         assert morphism_residual(iso, isotope(h, s, t),
                                  functor_h(alpha, beta, x)) <= 1e-8
+        assert polars == [2] and len(splits) == 1
+        # so4_factor below runs the split too
+        (a, b), = splits
         st = np.stack([s, t])
-        flips = np.linalg.det(st) < 0
-        a, b = quat._split_quaternions(st, flips, 1e-9)
         for k, m in enumerate(st):
             o = polar_decompose(m)[1]
-            ok, bk = so4_factor(o @ quat._conj_matrix() if flips[k] else o)
+            ok, bk = so4_factor(o @ quat._conj_matrix()
+                                if np.linalg.det(m) < 0 else o)
             assert np.array_equal(a[k], ok) and np.array_equal(b[k], bk)
 
 
@@ -518,6 +537,8 @@ def quat_normal_form_reference(s, t, tol=1e-9):
 
 @pytest.mark.parametrize("b", [1, 3, 25])
 def test_quat_normal_form_many_is_bit_equal_to_the_loop(b):
+    # bit for bit the single call; within 1e-12 of the reference, which
+    # reads each object off a second polar decomposition and split
     s, t = quat_pairs(50, 45)
     blocks = set()
     for lo in range(0, 50, b):
@@ -525,18 +546,46 @@ def test_quat_normal_form_many_is_bit_equal_to_the_loop(b):
             s[lo:lo + b], t[lo:lo + b])
         assert len(xs) == len(res) == len(isos) == min(b, 50 - lo)
         for k, x in enumerate(xs):
-            single = quat.quat_normal_form(s[lo + k], t[lo + k])
-            ref = quat_normal_form_reference(s[lo + k], t[lo + k])
-            for want in (single, ref):
-                assert (alphas[k], betas[k]) == want[:2]
-                for f in "abcd":
-                    assert np.array_equal(getattr(x, f), getattr(want[2], f))
-                assert np.array_equal(isos[k], want[3])
+            pair = s[lo + k], t[lo + k]
+            single = quat.quat_normal_form(*pair)
+            ref = quat_normal_form_reference(*pair)
+            assert (alphas[k], betas[k]) == single[:2] == ref[:2]
+            for f in "abcd":
+                assert np.array_equal(getattr(x, f), getattr(single[2], f))
+                assert np.abs(getattr(x, f)
+                              - getattr(ref[2], f)).max() <= 1e-12
+            assert np.array_equal(isos[k], single[3])
+            assert np.abs(isos[k] - ref[3]).max() \
+                <= 1e-12 * np.abs(ref[3]).max()
             # the residual is the one a caller would rebuild
-            assert res[k] == ref[4]
+            assert res[k] == morphism_residual(
+                isos[k], isotope(classical("H"), *pair),
+                functor_h(alphas[k], betas[k], x))
+            assert abs(res[k] - ref[4]) <= 1e-12
             assert ref[:2] == (sign_det(t[lo + k]), sign_det(s[lo + k]))
             blocks.add(ref[:2])
     assert blocks == set(BLOCKS)
+
+
+def test_moved_polar_factor_is_the_polar_factor_of_the_moved_operators(
+        monkeypatch):
+    # the reduction moves the polar factors of the first decomposition
+    # along with their operators instead of decomposing the moved
+    # operators again; on every block the two agree
+    s, t = quat_pairs(40, 49)
+    real, moved = quat._moves, []
+
+    def spy(x, a, b, block):
+        moved.append((real(x, a, b, block)[0], block))
+        return real(x, a, b, block)
+
+    monkeypatch.setattr(quat, "_moves", spy)
+    quat.quat_normal_form_many(s, t)
+    (x, block), = moved
+    assert set(block.tolist()) == {0, 1, 2, 3}
+    p, o = polar_decompose(x[0])
+    assert np.abs(o - x[1]).max() <= 1e-12
+    assert np.abs(p @ o - x[0]).max() <= 1e-12 * np.abs(x[0]).max()
 
 
 BLOCK_TWISTS = [(0, 0), (0, 1), (1, 0), (1, 1)]
