@@ -13,7 +13,7 @@ import numpy as np
 from .errors import DegenerateSign, SingularInput, fail_at
 
 DEFAULT_TOL = 1e-9
-_POLAR_TOL = 1e-12      # polar_decompose: least s_min / max(s_max, 1)
+_POLAR_TOL = 1e-12      # polar_decompose: least s_min / s_max
 _MIN_DET = 1e-3         # random_invertible: least |det| of a draw
 
 
@@ -133,7 +133,7 @@ def polar_decompose(m) -> tuple[np.ndarray, np.ndarray]:
     a = _as_square(m, 3) if np.ndim(m) == 3 else as_matrix(m)
     u, s, vt = np.linalg.svd(a)
     rows = s.reshape(-1, s.shape[-1])
-    fail_at(s[..., -1] <= _POLAR_TOL * np.maximum(s[..., 0], 1.0),
+    fail_at(s[..., -1] <= _POLAR_TOL * s[..., 0],
             SingularInput,
             lambda i: f"singular values span {rows[i, 0]:.3e}.."
                       f"{rows[i, -1]:.3e}"

@@ -387,7 +387,8 @@ def quat_normal_form_many(s_ops, t_ops, tol: float = DEFAULT_TOL):
     residuals of isos[b] from isotope(H, S[b], T[b]) onto
     functor_h(alphas[b], betas[b], objects[b]), each at most max(tol,
     1e-8) max|isos[b]| max|isotope tensor|.  Member b is bit for bit
-    what quat_normal_form(S[b], T[b]) gives.
+    what quat_normal_form(S[b], T[b]) gives.  Each operator is reduced
+    at unit scale, so 2^k S[b] gives the object of S[b] and 2^k isos[b].
 
     Raises ValueError for another shape or a non-finite entry,
     SingularOperator naming S[b] or T[b], and NonConvergence naming the
@@ -401,7 +402,13 @@ def quat_normal_form_many(s_ops, t_ops, tol: float = DEFAULT_TOL):
     # isotope_many tests the pairs: 4x4, finite, none singular at tol
     src = isotope_many(h, s, t, tol)
     n = len(s)
+    # each operator divided by the exact power of two 2^p that brings its
+    # max|entry| into [0.5, 1), so that no determinant leaves the float
+    # range: 2^-p S and 2^-q T give the object of S and T, and their
+    # isomorphism times 2^(p+q) is the isomorphism of S and T
     st = np.concatenate([s, t])
+    _, exps = np.frexp(np.abs(st).max(axis=(1, 2)))
+    st = np.ldexp(st, -exps[:, None, None])
     flips = np.linalg.det(st) < 0
     i_s, i_t = flips[:n], flips[n:]
     alphas, betas = np.where(i_t, -1, 1), np.where(i_s, -1, 1)
@@ -430,6 +437,7 @@ def quat_normal_form_many(s_ops, t_ops, tol: float = DEFAULT_TOL):
     lam = np.array([w ** 0.25 for w in np.linalg.det(c0).tolist()])
     xs, (ab, cd, eps) = _z_objects(g, c0 / lam[:, None, None])
     iso *= (lam[:n] * lam[n:] * eps[:n] * eps[n:])[:, None, None]
+    iso = np.ldexp(iso, (exps[:n] + exps[n:])[:, None, None])
     target = np.empty_like(src)
     for blk in sorted(set(block.tolist())):
         sel = _members(block == blk)

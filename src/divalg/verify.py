@@ -11,10 +11,13 @@ inputs up front, one block per kind, dimension and parameters in the
 order its comment gives, and item k takes the k-th member of each
 block.
 
-A failing check reports the first failing item in item order, whether
-it failed its verdict (residual 1.0, samples its index) or raised
-(residual None, samples 0, the exception as detail); the checks that
-run on stacks get this from one runner, _scan.
+Every check is a generator fn(ctx, rng) that yields one (residual,
+detail) per item, in item order, detail "" when the item passed; one
+function, _verdict, turns the stream into the report.  The first item
+with a detail or a NaN residual fails the check (residual 1.0, samples
+its index); otherwise it passes when its largest residual is within its
+registered bound, samples the number of items.  A check that raises
+fails with residual None, samples 0 and the exception as detail.
 """
 
 from __future__ import annotations
@@ -114,14 +117,15 @@ class Check:
     covers: tuple[str, ...]
     fn: object
     index: int
+    bound: float
 
 
 _REGISTRY: list[Check] = []
 
 
-def _check(name: str, law: str, covers: tuple[str, ...]):
+def _check(name: str, law: str, covers: tuple[str, ...], bound=0.0):
     def deco(fn):
-        _REGISTRY.append(Check(name, law, covers, fn, len(_REGISTRY)))
+        _REGISTRY.append(Check(name, law, covers, fn, len(_REGISTRY), bound))
         return fn
     return deco
 
@@ -131,15 +135,26 @@ def _check(name: str, law: str, covers: tuple[str, ...]):
 CHUNK = 25
 
 
-def _scan(stacked, items, keys=None, bound=0.0):
-    """Report a check that runs ``stacked`` on items: stacked(chunk) gives
-    one (residual, detail) per item, detail "" when it passed.  A stack
-    holds at most CHUNK items of one key (keys None: one group) and runs
-    when its first result is read, in item order; a stack that raises is
-    replayed one item at a time.  So the first failing item is the one a
-    loop of single calls meets: a raise propagates, a failed verdict or
-    a NaN residual gives (False, 1.0, index, detail).  Otherwise
-    (worst <= bound, worst, len(items), ""), worst the largest residual."""
+def _verdict(results, bound: float):
+    """(passed, residual, samples, detail) of a check's items, by the rule
+    the module docstring states; no item after a failing one is read."""
+    worst, count = 0.0, 0
+    for residual, detail in results:
+        if not detail and math.isnan(residual):   # max() would drop it
+            detail = "residual is NaN"
+        if detail:
+            return (False, 1.0, count, detail)
+        worst, count = max(worst, residual), count + 1
+    return worst <= bound, worst, count, ""
+
+
+def _stacks(stacked, items, keys=None):
+    """The (residual, detail) of each item, in item order, from stacked:
+    stacked(chunk) gives one per item.  A stack holds at most CHUNK items
+    of one key (keys None: one group) and runs when its first result is
+    read; a stack that raises is replayed one item at a time, so the
+    first failing item, by detail or by raise, is the one a loop of
+    single calls meets."""
     keys = [0] * len(items) if keys is None else keys
 
     def run(group):
@@ -153,15 +168,8 @@ def _scan(stacked, items, keys=None, bound=0.0):
 
     runs = {key: run([x for x, k in zip(items, keys) if k == key])
             for key in dict.fromkeys(keys)}
-    worst = 0.0
-    for index, key in enumerate(keys):
-        residual, detail = next(runs[key])
-        if not detail and math.isnan(residual):   # max() would drop it
-            detail = "residual is NaN"
-        if detail:
-            return False, 1.0, index, detail
-        worst = max(worst, residual)
-    return worst <= bound, worst, len(items), ""
+    for key in keys:
+        yield next(runs[key])
 
 
 def _per_dim(dims, draw) -> list:
@@ -234,13 +242,13 @@ def _chk_sign_mult(ctx: Ctx, rng):
         return ((0.0, "" if ok else f"violated at size {len(m[0])}")
                 for ok in kept.tolist())
 
-    return _scan(stacked, pairs, [len(m) for m, _ in pairs])
+    yield from _stacks(stacked, pairs, [len(m) for m, _ in pairs])
 
 
 @_check("matkit-polar-roundtrip",
         "polar_decompose(M) returns (P, O) with P O = M to 1e-10 relative, "
         "P symmetric positive definite and O orthogonal",
-        ("matkit:polar-roundtrip",))
+        ("matkit:polar-roundtrip",), bound=1e-10)
 def _chk_polar(ctx: Ctx, rng):
     ms = [m for n in (2, 4, 8)
           for m in random_invertible_many(n, max(1, ctx.samples), rng)]
@@ -253,7 +261,7 @@ def _chk_polar(ctx: Ctx, rng):
             axis=(1, 2))
         return ((r, "") for r in np.maximum(rel, ortho).tolist())
 
-    return _scan(stacked, ms, [len(m) for m in ms], bound=1e-10)
+    yield from _stacks(stacked, ms, [len(m) for m in ms])
 
 
 @_check("matkit-gram-spd",
@@ -263,17 +271,13 @@ def _chk_gram(ctx: Ctx, rng):
     # per size n = 2, 4, 8: 70 random_spd1 S, then 70 random_invertible F
     drawn = [(n, random_spd1_many(n, 70, rng),
               random_invertible_many(n, 70, rng)) for n in (2, 4, 8)]
-    count = 0
     for n, s, f in drawn:
         g = gram(f, s)
         lost = ((np.abs(g - g.swapaxes(1, 2)).max(axis=(1, 2))
                  > 1e-8 * np.abs(g).max(axis=(1, 2)))
                 | (np.linalg.eigvalsh(g)[:, 0] <= 0))
-        if lost.any():
-            return False, 1.0, count + int(lost.argmax()), \
-                f"lost SPD at size {n}"
-        count += len(g)
-    return True, 0.0, count, ""
+        for bad in lost.tolist():
+            yield 0.0, f"lost SPD at size {n}" if bad else ""
 
 
 # ------------------------------------------------------------------- core
@@ -284,16 +288,14 @@ def _chk_gram(ctx: Ctx, rng):
         "sign det R_a are each constant over nonzero a",
         ("core:sign-constancy",))
 def _chk_sign_constancy(ctx: Ctx, rng):
-    count = 0
+    # one item per algebra, tested on its samples points
     for alg in ctx.division_corpus():
         pts = rng.standard_normal((max(2, ctx.samples), alg.dim))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         ls = sign_det_many(left_mult_many(alg, pts), ctx.tol)
         rs = sign_det_many(right_mult_many(alg, pts), ctx.tol)
-        if ls.min() != ls.max() or rs.min() != rs.max():
-            return False, 1.0, count, f"sign varied on {alg.label}"
-        count += len(pts)
-    return True, 0.0, count, ""
+        yield 0.0, ("" if ls.min() == ls.max() and rs.min() == rs.max()
+                    else f"sign varied on {alg.label}")
 
 
 @_check("core-transport-invariance",
@@ -313,7 +315,7 @@ def _chk_transport(ctx: Ctx, rng):
         return ((0.0, f"changed on {corpus[a].label}" if changed else "")
                 for changed in (got != want).any(axis=1).tolist())
 
-    return _scan(stacked, items, [a for a, _ in items])
+    yield from _stacks(stacked, items, [a for a, _ in items])
 
 
 @_check("core-isotope-sign-law",
@@ -341,13 +343,13 @@ def _chk_isotope_law(ctx: Ctx, rng):
         return ((0.0, f"law failed on {corpus[a].label}" if failed else "")
                 for failed in (got != want).any(axis=1).tolist())
 
-    return _scan(stacked, items, [a for a, _ in items])
+    yield from _stacks(stacked, items, [a for a, _ in items])
 
 
 @_check("core-isotope-operators",
         "in the isotope by (S, T), left multiplication by a is "
         "L_{Sa} T and right multiplication is R_{Ta} S, to 1e-12",
-        ("core:isotope-operators",))
+        ("core:isotope-operators",), bound=1e-12)
 def _chk_isotope_ops(ctx: Ctx, rng):
     # per algebra C, H, O: the 20 pairs as one block S, T, S, ... of
     # random_invertible(max_cond=10), then the 20 points a
@@ -355,8 +357,6 @@ def _chk_isotope_ops(ctx: Ctx, rng):
                   n, 40, rng, max_cond=10.0).reshape(20, 2, n, n),
               smp.random_unit_vectors(n, 20, rng))
              for name, n in (("C", 2), ("H", 4), ("O", 8))]
-    worst = 0.0
-    count = 0
     for alg, st, a in drawn:
         s, t = st[:, 0], st[:, 1]
         iso = isotope_many(alg, s, t)
@@ -365,9 +365,9 @@ def _chk_isotope_ops(ctx: Ctx, rng):
         right = _left_stack(iso.swapaxes(1, 2), a[:, None])[:, 0]
         dl = left - left_mult_many(alg, (s @ a[:, :, None])[..., 0]) @ t
         dr = right - right_mult_many(alg, (t @ a[:, :, None])[..., 0]) @ s
-        worst = max(worst, float(np.abs(dl).max()), float(np.abs(dr).max()))
-        count += len(a)
-    return worst <= 1e-12, worst, count, ""
+        yield from ((r, "") for r in np.maximum(
+            np.abs(dl).max(axis=(1, 2)),
+            np.abs(dr).max(axis=(1, 2))).tolist())
 
 
 @_check("core-opposition",
@@ -375,16 +375,14 @@ def _chk_isotope_ops(ctx: Ctx, rng):
         "two components of the sign pair",
         ("core:opposition",))
 def _chk_opposite(ctx: Ctx, rng):
-    count = 0
     for a, alg in enumerate(ctx.division_corpus()[:12]):
         opp = opposite(alg)
         if not np.array_equal(opposite(opp).c, alg.c):
-            return False, 1.0, count, "double opposite is not the identity"
+            yield 0.0, "double opposite is not the identity"
+            continue
         ell, r = ctx.base_sign(a)
-        if sign_pair(opp, samples=8, tol=ctx.tol) != (r, ell):
-            return False, 1.0, count, f"swap failed on {alg.label}"
-        count += 1
-    return True, 0.0, count, ""
+        yield 0.0, ("" if sign_pair(opp, samples=8, tol=ctx.tol) == (r, ell)
+                    else f"swap failed on {alg.label}")
 
 
 @_check("core-unital-blocks",
@@ -397,25 +395,23 @@ def _chk_unital(ctx: Ctx, rng):
     drawn = [(name, smp.left_unital_isotope_many(classical(name), 5, rng),
               smp.right_unital_isotope_many(classical(name), 5, rng))
              for name in ("C", "H", "O")]
-    count = 0
+    # items: each base algebra, then its isotopes, left and right in turn
     for name, lefts, rights in drawn:
         base = classical(name)
         if sign_pair(base, samples=8).block != "++":
-            return False, 1.0, count, f"{name} not in ++"
-        if not find_unities(base)["two_sided"]:
-            return False, 1.0, count, f"{name} lost its unity"
-        count += 1
-        for left, right in zip(lefts, rights):
-            if not find_unities(left)["left"]:
-                return False, 1.0, count, "left unity not found"
-            if sign_pair(left, samples=8, tol=ctx.tol).ell != 1:
-                return False, 1.0, count, "left unity with l = -1"
-            if not find_unities(right)["right"]:
-                return False, 1.0, count, "right unity not found"
-            if sign_pair(right, samples=8, tol=ctx.tol).r != 1:
-                return False, 1.0, count, "right unity with r = -1"
-            count += 2
-    return True, 0.0, count, ""
+            yield 0.0, f"{name} not in ++"
+        elif not find_unities(base)["two_sided"]:
+            yield 0.0, f"{name} lost its unity"
+        else:
+            yield 0.0, ""
+        for pair in zip(lefts, rights):
+            for alg, side, k in zip(pair, ("left", "right"), (0, 1)):
+                if not find_unities(alg)[side]:
+                    yield 0.0, f"{side} unity not found"
+                elif sign_pair(alg, samples=8, tol=ctx.tol)[k] != 1:
+                    yield 0.0, f"{side} unity with {'lr'[k]} = -1"
+                else:
+                    yield 0.0, ""
 
 
 @_check("core-morphism-injective",
@@ -427,20 +423,19 @@ def _chk_morphism_inj(ctx: Ctx, rng):
     # the maps of each dimension, 2 then 4 then 8, as one block
     maps = _per_dim([alg.dim for alg in corpus],
                     lambda n, count: random_invertible_many(n, count, rng))
-    count = 0
     for alg, f in zip(corpus, maps):
-        other = transport(alg, f)
-        if not is_morphism(f, alg, other, max(ctx.tol, 1e-8)):
-            return False, 1.0, count, "transport map not accepted"
-        if near_singular(f, ctx.tol):
-            return False, 1.0, count, "accepted a singular morphism"
-        count += 1
+        if not is_morphism(f, alg, transport(alg, f), max(ctx.tol, 1e-8)):
+            yield 0.0, "transport map not accepted"
+        else:
+            yield 0.0, ("accepted a singular morphism"
+                        if near_singular(f, ctx.tol) else "")
+    # the last item: the zero map
     try:
         is_morphism(np.zeros((2, 2)), classical("C"), classical("C"))
-        return False, 1.0, count, "zero map was not rejected"
+        detail = "zero map was not rejected"
     except ZeroMap:
-        count += 1
-    return True, 0.0, count, ""
+        detail = ""
+    yield 0.0, detail
 
 
 # -------------------------------------------------------------- decorated
@@ -458,7 +453,7 @@ def _decorated_stacks(xs):
 @_check("decorated-klein-four-group",
         "the four twist functors compose by XOR on indices: the full "
         "4 x 4 composition table holds tensor-exactly (1e-12)",
-        ("decorated:klein-four-group",))
+        ("decorated:klein-four-group",), bound=1e-12)
 def _chk_klein(ctx: Ctx, rng):
     def stacked(xs):
         c, k = _decorated_stacks(xs)
@@ -475,7 +470,7 @@ def _chk_klein(ctx: Ctx, rng):
                 for res, ok in zip(worst.tolist(), kept.tolist()))
 
     corpus = ctx.decorated_corpus()
-    return _scan(stacked, corpus, [x.dim for x in corpus], bound=1e-12)
+    yield from _stacks(stacked, corpus, [x.dim for x in corpus])
 
 
 @_check("decorated-block-shift",
@@ -496,7 +491,7 @@ def _chk_block_shift(ctx: Ctx, rng):
             "").tolist())
 
     corpus = ctx.decorated_corpus()[:52]
-    return _scan(stacked, corpus, [x.dim for x in corpus])
+    yield from _stacks(stacked, corpus, [x.dim for x in corpus])
 
 
 def _split_maps(corpus, rng) -> list:
@@ -509,25 +504,21 @@ def _split_maps(corpus, rng) -> list:
 @_check("decorated-kappa-commutation",
         "a split-respecting isomorphism F intertwines the reflections: "
         "F kappa = kappa' F to 1e-10",
-        ("decorated:kappa-commutation",))
+        ("decorated:kappa-commutation",), bound=1e-10)
 def _chk_kappa_comm(ctx: Ctx, rng):
     corpus = ctx.decorated_corpus()[:50]
-    worst = 0.0
-    count = 0
     for x, f in zip(corpus, _split_maps(corpus, rng)):
         x2 = decorate(transport(x.alg, f), f @ x.u, f @ x.v)
-        worst = max(worst, float(np.max(np.abs(
-            f @ kappa(x) - kappa(x2) @ f))))
-        count += 1
-    return worst <= 1e-10, worst, count, ""
+        yield float(np.max(np.abs(f @ kappa(x) - kappa(x2) @ f))), ""
 
 
 @_check("decorated-morphism-preservation",
         "a split-respecting isomorphism stays a morphism after applying "
         "any of the four twist functors",
-        ("decorated:morphism-preservation",))
+        ("decorated:morphism-preservation",), bound=math.inf)
 def _chk_morph_preserve(ctx: Ctx, rng):
     corpus = ctx.decorated_corpus()[:30]
+    bound = max(ctx.tol, 1e-8)
     triples = [(x, f, decorate(transport(x.alg, f), f @ x.u, f @ x.v))
                for x, f in zip(corpus, _split_maps(corpus, rng))]
 
@@ -540,11 +531,11 @@ def _chk_morph_preserve(ctx: Ctx, rng):
             np.concatenate([np.stack(fs)] * len(_TWISTS)),
             np.concatenate([functor_i_many(*p, c, k)[0] for p in _TWISTS]),
             np.concatenate([functor_i_many(*p, c2, k2)[0] for p in _TWISTS]))
-        return ((r, "") for r in
-                res.reshape(len(_TWISTS), len(items)).max(axis=0).tolist())
+        return ((r, f"residual above {bound:.1e}" if r > bound else "")
+                for r in res.reshape(len(_TWISTS), len(items)).max(
+                    axis=0).tolist())
 
-    return _scan(stacked, triples, [x.dim for x in corpus],
-                 bound=max(ctx.tol, 1e-8))
+    yield from _stacks(stacked, triples, [x.dim for x in corpus])
 
 
 # ------------------------------------------------------------- equadratic
@@ -553,18 +544,14 @@ def _chk_morph_preserve(ctx: Ctx, rng):
 @_check("equad-decomposition",
         "for each corpus algebra the found idempotent e and the square "
         "hyperplane span the whole space: [e | basis] is invertible",
-        ("equadratic:decomposition",))
+        ("equadratic:decomposition",), bound=1e-9)
 def _chk_equad_decomp(ctx: Ctx, rng):
-    worst = 0.0
-    count = 0
     for k, alg in enumerate(ctx.equad_corpus()):
         x = ctx.equad_decorated(k)
-        w = np.hstack([x.u, x.v])
-        if near_singular(w, ctx.tol):
-            return False, 1.0, count, "degenerate splitting"
-        worst = max(worst, idempotent_residual(alg, x.u[:, 0]))
-        count += 1
-    return worst <= 1e-9, worst, count, ""
+        if near_singular(np.hstack([x.u, x.v]), ctx.tol):
+            yield 0.0, "degenerate splitting"
+        else:
+            yield idempotent_residual(alg, x.u[:, 0]), ""
 
 
 @_check("equad-uniqueness",
@@ -572,39 +559,31 @@ def _chk_equad_decomp(ctx: Ctx, rng):
         "whose squares law holds",
         ("equadratic:uniqueness",))
 def _chk_equad_unique(ctx: Ctx, rng):
-    count = 0
     for alg in ctx.equad_corpus():
         es = [e for e in central_idempotents(alg, ctx.tol)
               if is_e_quadratic(alg, e, ctx.tol)]
-        if len(es) != 1:
-            return False, 1.0, count, f"{len(es)} idempotents on {alg.label}"
-        count += 1
-    return True, 0.0, count, ""
+        yield 0.0, "" if len(es) == 1 else \
+            f"{len(es)} idempotents on {alg.label}"
 
 
 @_check("equad-functor-compat",
         "twisting the decorated image by (1,1) equals decorating the "
         "conjugation isotope: tensors agree exactly, splittings to 1e-9",
-        ("equadratic:functor-compat",))
+        ("equadratic:functor-compat",), bound=1e-9)
 def _chk_equad_compat(ctx: Ctx, rng):
-    worst_t = 0.0
-    worst_s = 0.0
-    count = 0
+    # the residual of an item is the larger of its tensor gap and the gaps
+    # of the projectors onto its two splitting spaces
     for k, alg in enumerate(ctx.equad_corpus()):
         x = ctx.equad_decorated(k)
         kap = kappa(x)
         lhs = functor_i(1, 1, x)
         rhs = functor_g(isotope(alg, kap, kap), ctx.tol)
-        worst_t = max(worst_t, float(np.max(np.abs(
-            forget(lhs).c - forget(rhs).c))))
-        for a, b in ((lhs.u, rhs.u), (lhs.v, rhs.v)):
-            qa = np.linalg.qr(a)[0]
-            qb = np.linalg.qr(b)[0]
-            worst_s = max(worst_s, float(np.max(np.abs(
-                qa @ qa.T - qb @ qb.T))))
-        count += 1
-    passed = worst_t <= 1e-12 and worst_s <= 1e-9
-    return passed, max(worst_t, worst_s), count, ""
+        tensor = np.abs(forget(lhs).c - forget(rhs).c).max()
+        proj = np.stack([q @ q.T for q in (np.linalg.qr(m)[0] for m in (
+            lhs.u, lhs.v, rhs.u, rhs.v))])
+        split = np.abs(proj[:2] - proj[2:]).max()
+        yield float(np.maximum(tensor, split)), \
+            "tensors differ above 1e-12" if tensor > 1e-12 else ""
 
 
 @_check("equad-block-structure",
@@ -612,18 +591,16 @@ def _chk_equad_compat(ctx: Ctx, rng):
         "conjugation isotope swaps the two",
         ("equadratic:block-structure",))
 def _chk_equad_blocks(ctx: Ctx, rng):
-    count = 0
     for k, alg in enumerate(ctx.equad_corpus()):
         block = sign_pair(alg, samples=8, tol=ctx.tol).block
         if block not in ("++", "--"):
-            return False, 1.0, count, f"block {block} on {alg.label}"
+            yield 0.0, f"block {block} on {alg.label}"
+            continue
         kap = kappa(ctx.equad_decorated(k))
         flipped = sign_pair(isotope(alg, kap, kap), samples=8,
                             tol=ctx.tol).block
-        if flipped != {"++": "--", "--": "++"}[block]:
-            return False, 1.0, count, "conjugation isotope did not swap"
-        count += 1
-    return True, 0.0, count, ""
+        yield 0.0, ("" if flipped == {"++": "--", "--": "++"}[block]
+                    else "conjugation isotope did not swap")
 
 
 # ------------------------------------------------------------------- dim2
@@ -650,7 +627,7 @@ def _fidelity(blocks, rng, tol, pairs):
                       smp.random_normal_form_many(pairs // 2, rng, block),
                       rng.integers(0, len(elements),
                                    size=pairs - pairs // 2).tolist()))
-    for done, (block, elements, xs, ys, picks) in enumerate(drawn):
+    for block, elements, xs, ys, picks in drawn:
         for k, x in enumerate(xs):
             if k % 2 == 0:
                 g = elements[picks[k // 2]].matrix
@@ -663,9 +640,8 @@ def _fidelity(blocks, rng, tol, pairs):
             via_api = hom2d(x, y, tol)
             sets = [sorted(tuple(np.round(e.matrix, 6).ravel()) for e in s)
                     for s in (grp, direct, via_api)]
-            if not (sets[0] == sets[1] == sets[2]):
-                return False, 1.0, done * pairs, f"mismatch on block {block}"
-    return True, 0.0, len(blocks) * pairs, ""
+            yield 0.0, ("" if sets[0] == sets[1] == sets[2]
+                        else f"mismatch on block {block}")
 
 
 @_check("dim2-hom-fidelity",
@@ -673,7 +649,7 @@ def _fidelity(blocks, rng, tol, pairs):
         "the algebra morphisms, element for element",
         ("dim2:hom-fidelity",))
 def _chk_dim2_fidelity(ctx: Ctx, rng):
-    return _fidelity(((0, 0), (0, 1), (1, 0), (1, 1)), rng, ctx.tol, 20)
+    yield from _fidelity(((0, 0), (0, 1), (1, 0), (1, 1)), rng, ctx.tol, 20)
 
 
 @_check("dim2-block-equivalence",
@@ -681,7 +657,7 @@ def _chk_dim2_fidelity(ctx: Ctx, rng):
         "two-element symmetry",
         ("dim2:block-equivalence",))
 def _chk_dim2_blockeq(ctx: Ctx, rng):
-    return _fidelity(((0, 0), (0, 1), (1, 0)), rng, ctx.tol, 12)
+    yield from _fidelity(((0, 0), (0, 1), (1, 0)), rng, ctx.tol, 12)
 
 
 @_check("dim2-separation",
@@ -691,15 +667,14 @@ def _chk_dim2_blockeq(ctx: Ctx, rng):
 def _chk_dim2_separation(ctx: Ctx, rng):
     eye = np.eye(2)
     special = NormalForm2D(1, 1, eye, eye)
+    # item 0 is the (1,1) identity form, then the 53 forms of corpus
     auts = hom2d(special, special, ctx.tol)
     if len(auts) != 6:
-        return False, 1.0, 1, f"expected 6 automorphisms, got {len(auts)}"
-    for g in auts:
-        res = morphism_residual(g.matrix, build2d(special), build2d(special))
-        if res > 1e-12:
-            return False, res, 1, "automorphism residual above 1e-12"
-    count = 1
-    worst_order = 0
+        yield 0.0, f"expected 6 automorphisms, got {len(auts)}"
+    else:
+        yield 0.0, ("automorphism residual above 1e-12" if any(
+            morphism_residual(g.matrix, build2d(special), build2d(special))
+            > 1e-12 for g in auts) else "")
     blocks = ((0, 0), (0, 1), (1, 0))
     corpus = [NormalForm2D(i, j, eye, eye) for i, j in blocks]
     # the forms of each block, in the order of blocks, as one block
@@ -707,21 +682,20 @@ def _chk_dim2_separation(ctx: Ctx, rng):
     corpus += smp.interleave(keys, {
         block: smp.random_normal_form_many(keys.count(block), rng, block)
         for block in blocks})
+    sizes = []
     for nf in corpus:
-        size = len(hom2d(nf, nf, ctx.tol))
-        worst_order = max(worst_order, size)
-        if size > 2:
-            return False, 1.0, count, f"order {size} off the (1,1) block"
-        count += 1
-    if worst_order != 2:
-        return False, 1.0, count, "never observed the order-2 case"
-    return True, 0.0, count, ""
+        sizes.append(len(hom2d(nf, nf, ctx.tol)))
+        yield 0.0, ("" if sizes[-1] <= 2
+                    else f"order {sizes[-1]} off the (1,1) block")
+    # a failing item past the last form when no form had order 2
+    if max(sizes) != 2:
+        yield 0.0, "never observed the order-2 case"
 
 
 @_check("dim2-round-trip",
         "building a normal form and reducing it back lands in the same "
         "orbit: same block, nonempty hom-set, isomorphism residual 1e-8",
-        ("dim2:round-trip",))
+        ("dim2:round-trip",), bound=1e-8)
 def _chk_dim2_roundtrip(ctx: Ctx, rng):
     drawn = smp.random_normal_form_many(100, rng)
 
@@ -736,13 +710,13 @@ def _chk_dim2_roundtrip(ctx: Ctx, rng):
             else:
                 yield r, ""
 
-    return _scan(stacked, drawn, bound=1e-8)
+    yield from _stacks(stacked, drawn)
 
 
 @_check("dim2-density",
         "randomly drawn 2-d division algebras all reduce to a normal form "
         "whose block matches their sampled sign pair",
-        ("dim2:density",))
+        ("dim2:density",), bound=1e-8)
 def _chk_dim2_density(ctx: Ctx, rng):
     drawn = [smp.random_2d_division(rng) for _ in range(100)]
 
@@ -754,7 +728,7 @@ def _chk_dim2_density(ctx: Ctx, rng):
                  else "block disagrees with the sign pair")
                 for nf, r, sign in zip(forms, res.tolist(), signs.tolist()))
 
-    return _scan(stacked, drawn, bound=1e-8)
+    yield from _stacks(stacked, drawn)
 
 
 # ------------------------------------------------------------------- quat
@@ -777,34 +751,29 @@ def _chk_quat_blocks(ctx: Ctx, rng):
                  else f"landed in {SignPair(*g).block}")
                 for g in got.tolist())
 
-    return _scan(stacked, items, [block for block, _ in items])
+    yield from _stacks(stacked, items, [block for block, _ in items])
 
 
-def _conjugation_residual(rng, draws: int) -> float:
-    """Draw (s, x) pairs, s a unit quaternion and x an object; the
-    largest morphism residual of K_s from the image of x to the image of
-    s acting on x, over all draws and the four block functors."""
+def _conjugation_residual(rng, draws: int) -> np.ndarray:
+    """Draw (s, x) pairs, s a unit quaternion and x an object; for each
+    draw, the largest morphism residual of K_s from the image of x to the
+    image of s acting on x over the four block functors."""
     # the draws quaternions s as one block, then the draws objects x
     ss = smp.random_unit_vectors(4, draws, rng)
     xs = smp.random_z_object_many(draws, rng)
     moved = [z_action(s, x) for s, x in zip(ss, xs)]
     ks = k_map_many(ss)
-    worst = 0.0
-    for alpha in (1, -1):
-        for beta in (1, -1):
-            res = morphism_residual_many(ks, functor_h_many(alpha, beta, xs),
-                                         functor_h_many(alpha, beta, moved))
-            worst = max(worst, float(res.max()))
-    return worst
+    return np.max([morphism_residual_many(ks, functor_h_many(*p, xs),
+                                          functor_h_many(*p, moved))
+                   for p in ((1, 1), (1, -1), (-1, 1), (-1, -1))], axis=0)
 
 
 @_check("quat-functoriality",
         "conjugation matrices are the image morphisms: K_s maps the image "
         "of x to the image of s acting on x, residual 1e-8",
-        ("quat:functoriality",))
+        ("quat:functoriality",), bound=1e-8)
 def _chk_quat_functorial(ctx: Ctx, rng):
-    worst = _conjugation_residual(rng, 100)
-    return worst <= 1e-8, worst, 100, ""
+    yield from ((r, "") for r in _conjugation_residual(rng, 100).tolist())
 
 
 @_check("quat-faithfulness",
@@ -818,7 +787,7 @@ def _chk_quat_faithful(ctx: Ctx, rng):
     q = q / np.sqrt(squared_norms(q.reshape(2 * n, 4))).reshape(n, 2, 1)
     # nonzero real multiples of s, of both signs, stay in its class
     lam = rng.uniform(0.1, 10.0, size=(n, 1))
-    return _scan(lambda b: _class_failures(q[b], lam[b]), range(n))
+    yield from _stacks(lambda b: _class_failures(q[b], lam[b]), range(n))
 
 
 _CLASS_FAILURES = ("k_map collided across classes", "k_map split a class",
@@ -849,7 +818,7 @@ def _class_failures(q: np.ndarray, lam: np.ndarray):
         "images of objects with identity positive parts are absolute "
         "valued (|xy| = |x||y| to 1e-10); a non-identity positive part "
         "produces a witnessed violation",
-        ("quat:absolute-valued",))
+        ("quat:absolute-valued",), bound=1e-10)
 def _chk_quat_absvalued(ctx: Ctx, rng):
     npairs = max(2, ctx.samples)
     per = npairs // 4 + 1
@@ -860,16 +829,14 @@ def _chk_quat_absvalued(ctx: Ctx, rng):
     ys = rng.standard_normal((4, per, 4))
     off = smp.random_z_object(rng)
     uv = rng.standard_normal((2, 50, 4))
-    worst = 0.0
+    # items: the per pairs (x, y) of each block; a failing item past them
+    # when the object off Y shows no violation
     blocks = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    for (alpha, beta), x, px, py in zip(blocks, ys_objects, xs, ys):
-        worst = max(worst, float(np.max(_norm_defect(
-            functor_h(alpha, beta, x), px, py))))
-    if worst > 1e-10:
-        return False, worst, npairs, "norm product failed on a Y image"
+    for block, x, px, py in zip(blocks, ys_objects, xs, ys):
+        yield from ((r, "") for r in _norm_defect(
+            functor_h(*block, x), px, py).tolist())
     if not (_norm_defect(functor_h(1, 1, off), *uv) > 1e-6).any():
-        return False, worst, npairs, "no violation witness off Y"
-    return True, worst, npairs, ""
+        yield 0.0, "no violation witness off Y"
 
 
 def _norm_defect(alg: Algebra, xs: np.ndarray, ys: np.ndarray):
@@ -882,18 +849,19 @@ def _norm_defect(alg: Algebra, xs: np.ndarray, ys: np.ndarray):
 @_check("quat-block-equivalence",
         "the four block functors carry one morphism the same way: each "
         "K_s is a morphism of all four images simultaneously",
-        ("quat:block-equivalence",))
+        ("quat:block-equivalence",), bound=math.inf)
 def _chk_quat_blockeq(ctx: Ctx, rng):
-    worst = _conjugation_residual(rng, 25)
-    ident = k_map(np.array([1.0, 0, 0, 0]))
-    worst = max(worst, float(np.max(np.abs(ident - np.eye(4)))))
-    return worst <= max(ctx.tol, 1e-8), worst, 25, ""
+    # each draw also carries the gap of K_1 from the identity
+    ident = np.abs(k_map(np.array([1.0, 0, 0, 0])) - np.eye(4)).max()
+    bound = max(ctx.tol, 1e-8)
+    for r in np.maximum(_conjugation_residual(rng, 25), ident).tolist():
+        yield r, f"residual above {bound:.1e}" if r > bound else ""
 
 
 @_check("quat-normal-form",
         "every invertible operator pair reduces to a block object: signs "
         "read off the determinants, round-trip residual 1e-8",
-        ("quat:normal-form",))
+        ("quat:normal-form",), bound=1e-8)
 def _chk_quat_nf(ctx: Ctx, rng):
     # the draws of 100 random_quat_pair calls, as one block: S, T, S, ...
     ops = random_invertible_many(4, 200, rng, max_cond=20.0)
@@ -905,13 +873,13 @@ def _chk_quat_nf(ctx: Ctx, rng):
         return ((r, "" if ok else "block disagrees with determinants")
                 for r, ok in zip(res.tolist(), agree.tolist()))
 
-    return _scan(stacked, list(zip(ops[0::2], ops[1::2])), bound=1e-8)
+    yield from _stacks(stacked, list(zip(ops[0::2], ops[1::2])))
 
 
 @_check("quat-so4-reconstruction",
         "a special orthogonal 4x4 matrix splits as x -> a x b with the "
         "representative convention, reconstruction residual 1e-10",
-        ("quat:so4-reconstruction",))
+        ("quat:so4-reconstruction",), bound=1e-10)
 def _chk_quat_so4(ctx: Ctx, rng):
     h = classical("H")
     rotations = list(random_rotation_many(4, 100, rng))
@@ -926,7 +894,7 @@ def _chk_quat_so4(ctx: Ctx, rng):
         return ((r, "" if f > 0 else "representative convention broken")
                 for r, f in zip(res.tolist(), first.tolist()))
 
-    return _scan(stacked, rotations, bound=1e-10)
+    yield from _stacks(stacked, rotations)
 
 
 # -------------------------------------------------------------------- cli
@@ -937,31 +905,25 @@ def _chk_quat_so4(ctx: Ctx, rng):
         "reproduces every tensor entry bit for bit",
         ("cli:io-round-trip",))
 def _chk_io_roundtrip(ctx: Ctx, rng):
-    count = 0
     algebras = [smp.random_division(1, rng), classical("C"),
                 classical("H"), classical("O")]
     algebras += [smp.random_division(d, rng) for d in (2, 4, 8)]
     for alg in algebras:
-        doc = json.loads(json.dumps(io_mod.algebra_to_dict(alg)))
-        back = io_mod.algebra_from_dict(doc)
-        if not (np.array_equal(back.c, alg.c) and back.label == alg.label):
-            return False, 1.0, count, "algebra round trip drifted"
-        count += 1
+        back = io_mod.algebra_from_dict(json.loads(json.dumps(
+            io_mod.algebra_to_dict(alg))))
+        same = np.array_equal(back.c, alg.c) and back.label == alg.label
+        yield 0.0, "" if same else "algebra round trip drifted"
     for x in ctx.decorated_corpus()[:4]:
-        doc = json.loads(json.dumps(io_mod.decorated_to_dict(x)))
-        back = io_mod.decorated_from_dict(doc)
-        if not (np.array_equal(back.alg.c, x.alg.c)
-                and np.array_equal(back.u, x.u)
-                and np.array_equal(back.v, x.v)):
-            return False, 1.0, count, "decorated round trip drifted"
-        count += 1
-    s, t = smp.random_quat_pair(rng)
-    s2, t2 = io_mod.pair_from_dict(json.loads(json.dumps(
-        io_mod.pair_to_dict(s, t))))
-    if not (np.array_equal(s, s2) and np.array_equal(t, t2)):
-        return False, 1.0, count, "pair round trip drifted"
-    count += 1
-    return True, 0.0, count, ""
+        back = io_mod.decorated_from_dict(json.loads(json.dumps(
+            io_mod.decorated_to_dict(x))))
+        same = all(map(np.array_equal, (back.alg.c, back.u, back.v),
+                       (x.alg.c, x.u, x.v)))
+        yield 0.0, "" if same else "decorated round trip drifted"
+    pair = smp.random_quat_pair(rng)
+    back = io_mod.pair_from_dict(json.loads(json.dumps(
+        io_mod.pair_to_dict(*pair))))
+    same = all(map(np.array_equal, back, pair))
+    yield 0.0, "" if same else "pair round trip drifted"
 
 
 @_check("cli-coverage",
@@ -969,14 +931,11 @@ def _chk_io_roundtrip(ctx: Ctx, rng):
         "least one registered check",
         ("cli:coverage",))
 def _chk_coverage(ctx: Ctx, rng):
-    covered = set()
-    for chk in _REGISTRY:
-        covered.update(chk.covers)
-    missing = [f"{mod}:{slug}" for mod, slugs in INVARIANTS.items()
-               for slug in slugs if f"{mod}:{slug}" not in covered]
-    if missing:
-        return False, 1.0, len(covered), "missing " + ", ".join(missing)
-    return True, 0.0, len(covered), ""
+    # one item per invariant
+    covered = {slug for chk in _REGISTRY for slug in chk.covers}
+    for slug in (f"{mod}:{s}" for mod, slugs in INVARIANTS.items()
+                 for s in slugs):
+        yield 0.0, "" if slug in covered else f"missing {slug}"
 
 
 # ----------------------------------------------------------------- runner
@@ -1009,7 +968,8 @@ def run_verify(seed: int = 0, tol: float = DEFAULT_TOL, samples: int = 1000,
             continue
         rng = np.random.default_rng([seed, chk.index])
         try:
-            passed, residual, nsamples, detail = chk.fn(ctx, rng)
+            passed, residual, nsamples, detail = _verdict(chk.fn(ctx, rng),
+                                                          chk.bound)
             results.append(CheckResult(chk.name, chk.law, bool(passed),
                                        float(residual), int(nsamples),
                                        detail))

@@ -116,6 +116,13 @@ def test_polar_rejects_singular():
         polar_decompose(np.diag([1.0, 0.0]))
 
 
+def test_polar_of_a_small_scalar_matrix_is_not_singular():
+    # the cut-off is relative to the largest singular value
+    p, o = polar_decompose(1e-13 * np.eye(3))
+    assert np.array_equal(p, 1e-13 * np.eye(3))
+    assert np.array_equal(o, np.eye(3))
+
+
 def test_is_spd1():
     assert is_spd1(np.eye(4))
     assert not is_spd1(np.diag([2.0, 1.0]))          # det 2

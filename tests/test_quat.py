@@ -10,8 +10,8 @@ from divalg.decorated import kappa
 from divalg.equadratic import functor_g
 from divalg.errors import FactorizationFailed, NonConvergence, \
     NotSpecialOrthogonal, SingularOperator, ZeroQuaternion
-from divalg.matkit import random_invertible_many, random_rotation, \
-    sign_det
+from divalg.matkit import is_spd1, random_invertible_many, \
+    random_rotation, sign_det
 from divalg.quat import ZObject, _isoclinic_basis, functor_h, k_map, \
     qconj, qinv, qmul, quat_normal_form, quat_normal_form_many, \
     rep_normalize, so4_factor, z_action
@@ -301,14 +301,30 @@ def test_normal_form_stack_names_the_pair_that_did_not_converge(
     assert splits == [10]
 
 
+@pytest.mark.parametrize("k", [-30, 7, 100])
+def test_normal_form_of_s_scaled_by_a_power_of_two_is_exact(k):
+    # each operator is reduced at unit scale: 2^k S gives the object of S
+    # bit for bit, and the isomorphism scaled by 2^k
+    ops = random_invertible_many(4, 40, 0, max_cond=20.0)
+    s, t = ops[0::2], ops[1::2]
+    _, _, xs, isos, _ = quat_normal_form_many(s, t)
+    _, _, ys, got, _ = quat_normal_form_many(2.0 ** k * s, t)
+    assert all(np.array_equal(getattr(x, f), getattr(y, f))
+               for x, y in zip(xs, ys) for f in "abcd")
+    assert np.array_equal(got, 2.0 ** k * isos)
+
+
 @pytest.mark.parametrize("lam",
-                         [2.0 ** 20, 2.0 ** -20, 1e3, 1e-3, 1e6, 1e-6])
+                         [2.0 ** 20, 2.0 ** -20, 1e3, 1e-3, 1e6, 1e-6,
+                          1e12, 1e-12, 1e80, 1e-80])
 def test_normal_form_of_a_rescaled_s_keeps_its_blocks(lam):
     # the final gate is relative to the size of the isomorphism and of
-    # the isotope tensor, so the 100 verify-style pairs reduce, in the
-    # same blocks, at each of these scales of S
+    # the isotope tensor, and each operator is reduced at unit scale, so
+    # the 100 verify-style pairs reduce, in the same blocks and to SPD
+    # det-1 parts, at each of these scales of S
     ops = random_invertible_many(4, 200, 0, max_cond=20.0)
     s, t = ops[0::2], ops[1::2]
     alphas, betas, _, _, _ = quat_normal_form_many(s, t)
-    got_a, got_b, _, _, _ = quat_normal_form_many(lam * s, t)
+    got_a, got_b, xs, _, _ = quat_normal_form_many(lam * s, t)
     assert np.array_equal(got_a, alphas) and np.array_equal(got_b, betas)
+    assert all(is_spd1(x.c, 1e-7) and is_spd1(x.d, 1e-7) for x in xs)
