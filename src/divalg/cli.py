@@ -174,7 +174,7 @@ def cmd_verify(args) -> int:
     from .verify import run_verify
     names = args.only.split(",") if args.only else None
     report = run_verify(seed=args.seed, tol=args.tol, samples=args.samples,
-                        names=names, command="verify")
+                        names=names)
     if args.json:
         sys.stdout.write(report.to_json())
     else:

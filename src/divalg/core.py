@@ -360,8 +360,25 @@ def _defects(f: np.ndarray, ft: np.ndarray, a: np.ndarray,
              b: np.ndarray) -> np.ndarray:
     """|| F(e_i e_j)_A - (F e_i)(F e_j)_B || indexed [..., i, j], for one
     map and tensor pair or equal-length stacks of them; ft is F^T,
-    shaped to broadcast against a."""
-    return np.linalg.norm(a @ ft - _pull_back(b, f, f), axis=-1)
+    shaped to broadcast against a.
+
+    Each member's differences are divided by the power of two of their
+    largest |entry| before the norm and multiplied back after, both
+    exact, so the squares neither overflow nor underflow and a
+    unit-scale residual keeps its bits."""
+    d = a @ ft - _pull_back(b, f, f)
+    _, e = np.frexp(np.abs(d).max(axis=(-3, -2, -1), keepdims=True))
+    # the sum np.linalg.norm takes along one axis, in place on d
+    np.ldexp(d, -e, out=d)
+    np.multiply(d, d, out=d)
+    return np.ldexp(np.sqrt(d.sum(axis=-1)), e[..., 0])
+
+
+def _term_scale(f: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """max|F| max|A| of a map (m, n) and tensor (n, n, n), or of each
+    pair of equal-length stacks of them: the size of the terms that a
+    morphism residual compares."""
+    return np.abs(f).max(axis=(-2, -1)) * np.abs(a).max(axis=(-3, -2, -1))
 
 
 def _gate_residuals(res: np.ndarray, f: np.ndarray, a: np.ndarray,
@@ -370,8 +387,7 @@ def _gate_residuals(res: np.ndarray, f: np.ndarray, a: np.ndarray,
     for the first residual res[k] of f[k] from a[k] that is not a number
     or above max(tol, 1e-8) max|f[k]| max|a[k]|, the size of the terms
     it compares."""
-    bound = max(tol, 1e-8) * (np.abs(f).max(axis=(1, 2))
-                              * np.abs(a).max(axis=(1, 2, 3)))
+    bound = max(tol, 1e-8) * _term_scale(f, a)
     fail_at(~(res <= bound), NonConvergence,
             lambda k: "normal-form isomorphism residual "
                       + ("is not a number" if np.isnan(res[k]) else
@@ -382,16 +398,19 @@ def _gate_residuals(res: np.ndarray, f: np.ndarray, a: np.ndarray,
 def is_morphism(f, a: Algebra, b: Algebra, tol: float = DEFAULT_TOL) -> bool:
     """Whether F is an algebra morphism from a to b, at tolerance.
 
-    Nonzero morphisms between division algebras of equal dimension are
-    automatically injective, hence isomorphisms.  The zero map is
-    rejected with ZeroMap rather than reported as a (vacuous) morphism.
+    The residual is compared with tol max|F| max|a|, the size of the
+    terms it compares, so the verdict does not change when the tensors
+    or the map are rescaled.  Nonzero morphisms between division
+    algebras of equal dimension are automatically injective, hence
+    isomorphisms.  The zero map is rejected with ZeroMap rather than
+    reported as a (vacuous) morphism.
     """
     fm = np.asarray(f, dtype=float)
     if fm.shape != (b.dim, a.dim):
         raise ValueError("morphism shape does not match the algebras")
     if np.max(np.abs(fm)) <= tol:
         raise ZeroMap("candidate morphism is numerically zero")
-    return morphism_residual(fm, a, b) <= tol
+    return bool(morphism_residual(fm, a, b) <= tol * _term_scale(fm, a.c))
 
 
 def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
@@ -404,13 +423,15 @@ def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
     definite, decided by the eigenvalues of their coefficient matrices
     relative to their norms (see _exact2d_division).
 
-    mode='sampled': evaluates both determinants at the basis vectors and
-    ``samples`` seeded random unit vectors, the same points as
-    sign_pair (shared read-only for an int seed, drawn afresh for a
-    Generator); a near-zero value gives 'not_division', otherwise
-    'probably_division' ('division' for dimension 1).  A determinant
-    that is not a number counts as near zero.  A negative ``samples`` is
-    a ValueError.
+    mode='sampled': the verdict of sign_pair at the same points, the
+    basis vectors and ``samples`` seeded random unit vectors (shared
+    read-only for an int seed, drawn afresh for a Generator).  A
+    near-zero determinant, or one that is not a number, gives
+    'not_division', and so does a sign change: for n >= 2 the unit
+    sphere is connected, so det L_a or det R_a vanishes between two
+    points of opposite sign.  Otherwise 'probably_division'.  In
+    dimension 1 the one structure constant decides: 'division' when it
+    is not near zero.  A negative ``samples`` is a ValueError.
     """
     if mode == "exact2d":
         if alg.dim != 2:
@@ -422,10 +443,11 @@ def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
     _check_samples(samples)
     if alg.dim == 1:
         return "division" if abs(alg.c[0, 0, 0]) > tol else "not_division"
-    d = _sampled_dets(alg.c[None], _sample_points(alg.dim, samples, seed))
-    if (np.abs(d) > tol).all():
-        return "probably_division"
-    return "not_division"
+    try:
+        sign_pair_many(alg.c[None], samples, tol, seed)
+    except (DegenerateSign, SignInconsistent):
+        return "not_division"
+    return "probably_division"
 
 
 def _exact2d_division(c: np.ndarray, tol: float) -> np.ndarray:

@@ -20,6 +20,7 @@ from .quat import ZObject, _z_objects
 
 _MAX_COND = 20.0        # bound on the condition of the isotope operators
 _MAX_TRIES = 2000       # draws random_2d_division makes before it fails
+_MILD_COND = 4.0        # bound on the condition of the oblique splittings
 
 
 def _rng(seed) -> np.random.Generator:
@@ -136,13 +137,12 @@ def _signed_rotations(n: int, count: int, rng) -> np.ndarray:
     return q
 
 
-def _mild_invertible(n: int, count: int, rng,
-                     cond: float = 4.0) -> np.ndarray:
-    """Invertible matrices with condition number at most ``cond``, built
-    from their singular value decompositions (rejection would
+def _mild_invertible(n: int, count: int, rng) -> np.ndarray:
+    """Invertible matrices with condition number at most _MILD_COND,
+    built from their singular value decompositions (rejection would
     essentially never succeed at such bounds for n = 8): the singular
     values, then the left and the right rotations, each as one block."""
-    s = cond ** (-rng.uniform(0.0, 1.0, size=(count, 1, n)))
+    s = _MILD_COND ** (-rng.uniform(0.0, 1.0, size=(count, 1, n)))
     u = random_rotation_many(n, count, rng)
     return (u * s) @ random_rotation_many(n, count, rng)
 

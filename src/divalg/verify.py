@@ -83,7 +83,6 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class Report:
-    command: str
     seed: int
     tol: float
     samples: int
@@ -96,7 +95,7 @@ class Report:
 
     def to_dict(self) -> dict:
         return {
-            "command": self.command,
+            "command": "verify",
             "seed": self.seed,
             "tolerances": {"tol": self.tol},
             "samples": self.samples,
@@ -946,7 +945,7 @@ def check_names() -> list[str]:
 
 
 def run_verify(seed: int = 0, tol: float = DEFAULT_TOL, samples: int = 1000,
-               names=None, command: str = "verify") -> Report:
+               names=None) -> Report:
     """Run the registered checks and collect a report.
 
     Failures never raise: a check that raises a package error or a
@@ -977,5 +976,5 @@ def run_verify(seed: int = 0, tol: float = DEFAULT_TOL, samples: int = 1000,
             results.append(CheckResult(chk.name, chk.law, False, None, 0,
                                        f"{type(exc).__name__}: {exc}"))
     exit_code = 0 if all(r.passed for r in results) else 1
-    return Report(command=command, seed=seed, tol=tol, samples=samples,
+    return Report(seed=seed, tol=tol, samples=samples,
                   results=tuple(results), exit_code=exit_code)

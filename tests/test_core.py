@@ -10,6 +10,7 @@ from divalg.core import Algebra, classical, find_unities, is_division, \
 from divalg.errors import DegenerateSign, DimensionOne, ModeMismatch, \
     NonConvergence, SignInconsistent, ZeroMap
 from divalg.matkit import random_invertible
+from divalg.samples import random_division
 
 E0, E1, E2, E3 = np.eye(4)
 
@@ -119,6 +120,39 @@ def test_sign_decisions_at_extreme_scales(name, lam):
         else:
             assert sign_pair(alg) == (1, 1)
             assert is_division(alg) == "probably_division"
+
+
+def test_sampled_division_is_refused_by_a_sign_change():
+    # det L_a = a0^2 - a1^2 changes sign away from zero on the split
+    # complex numbers; so it does on each 2-d draw exact2d rejects, and a
+    # sign change over the connected unit sphere proves a zero divisor
+    assert is_division(split_complex()) == "not_division"
+    rng = np.random.default_rng(0)
+    draws = [Algebra(rng.uniform(-2.0, 2.0, (2, 2, 2))) for _ in range(200)]
+    rejected = [a for a in draws
+                if is_division(a, mode="exact2d") == "not_division"]
+    assert len(rejected) == 161
+    assert all(is_division(a) == "not_division" for a in rejected)
+
+
+def test_sampled_division_agrees_with_sign_pair(H, O):
+    # perturbed classical algebras: sign_pair raises at the same points
+    # on every one of them, and is_division gives the same verdict
+    rng = np.random.default_rng(1)
+    for base in (H.c, O.c):
+        for _ in range(100):
+            alg = Algebra(base + 0.8 * rng.standard_normal(base.shape))
+            with pytest.raises((DegenerateSign, SignInconsistent)):
+                sign_pair(alg, samples=1000)
+            assert is_division(alg) == "not_division"
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_division_algebras_stay_probably_division(n):
+    rng = np.random.default_rng([n, 17])
+    algs = [classical({2: "C", 4: "H", 8: "O"}[n])]
+    algs += [random_division(n, rng) for _ in range(10)]
+    assert all(is_division(a) == "probably_division" for a in algs)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -259,6 +293,18 @@ def test_is_morphism_rejects_zero_map(C):
 def test_is_morphism_shape_check(C, H):
     with pytest.raises(ValueError):
         is_morphism(np.eye(3), C, H)
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e6, 1e-6, 1e100, 1e-100])
+def test_morphism_decisions_at_any_scale(lam):
+    # the residual is bounded by tol times the size of the terms it
+    # compares: a transport map of lam O is a morphism at every scale,
+    # and a map that is no morphism of lam H is refused at every scale
+    f = random_invertible(8, 3, max_cond=20.0)
+    o = Algebra(lam * classical("O").c)
+    assert is_morphism(f, o, transport(o, f)) is True
+    h = Algebra(lam * classical("H").c)
+    assert is_morphism(random_invertible(4, 5), h, h) is False
 
 
 def test_morphism_residual_identity(H):

@@ -316,15 +316,19 @@ def test_normal_form_of_s_scaled_by_a_power_of_two_is_exact(k):
 
 @pytest.mark.parametrize("lam",
                          [2.0 ** 20, 2.0 ** -20, 1e3, 1e-3, 1e6, 1e-6,
-                          1e12, 1e-12, 1e80, 1e-80])
+                          1e12, 1e-12, 1e80, 1e-80, 1e90, 1e-90, 1e100,
+                          1e-100])
 def test_normal_form_of_a_rescaled_s_keeps_its_blocks(lam):
     # the final gate is relative to the size of the isomorphism and of
     # the isotope tensor, and each operator is reduced at unit scale, so
     # the 100 verify-style pairs reduce, in the same blocks and to SPD
-    # det-1 parts, at each of these scales of S
+    # det-1 parts, at each of these scales of S.  The morphism residual
+    # takes its norms at unit scale too: it neither overflows (1e90 and
+    # up) nor underflows to a 0.0 that the gate would accept unread
     ops = random_invertible_many(4, 200, 0, max_cond=20.0)
     s, t = ops[0::2], ops[1::2]
     alphas, betas, _, _, _ = quat_normal_form_many(s, t)
-    got_a, got_b, xs, _, _ = quat_normal_form_many(lam * s, t)
+    got_a, got_b, xs, _, res = quat_normal_form_many(lam * s, t)
     assert np.array_equal(got_a, alphas) and np.array_equal(got_b, betas)
     assert all(is_spd1(x.c, 1e-7) and is_spd1(x.d, 1e-7) for x in xs)
+    assert np.all(res > 0.0)
