@@ -11,7 +11,6 @@ Usage: python3 scripts/block_census.py [--count N] [--seed S]
 
 import argparse
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,24 +21,17 @@ from divalg.samples import decorated_corpus, division_corpus
 BLOCKS = ("++", "+-", "-+", "--")
 
 
-@dataclass(frozen=True)
-class Config:
-    count: int = 240
-    seed: int = 0
-
-
-def parse_args(argv=None) -> Config:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=240,
                         help="corpus size (cycled over dims 2/4/8)")
     parser.add_argument("--seed", type=int, default=0)
-    ns = parser.parse_args(argv)
-    return Config(count=ns.count, seed=ns.seed)
+    return parser.parse_args(argv)
 
 
-def census(cfg: Config) -> dict[int, Counter]:
+def census(count: int, seed: int) -> dict[int, Counter]:
     tensors: dict[int, list] = {2: [], 4: [], 8: []}
-    for alg in division_corpus(cfg.count, seed=cfg.seed):
+    for alg in division_corpus(count, seed=seed):
         tensors[alg.dim].append(alg.c)
     table = {}
     for dim, cs in tensors.items():
@@ -50,8 +42,8 @@ def census(cfg: Config) -> dict[int, Counter]:
 
 
 def main(argv=None) -> int:
-    cfg = parse_args(argv)
-    table = census(cfg)
+    args = parse_args(argv)
+    table = census(args.count, args.seed)
     header = "dim  " + "".join(f"{b:>6}" for b in BLOCKS) + "  total"
     print(header)
     print("-" * len(header))
@@ -60,7 +52,7 @@ def main(argv=None) -> int:
         cells = "".join(f"{row.get(b, 0):>6}" for b in BLOCKS)
         print(f"{dim:>3}  {cells}  {sum(row.values()):>5}")
 
-    x = decorated_corpus(1, seed=cfg.seed)[0]
+    x = decorated_corpus(1, seed=args.seed)[0]
     print(f"\ntwist orbit of one decorated algebra (dim {x.alg.dim}):")
     for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
         block = sign_pair(functor_i(i, j, x).alg).block

@@ -11,7 +11,6 @@ Usage: python3 scripts/separation_demo.py [--samples N] [--seed S]
 
 import argparse
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,23 +19,16 @@ from divalg.dim2 import NormalForm2D, automorphisms_2d, build2d
 from divalg.samples import random_normal_form
 
 
-@dataclass(frozen=True)
-class Config:
-    samples: int = 60
-    seed: int = 0
-
-
-def parse_args(argv=None) -> Config:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--samples", type=int, default=60,
                         help="random objects drawn per C2 block")
     parser.add_argument("--seed", type=int, default=0)
-    ns = parser.parse_args(argv)
-    return Config(samples=ns.samples, seed=ns.seed)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    cfg = parse_args(argv)
+    args = parse_args(argv)
     eye = np.eye(2)
     top = NormalForm2D(1, 1, eye, eye)
     alg = build2d(top)
@@ -48,13 +40,13 @@ def main(argv=None) -> int:
                          for row in g.matrix)
         print(f"  [{rows}]  residual {res:.1e}")
 
-    rng = np.random.default_rng(cfg.seed)
-    print(f"\nC2-block objects ({cfg.samples} per block):")
+    rng = np.random.default_rng(args.seed)
+    print(f"\nC2-block objects ({args.samples} per block):")
     overall = 0
     for block in ((0, 0), (0, 1), (1, 0)):
         sizes = Counter()
         sizes[len(automorphisms_2d(NormalForm2D(*block, eye, eye)))] += 1
-        for _ in range(cfg.samples):
+        for _ in range(args.samples):
             sizes[len(automorphisms_2d(random_normal_form(rng,
                                                           block=block)))] += 1
         overall = max(overall, max(sizes))

@@ -27,7 +27,8 @@ from .errors import (
     ZeroMap,
     fail_at,
 )
-from .matkit import DEFAULT_TOL, _degenerate_det, det_many, near_singular
+from .matkit import DEFAULT_TOL, _degenerate_det, _finite_stack, det_many, \
+    near_singular
 
 _ALLOWED_DIMS = (1, 2, 4, 8)
 
@@ -185,12 +186,8 @@ def sign_pair_many(tensors, samples: int = 100, tol: float = DEFAULT_TOL,
     the first algebra whose signs vary.  A negative ``samples`` is a
     ValueError.
     """
-    c = np.asarray(tensors, dtype=float)
-    if c.ndim != 4 or len(set(c.shape[1:])) != 1:
-        raise ValueError(f"expected a (B, n, n, n) tensor stack, got shape "
-                         f"{c.shape}")
-    if not np.isfinite(c).all():
-        raise ValueError("structure constants must be finite")
+    c = _finite_stack(tensors, lambda s: len(s) == 4 and len(set(s[1:])) == 1,
+                      "a (B, n, n, n) tensor stack", "structure constants")
     n = c.shape[-1]
     if n == 1:
         raise DimensionOne("the double sign needs dimension at least 2")
@@ -403,12 +400,14 @@ def is_morphism(f, a: Algebra, b: Algebra, tol: float = DEFAULT_TOL) -> bool:
     or the map are rescaled.  Nonzero morphisms between division
     algebras of equal dimension are automatically injective, hence
     isomorphisms.  The zero map is rejected with ZeroMap rather than
-    reported as a (vacuous) morphism.
+    reported as a (vacuous) morphism; a map is numerically zero when
+    max|F| max|b| <= tol max|a|, a test that rescaling F by lam and b
+    by 1 / lam, or a and b by one factor, leaves alone.
     """
     fm = np.asarray(f, dtype=float)
     if fm.shape != (b.dim, a.dim):
         raise ValueError("morphism shape does not match the algebras")
-    if np.max(np.abs(fm)) <= tol:
+    if np.max(np.abs(fm)) * np.max(np.abs(b.c)) <= tol * np.max(np.abs(a.c)):
         raise ZeroMap("candidate morphism is numerically zero")
     return bool(morphism_residual(fm, a, b) <= tol * _term_scale(fm, a.c))
 
@@ -461,8 +460,8 @@ def _exact2d_division(c: np.ndarray, tol: float) -> np.ndarray:
     margin is a ratio, so rescaling the tensor leaves the verdict alone.
     """
     both = np.concatenate([c, c.swapaxes(1, 2)])          # L, then R
-    m = _left_stack(both, np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
-    d = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    d = det_many(_left_stack(both, np.array([[1.0, 0.0], [0.0, 1.0],
+                                             [1.0, 1.0]])))
     d1, d2, dm = d[:, 0], d[:, 1], d[:, 2]
     mean = np.abs(0.5 * (d1 + d2))
     radius = np.hypot(0.5 * (d1 - d2), 0.5 * (dm - d1 - d2))

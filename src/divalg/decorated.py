@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import Algebra, _Frozen, _pull_back, _tag
 from .errors import BadSplit
-from .matkit import DEFAULT_TOL, near_singular
+from .matkit import DEFAULT_TOL, near_singular, random_invertible
 
 _MAX_COND = 20.0        # bound on the condition of a random decoration
 
@@ -143,15 +143,13 @@ def forget(x: DecoratedAlgebra) -> Algebra:
 def random_decorated(alg: Algebra, seed=0) -> DecoratedAlgebra:
     """Seeded random decoration of an algebra of even dimension.
 
-    Chooses a random odd m < n and a random well-conditioned basis,
-    splitting its first m columns into U and the rest into V.
+    Chooses a random odd m < n and a random basis of condition number
+    at most _MAX_COND (matkit.random_invertible), splitting its first m
+    columns into U and the rest into V.
     """
     rng = np.random.default_rng(seed)
     n = alg.dim
     odd = [m for m in range(1, n, 2)]
     m = int(odd[rng.integers(len(odd))])
-    for _ in range(200):
-        w = rng.standard_normal((n, n))
-        if np.linalg.cond(w) <= _MAX_COND:
-            return decorate(alg, w[:, :m], w[:, m:])
-    raise BadSplit("failed to draw a well-conditioned splitting")
+    w = random_invertible(n, rng, max_cond=_MAX_COND)
+    return decorate(alg, w[:, :m], w[:, m:])

@@ -24,8 +24,9 @@ positive, the rotation part of the polar decomposition is
 multiplication by w = alpha / |alpha|, and the SPD determinant-1 factor
 is L(conj w) M / sqrt(det M), the pair (|alpha|, conj(w) beta) /
 sqrt(det M).  Each step of the reduction is array arithmetic on a
-stack of algebras; normal_form_2d and the single-algebra steps
-unitalize, iso_to_c and split_scalar_spd are its B=1 calls.
+stack of algebras.  normal_form_2d is its B=1 call, and so are the
+single-algebra steps unitalize and iso_to_c and the single-matrix step
+split_scalar_spd.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ from .errors import (
     SingularOperator,
     fail_at,
 )
-from .matkit import DEFAULT_TOL, as_matrix, is_spd1, near_singular
+from .matkit import DEFAULT_TOL, _finite_stack, as_matrix, gram, is_spd1, \
+    near_singular
 
 K2 = np.array([[1.0, 0.0], [0.0, -1.0]])
 ROT3 = 0.5 * np.array([[-1.0, -np.sqrt(3.0)], [np.sqrt(3.0), -1.0]])
@@ -299,8 +301,7 @@ def _gram_matches(mats: np.ndarray, x, y, tol: float) -> np.ndarray:
     at tol in every entry; one stacked gram."""
     src = np.asarray(x, dtype=float)[None]                     # [1, 2, ., .]
     dst = np.asarray(y, dtype=float)[None]
-    g = mats[:, None]
-    grams = g @ src @ g.swapaxes(-1, -2)                       # [g, 2, ., .]
+    grams = gram(mats[:, None], src)                           # [g, 2, ., .]
     return np.abs(grams - dst).max(axis=(1, 2, 3)) <= tol
 
 
@@ -378,8 +379,7 @@ def iso_to_c(alg: Algebra, u, tol: float = DEFAULT_TOL) -> np.ndarray:
     return _matrix(_inverse(basis))[0]
 
 
-def split_scalar_spd(m, tol: float = DEFAULT_TOL
-                     ) -> tuple[complex, np.ndarray]:
+def split_scalar_spd(m) -> tuple[complex, np.ndarray]:
     """Factor m with det m > 0 as (complex scalar) * (SPD det 1).
 
     The rotation part of the polar decomposition is multiplication by
@@ -428,12 +428,8 @@ def normal_form_2d_many(tensors, tol: float = DEFAULT_TOL
     NoImaginaryUnit or NonConvergence naming the stack index of the
     first member that fails a stage.
     """
-    c = np.asarray(tensors, dtype=float)
-    if c.ndim != 4 or c.shape[1:] != (2, 2, 2):
-        raise ValueError(f"expected a (B, 2, 2, 2) tensor stack, got shape "
-                         f"{c.shape}")
-    if not np.isfinite(c).all():
-        raise ValueError("structure constants must be finite")
+    c = _finite_stack(tensors, lambda s: len(s) == 4 and s[1:] == (2, 2, 2),
+                      "a (B, 2, 2, 2) tensor stack", "structure constants")
     fail_at(~_exact2d_division(c, tol), NotDivision,
             lambda k: "the exact dimension-2 test rejects this algebra at "
                       f"stack index {k}")

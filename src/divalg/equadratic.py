@@ -31,7 +31,7 @@ from .errors import (
     NotEQuadratic,
     NotIdempotent,
 )
-from .matkit import DEFAULT_TOL, near_singular
+from .matkit import DEFAULT_TOL, _unit_reps, near_singular
 
 # cubic coefficients below this share of the largest projected
 # structure constant are treated as zero when finding idempotents
@@ -159,15 +159,6 @@ def is_e_quadratic(alg: Algebra, e, tol: float = DEFAULT_TOL) -> bool:
     return defect <= tol * scale
 
 
-def _unit_covector(f: np.ndarray) -> np.ndarray:
-    """Normalize a covector to unit length with a fixed sign convention."""
-    f = f / np.linalg.norm(f)
-    nz = np.nonzero(np.abs(f) > 1e-12)[0]
-    if nz.size and f[nz[0]] < 0:
-        f = -f
-    return f
-
-
 def _kernel_basis(f: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the hyperplane f . x = 0."""
     _, _, vt = np.linalg.svd(f[None, :])
@@ -190,7 +181,7 @@ def im_e(alg: Algebra, e, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise NoHyperplane("the squares law does not fit a linear factor")
     if not abs(float(b @ e)) > gate * np.linalg.norm(b):
         raise NoHyperplane("e lies in the kernel of the square factor")
-    return _kernel_basis(_unit_covector(b))
+    return _kernel_basis(_unit_reps(b[None])[0][0])
 
 
 def functor_g(alg: Algebra, tol: float = DEFAULT_TOL) -> DecoratedAlgebra:

@@ -23,12 +23,21 @@ def as_matrix(m) -> np.ndarray:
 
 
 def _as_square(m, ndim: int) -> np.ndarray:
-    a = np.asarray(m, dtype=float)
-    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
-        want = "a square matrix" if ndim == 2 else "a stack of square matrices"
+    return _finite_stack(
+        m, lambda s: len(s) == ndim and s[-1] == s[-2],
+        "a square matrix" if ndim == 2 else "a stack of square matrices",
+        "matrix entries")
+
+
+def _finite_stack(x, shape_ok, want: str, entries: str) -> np.ndarray:
+    """x as a float array, or ValueError: "expected {want}, got shape
+    ..." when shape_ok(shape) is false, "{entries} must be finite" for
+    an entry that is not finite."""
+    a = np.asarray(x, dtype=float)
+    if not shape_ok(a.shape):
         raise ValueError(f"expected {want}, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{entries} must be finite")
     return a
 
 
@@ -255,6 +264,17 @@ def squared_norms(xs) -> np.ndarray:
     matrix, so a stacked check reports what a loop would."""
     flat = np.ascontiguousarray(xs).reshape(len(xs), 1, -1)
     return (flat @ flat.swapaxes(1, 2))[:, 0, 0]
+
+
+def _unit_reps(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The representative of the line through each nonzero row of a
+    (B, n) stack: unit norm, first entry above 1e-12 in magnitude
+    positive; and the signs (+1.0 or -1.0) applied after normalizing."""
+    x = xs / np.sqrt(squared_norms(xs))[:, None]
+    # a unit row has an entry above 1e-12 in magnitude
+    lead = x[np.arange(len(x)), (np.abs(x) > 1e-12).argmax(axis=1)]
+    sign = np.where(lead < 0, -1.0, 1.0)
+    return x * sign[:, None], sign
 
 
 def gram(f: np.ndarray, s: np.ndarray) -> np.ndarray:

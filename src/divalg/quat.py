@@ -38,8 +38,8 @@ from .errors import (
     ZeroQuaternion,
     fail_at,
 )
-from .matkit import DEFAULT_TOL, _as_square, as_matrix, is_spd1, \
-    polar_decompose, squared_norms
+from .matkit import DEFAULT_TOL, _as_square, _finite_stack, _unit_reps, \
+    as_matrix, is_spd1, polar_decompose, squared_norms
 
 _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
@@ -67,8 +67,10 @@ def _isoclinic_basis() -> np.ndarray:
 
 
 def qmul(x, y) -> np.ndarray:
-    """Quaternion product of two coordinate vectors."""
-    return classical("H").mul(np.asarray(x, float), np.asarray(y, float))
+    """Quaternion product of two coordinate vectors.  The B=1 case of
+    _qmul_many."""
+    return _qmul_many(np.asarray(x, dtype=float)[None],
+                      np.asarray(y, dtype=float)[None])[0]
 
 
 def qconj(x) -> np.ndarray:
@@ -90,11 +92,8 @@ def _qinv_many(x: np.ndarray) -> np.ndarray:
 
 
 def _quaternion_stack(qs) -> np.ndarray:
-    qs = np.asarray(qs, dtype=float)
-    if qs.ndim != 2 or qs.shape[1] != 4:
-        raise ValueError(f"expected a (B, 4) stack of quaternions, got "
-                         f"shape {qs.shape}")
-    return qs
+    return _finite_stack(qs, lambda s: len(s) == 2 and s[1] == 4,
+                         "a (B, 4) stack of quaternions", "quaternion entries")
 
 
 def rep_normalize(q) -> np.ndarray:
@@ -106,8 +105,8 @@ def rep_normalize(q) -> np.ndarray:
 def rep_normalize_many(qs) -> np.ndarray:
     """rep_normalize of each row of a (B, 4) stack, bit for bit.
 
-    Raises ValueError for another shape and ZeroQuaternion naming the
-    index of the first zero row.
+    Raises ValueError for another shape or a non-finite entry and
+    ZeroQuaternion naming the index of the first zero row.
     """
     return _rep_many(_quaternion_stack(qs))[0]
 
@@ -115,16 +114,10 @@ def rep_normalize_many(qs) -> np.ndarray:
 def _rep_many(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Representatives of the rows of q and the signs (+1.0 or -1.0)
     applied after normalizing."""
-    n = np.sqrt(squared_norms(q))
-    fail_at(n <= 1e-12, ZeroQuaternion,
+    fail_at(np.sqrt(squared_norms(q)) <= 1e-12, ZeroQuaternion,
             lambda i: "zero quaternion has no coset representative at "
                       f"stack index {i}")
-    q = q / n[:, None]
-    # a unit row has an entry above 1e-12 in magnitude; flip the rows
-    # whose first such entry is negative
-    lead = q[np.arange(len(q)), (np.abs(q) > 1e-12).argmax(axis=1)]
-    sign = np.where(lead < 0, -1.0, 1.0)
-    return q * sign[:, None], sign
+    return _unit_reps(q)
 
 
 def k_map(s) -> np.ndarray:
@@ -141,8 +134,8 @@ def k_map_many(s) -> np.ndarray:
     """k_map of each row of a (B, 4) stack, as a (B, 4, 4) stack.
 
     L_s R_{s^-1} over the stack, bit for bit what k_map gives for each
-    row.  Raises ValueError for another shape and ZeroQuaternion naming
-    the index of the first zero row.
+    row.  Raises ValueError for another shape or a non-finite entry and
+    ZeroQuaternion naming the index of the first zero row.
     """
     s = _quaternion_stack(s)
     h = classical("H")
@@ -238,27 +231,28 @@ def functor_h_many(alpha: int, beta: int, xs) -> np.ndarray:
     of the sequence xs, as a (B, 4, 4, 4) stack from one contraction;
     entry b is bit for bit the tensor functor_h gives for xs[b].
     """
+    if alpha not in (1, -1) or beta not in (1, -1):
+        raise ValueError("block signs must be +1 or -1")
     return _functor_h_stack(alpha, beta, *(np.array([getattr(x, f)
                                                      for x in xs])
                                            for f in "abcd"))
 
 
-def _functor_h_stack(alpha: int, beta: int, a, b, c, d) -> np.ndarray:
-    """The operator table on stacks of representatives (B, 4) and SPD
-    parts (B, 4, 4), then one contraction."""
-    if alpha not in (1, -1) or beta not in (1, -1):
-        raise ValueError("block signs must be +1 or -1")
+def _functor_h_stack(alpha, beta, a, b, c, d) -> np.ndarray:
+    """The operator table on block signs (scalars or (B,) stacks),
+    representatives (B, 4) and SPD parts (B, 4, 4), then one
+    contraction: S = L_a C, except R_a C for (+, -), and T = R_b D,
+    except L_b D for (-, +); then S kappa where beta = -1 and T kappa
+    where alpha = -1."""
     h = classical("H")
     k = _conj_matrix()
-    if (alpha, beta) == (1, 1):
-        sig, tau = left_mult_many(h, a) @ c, right_mult_many(h, b) @ d
-    elif (alpha, beta) == (1, -1):
-        sig, tau = right_mult_many(h, a) @ c @ k, right_mult_many(h, b) @ d
-    elif (alpha, beta) == (-1, 1):
-        sig, tau = left_mult_many(h, a) @ c, left_mult_many(h, b) @ d @ k
-    else:
-        sig, tau = left_mult_many(h, a) @ c @ k, \
-            right_mult_many(h, b) @ d @ k
+    alpha, beta = (np.asarray(x)[..., None, None] for x in (alpha, beta))
+    sig = np.where((alpha > 0) & (beta < 0), right_mult_many(h, a),
+                   left_mult_many(h, a)) @ c
+    tau = np.where((alpha < 0) & (beta > 0), left_mult_many(h, b),
+                   right_mult_many(h, b)) @ d
+    sig = np.where(beta < 0, sig @ k, sig)
+    tau = np.where(alpha < 0, tau @ k, tau)
     # products of L_a, R_b (unit a, b), SPD parts and kappa: invertible
     return _pull_back(h.c, sig, tau)
 
@@ -314,16 +308,8 @@ def _so4_split(o: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _members(mask: np.ndarray):
-    """Index of the members where mask holds, or a slice when all do, so
-    that a stack of one block is read and written without copies."""
-    idx = np.flatnonzero(mask)
-    return slice(None) if len(idx) == len(mask) else idx
-
-
 def _qmul_many(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Quaternion products x[b] y[b] of two (B, 4) stacks, each bit for
-    bit what qmul gives."""
+    """Quaternion products x[b] y[b] of two (B, 4) stacks."""
     return (left_mult_many(classical("H"), x) @ y[:, :, None])[:, :, 0]
 
 
@@ -438,12 +424,7 @@ def quat_normal_form_many(s_ops, t_ops, tol: float = DEFAULT_TOL):
     xs, (ab, cd, eps) = _z_objects(g, c0 / lam[:, None, None])
     iso *= (lam[:n] * lam[n:] * eps[:n] * eps[n:])[:, None, None]
     iso = np.ldexp(iso, (exps[:n] + exps[n:])[:, None, None])
-    target = np.empty_like(src)
-    for blk in sorted(set(block.tolist())):
-        sel = _members(block == blk)
-        target[sel] = _functor_h_stack(
-            -1 if blk % 2 else 1, -1 if blk >= 2 else 1,
-            ab[:n][sel], ab[n:][sel], cd[:n][sel], cd[n:][sel])
+    target = _functor_h_stack(alphas, betas, ab[:n], ab[n:], cd[:n], cd[n:])
     res = morphism_residual_many(iso, src, target)
     _gate_residuals(res, iso, src, tol)
     return alphas, betas, xs, iso, res

@@ -2,7 +2,8 @@
 
 Every law the package promises is registered here as a named check; the
 registry is grouped by module and a final meta-check asserts that every
-listed invariant of every module is covered by at least one check.
+listed invariant of every module is covered by the check whose name
+spells it (matkit-gram-spd covers matkit:gram-spd).
 Checks are independent and deterministic in (seed, tol, samples): each
 one draws from its own seeded stream, so reports with equal settings
 are byte-identical and checks could run in any order (results are
@@ -47,7 +48,8 @@ from .quat import functor_h, functor_h_many, k_map, k_map_many, \
     quat_normal_form_many, rep_normalize_many, so4_factor, z_action
 
 # The laws each module promises, by slug.  The meta-check at the end of
-# the registry (and the test suite) asserts every slug is covered.
+# the registry (and the test suite) asserts every slug is covered: the
+# check named module-law covers module:law (_slug).
 INVARIANTS = {
     "matkit": ("sign-multiplicative", "polar-roundtrip", "gram-spd"),
     "core": ("sign-constancy", "transport-invariance", "isotope-sign-law",
@@ -113,7 +115,6 @@ class Report:
 class Check:
     name: str
     law: str
-    covers: tuple[str, ...]
     fn: object
     index: int
     bound: float
@@ -122,11 +123,18 @@ class Check:
 _REGISTRY: list[Check] = []
 
 
-def _check(name: str, law: str, covers: tuple[str, ...], bound=0.0):
+def _check(name: str, law: str, bound=0.0):
     def deco(fn):
-        _REGISTRY.append(Check(name, law, covers, fn, len(_REGISTRY), bound))
+        _REGISTRY.append(Check(name, law, fn, len(_REGISTRY), bound))
         return fn
     return deco
+
+
+def _slug(name: str) -> str:
+    """The invariant a check covers, spelled by its name: module-law
+    covers module:law, with equad- for equadratic."""
+    module, law = name.split("-", 1)
+    return f"{'equadratic' if module == 'equad' else module}:{law}"
 
 
 # Most items a check hands to one stacked call.  Stacking a whole check
@@ -227,8 +235,7 @@ class Ctx:
 
 
 @_check("matkit-sign-multiplicative",
-        "sign det (M N) = sign det M times sign det N for invertible M, N",
-        ("matkit:sign-multiplicative",))
+        "sign det (M N) = sign det M times sign det N for invertible M, N")
 def _chk_sign_mult(ctx: Ctx, rng):
     pairs = []
     for n in (2, 4, 8):
@@ -247,7 +254,7 @@ def _chk_sign_mult(ctx: Ctx, rng):
 @_check("matkit-polar-roundtrip",
         "polar_decompose(M) returns (P, O) with P O = M to 1e-10 relative, "
         "P symmetric positive definite and O orthogonal",
-        ("matkit:polar-roundtrip",), bound=1e-10)
+        bound=1e-10)
 def _chk_polar(ctx: Ctx, rng):
     ms = [m for n in (2, 4, 8)
           for m in random_invertible_many(n, max(1, ctx.samples), rng)]
@@ -264,8 +271,7 @@ def _chk_polar(ctx: Ctx, rng):
 
 
 @_check("matkit-gram-spd",
-        "F S F^T of an SPD matrix S by invertible F stays SPD",
-        ("matkit:gram-spd",))
+        "F S F^T of an SPD matrix S by invertible F stays SPD")
 def _chk_gram(ctx: Ctx, rng):
     # per size n = 2, 4, 8: 70 random_spd1 S, then 70 random_invertible F
     drawn = [(n, random_spd1_many(n, 70, rng),
@@ -284,8 +290,7 @@ def _chk_gram(ctx: Ctx, rng):
 
 @_check("core-sign-constancy",
         "in a division algebra of dimension > 1, sign det L_a and "
-        "sign det R_a are each constant over nonzero a",
-        ("core:sign-constancy",))
+        "sign det R_a are each constant over nonzero a")
 def _chk_sign_constancy(ctx: Ctx, rng):
     # one item per algebra, tested on its samples points
     for alg in ctx.division_corpus():
@@ -298,8 +303,7 @@ def _chk_sign_constancy(ctx: Ctx, rng):
 
 
 @_check("core-transport-invariance",
-        "the sign pair is unchanged by transport along any invertible map",
-        ("core:transport-invariance",))
+        "the sign pair is unchanged by transport along any invertible map")
 def _chk_transport(ctx: Ctx, rng):
     corpus = ctx.division_corpus()[:12]
     items = [(a, f) for a, alg in enumerate(corpus)
@@ -319,8 +323,7 @@ def _chk_transport(ctx: Ctx, rng):
 
 @_check("core-isotope-sign-law",
         "the isotope by (S, T) of an algebra with sign pair (l, r) has "
-        "sign pair (l sign det T, r sign det S)",
-        ("core:isotope-sign-law",))
+        "sign pair (l sign det T, r sign det S)")
 def _chk_isotope_law(ctx: Ctx, rng):
     corpus = ctx.division_corpus()[:10]
     # (algebra index, (S, T)): round k isotopes algebra k mod 10; the
@@ -348,7 +351,7 @@ def _chk_isotope_law(ctx: Ctx, rng):
 @_check("core-isotope-operators",
         "in the isotope by (S, T), left multiplication by a is "
         "L_{Sa} T and right multiplication is R_{Ta} S, to 1e-12",
-        ("core:isotope-operators",), bound=1e-12)
+        bound=1e-12)
 def _chk_isotope_ops(ctx: Ctx, rng):
     # per algebra C, H, O: the 20 pairs as one block S, T, S, ... of
     # random_invertible(max_cond=10), then the 20 points a
@@ -371,8 +374,7 @@ def _chk_isotope_ops(ctx: Ctx, rng):
 
 @_check("core-opposition",
         "the opposite algebra is a tensor-exact involution and swaps the "
-        "two components of the sign pair",
-        ("core:opposition",))
+        "two components of the sign pair")
 def _chk_opposite(ctx: Ctx, rng):
     for a, alg in enumerate(ctx.division_corpus()[:12]):
         opp = opposite(alg)
@@ -386,8 +388,7 @@ def _chk_opposite(ctx: Ctx, rng):
 
 @_check("core-unital-blocks",
         "a left unity forces sign det L = +1, a right unity forces "
-        "sign det R = +1, a two-sided unity forces the ++ block",
-        ("core:unital-blocks",))
+        "sign det R = +1, a two-sided unity forces the ++ block")
 def _chk_unital(ctx: Ctx, rng):
     # per algebra C, H, O: 5 left unital isotopes (their S, then their
     # w), then 5 right ones (their T, then their v)
@@ -415,8 +416,7 @@ def _chk_unital(ctx: Ctx, rng):
 
 @_check("core-morphism-injective",
         "every map accepted as a morphism between equal-dimension division "
-        "algebras is invertible; the zero map is rejected outright",
-        ("core:morphism-injective",))
+        "algebras is invertible; the zero map is rejected outright")
 def _chk_morphism_inj(ctx: Ctx, rng):
     corpus = ctx.division_corpus()[:12]
     # the maps of each dimension, 2 then 4 then 8, as one block
@@ -452,7 +452,7 @@ def _decorated_stacks(xs):
 @_check("decorated-klein-four-group",
         "the four twist functors compose by XOR on indices: the full "
         "4 x 4 composition table holds tensor-exactly (1e-12)",
-        ("decorated:klein-four-group",), bound=1e-12)
+        bound=1e-12)
 def _chk_klein(ctx: Ctx, rng):
     def stacked(xs):
         c, k = _decorated_stacks(xs)
@@ -473,8 +473,7 @@ def _chk_klein(ctx: Ctx, rng):
 
 
 @_check("decorated-block-shift",
-        "twisting by (i, j) moves the block (l, r) to ((-1)^j l, (-1)^i r)",
-        ("decorated:block-shift",))
+        "twisting by (i, j) moves the block (l, r) to ((-1)^j l, (-1)^i r)")
 def _chk_block_shift(ctx: Ctx, rng):
     def stacked(xs):
         c, k = _decorated_stacks(xs)
@@ -503,7 +502,7 @@ def _split_maps(corpus, rng) -> list:
 @_check("decorated-kappa-commutation",
         "a split-respecting isomorphism F intertwines the reflections: "
         "F kappa = kappa' F to 1e-10",
-        ("decorated:kappa-commutation",), bound=1e-10)
+        bound=1e-10)
 def _chk_kappa_comm(ctx: Ctx, rng):
     corpus = ctx.decorated_corpus()[:50]
     for x, f in zip(corpus, _split_maps(corpus, rng)):
@@ -514,7 +513,7 @@ def _chk_kappa_comm(ctx: Ctx, rng):
 @_check("decorated-morphism-preservation",
         "a split-respecting isomorphism stays a morphism after applying "
         "any of the four twist functors",
-        ("decorated:morphism-preservation",), bound=math.inf)
+        bound=math.inf)
 def _chk_morph_preserve(ctx: Ctx, rng):
     corpus = ctx.decorated_corpus()[:30]
     bound = max(ctx.tol, 1e-8)
@@ -543,7 +542,7 @@ def _chk_morph_preserve(ctx: Ctx, rng):
 @_check("equad-decomposition",
         "for each corpus algebra the found idempotent e and the square "
         "hyperplane span the whole space: [e | basis] is invertible",
-        ("equadratic:decomposition",), bound=1e-9)
+        bound=1e-9)
 def _chk_equad_decomp(ctx: Ctx, rng):
     for k, alg in enumerate(ctx.equad_corpus()):
         x = ctx.equad_decorated(k)
@@ -555,8 +554,7 @@ def _chk_equad_decomp(ctx: Ctx, rng):
 
 @_check("equad-uniqueness",
         "each corpus algebra has exactly one nonzero commuting idempotent "
-        "whose squares law holds",
-        ("equadratic:uniqueness",))
+        "whose squares law holds")
 def _chk_equad_unique(ctx: Ctx, rng):
     for alg in ctx.equad_corpus():
         es = [e for e in central_idempotents(alg, ctx.tol)
@@ -568,7 +566,7 @@ def _chk_equad_unique(ctx: Ctx, rng):
 @_check("equad-functor-compat",
         "twisting the decorated image by (1,1) equals decorating the "
         "conjugation isotope: tensors agree exactly, splittings to 1e-9",
-        ("equadratic:functor-compat",), bound=1e-9)
+        bound=1e-9)
 def _chk_equad_compat(ctx: Ctx, rng):
     # the residual of an item is the larger of its tensor gap and the gaps
     # of the projectors onto its two splitting spaces
@@ -587,8 +585,7 @@ def _chk_equad_compat(ctx: Ctx, rng):
 
 @_check("equad-block-structure",
         "every corpus algebra sits in the ++ or -- block and the "
-        "conjugation isotope swaps the two",
-        ("equadratic:block-structure",))
+        "conjugation isotope swaps the two")
 def _chk_equad_blocks(ctx: Ctx, rng):
     for k, alg in enumerate(ctx.equad_corpus()):
         block = sign_pair(alg, samples=8, tol=ctx.tol).block
@@ -645,24 +642,21 @@ def _fidelity(blocks, rng, tol, pairs):
 
 @_check("dim2-hom-fidelity",
         "on 2-d normal forms the gram-matching group elements are exactly "
-        "the algebra morphisms, element for element",
-        ("dim2:hom-fidelity",))
+        "the algebra morphisms, element for element")
 def _chk_dim2_fidelity(ctx: Ctx, rng):
     yield from _fidelity(((0, 0), (0, 1), (1, 0), (1, 1)), rng, ctx.tol, 20)
 
 
 @_check("dim2-block-equivalence",
         "the hom-set bijection holds identically on the three blocks with "
-        "two-element symmetry",
-        ("dim2:block-equivalence",))
+        "two-element symmetry")
 def _chk_dim2_blockeq(ctx: Ctx, rng):
     yield from _fidelity(((0, 0), (0, 1), (1, 0)), rng, ctx.tol, 12)
 
 
 @_check("dim2-separation",
         "the (1,1) identity form has exactly six automorphisms; every "
-        "sampled form in the other three blocks has at most two",
-        ("dim2:separation",))
+        "sampled form in the other three blocks has at most two")
 def _chk_dim2_separation(ctx: Ctx, rng):
     eye = np.eye(2)
     special = NormalForm2D(1, 1, eye, eye)
@@ -694,7 +688,7 @@ def _chk_dim2_separation(ctx: Ctx, rng):
 @_check("dim2-round-trip",
         "building a normal form and reducing it back lands in the same "
         "orbit: same block, nonempty hom-set, isomorphism residual 1e-8",
-        ("dim2:round-trip",), bound=1e-8)
+        bound=1e-8)
 def _chk_dim2_roundtrip(ctx: Ctx, rng):
     drawn = smp.random_normal_form_many(100, rng)
 
@@ -715,7 +709,7 @@ def _chk_dim2_roundtrip(ctx: Ctx, rng):
 @_check("dim2-density",
         "randomly drawn 2-d division algebras all reduce to a normal form "
         "whose block matches their sampled sign pair",
-        ("dim2:density",), bound=1e-8)
+        bound=1e-8)
 def _chk_dim2_density(ctx: Ctx, rng):
     drawn = [smp.random_2d_division(rng) for _ in range(100)]
 
@@ -735,8 +729,7 @@ def _chk_dim2_density(ctx: Ctx, rng):
 
 @_check("quat-functor-blocks",
         "the block functors land where they claim: the image of any "
-        "object under the (alpha, beta) functor has that sign pair",
-        ("quat:functor-blocks",))
+        "object under the (alpha, beta) functor has that sign pair")
 def _chk_quat_blocks(ctx: Ctx, rng):
     # per block, in this order: 50 random_z_object draws as one block
     items = [((alpha, beta), x) for alpha in (1, -1) for beta in (1, -1)
@@ -770,20 +763,18 @@ def _conjugation_residual(rng, draws: int) -> np.ndarray:
 @_check("quat-functoriality",
         "conjugation matrices are the image morphisms: K_s maps the image "
         "of x to the image of s acting on x, residual 1e-8",
-        ("quat:functoriality",), bound=1e-8)
+        bound=1e-8)
 def _chk_quat_functorial(ctx: Ctx, rng):
     yield from ((r, "") for r in _conjugation_residual(rng, 100).tolist())
 
 
 @_check("quat-faithfulness",
         "k_map separates classes: equal conjugation matrices force equal "
-        "representatives, and s with -s give the same matrix",
-        ("quat:faithfulness",))
+        "representatives, and s with -s give the same matrix")
 def _chk_quat_faithful(ctx: Ctx, rng):
     n = max(2, ctx.samples)
     # the draws of n (s, t) pairs of random_unit_quaternion, as one block
-    q = rng.standard_normal((n, 2, 4))
-    q = q / np.sqrt(squared_norms(q.reshape(2 * n, 4))).reshape(n, 2, 1)
+    q = smp.random_unit_vectors(4, 2 * n, rng).reshape(n, 2, 4)
     # nonzero real multiples of s, of both signs, stay in its class
     lam = rng.uniform(0.1, 10.0, size=(n, 1))
     yield from _stacks(lambda b: _class_failures(q[b], lam[b]), range(n))
@@ -817,7 +808,7 @@ def _class_failures(q: np.ndarray, lam: np.ndarray):
         "images of objects with identity positive parts are absolute "
         "valued (|xy| = |x||y| to 1e-10); a non-identity positive part "
         "produces a witnessed violation",
-        ("quat:absolute-valued",), bound=1e-10)
+        bound=1e-10)
 def _chk_quat_absvalued(ctx: Ctx, rng):
     npairs = max(2, ctx.samples)
     per = npairs // 4 + 1
@@ -848,7 +839,7 @@ def _norm_defect(alg: Algebra, xs: np.ndarray, ys: np.ndarray):
 @_check("quat-block-equivalence",
         "the four block functors carry one morphism the same way: each "
         "K_s is a morphism of all four images simultaneously",
-        ("quat:block-equivalence",), bound=math.inf)
+        bound=math.inf)
 def _chk_quat_blockeq(ctx: Ctx, rng):
     # each draw also carries the gap of K_1 from the identity
     ident = np.abs(k_map(np.array([1.0, 0, 0, 0])) - np.eye(4)).max()
@@ -860,7 +851,7 @@ def _chk_quat_blockeq(ctx: Ctx, rng):
 @_check("quat-normal-form",
         "every invertible operator pair reduces to a block object: signs "
         "read off the determinants, round-trip residual 1e-8",
-        ("quat:normal-form",), bound=1e-8)
+        bound=1e-8)
 def _chk_quat_nf(ctx: Ctx, rng):
     # the draws of 100 random_quat_pair calls, as one block: S, T, S, ...
     ops = random_invertible_many(4, 200, rng, max_cond=20.0)
@@ -878,7 +869,7 @@ def _chk_quat_nf(ctx: Ctx, rng):
 @_check("quat-so4-reconstruction",
         "a special orthogonal 4x4 matrix splits as x -> a x b with the "
         "representative convention, reconstruction residual 1e-10",
-        ("quat:so4-reconstruction",), bound=1e-10)
+        bound=1e-10)
 def _chk_quat_so4(ctx: Ctx, rng):
     h = classical("H")
     rotations = list(random_rotation_many(4, 100, rng))
@@ -901,8 +892,7 @@ def _chk_quat_so4(ctx: Ctx, rng):
 
 @_check("cli-io-round-trip",
         "writing any supported object to JSON and reading it back "
-        "reproduces every tensor entry bit for bit",
-        ("cli:io-round-trip",))
+        "reproduces every tensor entry bit for bit")
 def _chk_io_roundtrip(ctx: Ctx, rng):
     algebras = [smp.random_division(1, rng), classical("C"),
                 classical("H"), classical("O")]
@@ -927,11 +917,10 @@ def _chk_io_roundtrip(ctx: Ctx, rng):
 
 @_check("cli-coverage",
         "every invariant declared by every module is covered by at "
-        "least one registered check",
-        ("cli:coverage",))
+        "least one registered check")
 def _chk_coverage(ctx: Ctx, rng):
     # one item per invariant
-    covered = {slug for chk in _REGISTRY for slug in chk.covers}
+    covered = {_slug(chk.name) for chk in _REGISTRY}
     for slug in (f"{mod}:{s}" for mod, slugs in INVARIANTS.items()
                  for s in slugs):
         yield 0.0, "" if slug in covered else f"missing {slug}"

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from divalg import verify
 from divalg.cli import main
 from divalg.core import Algebra, classical
 from divalg.io import algebra_to_dict, normal_form_to_dict, pair_to_dict, \
@@ -187,6 +188,16 @@ def test_verify_text_subset(capsys):
     lines = out.strip().splitlines()
     assert lines[-1].startswith("2 checks, 0 failures")
     assert all(line.startswith("PASS") for line in lines[1:-1])
+
+
+def test_verify_coverage_names_a_missing_check(monkeypatch):
+    # the check named quat-normal-form is the only one that covers
+    # quat:normal-form
+    monkeypatch.setattr(verify, "_REGISTRY", [
+        chk for chk in verify._REGISTRY if chk.name != "quat-normal-form"])
+    (result,) = verify.run_verify(names=["cli-coverage"]).results
+    assert not result.passed
+    assert result.detail == "missing quat:normal-form"
 
 
 def test_verify_text_report_aligns_the_residual_column(capsys):

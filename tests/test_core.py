@@ -295,7 +295,7 @@ def test_is_morphism_shape_check(C, H):
         is_morphism(np.eye(3), C, H)
 
 
-@pytest.mark.parametrize("lam", [1.0, 1e6, 1e-6, 1e100, 1e-100])
+@pytest.mark.parametrize("lam", [1.0, 1e6, 1e-6, 1e10, 1e-10, 1e100, 1e-100])
 def test_morphism_decisions_at_any_scale(lam):
     # the residual is bounded by tol times the size of the terms it
     # compares: a transport map of lam O is a morphism at every scale,
@@ -305,6 +305,13 @@ def test_morphism_decisions_at_any_scale(lam):
     assert is_morphism(f, o, transport(o, f)) is True
     h = Algebra(lam * classical("H").c)
     assert is_morphism(random_invertible(4, 5), h, h) is False
+    # lam I maps H onto its transport H / lam, so max|F| max|B| = max|H|:
+    # no zero map at any lam; the zero map of lam H stays one
+    g = lam * np.eye(4)
+    assert is_morphism(g, classical("H"), transport(classical("H"), g)) \
+        is True
+    with pytest.raises(ZeroMap):
+        is_morphism(np.zeros((4, 4)), h, h)
 
 
 def test_morphism_residual_identity(H):

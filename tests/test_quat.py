@@ -14,7 +14,7 @@ from divalg.matkit import is_spd1, random_invertible_many, \
     random_rotation, sign_det
 from divalg.quat import ZObject, _isoclinic_basis, functor_h, k_map, \
     qconj, qinv, qmul, quat_normal_form, quat_normal_form_many, \
-    rep_normalize, so4_factor, z_action
+    rep_normalize, rep_normalize_many, so4_factor, z_action
 from divalg.samples import random_quat_pair, random_unit_quaternion, \
     random_z_object
 
@@ -74,6 +74,17 @@ def test_zobject_validation():
         ZObject(E0, E0, np.diag([2.0, 1, 1, 1]), np.eye(4))
     with pytest.raises(ValueError):
         x.c[0, 0] = 5.0                   # stored arrays are frozen
+
+
+@pytest.mark.parametrize("entry", [
+    lambda q: ZObject(q, E0, np.eye(4), np.eye(4)),
+    k_map,
+    lambda q: rep_normalize_many(np.stack([E0, q])),
+], ids=["ZObject", "k_map", "rep_normalize_many"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quaternion_stacks_refuse_non_finite_entries(entry, bad):
+    with pytest.raises(ValueError, match="quaternion entries must be finite"):
+        entry(np.array([bad, 0.0, 0.0, 0.0]))
 
 
 def test_z_action_composes():

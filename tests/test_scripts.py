@@ -36,7 +36,7 @@ def test_block_census_matches_per_algebra_loop():
     want = {2: Counter(), 4: Counter(), 8: Counter()}
     for alg in division_corpus(60, seed=0):
         want[alg.dim][sign_pair(alg).block] += 1
-    assert mod.census(mod.Config(count=60, seed=0)) == want
+    assert mod.census(count=60, seed=0) == want
 
 
 def test_separation_demo_top_object_has_six_automorphisms(capsys):
