@@ -27,8 +27,8 @@ from .errors import (
     ZeroMap,
     fail_at,
 )
-from .matkit import DEFAULT_TOL, _degenerate_det, _finite_stack, det_many, \
-    near_singular
+from .matkit import DEFAULT_TOL, _GATE_FLOOR, _UNIT_LAW_FLOOR, \
+    _degenerate_det, _finite_stack, det_many, near_singular
 
 _ALLOWED_DIMS = (1, 2, 4, 8)
 
@@ -382,9 +382,9 @@ def _gate_residuals(res: np.ndarray, f: np.ndarray, a: np.ndarray,
                     tol: float) -> None:
     """The final gate of the normal forms, scale-free: NonConvergence
     for the first residual res[k] of f[k] from a[k] that is not a number
-    or above max(tol, 1e-8) max|f[k]| max|a[k]|, the size of the terms
+    or above max(tol, _GATE_FLOOR) max|f[k]| max|a[k]|, the size of the terms
     it compares."""
-    bound = max(tol, 1e-8) * _term_scale(f, a)
+    bound = max(tol, _GATE_FLOOR) * _term_scale(f, a)
     fail_at(~(res <= bound), NonConvergence,
             lambda k: "normal-form isomorphism residual "
                       + ("is not a number" if np.isnan(res[k]) else
@@ -483,7 +483,7 @@ def find_unities(alg: Algebra, tol: float = DEFAULT_TOL) -> dict:
 
     def solve(mat, rhs):
         e, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-        if np.max(np.abs(mat @ e - rhs)) <= max(tol, 1e-12) * n:
+        if np.max(np.abs(mat @ e - rhs)) <= max(tol, _UNIT_LAW_FLOOR) * n:
             return [e]
         return []
 
@@ -498,12 +498,12 @@ def find_unities(alg: Algebra, tol: float = DEFAULT_TOL) -> dict:
 
 def commutant(alg: Algebra, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of {a : L_a = R_a}, the commuting
-    elements: the null space of the constraint rows."""
+    elements: the null space of the constraint rows, rank at tol s_max."""
     n = alg.dim
     # constraint rows over (k, m): sum_t a_t (c[t, m, k] - c[m, t, k]) = 0
     diff = alg.c - alg.c.transpose(1, 0, 2)
     _, s, vt = np.linalg.svd(diff.transpose(2, 1, 0).reshape(n * n, n))
-    rank = int(np.sum(s > tol * max(s[0], 1.0)))
+    rank = int(np.sum(s > tol * s[0]))
     return vt[rank:].T
 
 

@@ -55,7 +55,8 @@ from .errors import (
     SingularOperator,
     fail_at,
 )
-from .matkit import DEFAULT_TOL, _finite_stack, as_matrix, gram, is_spd1, \
+from .matkit import DEFAULT_TOL, _POLAR_TOL, _SPD1_TOL, _STAGE_BUDGET, \
+    _TOL_FLOOR, _UNIT_LAW_FLOOR, _finite_stack, as_matrix, gram, is_spd1, \
     near_singular
 
 K2 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -125,7 +126,7 @@ class NormalForm2D(_Frozen):
         i, j = _exponents(self.i, self.j)
         ab = [np.asarray(m, dtype=float).copy() for m in (self.a, self.b)]
         for name, m in zip("ab", ab):
-            if m.shape != (2, 2) or not is_spd1(m, 1e-7):
+            if m.shape != (2, 2) or not is_spd1(m, _SPD1_TOL):
                 raise ValueError(f"{name} must be 2x2 SPD with determinant 1")
         self._freeze(i=i, j=j, a=ab[0], b=ab[1])
 
@@ -201,7 +202,7 @@ def _remove_twist(c: np.ndarray, a: np.ndarray, tol: float):
         np.abs(_left_stack(out, u[:, None])[:, 0] - eye).max(axis=(1, 2)),
         np.abs(_left_stack(out.swapaxes(1, 2), u[:, None])[:, 0]
                - eye).max(axis=(1, 2)))
-    fail_at(defect > 100.0 * max(tol, 1e-12), NonConvergence,
+    fail_at(defect > 100.0 * max(tol, _UNIT_LAW_FLOOR), NonConvergence,
             lambda k: f"unit laws fail at {defect[k]:.3e} after removing "
                       f"the twist at stack index {k}")
     return out, u, ra, la
@@ -241,11 +242,11 @@ def _split(p):
     """Complex scalars and SPD determinant-1 factors (as pairs) of maps
     with positive determinant: M = L(scalar) A.
 
-    SingularInput when the smaller singular value is at most 1e-12
+    SingularInput when the smaller singular value is at most _POLAR_TOL
     times the larger, NotDivision when the determinant is negative.
     """
     na, nb = np.abs(p[0]), np.abs(p[1])
-    fail_at(np.abs(na - nb) <= 1e-12 * (na + nb), SingularInput,
+    fail_at(np.abs(na - nb) <= _POLAR_TOL * (na + nb), SingularInput,
             lambda k: f"singular values span {na[k] + nb[k]:.3e}.."
                       f"{abs(na[k] - nb[k]):.3e} at stack index {k}")
     fail_at(na < nb, NotDivision,
@@ -341,7 +342,7 @@ def hom2d(src: NormalForm2D, dst: NormalForm2D, tol: float = DEFAULT_TOL
                            np.array([src.j, dst.j], dtype=bool),
                            np.stack([src.a, dst.a]), np.stack([src.b, dst.b]))
     a, b = (np.broadcast_to(t, (len(mats),) + t.shape) for t in built)
-    ok &= morphism_residual_many(mats, a, b) <= max(tol, 1e-9)
+    ok &= morphism_residual_many(mats, a, b) <= max(tol, _TOL_FLOOR)
     return [g for g, keep in zip(elements, ok) if keep]
 
 
@@ -414,7 +415,7 @@ def normal_form_2d_many(tensors, tol: float = DEFAULT_TOL
     ``tensors`` has shape (B, 2, 2, 2).  Returns (forms, isos,
     residuals): B normal forms, the (B, 2, 2) isomorphisms, isos[b] from
     algebra b onto build2d(forms[b]), and the (B,) morphism residuals
-    of those isomorphisms, each bounded by max(tol, 1e-8) times
+    of those isomorphisms, each bounded by max(tol, _GATE_FLOOR) times
     max|isos[b]| max|tensors[b]|, the size of the terms it compares.
     Member b is, bit for bit, what the B=1 call on tensors[b] gives.
 
@@ -455,7 +456,7 @@ def normal_form_2d_many(tensors, tol: float = DEFAULT_TOL
     q = np.where(i, np.conj(inv_w), inv_w)
     r = np.where(j, np.conj(inv_w), inv_w)
     left = w * scalar * q * r
-    fail_at(np.abs(left - 1.0) > 1e-6, NonConvergence,
+    fail_at(np.abs(left - 1.0) > _STAGE_BUDGET, NonConvergence,
             lambda k: f"scalar absorption left {complex(left[k])}, not 1 at "
                       f"stack index {k}")
     a2, b2 = _rotated(a1, q), _rotated(b1, r)

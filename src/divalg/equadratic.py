@@ -31,11 +31,8 @@ from .errors import (
     NotEQuadratic,
     NotIdempotent,
 )
-from .matkit import DEFAULT_TOL, _unit_reps, near_singular
-
-# cubic coefficients below this share of the largest projected
-# structure constant are treated as zero when finding idempotents
-_ROOT_EPS = 1e-12
+from .matkit import DEFAULT_TOL, _IDEMPOTENT_FLOOR, _REAL_ROOT_TOL, \
+    _ROOT_EPS, _SAME_IDEMPOTENT, _TOL_FLOOR, _unit_reps, near_singular
 
 
 def central_idempotents(alg: Algebra, tol: float = DEFAULT_TOL
@@ -51,7 +48,8 @@ def central_idempotents(alg: Algebra, tol: float = DEFAULT_TOL
     candidate is verified against the full equation z o z = z, and the
     solutions are returned in a deterministic order.  A plane on which
     every direction qualifies holds a continuum of idempotents (or
-    none), and gives no isolated solution.
+    none), and gives no isolated solution.  The cut-offs are relative,
+    so the idempotents of lambda A are those of A over lambda.
     """
     basis = commutant(alg, tol)
     d = basis.shape[1]
@@ -60,20 +58,21 @@ def central_idempotents(alg: Algebra, tol: float = DEFAULT_TOL
     if d > 2:
         raise CenterTooLarge(f"commuting subspace has dimension {d}")
     out = []
+    cmax = float(np.max(np.abs(alg.c)))
     for x in _idempotent_directions(alg, basis):
         lam = float(alg.mul(x, x) @ x) / float(x @ x)
-        if abs(lam) <= tol:
+        if abs(lam) <= tol * cmax:
             continue
         z = x / lam
-        if np.linalg.norm(z) <= tol:
-            continue
-        # the rounding error of z o z grows like |c| |z|^2 eps
-        bound = max(tol, 1e-10) * max(1.0, float(z @ z))
+        size = float(np.linalg.norm(z))
+        # the rounding error of z o z grows like max|c| |z|^2 eps
+        bound = max(tol, _IDEMPOTENT_FLOOR) * max(size, cmax * size * size)
         if np.linalg.norm(alg.mul(z, z) - z) > bound:
             continue
-        if not any(np.linalg.norm(z - w) < 1e-6 for w in out):
+        if not any(np.linalg.norm(z - w) < _SAME_IDEMPOTENT * size
+                   for w in out):
             out.append(z)
-    out.sort(key=lambda z: tuple(np.round(z, 8)))
+    out.sort(key=lambda z: tuple(np.round(cmax * z, 8)))
     return out
 
 
@@ -97,7 +96,7 @@ def _idempotent_directions(alg, basis):
                       q[0, 0, 0] - 2.0 * q[1, 0, 1],
                       2.0 * q[0, 0, 1] - q[1, 1, 1],
                       q[0, 1, 1]])
-    eps = _ROOT_EPS * max(1.0, float(np.max(np.abs(q))))
+    eps = _ROOT_EPS * float(np.max(np.abs(q)))
     if np.max(np.abs(cubic)) <= eps:
         return []
     ts = []
@@ -105,7 +104,7 @@ def _idempotent_directions(alg, basis):
         ts.append(np.array([1.0, 0.0]))
         cubic[0] = 0.0
     for r in np.roots(cubic):
-        if abs(r.imag) <= 1e-8 * max(1.0, abs(r)):
+        if abs(r.imag) <= _REAL_ROOT_TOL * max(1.0, abs(r)):
             ts.append(np.array([r.real, 1.0]))
     return [basis @ (t / np.linalg.norm(t)) for t in ts]
 
@@ -119,7 +118,7 @@ def _square_factor(alg: Algebra, e: np.ndarray):
     and its normal equations (|L|_F^2 I + L^T L) b / 2 = sum_t M_t l_t,
     L the matrix with rows l_t, are one n x n solve whose eigenvalues
     lie in [|L|_F^2 / 2, |L|_F^2].  Returns b, the fit defect
-    max_t |M_t - (b l_t^T + l_t b^T) / 2| and max(1, max_t |M_t|).
+    max_t |M_t - (b l_t^T + l_t b^T) / 2| and max_t |M_t|.
     """
     n = alg.dim
     _, _, vt = np.linalg.svd((e / np.linalg.norm(e))[None, :])
@@ -133,7 +132,7 @@ def _square_factor(alg: Algebra, e: np.ndarray):
     b = np.linalg.lstsq(gram, rhs, rcond=None)[0]
     outer = b[None, :, None] * ell[:, None, :]
     defect = np.abs(forms - 0.5 * (outer + outer.transpose(0, 2, 1)))
-    scale = max(1.0, float(np.max(np.abs(forms))))
+    scale = float(np.max(np.abs(forms)))
     return b, float(np.max(defect)), scale
 
 
@@ -142,14 +141,15 @@ def is_e_quadratic(alg: Algebra, e, tol: float = DEFAULT_TOL) -> bool:
 
     For n >= 3 and L_e invertible this holds exactly when the squares
     obey x o x = a(x) e + b(x) e x with b linear, so the test is the fit
-    defect of _square_factor, at most tol times max(1, max_t |M_t|).
+    defect of _square_factor, at most tol times max_t |M_t|.
     That equivalence needs L_e invertible, as in every division
     algebra: raises NotDivision when L_e is singular at tol (n >= 3).
     In dimension 2 the answer is vacuously true.  Raises NotIdempotent
-    when e o e != e.
+    when |e o e - e| > max(tol, _TOL_FLOOR) |e|.
     """
     e = np.asarray(e, dtype=float)
-    if np.linalg.norm(alg.mul(e, e) - e) > max(tol, 1e-9):
+    gate = max(tol, _TOL_FLOOR) * np.linalg.norm(e)
+    if np.linalg.norm(alg.mul(e, e) - e) > gate:
         raise NotIdempotent("e is not an idempotent at tolerance")
     if alg.dim < 3:
         return True
@@ -171,15 +171,16 @@ def im_e(alg: Algebra, e, tol: float = DEFAULT_TOL) -> np.ndarray:
     Off the e-line, v o v = a(v) e + b(v) e v lies on the e-line exactly
     where b(v) = 0 when L_e is invertible (as in a division algebra), so
     the hyperplane is the kernel of the square factor b.  Raises
-    NoHyperplane when the squares law does not fit at max(tol, 1e-9)
-    relative, or when e lies in the kernel of b.
+    NoHyperplane when the squares law does not fit at gate = max(tol,
+    _TOL_FLOOR) relative, or when |b . e| <= gate |b| |e|.
     """
     e = np.asarray(e, dtype=float)
     b, defect, scale = _square_factor(alg, e)
-    gate = max(tol, 1e-9)
+    gate = max(tol, _TOL_FLOOR)
     if defect > gate * scale:
         raise NoHyperplane("the squares law does not fit a linear factor")
-    if not abs(float(b @ e)) > gate * np.linalg.norm(b):
+    if not abs(float(b @ e)) > (gate * np.linalg.norm(b)
+                                * np.linalg.norm(e)):
         raise NoHyperplane("e lies in the kernel of the square factor")
     return _kernel_basis(_unit_reps(b[None])[0][0])
 

@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import Algebra
-from .matkit import DEFAULT_TOL
 
 if TYPE_CHECKING:
     from .decorated import DecoratedAlgebra
@@ -55,8 +54,7 @@ def decorated_to_dict(dec: DecoratedAlgebra) -> dict:
     return doc
 
 
-def decorated_from_dict(doc: dict, tol: float = DEFAULT_TOL
-                        ) -> DecoratedAlgebra:
+def decorated_from_dict(doc: dict) -> DecoratedAlgebra:
     from .decorated import decorate
     alg = algebra_from_dict(doc)
     try:
@@ -64,7 +62,7 @@ def decorated_from_dict(doc: dict, tol: float = DEFAULT_TOL
         v = np.asarray(doc["V"], dtype=float).T
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not a decorated-algebra document: {exc}") from exc
-    return decorate(alg, u, v, tol)
+    return decorate(alg, u, v)
 
 
 def normal_form_to_dict(nf) -> dict:

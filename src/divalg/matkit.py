@@ -12,9 +12,44 @@ import numpy as np
 
 from .errors import DegenerateSign, SingularInput, fail_at
 
+# The cut-offs of the package, one name per rule; verify's check bounds
+# stay in their laws.  Each comment gives the kind and what the value
+# scales with.  relative: compared with a stated size of the same input;
+# unit: absolute, on an object at unit scale by construction; budget: a
+# convergence bound on a unit-scale residual; scale-dependent absolute:
+# absolute on an input that may be rescaled, still to be made relative.
+# tol is of that kind in the |det| cut-offs of the signs (sign_det_many,
+# sign_pair_many) and in is_division of a 1-dimensional algebra.
+# relative: default tol, times the size each function states (see above)
 DEFAULT_TOL = 1e-9
-_POLAR_TOL = 1e-12      # polar_decompose: least s_min / s_max
-_MIN_DET = 1e-3         # random_invertible: least |det| of a draw
+# relative: least s_min / s_max (polar_decompose, dim2._split)
+_POLAR_TOL = 1e-12
+# unit: least |det| of a standard normal draw (random_invertible)
+_MIN_DET = 1e-3
+# scale-dependent absolute: largest |q| of a zero quaternion (quat)
+_ZERO_QUAT = 1e-12
+# unit: least |entry| that leads a unit row (_unit_reps)
+_LEAD_TOL = 1e-12
+# unit: is_spd1 tol of the det-1 SPD parts of NormalForm2D and ZObject
+_SPD1_TOL = 1e-7
+# unit: largest |C - I| of a det-1 SPD part in ZObject.is_y
+_IS_Y_TOL = 1e-9
+# unit: least tol of a unit-law defect |L_e - I| (find_unities, dim2)
+_UNIT_LAW_FLOOR = 1e-12
+# relative: least tol of a rounded residual; size |e|, or 1 at unit scale
+_TOL_FLOOR = 1e-9
+# relative: least tol of the normal forms' gate, times max|F| max|A|
+_GATE_FLOOR = 1e-8
+# budget: largest defect a normal-form stage may leave (dim2, quat)
+_STAGE_BUDGET = 1e-6
+# relative: cubic coefficients of idempotent directions, times max|q|
+_ROOT_EPS = 1e-12
+# relative: largest |Im r| / max(1, |r|) of a real root r, a pure ratio
+_REAL_ROOT_TOL = 1e-8
+# relative: least tol on |z z - z|, times max(|z|, max|c| |z|^2)
+_IDEMPOTENT_FLOOR = 1e-10
+# relative: idempotents nearer than this times |z| are one
+_SAME_IDEMPOTENT = 1e-6
 
 
 def as_matrix(m) -> np.ndarray:
@@ -268,11 +303,11 @@ def squared_norms(xs) -> np.ndarray:
 
 def _unit_reps(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The representative of the line through each nonzero row of a
-    (B, n) stack: unit norm, first entry above 1e-12 in magnitude
+    (B, n) stack: unit norm, first entry above _LEAD_TOL in magnitude
     positive; and the signs (+1.0 or -1.0) applied after normalizing."""
     x = xs / np.sqrt(squared_norms(xs))[:, None]
-    # a unit row has an entry above 1e-12 in magnitude
-    lead = x[np.arange(len(x)), (np.abs(x) > 1e-12).argmax(axis=1)]
+    # a unit row has an entry above _LEAD_TOL in magnitude
+    lead = x[np.arange(len(x)), (np.abs(x) > _LEAD_TOL).argmax(axis=1)]
     sign = np.where(lead < 0, -1.0, 1.0)
     return x * sign[:, None], sign
 

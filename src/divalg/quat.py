@@ -38,7 +38,8 @@ from .errors import (
     ZeroQuaternion,
     fail_at,
 )
-from .matkit import DEFAULT_TOL, _as_square, _finite_stack, _unit_reps, \
+from .matkit import DEFAULT_TOL, _IS_Y_TOL, _SPD1_TOL, _STAGE_BUDGET, \
+    _TOL_FLOOR, _ZERO_QUAT, _as_square, _finite_stack, _unit_reps, \
     as_matrix, is_spd1, polar_decompose, squared_norms
 
 _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
@@ -85,7 +86,7 @@ def qinv(x) -> np.ndarray:
 
 def _qinv_many(x: np.ndarray) -> np.ndarray:
     n2 = squared_norms(x)
-    fail_at(n2 <= 1e-24, ZeroQuaternion,
+    fail_at(np.sqrt(n2) <= _ZERO_QUAT, ZeroQuaternion,
             lambda i: "cannot invert a (numerically) zero quaternion at "
                       f"stack index {i}")
     return qconj(x) / n2[:, None]
@@ -114,7 +115,7 @@ def rep_normalize_many(qs) -> np.ndarray:
 def _rep_many(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Representatives of the rows of q and the signs (+1.0 or -1.0)
     applied after normalizing."""
-    fail_at(np.sqrt(squared_norms(q)) <= 1e-12, ZeroQuaternion,
+    fail_at(np.sqrt(squared_norms(q)) <= _ZERO_QUAT, ZeroQuaternion,
             lambda i: "zero quaternion has no coset representative at "
                       f"stack index {i}")
     return _unit_reps(q)
@@ -159,7 +160,7 @@ class ZObject(_Frozen):
         ab = _quaternion_stack([self.a, self.b])
         cd = as_matrix(self.c), as_matrix(self.d)
         for name, m in zip("cd", cd):
-            if m.shape != (4, 4) or not is_spd1(m, 1e-7):
+            if m.shape != (4, 4) or not is_spd1(m, _SPD1_TOL):
                 raise ValueError(f"{name} must be 4x4 SPD with det 1")
         self._freeze(**_z_fields(*ab, *cd))
 
@@ -171,8 +172,8 @@ class ZObject(_Frozen):
     def is_y(self) -> bool:
         """Whether both SPD parts are the identity (orthogonal isotopes)."""
         eye = np.eye(4)
-        return bool(np.max(np.abs(self.c - eye)) <= 1e-9
-                    and np.max(np.abs(self.d - eye)) <= 1e-9)
+        return bool(np.max(np.abs(self.c - eye)) <= _IS_Y_TOL
+                    and np.max(np.abs(self.d - eye)) <= _IS_Y_TOL)
 
 
 def _z_fields(a, b, c, d) -> dict:
@@ -279,7 +280,7 @@ def so4_factor(o, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("so4_factor expects a 4x4 matrix or a (B, 4, 4) "
                          "stack")
     drift = np.abs(o.swapaxes(1, 2) @ o - np.eye(4)).max(axis=(1, 2))
-    fail_at((drift > max(tol, 1e-9)) | (np.linalg.det(o) < 0.0),
+    fail_at((drift > max(tol, _TOL_FLOOR)) | (np.linalg.det(o) < 0.0),
             NotSpecialOrthogonal,
             lambda i: f"input at stack index {i} is not in SO(4) at "
                       "tolerance")
@@ -290,7 +291,7 @@ def so4_factor(o, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
 def _so4_split(o: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """so4_factor of a (B, 4, 4) stack that is in SO(4) by construction:
     the split and its reconstruction check, without the input test."""
-    gate = max(tol, 1e-9)
+    gate = max(tol, _TOL_FLOOR)
     # basis @ column, as one matrix-vector product per member: a
     # matrix-matrix product would sum the four terms in another order
     coeff = (_isoclinic_basis() @ o.reshape(-1, 16, 1)).reshape(-1, 4, 4)
@@ -372,7 +373,7 @@ def quat_normal_form_many(s_ops, t_ops, tol: float = DEFAULT_TOL):
     list of B ZObjects, the (B, 4, 4) isomorphisms and the (B,) morphism
     residuals of isos[b] from isotope(H, S[b], T[b]) onto
     functor_h(alphas[b], betas[b], objects[b]), each at most max(tol,
-    1e-8) max|isos[b]| max|isotope tensor|.  Member b is bit for bit
+    _GATE_FLOOR) max|isos[b]| max|isotope tensor|.  Member b is bit for bit
     what quat_normal_form(S[b], T[b]) gives.  Each operator is reduced
     at unit scale, so 2^k S[b] gives the object of S[b] and 2^k isos[b].
 
@@ -412,7 +413,7 @@ def quat_normal_form_many(s_ops, t_ops, tol: float = DEFAULT_TOL):
     g = o[:, :, 0]
     op = np.where(left, left_mult_many(h, g), right_mult_many(h, g))
     off = np.sqrt(squared_norms(op - o))
-    fail_at(off > 1e-6, NonConvergence,
+    fail_at(off > _STAGE_BUDGET, NonConvergence,
             lambda j: f"{'right' if left[j, 0, 0] else 'left'} factor of "
                       f"{'ST'[j // n]}[{j % n}] did not reduce to a real "
                       f"scalar: its polar factor is {off[j]:.3e} from "

@@ -287,3 +287,40 @@ def test_is_e_quadratic_needs_an_invertible_left_operator():
     assert e_quadratic_by_minors(alg, E0)
     with pytest.raises(NotDivision, match="L_e is singular"):
         is_e_quadratic(alg, E0)
+
+
+# lambda A is A transported along I / lambda, so its idempotent is e /
+# lambda and its hyperplane that of A.  Powers of two test the cut-offs
+# alone; the decimal scales test rounding too, and |log10 lambda| >= 9
+# met an absolute cut-off in commutant, central_idempotents,
+# is_e_quadratic or im_e.
+SCALES = [2.0 ** 20, 2.0 ** -20, 1e3, 1e-3, 1e6, 1e-6, 1e9, 1e-9, 1e12,
+          1e-12, 1e80, 1e-80]
+
+
+@pytest.fixture(scope="module")
+def e_quadratic_decorations():
+    algs = [classical("H"), classical("O")] + e_quadratic_corpus(20, 7)
+    return [(alg, functor_g(alg)) for alg in algs]
+
+
+@pytest.mark.parametrize("lam", SCALES)
+def test_functor_g_is_scale_free(lam, e_quadratic_decorations):
+    for alg, dec in e_quadratic_decorations:
+        scaled = Algebra(lam * alg.c)
+        got = functor_g(scaled)
+        e = dec.u[:, 0]
+        assert np.max(np.abs(lam * got.u[:, 0] - e)) <= \
+            1e-12 * np.max(np.abs(e))
+        assert np.max(np.abs(projector(got.v) - projector(dec.v))) <= 1e-9
+        assert is_e_quadratic(scaled, e / lam)
+
+
+@pytest.mark.parametrize("lam", SCALES)
+def test_central_idempotents_keep_their_order_at_any_scale(lam):
+    alg = transport(componentwise(2), random_invertible(2, 3))
+    want = central_idempotents(alg)
+    got = central_idempotents(Algebra(lam * alg.c))
+    assert len(got) == len(want) == 3
+    for z, w in zip(got, want):
+        assert np.max(np.abs(lam * z - w)) <= 1e-12 * np.max(np.abs(w))

@@ -1,11 +1,13 @@
 """The package surface: every public name resolves to its defining
-module's object, and importing the package or the CLI loads only the
-modules a command needs."""
+module's object, importing the package or the CLI loads only the
+modules a command needs, and every cut-off is an entry of one table."""
 
 import json
 import os
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -83,3 +85,35 @@ def test_one_shot_command_loads_only_the_modules_it_runs(tmp_path):
               "divalg.quat", "divalg.equadratic"}
     for step in ("import divalg.cli", "sign-pair"):
         assert unused.isdisjoint(steps[step]), step
+
+
+_KIND = re.compile(r"# (relative|unit|budget|scale-dependent absolute): \S")
+_ENTRY = re.compile(r"(_?[A-Z][A-Z0-9_]*) = \S+")
+
+
+def _negative_exponent_literals(path: Path) -> list[int]:
+    """Line numbers of the numbers with a negative exponent in a module."""
+    with path.open() as f:
+        return [tok.start[0] for tok in tokenize.generate_tokens(f.readline)
+                if tok.type == tokenize.NUMBER
+                and re.search("[eE]-", tok.string)]
+
+
+def test_every_cut_off_is_an_entry_of_the_one_table():
+    # verify.py is left out: each of its check bounds is stated in the
+    # law its report prints
+    src = Path(divalg.__file__).parent
+    found = {p.name: _negative_exponent_literals(p)
+             for p in sorted(src.glob("*.py")) if p.name != "verify.py"}
+    table = found.pop("matkit.py")
+    assert {name: rows for name, rows in found.items() if rows} == {}
+    # one block of entries, each a comment naming its kind, then
+    # NAME = value; and every entry is read somewhere
+    assert table == list(range(table[0], table[-1] + 1, 2))
+    lines = (src / "matkit.py").read_text().splitlines()
+    code = "\n".join(p.read_text() for p in src.glob("*.py"))
+    for row in table:
+        assert _KIND.match(lines[row - 2]), lines[row - 2]
+        entry = _ENTRY.fullmatch(lines[row - 1])
+        assert entry, lines[row - 1]
+        assert code.count(entry.group(1)) > 1, entry.group(1)
