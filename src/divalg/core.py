@@ -498,12 +498,13 @@ def find_unities(alg: Algebra, tol: float = DEFAULT_TOL) -> dict:
 
 def commutant(alg: Algebra, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of {a : L_a = R_a}, the commuting
-    elements: the null space of the constraint rows, rank at tol s_max."""
+    elements: the null space of the constraint rows, rank at tol times
+    max(s_max, max|c|), so a tensor symmetric up to rounding commutes."""
     n = alg.dim
     # constraint rows over (k, m): sum_t a_t (c[t, m, k] - c[m, t, k]) = 0
     diff = alg.c - alg.c.transpose(1, 0, 2)
     _, s, vt = np.linalg.svd(diff.transpose(2, 1, 0).reshape(n * n, n))
-    rank = int(np.sum(s > tol * s[0]))
+    rank = int(np.sum(s > tol * max(s[0], float(np.max(np.abs(alg.c))))))
     return vt[rank:].T
 
 

@@ -56,7 +56,7 @@ from .errors import (
     fail_at,
 )
 from .matkit import DEFAULT_TOL, _POLAR_TOL, _SPD1_TOL, _STAGE_BUDGET, \
-    _TOL_FLOOR, _UNIT_LAW_FLOOR, _finite_stack, as_matrix, gram, is_spd1, \
+    _UNIT_FLOOR, _UNIT_LAW_FLOOR, _finite_stack, as_matrix, gram, is_spd1, \
     near_singular
 
 K2 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -342,7 +342,7 @@ def hom2d(src: NormalForm2D, dst: NormalForm2D, tol: float = DEFAULT_TOL
                            np.array([src.j, dst.j], dtype=bool),
                            np.stack([src.a, dst.a]), np.stack([src.b, dst.b]))
     a, b = (np.broadcast_to(t, (len(mats),) + t.shape) for t in built)
-    ok &= morphism_residual_many(mats, a, b) <= max(tol, _TOL_FLOOR)
+    ok &= morphism_residual_many(mats, a, b) <= max(tol, _UNIT_FLOOR)
     return [g for g, keep in zip(elements, ok) if keep]
 
 

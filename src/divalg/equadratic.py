@@ -32,7 +32,7 @@ from .errors import (
     NotIdempotent,
 )
 from .matkit import DEFAULT_TOL, _IDEMPOTENT_FLOOR, _REAL_ROOT_TOL, \
-    _ROOT_EPS, _SAME_IDEMPOTENT, _TOL_FLOOR, _unit_reps, near_singular
+    _REL_FLOOR, _ROOT_EPS, _SAME_IDEMPOTENT, _unit_reps, near_singular
 
 
 def central_idempotents(alg: Algebra, tol: float = DEFAULT_TOL
@@ -45,11 +45,12 @@ def central_idempotents(alg: Algebra, tol: float = DEFAULT_TOL
     W with x o x = lambda x and lambda != 0.  On a line there is one
     direction; on a plane the directions where the projection of x o x
     onto W is parallel to x are the real roots of a binary cubic.  Each
-    candidate is verified against the full equation z o z = z, and the
-    solutions are returned in a deterministic order.  A plane on which
-    every direction qualifies holds a continuum of idempotents (or
-    none), and gives no isolated solution.  The cut-offs are relative,
-    so the idempotents of lambda A are those of A over lambda.
+    candidate is verified against the full equation z o z = z.  A plane
+    on which every direction qualifies holds a continuum of idempotents
+    (or none), and gives no isolated solution.  The cut-offs are
+    relative, so the idempotents of lambda A are those of A over lambda.
+    They are sorted by max|c| z rounded to 8 decimals: those of lambda A
+    come in the order of A for lambda > 0, in reverse for lambda < 0.
     """
     basis = commutant(alg, tol)
     d = basis.shape[1]
@@ -145,10 +146,10 @@ def is_e_quadratic(alg: Algebra, e, tol: float = DEFAULT_TOL) -> bool:
     That equivalence needs L_e invertible, as in every division
     algebra: raises NotDivision when L_e is singular at tol (n >= 3).
     In dimension 2 the answer is vacuously true.  Raises NotIdempotent
-    when |e o e - e| > max(tol, _TOL_FLOOR) |e|.
+    when |e o e - e| > max(tol, _REL_FLOOR) |e|.
     """
     e = np.asarray(e, dtype=float)
-    gate = max(tol, _TOL_FLOOR) * np.linalg.norm(e)
+    gate = max(tol, _REL_FLOOR) * np.linalg.norm(e)
     if np.linalg.norm(alg.mul(e, e) - e) > gate:
         raise NotIdempotent("e is not an idempotent at tolerance")
     if alg.dim < 3:
@@ -172,11 +173,11 @@ def im_e(alg: Algebra, e, tol: float = DEFAULT_TOL) -> np.ndarray:
     where b(v) = 0 when L_e is invertible (as in a division algebra), so
     the hyperplane is the kernel of the square factor b.  Raises
     NoHyperplane when the squares law does not fit at gate = max(tol,
-    _TOL_FLOOR) relative, or when |b . e| <= gate |b| |e|.
+    _REL_FLOOR) relative, or when |b . e| <= gate |b| |e|.
     """
     e = np.asarray(e, dtype=float)
     b, defect, scale = _square_factor(alg, e)
-    gate = max(tol, _TOL_FLOOR)
+    gate = max(tol, _REL_FLOOR)
     if defect > gate * scale:
         raise NoHyperplane("the squares law does not fit a linear factor")
     if not abs(float(b @ e)) > (gate * np.linalg.norm(b)

@@ -36,8 +36,10 @@ _SPD1_TOL = 1e-7
 _IS_Y_TOL = 1e-9
 # unit: least tol of a unit-law defect |L_e - I| (find_unities, dim2)
 _UNIT_LAW_FLOOR = 1e-12
-# relative: least tol of a rounded residual; size |e|, or 1 at unit scale
-_TOL_FLOOR = 1e-9
+# relative: least tol of is_e_quadratic and im_e, times |e| or max|M_t|
+_REL_FLOOR = 1e-9
+# unit: least tol of a unit-scale residual (hom2d, so4_factor, verify)
+_UNIT_FLOOR = 1e-9
 # relative: least tol of the normal forms' gate, times max|F| max|A|
 _GATE_FLOOR = 1e-8
 # budget: largest defect a normal-form stage may leave (dim2, quat)

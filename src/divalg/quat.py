@@ -39,7 +39,7 @@ from .errors import (
     fail_at,
 )
 from .matkit import DEFAULT_TOL, _IS_Y_TOL, _SPD1_TOL, _STAGE_BUDGET, \
-    _TOL_FLOOR, _ZERO_QUAT, _as_square, _finite_stack, _unit_reps, \
+    _UNIT_FLOOR, _ZERO_QUAT, _as_square, _finite_stack, _unit_reps, \
     as_matrix, is_spd1, polar_decompose, squared_norms
 
 _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
@@ -280,7 +280,7 @@ def so4_factor(o, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("so4_factor expects a 4x4 matrix or a (B, 4, 4) "
                          "stack")
     drift = np.abs(o.swapaxes(1, 2) @ o - np.eye(4)).max(axis=(1, 2))
-    fail_at((drift > max(tol, _TOL_FLOOR)) | (np.linalg.det(o) < 0.0),
+    fail_at((drift > max(tol, _UNIT_FLOOR)) | (np.linalg.det(o) < 0.0),
             NotSpecialOrthogonal,
             lambda i: f"input at stack index {i} is not in SO(4) at "
                       "tolerance")
@@ -291,7 +291,7 @@ def so4_factor(o, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
 def _so4_split(o: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """so4_factor of a (B, 4, 4) stack that is in SO(4) by construction:
     the split and its reconstruction check, without the input test."""
-    gate = max(tol, _TOL_FLOOR)
+    gate = max(tol, _UNIT_FLOOR)
     # basis @ column, as one matrix-vector product per member: a
     # matrix-matrix product would sum the four terms in another order
     coeff = (_isoclinic_basis() @ o.reshape(-1, 16, 1)).reshape(-1, 4, 4)

@@ -41,7 +41,7 @@ from .dim2 import NormalForm2D, build2d, c2_elements, d3_elements, \
 from .equadratic import central_idempotents, functor_g, idempotent_residual, \
     is_e_quadratic
 from .errors import DivalgError, ZeroMap
-from .matkit import DEFAULT_TOL, _TOL_FLOOR, gram, near_singular, \
+from .matkit import DEFAULT_TOL, _UNIT_FLOOR, gram, near_singular, \
     polar_decompose, random_invertible_many, random_rotation_many, \
     random_spd1_many, sign_det_many, squared_norms
 from .quat import functor_h, functor_h_many, k_map, k_map_many, \
@@ -631,8 +631,8 @@ def _fidelity(blocks, rng, tol, pairs):
             else:
                 y = ys[k // 2]
             grp = groupoid_hom(elements[0].group, (x.a, x.b), (y.a, y.b),
-                               max(tol, _TOL_FLOOR))
-            direct = _hom_direct(x, y, max(tol, _TOL_FLOOR))
+                               max(tol, _UNIT_FLOOR))
+            direct = _hom_direct(x, y, max(tol, _UNIT_FLOOR))
             via_api = hom2d(x, y, tol)
             sets = [sorted(tuple(np.round(e.matrix, 6).ravel()) for e in s)
                     for s in (grp, direct, via_api)]

@@ -296,6 +296,8 @@ def test_is_e_quadratic_needs_an_invertible_left_operator():
 # is_e_quadratic or im_e.
 SCALES = [2.0 ** 20, 2.0 ** -20, 1e3, 1e-3, 1e6, 1e-6, 1e9, 1e-9, 1e12,
           1e-12, 1e80, 1e-80]
+# lambda A for lambda < 0 is A transported along I / lambda as well
+NEGATIVE_SCALES = [-1.0, -1e-9, -1e80, -1e-80]
 
 
 @pytest.fixture(scope="module")
@@ -304,7 +306,7 @@ def e_quadratic_decorations():
     return [(alg, functor_g(alg)) for alg in algs]
 
 
-@pytest.mark.parametrize("lam", SCALES)
+@pytest.mark.parametrize("lam", SCALES + NEGATIVE_SCALES)
 def test_functor_g_is_scale_free(lam, e_quadratic_decorations):
     for alg, dec in e_quadratic_decorations:
         scaled = Algebra(lam * alg.c)
@@ -316,11 +318,33 @@ def test_functor_g_is_scale_free(lam, e_quadratic_decorations):
         assert is_e_quadratic(scaled, e / lam)
 
 
-@pytest.mark.parametrize("lam", SCALES)
-def test_central_idempotents_keep_their_order_at_any_scale(lam):
+# the sort key scales with max|c| z, which keeps its sign under lam > 0
+# and flips it under lam < 0, so a negative scale reverses the order
+@pytest.mark.parametrize("lam", SCALES + NEGATIVE_SCALES)
+def test_central_idempotents_order_follows_the_sign_of_the_scale(lam):
     alg = transport(componentwise(2), random_invertible(2, 3))
     want = central_idempotents(alg)
     got = central_idempotents(Algebra(lam * alg.c))
     assert len(got) == len(want) == 3
+    if lam < 0:
+        want = want[::-1]
     for z, w in zip(got, want):
         assert np.max(np.abs(lam * z - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+# transport groups c[i, j, k] and c[j, i, k] apart, so these images of a
+# commutative algebra are symmetric only up to rounding (about 1e-15);
+# commutant ranks against max|c|, so that noise is no commuting defect
+@pytest.mark.parametrize("lam", [1.0] + SCALES)
+@pytest.mark.parametrize("c, seed", [(LARGE_IDEMPOTENT_ALGEBRAS[0][0], 0),
+                                     (LARGE_IDEMPOTENT_ALGEBRAS[0][0], 1),
+                                     (LARGE_IDEMPOTENT_ALGEBRAS[1][0], 2)])
+def test_central_idempotents_of_a_rounded_commutative_tensor(c, seed, lam):
+    alg = transport(Algebra(np.array(c)), random_invertible(2, seed))
+    assert np.max(np.abs(alg.c - alg.c.transpose(1, 0, 2))) > 0.0
+    scaled = Algebra(lam * alg.c)
+    es = central_idempotents(scaled)
+    assert len(es) == 3
+    for z in es:
+        assert np.linalg.norm(scaled.mul(z, z) - z) <= \
+            1e-9 * np.linalg.norm(z)

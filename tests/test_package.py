@@ -91,12 +91,15 @@ _KIND = re.compile(r"# (relative|unit|budget|scale-dependent absolute): \S")
 _ENTRY = re.compile(r"(_?[A-Z][A-Z0-9_]*) = \S+")
 
 
+def _tokens(path: Path) -> list[tokenize.TokenInfo]:
+    with path.open() as f:
+        return list(tokenize.generate_tokens(f.readline))
+
+
 def _negative_exponent_literals(path: Path) -> list[int]:
     """Line numbers of the numbers with a negative exponent in a module."""
-    with path.open() as f:
-        return [tok.start[0] for tok in tokenize.generate_tokens(f.readline)
-                if tok.type == tokenize.NUMBER
-                and re.search("[eE]-", tok.string)]
+    return [tok.start[0] for tok in _tokens(path)
+            if tok.type == tokenize.NUMBER and re.search("[eE]-", tok.string)]
 
 
 def test_every_cut_off_is_an_entry_of_the_one_table():
@@ -108,12 +111,14 @@ def test_every_cut_off_is_an_entry_of_the_one_table():
     table = found.pop("matkit.py")
     assert {name: rows for name, rows in found.items() if rows} == {}
     # one block of entries, each a comment naming its kind, then
-    # NAME = value; and every entry is read somewhere
+    # NAME = value; and every entry is read in code somewhere, not only
+    # named in a comment or docstring
     assert table == list(range(table[0], table[-1] + 1, 2))
     lines = (src / "matkit.py").read_text().splitlines()
-    code = "\n".join(p.read_text() for p in src.glob("*.py"))
+    names = [tok.string for p in src.glob("*.py") for tok in _tokens(p)
+             if tok.type == tokenize.NAME]
     for row in table:
         assert _KIND.match(lines[row - 2]), lines[row - 2]
         entry = _ENTRY.fullmatch(lines[row - 1])
         assert entry, lines[row - 1]
-        assert code.count(entry.group(1)) > 1, entry.group(1)
+        assert names.count(entry.group(1)) > 1, entry.group(1)
