@@ -21,7 +21,7 @@ _EXPORTS = {
                   "functor_i_many", "kappa"),
     "dim2": ("NormalForm2D", "automorphisms_2d", "build2d", "hom2d",
              "iso_to_c", "normal_form_2d", "normal_form_2d_many",
-             "unitalize"),
+             "split_scalar_spd", "unitalize"),
     "equadratic": ("central_idempotents", "functor_g", "im_e",
                    "is_e_quadratic"),
     "errors": ("DivalgError",),

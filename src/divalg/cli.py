@@ -36,7 +36,12 @@ def _write_or_print(doc: dict, out: str | None) -> None:
 
 
 def _mat(m) -> str:
-    return np.array2string(np.asarray(m), precision=6, suppress_small=True)
+    # 6 decimals keep 6 significant digits of the largest entry from 0.1
+    # up (numpy turns scientific itself above 1e8); below, so does this
+    m = np.asarray(m)
+    if 0 < np.abs(m).max() < 0.1:
+        return np.array2string(m, formatter={"float_kind": "{: .6e}".format})
+    return np.array2string(m, precision=6, suppress_small=True)
 
 
 def _load_normal_form(path, tol):

@@ -429,8 +429,9 @@ def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
     'not_division', and so does a sign change: for n >= 2 the unit
     sphere is connected, so det L_a or det R_a vanishes between two
     points of opposite sign.  Otherwise 'probably_division'.  In
-    dimension 1 the one structure constant decides: 'division' when it
-    is not near zero.  A negative ``samples`` is a ValueError.
+    dimension 1 the one structure constant decides, at any scale:
+    'division' when it is not zero.  A negative ``samples`` is a
+    ValueError.
     """
     if mode == "exact2d":
         if alg.dim != 2:
@@ -441,7 +442,7 @@ def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
         raise ModeMismatch(f"unknown mode {mode!r}")
     _check_samples(samples)
     if alg.dim == 1:
-        return "division" if abs(alg.c[0, 0, 0]) > tol else "not_division"
+        return "division" if alg.c[0, 0, 0] != 0 else "not_division"
     try:
         sign_pair_many(alg.c[None], samples, tol, seed)
     except (DegenerateSign, SignInconsistent):

@@ -18,9 +18,7 @@ import numpy as np
 
 from .core import Algebra, _Frozen, _pull_back, _tag
 from .errors import BadSplit
-from .matkit import DEFAULT_TOL, near_singular, random_invertible
-
-_MAX_COND = 20.0        # bound on the condition of a random decoration
+from .matkit import DEFAULT_TOL, near_singular
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,17 +137,3 @@ def forget(x: DecoratedAlgebra) -> Algebra:
     """Drop the decoration."""
     return x.alg
 
-
-def random_decorated(alg: Algebra, seed=0) -> DecoratedAlgebra:
-    """Seeded random decoration of an algebra of even dimension.
-
-    Chooses a random odd m < n and a random basis of condition number
-    at most _MAX_COND (matkit.random_invertible), splitting its first m
-    columns into U and the rest into V.
-    """
-    rng = np.random.default_rng(seed)
-    n = alg.dim
-    odd = [m for m in range(1, n, 2)]
-    m = int(odd[rng.integers(len(odd))])
-    w = random_invertible(n, rng, max_cond=_MAX_COND)
-    return decorate(alg, w[:, :m], w[:, m:])

@@ -19,7 +19,7 @@ from .errors import DegenerateSign, SingularInput, fail_at
 # convergence bound on a unit-scale residual; scale-dependent absolute:
 # absolute on an input that may be rescaled, still to be made relative.
 # tol is of that kind in the |det| cut-offs of the signs (sign_det_many,
-# sign_pair_many) and in is_division of a 1-dimensional algebra.
+# sign_pair_many).
 # relative: default tol, times the size each function states (see above)
 DEFAULT_TOL = 1e-9
 # relative: least s_min / s_max (polar_decompose, dim2._split)

@@ -67,28 +67,22 @@ def _isoclinic_basis() -> np.ndarray:
     return basis
 
 
-def qmul(x, y) -> np.ndarray:
-    """Quaternion product of two coordinate vectors.  The B=1 case of
-    _qmul_many."""
-    return _qmul_many(np.asarray(x, dtype=float)[None],
-                      np.asarray(y, dtype=float)[None])[0]
-
-
 def qconj(x) -> np.ndarray:
     """Quaternion conjugate (negate the imaginary part)."""
     return np.asarray(x, dtype=float) * _CONJ_SIGNS
 
 
-def qinv(x) -> np.ndarray:
-    """Quaternion inverse conj(x) / |x|^2."""
-    return _qinv_many(np.asarray(x, dtype=float)[None])[0]
+def _nonzero(q: np.ndarray, what: str) -> np.ndarray:
+    """Squared norms of the rows of q.  Raises ZeroQuaternion, saying
+    ``what`` and the stack index, at the first zero row."""
+    n2 = squared_norms(q)
+    fail_at(np.sqrt(n2) <= _ZERO_QUAT, ZeroQuaternion,
+            lambda i: f"{what} at stack index {i}")
+    return n2
 
 
 def _qinv_many(x: np.ndarray) -> np.ndarray:
-    n2 = squared_norms(x)
-    fail_at(np.sqrt(n2) <= _ZERO_QUAT, ZeroQuaternion,
-            lambda i: "cannot invert a (numerically) zero quaternion at "
-                      f"stack index {i}")
+    n2 = _nonzero(x, "cannot invert a (numerically) zero quaternion")
     return qconj(x) / n2[:, None]
 
 
@@ -100,7 +94,7 @@ def _quaternion_stack(qs) -> np.ndarray:
 def rep_normalize(q) -> np.ndarray:
     """Coset representative in H*/R*: unit norm, first nonzero entry > 0.
     The B=1 case of rep_normalize_many."""
-    return _rep_many(np.asarray(q, dtype=float)[None])[0][0]
+    return rep_normalize_many(np.asarray(q, dtype=float)[None])[0]
 
 
 def rep_normalize_many(qs) -> np.ndarray:
@@ -115,9 +109,7 @@ def rep_normalize_many(qs) -> np.ndarray:
 def _rep_many(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Representatives of the rows of q and the signs (+1.0 or -1.0)
     applied after normalizing."""
-    fail_at(np.sqrt(squared_norms(q)) <= _ZERO_QUAT, ZeroQuaternion,
-            lambda i: "zero quaternion has no coset representative at "
-                      f"stack index {i}")
+    _nonzero(q, "zero quaternion has no coset representative")
     return _unit_reps(q)
 
 

@@ -23,16 +23,10 @@ _MAX_TRIES = 2000       # draws random_2d_division makes before it fails
 _MILD_COND = 4.0        # bound on the condition of the oblique splittings
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def random_2d_division(seed=0) -> Algebra:
     """Random 2-d division algebra: uniform [-2, 2] structure constants,
     rejection sampled against the exact discriminant test."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     for _ in range(_MAX_TRIES):
         # a fresh uniform draw is finite and cubic
         alg = Algebra._trusted(c=rng.uniform(-2.0, 2.0, size=(2, 2, 2)),
@@ -49,7 +43,7 @@ def random_division(dim: int, seed=0) -> Algebra:
     isotopes of the quaternions and octonions, which stay division
     algebras because both isotopy operators are invertible.
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     if dim == 1:
         return Algebra(np.ones((1, 1, 1)), label="R")
     if dim == 2:
@@ -76,7 +70,7 @@ def division_corpus(count: int = 54, seed=0) -> list[Algebra]:
     4-d and then the 8-d isotope operators, each dimension's as one
     block S, T, S, T, ...
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     dims = [dim for _, dim in zip(range(count), _cycle248())]
     blocks = {2: [random_2d_division(rng) for _ in range(dims.count(2))]}
     for n in (4, 8):
@@ -105,7 +99,7 @@ def left_unital_isotope_many(alg: Algebra, count: int,
                              seed=0) -> list[Algebra]:
     """``count`` left_unital_isotope draws: the count operators S as one
     block, then the count unit vectors w."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     s = random_invertible_many(alg.dim, count, rng)
     w = random_unit_vectors(alg.dim, count, rng)
     t = np.linalg.inv(left_mult_many(alg, w))
@@ -122,7 +116,7 @@ def right_unital_isotope_many(alg: Algebra, count: int,
                               seed=0) -> list[Algebra]:
     """``count`` right_unital_isotope draws: the count operators T as one
     block, then the count unit vectors v."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     t = random_invertible_many(alg.dim, count, rng)
     v = random_unit_vectors(alg.dim, count, rng)
     s = np.linalg.inv(right_mult_many(alg, v))
@@ -163,7 +157,7 @@ def decorated_corpus(count: int = 100, seed=0) -> list[DecoratedAlgebra]:
     orthogonal splittings, then the oblique ones.  So one entry draws
     what the entry-by-entry order drew.
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     made = {}
     for n in (4, 8):
         ks = [k for k in range(count) if _base_dim(k) == n]
@@ -194,7 +188,7 @@ def e_quadratic_corpus(count: int = 20, seed=0) -> list[Algebra]:
     odd), twisted when k % 4 >= 2, along a rotation; the 4x4 rotations
     are one block, then the 8x8 ones.
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     twisted = {}
     bases = []
     for k in range(count):
@@ -223,7 +217,7 @@ def random_normal_form_many(count: int, seed=0,
     """``count`` random_normal_form draws: the exponent pairs as one block
     (when ``block`` is None), then the count a parts, then the count b
     parts."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     if block is None:
         blocks = [tuple(ij) for ij in
                   rng.integers(0, 2, size=(count, 2)).tolist()]
@@ -243,7 +237,7 @@ def random_unit_quaternion(seed=0) -> np.ndarray:
 def random_unit_vectors(n: int, count: int, seed=0) -> np.ndarray:
     """``count`` random unit vectors of length n, shape (count, n): one
     block of standard normal draws, each row normalized."""
-    x = _rng(seed).standard_normal((count, n))
+    x = np.random.default_rng(seed).standard_normal((count, n))
     return x / np.sqrt(squared_norms(x))[:, None]
 
 
@@ -258,7 +252,7 @@ def random_z_object_many(count: int, seed=0,
                          trivial_spd: bool = False) -> list[ZObject]:
     """``count`` random_z_object draws: the count quaternions a as one
     block, then the b, then the SPD parts c, then the d."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     ab = random_unit_vectors(4, 2 * count, rng)
     # random_spd1 draws are SPD with determinant 1 by construction
     cd = np.broadcast_to(np.eye(4), (2 * count, 4, 4)) if trivial_spd else \

@@ -8,7 +8,8 @@ from divalg.cli import main
 from divalg.core import Algebra, classical
 from divalg.io import algebra_to_dict, normal_form_to_dict, pair_to_dict, \
     write_algebra, write_json
-from divalg.samples import random_normal_form, random_quat_pair
+from divalg.samples import e_quadratic_corpus, random_normal_form, \
+    random_quat_pair
 from divalg.verify import check_names
 
 
@@ -104,6 +105,20 @@ def test_equad_quaternions(capsys, h_file):
     assert code == 0
     assert np.allclose(doc["idempotent"], [1, 0, 0, 0], atol=1e-10)
     assert doc["block"] == "++"
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e12, 1e80])
+def test_equad_text_idempotent_matches_the_json_one(capsys, tmp_path, lam):
+    # 6 significant digits of the largest entry at every scale: at 6
+    # decimals the idempotents of 1e12 and 1e80 times it printed as zeros
+    path = tmp_path / "a.json"
+    write_algebra(Algebra(lam * e_quadratic_corpus(4, 1)[3].c), path)
+    text = run(capsys, "equad", str(path))[1]
+    want = np.array(json.loads(run(capsys, "equad", str(path),
+                                   "--json")[1])["idempotent"])
+    got = np.array(text[text.index("[") + 1:text.index("]")].split(),
+                   dtype=float)
+    assert np.max(np.abs(got - want)) <= 5e-6 * np.max(np.abs(want))
 
 
 def test_classify2d(capsys, tmp_path):

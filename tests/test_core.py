@@ -98,6 +98,14 @@ def test_sign_pair_dimension_one():
         sign_pair(Algebra(np.ones((1, 1, 1))))
 
 
+@pytest.mark.parametrize("lam, verdict", [
+    (1e-300, "division"), (1e-12, "division"), (-1e-80, "division"),
+    (1.0, "division"), (1e300, "division"), (0.0, "not_division")])
+def test_dimension_one_division_is_scale_free(lam, verdict):
+    # a 1x1x1 tensor is division iff its one constant is nonzero
+    assert is_division(Algebra(np.full((1, 1, 1), lam))) == verdict
+
+
 def test_sign_pair_split_complex_is_inconsistent():
     # det L_a = a0^2 - a1^2 takes both signs away from zero
     with pytest.raises((SignInconsistent, DegenerateSign)):

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divalg.core import classical, isotope, sign_pair, transport
-from divalg.decorated import decorate, forget, functor_i, kappa, \
-    random_decorated
+from divalg.decorated import decorate, forget, functor_i, kappa
 from divalg.errors import BadSplit
 from divalg.matkit import random_invertible, sign_det
+
+from conftest import random_decoration
 
 
 def coordinate_split(alg, m):
@@ -30,7 +31,7 @@ def test_kappa_oblique(C):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from(["H", "O"]))
 def test_kappa_properties(seed, name):
-    x = random_decorated(classical(name), seed)
+    x = random_decoration(classical(name), seed)
     k = kappa(x)
     assert sign_det(k) == -1
     assert np.allclose(k @ k, np.eye(x.dim), atol=1e-10)
@@ -72,7 +73,7 @@ def test_functor_rejects_bad_indices(H):
 
 
 def test_functor_is_kappa_isotope(H):
-    x = random_decorated(H, 3)
+    x = random_decoration(H, 3)
     k = kappa(x)
     for i in (0, 1):
         for j in (0, 1):
@@ -83,7 +84,7 @@ def test_functor_is_kappa_isotope(H):
 
 
 def test_klein_table(O):
-    x = random_decorated(O, 11)
+    x = random_decoration(O, 11)
     pairs = [(i, j) for i in (0, 1) for j in (0, 1)]
     for i, j in pairs:
         for k, l in pairs:
@@ -109,7 +110,7 @@ def test_conjugation_isotope_of_h_is_minus_minus(H):
 
 
 def test_kappa_commutes_with_transported_morphisms(H, rng):
-    x = random_decorated(H, 9)
+    x = random_decoration(H, 9)
     f = random_invertible(4, rng)
     x2 = decorate(transport(x.alg, f), f @ x.u, f @ x.v)
     assert np.max(np.abs(f @ kappa(x) - kappa(x2) @ f)) <= 1e-10
@@ -122,14 +123,8 @@ def test_decorate_auto_transposes_row_input(H):
     assert x.u.shape == (4, 1)
 
 
-def test_random_decorated_deterministic(O):
-    a = random_decorated(O, 21)
-    b = random_decorated(O, 21)
-    assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
-
-
 def test_kappa_is_computed_once_per_decoration(O):
-    x = random_decorated(O, 23)
+    x = random_decoration(O, 23)
     k = kappa(x)
     assert kappa(x) is k
     assert not k.flags.writeable

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from divalg.core import classical
-from divalg.decorated import random_decorated
 from divalg.io import algebra_from_dict, algebra_to_dict, \
     decorated_from_dict, decorated_to_dict, normal_form_from_dict, \
     normal_form_to_dict, pair_from_dict, pair_to_dict, read_algebra, \
     read_json, write_algebra
 from divalg.samples import random_2d_division, random_division, \
     random_normal_form, random_quat_pair
+
+from conftest import random_decoration
 
 
 @pytest.mark.parametrize("make", [
@@ -45,7 +46,7 @@ def test_algebra_dict_shape_check():
 
 
 def test_decorated_round_trip():
-    x = random_decorated(classical("H"), 3)
+    x = random_decoration(classical("H"), 3)
     doc = json.loads(json.dumps(decorated_to_dict(x)))
     back = decorated_from_dict(doc)
     assert np.array_equal(back.alg.c, x.alg.c)

@@ -1,7 +1,9 @@
 """The package surface: every public name resolves to its defining
-module's object, importing the package or the CLI loads only the
-modules a command needs, and every cut-off is an entry of one table."""
+module's object and has a caller, importing the package or the CLI
+loads only the modules a command needs, and every cut-off is an entry
+of one table."""
 
+import ast
 import json
 import os
 import re
@@ -122,3 +124,50 @@ def test_every_cut_off_is_an_entry_of_the_one_table():
         entry = _ENTRY.fullmatch(lines[row - 1])
         assert entry, lines[row - 1]
         assert names.count(entry.group(1)) > 1, entry.group(1)
+
+
+def _single_form_targets(node: ast.AST) -> set[str]:
+    """The names a function calls in its body when that body, after the
+    docstring, is one return statement: the B=1 or count = 1 single form
+    of a stacked function."""
+    body = node.body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value,
+                                                    ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return set()
+    return {call.func.id for call in ast.walk(body[0])
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+
+
+def test_every_public_name_has_a_caller():
+    # a public module-level function or class is exported, or read by a
+    # name token (not a docstring or comment) in the package or the
+    # benchmark outside its own definition, or is the single form of one
+    # that has a caller; a name only the tests call is dead code
+    src = Path(divalg.__file__).resolve().parent
+    defs = {node.name: (path, node) for path in sorted(src.glob("*.py"))
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+    readers = [*src.glob("*.py"), *(src.parents[1] / "perfbench").glob("*.py")]
+    reads = [(path, tok.start[0], tok.string) for path in readers
+             for tok in _tokens(path) if tok.type == tokenize.NAME]
+
+    def read_elsewhere(name):
+        home, node = defs[name]
+        first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+        return any(word == name and not (path == home and
+                                         first <= row <= node.end_lineno)
+                   for path, row, word in reads)
+
+    called = {name for name in defs
+              if name in divalg.__all__ or read_elsewhere(name)}
+    while True:
+        single = {name for name, (_, node) in defs.items()
+                  if name not in called and isinstance(node, ast.FunctionDef)
+                  and _single_form_targets(node) & called}
+        if not single:
+            break
+        called |= single
+    assert sorted(set(defs) - called) == []

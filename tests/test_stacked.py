@@ -24,7 +24,7 @@ from divalg.decorated import forget, functor_i, functor_i_many, kappa
 from divalg.matkit import det_many, polar_decompose, random_invertible, \
     random_invertible_many, random_rotation, sign_det
 from divalg.quat import functor_h, functor_h_many, k_map, k_map_many, \
-    qconj, qinv, qmul, rep_normalize, rep_normalize_many, so4_factor
+    qconj, rep_normalize, rep_normalize_many, so4_factor
 from divalg.samples import decorated_corpus, division_corpus, \
     random_2d_division, random_division, random_normal_form_many, \
     random_quat_pair, random_unit_quaternion, random_z_object, \
@@ -229,6 +229,8 @@ def test_k_map_many_shape_and_zero_rows():
         k_map_many(np.ones(4))
     with pytest.raises(ValueError):
         rep_normalize_many(np.ones((3, 3)))
+    with pytest.raises(ValueError):
+        rep_normalize([1.0, 2.0, 3.0])
     qs = np.random.default_rng(42).standard_normal((4, 4))
     qs[2] = 0.0
     with pytest.raises(ZeroQuaternion, match="stack index 2"):
@@ -499,18 +501,19 @@ def quat_normal_form_reference(s, t, tol=1e-9):
         so4_factor(polar_decompose(m)[1] @ k if flip
                    else polar_decompose(m)[1], tol)
         for m, flip in ((s, i_s), (t, i_t))]
-    s1, t1, iso = right_mult(h, qinv(b1)) @ s, left_mult(h, b1) @ t, \
-        np.eye(4)
-    d = qmul(b1, a2)
+    s1, t1, iso = right_mult(h, qconj(b1) / (b1 @ b1)) @ s, \
+        left_mult(h, b1) @ t, np.eye(4)
+    d = h.mul(b1, a2)
     moves = {(0, 0): [("L", d)], (0, 1): [("L", qconj(b2))],
-             (1, 0): [("L", d), ("R", qconj(qmul(d, a1)))],
+             (1, 0): [("L", d), ("R", qconj(h.mul(d, a1)))],
              (1, 1): [("R", qconj(d))]}[i_s, i_t]
     for side, q in moves:
         if side == "L":
-            lu, lui = left_mult(h, q), left_mult(h, qinv(q))
+            lu, lui = left_mult(h, q), left_mult(h, qconj(q) / (q @ q))
             s1, t1, iso = lu @ s1 @ lui, t1 @ lui, lu @ iso
         else:
-            rv, rvi = right_mult(h, q), right_mult(h, qinv(q))
+            rv = right_mult(h, q)
+            rvi = right_mult(h, qconj(q) / (q @ q))
             s1, t1, iso = s1 @ rvi, rv @ t1 @ rvi, rv @ iso
     sides = {(0, 0): "LR", (0, 1): "LL", (1, 0): "RR", (1, 1): "LR"}
     parts, scale = [], 1.0
