@@ -7,7 +7,8 @@ spells it (matkit-gram-spd covers matkit:gram-spd).
 Checks are independent and deterministic in (seed, tol, samples): each
 one draws from its own seeded stream, so reports with equal settings
 are byte-identical and checks could run in any order (results are
-merged in declaration order regardless).  A check draws its random
+merged in declaration order regardless); run_verify runs them in two
+shards, in two processes where it can.  A check draws its random
 inputs up front, one block per kind, dimension and parameters in the
 order its comment gives, and item k takes the k-th member of each
 block.
@@ -25,6 +26,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import signal
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -933,6 +939,82 @@ def check_names() -> list[str]:
     return [chk.name for chk in _REGISTRY]
 
 
+def _run_checks(ctx: Ctx, checks) -> list[CheckResult]:
+    results = []
+    for chk in checks:
+        rng = np.random.default_rng([ctx.seed, chk.index])
+        try:
+            passed, residual, nsamples, detail = _verdict(chk.fn(ctx, rng),
+                                                          chk.bound)
+            results.append(CheckResult(chk.name, chk.law, bool(passed),
+                                       float(residual), int(nsamples),
+                                       detail))
+        except (DivalgError, ValueError) as exc:
+            results.append(CheckResult(chk.name, chk.law, False, None, 0,
+                                       f"{type(exc).__name__}: {exc}"))
+    return results
+
+
+# The modules of the first shard: their checks lead the registry and
+# alone read the division corpus and base_sign; the other checks read
+# the decorated and equad corpora.  No corpus is built in both shards.
+_FIRST_SHARD = ("matkit", "core")
+
+
+def _shards(checks) -> tuple[list[Check], list[Check]]:
+    first = [chk for chk in checks
+             if chk.name.split("-", 1)[0] in _FIRST_SHARD]
+    return first, [chk for chk in checks if chk not in first]
+
+
+def _forks(first, second) -> bool:
+    """Whether run_verify runs second in a forked child: both shards have
+    checks, fork is safe (Linux; macOS numpy may link Accelerate, which
+    is not), a second CPU is usable, and no other Python thread could
+    hold a lock the child needs."""
+    return (bool(first) and bool(second) and sys.platform == "linux"
+            and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1)
+
+
+def _run_forked(ctx: Ctx, first, second) -> list[CheckResult]:
+    """_run_checks of first then second, second in a forked child that
+    pipes back its pickled results.  A child that exits without them
+    (it crashed, or a check raised what _run_checks does not catch) has
+    second rerun here, so the results, or the exception, are those of
+    the serial loop, as they are when fork fails.  The child is always
+    reaped, and killed when this process raises first."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:   # out of processes or memory: run both shards here
+        os.close(read_fd)
+        os.close(write_fd)
+        return _run_checks(ctx, first + second)
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(_run_checks(ctx, second)))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    with open(read_fd, "rb") as pipe:
+        try:
+            results = _run_checks(ctx, first)
+            data = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    if os.waitstatus_to_exitcode(status) != 0:
+        return results + _run_checks(ctx, second)
+    return results + pickle.loads(data)
+
+
 def run_verify(seed: int = 0, tol: float = DEFAULT_TOL, samples: int = 1000,
                names=None) -> Report:
     """Run the registered checks and collect a report.
@@ -944,26 +1026,27 @@ def run_verify(seed: int = 0, tol: float = DEFAULT_TOL, samples: int = 1000,
     otherwise.  Checks see independent streams seeded by (seed,
     declaration index).  An unknown name in ``names`` raises ValueError
     before any check runs.
+
+    The selected checks run in two shards, the matkit and core checks
+    and the rest.  When both are non-empty, on Linux with two or more
+    usable CPUs and no other Python thread, the second shard runs in a
+    forked child while this process runs the first; otherwise, and
+    again for the second shard when the child fails, they run here one
+    after the other.  The report is the same bytes either way.  The
+    child runs with the caller's monkeypatches, but what a spy or
+    tracer records there is lost: a forked run records only the first
+    shard's calls.  Checks selected by ``names`` from one shard always
+    run here.
     """
     if names is not None:
         unknown = sorted(set(names) - set(check_names()))
         if unknown:
             raise ValueError("unknown check name(s): " + ", ".join(unknown))
     ctx = Ctx(seed, tol, samples)
-    results = []
-    for chk in _REGISTRY:
-        if names is not None and chk.name not in names:
-            continue
-        rng = np.random.default_rng([seed, chk.index])
-        try:
-            passed, residual, nsamples, detail = _verdict(chk.fn(ctx, rng),
-                                                          chk.bound)
-            results.append(CheckResult(chk.name, chk.law, bool(passed),
-                                       float(residual), int(nsamples),
-                                       detail))
-        except (DivalgError, ValueError) as exc:
-            results.append(CheckResult(chk.name, chk.law, False, None, 0,
-                                       f"{type(exc).__name__}: {exc}"))
+    checks = [chk for chk in _REGISTRY if names is None or chk.name in names]
+    first, second = _shards(checks)
+    results = (_run_forked(ctx, first, second) if _forks(first, second)
+               else _run_checks(ctx, checks))
     exit_code = 0 if all(r.passed for r in results) else 1
     return Report(seed=seed, tol=tol, samples=samples,
                   results=tuple(results), exit_code=exit_code)
