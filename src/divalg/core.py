@@ -27,8 +27,8 @@ from .errors import (
     ZeroMap,
     fail_at,
 )
-from .matkit import DEFAULT_TOL, _GATE_FLOOR, _UNIT_LAW_FLOOR, \
-    _degenerate_det, _finite_stack, det_many, near_singular
+from .matkit import DEFAULT_TOL, _CLIFFORD_TOL, _GATE_FLOOR, \
+    _UNIT_LAW_FLOOR, _degenerate_det, _finite_stack, det_many, near_singular
 
 _ALLOWED_DIMS = (1, 2, 4, 8)
 
@@ -185,6 +185,11 @@ def sign_pair_many(tensors, samples: int = 100, tol: float = DEFAULT_TOL,
     (or determinant that is not a number), and SignInconsistent naming
     the first algebra whose signs vary.  A negative ``samples`` is a
     ValueError.
+
+    Each determinant is det_many of the operator at its point; at n = 4
+    and 8 with at least _CLOSED_FORM_POINTS points, a side that passes
+    _clifford_gate (an isotope of H or O, or a transport of one) gets
+    the closed form det L_{e0} (a^T Q a)^(n/2) instead.
     """
     c = _finite_stack(tensors, lambda s: len(s) == 4 and len(set(s[1:])) == 1,
                       "a (B, n, n, n) tensor stack", "structure constants")
@@ -215,13 +220,84 @@ def _check_samples(samples: int) -> None:
         raise ValueError(f"samples must be non-negative, got {samples}")
 
 
+# Least number of sample points at which _sampled_dets tries the closed
+# form.  Per algebra the gate costs 90-150 us whatever the point count;
+# the closed form overtook det_many near 300 points at n = 4 and near 80
+# at n = 8 (one process, 2-core x86, numpy 2.4).  So verify's 10 to 16
+# points and sign_pair's default 104 and 108 keep det_many, and
+# is_division's default 1,004 and 1,008 take the closed form.
+_CLOSED_FORM_POINTS = 500
+
+
 def _sampled_dets(c: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """det L_a and det R_a of each tensor of a stack (B, n, n, n) at each
-    point a of pts (P, n), indexed [b, side, point], L before R."""
+    point a of pts (P, n), indexed [b, side, point], L before R: at n = 4
+    and 8 with P >= _CLOSED_FORM_POINTS, det L_{e0} (a^T Q a)^(n/2) for a
+    side that passes _clifford_gate where every such value is finite,
+    det_many of the operators elsewhere."""
     # det R_a as det L_a of the opposite algebra; one side at a time
     # keeps the peak memory of a large stack to one side's
-    return np.stack([det_many(_left_stack(m, pts))
-                     for m in (c, c.swapaxes(1, 2))], axis=1)
+    sides = (c, c.swapaxes(1, 2))
+    if c.shape[-1] not in (4, 8) or len(pts) < _CLOSED_FORM_POINTS:
+        return np.stack([det_many(_left_stack(m, pts)) for m in sides],
+                        axis=1)
+    ok, _, d0, a, q = _clifford_gate(np.concatenate(sides))
+    big_q = a[:, :, None] * a[:, None, :]
+    big_q[:, 1:, 1:] += q
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = np.einsum("bpi,pi->bp", pts @ big_q, pts)        # a^T Q a
+        d = d0[:, None] * quad ** (c.shape[-1] // 2)
+    ok &= np.isfinite(d).all(axis=1)
+    d, ok = d.reshape(2, len(c), len(pts)), ok.reshape(2, len(c))
+    for k, m in enumerate(sides):
+        if not ok[k].all():
+            d[k, ~ok[k]] = det_many(_left_stack(m[~ok[k]], pts))
+    return d.swapaxes(0, 1)
+
+
+def _clifford_gate(c: np.ndarray):
+    """The Clifford test of the left multiplications of each tensor of a
+    stack (B, n, n, n), n = 4 or 8: (ok, defect, det L_{e0}, a, q).
+
+    With M_i = L_{e_i} L_{e0}^-1 (so M_0 = I and a_0 = 1), a_i = tr M_i
+    / n, J_i = M_i - a_i I and q_ij = -tr(J_i J_j + J_j J_i) / (2 n) for
+    i, j >= 1, an isotope of H or O, or a transport of one, has J_i J_j
+    + J_j J_i = -2 q_ij I with q positive definite.  Then M_x has the
+    eigenvalues a(x) +- i sqrt(q(x)), n / 2 times each, so det L_x =
+    det L_{e0} (x^T Q x)^(n/2) with Q = a a^T + q (q on e_1..e_{n-1}).
+    defect is max|J_i J_j + J_j J_i + 2 q_ij I| / max|J_i J_j + J_j J_i|,
+    and ok holds where det L_{e0} is finite and not zero, defect is at
+    most _CLIFFORD_TOL and q is positive definite.
+
+    Each tensor is first divided by the power of two of its largest
+    |entry|.  det L_{e0} is LAPACK's at that unit scale, one LU per
+    member, so no value depends on the member's place in the stack, and
+    where it is not zero the inverse, an LU of the same matrix, meets no
+    zero pivot.
+    """
+    n = c.shape[-1]
+    _, e = np.frexp(np.abs(c).max(axis=(1, 2, 3)))
+    ell = np.ldexp(c, -e[:, None, None, None]).swapaxes(-1, -2)  # L_{e_i}
+    eye = np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d0 = np.ldexp(np.linalg.det(ell[:, 0]), n * e)
+        ok = np.isfinite(d0) & (d0 != 0)
+        m = ell[:, 1:] @ np.linalg.inv(np.where(ok[:, None, None],
+                                                ell[:, 0], eye))[:, None]
+        a = np.einsum("...ii->...", m) / n
+        j = m - a[..., None, None] * eye
+        jj = j[:, :, None] @ j[:, None, :]
+        anti = jj + jj.swapaxes(1, 2)                   # [b, i, j, row, col]
+        diag = np.einsum("...ii->...i", anti)
+        q = diag.sum(axis=-1) / (-2 * n)
+        size = np.abs(anti).max(axis=(1, 2, 3, 4))
+        diag += 2 * q[..., None]
+        defect = np.abs(anti).max(axis=(1, 2, 3, 4)) / size
+    ok &= defect <= _CLIFFORD_TOL
+    ok &= np.linalg.eigvalsh(np.where(ok[:, None, None], q,
+                                      eye[1:, 1:]))[:, 0] > 0
+    a = np.concatenate([np.ones((len(c), 1)), a], axis=1)
+    return ok, defect, d0, a, q
 
 
 def isotope(alg: Algebra, s_op, t_op, tol: float = DEFAULT_TOL) -> Algebra:
@@ -431,7 +507,10 @@ def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
     points of opposite sign.  Otherwise 'probably_division'.  In
     dimension 1 the one structure constant decides, at any scale:
     'division' when it is not zero.  A negative ``samples`` is a
-    ValueError.
+    ValueError.  The determinants are sign_pair_many's: in closed form
+    for an algebra that passes _clifford_gate at _CLOSED_FORM_POINTS
+    points or more, as at the default 1,000 samples, one per point and
+    side otherwise.
     """
     if mode == "exact2d":
         if alg.dim != 2:

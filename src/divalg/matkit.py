@@ -19,7 +19,10 @@ from .errors import DegenerateSign, SingularInput, fail_at
 # convergence bound on a unit-scale residual; scale-dependent absolute:
 # absolute on an input that may be rescaled, still to be made relative.
 # tol is of that kind in the |det| cut-offs of the signs (sign_det_many,
-# sign_pair_many).
+# sign_pair_many).  _CLIFFORD_TOL chooses how sign_pair_many computes its
+# sampled determinants (closed form or one per point), not a verdict: the
+# defect of 100 transported isotopes of H and of O measured at most 8e-13,
+# that of H and O plus 1e-6 N(0, 1) noise at least 2e-6.
 # relative: default tol, times the size each function states (see above)
 DEFAULT_TOL = 1e-9
 # relative: least s_min / s_max (polar_decompose, dim2._split)
@@ -52,6 +55,8 @@ _REAL_ROOT_TOL = 1e-8
 _IDEMPOTENT_FLOOR = 1e-10
 # relative: idempotents nearer than this times |z| are one
 _SAME_IDEMPOTENT = 1e-6
+# relative: largest Clifford defect of core._clifford_gate, a ratio
+_CLIFFORD_TOL = 1e-10
 
 
 def as_matrix(m) -> np.ndarray:
@@ -120,10 +125,9 @@ def det_many(ms) -> np.ndarray:
 
     n = 2 is ad - bc.  n = 4 is the Laplace expansion along the first two
     rows: the sum of six signed products of a 2x2 minor of rows 0, 1 with
-    the complementary minor of rows 2, 3, all twelve minors gathered by
-    one index array.  Any other n is np.linalg.det.  A determinant that
-    overflows the closed form (where inf - inf gives NaN) is recomputed
-    by np.linalg.det, which gives +-inf.
+    the complementary minor of rows 2, 3.  Any other n is np.linalg.det.
+    A determinant that overflows the closed form (where inf - inf gives
+    NaN) is recomputed by np.linalg.det, which gives +-inf.
 
     The closed forms pay off on stacks: the 2x2 one at every size, the
     4x4 one above about 100 matrices.  np.linalg.det is about three
@@ -140,11 +144,15 @@ def det_many(ms) -> np.ndarray:
         if n == 2:
             d = ms[..., 0, 0] * ms[..., 1, 1] - ms[..., 0, 1] * ms[..., 1, 0]
         else:
-            g = ms[..., _PAIRS_4]                    # [..., row, i or j, pair]
-            # the 2x2 minors of rows 0, 1 and of rows 2, 3 at each pair
-            minors = (g[..., 0::2, 0, :] * g[..., 1::2, 1, :]
-                      - g[..., 0::2, 1, :] * g[..., 1::2, 0, :])
-            d = (minors[..., 0, :] * minors[..., 1, ::-1]) @ _LAPLACE_SIGNS_4
+            # the 2x2 minors of rows 0, 1 and of rows 2, 3 at each pair,
+            # from row views, so each temporary is (..., 6): one gather of
+            # all twelve is (..., 4, 2, 6), which on a stack of 1,000 lies
+            # above glibc's mmap threshold and is mapped afresh per call
+            i, j = _PAIRS_4
+            r0, r1, r2, r3 = (ms[..., r, :] for r in range(4))
+            top = r0[..., i] * r1[..., j] - r0[..., j] * r1[..., i]
+            bottom = r2[..., i] * r3[..., j] - r2[..., j] * r3[..., i]
+            d = (top * bottom[..., ::-1]) @ _LAPLACE_SIGNS_4
         bad = ~np.isfinite(d)
         if bad.any():
             d = np.array(d)             # writable, also for a single matrix

@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divalg import core
-from divalg.core import Algebra, classical, find_unities, is_division, \
-    is_morphism, isotope, left_mult, left_mult_many, morphism_residual, \
-    opposite, right_mult, right_mult_many, sign_pair, transport
+from divalg.core import Algebra, SignPair, classical, find_unities, \
+    is_division, is_morphism, isotope, left_mult, left_mult_many, \
+    morphism_residual, opposite, right_mult, right_mult_many, sign_pair, \
+    transport
 from divalg.errors import DegenerateSign, DimensionOne, ModeMismatch, \
     NonConvergence, SignInconsistent, ZeroMap
-from divalg.matkit import random_invertible
+from divalg.matkit import det_many, random_invertible, random_invertible_many
 from divalg.samples import random_division
 
 E0, E1, E2, E3 = np.eye(4)
@@ -190,6 +191,181 @@ def test_nan_determinant_is_never_a_sign_or_a_pass(O):
                            "on algebra 0 of the stack at sample point"):
             sign_pair(alg)
         assert is_division(alg) == "not_division"
+
+
+# --- the closed form of the sampled determinants ---
+# samples=1000 puts every call below at or above core._CLOSED_FORM_POINTS
+
+
+def isotope_family(name, seed):
+    """X = H or O, its conjugation isotope X_{K,K} (block --), and three
+    isotopes X_{S,T} each with its transport and that of X_{K,K}; S, T
+    and the transport maps of condition at most 20."""
+    base = classical(name)
+    k = np.diag([1.0] + [-1.0] * (base.dim - 1))
+    conj = isotope(base, k, k)
+    rng = np.random.default_rng(seed)
+    algs = [base, conj]
+    for s, t, f in random_invertible_many(base.dim, 9, rng, max_cond=20.0
+                                          ).reshape(3, 3, base.dim, -1):
+        iso = isotope(base, s, t)
+        algs += [iso, transport(iso, f), transport(conj, f)]
+    return algs
+
+
+def planted_zero_divisor(name):
+    """X less the rank-one term a (x) b (x) ab, for unit a and b drawn
+    apart from the sample stream, so that a o b is about 1e-16."""
+    base = classical(name)
+    a, b = np.random.default_rng(12345).standard_normal((2, base.dim))
+    a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+    return Algebra(base.c - np.einsum("i,j,k->ijk", a, b, base.mul(a, b)))
+
+
+def split_quaternions():
+    """M_2(R) in the basis 1, s1, s3, i s2 (Pauli matrices): 1 is the
+    unity and J_i J_j + J_j J_i = -2 q_ij I holds exactly, with q
+    indefinite, since s1 s1 = s3 s3 = 1."""
+    basis = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                      [[1, 0], [0, -1]], [[0, 1], [-1, 0]]], float)
+    prods = np.einsum("iab,jbc->ijac", basis, basis).reshape(4, 4, 4)
+    return Algebra(prods @ basis.reshape(4, 4).T / 2)
+
+
+def gate_passes(algs):
+    """Whether each side of each algebra, all L before all R, passes."""
+    c = np.stack([a.c for a in algs])
+    return core._clifford_gate(np.concatenate([c, c.swapaxes(1, 2)]))[0]
+
+
+def outcome(call):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except (DegenerateSign, SignInconsistent) as err:
+        return type(err), str(err)
+
+
+def on_det_many(monkeypatch, call):
+    """outcome(call) with every point set below the closed form's."""
+    with monkeypatch.context() as m:
+        m.setattr(core, "_CLOSED_FORM_POINTS", np.inf)
+        return outcome(call)
+
+
+@pytest.mark.parametrize("name", ["H", "O"])
+def test_closed_form_dets_are_lapacks_on_isotopes(name):
+    # det L_{e0} (a^T Q a)^(n/2) at every point, within 1e-13 of the
+    # Hadamard bound of LAPACK's det of the operator
+    algs = isotope_family(name, 11)
+    assert gate_passes(algs).all()
+    pts = core._sample_points(algs[0].dim, 1000, 0)
+    d = core._sampled_dets(np.stack([a.c for a in algs]), pts)
+    for alg, got in zip(algs, d):
+        for side, ops in zip(got, (left_mult_many(alg, pts),
+                                   right_mult_many(alg, pts))):
+            bound = np.prod(np.linalg.norm(ops, axis=-2), axis=-1)
+            assert np.all(np.abs(side - np.linalg.det(ops)) <= 1e-13 * bound)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lam", [2.0 ** 20, 2.0 ** -20, -1.0, 1e80, 1e-80,
+                                 1e160])
+@pytest.mark.parametrize("name", ["H", "O"])
+def test_closed_form_verdicts_and_signs_at_any_scale(monkeypatch, name,
+                                                     lam):
+    # the closed form where the gate passes, det_many where it refuses
+    # (det L_{e0} out of the float range): the verdicts and signs, or
+    # the exception raised, are those of det_many alone
+    for alg in isotope_family(name, 12)[:5]:
+        alg = Algebra(lam * alg.c)
+
+        def decide():
+            got = outcome(lambda: sign_pair(alg, samples=1000))
+            return (got if isinstance(got, SignPair) else got[0],
+                    is_division(alg))
+
+        assert decide() == on_det_many(monkeypatch, decide)
+
+
+@pytest.mark.parametrize("name", ["H", "O"])
+def test_the_gate_refuses_what_is_no_isotope(name):
+    # perturbed algebras have a Clifford defect near 0.1, far above the
+    # cut-off, and so has the planted zero divisor, whose sampled verdict
+    # is still probably_division; the split quaternions have none, but
+    # an indefinite q.  All keep det_many's values bit for bit, so their
+    # verdicts are today's
+    base = classical(name).c
+    rng = np.random.default_rng(13)
+    algs = [Algebra(base + 0.05 * rng.standard_normal(base.shape))
+            for _ in range(5)] + [planted_zero_divisor(name)]
+    if name == "H":
+        algs.append(split_quaternions())
+    assert not gate_passes(algs).any()
+    pts = core._sample_points(base.shape[0], 1000, 0)
+    d = core._sampled_dets(np.stack([a.c for a in algs]), pts)
+    for alg, got in zip(algs, d):
+        assert np.array_equal(got[0], det_many(left_mult_many(alg, pts)))
+        assert np.array_equal(got[1], det_many(right_mult_many(alg, pts)))
+
+
+@pytest.mark.parametrize("name", ["H", "O"])
+def test_a_closed_form_out_of_range_is_det_manys(name):
+    # X_{S,I} with S e_0 = e_0 / 10 has |det L_{e0}| = 10^-n times the
+    # largest, and is scaled so that the largest is 2^1026: the closed
+    # form would overflow, so the L side keeps det_many's values, the
+    # overflowing ones +-inf, bit for bit
+    n = classical(name).dim
+    alg = isotope(classical(name), np.diag([0.1] + [1.0] * (n - 1)),
+                  np.eye(n))
+    pts = core._sample_points(n, 1000, 0)
+    d = np.abs(det_many(left_mult_many(alg, pts)))
+    alg = Algebra(2.0 ** (1026 / n) / d.max() ** (1 / n) * alg.c)
+    assert gate_passes([alg])[0]
+    want = det_many(left_mult_many(alg, pts))
+    assert np.isinf(want).any() and np.isfinite(want[0])
+    got = core._sampled_dets(alg.c[None], pts)[0, 0]
+    assert np.array_equal(got, want)
+
+
+def test_closed_form_member_is_its_single_call():
+    # a stack mixing closed and refused sides, one of them with L_{e0} =
+    # 0: member b is what the B=1 call gives, bit for bit
+    for name in ("H", "O"):
+        base = classical(name).c
+        algs = isotope_family(name, 14)[:6] + [
+            planted_zero_divisor(name), Algebra(1e160 * base),
+            Algebra(1e-80 * base), Algebra(base + 0.05 * np.ones_like(base)),
+            Algebra(base * (np.arange(len(base)) > 0)[:, None, None])]
+        ok = gate_passes(algs)
+        assert ok.any() and not ok.all()
+        c = np.stack([a.c for a in algs])
+        pts = core._sample_points(c.shape[-1], 1000, 0)
+        d = core._sampled_dets(c, pts)
+        for b in range(len(c)):
+            assert np.array_equal(d[b], core._sampled_dets(c[b:b + 1], pts)[0])
+
+
+@pytest.mark.parametrize("name, lam", [("H", 1e-3), ("H", 1e-2),
+                                       ("O", 1e-3), ("O", 1e-2)])
+def test_closed_form_degenerate_messages_are_det_manys(monkeypatch, name,
+                                                       lam):
+    # scale-dependent refusals (ROADMAP item 1): the closed form names
+    # the same point with the same |det| as det_many does
+    alg = Algebra(lam * classical(name).c)
+    assert gate_passes([alg]).all()
+    got = outcome(lambda: sign_pair(alg, samples=1000))
+    assert got == on_det_many(monkeypatch,
+                              lambda: sign_pair(alg, samples=1000))
+    # and on an isotope at a tol that e_0 passes and some point does not
+    iso = isotope_family(name, 15)[3]
+    d = np.abs(core._sampled_dets(iso.c[None],
+                                  core._sample_points(iso.dim, 1000, 0)))[0]
+    tol = float(0.5 * (d.min() + d[:, 0].min()))
+    got = outcome(lambda: sign_pair(iso, samples=1000, tol=tol))
+    assert got[0] is DegenerateSign and "sample point 0," not in got[1]
+    assert got == on_det_many(monkeypatch,
+                              lambda: sign_pair(iso, samples=1000, tol=tol))
 
 
 def test_negative_sample_count_is_rejected(H):

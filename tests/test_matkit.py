@@ -48,6 +48,21 @@ def test_det_many_matches_lapack(n, lead):
     assert np.all(np.abs(d - np.linalg.det(ms)) <= 1e-13 * bound)
 
 
+def test_det_many_4x4_is_the_one_gather_laplace_bit_for_bit():
+    # the minors come from row views, each temporary (..., 6); the
+    # arithmetic is that of one (..., 4, 2, 6) gather of all twelve
+    # entries, the reference below, so every bit is the same
+    pairs = np.array([[0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]])
+    ms = np.random.default_rng(4).standard_normal((1004, 4, 4))
+    for m in (ms, ms.swapaxes(1, 2), ms.reshape(4, 251, 4, 4), ms[0]):
+        g = m[..., pairs]
+        minors = (g[..., 0::2, 0, :] * g[..., 1::2, 1, :]
+                  - g[..., 0::2, 1, :] * g[..., 1::2, 0, :])
+        want = (minors[..., 0, :] * minors[..., 1, ::-1]) \
+            @ np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+        assert np.array_equal(det_many(m), want)
+
+
 @pytest.mark.parametrize("n", [2, 4])
 def test_det_many_is_exactly_zero_on_singular_integer_stacks(n):
     # a repeated row, a repeated column and a row that is a multiple of

@@ -9,6 +9,8 @@ offending index named, and leave seeded draws unchanged; the batched
 verify checks must report what the loops reported.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -839,6 +841,23 @@ def test_sampled_dets_are_those_of_the_operator_stacks(n):
             assert np.array_equal(got, det_many(ops))
             bound = np.prod(np.linalg.norm(ops, axis=-2), axis=-1)
             assert np.all(np.abs(got - np.linalg.det(ops)) <= 1e-13 * bound)
+
+
+def test_block_census_of_a_division_corpus():
+    # at 1,000 samples the 4-d and 8-d stacks take the closed form of
+    # their sampled determinants; per dimension the stacked blocks are
+    # those of a loop of sign_pair, and the counts are pinned
+    corpus = division_corpus(54, 0)
+    census = {}
+    for n in DIMS:
+        algs = [a for a in corpus if a.dim == n]
+        many = sign_pair_many(np.stack([a.c for a in algs]), samples=1000)
+        loop = [sign_pair(a, samples=1000) for a in algs]
+        assert [tuple(p) for p in many.tolist()] == loop
+        census[n] = Counter(p.block for p in loop)
+    assert census == {2: {"++": 8, "+-": 2, "-+": 4, "--": 4},
+                      4: {"++": 9, "+-": 4, "--": 5},
+                      8: {"++": 9, "+-": 3, "-+": 1, "--": 5}}
 
 
 # the failing checks of suite 42 at the two extreme tolerances and at
