@@ -222,10 +222,13 @@ def _check_samples(samples: int) -> None:
 
 # Least number of sample points at which _sampled_dets tries the closed
 # form.  Per algebra the gate costs 90-150 us whatever the point count;
-# the closed form overtook det_many near 300 points at n = 4 and near 80
-# at n = 8 (one process, 2-core x86, numpy 2.4).  So verify's 10 to 16
-# points and sign_pair's default 104 and 108 keep det_many, and
-# is_division's default 1,004 and 1,008 take the closed form.
+# det_many, LAPACK at n = 4 and 8, grows with the points.  At n = 4 it
+# took 26-45 us at 12 points and 71-119 us at 104, against 89-144 and
+# 95-143 us for the closed form; the two crossed near 150 points, and
+# near 80 at n = 8 (one process, 2-core x86, numpy 2.4).  No default
+# asks for 150 to 500 points: verify's 10 to 16 points and sign_pair's
+# default 104 and 108 keep det_many, and is_division's default 1,004
+# and 1,008 take the closed form, at any threshold in that range.
 _CLOSED_FORM_POINTS = 500
 
 
@@ -270,10 +273,8 @@ def _clifford_gate(c: np.ndarray):
     most _CLIFFORD_TOL and q is positive definite.
 
     Each tensor is first divided by the power of two of its largest
-    |entry|.  det L_{e0} is LAPACK's at that unit scale, one LU per
-    member, so no value depends on the member's place in the stack, and
-    where it is not zero the inverse, an LU of the same matrix, meets no
-    zero pivot.
+    |entry|.  det L_{e0} is LAPACK's at that unit scale; where it is
+    not zero the inverse, an LU of the same matrix, meets no zero pivot.
     """
     n = c.shape[-1]
     _, e = np.frexp(np.abs(c).max(axis=(1, 2, 3)))

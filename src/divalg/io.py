@@ -33,11 +33,14 @@ def algebra_to_dict(alg: Algebra) -> dict:
 
 def algebra_from_dict(doc: dict) -> Algebra:
     try:
-        dim = int(doc["dim"])
+        dim = doc["dim"]
         labels = doc.get("labels", [])
         c = np.asarray(doc["structure"], dtype=float)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not an algebra document: {exc}") from exc
+    # not int(), which reads 2.9, "2" and true as 2, 2 and 1
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise ValueError(f"dim must be an integer, got {dim!r}")
     if c.shape != (dim, dim, dim):
         raise ValueError(f"structure shape {c.shape} does not match "
                          f"dim {dim}")

@@ -114,45 +114,21 @@ def _degenerate_det(name: str, d: float, tol: float) -> str:
     return f"|{name}| = {abs(d):.3e} <= tol = {tol:.3e}"
 
 
-# The six column pairs (i, j), i < j, of a 4x4 matrix, i in the first row
-# and j in the second; pair 5 - k is the complement of pair k.
-_PAIRS_4 = np.array([[0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]])
-_LAPLACE_SIGNS_4 = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
-
-
 def det_many(ms) -> np.ndarray:
     """Determinants of a stack of matrices (..., n, n), shape (...).
 
-    n = 2 is ad - bc.  n = 4 is the Laplace expansion along the first two
-    rows: the sum of six signed products of a 2x2 minor of rows 0, 1 with
-    the complementary minor of rows 2, 3.  Any other n is np.linalg.det.
-    A determinant that overflows the closed form (where inf - inf gives
-    NaN) is recomputed by np.linalg.det, which gives +-inf.
-
-    The closed forms pay off on stacks: the 2x2 one at every size, the
-    4x4 one above about 100 matrices.  np.linalg.det is about three
-    times cheaper on a single 4x4 matrix, so callers with one or two
-    4x4 matrices call it directly.  At n = 8 a vectorised LU measured
-    three times slower than LAPACK on a stack of 1,000.
+    n = 2 is ad - bc, which pays off on stacks of every size; a
+    determinant that overflows it (where inf - inf gives NaN) is
+    recomputed by np.linalg.det, which gives +-inf.  Any other n is
+    np.linalg.det, one LU per matrix, so a member of a stack gets the
+    same value as its single call.
     """
     ms = np.asarray(ms, dtype=float)
-    n = ms.shape[-1]
     # a determinant out of the float range is +-inf, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        if n not in (2, 4):
+        if ms.shape[-1] != 2:
             return np.linalg.det(ms)
-        if n == 2:
-            d = ms[..., 0, 0] * ms[..., 1, 1] - ms[..., 0, 1] * ms[..., 1, 0]
-        else:
-            # the 2x2 minors of rows 0, 1 and of rows 2, 3 at each pair,
-            # from row views, so each temporary is (..., 6): one gather of
-            # all twelve is (..., 4, 2, 6), which on a stack of 1,000 lies
-            # above glibc's mmap threshold and is mapped afresh per call
-            i, j = _PAIRS_4
-            r0, r1, r2, r3 = (ms[..., r, :] for r in range(4))
-            top = r0[..., i] * r1[..., j] - r0[..., j] * r1[..., i]
-            bottom = r2[..., i] * r3[..., j] - r2[..., j] * r3[..., i]
-            d = (top * bottom[..., ::-1]) @ _LAPLACE_SIGNS_4
+        d = ms[..., 0, 0] * ms[..., 1, 1] - ms[..., 0, 1] * ms[..., 1, 0]
         bad = ~np.isfinite(d)
         if bad.any():
             d = np.array(d)             # writable, also for a single matrix

@@ -268,6 +268,19 @@ def test_labels_that_are_not_a_list_of_strings_are_input_errors(
     assert "labels must be a list of strings" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dim, structure", [
+    # int() would read these as 2, 2 and 1, each matching its structure
+    (2.9, classical("C").c.tolist()), ("2", classical("C").c.tolist()),
+    (True, [[[1.0]]])])
+def test_dim_that_is_not_an_integer_is_input_error(
+        capsys, tmp_path, dim, structure):
+    doc = {"dim": dim, "structure": structure}
+    path = tmp_path / "dim.json"
+    write_json(doc, path)
+    assert main(["sign-pair", str(path)]) == 2
+    assert "dim must be an integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("exponent", [1.7, True])
 def test_exponent_that_is_not_the_integer_0_or_1_is_input_error(
         capsys, tmp_path, exponent):

@@ -116,10 +116,9 @@ def test_sign_pair_split_complex_is_inconsistent():
 @pytest.mark.parametrize("name", ["C", "H"])
 @pytest.mark.parametrize("lam", [1e-80, 1e80, 1e160])
 def test_sign_decisions_at_extreme_scales(name, lam):
-    # at 1e160 the 2x2 minors of a quaternion operator overflow and the
-    # closed-form det is inf - inf = NaN, which would be degenerate; the
-    # determinant is recomputed by LAPACK, which gives +inf (and warns of
-    # the overflow), so the pair stays ++
+    # at 1e160 every determinant overflows to +inf, ad - bc's for C and
+    # LAPACK's for H, which is a sign (and warns of the overflow), so the
+    # pair stays ++
     alg = Algebra(lam * classical(name).c)
     with np.errstate(over="ignore"):
         if lam < 1.0:
