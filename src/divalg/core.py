@@ -166,7 +166,8 @@ def sign_pair(alg: Algebra, samples: int = 100, tol: float = DEFAULT_TOL,
     DegenerateSign.  For an int seed the points are cached per
     (dimension, samples, seed), the most recent few sets kept, and
     shared read-only by every call; a Generator seed draws new points
-    on each call.  The B=1 case of sign_pair_many.
+    on each call.  The B=1 case of sign_pair_many, which certifies the
+    signs of an isotope of H or O from det L_{e0} and det R_{e0} alone.
     """
     ell, r = sign_pair_many(alg.c[None], samples, tol, seed)[0]
     return SignPair(int(ell), int(r))
@@ -186,10 +187,12 @@ def sign_pair_many(tensors, samples: int = 100, tol: float = DEFAULT_TOL,
     the first algebra whose signs vary.  A negative ``samples`` is a
     ValueError.
 
-    Each determinant is det_many of the operator at its point; at n = 4
-    and 8 with at least _CLOSED_FORM_POINTS points, a side that passes
-    _clifford_gate (an isotope of H or O, or a transport of one) gets
-    the closed form det L_{e0} (a^T Q a)^(n/2) instead.
+    The points are drawn in any case.  At n = 4 and 8 with at least
+    _CLOSED_FORM_POINTS of them, where both sides of every algebra pass
+    _clifford_gate (an isotope of H or O, or a transport of one) and the
+    least |det| on the unit sphere is above 2 tol (room for rounding),
+    the signs are those of det L_{e0} and det R_{e0}, as det_many gives
+    them at every point; elsewhere each determinant is det_many's.
     """
     c = _finite_stack(tensors, lambda s: len(s) == 4 and len(set(s[1:])) == 1,
                       "a (B, n, n, n) tensor stack", "structure constants")
@@ -198,6 +201,12 @@ def sign_pair_many(tensors, samples: int = 100, tol: float = DEFAULT_TOL,
         raise DimensionOne("the double sign needs dimension at least 2")
     _check_samples(samples)
     pts = _sample_points(n, samples, seed)
+    if n in (4, 8) and len(pts) >= _CLOSED_FORM_POINTS:
+        ok, _, d0, lam = _clifford_gate(np.concatenate([c, c.swapaxes(1, 2)]))
+        with np.errstate(over="ignore"):
+            certified = ok & (np.abs(d0) * lam ** (n // 2) > 2 * tol)
+        if certified.all():
+            return np.where(d0 > 0, 1, -1).reshape(2, -1).T
     d = _sampled_dets(c, pts)                                # [b, side, point]
 
     def degenerate(i):
@@ -220,57 +229,44 @@ def _check_samples(samples: int) -> None:
         raise ValueError(f"samples must be non-negative, got {samples}")
 
 
-# Least number of sample points at which _sampled_dets tries the closed
-# form.  Per algebra the gate costs 90-150 us whatever the point count;
-# det_many, LAPACK at n = 4 and 8, grows with the points.  At n = 4 it
-# took 26-45 us at 12 points and 71-119 us at 104, against 89-144 and
-# 95-143 us for the closed form; the two crossed near 150 points, and
-# near 80 at n = 8 (one process, 2-core x86, numpy 2.4).  No default
-# asks for 150 to 500 points: verify's 10 to 16 points and sign_pair's
-# default 104 and 108 keep det_many, and is_division's default 1,004
-# and 1,008 take the closed form, at any threshold in that range.
-_CLOSED_FORM_POINTS = 500
+# Least number of sample points at which sign_pair_many tries the
+# certificate, whose cost does not grow with the points; det_many's does.
+# On a transported isotope sign_pair took 80 us certified at n = 4, and
+# 55 / 76 / 97 us with det_many at 54 / 104 / 154 points; at n = 8, 115
+# against 72 / 134 / 165 us at 33 / 83 / 108 points: they cross near 115
+# and 65 points.  A tensor the gate refuses pays for it too: on X + 0.05
+# N(0, 1), sign_pair at 104 / 108 points took 177 / 303 us (H / O), 85 /
+# 176 with det_many alone; is_division at 1,000 samples 609 / 1,640 us,
+# 672 / 1,707 where a per-point closed form was tried before det_many
+# (one process each, 2-core x86, numpy 2.4).
+_CLOSED_FORM_POINTS = 100
 
 
 def _sampled_dets(c: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """det L_a and det R_a of each tensor of a stack (B, n, n, n) at each
-    point a of pts (P, n), indexed [b, side, point], L before R: at n = 4
-    and 8 with P >= _CLOSED_FORM_POINTS, det L_{e0} (a^T Q a)^(n/2) for a
-    side that passes _clifford_gate where every such value is finite,
-    det_many of the operators elsewhere."""
+    point a of pts (P, n), indexed [b, side, point], L before R: det_many
+    of the operators."""
     # det R_a as det L_a of the opposite algebra; one side at a time
     # keeps the peak memory of a large stack to one side's
-    sides = (c, c.swapaxes(1, 2))
-    if c.shape[-1] not in (4, 8) or len(pts) < _CLOSED_FORM_POINTS:
-        return np.stack([det_many(_left_stack(m, pts)) for m in sides],
-                        axis=1)
-    ok, _, d0, a, q = _clifford_gate(np.concatenate(sides))
-    big_q = a[:, :, None] * a[:, None, :]
-    big_q[:, 1:, 1:] += q
-    with np.errstate(over="ignore", invalid="ignore"):
-        quad = np.einsum("bpi,pi->bp", pts @ big_q, pts)        # a^T Q a
-        d = d0[:, None] * quad ** (c.shape[-1] // 2)
-    ok &= np.isfinite(d).all(axis=1)
-    d, ok = d.reshape(2, len(c), len(pts)), ok.reshape(2, len(c))
-    for k, m in enumerate(sides):
-        if not ok[k].all():
-            d[k, ~ok[k]] = det_many(_left_stack(m[~ok[k]], pts))
-    return d.swapaxes(0, 1)
+    return np.stack([det_many(_left_stack(m, pts))
+                     for m in (c, c.swapaxes(1, 2))], axis=1)
 
 
 def _clifford_gate(c: np.ndarray):
     """The Clifford test of the left multiplications of each tensor of a
-    stack (B, n, n, n), n = 4 or 8: (ok, defect, det L_{e0}, a, q).
+    stack (B, n, n, n), n = 4 or 8: (ok, defect, det L_{e0}, lambda_min).
 
     With M_i = L_{e_i} L_{e0}^-1 (so M_0 = I and a_0 = 1), a_i = tr M_i
     / n, J_i = M_i - a_i I and q_ij = -tr(J_i J_j + J_j J_i) / (2 n) for
     i, j >= 1, an isotope of H or O, or a transport of one, has J_i J_j
     + J_j J_i = -2 q_ij I with q positive definite.  Then M_x has the
     eigenvalues a(x) +- i sqrt(q(x)), n / 2 times each, so det L_x =
-    det L_{e0} (x^T Q x)^(n/2) with Q = a a^T + q (q on e_1..e_{n-1}).
-    defect is max|J_i J_j + J_j J_i + 2 q_ij I| / max|J_i J_j + J_j J_i|,
-    and ok holds where det L_{e0} is finite and not zero, defect is at
-    most _CLIFFORD_TOL and q is positive definite.
+    det L_{e0} (x^T Q x)^(n/2) with Q = a a^T + q (q on e_1..e_{n-1}),
+    and |det L_x| >= |det L_{e0}| lambda_min(Q)^(n/2) for unit x.  defect
+    is max|J_i J_j + J_j J_i + 2 q_ij I| / max|J_i J_j + J_j J_i|, and ok
+    holds where det L_{e0} is finite and not zero, defect is at most
+    _CLIFFORD_TOL and lambda_min > 0 (where q, the Schur complement of
+    Q_00 = 1, is positive definite); lambda_min is 1 where ok fails first.
 
     Each tensor is first divided by the power of two of its largest
     |entry|.  det L_{e0} is LAPACK's at that unit scale; where it is
@@ -294,11 +290,13 @@ def _clifford_gate(c: np.ndarray):
         size = np.abs(anti).max(axis=(1, 2, 3, 4))
         diag += 2 * q[..., None]
         defect = np.abs(anti).max(axis=(1, 2, 3, 4)) / size
+        a = np.concatenate([np.ones((len(c), 1)), a], axis=1)
+        big_q = a[:, :, None] * a[:, None, :]
+        big_q[:, 1:, 1:] += q
     ok &= defect <= _CLIFFORD_TOL
-    ok &= np.linalg.eigvalsh(np.where(ok[:, None, None], q,
-                                      eye[1:, 1:]))[:, 0] > 0
-    a = np.concatenate([np.ones((len(c), 1)), a], axis=1)
-    return ok, defect, d0, a, q
+    lam = np.linalg.eigvalsh(np.where(ok[:, None, None], big_q, eye))[:, 0]
+    ok &= lam > 0
+    return ok, defect, d0, lam
 
 
 def isotope(alg: Algebra, s_op, t_op, tol: float = DEFAULT_TOL) -> Algebra:
@@ -508,10 +506,11 @@ def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
     points of opposite sign.  Otherwise 'probably_division'.  In
     dimension 1 the one structure constant decides, at any scale:
     'division' when it is not zero.  A negative ``samples`` is a
-    ValueError.  The determinants are sign_pair_many's: in closed form
-    for an algebra that passes _clifford_gate at _CLOSED_FORM_POINTS
-    points or more, as at the default 1,000 samples, one per point and
-    side otherwise.
+    ValueError.  The verdict is sign_pair_many's, also where it takes
+    its signs from det L_{e0} and det R_{e0} alone (an isotope of H or
+    O, or a transport of one, at _CLOSED_FORM_POINTS points or more, as
+    at the default 1,000 samples): that path gives 'probably_division'
+    too.
     """
     if mode == "exact2d":
         if alg.dim != 2:

@@ -31,11 +31,27 @@ def algebra_to_dict(alg: Algebra) -> dict:
     }
 
 
+def _numbers(doc: dict, key: str) -> np.ndarray:
+    """doc[key] as a float array, or ValueError naming key where a leaf
+    of its nested lists is not a JSON number (a bool is not one): not
+    np.asarray, which reads "2" as 2.0 and true as 1.0."""
+    value = doc[key]
+    todo = [value]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, list):
+            todo.extend(x)
+        elif isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ValueError(f"{key} must hold JSON numbers only, "
+                             f"got {x!r}")
+    return np.asarray(value, dtype=float)
+
+
 def algebra_from_dict(doc: dict) -> Algebra:
     try:
         dim = doc["dim"]
         labels = doc.get("labels", [])
-        c = np.asarray(doc["structure"], dtype=float)
+        c = _numbers(doc, "structure")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not an algebra document: {exc}") from exc
     # not int(), which reads 2.9, "2" and true as 2, 2 and 1
@@ -61,8 +77,8 @@ def decorated_from_dict(doc: dict) -> DecoratedAlgebra:
     from .decorated import decorate
     alg = algebra_from_dict(doc)
     try:
-        u = np.asarray(doc["U"], dtype=float).T
-        v = np.asarray(doc["V"], dtype=float).T
+        u = _numbers(doc, "U").T
+        v = _numbers(doc, "V").T
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not a decorated-algebra document: {exc}") from exc
     return decorate(alg, u, v)
@@ -75,7 +91,8 @@ def normal_form_to_dict(nf) -> dict:
 def normal_form_from_dict(doc: dict):
     from .dim2 import NormalForm2D
     try:
-        return NormalForm2D(doc["i"], doc["j"], doc["A"], doc["B"])
+        return NormalForm2D(doc["i"], doc["j"], _numbers(doc, "A"),
+                            _numbers(doc, "B"))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not a normal-form document: {exc}") from exc
 
@@ -87,8 +104,8 @@ def pair_to_dict(s, t) -> dict:
 
 def pair_from_dict(doc: dict) -> tuple[np.ndarray, np.ndarray]:
     try:
-        s = np.asarray(doc["S"], dtype=float)
-        t = np.asarray(doc["T"], dtype=float)
+        s = _numbers(doc, "S")
+        t = _numbers(doc, "T")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not an operator-pair document: {exc}") from exc
     if s.ndim != 2 or s.shape != t.shape or s.shape[0] != s.shape[1]:

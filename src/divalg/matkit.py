@@ -19,10 +19,10 @@ from .errors import DegenerateSign, SingularInput, fail_at
 # convergence bound on a unit-scale residual; scale-dependent absolute:
 # absolute on an input that may be rescaled, still to be made relative.
 # tol is of that kind in the |det| cut-offs of the signs (sign_det_many,
-# sign_pair_many).  _CLIFFORD_TOL chooses how sign_pair_many computes its
-# sampled determinants (closed form or one per point), not a verdict: the
-# defect of 100 transported isotopes of H and of O measured at most 8e-13,
-# that of H and O plus 1e-6 N(0, 1) noise at least 2e-6.
+# sign_pair_many).  _CLIFFORD_TOL admits a tensor to sign_pair_many's
+# certificate, which gives the signs det_many would, so it sets no verdict:
+# the defect of 100 transported isotopes of H and of O measured at most
+# 8e-13, that of H and O plus 1e-6 N(0, 1) noise at least 2e-6.
 # relative: default tol, times the size each function states (see above)
 DEFAULT_TOL = 1e-9
 # relative: least s_min / s_max (polar_decompose, dim2._split)

@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from conftest import random_decoration
 from divalg import verify
 from divalg.cli import main
 from divalg.core import Algebra, classical
-from divalg.io import algebra_to_dict, normal_form_to_dict, pair_to_dict, \
-    write_algebra, write_json
+from divalg.io import algebra_to_dict, decorated_from_dict, \
+    decorated_to_dict, normal_form_to_dict, pair_to_dict, write_algebra, \
+    write_json
 from divalg.samples import e_quadratic_corpus, random_normal_form, \
     random_quat_pair
 from divalg.verify import check_names
@@ -279,6 +281,44 @@ def test_dim_that_is_not_an_integer_is_input_error(
     write_json(doc, path)
     assert main(["sign-pair", str(path)]) == 2
     assert "dim must be an integer" in capsys.readouterr().err
+
+
+# np.asarray(..., dtype=float) would read "2" as 2.0 and true as 1.0, and
+# each command would run on the document
+@pytest.mark.parametrize("leaf", ["2", True])
+def test_structure_entry_that_is_not_a_number_is_input_error(
+        capsys, tmp_path, leaf):
+    path = tmp_path / "alg.json"
+    write_json({"dim": 1, "structure": [[[leaf]]]}, path)
+    assert main(["divcheck", str(path)]) == 2
+    assert "structure must hold JSON numbers only" in capsys.readouterr().err
+
+
+def test_pair_entry_that_is_not_a_number_is_input_error(capsys, tmp_path):
+    doc = pair_to_dict(*random_quat_pair(3))
+    doc["T"][2][1] = str(doc["T"][2][1])
+    path = tmp_path / "pair.json"
+    write_json(doc, path)
+    assert main(["quat", "normal-form", str(path)]) == 2
+    assert "T must hold JSON numbers only" in capsys.readouterr().err
+
+
+def test_normal_form_entry_that_is_not_a_number_is_input_error(
+        capsys, tmp_path):
+    doc = normal_form_to_dict(random_normal_form(4, block=(1, 0)))
+    doc["B"] = [["1", 0], [0, True]]
+    path = tmp_path / "nf.json"
+    write_json(doc, path)
+    assert main(["hom2d", str(path), str(path)]) == 2
+    assert "B must hold JSON numbers only" in capsys.readouterr().err
+
+
+def test_decoration_entry_that_is_not_a_number_is_input_error():
+    # no command reads a decorated document; verify's round trip does
+    doc = decorated_to_dict(random_decoration(classical("H"), 3))
+    doc["V"][0][1] = True
+    with pytest.raises(ValueError, match="^V must hold JSON numbers only"):
+        decorated_from_dict(doc)
 
 
 @pytest.mark.parametrize("exponent", [1.7, True])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,8 +194,9 @@ def test_nan_determinant_is_never_a_sign_or_a_pass(O):
         assert is_division(alg) == "not_division"
 
 
-# --- the closed form of the sampled determinants ---
-# samples=1000 puts every call below at or above core._CLOSED_FORM_POINTS
+# --- the certified double sign of isotopes of H and O ---
+# samples=100 and 1000 put every call below at or above
+# core._CLOSED_FORM_POINTS; on_det_many puts it below
 
 
 def isotope_family(name, seed):
@@ -203,13 +206,17 @@ def isotope_family(name, seed):
     base = classical(name)
     k = np.diag([1.0] + [-1.0] * (base.dim - 1))
     conj = isotope(base, k, k)
-    rng = np.random.default_rng(seed)
     algs = [base, conj]
-    for s, t, f in random_invertible_many(base.dim, 9, rng, max_cond=20.0
-                                          ).reshape(3, 3, base.dim, -1):
+    for s, t, f in family_operators(base.dim, seed):
         iso = isotope(base, s, t)
         algs += [iso, transport(iso, f), transport(conj, f)]
     return algs
+
+
+def family_operators(n, seed):
+    """The three (S, T, F) of isotope_family(., seed) at dimension n."""
+    return random_invertible_many(n, 9, np.random.default_rng(seed),
+                                  max_cond=20.0).reshape(3, 3, n, n)
 
 
 def planted_zero_divisor(name):
@@ -231,10 +238,15 @@ def split_quaternions():
     return Algebra(prods @ basis.reshape(4, 4).T / 2)
 
 
+def gate(algs):
+    """_clifford_gate of each side of each algebra, all L before all R."""
+    c = np.stack([a.c for a in algs])
+    return core._clifford_gate(np.concatenate([c, c.swapaxes(1, 2)]))
+
+
 def gate_passes(algs):
     """Whether each side of each algebra, all L before all R, passes."""
-    c = np.stack([a.c for a in algs])
-    return core._clifford_gate(np.concatenate([c, c.swapaxes(1, 2)]))[0]
+    return gate(algs)[0]
 
 
 def outcome(call):
@@ -246,25 +258,73 @@ def outcome(call):
 
 
 def on_det_many(monkeypatch, call):
-    """outcome(call) with every point set below the closed form's."""
+    """outcome(call) with every point set below the certificate's."""
     with monkeypatch.context() as m:
         m.setattr(core, "_CLOSED_FORM_POINTS", np.inf)
         return outcome(call)
 
 
 @pytest.mark.parametrize("name", ["H", "O"])
-def test_closed_form_dets_are_lapacks_on_isotopes(name):
-    # det L_{e0} (a^T Q a)^(n/2) at every point, within 1e-13 of the
-    # Hadamard bound of LAPACK's det of the operator
+def test_certificate_bound_is_the_least_det_on_the_sphere(name):
+    # |det L_{e0}| lam_min(Q)^(n/2) is at most every sampled |det|, within
+    # 1e-13 of the Hadamard bound of LAPACK's det of the operator, and is
+    # the least |det| on the unit sphere: 1 for X and X_{K,K}; for X_{S,T}
+    # (L_x = L_{Sx} T, R_y = R_{Ty} S) s_min(S)^n |det T| and s_min(T)^n
+    # |det S|, with S F^-1 and T F^-1 in place of S and T once transported
     algs = isotope_family(name, 11)
-    assert gate_passes(algs).all()
-    pts = core._sample_points(algs[0].dim, 1000, 0)
-    d = core._sampled_dets(np.stack([a.c for a in algs]), pts)
-    for alg, got in zip(algs, d):
-        for side, ops in zip(got, (left_mult_many(alg, pts),
+    n = algs[0].dim
+    ok, _, d0, lam = gate(algs)
+    assert ok.all()
+    bound = np.abs(d0) * lam ** (n // 2)
+    pts = core._sample_points(n, 1000, 0)
+    for alg, low in zip(algs, bound.reshape(2, -1).T):
+        for side, ops in zip(low, (left_mult_many(alg, pts),
                                    right_mult_many(alg, pts))):
-            bound = np.prod(np.linalg.norm(ops, axis=-2), axis=-1)
-            assert np.all(np.abs(side - np.linalg.det(ops)) <= 1e-13 * bound)
+            hadamard = np.prod(np.linalg.norm(ops, axis=-2), axis=-1)
+            assert np.all(side <= np.abs(det_many(ops)) + 1e-13 * hadamard)
+    k = np.diag([1.0] + [-1.0] * (n - 1))
+    want = [(1.0, 1.0), (1.0, 1.0)]
+    for s, t, f in family_operators(n, 11):
+        g = np.linalg.inv(f)
+        least = [np.linalg.svd(m, compute_uv=False)[-1] ** n
+                 for m in (s, t, s @ g, t @ g, k @ g)]
+        ds, dt = abs(np.linalg.det(s)), abs(np.linalg.det(t))
+        want += [(least[0] * dt, least[1] * ds),
+                 (least[2] * dt, least[3] * ds), (least[4], least[4])]
+    want = np.array(want).T.reshape(-1)
+    assert np.all(np.abs(bound - want) <= 1e-11 * want)
+
+
+@pytest.mark.parametrize("name", ["H", "O"])
+def test_certified_calls_make_no_det_many_call(monkeypatch, name):
+    # sign_pair at samples=100 (104 or 108 points) and is_division at its
+    # default 1,000 read det L_{e0} and det R_{e0} and the gate's lam_min
+    calls = []
+
+    def spy(ms):
+        calls.append(np.shape(ms))
+        return det_many(ms)
+
+    monkeypatch.setattr(core, "det_many", spy)
+    for alg in isotope_family(name, 16):
+        sign_pair(alg, samples=100)
+        assert is_division(alg) == "probably_division"
+    assert calls == []
+    sign_pair(classical(name), samples=8)          # the spy sees the rest
+    assert calls
+
+
+@pytest.mark.parametrize("name", ["H", "O"])
+def test_a_generator_seed_advances_alike_on_both_paths(monkeypatch, name):
+    # the certified path draws its points as the det_many path does
+    alg = isotope_family(name, 17)[3]
+    assert gate_passes([alg]).all()
+    for call in (lambda rng: sign_pair(alg, samples=100, seed=rng),
+                 lambda rng: is_division(alg, seed=rng)):
+        rngs = np.random.default_rng(7), np.random.default_rng(7)
+        assert outcome(lambda: call(rngs[0])) == on_det_many(
+            monkeypatch, lambda: call(rngs[1]))
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -273,27 +333,29 @@ def test_closed_form_dets_are_lapacks_on_isotopes(name):
 @pytest.mark.parametrize("name", ["H", "O"])
 def test_closed_form_verdicts_and_signs_at_any_scale(monkeypatch, name,
                                                      lam):
-    # the closed form where the gate passes, det_many where it refuses
-    # (det L_{e0} out of the float range): the verdicts and signs, or
-    # the exception raised, are those of det_many alone
-    for alg in isotope_family(name, 12)[:5]:
+    # the certificate where the gate passes with room, det_many elsewhere
+    # (det L_{e0} out of the float range, or a bound at most 2 tol): the
+    # verdicts and signs, or the exception raised, are those of det_many
+    # alone, at sign_pair's default point count and at is_division's
+    for alg, samples in itertools.product(isotope_family(name, 12)[:5],
+                                          (100, 1000)):
         alg = Algebra(lam * alg.c)
 
         def decide():
-            got = outcome(lambda: sign_pair(alg, samples=1000))
+            got = outcome(lambda: sign_pair(alg, samples=samples))
             return (got if isinstance(got, SignPair) else got[0],
-                    is_division(alg))
+                    is_division(alg, samples=samples))
 
         assert decide() == on_det_many(monkeypatch, decide)
 
 
 @pytest.mark.parametrize("name", ["H", "O"])
-def test_the_gate_refuses_what_is_no_isotope(name):
+def test_the_gate_refuses_what_is_no_isotope(monkeypatch, name):
     # perturbed algebras have a Clifford defect near 0.1, far above the
     # cut-off, and so has the planted zero divisor, whose sampled verdict
     # is still probably_division; the split quaternions have none, but
-    # an indefinite q.  All keep det_many's values bit for bit, so their
-    # verdicts are today's
+    # an indefinite q.  All take det_many at every point, so their signs
+    # and verdicts are today's
     base = classical(name).c
     rng = np.random.default_rng(13)
     algs = [Algebra(base + 0.05 * rng.standard_normal(base.shape))
@@ -301,19 +363,20 @@ def test_the_gate_refuses_what_is_no_isotope(name):
     if name == "H":
         algs.append(split_quaternions())
     assert not gate_passes(algs).any()
-    pts = core._sample_points(base.shape[0], 1000, 0)
-    d = core._sampled_dets(np.stack([a.c for a in algs]), pts)
-    for alg, got in zip(algs, d):
-        assert np.array_equal(got[0], det_many(left_mult_many(alg, pts)))
-        assert np.array_equal(got[1], det_many(right_mult_many(alg, pts)))
+    for alg, samples in itertools.product(algs, (100, 1000)):
+        def decide():
+            return (outcome(lambda: sign_pair(alg, samples=samples)),
+                    is_division(alg, samples=samples))
+
+        assert decide() == on_det_many(monkeypatch, decide)
 
 
 @pytest.mark.parametrize("name", ["H", "O"])
-def test_a_closed_form_out_of_range_is_det_manys(name):
+def test_a_closed_form_out_of_range_is_det_manys(monkeypatch, name):
     # X_{S,I} with S e_0 = e_0 / 10 has |det L_{e0}| = 10^-n times the
-    # largest, and is scaled so that the largest is 2^1026: the closed
-    # form would overflow, so the L side keeps det_many's values, the
-    # overflowing ones +-inf, bit for bit
+    # largest, and is scaled so that the largest is 2^1026: det_many
+    # gives some points +-inf, and the certificate, whose bound is at
+    # most |det L_{e0}|, gives the signs that det_many gives
     n = classical(name).dim
     alg = isotope(classical(name), np.diag([0.1] + [1.0] * (n - 1)),
                   np.eye(n))
@@ -323,39 +386,47 @@ def test_a_closed_form_out_of_range_is_det_manys(name):
     assert gate_passes([alg])[0]
     want = det_many(left_mult_many(alg, pts))
     assert np.isinf(want).any() and np.isfinite(want[0])
-    got = core._sampled_dets(alg.c[None], pts)[0, 0]
-    assert np.array_equal(got, want)
+    for samples in (100, 1000):
+        got = sign_pair(alg, samples=samples)
+        assert got == on_det_many(monkeypatch,
+                                  lambda: sign_pair(alg, samples=samples))
 
 
 def test_closed_form_member_is_its_single_call():
-    # a stack mixing closed and refused sides, one of them with L_{e0} =
-    # 0: member b is what the B=1 call gives, bit for bit
+    # a stack mixing certified and refused algebras takes det_many at
+    # every point: each member's signs are those of its single call,
+    # certified or not, and a degenerate member, one with L_{e0} = 0, is
+    # named by its index in the stack
     for name in ("H", "O"):
         base = classical(name).c
         algs = isotope_family(name, 14)[:6] + [
             planted_zero_divisor(name), Algebra(1e160 * base),
-            Algebra(1e-80 * base), Algebra(base + 0.05 * np.ones_like(base)),
-            Algebra(base * (np.arange(len(base)) > 0)[:, None, None])]
+            Algebra(base + 0.05 * np.ones_like(base))]
         ok = gate_passes(algs)
         assert ok.any() and not ok.all()
         c = np.stack([a.c for a in algs])
-        pts = core._sample_points(c.shape[-1], 1000, 0)
-        d = core._sampled_dets(c, pts)
-        for b in range(len(c)):
-            assert np.array_equal(d[b], core._sampled_dets(c[b:b + 1], pts)[0])
+        zero = base * (np.arange(len(base)) > 0)[:, None, None]
+        for samples in (100, 1000):
+            many = core.sign_pair_many(c, samples)
+            assert [tuple(p) for p in many.tolist()] == [
+                sign_pair(a, samples=samples) for a in algs]
+            with pytest.raises(DegenerateSign, match=f"on algebra {len(c)} "
+                               "of the stack at sample point 0,"):
+                core.sign_pair_many(np.concatenate([c, zero[None]]), samples)
 
 
 @pytest.mark.parametrize("name, lam", [("H", 1e-3), ("H", 1e-2),
                                        ("O", 1e-3), ("O", 1e-2)])
 def test_closed_form_degenerate_messages_are_det_manys(monkeypatch, name,
                                                        lam):
-    # scale-dependent refusals (ROADMAP item 1): the closed form names
-    # the same point with the same |det| as det_many does
+    # scale-dependent refusals (ROADMAP item 1): where the bound is at
+    # most 2 tol, det_many names the same point with the same |det|
     alg = Algebra(lam * classical(name).c)
     assert gate_passes([alg]).all()
-    got = outcome(lambda: sign_pair(alg, samples=1000))
-    assert got == on_det_many(monkeypatch,
-                              lambda: sign_pair(alg, samples=1000))
+    for samples in (100, 1000):
+        got = outcome(lambda: sign_pair(alg, samples=samples))
+        assert got == on_det_many(monkeypatch,
+                                  lambda: sign_pair(alg, samples=samples))
     # and on an isotope at a tol that e_0 passes and some point does not
     iso = isotope_family(name, 15)[3]
     d = np.abs(core._sampled_dets(iso.c[None],

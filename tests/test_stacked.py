@@ -844,9 +844,9 @@ def test_sampled_dets_are_those_of_the_operator_stacks(n):
 
 
 def test_block_census_of_a_division_corpus():
-    # at 1,000 samples the 4-d and 8-d stacks take the closed form of
-    # their sampled determinants; per dimension the stacked blocks are
-    # those of a loop of sign_pair, and the counts are pinned
+    # at 1,000 samples the 4-d and 8-d stacks, all isotopes, are
+    # certified; per dimension the stacked blocks are those of a loop of
+    # sign_pair, and the counts are pinned
     corpus = division_corpus(54, 0)
     census = {}
     for n in DIMS:
