@@ -11,7 +11,7 @@ and O.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -54,10 +54,17 @@ class _Frozen:
 
 @dataclass(frozen=True, eq=False)
 class Algebra(_Frozen):
-    """A real algebra presented by its structure-constant tensor."""
+    """A real algebra presented by its structure-constant tensor.
+
+    The tensor is read-only, so what depends on it alone is computed
+    once and kept: _gate holds the Clifford gate of both sides
+    (_gate_rows), filled by the first sign_pair or is_division call
+    that tries the certificate.
+    """
 
     c: np.ndarray
     label: str = ""
+    _gate: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -167,9 +174,13 @@ def sign_pair(alg: Algebra, samples: int = 100, tol: float = DEFAULT_TOL,
     (dimension, samples, seed), the most recent few sets kept, and
     shared read-only by every call; a Generator seed draws new points
     on each call.  The B=1 case of sign_pair_many, which certifies the
-    signs of an isotope of H or O from det L_{e0} and det R_{e0} alone.
+    signs of an isotope of H or O from det L_{e0} and det R_{e0} alone;
+    the Clifford gate behind that certificate runs once per Algebra and
+    is kept on it (Algebra._gate), while the decision at ``tol`` is
+    taken afresh on every call.
     """
-    ell, r = sign_pair_many(alg.c[None], samples, tol, seed)[0]
+    ell, r = _signs(alg.c[None], samples, tol, seed,
+                    lambda: _algebra_gate(alg))[0]
     return SignPair(int(ell), int(r))
 
 
@@ -188,39 +199,60 @@ def sign_pair_many(tensors, samples: int = 100, tol: float = DEFAULT_TOL,
     ValueError.
 
     The points are drawn in any case.  At n = 4 and 8 with at least
-    _CLOSED_FORM_POINTS of them, where both sides of every algebra pass
-    _clifford_gate (an isotope of H or O, or a transport of one) and the
+    _CLOSED_FORM_POINTS of them, the stack goes through _clifford_gate
+    once, and each algebra is certified on its own: where both of its
+    sides pass (an isotope of H or O, or a transport of one) and the
     least |det| on the unit sphere is above 2 tol (room for rounding),
-    the signs are those of det L_{e0} and det R_{e0}, as det_many gives
-    them at every point; elsewhere each determinant is det_many's.
+    its signs are those of det L_{e0} and det R_{e0}, as det_many gives
+    them at every point.  The other algebras, and every algebra
+    elsewhere, get det_many's determinant at each point.
     """
     c = _finite_stack(tensors, lambda s: len(s) == 4 and len(set(s[1:])) == 1,
                       "a (B, n, n, n) tensor stack", "structure constants")
+    return _signs(c, samples, tol, seed, lambda: _gate_rows(c))
+
+
+def _signs(c: np.ndarray, samples: int, tol: float, seed,
+           gate) -> np.ndarray:
+    """sign_pair_many of a valid tensor stack c (B, n, n, n).  gate()
+    gives _gate_rows(c); it is called only where the certificate is
+    tried."""
     n = c.shape[-1]
     if n == 1:
         raise DimensionOne("the double sign needs dimension at least 2")
     _check_samples(samples)
     pts = _sample_points(n, samples, seed)
-    if n in (4, 8) and len(pts) >= _CLOSED_FORM_POINTS:
-        ok, _, d0, lam = _clifford_gate(np.concatenate([c, c.swapaxes(1, 2)]))
-        with np.errstate(over="ignore"):
-            certified = ok & (np.abs(d0) * lam ** (n // 2) > 2 * tol)
-        if certified.all():
-            return np.where(d0 > 0, 1, -1).reshape(2, -1).T
+    if n not in (4, 8) or len(pts) < _CLOSED_FORM_POINTS:
+        return _sampled_signs(c, pts, tol, np.arange(len(c)))
+    ok, d0, lam = gate()
+    with np.errstate(over="ignore"):
+        certified = (ok & (np.abs(d0) * lam ** (n // 2) > 2 * tol)).all(axis=1)
+    signs = np.where(d0 > 0, 1, -1)                 # right where certified
+    rest = np.flatnonzero(~certified)
+    if len(rest):
+        signs[rest] = _sampled_signs(c[rest], pts, tol, rest)
+    return signs
+
+
+def _sampled_signs(c: np.ndarray, pts: np.ndarray, tol: float,
+                   index: np.ndarray) -> np.ndarray:
+    """The signs of each tensor of a stack at every point of pts, from
+    det_many; the errors name tensor b as algebra index[b] of the
+    stack."""
     d = _sampled_dets(c, pts)                                # [b, side, point]
 
     def degenerate(i):
         b, side, p = np.unravel_index(i, d.shape)
         why = _degenerate_det(f"det {'LR'[side]}_a", d[b, side, p], tol)
-        return (f"{why} on algebra {b} of the stack at sample point {p}, "
-                f"a = {np.array2string(pts[p], precision=3)}")
+        return (f"{why} on algebra {index[b]} of the stack at sample point "
+                f"{p}, a = {np.array2string(pts[p], precision=3)}")
 
     fail_at(~(np.abs(d) > tol), DegenerateSign, degenerate)
     # a sign is constant when all or none of the points have det > 0
     positive = (d > 0).sum(axis=2)                           # [b, side]
     fail_at(positive % len(pts) != 0, SignInconsistent,
             lambda i: "determinant signs vary over nonzero points of "
-                      f"algebra {i // 2} of the stack")
+                      f"algebra {index[i // 2]} of the stack")
     return np.where(positive > 0, 1, -1)
 
 
@@ -234,11 +266,13 @@ def _check_samples(samples: int) -> None:
 # On a transported isotope sign_pair took 80 us certified at n = 4, and
 # 55 / 76 / 97 us with det_many at 54 / 104 / 154 points; at n = 8, 115
 # against 72 / 134 / 165 us at 33 / 83 / 108 points: they cross near 115
-# and 65 points.  A tensor the gate refuses pays for it too: on X + 0.05
-# N(0, 1), sign_pair at 104 / 108 points took 177 / 303 us (H / O), 85 /
-# 176 with det_many alone; is_division at 1,000 samples 609 / 1,640 us,
-# 672 / 1,707 where a per-point closed form was tried before det_many
-# (one process each, 2-core x86, numpy 2.4).
+# and 65 points.  A tensor the gate refuses pays for it too, in sign_pair
+# and is_division once per Algebra (the gate is kept on it), in
+# sign_pair_many once per call: on X + 0.05 N(0, 1), a first sign_pair at
+# 104 / 108 points took 177 / 303 us (H / O), 85 / 176 with det_many
+# alone; is_division at 1,000 samples 609 / 1,640 us, 672 / 1,707 where
+# a per-point closed form was tried before det_many (one process each,
+# 2-core x86, numpy 2.4).
 _CLOSED_FORM_POINTS = 100
 
 
@@ -250,6 +284,24 @@ def _sampled_dets(c: np.ndarray, pts: np.ndarray) -> np.ndarray:
     # keeps the peak memory of a large stack to one side's
     return np.stack([det_many(_left_stack(m, pts))
                      for m in (c, c.swapaxes(1, 2))], axis=1)
+
+
+def _gate_rows(c: np.ndarray):
+    """_clifford_gate of both sides of each tensor of a stack (B, n, n,
+    n): (ok, det_{e0}, lambda_min), each (B, 2), L before R."""
+    ok, _, d0, lam = _clifford_gate(np.concatenate([c, c.swapaxes(1, 2)]))
+    return tuple(v.reshape(2, -1).T for v in (ok, d0, lam))
+
+
+def _algebra_gate(alg: Algebra):
+    """_gate_rows of alg's tensor, computed on first use and kept
+    read-only in alg._gate."""
+    if alg._gate is None:
+        gate = _gate_rows(alg.c[None])
+        for v in gate:
+            v.setflags(write=False)
+        alg._freeze(_gate=gate)
+    return alg._gate
 
 
 def _clifford_gate(c: np.ndarray):
@@ -506,11 +558,12 @@ def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
     points of opposite sign.  Otherwise 'probably_division'.  In
     dimension 1 the one structure constant decides, at any scale:
     'division' when it is not zero.  A negative ``samples`` is a
-    ValueError.  The verdict is sign_pair_many's, also where it takes
-    its signs from det L_{e0} and det R_{e0} alone (an isotope of H or
-    O, or a transport of one, at _CLOSED_FORM_POINTS points or more, as
-    at the default 1,000 samples): that path gives 'probably_division'
-    too.
+    ValueError.  The verdict is sign_pair's, also where it takes its
+    signs from det L_{e0} and det R_{e0} alone (an isotope of H or O,
+    or a transport of one, at _CLOSED_FORM_POINTS points or more, as at
+    the default 1,000 samples): that path gives 'probably_division' too.
+    It reads the Clifford gate that sign_pair keeps on the Algebra, so
+    an algebra that goes through both pays for the gate once.
     """
     if mode == "exact2d":
         if alg.dim != 2:
@@ -523,7 +576,7 @@ def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
     if alg.dim == 1:
         return "division" if alg.c[0, 0, 0] != 0 else "not_division"
     try:
-        sign_pair_many(alg.c[None], samples, tol, seed)
+        _signs(alg.c[None], samples, tol, seed, lambda: _algebra_gate(alg))
     except (DegenerateSign, SignInconsistent):
         return "not_division"
     return "probably_division"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -238,6 +239,18 @@ def split_quaternions():
     return Algebra(prods @ basis.reshape(4, 4).T / 2)
 
 
+def sign_changer(n):
+    """R x R x C^((n - 2) / 2), multiplied componentwise and transported
+    along a fixed F: commutative, with det L_a = det R_a = l0(a) l1(a)
+    |z_1(a)|^2 ... for linear forms l0, l1 and z_k, so that its signs
+    vary; the gate refuses it."""
+    c = np.zeros((n, n, n))
+    c[0, 0, 0] = c[1, 1, 1] = 1.0
+    for k in range(2, n, 2):
+        c[k:k + 2, k:k + 2, k:k + 2] = core._complex_tensor()
+    return transport(Algebra(c), random_invertible(n, 0, max_cond=20.0))
+
+
 def gate(algs):
     """_clifford_gate of each side of each algebra, all L before all R."""
     c = np.stack([a.c for a in algs])
@@ -312,6 +325,64 @@ def test_certified_calls_make_no_det_many_call(monkeypatch, name):
     assert calls == []
     sign_pair(classical(name), samples=8)          # the spy sees the rest
     assert calls
+
+
+@pytest.mark.parametrize("name", ["H", "O"])
+def test_one_gate_per_algebra(monkeypatch, name):
+    # the gate's outcome is kept on the Algebra: sign_pair and is_division
+    # share one call, at any point count from _CLOSED_FORM_POINTS, seed
+    # and tol.  The decision at tol is not kept: after a certified call,
+    # a tol above half the certificate bound gets det_many's outcome
+    calls = []
+    clifford_gate = core._clifford_gate
+
+    def spy(c):
+        calls.append(c.shape)
+        return clifford_gate(c)
+
+    monkeypatch.setattr(core, "_clifford_gate", spy)
+    # fresh copies: classical(name) is cached, and with it its gate
+    algs = [Algebra(a.c) for a in isotope_family(name, 16)]
+    n = algs[0].dim
+    for alg in algs:
+        assert isinstance(sign_pair(alg, samples=100), SignPair)
+        assert is_division(alg) == "probably_division"
+        assert is_division(alg, samples=100, seed=np.random.default_rng(
+            3)) == "probably_division"
+        ok, d0, lam = alg._gate
+        bound = (np.abs(d0) * lam ** (n // 2)).min()
+        pts = core._sample_points(n, 100, 0)
+        tol = float(np.abs(core._sampled_dets(alg.c[None], pts)).min())
+        assert ok.all() and tol > bound / 2
+        got = outcome(lambda: sign_pair(alg, tol=tol))
+        assert got[0] is DegenerateSign
+        assert got == on_det_many(monkeypatch,
+                                  lambda: sign_pair(alg, tol=tol))
+    assert calls == [(2, n, n, n)] * len(algs)
+
+
+def test_a_new_algebra_starts_without_a_gate():
+    # the gate is kept on the object it was computed for, read-only and
+    # out of its repr; an algebra made from it, by the library or by a
+    # constructor, computes its own
+    alg = isotope_family("O", 16)[3]
+    n = alg.dim
+    shown = repr(alg)
+    assert alg._gate is None
+    sign_pair(alg)
+    ok, d0, lam = alg._gate
+    assert ok.all() and repr(alg) == shown
+    assert not any(v.flags.writeable for v in alg._gate)
+    s, t, f = family_operators(n, 16)[0]
+    doubled = dataclasses.replace(alg, c=2 * alg.c)
+    for new in (opposite(alg), transport(alg, f), isotope(alg, s, t),
+                Algebra(alg.c), doubled):
+        assert new._gate is None
+    sign_pair(doubled)
+    assert np.array_equal(doubled._gate[1], 2.0 ** n * d0)
+    assert np.array_equal(doubled._gate[2], lam)
+    with pytest.raises(TypeError):
+        Algebra(alg.c, _gate=alg._gate)
 
 
 @pytest.mark.parametrize("name", ["H", "O"])
@@ -392,27 +463,51 @@ def test_a_closed_form_out_of_range_is_det_manys(monkeypatch, name):
                                   lambda: sign_pair(alg, samples=samples))
 
 
-def test_closed_form_member_is_its_single_call():
-    # a stack mixing certified and refused algebras takes det_many at
-    # every point: each member's signs are those of its single call,
-    # certified or not, and a degenerate member, one with L_{e0} = 0, is
-    # named by its index in the stack
+def test_closed_form_member_is_its_single_call(monkeypatch):
+    # a stack mixing certified and refused algebras is certified member
+    # by member: det_many sees the operators of the refused members
+    # only, each member's signs are those of its single call, certified
+    # or not, and a member with L_{e0} = 0 (degenerate) or with signs
+    # that vary is named by its index in the whole stack
+    seen = []
+
+    def spy(ms):
+        seen.append(ms)
+        return det_many(ms)
+
+    monkeypatch.setattr(core, "det_many", spy)
     for name in ("H", "O"):
         base = classical(name).c
+        n = len(base)
         algs = isotope_family(name, 14)[:6] + [
             planted_zero_divisor(name), Algebra(1e160 * base),
             Algebra(base + 0.05 * np.ones_like(base))]
-        ok = gate_passes(algs)
-        assert ok.any() and not ok.all()
+        if name == "H":
+            algs.append(split_quaternions())
+        ok = gate_passes(algs).reshape(2, -1).all(axis=0)
+        assert ok[:6].all() and not ok[6:].any()
+        refused = algs[6:]
         c = np.stack([a.c for a in algs])
-        zero = base * (np.arange(len(base)) > 0)[:, None, None]
+        zero = base * (np.arange(n) > 0)[:, None, None]
+        changer = sign_changer(n).c
         for samples in (100, 1000):
+            pts = core._sample_points(n, samples, 0)
+            seen.clear()
             many = core.sign_pair_many(c, samples)
+            assert len(seen) == 2
+            for ms, mult in zip(seen, (left_mult_many, right_mult_many)):
+                assert np.array_equal(ms, [mult(a, pts) for a in refused])
             assert [tuple(p) for p in many.tolist()] == [
                 sign_pair(a, samples=samples) for a in algs]
+            seen.clear()
             with pytest.raises(DegenerateSign, match=f"on algebra {len(c)} "
                                "of the stack at sample point 0,"):
                 core.sign_pair_many(np.concatenate([c, zero[None]]), samples)
+            assert [len(ms) for ms in seen] == [len(refused) + 1] * 2
+            with pytest.raises(SignInconsistent, match=f"of algebra {len(c)} "
+                               "of the stack$"):
+                core.sign_pair_many(np.concatenate([c, changer[None]]),
+                                    samples)
 
 
 @pytest.mark.parametrize("name, lam", [("H", 1e-3), ("H", 1e-2),

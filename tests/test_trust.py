@@ -45,9 +45,11 @@ def assert_same(got, want):
 
 
 def rebuilt(obj):
-    """obj through its public constructor, from its own fields."""
+    """obj through its public constructor, from its own fields; a field
+    the constructor does not take (Algebra._gate) starts at its default,
+    which assert_same then compares."""
     return type(obj)(**{f.name: getattr(obj, f.name)
-                        for f in dataclasses.fields(obj)})
+                        for f in dataclasses.fields(obj) if f.init})
 
 
 @pytest.fixture
