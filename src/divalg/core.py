@@ -28,7 +28,8 @@ from .errors import (
     fail_at,
 )
 from .matkit import DEFAULT_TOL, _CLIFFORD_TOL, _GATE_FLOOR, \
-    _UNIT_LAW_FLOOR, _degenerate_det, _finite_stack, det_many, near_singular
+    _FORM_ROUNDING, _UNIT_LAW_FLOOR, _degenerate_det, _finite_stack, \
+    det_many, near_singular
 
 _ALLOWED_DIMS = (1, 2, 4, 8)
 
@@ -57,9 +58,9 @@ class Algebra(_Frozen):
     """A real algebra presented by its structure-constant tensor.
 
     The tensor is read-only, so what depends on it alone is computed
-    once and kept: _gate holds the Clifford gate of both sides
-    (_gate_rows), filled by the first sign_pair or is_division call
-    that tries the certificate.
+    once and kept: _gate holds the certificate of the double sign
+    (_gate_rows), one proved bound and one sign per side, filled by the
+    first sign_pair or is_division call that tries it.
     """
 
     c: np.ndarray
@@ -174,10 +175,10 @@ def sign_pair(alg: Algebra, samples: int = 100, tol: float = DEFAULT_TOL,
     (dimension, samples, seed), the most recent few sets kept, and
     shared read-only by every call; a Generator seed draws new points
     on each call.  The B=1 case of sign_pair_many, which certifies the
-    signs of an isotope of H or O from det L_{e0} and det R_{e0} alone;
-    the Clifford gate behind that certificate runs once per Algebra and
-    is kept on it (Algebra._gate), while the decision at ``tol`` is
-    taken afresh on every call.
+    signs of a 2-d division algebra, or of an isotope of H or O, from
+    det L_{e0} and det R_{e0} alone; the certificate is computed once
+    per Algebra and kept on it (Algebra._gate), while the decision at
+    ``tol`` is taken afresh on every call.
     """
     ell, r = _signs(alg.c[None], samples, tol, seed,
                     lambda: _algebra_gate(alg))[0]
@@ -198,14 +199,17 @@ def sign_pair_many(tensors, samples: int = 100, tol: float = DEFAULT_TOL,
     the first algebra whose signs vary.  A negative ``samples`` is a
     ValueError.
 
-    The points are drawn in any case.  At n = 4 and 8 with at least
-    _CLOSED_FORM_POINTS of them, the stack goes through _clifford_gate
-    once, and each algebra is certified on its own: where both of its
-    sides pass (an isotope of H or O, or a transport of one) and the
-    least |det| on the unit sphere is above 2 tol (room for rounding),
-    its signs are those of det L_{e0} and det R_{e0}, as det_many gives
-    them at every point.  The other algebras, and every algebra
-    elsewhere, get det_many's determinant at each point.
+    The points are drawn in any case.  With at least _CLOSED_FORM_POINTS
+    of them, the stack goes through _gate_rows once, and each algebra
+    is certified on its own: where the least |det| on the unit sphere
+    that both of its sides are proved to keep is above 2 tol (room for
+    rounding), its signs are those of det L_{e0} and det R_{e0}, as
+    det_many gives them at every point.  That proof exists for a 2-d
+    algebra whose two binary quadratic forms are definite, with room
+    above the rounding of their determinants, and for an isotope of H
+    or O or a transport of one.  The other algebras, and
+    every algebra at fewer points, get det_many's determinant at each
+    point.
     """
     c = _finite_stack(tensors, lambda s: len(s) == 4 and len(set(s[1:])) == 1,
                       "a (B, n, n, n) tensor stack", "structure constants")
@@ -216,18 +220,18 @@ def _signs(c: np.ndarray, samples: int, tol: float, seed,
            gate) -> np.ndarray:
     """sign_pair_many of a valid tensor stack c (B, n, n, n).  gate()
     gives _gate_rows(c); it is called only where the certificate is
-    tried."""
+    tried, from _CLOSED_FORM_POINTS points up, at n = 2, 4 and 8 alike."""
     n = c.shape[-1]
     if n == 1:
         raise DimensionOne("the double sign needs dimension at least 2")
     _check_samples(samples)
     pts = _sample_points(n, samples, seed)
-    if n not in (4, 8) or len(pts) < _CLOSED_FORM_POINTS:
+    if n not in (2, 4, 8) or len(pts) < _CLOSED_FORM_POINTS:
         return _sampled_signs(c, pts, tol, np.arange(len(c)))
-    ok, d0, lam = gate()
-    with np.errstate(over="ignore"):
-        certified = (ok & (np.abs(d0) * lam ** (n // 2) > 2 * tol)).all(axis=1)
-    signs = np.where(d0 > 0, 1, -1)                 # right where certified
+    bound, sign = gate()
+    # a bound of 0 proves nothing, also at a negative tol
+    certified = (bound > max(2 * tol, 0.0)).all(axis=1)
+    signs = np.array(sign)                          # right where certified
     rest = np.flatnonzero(~certified)
     if len(rest):
         signs[rest] = _sampled_signs(c[rest], pts, tol, rest)
@@ -272,7 +276,12 @@ def _check_samples(samples: int) -> None:
 # 104 / 108 points took 177 / 303 us (H / O), 85 / 176 with det_many
 # alone; is_division at 1,000 samples 609 / 1,640 us, 672 / 1,707 where
 # a per-point closed form was tried before det_many (one process each,
-# 2-core x86, numpy 2.4).
+# 2-core x86, numpy 2.4).  At n = 2, on transported isotopes of C, with
+# det_many at 102 / 1,002 points against the certificate (five processes
+# each, the same host): a first sign_pair 48-94 -> 54-104 us, sign_pair
+# then is_division on a new Algebra 109-193 -> 64-118, the same on a
+# kept one 102-178 -> 15-26, sign_pair_many on 40 algebras 95-157 ->
+# 57-106 at 100 samples and 882-999 -> 57-108 at 1,000.
 _CLOSED_FORM_POINTS = 100
 
 
@@ -287,10 +296,38 @@ def _sampled_dets(c: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 
 def _gate_rows(c: np.ndarray):
-    """_clifford_gate of both sides of each tensor of a stack (B, n, n,
-    n): (ok, det_{e0}, lambda_min), each (B, 2), L before R."""
-    ok, _, d0, lam = _clifford_gate(np.concatenate([c, c.swapaxes(1, 2)]))
-    return tuple(v.reshape(2, -1).T for v in (ok, d0, lam))
+    """The certificate of both sides of each tensor of a stack (B, n, n,
+    n), n = 2, 4 or 8: (bound, sign), each (B, 2), L before R.  bound is
+    a proved least |det L_x| (|det R_x|) on the unit sphere, 0 where
+    nothing is proved; sign is that of det L_{e0} (det R_{e0}), +1 or
+    -1, which every det of the side shares where bound > 0.
+
+    At n = 2, det L_x is the binary quadratic form of _forms2d, with
+    eigenvalues of moduli |m| - r and |m| + r; it is proved definite
+    where |m| - r > _CLIFFORD_TOL (|m| + r), the exact 2-d test at that
+    ratio, and then its least |value| on the unit circle is |m| - r.
+    That value must also exceed _FORM_ROUNDING times the bound on the
+    rounding of every ad - bc of the side (size, at least the least
+    normal float, below which the error is absolute): the form's own
+    eigenvalues do not show the cancellation of an operator with large
+    entries and a small determinant.  Above it, |m| - r is within a
+    quarter of itself of the true least value, and det_many's ad - bc
+    at every unit point keeps the sign of det L_{e0} and more than half
+    of |m| - r.  At n = 4 and 8, a side that passes _clifford_gate keeps
+    |det L_{e0}| lambda_min(Q)^(n/2).
+    """
+    n = c.shape[-1]
+    if n == 2:
+        low, high, d0, size = _forms2d(c)
+        ok = (low > _CLIFFORD_TOL * high) & (
+            low > _FORM_ROUNDING * np.maximum(size, np.finfo(float).tiny))
+    else:
+        ok, _, d0, lam = _clifford_gate(np.concatenate([c, c.swapaxes(1, 2)]))
+        with np.errstate(over="ignore"):
+            low = np.abs(d0) * lam ** (n // 2)
+    bound = np.where(ok, low, 0.0)
+    sign = np.where(d0 > 0, 1, -1)
+    return tuple(v.reshape(2, -1).T for v in (bound, sign))
 
 
 def _algebra_gate(alg: Algebra):
@@ -559,11 +596,12 @@ def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
     dimension 1 the one structure constant decides, at any scale:
     'division' when it is not zero.  A negative ``samples`` is a
     ValueError.  The verdict is sign_pair's, also where it takes its
-    signs from det L_{e0} and det R_{e0} alone (an isotope of H or O,
-    or a transport of one, at _CLOSED_FORM_POINTS points or more, as at
-    the default 1,000 samples): that path gives 'probably_division' too.
-    It reads the Clifford gate that sign_pair keeps on the Algebra, so
-    an algebra that goes through both pays for the gate once.
+    signs from det L_{e0} and det R_{e0} alone (a 2-d algebra with
+    definite forms, or an isotope of H or O or a transport of one, at
+    _CLOSED_FORM_POINTS points or more, as at the default 1,000
+    samples): that path gives 'probably_division' too.  It reads the
+    certificate that sign_pair keeps on the Algebra, so an algebra that
+    goes through both pays for it once.
     """
     if mode == "exact2d":
         if alg.dim != 2:
@@ -585,21 +623,45 @@ def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
 def _exact2d_division(c: np.ndarray, tol: float) -> np.ndarray:
     """Whether each tensor of a stack (B, 2, 2, 2) is a division algebra.
 
-    det L_a is the binary quadratic form in a with coefficient matrix
-    [[d1, h], [h, d2]], d1 = det L_{e0}, d2 = det L_{e1} and 2 h =
-    det L_{e0+e1} - d1 - d2; likewise det R_a.  Both forms must be
-    definite with margin: the eigenvalue of smaller modulus, |m| - r
-    with mean m and radius r, above tol times the larger, |m| + r.  The
-    margin is a ratio, so rescaling the tensor leaves the verdict alone.
+    det L_a and det R_a are binary quadratic forms in a (_forms2d).
+    Both must be definite with margin: the eigenvalue of smaller
+    modulus, |m| - r with mean m and radius r, above tol times the
+    larger, |m| + r.  The margin is a ratio, so rescaling the tensor
+    leaves the verdict alone.
     """
-    both = np.concatenate([c, c.swapaxes(1, 2)])          # L, then R
-    d = det_many(_left_stack(both, np.array([[1.0, 0.0], [0.0, 1.0],
-                                             [1.0, 1.0]])))
-    d1, d2, dm = d[:, 0], d[:, 1], d[:, 2]
-    mean = np.abs(0.5 * (d1 + d2))
-    radius = np.hypot(0.5 * (d1 - d2), 0.5 * (dm - d1 - d2))
-    definite = mean - radius > tol * (mean + radius)
+    low, high, _, _ = _forms2d(c)
+    definite = low > tol * high
     return definite[:len(c)] & definite[len(c):]
+
+
+# e0, e1 and e0 + e1, where the values of a binary quadratic form fix it
+_FORM_POINTS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+def _forms2d(c: np.ndarray):
+    """det L_a and det R_a of each tensor of a stack (B, 2, 2, 2) as
+    binary quadratic forms in a: (|m| - r, |m| + r, det L_{e0}, size),
+    each (2 B,), all L before all R.
+
+    det L_a = a^T [[d1, h], [h, d2]] a with d1 = det L_{e0}, d2 =
+    det L_{e1} and 2 h = det L_{e0+e1} - d1 - d2, whose eigenvalues are
+    m +- r with mean m = (d1 + d2) / 2 and radius r; likewise det R_a.
+    The three determinants are det_many's; one out of the float range
+    gives inf or NaN, with no warning.  size = |A|_00 |A|_11 + |A|_01
+    |A|_10 with |A| = |L_{e0}| + |L_{e1}| entrywise bounds |ad| + |bc|
+    of L_a wherever |a_0|, |a_1| <= 1, so each ad - bc above, and each
+    of det_many at a unit point, is rounded by a few eps times size.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ops = _left_stack(np.concatenate([c, c.swapaxes(1, 2)]),
+                          _FORM_POINTS)
+        d = det_many(ops)
+        d1, d2, dm = d[:, 0], d[:, 1], d[:, 2]
+        mean = np.abs(0.5 * (d1 + d2))
+        radius = np.hypot(0.5 * (d1 - d2), 0.5 * (dm - d1 - d2))
+        a = np.abs(ops[:, 0]) + np.abs(ops[:, 1])
+        size = a[:, 0, 0] * a[:, 1, 1] + a[:, 0, 1] * a[:, 1, 0]
+        return mean - radius, mean + radius, d1, size
 
 
 def find_unities(alg: Algebra, tol: float = DEFAULT_TOL) -> dict:

@@ -22,7 +22,10 @@ from .errors import DegenerateSign, SingularInput, fail_at
 # sign_pair_many).  _CLIFFORD_TOL admits a tensor to sign_pair_many's
 # certificate, which gives the signs det_many would, so it sets no verdict:
 # the defect of 100 transported isotopes of H and of O measured at most
-# 8e-13, that of H and O plus 1e-6 N(0, 1) noise at least 2e-6.
+# 8e-13, that of H and O plus 1e-6 N(0, 1) noise at least 2e-6.  In 2-d
+# it admits a side whose binary quadratic form det L_a (det R_a) has its
+# eigenvalue moduli in a ratio above it (exact2d's test at that tol) and
+# its least value above _FORM_ROUNDING times the size of its ad - bc.
 # relative: default tol, times the size each function states (see above)
 DEFAULT_TOL = 1e-9
 # relative: least s_min / s_max (polar_decompose, dim2._split)
@@ -55,8 +58,11 @@ _REAL_ROOT_TOL = 1e-8
 _IDEMPOTENT_FLOOR = 1e-10
 # relative: idempotents nearer than this times |z| are one
 _SAME_IDEMPOTENT = 1e-6
-# relative: largest Clifford defect of core._clifford_gate, a ratio
+# relative: largest Clifford defect, least 2-d form ratio (core._gate_rows)
 _CLIFFORD_TOL = 1e-10
+# relative: least 2-d form bound of core._gate_rows, times the bound on
+# |ad| + |bc| of its operators, which bounds the rounding of each ad - bc
+_FORM_ROUNDING = 64 * np.finfo(float).eps
 
 
 def as_matrix(m) -> np.ndarray:

@@ -195,15 +195,15 @@ def test_nan_determinant_is_never_a_sign_or_a_pass(O):
         assert is_division(alg) == "not_division"
 
 
-# --- the certified double sign of isotopes of H and O ---
+# --- the certified double sign of 2-d algebras and isotopes of H and O ---
 # samples=100 and 1000 put every call below at or above
 # core._CLOSED_FORM_POINTS; on_det_many puts it below
 
 
 def isotope_family(name, seed):
-    """X = H or O, its conjugation isotope X_{K,K} (block --), and three
-    isotopes X_{S,T} each with its transport and that of X_{K,K}; S, T
-    and the transport maps of condition at most 20."""
+    """X = C, H or O, its conjugation isotope X_{K,K} (block --), and
+    three isotopes X_{S,T} each with its transport and that of X_{K,K};
+    S, T and the transport maps of condition at most 20."""
     base = classical(name)
     k = np.diag([1.0] + [-1.0] * (base.dim - 1))
     conj = isotope(base, k, k)
@@ -252,14 +252,28 @@ def sign_changer(n):
 
 
 def gate(algs):
-    """_clifford_gate of each side of each algebra, all L before all R."""
-    c = np.stack([a.c for a in algs])
-    return core._clifford_gate(np.concatenate([c, c.swapaxes(1, 2)]))
+    """The certificate of each algebra: (bound, sign), each (B, 2)."""
+    return core._gate_rows(np.stack([a.c for a in algs]))
 
 
 def gate_passes(algs):
-    """Whether each side of each algebra, all L before all R, passes."""
-    return gate(algs)[0]
+    """Whether each side of each algebra, (B, 2), has a proved bound."""
+    return gate(algs)[0] > 0
+
+
+def spy_on_point_dets(monkeypatch):
+    """The stacks that det_many gets from here on, less the 2-d gate's
+    own (2 B, 3, 2, 2) stack at e0, e1 and e0 + e1: those of the
+    operators at the sample points."""
+    seen = []
+
+    def spy(ms):
+        if np.shape(ms)[1:] != (3, 2, 2):
+            seen.append(ms)
+        return det_many(ms)
+
+    monkeypatch.setattr(core, "det_many", spy)
+    return seen
 
 
 def outcome(call):
@@ -277,20 +291,20 @@ def on_det_many(monkeypatch, call):
         return outcome(call)
 
 
-@pytest.mark.parametrize("name", ["H", "O"])
+@pytest.mark.parametrize("name", ["C", "H", "O"])
 def test_certificate_bound_is_the_least_det_on_the_sphere(name):
-    # |det L_{e0}| lam_min(Q)^(n/2) is at most every sampled |det|, within
-    # 1e-13 of the Hadamard bound of LAPACK's det of the operator, and is
-    # the least |det| on the unit sphere: 1 for X and X_{K,K}; for X_{S,T}
-    # (L_x = L_{Sx} T, R_y = R_{Ty} S) s_min(S)^n |det T| and s_min(T)^n
-    # |det S|, with S F^-1 and T F^-1 in place of S and T once transported
+    # the kept bound, |m| - r at n = 2 and |det L_{e0}| lam_min(Q)^(n/2)
+    # at n = 4 and 8, is at most every sampled |det|, within 1e-13 of the
+    # Hadamard bound of the operator's det, and is the least |det| on
+    # the unit sphere: 1 for X and X_{K,K}; for X_{S,T} (L_x = L_{Sx} T,
+    # R_y = R_{Ty} S) s_min(S)^n |det T| and s_min(T)^n |det S|, with
+    # S F^-1 and T F^-1 in place of S and T once transported
     algs = isotope_family(name, 11)
     n = algs[0].dim
-    ok, _, d0, lam = gate(algs)
-    assert ok.all()
-    bound = np.abs(d0) * lam ** (n // 2)
+    bound, _ = gate(algs)
+    assert (bound > 0).all()
     pts = core._sample_points(n, 1000, 0)
-    for alg, low in zip(algs, bound.reshape(2, -1).T):
+    for alg, low in zip(algs, bound):
         for side, ops in zip(low, (left_mult_many(alg, pts),
                                    right_mult_many(alg, pts))):
             hadamard = np.prod(np.linalg.norm(ops, axis=-2), axis=-1)
@@ -304,21 +318,15 @@ def test_certificate_bound_is_the_least_det_on_the_sphere(name):
         ds, dt = abs(np.linalg.det(s)), abs(np.linalg.det(t))
         want += [(least[0] * dt, least[1] * ds),
                  (least[2] * dt, least[3] * ds), (least[4], least[4])]
-    want = np.array(want).T.reshape(-1)
+    want = np.array(want)
     assert np.all(np.abs(bound - want) <= 1e-11 * want)
 
 
-@pytest.mark.parametrize("name", ["H", "O"])
+@pytest.mark.parametrize("name", ["C", "H", "O"])
 def test_certified_calls_make_no_det_many_call(monkeypatch, name):
-    # sign_pair at samples=100 (104 or 108 points) and is_division at its
-    # default 1,000 read det L_{e0} and det R_{e0} and the gate's lam_min
-    calls = []
-
-    def spy(ms):
-        calls.append(np.shape(ms))
-        return det_many(ms)
-
-    monkeypatch.setattr(core, "det_many", spy)
+    # sign_pair at samples=100 (102, 104 or 108 points) and is_division at
+    # its default 1,000 read the kept bound and signs
+    calls = spy_on_point_dets(monkeypatch)
     for alg in isotope_family(name, 16):
         sign_pair(alg, samples=100)
         assert is_division(alg) == "probably_division"
@@ -327,20 +335,21 @@ def test_certified_calls_make_no_det_many_call(monkeypatch, name):
     assert calls
 
 
-@pytest.mark.parametrize("name", ["H", "O"])
+@pytest.mark.parametrize("name", ["C", "H", "O"])
 def test_one_gate_per_algebra(monkeypatch, name):
-    # the gate's outcome is kept on the Algebra: sign_pair and is_division
-    # share one call, at any point count from _CLOSED_FORM_POINTS, seed
-    # and tol.  The decision at tol is not kept: after a certified call,
-    # a tol above half the certificate bound gets det_many's outcome
+    # the certificate is kept on the Algebra: sign_pair and is_division
+    # share one gate call, at any point count from _CLOSED_FORM_POINTS,
+    # seed and tol.  The decision at tol is not kept: after a certified
+    # call, a tol above half the bound gets det_many's outcome
     calls = []
-    clifford_gate = core._clifford_gate
+    helper = "_forms2d" if name == "C" else "_clifford_gate"
+    real = getattr(core, helper)
 
     def spy(c):
         calls.append(c.shape)
-        return clifford_gate(c)
+        return real(c)
 
-    monkeypatch.setattr(core, "_clifford_gate", spy)
+    monkeypatch.setattr(core, helper, spy)
     # fresh copies: classical(name) is cached, and with it its gate
     algs = [Algebra(a.c) for a in isotope_family(name, 16)]
     n = algs[0].dim
@@ -349,43 +358,44 @@ def test_one_gate_per_algebra(monkeypatch, name):
         assert is_division(alg) == "probably_division"
         assert is_division(alg, samples=100, seed=np.random.default_rng(
             3)) == "probably_division"
-        ok, d0, lam = alg._gate
-        bound = (np.abs(d0) * lam ** (n // 2)).min()
+        bound, sign = alg._gate
         pts = core._sample_points(n, 100, 0)
         tol = float(np.abs(core._sampled_dets(alg.c[None], pts)).min())
-        assert ok.all() and tol > bound / 2
+        assert (bound > 0).all() and tol > bound.min() / 2
         got = outcome(lambda: sign_pair(alg, tol=tol))
         assert got[0] is DegenerateSign
         assert got == on_det_many(monkeypatch,
                                   lambda: sign_pair(alg, tol=tol))
-    assert calls == [(2, n, n, n)] * len(algs)
+    sides = 1 if name == "C" else 2             # _forms2d pairs them itself
+    assert calls == [(sides, n, n, n)] * len(algs)
 
 
 def test_a_new_algebra_starts_without_a_gate():
-    # the gate is kept on the object it was computed for, read-only and
-    # out of its repr; an algebra made from it, by the library or by a
-    # constructor, computes its own
-    alg = isotope_family("O", 16)[3]
-    n = alg.dim
-    shown = repr(alg)
-    assert alg._gate is None
-    sign_pair(alg)
-    ok, d0, lam = alg._gate
-    assert ok.all() and repr(alg) == shown
-    assert not any(v.flags.writeable for v in alg._gate)
-    s, t, f = family_operators(n, 16)[0]
-    doubled = dataclasses.replace(alg, c=2 * alg.c)
-    for new in (opposite(alg), transport(alg, f), isotope(alg, s, t),
-                Algebra(alg.c), doubled):
-        assert new._gate is None
-    sign_pair(doubled)
-    assert np.array_equal(doubled._gate[1], 2.0 ** n * d0)
-    assert np.array_equal(doubled._gate[2], lam)
-    with pytest.raises(TypeError):
-        Algebra(alg.c, _gate=alg._gate)
+    # the certificate is kept on the object it was computed for,
+    # read-only and out of its repr; an algebra made from it, by the
+    # library or by a constructor, computes its own
+    for name in ("C", "O"):
+        alg = isotope_family(name, 16)[3]
+        n = alg.dim
+        shown = repr(alg)
+        assert alg._gate is None
+        sign_pair(alg)
+        bound, sign = alg._gate
+        assert (bound > 0).all() and repr(alg) == shown
+        assert not any(v.flags.writeable for v in alg._gate)
+        s, t, f = family_operators(n, 16)[0]
+        doubled = dataclasses.replace(alg, c=2 * alg.c)
+        for new in (opposite(alg), transport(alg, f), isotope(alg, s, t),
+                    Algebra(alg.c), doubled):
+            assert new._gate is None
+        sign_pair(doubled)
+        assert np.array_equal(doubled._gate[0], 2.0 ** n * bound)
+        assert np.array_equal(doubled._gate[1], sign)
+        with pytest.raises(TypeError):
+            Algebra(alg.c, _gate=alg._gate)
 
 
-@pytest.mark.parametrize("name", ["H", "O"])
+@pytest.mark.parametrize("name", ["C", "H", "O"])
 def test_a_generator_seed_advances_alike_on_both_paths(monkeypatch, name):
     # the certified path draws its points as the det_many path does
     alg = isotope_family(name, 17)[3]
@@ -401,11 +411,11 @@ def test_a_generator_seed_advances_alike_on_both_paths(monkeypatch, name):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("lam", [2.0 ** 20, 2.0 ** -20, -1.0, 1e80, 1e-80,
                                  1e160])
-@pytest.mark.parametrize("name", ["H", "O"])
+@pytest.mark.parametrize("name", ["C", "H", "O"])
 def test_closed_form_verdicts_and_signs_at_any_scale(monkeypatch, name,
                                                      lam):
     # the certificate where the gate passes with room, det_many elsewhere
-    # (det L_{e0} out of the float range, or a bound at most 2 tol): the
+    # (a determinant out of the float range, or a bound at most 2 tol): the
     # verdicts and signs, or the exception raised, are those of det_many
     # alone, at sign_pair's default point count and at is_division's
     for alg, samples in itertools.product(isotope_family(name, 12)[:5],
@@ -454,7 +464,7 @@ def test_a_closed_form_out_of_range_is_det_manys(monkeypatch, name):
     pts = core._sample_points(n, 1000, 0)
     d = np.abs(det_many(left_mult_many(alg, pts)))
     alg = Algebra(2.0 ** (1026 / n) / d.max() ** (1 / n) * alg.c)
-    assert gate_passes([alg])[0]
+    assert gate_passes([alg])[0, 0]
     want = det_many(left_mult_many(alg, pts))
     assert np.isinf(want).any() and np.isfinite(want[0])
     for samples in (100, 1000):
@@ -468,25 +478,22 @@ def test_closed_form_member_is_its_single_call(monkeypatch):
     # by member: det_many sees the operators of the refused members
     # only, each member's signs are those of its single call, certified
     # or not, and a member with L_{e0} = 0 (degenerate) or with signs
-    # that vary is named by its index in the whole stack
-    seen = []
-
-    def spy(ms):
-        seen.append(ms)
-        return det_many(ms)
-
-    monkeypatch.setattr(core, "det_many", spy)
-    for name in ("H", "O"):
+    # that vary is named by its index in the whole stack.  In 2-d the
+    # planted zero divisor still gets ++ from its sample points, 1e160 C
+    # has determinants out of the float range, and sign_changer(2) is
+    # the split complex numbers
+    seen = spy_on_point_dets(monkeypatch)
+    for name in ("C", "H", "O"):
         base = classical(name).c
         n = len(base)
-        algs = isotope_family(name, 14)[:6] + [
-            planted_zero_divisor(name), Algebra(1e160 * base),
-            Algebra(base + 0.05 * np.ones_like(base))]
+        refused = [planted_zero_divisor(name), Algebra(1e160 * base)]
+        if name != "C":
+            refused.append(Algebra(base + 0.05 * np.ones_like(base)))
         if name == "H":
-            algs.append(split_quaternions())
-        ok = gate_passes(algs).reshape(2, -1).all(axis=0)
+            refused.append(split_quaternions())
+        algs = isotope_family(name, 14)[:6] + refused
+        ok = gate_passes(algs).all(axis=1)
         assert ok[:6].all() and not ok[6:].any()
-        refused = algs[6:]
         c = np.stack([a.c for a in algs])
         zero = base * (np.arange(n) > 0)[:, None, None]
         changer = sign_changer(n).c
@@ -508,6 +515,108 @@ def test_closed_form_member_is_its_single_call(monkeypatch):
                                "of the stack$"):
                 core.sign_pair_many(np.concatenate([c, changer[None]]),
                                     samples)
+            # a bound of 0 certifies nothing, also at a negative tol
+            with pytest.raises(SignInconsistent):
+                core.sign_pair_many(changer[None], samples, tol=-1.0)
+
+
+def rotation(angle):
+    return np.array([[np.cos(angle), -np.sin(angle)],
+                     [np.sin(angle), np.cos(angle)]])
+
+
+def ill_isotope(cond, theta, phi):
+    """C_{I,T} for T = rot(theta) diag(k, 1 / k) rot(phi), k^2 = cond:
+    det L_x = |x|^2 det T = |x|^2, a form of ratio 1, from operators
+    with entries near k, while det R_y = |T y|^2 has ratio 1 / cond^2."""
+    k = np.sqrt(cond)
+    t = rotation(theta) @ np.diag([k, 1 / k]) @ rotation(phi)
+    return isotope(classical("C"), np.eye(2), t, tol=0.0)
+
+
+def test_the_2d_gate_margin_is_above_the_rounding():
+    # an L side of C_{I,T}, whose form is |x|^2 at every cond(T), passes
+    # the ratio test, but each ad - bc cancels products near cond(T): the
+    # gate admits it at 1e8 with the least value 1, and refuses it from
+    # 1e14, where the three determinants are rounded by 1e-2 to 1
+    for cond in (1e8, 1e14, 1e15, 1e16):
+        for theta in (0.3, 0.7):
+            c = ill_isotope(cond, theta, 1.1).c[None]
+            low, high, _, _ = core._forms2d(c)
+            assert low[0] > core._CLIFFORD_TOL * high[0]
+            bound = core._gate_rows(c)[0][0]
+            assert bound[1] == 0.0
+            if cond == 1e8:
+                assert abs(bound[0] - 1.0) < 1e-8
+            else:
+                assert bound[0] == 0.0
+
+
+def test_the_2d_gate_margin_holds_among_subnormal_dets(monkeypatch):
+    # where the entries' products fall among the subnormal floats, their
+    # rounding is absolute, not a multiple of eps times size: at tol = 0
+    # the certified signs are still those of det_many alone
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        alg = Algebra(rng.uniform(-2.0, 2.0, (2, 2, 2))
+                      * 10.0 ** rng.uniform(-162.5, -160.0))
+
+        def decide():
+            return outcome(lambda: sign_pair(alg, tol=0.0))
+
+        assert decide() == on_det_many(monkeypatch, decide)
+
+
+@pytest.mark.parametrize("n", [3, 5, 16])
+def test_other_dimensions_take_det_many(monkeypatch, n):
+    # the certificate is proved at n = 2, 4 and 8 only: a stack of any
+    # other dimension gets det_many at each point, from 100 points up,
+    # and the gate is never called
+    c = np.random.default_rng(n).standard_normal((2, n, n, n))
+    want = on_det_many(monkeypatch, lambda: core.sign_pair_many(c, 100))
+    monkeypatch.setattr(core, "_gate_rows", None)
+    assert outcome(lambda: core.sign_pair_many(c, 100)) == want
+
+
+# 2-d tensors for the certificate's relations, each with its kind
+FORM_TENSORS = st.one_of(
+    st.tuples(st.just("uniform"),
+              st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8).map(
+                  lambda v: np.reshape(v, (2, 2, 2)))),
+    st.tuples(st.just("mixture"), st.floats(0.0, 1.0).map(
+        lambda t: (1 - t) * core._complex_tensor() + t * split_complex().c)),
+    st.tuples(st.just("ill"), st.builds(
+        lambda e, theta, phi: ill_isotope(10.0 ** e, theta, phi).c,
+        st.floats(8.0, 16.0), st.floats(0.0, 3.2), st.floats(0.0, 3.2))),
+    st.just("planted").map(lambda k: (k, planted_zero_divisor("C").c)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(FORM_TENSORS, st.sampled_from([1.0, 2.0 ** 20, 2.0 ** -20, 1e80,
+                                      1e-80, -1.0]))
+def test_the_2d_certificate_is_the_exact_test_at_the_gate_ratio(kind_c, lam):
+    # the gate admits both sides of a 2-d algebra only where exact2d at
+    # _CLIFFORD_TOL says division, and exactly there for the mixtures,
+    # whose operators are the size of their forms; never the planted
+    # zero divisor (a margin relative to the form's size).  The certified
+    # verdicts and signs, or the exception raised, are those of det_many
+    # alone, also on the ill-conditioned isotopes C_{I,T}
+    kind, c = kind_c
+    alg = Algebra(lam * c)
+    admitted = gate_passes([alg]).all()
+    exact = is_division(alg, "exact2d", tol=core._CLIFFORD_TOL) == "division"
+    assert admitted <= exact
+    assert admitted == exact or kind != "mixture"
+    assert not (kind == "planted" and admitted)
+    for samples in (100, 1000):
+        def decide():
+            return (outcome(lambda: sign_pair(alg, samples=samples)),
+                    is_division(alg, samples=samples))
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(core, "_CLOSED_FORM_POINTS", np.inf)
+            want = decide()
+        assert decide() == want
 
 
 @pytest.mark.parametrize("name, lam", [("H", 1e-3), ("H", 1e-2),
