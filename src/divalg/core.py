@@ -28,7 +28,7 @@ from .errors import (
     fail_at,
 )
 from .matkit import DEFAULT_TOL, _CLIFFORD_TOL, _GATE_FLOOR, \
-    _FORM_ROUNDING, _UNIT_LAW_FLOOR, _degenerate_det, _finite_stack, \
+    _FORM_ROUNDING, _UNIT_LAW_FLOOR, _decides, _finite_stack, \
     det_many, near_singular
 
 _ALLOWED_DIMS = (1, 2, 4, 8)
@@ -170,7 +170,7 @@ def sign_pair(alg: Algebra, samples: int = 100, tol: float = DEFAULT_TOL,
     Evaluates sign det L_a and sign det R_a at the basis vectors plus
     ``samples`` seeded random unit vectors and demands that each family
     is single-valued.  Disagreement raises SignInconsistent (the input
-    cannot be a division algebra), and any near-zero determinant raises
+    cannot be a division algebra), and any |det| <= max(tol, 0) raises
     DegenerateSign.  For an int seed the points are cached per
     (dimension, samples, seed), the most recent few sets kept, and
     shared read-only by every call; a Generator seed draws new points
@@ -194,22 +194,22 @@ def sign_pair_many(tensors, samples: int = 100, tol: float = DEFAULT_TOL,
     at the same points as sign_pair(..., samples, tol, seed).  Raises
     ValueError when the stack has another shape or a non-finite entry,
     DimensionOne when n = 1, DegenerateSign naming the algebra (its
-    index in the stack) and the sample point of the first |det| <= tol
-    (or determinant that is not a number), and SignInconsistent naming
-    the first algebra whose signs vary.  A negative ``samples`` is a
-    ValueError.
+    index in the stack) and the sample point of the first |det| <=
+    max(tol, 0) (or determinant that is not a number), and
+    SignInconsistent naming the first algebra whose signs vary.  A
+    negative ``samples`` is a ValueError.
 
     The points are drawn in any case.  With at least _CLOSED_FORM_POINTS
     of them, the stack goes through _gate_rows once, and each algebra
     is certified on its own: where the least |det| on the unit sphere
-    that both of its sides are proved to keep is above 2 tol (room for
-    rounding), its signs are those of det L_{e0} and det R_{e0}, as
-    det_many gives them at every point.  That proof exists for a 2-d
-    algebra whose two binary quadratic forms are definite, with room
-    above the rounding of their determinants, and for an isotope of H
-    or O or a transport of one.  The other algebras, and
+    that both of its sides are proved to keep is above 2 max(tol, 0)
+    (room for rounding), its signs are those of det L_{e0} and det
+    R_{e0}, as det_many gives them at every point.  That proof exists
+    for a 2-d algebra whose two binary quadratic forms are definite,
+    with room above the rounding of their determinants, and for an
+    isotope of H or O or a transport of one.  The other algebras, and
     every algebra at fewer points, get det_many's determinant at each
-    point.
+    point; matkit._decides makes both comparisons.
     """
     c = _finite_stack(tensors, lambda s: len(s) == 4 and len(set(s[1:])) == 1,
                       "a (B, n, n, n) tensor stack", "structure constants")
@@ -229,10 +229,8 @@ def _signs(c: np.ndarray, samples: int, tol: float, seed,
     if n not in (2, 4, 8) or len(pts) < _CLOSED_FORM_POINTS:
         return _sampled_signs(c, pts, tol, np.arange(len(c)))
     bound, sign = gate()
-    # a bound of 0 proves nothing, also at a negative tol
-    certified = (bound > max(2 * tol, 0.0)).all(axis=1)
     signs = np.array(sign)                          # right where certified
-    rest = np.flatnonzero(~certified)
+    rest = np.flatnonzero(~_decides(bound, 2 * tol).all(axis=1))
     if len(rest):
         signs[rest] = _sampled_signs(c[rest], pts, tol, rest)
     return signs
@@ -245,19 +243,17 @@ def _sampled_signs(c: np.ndarray, pts: np.ndarray, tol: float,
     stack."""
     d = _sampled_dets(c, pts)                                # [b, side, point]
 
-    def degenerate(i):
+    def describe(i):
         b, side, p = np.unravel_index(i, d.shape)
-        why = _degenerate_det(f"det {'LR'[side]}_a", d[b, side, p], tol)
-        return (f"{why} on algebra {index[b]} of the stack at sample point "
-                f"{p}, a = {np.array2string(pts[p], precision=3)}")
+        return f"det {'LR'[side]}_a", (
+            f"on algebra {index[b]} of the stack at sample point {p}, "
+            f"a = {np.array2string(pts[p], precision=3)}")
 
-    fail_at(~(np.abs(d) > tol), DegenerateSign, degenerate)
-    # a sign is constant when all or none of the points have det > 0
-    positive = (d > 0).sum(axis=2)                           # [b, side]
-    fail_at(positive % len(pts) != 0, SignInconsistent,
+    signs = _decides(d, tol, describe)
+    fail_at((signs != signs[..., :1]).any(axis=2), SignInconsistent,
             lambda i: "determinant signs vary over nonzero points of "
                       f"algebra {index[i // 2]} of the stack")
-    return np.where(positive > 0, 1, -1)
+    return signs[..., 0].copy()                 # not a view of every point
 
 
 def _check_samples(samples: int) -> None:
@@ -589,19 +585,16 @@ def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
     mode='sampled': the verdict of sign_pair at the same points, the
     basis vectors and ``samples`` seeded random unit vectors (shared
     read-only for an int seed, drawn afresh for a Generator).  A
-    near-zero determinant, or one that is not a number, gives
-    'not_division', and so does a sign change: for n >= 2 the unit
+    determinant with |det| <= max(tol, 0), or one that is not a number,
+    gives 'not_division', and so does a sign change: for n >= 2 the unit
     sphere is connected, so det L_a or det R_a vanishes between two
     points of opposite sign.  Otherwise 'probably_division'.  In
     dimension 1 the one structure constant decides, at any scale:
     'division' when it is not zero.  A negative ``samples`` is a
-    ValueError.  The verdict is sign_pair's, also where it takes its
-    signs from det L_{e0} and det R_{e0} alone (a 2-d algebra with
-    definite forms, or an isotope of H or O or a transport of one, at
-    _CLOSED_FORM_POINTS points or more, as at the default 1,000
-    samples): that path gives 'probably_division' too.  It reads the
-    certificate that sign_pair keeps on the Algebra, so an algebra that
-    goes through both pays for it once.
+    ValueError.  The verdict is sign_pair's, also where sign_pair
+    certifies the signs (as at the default 1,000 samples), and it reads
+    the certificate that sign_pair keeps on the Algebra, so an algebra
+    that goes through both pays for it once.
     """
     if mode == "exact2d":
         if alg.dim != 2:

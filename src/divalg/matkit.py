@@ -18,12 +18,12 @@ from .errors import DegenerateSign, SingularInput, fail_at
 # unit: absolute, on an object at unit scale by construction; budget: a
 # convergence bound on a unit-scale residual; scale-dependent absolute:
 # absolute on an input that may be rescaled, still to be made relative.
-# tol is of that kind in the |det| cut-offs of the signs (sign_det_many,
-# sign_pair_many).  _CLIFFORD_TOL admits a tensor to sign_pair_many's
-# certificate, which gives the signs det_many would, so it sets no verdict:
-# the defect of 100 transported isotopes of H and of O measured at most
-# 8e-13, that of H and O plus 1e-6 N(0, 1) noise at least 2e-6.  In 2-d
-# it admits a side whose binary quadratic form det L_a (det R_a) has its
+# tol is of that kind in the |det| cut-offs of the signs, all _decides,
+# where a negative tol acts as 0.  _CLIFFORD_TOL admits a tensor to
+# sign_pair_many's certificate, which gives det_many's signs (no verdict):
+# the defect of 100 transported isotopes of H and of O was at most 8e-13,
+# that of H and O plus 1e-6 N(0, 1) noise at least 2e-6.  In 2-d it
+# admits a side whose binary quadratic form det L_a (det R_a) has its
 # eigenvalue moduli in a ratio above it (exact2d's test at that tol) and
 # its least value above _FORM_ROUNDING times the size of its ad - bc.
 # relative: default tol, times the size each function states (see above)
@@ -90,34 +90,39 @@ def _finite_stack(x, shape_ok, want: str, entries: str) -> np.ndarray:
 
 
 def sign_det(m, tol: float = DEFAULT_TOL) -> int:
-    """Sign of det(m) as +1 or -1.
-
-    Raises DegenerateSign when |det| <= tol, so a sign is never reported
-    for a matrix that is singular at working precision.
-    """
+    """Sign of det(m) as +1 or -1, or DegenerateSign when |det| <=
+    max(tol, 0): no sign for a matrix singular at working precision."""
     return int(sign_det_many(as_matrix(m)[None], tol)[0])
 
 
 def sign_det_many(ms, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Vectorized sign_det over a stack of matrices (batch, n, n).
-
-    Raises ValueError for another shape or a non-finite entry, and
+    """Vectorized sign_det over a stack of matrices (batch, n, n): raises
+    ValueError for another shape or a non-finite entry, and
     DegenerateSign, naming the batch index of the first offender, when
-    |det| <= tol or the determinant is not a number.
-    """
-    d = det_many(_as_square(ms, 3))
-    fail_at(~(np.abs(d) > tol), DegenerateSign,
-            lambda i: f"{_degenerate_det('det', d[i], tol)} at batch "
-                      f"index {i}")
-    return np.where(d > 0, 1, -1).astype(int)
+    |det| <= max(tol, 0) or the determinant is not a number."""
+    return _decides(det_many(_as_square(ms, 3)), tol,
+                    lambda i: ("det", f"at batch index {i}"))
 
 
-def _degenerate_det(name: str, d: float, tol: float) -> str:
-    """Why a determinant ``d`` of the matrix ``name`` gives no sign: it
-    is not a number, or |d| <= tol."""
-    if np.isnan(d):
-        return f"{name} is not a number"
-    return f"|{name}| = {abs(d):.3e} <= tol = {tol:.3e}"
+def _decides(x, tol: float, describe=None) -> np.ndarray:
+    """Whether each |x| is above max(tol, 0), never where x is NaN: the
+    one cut-off of the signs, their certificate and near_singular.  With
+    describe, the signs (+1 or -1) of the determinants x, or
+    DegenerateSign for the first that fails, named (name, where) by
+    describe(i) with the cut-off applied."""
+    cut = max(tol, 0.0)
+    decided = np.abs(x) > cut
+    if describe is None:
+        return decided
+
+    def why(i):
+        name, where = describe(i)
+        if np.isnan(x.flat[i]):
+            return f"{name} is not a number {where}"
+        return f"|{name}| = {abs(x.flat[i]):.3e} <= tol = {cut:.3e} {where}"
+
+    fail_at(~decided, DegenerateSign, why)
+    return np.where(x > 0, 1, -1)
 
 
 def det_many(ms) -> np.ndarray:
@@ -144,16 +149,16 @@ def det_many(ms) -> np.ndarray:
 
 def near_singular(ms, tol: float) -> np.ndarray:
     """Whether the Hadamard ratio |det| / (product of the column norms),
-    which lies in [0, 1], is at most tol, for each matrix of a stack
-    (..., n, n); scale-free.  The ratio is the determinant of the matrix
-    with unit columns, so it stays in range where the raw determinant
-    overflows or underflows, and each column is first divided by its
-    largest |entry|, so that its norm does too.  A zero column (a NaN
-    ratio) is singular."""
+    which lies in [0, 1], is at most max(tol, 0) (_decides), for each
+    matrix of a stack (..., n, n); scale-free.  The ratio is the
+    determinant of the matrix with unit columns, so it stays in range
+    where the raw determinant overflows or underflows, and each column
+    is first divided by its largest |entry|, so that its norm does too.
+    A zero column (a NaN ratio) is singular."""
     with np.errstate(invalid="ignore"):      # 0 / 0 on a zero column
         ms = ms / np.abs(ms).max(axis=-2, keepdims=True)
         ratio = np.linalg.det(ms / np.linalg.norm(ms, axis=-2, keepdims=True))
-    return ~(np.abs(ratio) > tol)
+    return ~_decides(ratio, tol)
 
 
 def polar_decompose(m) -> tuple[np.ndarray, np.ndarray]:

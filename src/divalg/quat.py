@@ -45,6 +45,7 @@ from .matkit import DEFAULT_TOL, _IS_Y_TOL, _SPD1_TOL, _STAGE_BUDGET, \
 _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
 
+@lru_cache(maxsize=1)
 def _conj_matrix() -> np.ndarray:
     """kappa of (H, R1, Im H): the identity on R1, minus it on Im H."""
     k = np.diag(_CONJ_SIGNS)

@@ -12,7 +12,7 @@ from divalg.core import Algebra, SignPair, classical, find_unities, \
     morphism_residual, opposite, right_mult, right_mult_many, sign_pair, \
     transport
 from divalg.errors import DegenerateSign, DimensionOne, ModeMismatch, \
-    NonConvergence, SignInconsistent, ZeroMap
+    NonConvergence, SignInconsistent, SingularOperator, ZeroMap
 from divalg.matkit import det_many, random_invertible, random_invertible_many
 from divalg.samples import random_division
 
@@ -131,6 +131,20 @@ def test_sign_decisions_at_extreme_scales(name, lam):
         else:
             assert sign_pair(alg) == (1, 1)
             assert is_division(alg) == "probably_division"
+
+
+@pytest.mark.parametrize("samples", [8, 100, 1000])
+def test_a_negative_tol_acts_as_zero(samples):
+    # a zero determinant gives no sign, and a rank-one operator is
+    # singular, at every negative tol: the zero 2-d algebra was (-1, -1)
+    # and probably_division, and the isotope had zero divisors
+    zero = Algebra(np.zeros((2, 2, 2)))
+    with pytest.raises(DegenerateSign, match=r"^\|det L_a\| = 0.000e\+00 "
+                       r"<= tol = 0.000e\+00 on algebra 0 .* point 0,"):
+        sign_pair(zero, samples=samples, tol=-1.0)
+    assert is_division(zero, samples=samples, tol=-1.0) == "not_division"
+    with pytest.raises(SingularOperator, match=r"^S\[0\] is singular"):
+        isotope(classical("C"), [[1.0, 1.0], [1.0, 1.0]], np.eye(2), tol=-1.0)
 
 
 def test_sampled_division_is_refused_by_a_sign_change():
@@ -612,6 +626,37 @@ def test_the_2d_certificate_is_the_exact_test_at_the_gate_ratio(kind_c, lam):
         def decide():
             return (outcome(lambda: sign_pair(alg, samples=samples)),
                     is_division(alg, samples=samples))
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(core, "_CLOSED_FORM_POINTS", np.inf)
+            want = decide()
+        assert decide() == want
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.sampled_from(["H", "O"]), st.booleans(), st.integers(0, 2 ** 16),
+       st.sampled_from([1.0, 2.0 ** 20, 2.0 ** -20, 1e80, 1e-80, -1.0]),
+       st.sampled_from([("tol", 0.0), ("tol", 1e-9), ("half bound", 0.4),
+                        ("half bound", 0.6), ("half bound", 1.01),
+                        ("half bound", 3.0)]),
+       st.integers(0, 1))
+def test_the_certificate_is_det_manys_where_2_tol_meets_the_bound(
+        name, moved, seed, lam, tol_of, side):
+    # the certificate decides at 2 tol and det_many at tol, by one rule
+    # (matkit._decides): at tols on both sides of half the kept bound of
+    # either side, on isotopes X_{S,T} of H and O and their transports,
+    # the verdicts and signs, or the exception raised, are those of
+    # det_many alone
+    n = classical(name).dim
+    s, t, f = random_invertible_many(n, 3, seed, max_cond=20.0)
+    alg = isotope(classical(name), s, t)
+    alg = Algebra(lam * (transport(alg, f) if moved else alg).c)
+    unit, k = tol_of
+    tol = k if unit == "tol" else float(k * gate([alg])[0][0, side] / 2)
+    for samples in (100, 1000):
+        def decide():
+            return (outcome(lambda: sign_pair(alg, samples, tol)),
+                    is_division(alg, samples=samples, tol=tol))
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr(core, "_CLOSED_FORM_POINTS", np.inf)

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divalg.errors import DegenerateSign, SingularInput
-from divalg.matkit import det_many, gram, is_spd1, polar_decompose, \
-    random_invertible, random_invertible_many, random_rotation, \
-    random_rotation_many, random_spd1, \
-    random_spd1_many, sign_det, sign_det_many
+from divalg.matkit import det_many, gram, is_spd1, near_singular, \
+    polar_decompose, random_invertible, random_invertible_many, \
+    random_rotation, random_rotation_many, random_spd1, random_spd1_many, \
+    sign_det, sign_det_many
 
 
 def test_sign_det_orientation():
@@ -21,6 +21,18 @@ def test_sign_det_orientation():
 def test_sign_det_rejects_near_singular():
     with pytest.raises(DegenerateSign):
         sign_det(np.diag([1.0, 1e-15]))
+
+
+def test_a_negative_tol_acts_as_zero():
+    # a zero determinant, or a zero Hadamard ratio, is never clear of a
+    # negative cut-off: the message gives the cut-off applied, 0
+    msg = r"^\|det\| = 0.000e\+00 <= tol = 0.000e\+00 at batch index 1$"
+    with pytest.raises(DegenerateSign, match=msg.replace("1$", "0$")):
+        sign_det(np.zeros((2, 2)), tol=-1.0)
+    with pytest.raises(DegenerateSign, match=msg):
+        sign_det_many(np.stack([np.eye(3), np.ones((3, 3))]), tol=-1.0)
+    assert near_singular(np.ones((2, 2)), -1.0)
+    assert near_singular(np.zeros((2, 2)), -1.0)
 
 
 @pytest.mark.parametrize("x", [np.nan, np.inf])
