@@ -19,7 +19,8 @@ import numpy as np
 # the modules most commands use; each command imports the rest itself,
 # so a one-shot command in a fresh interpreter loads only what it runs
 from . import io as io_mod
-from .core import classical, is_division, isotope, opposite, sign_pair
+from .core import SignPair, classical, is_division, isotope, opposite, \
+    sign_pair
 from .errors import DivalgError
 from .matkit import DEFAULT_TOL
 
@@ -145,7 +146,7 @@ def cmd_quat_normal_form(args) -> int:
     doc = {"command": "quat normal-form", "alpha": alpha, "beta": beta,
            "a": x.a.tolist(), "b": x.b.tolist(), "C": x.c.tolist(),
            "D": x.d.tolist(), "iso": iso.tolist(), "residual": residual}
-    text = (f"block ({'+' if alpha > 0 else '-'}{'+' if beta > 0 else '-'})\n"
+    text = (f"block ({SignPair(alpha, beta).block})\n"
             f"a = {_mat(x.a)}\nb = {_mat(x.b)}\n"
             f"C = {_mat(x.c)}\nD = {_mat(x.d)}\n"
             f"iso = {_mat(iso)}\nresidual = {residual:.3e}")

@@ -468,7 +468,7 @@ def _checked_operators(alg: Algebra, tol: float, names: str,
     per = len(ops) // len(names)
     fail_at(near_singular(ops, tol), SingularOperator,
             lambda i: f"{names[i // per]}[{i % per}] is singular at tol "
-                      f"{tol:.1e}")
+                      f"{max(tol, 0.0):.1e}")
     return ops
 
 

@@ -33,7 +33,7 @@ class DecoratedAlgebra(_Frozen):
     alg: Algebra
     u: np.ndarray
     v: np.ndarray
-    _kappa: np.ndarray | None = field(default=None, repr=False)
+    _kappa: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self._freeze(u=np.array(self.u, dtype=float),

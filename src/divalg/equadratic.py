@@ -155,7 +155,7 @@ def is_e_quadratic(alg: Algebra, e, tol: float = DEFAULT_TOL) -> bool:
     if alg.dim < 3:
         return True
     if near_singular(left_mult(alg, e), tol):
-        raise NotDivision(f"L_e is singular at tol {tol:.1e}")
+        raise NotDivision(f"L_e is singular at tol {max(tol, 0.0):.1e}")
     _, defect, scale = _square_factor(alg, e)
     return defect <= tol * scale
 

@@ -89,14 +89,9 @@ def _finite_stack(x, shape_ok, want: str, entries: str) -> np.ndarray:
     return a
 
 
-def sign_det(m, tol: float = DEFAULT_TOL) -> int:
-    """Sign of det(m) as +1 or -1, or DegenerateSign when |det| <=
-    max(tol, 0): no sign for a matrix singular at working precision."""
-    return int(sign_det_many(as_matrix(m)[None], tol)[0])
-
-
 def sign_det_many(ms, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Vectorized sign_det over a stack of matrices (batch, n, n): raises
+    """Sign of det(m), +1 or -1, of each matrix m of a stack (batch, n,
+    n): no sign for a matrix singular at working precision.  Raises
     ValueError for another shape or a non-finite entry, and
     DegenerateSign, naming the batch index of the first offender, when
     |det| <= max(tol, 0) or the determinant is not a number."""
@@ -197,25 +192,18 @@ def is_spd1(m, tol: float = DEFAULT_TOL) -> bool:
     return True
 
 
-def random_spd1(n: int, seed=0) -> np.ndarray:
-    """Seeded random symmetric positive definite matrix with det 1.
-
-    Draws W with uniform entries in [-1, 1], forms W W^T + I/4 (the
-    shift keeps the condition number moderate) and rescales to unit
-    determinant.  ``seed`` may be an int or a numpy Generator.  The
-    count = 1 case of random_spd1_many.
-    """
-    return random_spd1_many(n, 1, seed)[0]
-
-
 def random_spd1_many(n: int, count: int, seed=0) -> np.ndarray:
-    """``count`` seeded random_spd1 matrices, shape (count, n, n).
+    """``count`` seeded random symmetric positive definite matrices with
+    det 1, shape (count, n, n).
 
-    Exactly the matrices, and the generator state, of ``count``
-    sequential random_spd1(n, rng) calls on one Generator: the uniform
-    draws are one block, and each matrix is rescaled by the Python
-    power of its determinant, which numpy's vectorised power does not
-    always match to the last bit.
+    Each draws W with uniform entries in [-1, 1], forms W W^T + I/4 (the
+    shift keeps the condition number moderate) and rescales to unit
+    determinant.  ``seed`` may be an int or a numpy Generator.  Exactly
+    the matrices, and the generator state, of ``count`` sequential
+    count = 1 calls on one Generator: the uniform draws are one block,
+    and each matrix is rescaled by the Python power of its determinant,
+    which numpy's vectorised power does not always match to the last
+    bit.
     """
     rng = np.random.default_rng(seed)
     w = rng.uniform(-1.0, 1.0, size=(count, n, n))
@@ -225,19 +213,15 @@ def random_spd1_many(n: int, count: int, seed=0) -> np.ndarray:
     return 0.5 * (m + m.swapaxes(1, 2))
 
 
-def random_rotation(n: int, seed=0) -> np.ndarray:
-    """Seeded random special orthogonal matrix (QR with sign fixing).
-    The count = 1 case of random_rotation_many."""
-    return random_rotation_many(n, 1, seed)[0]
-
-
 def random_rotation_many(n: int, count: int, seed=0) -> np.ndarray:
-    """``count`` seeded random_rotation matrices, shape (count, n, n).
+    """``count`` seeded random matrices in SO(n), shape (count, n, n).
 
-    Exactly the matrices, and the generator state, of ``count``
-    sequential random_rotation(n, rng) calls on one Generator: the
-    normal draws are one block, and the QR, its sign fix and the
-    determinant flip of the first column are per matrix.
+    Each is the Q of the QR decomposition of a standard normal matrix,
+    its columns multiplied by the signs of R's diagonal and its first
+    column negated when det Q < 0.  Exactly the matrices, and the
+    generator state, of ``count`` sequential count = 1 calls on one
+    Generator: the normal draws are one block, and the QR, its sign fix
+    and the determinant flip are per matrix.
     """
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((count, n, n)))

@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import (
     Algebra,
+    SignPair,
     _Frozen,
     _gate_residuals,
     _pull_back,
@@ -92,14 +93,10 @@ def _quaternion_stack(qs) -> np.ndarray:
                          "a (B, 4) stack of quaternions", "quaternion entries")
 
 
-def rep_normalize(q) -> np.ndarray:
-    """Coset representative in H*/R*: unit norm, first nonzero entry > 0.
-    The B=1 case of rep_normalize_many."""
-    return rep_normalize_many(np.asarray(q, dtype=float)[None])[0]
-
-
 def rep_normalize_many(qs) -> np.ndarray:
-    """rep_normalize of each row of a (B, 4) stack, bit for bit.
+    """The coset representative in H*/R* of each row of a (B, 4) stack:
+    unit norm, and its first entry above _LEAD_TOL in magnitude positive
+    (matkit._unit_reps).
 
     Raises ValueError for another shape or a non-finite entry and
     ZeroQuaternion naming the index of the first zero row.
@@ -140,8 +137,8 @@ def k_map_many(s) -> np.ndarray:
 class ZObject(_Frozen):
     """A pair of coset representatives with a pair of SPD det-1 matrices.
 
-    a and b are normalized on construction (rep_normalize); c and d must
-    be 4x4 SPD with determinant 1 and are stored symmetrized.
+    a and b are made coset representatives (rep_normalize_many) on
+    construction; c and d must be 4x4 SPD with det 1, stored symmetrized.
     """
 
     a: np.ndarray
@@ -216,8 +213,7 @@ def functor_h(alpha: int, beta: int, x: ZObject) -> Algebra:
     sign pair exactly (alpha, beta).  The B=1 case of functor_h_many.
     """
     c = functor_h_many(alpha, beta, [x])[0]
-    return Algebra._trusted(c=c, label=f"H[{'+' if alpha > 0 else '-'}"
-                                       f"{'+' if beta > 0 else '-'}]")
+    return Algebra._trusted(c=c, label=f"H[{SignPair(alpha, beta).block}]")
 
 
 def functor_h_many(alpha: int, beta: int, xs) -> np.ndarray:

@@ -88,17 +88,12 @@ def _cycle248():
         yield 8
 
 
-def left_unital_isotope(alg: Algebra, seed=0) -> Algebra:
-    """Isotope A_{S, L_w^{-1}} of a division algebra; has left unity
-    S^{-1}w since x -> (Se)(Tx) collapses to the identity there.  The
-    count = 1 case of left_unital_isotope_many."""
-    return left_unital_isotope_many(alg, 1, seed)[0]
-
-
 def left_unital_isotope_many(alg: Algebra, count: int,
                              seed=0) -> list[Algebra]:
-    """``count`` left_unital_isotope draws: the count operators S as one
-    block, then the count unit vectors w."""
+    """``count`` isotopes A_{S, L_w^{-1}} of a division algebra, each
+    with left unity S^{-1}w, since x -> (Se)(Tx) collapses to the
+    identity there: the count operators S as one block, then the count
+    unit vectors w."""
     rng = np.random.default_rng(seed)
     s = random_invertible_many(alg.dim, count, rng)
     w = random_unit_vectors(alg.dim, count, rng)
@@ -106,16 +101,11 @@ def left_unital_isotope_many(alg: Algebra, count: int,
     return [isotope(alg, *st) for st in zip(s, t)]
 
 
-def right_unital_isotope(alg: Algebra, seed=0) -> Algebra:
-    """Isotope A_{R_v^{-1}, T} with right unity T^{-1}v.  The count = 1
-    case of right_unital_isotope_many."""
-    return right_unital_isotope_many(alg, 1, seed)[0]
-
-
 def right_unital_isotope_many(alg: Algebra, count: int,
                               seed=0) -> list[Algebra]:
-    """``count`` right_unital_isotope draws: the count operators T as one
-    block, then the count unit vectors v."""
+    """``count`` isotopes A_{R_v^{-1}, T} of a division algebra, each
+    with right unity T^{-1}v: the count operators T as one block, then
+    the count unit vectors v."""
     rng = np.random.default_rng(seed)
     t = random_invertible_many(alg.dim, count, rng)
     v = random_unit_vectors(alg.dim, count, rng)
@@ -206,17 +196,11 @@ def e_quadratic_corpus(count: int = 20, seed=0) -> list[Algebra]:
             for base, f in zip(bases, interleave(dims, rotations))]
 
 
-def random_normal_form(seed=0, block=None) -> NormalForm2D:
-    """Random 2-d normal form; ``block`` picks the exponent pair.  The
-    count = 1 case of random_normal_form_many."""
-    return random_normal_form_many(1, seed, block)[0]
-
-
 def random_normal_form_many(count: int, seed=0,
                             block=None) -> list[NormalForm2D]:
-    """``count`` random_normal_form draws: the exponent pairs as one block
-    (when ``block`` is None), then the count a parts, then the count b
-    parts."""
+    """``count`` random 2-d normal forms; ``block`` picks the exponent
+    pair.  Drawn as the exponent pairs as one block (when ``block`` is
+    None), then the count a parts, then the count b parts."""
     rng = np.random.default_rng(seed)
     if block is None:
         blocks = [tuple(ij) for ij in
@@ -224,14 +208,9 @@ def random_normal_form_many(count: int, seed=0,
     else:
         blocks = [_exponents(*block)] * count
     a, b = random_spd1_many(2, count, rng), random_spd1_many(2, count, rng)
-    # random_spd1 draws are SPD with determinant 1 by construction
+    # random_spd1_many draws are SPD with determinant 1 by construction
     return [NormalForm2D._trusted(i=i, j=j, a=a[k], b=b[k])
             for k, (i, j) in enumerate(blocks)]
-
-
-def random_unit_quaternion(seed=0) -> np.ndarray:
-    """Random unit quaternion: random_unit_vectors(4, 1, seed)[0]."""
-    return random_unit_vectors(4, 1, seed)[0]
 
 
 def random_unit_vectors(n: int, count: int, seed=0) -> np.ndarray:
@@ -254,7 +233,7 @@ def random_z_object_many(count: int, seed=0,
     block, then the b, then the SPD parts c, then the d."""
     rng = np.random.default_rng(seed)
     ab = random_unit_vectors(4, 2 * count, rng)
-    # random_spd1 draws are SPD with determinant 1 by construction
+    # random_spd1_many draws are SPD with determinant 1 by construction
     cd = np.broadcast_to(np.eye(4), (2 * count, 4, 4)) if trivial_spd else \
         random_spd1_many(4, 2 * count, rng)
     return _z_objects(ab, cd)[0]

@@ -279,7 +279,7 @@ def _chk_polar(ctx: Ctx, rng):
 @_check("matkit-gram-spd",
         "F S F^T of an SPD matrix S by invertible F stays SPD")
 def _chk_gram(ctx: Ctx, rng):
-    # per size n = 2, 4, 8: 70 random_spd1 S, then 70 random_invertible F
+    # per size n = 2, 4, 8: 70 SPD det-1 S, then 70 invertible F
     drawn = [(n, random_spd1_many(n, 70, rng),
               random_invertible_many(n, 70, rng)) for n in (2, 4, 8)]
     for n, s, f in drawn:
@@ -779,7 +779,7 @@ def _chk_quat_functorial(ctx: Ctx, rng):
         "representatives, and s with -s give the same matrix")
 def _chk_quat_faithful(ctx: Ctx, rng):
     n = max(2, ctx.samples)
-    # the draws of n (s, t) pairs of random_unit_quaternion, as one block
+    # the n (s, t) pairs of unit quaternions, as one block
     q = smp.random_unit_vectors(4, 2 * n, rng).reshape(n, 2, 4)
     # nonzero real multiples of s, of both signs, stay in its class
     lam = rng.uniform(0.1, 10.0, size=(n, 1))

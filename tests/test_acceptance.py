@@ -18,14 +18,15 @@ from divalg.dim2 import (NormalForm2D, build2d, hom2d, automorphisms_2d,
                          c2_elements, d3_elements, normal_form_2d)
 from divalg.equadratic import (central_idempotents, idempotent_residual,
                                im_e, functor_g)
-from divalg.matkit import sign_det, random_invertible, random_rotation
+from divalg.matkit import sign_det_many, random_invertible, \
+    random_rotation_many
 from divalg.quat import (ZObject, z_action, k_map, functor_h, so4_factor,
-                         quat_normal_form, rep_normalize)
+                         quat_normal_form)
 from divalg.samples import (division_corpus, decorated_corpus,
-                            e_quadratic_corpus, left_unital_isotope,
-                            right_unital_isotope, random_2d_division,
-                            random_normal_form, random_z_object,
-                            random_quat_pair, random_unit_quaternion)
+                            e_quadratic_corpus, left_unital_isotope_many,
+                            right_unital_isotope_many, random_2d_division,
+                            random_normal_form_many, random_z_object,
+                            random_quat_pair)
 
 BLOCKS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 EXPONENTS = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -67,7 +68,8 @@ def test_criterion_03_isotope_sign_law():
         ell, r = sign_pair(alg)
         s = random_invertible(alg.dim, rng)
         t = random_invertible(alg.dim, rng)
-        expected = SignPair(ell * sign_det(t), r * sign_det(s))
+        det_t, det_s = sign_det_many(np.stack([t, s]))
+        expected = SignPair(ell * det_t, r * det_s)
         assert sign_pair(isotope(alg, s, t)) == expected
     _line(3, "isotope-sign-law", "500 (A, sigma, tau) triples")
 
@@ -91,7 +93,7 @@ def test_criterion_04_klein_four_group():
                                                       - rhs.alg.c))))
                 assert lhs.u is x.u and lhs.v is x.v
                 assert rhs.u is x.u and rhs.v is x.v
-        f = (random_rotation(x.alg.dim, rng) if k % 2
+        f = (random_rotation_many(x.alg.dim, 1, rng)[0] if k % 2
              else random_invertible(x.alg.dim, rng))
         moved = decorate(transport(x.alg, f), f @ x.u, f @ x.v)
         worst_comm = max(worst_comm,
@@ -108,10 +110,10 @@ def test_criterion_05_unital_collapse():
         assert sign_pair(classical(name)).block == "++"
     rng = np.random.default_rng(105)
     for alg in division_corpus(25, seed=105):
-        left = left_unital_isotope(alg, rng)
+        left = left_unital_isotope_many(alg, 1, rng)[0]
         assert find_unities(left)["left"]
         assert sign_pair(left).ell == 1
-        right = right_unital_isotope(alg, rng)
+        right = right_unital_isotope_many(alg, 1, rng)[0]
         assert find_unities(right)["right"]
         assert sign_pair(right).r == 1
     _line(5, "unital-collapse", "classical ++ and 50 one-sided isotopes")
@@ -156,18 +158,18 @@ def test_criterion_07_dim2_hom_sets():
     c2_blocks = [(0, 0), (0, 1), (1, 0)]
     rng = np.random.default_rng(107)
     for k in range(50):
-        nf = random_normal_form(rng, block=c2_blocks[k % 3])
+        nf = random_normal_form_many(1, rng, block=c2_blocks[k % 3])[0]
         assert len(automorphisms_2d(nf)) <= 2
 
     for i, j in EXPONENTS:
         group = d3_elements() if (i, j) == (1, 1) else c2_elements()
         for k in range(20):
-            x = random_normal_form(rng, block=(i, j))
+            x = random_normal_form_many(1, rng, block=(i, j))[0]
             if k % 2:
                 g = group[int(rng.integers(0, len(group)))].matrix
                 y = NormalForm2D(i, j, g @ x.a @ g.T, g @ x.b @ g.T)
             else:
-                y = random_normal_form(rng, block=(i, j))
+                y = random_normal_form_many(1, rng, block=(i, j))[0]
             via_api = {tuple(np.round(m.matrix, 9).ravel())
                        for m in hom2d(x, y)}
             ax, ay = build2d(x), build2d(y)
@@ -188,7 +190,7 @@ def test_criterion_08_dim2_round_trip():
     assert worst <= 1e-8
 
     for k in range(40):
-        source = random_normal_form(rng, block=EXPONENTS[k % 4])
+        source = random_normal_form_many(1, rng, block=EXPONENTS[k % 4])[0]
         nf, _ = normal_form_2d(build2d(source))
         assert hom2d(nf, source)
     _line(8, "dim2-round-trip", f"100 reductions, residual {worst:.1e}")
@@ -215,7 +217,7 @@ def test_criterion_09_quaternion_suite():
 
     worst_iso = 0.0
     for _ in range(100):
-        o = random_rotation(4, rng)
+        o = random_rotation_many(4, 1, rng)[0]
         a, b = so4_factor(o)
         worst_iso = max(worst_iso, float(np.max(np.abs(
             left_mult(h, a) @ right_mult(h, b) - o))))
@@ -225,7 +227,7 @@ def test_criterion_09_quaternion_suite():
     for _ in range(100):
         s, t = random_quat_pair(rng)
         alpha, beta, x, iso = quat_normal_form(s, t)
-        assert (alpha, beta) == (sign_det(t), sign_det(s))
+        assert (alpha, beta) == tuple(sign_det_many(np.stack([t, s])))
         worst_nf = max(worst_nf, morphism_residual(
             iso, isotope(h, s, t), functor_h(alpha, beta, x)))
     assert worst_nf <= 1e-8
@@ -257,7 +259,7 @@ def test_criterion_10_separation_evidence():
     orders = [len(automorphisms_2d(NormalForm2D(i, j, eye, eye)))
               for i, j in c2_blocks]
     for k in range(50):
-        nf = random_normal_form(rng, block=c2_blocks[k % 3])
+        nf = random_normal_form_many(1, rng, block=c2_blocks[k % 3])[0]
         orders.append(len(automorphisms_2d(nf)))
     assert max(orders) == 2
     _line(10, "separation-evidence",

@@ -10,7 +10,7 @@ from divalg.core import Algebra, classical
 from divalg.io import algebra_to_dict, decorated_from_dict, \
     decorated_to_dict, normal_form_to_dict, pair_to_dict, write_algebra, \
     write_json
-from divalg.samples import e_quadratic_corpus, random_normal_form, \
+from divalg.samples import e_quadratic_corpus, random_normal_form_many, \
     random_quat_pair
 from divalg.verify import check_names
 
@@ -305,7 +305,7 @@ def test_pair_entry_that_is_not_a_number_is_input_error(capsys, tmp_path):
 
 def test_normal_form_entry_that_is_not_a_number_is_input_error(
         capsys, tmp_path):
-    doc = normal_form_to_dict(random_normal_form(4, block=(1, 0)))
+    doc = normal_form_to_dict(random_normal_form_many(1, 4, block=(1, 0))[0])
     doc["B"] = [["1", 0], [0, True]]
     path = tmp_path / "nf.json"
     write_json(doc, path)
@@ -324,7 +324,7 @@ def test_decoration_entry_that_is_not_a_number_is_input_error():
 @pytest.mark.parametrize("exponent", [1.7, True])
 def test_exponent_that_is_not_the_integer_0_or_1_is_input_error(
         capsys, tmp_path, exponent):
-    doc = normal_form_to_dict(random_normal_form(4, block=(1, 0)))
+    doc = normal_form_to_dict(random_normal_form_many(1, 4, block=(1, 0))[0])
     doc["i"] = exponent
     path = tmp_path / "nf.json"
     write_json(doc, path)

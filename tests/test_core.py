@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_decoration
 from divalg import core
 from divalg.core import Algebra, SignPair, classical, find_unities, \
     is_division, is_morphism, isotope, left_mult, left_mult_many, \
     morphism_residual, opposite, right_mult, right_mult_many, sign_pair, \
     transport
+from divalg.decorated import DecoratedAlgebra, kappa
 from divalg.errors import DegenerateSign, DimensionOne, ModeMismatch, \
     NonConvergence, SignInconsistent, SingularOperator, ZeroMap
 from divalg.matkit import det_many, random_invertible, random_invertible_many
@@ -145,6 +147,17 @@ def test_a_negative_tol_acts_as_zero(samples):
     assert is_division(zero, samples=samples, tol=-1.0) == "not_division"
     with pytest.raises(SingularOperator, match=r"^S\[0\] is singular"):
         isotope(classical("C"), [[1.0, 1.0], [1.0, 1.0]], np.eye(2), tol=-1.0)
+
+
+def test_singular_operator_messages_give_the_cut_off_applied(C):
+    # near_singular compares with max(tol, 0), and the message says so
+    rank_one = [[1.0, 1.0], [1.0, 1.0]]
+    with pytest.raises(SingularOperator,
+                       match=r"^S\[0\] is singular at tol 0\.0e\+00$"):
+        isotope(C, rank_one, np.eye(2), tol=-1.0)
+    with pytest.raises(SingularOperator,
+                       match=r"^F\[0\] is singular at tol 0\.0e\+00$"):
+        transport(C, rank_one, tol=-1.0)
 
 
 def test_sampled_division_is_refused_by_a_sign_change():
@@ -407,6 +420,24 @@ def test_a_new_algebra_starts_without_a_gate():
         assert np.array_equal(doubled._gate[1], sign)
         with pytest.raises(TypeError):
             Algebra(alg.c, _gate=alg._gate)
+
+
+def test_a_decorated_algebra_computes_its_own_kappa(H):
+    # as with the gate, the constructor takes no kept kappa, which
+    # functor_i would hand on unchecked; kappa computes it from u and v
+    x = random_decoration(H, 3)
+    with pytest.raises(TypeError):
+        DecoratedAlgebra(x.alg, x.u, x.v, _kappa=np.eye(4))
+    y = DecoratedAlgebra(x.alg, x.u, x.v)
+    assert y._kappa is None
+    k = kappa(y)
+    assert kappa(y) is k and not k.flags.writeable
+    assert np.allclose(k @ y.u, y.u) and np.allclose(k @ y.v, -y.v)
+    # nor does a copy with another splitting keep the old one
+    w = np.hstack([y.u, y.v])
+    assert y.m == 3
+    z = dataclasses.replace(y, u=w[:, :1], v=w[:, 1:])
+    assert np.allclose(kappa(z) @ w, w * [1.0, -1.0, -1.0, -1.0])
 
 
 @pytest.mark.parametrize("name", ["C", "H", "O"])
@@ -687,6 +718,20 @@ def test_closed_form_degenerate_messages_are_det_manys(monkeypatch, name,
                               lambda: sign_pair(iso, samples=1000, tol=tol))
 
 
+@pytest.mark.parametrize("samples", [8, 100])
+def test_a_determinant_between_the_cut_off_and_twice_it_is_a_sign(samples):
+    # tol between half the least sampled |det| and that |det|: every
+    # sampled determinant decides, and at 100 samples 2 tol is above the
+    # kept bound, so the call takes det_many at every point
+    alg = isotope_family("O", 18)[3]
+    d = core._sampled_dets(alg.c[None],
+                           core._sample_points(alg.dim, samples, 0))[0]
+    tol = 0.75 * float(np.abs(d).min())
+    assert not (gate([alg])[0] > 2 * tol).any()
+    assert sign_pair(alg, samples, tol) == SignPair(*np.sign(d[:, 0]))
+    assert is_division(alg, samples=samples, tol=tol) == "probably_division"
+
+
 def test_negative_sample_count_is_rejected(H):
     with pytest.raises(ValueError, match="samples"):
         sign_pair(H, samples=-1)
@@ -740,9 +785,9 @@ def test_isotope_sign_law(seed):
     alg = classical(["C", "H", "O"][seed % 3])
     s = random_invertible(alg.dim, rng)
     t = random_invertible(alg.dim, rng)
-    from divalg.matkit import sign_det
+    from divalg.matkit import sign_det_many
     got = sign_pair(isotope(alg, s, t), samples=16)
-    assert (got.ell, got.r) == (sign_det(t), sign_det(s))
+    assert (got.ell, got.r) == tuple(sign_det_many(np.stack([t, s])))
 
 
 def test_isotope_composition(H, rng):

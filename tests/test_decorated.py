@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from divalg.core import classical, isotope, sign_pair, transport
 from divalg.decorated import decorate, forget, functor_i, kappa
 from divalg.errors import BadSplit
-from divalg.matkit import random_invertible, sign_det
+from divalg.matkit import random_invertible, sign_det_many
 
 from conftest import random_decoration
 
@@ -33,7 +33,7 @@ def test_kappa_oblique(C):
 def test_kappa_properties(seed, name):
     x = random_decoration(classical(name), seed)
     k = kappa(x)
-    assert sign_det(k) == -1
+    assert sign_det_many(k[None])[0] == -1
     assert np.allclose(k @ k, np.eye(x.dim), atol=1e-10)
     assert np.allclose(k @ x.u, x.u, atol=1e-10)
     assert np.allclose(k @ x.v, -x.v, atol=1e-10)

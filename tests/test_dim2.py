@@ -11,8 +11,8 @@ from divalg.dim2 import K2, NormalForm2D, ROT3, build2d, c2_elements, \
     normal_form_2d_many, split_scalar_spd, unitalize
 from divalg.errors import BlockMismatch, NoImaginaryUnit, NonConvergence, \
     NotDivision, SingularOperator
-from divalg.matkit import is_spd1, random_invertible, random_spd1
-from divalg.samples import random_2d_division, random_normal_form
+from divalg.matkit import is_spd1, random_invertible, random_spd1_many
+from divalg.samples import random_2d_division, random_normal_form_many
 
 EYE = np.eye(2)
 
@@ -55,7 +55,7 @@ def test_build2d_identity_is_complex(C):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_build2d_block(seed):
-    form = random_normal_form(seed)
+    form = random_normal_form_many(1, seed)[0]
     p = sign_pair(build2d(form), samples=16)
     assert (p.ell, p.r) == ((-1) ** form.j, (-1) ** form.i)
     assert p == form.block
@@ -90,13 +90,13 @@ def test_hom2d_raises_across_blocks():
 
 
 def test_hom2d_same_block_different_orbit_is_empty():
-    a = random_spd1(2, 3)
+    a = random_spd1_many(2, 1, 3)[0]
     out = hom2d(nf(0, 1), nf(0, 1, a))
     assert out == []
 
 
 def test_groupoid_hom_matches_gram():
-    a, b = random_spd1(2, 1), random_spd1(2, 2)
+    a, b = random_spd1_many(2, 1, 1)[0], random_spd1_many(2, 1, 2)[0]
     g = d3_elements()[1].matrix
     out = groupoid_hom("D3", (a, b), (g @ a @ g.T, g @ b @ g.T))
     assert any(np.allclose(e.matrix, g) for e in out)
@@ -107,7 +107,7 @@ def test_groupoid_hom_matches_gram():
 def test_hom2d_agrees_with_direct_morphism_check():
     for seed in range(8):
         block = [(0, 0), (0, 1), (1, 0), (1, 1)][seed % 4]
-        x = random_normal_form(seed, block=block)
+        x = random_normal_form_many(1, seed, block=block)[0]
         g = (d3_elements() if block == (1, 1) else c2_elements())[seed % 2]
         m = g.matrix
         y = NormalForm2D(*block, m @ x.a @ m.T, m @ x.b @ m.T)
@@ -218,7 +218,7 @@ def test_normal_form_deterministic():
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000))
 def test_normal_form_round_trip(seed):
-    form = random_normal_form(seed)
+    form = random_normal_form_many(1, seed)[0]
     alg = build2d(form)
     form2, iso = normal_form_2d(alg)
     assert (form2.i, form2.j) == (form.i, form.j)
@@ -278,7 +278,8 @@ def mixed_stack(size=25):
         if k % 2:
             t = random_2d_division(rng).c
         else:
-            t = build2d(random_normal_form(rng, block=BLOCKS[k // 2 % 4])).c
+            form = random_normal_form_many(1, rng, block=BLOCKS[k // 2 % 4])
+            t = build2d(form[0]).c
         tensors.append(t * (1e-3, 1.0, 1e3)[k % 3])
     return np.stack(tensors)
 
@@ -360,9 +361,9 @@ def test_hom2d_equals_the_per_element_morphism_filter(block):
     group = d3_elements() if block == (1, 1) else c2_elements()
     nonempty = 0
     for k in range(12):
-        x = random_normal_form(rng, block=block)
+        x = random_normal_form_many(1, rng, block=block)[0]
         if k % 2:
-            y = random_normal_form(rng, block=block)
+            y = random_normal_form_many(1, rng, block=block)[0]
         else:
             g = group[k // 2 % len(group)].matrix
             y = NormalForm2D(*block, g @ x.a @ g.T, g @ x.b @ g.T)

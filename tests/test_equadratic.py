@@ -10,7 +10,7 @@ from divalg.equadratic import central_idempotents, functor_g, \
     idempotent_residual, im_e, is_e_quadratic
 from divalg.errors import CenterTooLarge, NoHyperplane, NotDivision, \
     NotEQuadratic, NotIdempotent
-from divalg.matkit import random_invertible, random_rotation
+from divalg.matkit import random_invertible, random_rotation_many
 from divalg.samples import e_quadratic_corpus
 
 E0 = np.eye(4)[0]
@@ -43,7 +43,7 @@ def hyperplane_by_points(alg, e):
     """Reference for the projector onto Im_e: at the columns x of a fixed
     rotation, read b(x) off x^2 = a(x) e + b(x) e x by a two-column least
     squares fit, recover the linear form b, and project onto its kernel."""
-    q = random_rotation(alg.dim, 5)
+    q = random_rotation_many(alg.dim, 1, 5)[0]
     le = left_mult(alg, e)
     vals = [np.linalg.lstsq(np.column_stack([e, le @ x]), alg.mul(x, x),
                             rcond=None)[0][1] for x in q.T]
@@ -155,6 +155,16 @@ def test_is_e_quadratic_needs_idempotent(H):
         is_e_quadratic(H, np.array([0.0, 1.0, 0.0, 0.0]))
 
 
+def test_singular_l_e_message_gives_the_cut_off_applied():
+    # L_e0 of a tensor with only c[0, 0, 0] = 1 has rank one; a negative
+    # tol acts as 0, and the message says so
+    c = np.zeros((4, 4, 4))
+    c[0, 0, 0] = 1.0
+    with pytest.raises(NotDivision,
+                       match=r"^L_e is singular at tol 0\.0e\+00$"):
+        is_e_quadratic(Algebra(c), E0, tol=-1.0)
+
+
 def test_im_e_quaternions(H):
     im = im_e(H, E0)
     assert im.shape == (4, 3)
@@ -170,7 +180,7 @@ def test_im_e_octonions(O):
 
 
 def test_im_e_transported(H):
-    f = random_rotation(4, 17)
+    f = random_rotation_many(4, 1, 17)[0]
     alg = transport(H, f)
     im = im_e(alg, f @ E0)
     assert np.allclose(projector(im), projector(f[:, 1:]), atol=1e-9)
@@ -233,7 +243,7 @@ def perturbed_quaternions(delta):
     p = np.array([0.0, 1.0, 2.0, -1.0]) / np.sqrt(6.0)
     q = np.array([0.0, -1.0, 0.0, 3.0]) / np.sqrt(10.0)
     c = classical("H").c + delta * p[:, None, None] * p[None, :, None] * q
-    f = random_rotation(4, 31)
+    f = random_rotation_many(4, 1, 31)[0]
     return transport(Algebra(c), f), f @ E0
 
 

@@ -9,7 +9,7 @@ from divalg.io import algebra_from_dict, algebra_to_dict, \
     normal_form_to_dict, pair_from_dict, pair_to_dict, read_algebra, \
     read_json, write_algebra
 from divalg.samples import random_2d_division, random_division, \
-    random_normal_form, random_quat_pair
+    random_normal_form_many, random_quat_pair
 
 from conftest import random_decoration
 
@@ -75,7 +75,7 @@ def test_pair_requires_square_matching():
 
 
 def test_normal_form_round_trip():
-    nf = random_normal_form(13)
+    nf = random_normal_form_many(1, 13)[0]
     doc = json.loads(json.dumps(normal_form_to_dict(nf)))
     back = normal_form_from_dict(doc)
     assert (back.i, back.j) == (nf.i, nf.j)

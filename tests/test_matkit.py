@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 from divalg.errors import DegenerateSign, SingularInput
 from divalg.matkit import det_many, gram, is_spd1, near_singular, \
     polar_decompose, random_invertible, random_invertible_many, \
-    random_rotation, random_rotation_many, random_spd1, random_spd1_many, \
-    sign_det, sign_det_many
+    random_rotation_many, random_spd1_many, sign_det_many
 
 
 def test_sign_det_orientation():
-    assert sign_det(np.eye(3)) == 1
-    assert sign_det(np.diag([1.0, -1.0])) == -1
+    assert sign_det_many(np.eye(3)[None])[0] == 1
+    assert sign_det_many(np.diag([1.0, -1.0])[None])[0] == -1
     assert sign_det_many(np.stack([np.eye(2), -np.eye(2)])).tolist() == [1, 1]
     assert sign_det_many(np.stack([np.eye(3), -np.eye(3)])).tolist() \
         == [1, -1]
@@ -20,7 +19,16 @@ def test_sign_det_orientation():
 
 def test_sign_det_rejects_near_singular():
     with pytest.raises(DegenerateSign):
-        sign_det(np.diag([1.0, 1e-15]))
+        sign_det_many(np.diag([1.0, 1e-15])[None])
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_a_determinant_between_the_cut_off_and_twice_it_is_a_sign(n):
+    # |det| = 1.5 tol is above the cut-off, which is tol itself
+    tol = 1e-6
+    ms = np.stack([np.eye(n), np.eye(n)])
+    ms[:, 0, 0] = [1.5 * tol, -1.5 * tol]
+    assert sign_det_many(ms, tol).tolist() == [1, -1]
 
 
 def test_a_negative_tol_acts_as_zero():
@@ -28,7 +36,7 @@ def test_a_negative_tol_acts_as_zero():
     # negative cut-off: the message gives the cut-off applied, 0
     msg = r"^\|det\| = 0.000e\+00 <= tol = 0.000e\+00 at batch index 1$"
     with pytest.raises(DegenerateSign, match=msg.replace("1$", "0$")):
-        sign_det(np.zeros((2, 2)), tol=-1.0)
+        sign_det_many(np.zeros((2, 2))[None], tol=-1.0)
     with pytest.raises(DegenerateSign, match=msg):
         sign_det_many(np.stack([np.eye(3), np.ones((3, 3))]), tol=-1.0)
     assert near_singular(np.ones((2, 2)), -1.0)
@@ -113,7 +121,8 @@ def test_sign_det_multiplicative(seed, n):
     rng = np.random.default_rng(seed)
     m = random_invertible(n, rng)
     w = random_invertible(n, rng)
-    assert sign_det(m @ w) == sign_det(m) * sign_det(w)
+    mw, m1, w1 = sign_det_many(np.stack([m @ w, m, w]))
+    assert mw == m1 * w1
 
 
 @settings(max_examples=50, deadline=None)
@@ -149,32 +158,38 @@ def test_is_spd1():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from([2, 4]))
 def test_random_spd1_is_spd1(seed, n):
-    assert is_spd1(random_spd1(n, seed), 1e-8)
+    assert is_spd1(random_spd1_many(n, 1, seed)[0], 1e-8)
 
 
 def test_random_rotation_is_special_orthogonal():
     for seed in range(10):
-        q = random_rotation(4, seed)
+        q = random_rotation_many(4, 1, seed)[0]
         assert np.max(np.abs(q.T @ q - np.eye(4))) <= 1e-12
         assert np.linalg.det(q) > 0
 
 
 def test_gram_preserves_spd(rng):
-    s = random_spd1(4, rng)
-    f = random_invertible(4, rng)
-    g = gram(f, s)
-    assert np.allclose(g, g.T)
-    assert np.linalg.eigvalsh(g)[0] > 0
+    # the draws of verify's matkit-gram-spd, at each of its sizes, and
+    # its criteria: symmetric within 1e-8 relative, least eigenvalue > 0
+    for n in (2, 4, 8):
+        s = random_spd1_many(n, 70, rng)
+        f = random_invertible_many(n, 70, rng)
+        g = gram(f, s)
+        asym = np.abs(g - g.swapaxes(1, 2)).max(axis=(1, 2))
+        assert np.all(asym <= 1e-8 * np.abs(g).max(axis=(1, 2)))
+        assert np.all(np.linalg.eigvalsh(g)[:, 0] > 0)
 
 
 def test_generators_are_seed_deterministic():
     assert np.array_equal(random_invertible(4, 7), random_invertible(4, 7))
-    assert np.array_equal(random_spd1(4, 7), random_spd1(4, 7))
-    assert np.array_equal(random_rotation(4, 7), random_rotation(4, 7))
+    assert np.array_equal(random_spd1_many(4, 1, 7)[0],
+                          random_spd1_many(4, 1, 7)[0])
+    assert np.array_equal(random_rotation_many(4, 1, 7)[0],
+                          random_rotation_many(4, 1, 7)[0])
 
 
 def spd1_reference(n, rng):
-    # random_spd1 as it was written, one matrix per call
+    # the per-call draw of one SPD det-1 matrix: random_spd1_many's reference
     w = rng.uniform(-1.0, 1.0, size=(n, n))
     m = w @ w.T + 0.25 * np.eye(n)
     m /= float(np.linalg.det(m)) ** (1.0 / n)
@@ -182,7 +197,7 @@ def spd1_reference(n, rng):
 
 
 def rotation_reference(n, rng):
-    # random_rotation as it was written, one matrix per call
+    # the per-call draw of one rotation: random_rotation_many's reference
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     q = q * np.sign(np.diag(r))
     if np.linalg.det(q) < 0:
@@ -191,11 +206,16 @@ def rotation_reference(n, rng):
 
 
 @pytest.mark.parametrize("many, single, reference", [
-    (random_spd1_many, random_spd1, spd1_reference),
-    (random_rotation_many, random_rotation, rotation_reference)])
+    (random_spd1_many, lambda n, g: random_spd1_many(n, 1, g)[0],
+     spd1_reference),
+    (random_rotation_many, lambda n, g: random_rotation_many(n, 1, g)[0],
+     rotation_reference)],
+    ids=["random_spd1_many-random_spd1-spd1_reference",
+         "random_rotation_many-random_rotation-rotation_reference"])
 def test_stacked_samplers_match_sequential_draws(many, single, reference):
     # a block gives, bit for bit, the matrices and the generator state of
-    # count sequential calls, both of the sampler and of its reference
+    # count sequential calls, both of its count = 1 form and of its
+    # reference
     for n in (2, 4, 8):
         for count in (1, 3, 25):
             for seed in range(100):

@@ -11,11 +11,11 @@ from divalg.equadratic import functor_g
 from divalg.errors import FactorizationFailed, NonConvergence, \
     NotSpecialOrthogonal, SingularOperator, ZeroQuaternion
 from divalg.matkit import is_spd1, random_invertible_many, \
-    random_rotation, sign_det
+    random_rotation_many, sign_det_many
 from divalg.quat import ZObject, _isoclinic_basis, functor_h, k_map, \
-    qconj, quat_normal_form, quat_normal_form_many, rep_normalize, \
-    rep_normalize_many, so4_factor, z_action
-from divalg.samples import random_quat_pair, random_unit_quaternion, \
+    qconj, quat_normal_form, quat_normal_form_many, rep_normalize_many, \
+    so4_factor, z_action
+from divalg.samples import random_quat_pair, random_unit_vectors, \
     random_z_object
 
 E0, E1, E2, E3 = np.eye(4)
@@ -37,17 +37,17 @@ def test_qconj_and_qinv():
 
 def test_rep_normalize():
     q = np.array([0.0, -2.0, 0.0, 1.0])
-    r = rep_normalize(q)
+    r = rep_normalize_many(q[None])[0]
     assert abs(np.linalg.norm(r) - 1.0) <= 1e-12
     assert r[1] > 0                       # first nonzero made positive
-    assert np.allclose(rep_normalize(-q), r)
+    assert np.allclose(rep_normalize_many((-q)[None])[0], r)
     with pytest.raises(ZeroQuaternion):
-        rep_normalize(np.zeros(4))
+        rep_normalize_many(np.zeros(4)[None])[0]
 
 
 def test_k_map_basics():
     assert np.allclose(k_map(E0), np.eye(4), atol=1e-14)
-    s = random_unit_quaternion(0)
+    s = random_unit_vectors(4, 1, 0)[0]
     k = k_map(s)
     assert np.max(np.abs(k.T @ k - np.eye(4))) <= 1e-12
     assert np.allclose(k @ E0, E0, atol=1e-12)
@@ -78,7 +78,7 @@ def test_zobject_validation():
 @pytest.mark.parametrize("entry", [
     lambda q: ZObject(q, E0, np.eye(4), np.eye(4)),
     k_map,
-    rep_normalize,
+    lambda q: rep_normalize_many(q[None]),
     lambda q: rep_normalize_many(np.stack([E0, q])),
 ], ids=["ZObject", "k_map", "rep_normalize", "rep_normalize_many"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -89,7 +89,7 @@ def test_quaternion_stacks_refuse_non_finite_entries(entry, bad):
 
 def test_z_action_composes():
     x = random_z_object(4)
-    s, t = random_unit_quaternion(5), random_unit_quaternion(6)
+    s, t = random_unit_vectors(4, 1, 5)[0], random_unit_vectors(4, 1, 6)[0]
     once = z_action(t, z_action(s, x))
     both = z_action(classical("H").mul(t, s), x)
     assert np.allclose(once.a, both.a, atol=1e-10)
@@ -100,7 +100,7 @@ def test_z_action_composes():
 
 def test_z_action_preserves_y():
     x = random_z_object(7, trivial_spd=True)
-    assert z_action(random_unit_quaternion(8), x).is_y
+    assert z_action(random_unit_vectors(4, 1, 8)[0], x).is_y
 
 
 def test_functor_h_identity_object_is_quaternions(H):
@@ -132,7 +132,7 @@ def test_functor_h_block(seed, block):
 
 
 def test_functoriality_of_k(H):
-    s = random_unit_quaternion(12)
+    s = random_unit_vectors(4, 1, 12)[0]
     x = random_z_object(13)
     x2 = z_action(s, x)
     for alpha in (1, -1):
@@ -148,9 +148,9 @@ def test_so4_factor_identity():
 
 
 def test_so4_factor_recovers_conjugation():
-    s = random_unit_quaternion(21)
+    s = random_unit_vectors(4, 1, 21)[0]
     a, b = so4_factor(k_map(s))
-    assert np.allclose(a, rep_normalize(s), atol=1e-10)
+    assert np.allclose(a, rep_normalize_many(s[None])[0], atol=1e-10)
     h = classical("H")
     rec = left_mult(h, a) @ right_mult(h, b)
     assert np.max(np.abs(rec - k_map(s))) <= 1e-10
@@ -159,7 +159,7 @@ def test_so4_factor_recovers_conjugation():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_so4_factor_roundtrip(seed):
-    o = random_rotation(4, seed)
+    o = random_rotation_many(4, 1, seed)[0]
     a, b = so4_factor(o)
     h = classical("H")
     assert np.linalg.norm(left_mult(h, a) @ right_mult(h, b) - o) <= 1e-10
@@ -174,7 +174,7 @@ def test_so4_coefficients_match_the_product_loop():
     basis = _isoclinic_basis()
     assert not basis.flags.writeable
     for seed in range(5):
-        o = random_rotation(4, seed)
+        o = random_rotation_many(4, 1, seed)[0]
         ref = np.array([[np.tensordot(left_mult(h, ei) @ right_mult(h, ej), o)
                          for ej in np.eye(4)] for ei in np.eye(4)]) / 4.0
         got = (basis @ o.ravel()).reshape(4, 4) / 4.0
@@ -191,7 +191,7 @@ def test_so4_factor_rejects_non_rotation():
 def test_so4_split_names_the_member_that_does_not_split():
     # the split trusts its input; a reflection slipped into the stack
     # has no x -> a x b form, so the reconstruction gate catches it
-    o = np.stack([random_rotation(4, seed) for seed in range(4)])
+    o = np.stack([random_rotation_many(4, 1, seed)[0] for seed in range(4)])
     o[2] = np.diag([1.0, 1.0, 1.0, -1.0])
     with pytest.raises(FactorizationFailed, match=r"at stack index 2$"):
         quat._so4_split(o, 1e-9)
@@ -234,8 +234,8 @@ def test_normal_form_rejects_singular():
 
 def test_normal_form_all_four_blocks(H):
     flip = np.diag([-1.0, 1.0, 1.0, 1.0])
-    base_s = random_rotation(4, 31)
-    base_t = random_rotation(4, 32)
+    base_s = random_rotation_many(4, 1, 31)[0]
+    base_t = random_rotation_many(4, 1, 32)[0]
     for i_s in (0, 1):
         for i_t in (0, 1):
             s = flip @ base_s if i_s else base_s
@@ -253,7 +253,7 @@ def test_normal_form_random_pairs(seed):
     h = classical("H")
     s, t = random_quat_pair(seed)
     alpha, beta, x, iso = quat_normal_form(s, t)
-    assert (alpha, beta) == (sign_det(t), sign_det(s))
+    assert (alpha, beta) == tuple(sign_det_many(np.stack([t, s])))
     res = morphism_residual(iso, isotope(h, s, t),
                             functor_h(alpha, beta, x))
     assert res <= 1e-8

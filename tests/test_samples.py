@@ -18,13 +18,14 @@ from divalg.core import classical, isotope, left_mult, right_mult, transport
 from divalg.decorated import decorate, kappa
 from divalg.dim2 import NormalForm2D
 from divalg.equadratic import functor_g
-from divalg.matkit import random_invertible, random_rotation, random_spd1
+from divalg.matkit import random_invertible, random_rotation_many, \
+    random_spd1_many
 from divalg.quat import ZObject
 from divalg.samples import decorated_corpus, division_corpus, \
     e_quadratic_corpus, left_unital_isotope_many, random_2d_division, \
-    random_division, random_normal_form, random_normal_form_many, \
-    random_quat_pair, random_unit_quaternion, random_unit_vectors, \
-    random_z_object, random_z_object_many, right_unital_isotope_many
+    random_division, random_normal_form_many, random_quat_pair, \
+    random_unit_vectors, random_z_object, random_z_object_many, \
+    right_unital_isotope_many
 
 SEEDS = range(100)
 
@@ -61,7 +62,7 @@ def unit(x):
 
 
 def signed_rotation_reference(n, rng):
-    q = random_rotation(n, rng)
+    q = random_rotation_many(n, 1, rng)[0]
     if rng.integers(0, 2):
         q = q.copy()
         q[:, 0] = -q[:, 0]
@@ -73,7 +74,7 @@ def first_decorated_reference(rng):
     alg = isotope(classical("H"), signed_rotation_reference(4, rng),
                   signed_rotation_reference(4, rng))
     m = int(rng.choice(np.arange(1, 4, 2)))
-    w = random_rotation(4, rng)
+    w = random_rotation_many(4, 1, rng)[0]
     return decorate(alg, w[:, :m], w[:, m:])
 
 
@@ -133,39 +134,33 @@ def test_two_entry_decorated_corpus_keeps_its_stream():
         alg = isotope(classical("O"), signed_rotation_reference(8, ref),
                       signed_rotation_reference(8, ref))
         m = int(ref.choice(np.arange(1, 8, 2)))
-        w = random_rotation(8, ref)
+        w = random_rotation_many(8, 1, ref)[0]
         assert same(got[1], decorate(alg, w[:, :m], w[:, m:]))
         assert state(gen) == state(ref)
 
 
 def test_single_draws_are_the_first_member_of_a_block():
     for seed in range(20):
-        for single, many in (
-                (lambda g: random_normal_form(g),
-                 lambda g: random_normal_form_many(1, g)[0]),
-                (lambda g: random_normal_form(g, block=(1, 0)),
-                 lambda g: random_normal_form_many(1, g, (1, 0))[0]),
-                (random_z_object, lambda g: random_z_object_many(1, g)[0]),
-                (random_unit_quaternion,
-                 lambda g: random_unit_vectors(4, 1, g)[0])):
-            gen, ref = twin(seed)
-            assert same(many(gen), single(ref))
-            assert state(gen) == state(ref)
+        gen, ref = twin(seed)
+        assert same(random_z_object_many(1, gen)[0], random_z_object(ref))
+        assert state(gen) == state(ref)
 
 
 def test_single_draws_keep_their_stream():
     # the per-call code these samplers replaced
     for seed in range(20):
         gen, ref = twin(seed)
-        assert same(random_unit_quaternion(gen), unit(ref.standard_normal(4)))
+        assert same(random_unit_vectors(4, 1, gen)[0],
+                    unit(ref.standard_normal(4)))
         gen, ref = twin(seed)
         i, j = int(ref.integers(0, 2)), int(ref.integers(0, 2))
-        want = NormalForm2D(i, j, random_spd1(2, ref), random_spd1(2, ref))
-        assert same(random_normal_form(gen), want)
+        want = NormalForm2D(i, j, random_spd1_many(2, 1, ref)[0],
+                            random_spd1_many(2, 1, ref)[0])
+        assert same(random_normal_form_many(1, gen)[0], want)
         gen, ref = twin(seed)
         a, b = ref.standard_normal(4), ref.standard_normal(4)
-        want = ZObject(unit(a), unit(b), random_spd1(4, ref),
-                       random_spd1(4, ref))
+        want = ZObject(unit(a), unit(b), random_spd1_many(4, 1, ref)[0],
+                       random_spd1_many(4, 1, ref)[0])
         assert same(random_z_object(gen), want)
         assert state(gen) == state(ref)
 
@@ -179,8 +174,8 @@ def test_block_samplers_draw_one_block_per_kind(count):
         gen, ref = twin(seed)
         blocks = [tuple(int(e) for e in ref.integers(0, 2, size=2))
                   for _ in range(count)]
-        a = [random_spd1(2, ref) for _ in range(count)]
-        b = [random_spd1(2, ref) for _ in range(count)]
+        a = [random_spd1_many(2, 1, ref)[0] for _ in range(count)]
+        b = [random_spd1_many(2, 1, ref)[0] for _ in range(count)]
         got = random_normal_form_many(count, gen)
         assert all(same(x, NormalForm2D(*ij, p, q))
                    for x, ij, p, q in zip(got, blocks, a, b))
@@ -188,7 +183,7 @@ def test_block_samplers_draw_one_block_per_kind(count):
 
         gen, ref = twin(seed)
         q = [unit(ref.standard_normal(4)) for _ in range(2 * count)]
-        cd = [random_spd1(4, ref) for _ in range(2 * count)]
+        cd = [random_spd1_many(4, 1, ref)[0] for _ in range(2 * count)]
         got = random_z_object_many(count, gen)
         assert all(same(x, ZObject(q[k], q[count + k], cd[k], cd[count + k]))
                    for k, x in enumerate(got))
@@ -251,7 +246,8 @@ def test_e_quadratic_corpus_draws_per_dimension(count):
     bases = [isotope(b, kappa(functor_g(b)), kappa(functor_g(b)))
              if k % 4 >= 2 else b for k, b in enumerate(bases)]
     rotations = per_dim([b.dim for b in bases],
-                        lambda n: random_rotation(n, ref), order=(4, 8))
+                        lambda n: random_rotation_many(n, 1, ref)[0],
+                        order=(4, 8))
     got = e_quadratic_corpus(count, gen)
     assert all(same(g, transport(b, f))
                for g, b, f in zip(got, bases, rotations))
@@ -264,17 +260,18 @@ def test_decorated_corpus_draws_per_kind_and_dimension(count):
     want = {}
     for n in (4, 8):
         ks = [k for k in range(count) if (4 if k % 2 == 0 else 8) == n]
-        s_rot = [random_rotation(n, ref) for _ in ks]
+        s_rot = [random_rotation_many(n, 1, ref)[0] for _ in ks]
         s = [_flip(q, c) for q, c in zip(s_rot, ref.integers(0, 2, len(ks)))]
-        t_rot = [random_rotation(n, ref) for _ in ks]
+        t_rot = [random_rotation_many(n, 1, ref)[0] for _ in ks]
         t = [_flip(q, c) for q, c in zip(t_rot, ref.integers(0, 2, len(ks)))]
         m = [int(x) for x in ref.choice(np.arange(1, n, 2), size=len(ks))]
         oblique = [k % 4 >= 2 for k in ks]
-        orth = iter([random_rotation(n, ref) for o in oblique if not o])
+        orth = iter([random_rotation_many(n, 1, ref)[0]
+                     for o in oblique if not o])
         count_o = oblique.count(True)
         sv = 4.0 ** (-ref.uniform(0.0, 1.0, size=(count_o, n)))
-        u = [random_rotation(n, ref) for _ in range(count_o)]
-        v = [random_rotation(n, ref) for _ in range(count_o)]
+        u = [random_rotation_many(n, 1, ref)[0] for _ in range(count_o)]
+        v = [random_rotation_many(n, 1, ref)[0] for _ in range(count_o)]
         mild = iter([uu @ np.diag(s) @ vv for uu, s, vv in zip(u, sv, v)])
         for k, sk, tk, mk, o in zip(ks, s, t, m, oblique):
             w = next(mild) if o else next(orth)

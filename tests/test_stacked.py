@@ -24,12 +24,12 @@ from divalg.errors import DegenerateSign, DivalgError, NonConvergence, \
     SingularOperator, ZeroQuaternion, fail_at
 from divalg.decorated import forget, functor_i, functor_i_many, kappa
 from divalg.matkit import det_many, polar_decompose, random_invertible, \
-    random_invertible_many, random_rotation, sign_det
+    random_invertible_many, random_rotation_many, sign_det_many
 from divalg.quat import functor_h, functor_h_many, k_map, k_map_many, \
-    qconj, rep_normalize, rep_normalize_many, so4_factor
+    qconj, rep_normalize_many, so4_factor
 from divalg.samples import decorated_corpus, division_corpus, \
     random_2d_division, random_division, random_normal_form_many, \
-    random_quat_pair, random_unit_quaternion, random_z_object, \
+    random_quat_pair, random_unit_vectors, random_z_object, \
     random_z_object_many
 
 DIMS = [2, 4, 8]
@@ -222,7 +222,8 @@ def test_k_map_many_is_bit_equal_to_the_loop(H):
     assert np.array_equal(got, np.stack([k_map(q) for q in qs]))
     assert np.array_equal(got, np.stack([k_map_reference(q, H) for q in qs]))
     reps = rep_normalize_many(qs)
-    assert np.array_equal(reps, np.stack([rep_normalize(q) for q in qs]))
+    assert np.array_equal(reps, np.stack([rep_normalize_many(q[None])[0]
+                                          for q in qs]))
     assert np.array_equal(reps, np.stack([rep_reference(q) for q in qs]))
 
 
@@ -232,7 +233,7 @@ def test_k_map_many_shape_and_zero_rows():
     with pytest.raises(ValueError):
         rep_normalize_many(np.ones((3, 3)))
     with pytest.raises(ValueError):
-        rep_normalize([1.0, 2.0, 3.0])
+        rep_normalize_many([[1.0, 2.0, 3.0]])
     qs = np.random.default_rng(42).standard_normal((4, 4))
     qs[2] = 0.0
     with pytest.raises(ZeroQuaternion, match="stack index 2"):
@@ -261,7 +262,7 @@ def test_functor_h_many_rejects_bad_signs():
 
 
 def test_stacked_so4_factor_equals_the_loop():
-    o = np.stack([random_rotation(4, seed) for seed in range(40)])
+    o = np.stack([random_rotation_many(4, 1, seed)[0] for seed in range(40)])
     a, b = so4_factor(o)
     assert a.shape == b.shape == (40, 4)
     for k in range(40):
@@ -270,7 +271,7 @@ def test_stacked_so4_factor_equals_the_loop():
 
 
 def test_stacked_so4_factor_names_the_offender():
-    o = np.stack([random_rotation(4, seed) for seed in range(4)])
+    o = np.stack([random_rotation_many(4, 1, seed)[0] for seed in range(4)])
     o[3, :, 0] *= -1.0                       # det -1
     with pytest.raises(NotSpecialOrthogonal, match="stack index 3"):
         so4_factor(o)
@@ -529,7 +530,7 @@ def quat_normal_form_reference(s, t, tol=1e-9):
         op = left_mult(h, g) if side == "L" else right_mult(h, g)
         c0 = op.T @ p @ op
         lam = float(np.linalg.det(c0)) ** 0.25
-        rep = rep_normalize(g)
+        rep = rep_normalize_many(g[None])[0]
         scale = scale * lam * (1.0 if rep @ g > 0 else -1.0)
         # the constructor makes g its representative, once
         parts.append((g, 0.5 * (c0 + c0.T) / lam))
@@ -567,7 +568,7 @@ def test_quat_normal_form_many_is_bit_equal_to_the_loop(b):
                 isos[k], isotope(classical("H"), *pair),
                 functor_h(alphas[k], betas[k], x))
             assert abs(res[k] - ref[4]) <= 1e-12
-            assert ref[:2] == (sign_det(t[lo + k]), sign_det(s[lo + k]))
+            assert ref[:2] == tuple(sign_det_many(np.stack(pair[::-1])))
             blocks.add(ref[:2])
     assert blocks == set(BLOCKS)
 
@@ -632,7 +633,7 @@ def quat_nf_loop(corpus, rng, tol):
     for count in range(100):
         s, t = random_quat_pair(rng)
         alpha, beta, x, iso = quat.quat_normal_form(s, t, tol)
-        if (alpha, beta) != (sign_det(t), sign_det(s)):
+        if (alpha, beta) != tuple(sign_det_many(np.stack([t, s]))):
             return False, 1.0, count, "block disagrees with determinants"
         worst = max(worst, morphism_residual(iso, isotope(h, s, t),
                                              functor_h(alpha, beta, x)))
@@ -945,7 +946,8 @@ def sign_mult_loop(rng, tol):
     for n in DIMS:
         for _ in range(100):
             m, w = random_invertible(n, rng), random_invertible(n, rng)
-            if sign_det(m @ w) != sign_det(m) * sign_det(w):
+            mw, m1, w1 = sign_det_many(np.stack([m @ w, m, w]))
+            if mw != m1 * w1:
                 return False, 1.0, count, f"violated at size {n}"
             count += 1
     return True, 0.0, count, ""
@@ -976,7 +978,8 @@ def isotope_law_loop(rng, tol):
         alg = corpus[k % len(corpus)]
         ell, r = sign_pair(alg, samples=8, tol=tol)
         got = sign_pair(isotope(alg, s, t, tol), samples=8, tol=tol)
-        if got != (ell * sign_det(t), r * sign_det(s)):
+        det_t, det_s = sign_det_many(np.stack([t, s]))
+        if got != (ell * det_t, r * det_s):
             return False, 1.0, k, f"law failed on {alg.label}"
     return True, 0.0, 500, ""
 
@@ -997,18 +1000,20 @@ def gap(x, y):
 
 
 def faithful_loop(rng, tol):
-    pairs = [(random_unit_quaternion(rng), random_unit_quaternion(rng))
+    pairs = [(random_unit_vectors(4, 1, rng)[0],
+              random_unit_vectors(4, 1, rng)[0])
              for _ in range(SCAN_SAMPLES)]
     lams = [rng.uniform(0.1, 10.0) for _ in pairs]
     for count, ((s, t), lam) in enumerate(zip(pairs, lams)):
-        ks, rs = k_map(s), rep_normalize(s)
-        if (gap(ks, k_map(t)) <= 1e-6) != (gap(rs, rep_normalize(t)) <= 1e-6):
+        ks, rs = k_map(s), rep_normalize_many(s[None])[0]
+        rt = rep_normalize_many(t[None])[0]
+        if (gap(ks, k_map(t)) <= 1e-6) != (gap(rs, rt) <= 1e-6):
             return False, 1.0, count, "k_map collided across classes"
         if gap(k_map(-s), ks) > 1e-12 or max(
                 gap(k_map(lam * s), ks), gap(k_map(-lam * s), ks)) > 1e-6:
             return False, 1.0, count, "k_map split a class"
-        if max(gap(rep_normalize(lam * s), rs),
-               gap(rep_normalize(-lam * s), rs)) > 1e-6:
+        if max(gap(rep_normalize_many((lam * s)[None])[0], rs),
+               gap(rep_normalize_many((-lam * s)[None])[0], rs)) > 1e-6:
             return False, 1.0, count, "representatives split a class"
     return True, 0.0, len(pairs), ""
 
@@ -1016,7 +1021,7 @@ def faithful_loop(rng, tol):
 def so4_loop(rng, tol):
     h, worst = classical("H"), 0.0
     for count in range(100):
-        o = random_rotation(4, rng)
+        o = random_rotation_many(4, 1, rng)[0]
         a, b = so4_factor(o, tol)
         if a[np.flatnonzero(np.abs(a) > 1e-12)[0]] <= 0:
             return False, 1.0, count, "representative convention broken"

@@ -22,11 +22,12 @@ from divalg.dim2 import GroupElement2D, NormalForm2D, build2d, \
     c2_elements, d3_elements, normal_form_2d, normal_form_2d_many, \
     unitalize
 from divalg.errors import BadSplit, SingularOperator
-from divalg.matkit import random_invertible, random_spd1
+from divalg.matkit import random_invertible, random_spd1_many
 from divalg.quat import ZObject, functor_h, k_map, quat_normal_form, \
     z_action
 from divalg.samples import decorated_corpus, random_2d_division, \
-    random_division, random_normal_form, random_quat_pair, random_z_object
+    random_division, random_normal_form_many, random_quat_pair, \
+    random_z_object
 
 
 def assert_same(got, want):
@@ -91,9 +92,9 @@ def test_dim2_producers_match_the_public_constructor(seed):
     tensors = np.stack([random_2d_division(rng).c for _ in range(4)])
     forms, _, _ = normal_form_2d_many(tensors)
     forms.append(normal_form_2d(Algebra(tensors[0]))[0])
-    forms.append(random_normal_form(rng))
-    forms.append(random_normal_form(rng, block=(1, 1)))
-    forms.append(random_normal_form(rng, block=(np.int64(1), 0)))
+    forms.append(random_normal_form_many(1, rng)[0])
+    forms.append(random_normal_form_many(1, rng, block=(1, 1))[0])
+    forms.append(random_normal_form_many(1, rng, block=(np.int64(1), 0))[0])
     for nf in forms:
         assert_same(nf, rebuilt(nf))
         assert_same(build2d(nf), rebuilt(build2d(nf)))
@@ -152,8 +153,8 @@ def test_functor_i_images_match_the_checked_isotope():
 
 def test_public_constructors_copy_their_inputs():
     c = classical("H").c.copy()
-    a, b = np.eye(2), random_spd1(2, 3)
-    q, d = np.array([0.0, 2.0, 0.0, 0.0]), random_spd1(4, 4)
+    a, b = np.eye(2), random_spd1_many(2, 1, 3)[0]
+    q, d = np.array([0.0, 2.0, 0.0, 0.0]), random_spd1_many(4, 1, 4)[0]
     m = np.array([[1.0, 0.0], [0.0, -1.0]])
     objs = [Algebra(c), NormalForm2D(0, 1, a, b),
             ZObject(q, q, np.eye(4), d), GroupElement2D(m, "C2")]
@@ -177,8 +178,8 @@ def test_public_constructors_copy_their_inputs():
                     np.diag([-1.0, -1.0, 1.0, 1.0]), np.eye(4)),
     lambda: ZObject(np.ones(3), np.ones(3), np.eye(4), np.eye(4)),
     lambda: GroupElement2D(np.eye(2), "C3"),
-    lambda: random_normal_form(0, block=(2, 0)),
-    lambda: random_normal_form(0, block=(True, 0)),
+    lambda: random_normal_form_many(1, 0, block=(2, 0))[0],
+    lambda: random_normal_form_many(1, 0, block=(True, 0))[0],
     lambda: k_map(np.ones(3)),
     lambda: normal_form_2d(classical("H")),
 ], ids=["non-finite", "non-cubic", "dimension-3", "exponent-2",
