@@ -58,9 +58,8 @@ class Algebra(_Frozen):
     """A real algebra presented by its structure-constant tensor.
 
     The tensor is read-only, so what depends on it alone is computed
-    once and kept: _gate holds the certificate of the double sign
-    (_gate_rows), one proved bound and one sign per side, filled by the
-    first sign_pair or is_division call that tries it.
+    once and kept: _gate holds _gate_rows of it, one value and one sign
+    per side, filled by the first sign_pair or is_division that reads it.
     """
 
     c: np.ndarray
@@ -174,11 +173,10 @@ def sign_pair(alg: Algebra, samples: int = 100, tol: float = DEFAULT_TOL,
     DegenerateSign.  For an int seed the points are cached per
     (dimension, samples, seed), the most recent few sets kept, and
     shared read-only by every call; a Generator seed draws new points
-    on each call.  The B=1 case of sign_pair_many, which certifies the
-    signs of a 2-d division algebra, or of an isotope of H or O, from
-    det L_{e0} and det R_{e0} alone; the certificate is computed once
-    per Algebra and kept on it (Algebra._gate), while the decision at
-    ``tol`` is taken afresh on every call.
+    on each call.  The B=1 case of sign_pair_many, which decides a 2-d
+    algebra from its forms and certifies an isotope of H or O from det
+    L_{e0} and det R_{e0}; both are computed once per Algebra and kept on
+    it (Algebra._gate), while the decision at ``tol`` is taken afresh.
     """
     ell, r = _signs(alg.c[None], samples, tol, seed,
                     lambda: _algebra_gate(alg))[0]
@@ -199,17 +197,17 @@ def sign_pair_many(tensors, samples: int = 100, tol: float = DEFAULT_TOL,
     SignInconsistent naming the first algebra whose signs vary.  A
     negative ``samples`` is a ValueError.
 
-    The points are drawn in any case.  With at least _CLOSED_FORM_POINTS
-    of them, the stack goes through _gate_rows once, and each algebra
-    is certified on its own: where the least |det| on the unit sphere
-    that both of its sides are proved to keep is above 2 max(tol, 0)
-    (room for rounding), its signs are those of det L_{e0} and det
-    R_{e0}, as det_many gives them at every point.  That proof exists
-    for a 2-d algebra whose two binary quadratic forms are definite,
-    with room above the rounding of their determinants, and for an
-    isotope of H or O or a transport of one.  The other algebras, and
-    every algebra at fewer points, get det_many's determinant at each
-    point; matkit._decides makes both comparisons.
+    At n = 2 no point is drawn, and ``samples`` and ``seed`` do nothing:
+    det L_a and det R_a are binary quadratic forms, decided at a tol
+    relative to their size by _definite2d, whose DegenerateSign names a
+    side and its margin.  At n = 4 and 8, from _CLOSED_FORM_POINTS
+    points up, the stack goes through _gate_rows once, and an algebra
+    whose sides keep a proved least |det| on the unit sphere above
+    2 max(tol, 0) (room for rounding), an isotope of H or O or a
+    transport of one, gets the signs of det L_{e0} and det R_{e0}, as
+    det_many gives them at every point.  The others, and every algebra
+    at fewer points or of another dimension, get det_many's determinant
+    at each point; matkit._decides makes every comparison.
     """
     c = _finite_stack(tensors, lambda s: len(s) == 4 and len(set(s[1:])) == 1,
                       "a (B, n, n, n) tensor stack", "structure constants")
@@ -219,14 +217,16 @@ def sign_pair_many(tensors, samples: int = 100, tol: float = DEFAULT_TOL,
 def _signs(c: np.ndarray, samples: int, tol: float, seed,
            gate) -> np.ndarray:
     """sign_pair_many of a valid tensor stack c (B, n, n, n).  gate()
-    gives _gate_rows(c); it is called only where the certificate is
-    tried, from _CLOSED_FORM_POINTS points up, at n = 2, 4 and 8 alike."""
+    gives _gate_rows(c); it is called at n = 2, and at n = 4 and 8 where
+    the certificate is tried, from _CLOSED_FORM_POINTS points up."""
     n = c.shape[-1]
     if n == 1:
         raise DimensionOne("the double sign needs dimension at least 2")
     _check_samples(samples)
+    if n == 2:
+        return _definite2d(gate(), tol, named=True)
     pts = _sample_points(n, samples, seed)
-    if n not in (2, 4, 8) or len(pts) < _CLOSED_FORM_POINTS:
+    if n not in (4, 8) or len(pts) < _CLOSED_FORM_POINTS:
         return _sampled_signs(c, pts, tol, np.arange(len(c)))
     bound, sign = gate()
     signs = np.array(sign)                          # right where certified
@@ -272,12 +272,7 @@ def _check_samples(samples: int) -> None:
 # 104 / 108 points took 177 / 303 us (H / O), 85 / 176 with det_many
 # alone; is_division at 1,000 samples 609 / 1,640 us, 672 / 1,707 where
 # a per-point closed form was tried before det_many (one process each,
-# 2-core x86, numpy 2.4).  At n = 2, on transported isotopes of C, with
-# det_many at 102 / 1,002 points against the certificate (five processes
-# each, the same host): a first sign_pair 48-94 -> 54-104 us, sign_pair
-# then is_division on a new Algebra 109-193 -> 64-118, the same on a
-# kept one 102-178 -> 15-26, sign_pair_many on 40 algebras 95-157 ->
-# 57-106 at 100 samples and 882-999 -> 57-108 at 1,000.
+# 2-core x86, numpy 2.4).
 _CLOSED_FORM_POINTS = 100
 
 
@@ -292,35 +287,20 @@ def _sampled_dets(c: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 
 def _gate_rows(c: np.ndarray):
-    """The certificate of both sides of each tensor of a stack (B, n, n,
-    n), n = 2, 4 or 8: (bound, sign), each (B, 2), L before R.  bound is
-    a proved least |det L_x| (|det R_x|) on the unit sphere, 0 where
-    nothing is proved; sign is that of det L_{e0} (det R_{e0}), +1 or
-    -1, which every det of the side shares where bound > 0.
-
-    At n = 2, det L_x is the binary quadratic form of _forms2d, with
-    eigenvalues of moduli |m| - r and |m| + r; it is proved definite
-    where |m| - r > _CLIFFORD_TOL (|m| + r), the exact 2-d test at that
-    ratio, and then its least |value| on the unit circle is |m| - r.
-    That value must also exceed _FORM_ROUNDING times the bound on the
-    rounding of every ad - bc of the side (size, at least the least
-    normal float, below which the error is absolute): the form's own
-    eigenvalues do not show the cancellation of an operator with large
-    entries and a small determinant.  Above it, |m| - r is within a
-    quarter of itself of the true least value, and det_many's ad - bc
-    at every unit point keeps the sign of det L_{e0} and more than half
-    of |m| - r.  At n = 4 and 8, a side that passes _clifford_gate keeps
-    |det L_{e0}| lambda_min(Q)^(n/2).
+    """What the signs of each tensor of a stack (B, n, n, n), n = 2, 4 or
+    8, are read from: (value, sign), each (B, 2), L before R, sign that
+    of det L_{e0} (det R_{e0}).  At n = 2 value is the margin of the
+    form (_forms2d); at n = 4 and 8 a proved least |det L_x| (|det R_x|)
+    on the unit sphere, |det L_{e0}| lambda_min(Q)^(n/2) where the side
+    passes _clifford_gate and 0 elsewhere, above which every det of the
+    side has the sign.
     """
     n = c.shape[-1]
     if n == 2:
-        low, high, d0, size = _forms2d(c)
-        ok = (low > _CLIFFORD_TOL * high) & (
-            low > _FORM_ROUNDING * np.maximum(size, np.finfo(float).tiny))
-    else:
-        ok, _, d0, lam = _clifford_gate(np.concatenate([c, c.swapaxes(1, 2)]))
-        with np.errstate(over="ignore"):
-            low = np.abs(d0) * lam ** (n // 2)
+        return _forms2d(c)
+    ok, _, d0, lam = _clifford_gate(np.concatenate([c, c.swapaxes(1, 2)]))
+    with np.errstate(over="ignore"):
+        low = np.abs(d0) * lam ** (n // 2)
     bound = np.where(ok, low, 0.0)
     sign = np.where(d0 > 0, 1, -1)
     return tuple(v.reshape(2, -1).T for v in (bound, sign))
@@ -353,13 +333,13 @@ def _clifford_gate(c: np.ndarray):
     _CLIFFORD_TOL and lambda_min > 0 (where q, the Schur complement of
     Q_00 = 1, is positive definite); lambda_min is 1 where ok fails first.
 
-    Each tensor is first divided by the power of two of its largest
-    |entry|.  det L_{e0} is LAPACK's at that unit scale; where it is
-    not zero the inverse, an LU of the same matrix, meets no zero pivot.
+    Each tensor is first brought to unit scale (_unit_scaled).  det
+    L_{e0} is LAPACK's at that scale; where it is not zero the inverse,
+    an LU of the same matrix, meets no zero pivot.
     """
     n = c.shape[-1]
-    _, e = np.frexp(np.abs(c).max(axis=(1, 2, 3)))
-    ell = np.ldexp(c, -e[:, None, None, None]).swapaxes(-1, -2)  # L_{e_i}
+    u, e = _unit_scaled(c)
+    ell = u.swapaxes(-1, -2)                                    # L_{e_i}
     eye = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         d0 = np.ldexp(np.linalg.det(ell[:, 0]), n * e)
@@ -382,6 +362,13 @@ def _clifford_gate(c: np.ndarray):
     lam = np.linalg.eigvalsh(np.where(ok[:, None, None], big_q, eye))[:, 0]
     ok &= lam > 0
     return ok, defect, d0, lam
+
+
+def _unit_scaled(c: np.ndarray):
+    """Each tensor of a stack (B, n, n, n) divided, exactly, by 2^e, e
+    (B,) the exponents of their largest |entry|: (tensors, e)."""
+    _, e = np.frexp(np.abs(c).max(axis=(1, 2, 3)))
+    return np.ldexp(c, -e[:, None, None, None]), e
 
 
 def isotope(alg: Algebra, s_op, t_op, tol: float = DEFAULT_TOL) -> Algebra:
@@ -579,8 +566,8 @@ def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
 
     mode='exact2d' (dimension 2 only): det L_a and det R_a are binary
     quadratic forms in a; the algebra is division exactly when both are
-    definite, decided by the eigenvalues of their coefficient matrices
-    relative to their norms (see _exact2d_division).
+    definite.  'division' where both margins are above max(tol, 0)
+    (_definite2d), a scale-free test, and 'not_division' otherwise.
 
     mode='sampled': the verdict of sign_pair at the same points, the
     basis vectors and ``samples`` seeded random unit vectors (shared
@@ -588,18 +575,17 @@ def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
     determinant with |det| <= max(tol, 0), or one that is not a number,
     gives 'not_division', and so does a sign change: for n >= 2 the unit
     sphere is connected, so det L_a or det R_a vanishes between two
-    points of opposite sign.  Otherwise 'probably_division'.  In
-    dimension 1 the one structure constant decides, at any scale:
+    points of opposite sign.  Otherwise 'probably_division'.  At n = 2
+    that is exact2d's test, where ``samples`` and ``seed`` do nothing.
+    In dimension 1 the one structure constant decides, at any scale:
     'division' when it is not zero.  A negative ``samples`` is a
-    ValueError.  The verdict is sign_pair's, also where sign_pair
-    certifies the signs (as at the default 1,000 samples), and it reads
-    the certificate that sign_pair keeps on the Algebra, so an algebra
-    that goes through both pays for it once.
+    ValueError.  The verdict is sign_pair's, and it reads what sign_pair
+    keeps on the Algebra, so an algebra that goes through both pays once.
     """
     if mode == "exact2d":
         if alg.dim != 2:
             raise ModeMismatch("exact2d applies to dimension 2 only")
-        return "division" if _exact2d_division(alg.c[None], tol)[0] \
+        return "division" if _definite2d(_forms2d(alg.c[None]), tol)[0] \
             else "not_division"
     if mode != "sampled":
         raise ModeMismatch(f"unknown mode {mode!r}")
@@ -613,48 +599,57 @@ def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
     return "probably_division"
 
 
-def _exact2d_division(c: np.ndarray, tol: float) -> np.ndarray:
-    """Whether each tensor of a stack (B, 2, 2, 2) is a division algebra.
-
-    det L_a and det R_a are binary quadratic forms in a (_forms2d).
-    Both must be definite with margin: the eigenvalue of smaller
-    modulus, |m| - r with mean m and radius r, above tol times the
-    larger, |m| + r.  The margin is a ratio, so rescaling the tensor
-    leaves the verdict alone.
-    """
-    low, high, _, _ = _forms2d(c)
-    definite = low > tol * high
-    return definite[:len(c)] & definite[len(c):]
-
-
-# e0, e1 and e0 + e1, where the values of a binary quadratic form fix it
-_FORM_POINTS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-
-
 def _forms2d(c: np.ndarray):
     """det L_a and det R_a of each tensor of a stack (B, 2, 2, 2) as
-    binary quadratic forms in a: (|m| - r, |m| + r, det L_{e0}, size),
-    each (2 B,), all L before all R.
+    binary quadratic forms in a: (margin, sign), each (B, 2), L before R.
 
     det L_a = a^T [[d1, h], [h, d2]] a with d1 = det L_{e0}, d2 =
-    det L_{e1} and 2 h = det L_{e0+e1} - d1 - d2, whose eigenvalues are
-    m +- r with mean m = (d1 + d2) / 2 and radius r; likewise det R_a.
-    The three determinants are det_many's; one out of the float range
-    gives inf or NaN, with no warning.  size = |A|_00 |A|_11 + |A|_01
-    |A|_10 with |A| = |L_{e0}| + |L_{e1}| entrywise bounds |ad| + |bc|
-    of L_a wherever |a_0|, |a_1| <= 1, so each ad - bc above, and each
-    of det_many at a unit point, is rounded by a few eps times size.
+    det L_{e1} and 2 h the four mixed products of det(L_{e0} + L_{e1}),
+    whose eigenvalues are m +- r with mean m = (d1 + d2) / 2 and radius
+    r; likewise det R_a.  margin = (|m| - r) / (|m| + r) is scale-free
+    and lies in [-1, 1]: above 0 the form is definite, and det L_a has
+    the sign of d1 (sign) at every a != 0; below 0 it takes both signs.
+    margin is 0 where | |m| - r | is not above _FORM_ROUNDING times the
+    sum of the moduli of the eight products that d1, d2 and 2 h add, at
+    least the least normal float (below it rounding is absolute): the
+    eigenvalues do not show the cancellation of an operator with large
+    entries and a small determinant.  Each tensor is first brought to
+    unit scale (_unit_scaled), so no product leaves the float range.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        ops = _left_stack(np.concatenate([c, c.swapaxes(1, 2)]),
-                          _FORM_POINTS)
-        d = det_many(ops)
-        d1, d2, dm = d[:, 0], d[:, 1], d[:, 2]
-        mean = np.abs(0.5 * (d1 + d2))
-        radius = np.hypot(0.5 * (d1 - d2), 0.5 * (dm - d1 - d2))
-        a = np.abs(ops[:, 0]) + np.abs(ops[:, 1])
-        size = a[:, 0, 0] * a[:, 1, 1] + a[:, 0, 1] * a[:, 1, 0]
-        return mean - radius, mean + radius, d1, size
+    u, _ = _unit_scaled(c)
+    # p[b, side, i] = L_{e_i}^T (R_{e_i}^T), with the operator's dets;
+    # x[..., i, k, :] = (a d, b c), a, b in row 0 of p_i, c, d in row 1 of p_k
+    p = np.concatenate([u[:, None], u.swapaxes(1, 2)[:, None]], axis=1)
+    x = p[..., :, None, 0, :] * p[..., None, :, 1, ::-1]
+    q = x[..., 0] - x[..., 1]
+    d1, d2 = q[..., 0, 0], q[..., 1, 1]
+    two_m = np.abs(d1 + d2)
+    two_r = np.hypot(d1 - d2, q[..., 0, 1] + q[..., 1, 0])
+    low = two_m - two_r
+    size = np.abs(x).sum(axis=(2, 3, 4))
+    ok = np.abs(low) > 2 * _FORM_ROUNDING * np.maximum(
+        size, np.finfo(float).tiny)
+    margin = np.divide(low, two_m + two_r, out=np.zeros_like(low), where=ok)
+    return margin, np.sign(d1).astype(int)    # not 0 where margin is above 0
+
+
+def _definite2d(gate, tol: float, named: bool = False) -> np.ndarray:
+    """The one 2-d decision, on gate = (margin, sign) of _forms2d of B
+    algebras: whether both forms of each are definite at tol, margin >
+    max(tol, 0) (matkit._decides), (B,).  named: the signs (B, 2), or
+    DegenerateSign naming the side, margin and algebra of the first
+    |margin| <= max(tol, 0), then SignInconsistent naming the first
+    algebra with a margin below -max(tol, 0), a form of both signs."""
+    margin, sign = gate
+    if not named:
+        definite = _decides(margin, tol) & (margin > 0)
+        return definite[:, 0] & definite[:, 1]
+    _decides(margin, tol, lambda i: (f"form margin of det {'LR'[i % 2]}_a",
+                                     f"on algebra {i // 2} of the stack"))
+    fail_at(margin < 0, SignInconsistent,
+            lambda i: "determinant signs vary over nonzero points of "
+                      f"algebra {i // 2} of the stack")
+    return sign
 
 
 def find_unities(alg: Algebra, tol: float = DEFAULT_TOL) -> dict:

@@ -39,10 +39,12 @@ from .core import (
     Algebra,
     SignPair,
     _Frozen,
-    _exact2d_division,
+    _definite2d,
+    _forms2d,
     _gate_residuals,
     _left_stack,
     _pull_back,
+    _unit_scaled,
     classical,
     morphism_residual_many,
 )
@@ -431,11 +433,15 @@ def normal_form_2d_many(tensors, tol: float = DEFAULT_TOL
     """
     c = _finite_stack(tensors, lambda s: len(s) == 4 and s[1:] == (2, 2, 2),
                       "a (B, 2, 2, 2) tensor stack", "structure constants")
-    fail_at(~_exact2d_division(c, tol), NotDivision,
+    fail_at(~_definite2d(_forms2d(c), tol), NotDivision,
             lambda k: "the exact dimension-2 test rejects this algebra at "
                       f"stack index {k}")
+    # 2^-e A reduces as A does, exactly, with 2^-e times its isomorphism
+    # (2^e I maps A onto 2^-e A), and no product leaves the float range;
+    # the final gate, and the residual its message gives, are at 2^-e A
+    scaled, exps = _unit_scaled(c)
     e0 = np.broadcast_to(np.array([1.0, 0.0]), (len(c), 2))
-    unital, u, ra, la = _remove_twist(c, e0, tol)
+    unital, u, ra, la = _remove_twist(scaled, e0, tol)
     basis = _basis_of_c(unital, u, tol)
     phi1 = _inverse(basis)
     s0 = _compose(phi1, _compose(_pair(ra), basis))
@@ -468,6 +474,7 @@ def normal_form_2d_many(tensors, tol: float = DEFAULT_TOL
     forms = [NormalForm2D._trusted(i=ik, j=jk, a=ak, b=bk) for ik, jk, ak, bk
              in zip(i.astype(int).tolist(), j.astype(int).tolist(), a, b)]
     isos = _matrix((w * phi1[0], w * phi1[1]))                # L(w) phi1
-    res = morphism_residual_many(isos, c, _build_tensors(i, j, a, b))
-    _gate_residuals(res, isos, c, tol)
-    return forms, isos, res
+    res = morphism_residual_many(isos, scaled, _build_tensors(i, j, a, b))
+    _gate_residuals(res, isos, scaled, tol)
+    # the residual of 2^e isos from A is 2^(2e) res, exactly
+    return forms, np.ldexp(isos, exps[:, None, None]), np.ldexp(res, 2 * exps)

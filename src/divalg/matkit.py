@@ -19,13 +19,11 @@ from .errors import DegenerateSign, SingularInput, fail_at
 # convergence bound on a unit-scale residual; scale-dependent absolute:
 # absolute on an input that may be rescaled, still to be made relative.
 # tol is of that kind in the |det| cut-offs of the signs, all _decides,
-# where a negative tol acts as 0.  _CLIFFORD_TOL admits a tensor to
-# sign_pair_many's certificate, which gives det_many's signs (no verdict):
-# the defect of 100 transported isotopes of H and of O was at most 8e-13,
-# that of H and O plus 1e-6 N(0, 1) noise at least 2e-6.  In 2-d it
-# admits a side whose binary quadratic form det L_a (det R_a) has its
-# eigenvalue moduli in a ratio above it (exact2d's test at that tol) and
-# its least value above _FORM_ROUNDING times the size of its ad - bc.
+# where a negative tol acts as 0; in 2-d it is relative, on the margin
+# of a form.  _CLIFFORD_TOL admits a 4-d or 8-d tensor to the
+# certificate, which gives det_many's signs (no verdict): the defect of
+# 100 transported isotopes of H and of O was at most 8e-13, that of H
+# and O plus 1e-6 N(0, 1) noise at least 2e-6.
 # relative: default tol, times the size each function states (see above)
 DEFAULT_TOL = 1e-9
 # relative: least s_min / s_max (polar_decompose, dim2._split)
@@ -58,10 +56,10 @@ _REAL_ROOT_TOL = 1e-8
 _IDEMPOTENT_FLOOR = 1e-10
 # relative: idempotents nearer than this times |z| are one
 _SAME_IDEMPOTENT = 1e-6
-# relative: largest Clifford defect, least 2-d form ratio (core._gate_rows)
+# relative: largest Clifford defect at n = 4 and 8 (core._clifford_gate)
 _CLIFFORD_TOL = 1e-10
-# relative: least 2-d form bound of core._gate_rows, times the bound on
-# |ad| + |bc| of its operators, which bounds the rounding of each ad - bc
+# relative: least | |m| - r | of a 2-d form with a margin (core._forms2d),
+# times the sum of the moduli of its products, which bounds their rounding
 _FORM_ROUNDING = 64 * np.finfo(float).eps
 
 

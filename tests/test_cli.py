@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_decoration
+from conftest import planted_zero_divisor, random_decoration
 from divalg import verify
 from divalg.cli import main
 from divalg.core import Algebra, classical
@@ -59,7 +59,7 @@ def test_bad_document_is_input_error(capsys, tmp_path):
 
 def test_degenerate_input_is_numerical_error(capsys, tmp_path):
     c = np.zeros((2, 2, 2))
-    c[0, 0, 0] = c[1, 1, 1] = 1.0      # componentwise product, det L_e1 = 0
+    c[0, 0, 0] = c[1, 1, 1] = 1.0      # componentwise, det L_a = a0 a1
     path = tmp_path / "cw.json"
     write_algebra(Algebra(c), path)
     assert main(["sign-pair", str(path)]) == 3
@@ -89,6 +89,31 @@ def test_divcheck_exact2d(capsys, tmp_path):
     code, out = run(capsys, "divcheck", str(path), "--mode", "exact2d")
     assert code == 0
     assert out.strip() == "division"
+
+
+def test_a_planted_zero_divisor_of_c_is_refused(capsys, tmp_path):
+    # its forms are semidefinite, which no sample point shows: divcheck
+    # says not_division (exit 0) and sign-pair refuses a sign (exit 3),
+    # naming the side and its margin, at every sample count
+    path = tmp_path / "planted.json"
+    write_algebra(planted_zero_divisor("C"), path)
+    for samples in ("8", "100", "1000"):
+        assert run(capsys, "divcheck", str(path), "--samples", samples) == \
+            (0, "not_division\n")
+        assert main(["sign-pair", str(path), "--samples", samples]) == 3
+        assert capsys.readouterr().err == (
+            "error: |form margin of det L_a| = 0.000e+00 <= tol = 1.000e-09 "
+            "on algebra 0 of the stack\n")
+
+
+@pytest.mark.parametrize("lam", [1e160, 1e-300])
+def test_exact2d_is_scale_free(capsys, tmp_path, lam):
+    # the forms are read at unit scale, so no determinant leaves the
+    # float range
+    path = tmp_path / "c.json"
+    write_algebra(Algebra(lam * classical("C").c), path)
+    assert run(capsys, "divcheck", str(path), "--mode", "exact2d") == \
+        (0, "division\n")
 
 
 @pytest.mark.parametrize("name", ["H", "O"])

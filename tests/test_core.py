@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_decoration
+from conftest import planted_zero_divisor, random_decoration
 from divalg import core
 from divalg.core import Algebra, SignPair, classical, find_unities, \
     is_division, is_morphism, isotope, left_mult, left_mult_many, \
     morphism_residual, opposite, right_mult, right_mult_many, sign_pair, \
     transport
 from divalg.decorated import DecoratedAlgebra, kappa
+from divalg.dim2 import normal_form_2d_many
 from divalg.errors import DegenerateSign, DimensionOne, ModeMismatch, \
-    NonConvergence, SignInconsistent, SingularOperator, ZeroMap
+    NonConvergence, NotDivision, SignInconsistent, SingularOperator, ZeroMap
 from divalg.matkit import det_many, random_invertible, random_invertible_many
 from divalg.samples import random_division
 
@@ -121,12 +122,14 @@ def test_sign_pair_split_complex_is_inconsistent():
 @pytest.mark.parametrize("name", ["C", "H"])
 @pytest.mark.parametrize("lam", [1e-80, 1e80, 1e160])
 def test_sign_decisions_at_extreme_scales(name, lam):
-    # at 1e160 every determinant overflows to +inf, ad - bc's for C and
-    # LAPACK's for H, which is a sign (and warns of the overflow), so the
-    # pair stays ++
+    # C is decided from its forms at unit scale, so it gets its own answer
+    # at every scale.  H still gets the absolute |det| cut-off of its
+    # sampled signs (ROADMAP item 1): 1e-80 H is refused, and at 1e160
+    # every LAPACK determinant overflows to +inf, which is a sign (and
+    # warns of the overflow), so the pair stays ++
     alg = Algebra(lam * classical(name).c)
     with np.errstate(over="ignore"):
-        if lam < 1.0:
+        if lam < 1.0 and name == "H":
             with pytest.raises(DegenerateSign):
                 sign_pair(alg)
             assert is_division(alg) == "not_division"
@@ -137,12 +140,14 @@ def test_sign_decisions_at_extreme_scales(name, lam):
 
 @pytest.mark.parametrize("samples", [8, 100, 1000])
 def test_a_negative_tol_acts_as_zero(samples):
-    # a zero determinant gives no sign, and a rank-one operator is
-    # singular, at every negative tol: the zero 2-d algebra was (-1, -1)
-    # and probably_division, and the isotope had zero divisors
+    # a zero form gives no sign, and a rank-one operator is singular, at
+    # every negative tol: the zero 2-d algebra was (-1, -1) and
+    # probably_division, and the isotope had zero divisors.  At n = 2 no
+    # point is drawn, so every sample count names the form's margin
     zero = Algebra(np.zeros((2, 2, 2)))
-    with pytest.raises(DegenerateSign, match=r"^\|det L_a\| = 0.000e\+00 "
-                       r"<= tol = 0.000e\+00 on algebra 0 .* point 0,"):
+    with pytest.raises(DegenerateSign, match=r"^\|form margin of det L_a\| "
+                       r"= 0.000e\+00 <= tol = 0.000e\+00 on algebra 0 of "
+                       r"the stack$"):
         sign_pair(zero, samples=samples, tol=-1.0)
     assert is_division(zero, samples=samples, tol=-1.0) == "not_division"
     with pytest.raises(SingularOperator, match=r"^S\[0\] is singular"):
@@ -222,9 +227,10 @@ def test_nan_determinant_is_never_a_sign_or_a_pass(O):
         assert is_division(alg) == "not_division"
 
 
-# --- the certified double sign of 2-d algebras and isotopes of H and O ---
-# samples=100 and 1000 put every call below at or above
-# core._CLOSED_FORM_POINTS; on_det_many puts it below
+# --- the double sign of 2-d algebras from their forms, and the certified
+# double sign of isotopes of H and O: samples=100 and 1000 put every 4-d
+# and 8-d call below at or above core._CLOSED_FORM_POINTS; on_det_many
+# puts it below
 
 
 def isotope_family(name, seed):
@@ -245,15 +251,6 @@ def family_operators(n, seed):
     """The three (S, T, F) of isotope_family(., seed) at dimension n."""
     return random_invertible_many(n, 9, np.random.default_rng(seed),
                                   max_cond=20.0).reshape(3, 3, n, n)
-
-
-def planted_zero_divisor(name):
-    """X less the rank-one term a (x) b (x) ab, for unit a and b drawn
-    apart from the sample stream, so that a o b is about 1e-16."""
-    base = classical(name)
-    a, b = np.random.default_rng(12345).standard_normal((2, base.dim))
-    a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
-    return Algebra(base.c - np.einsum("i,j,k->ijk", a, b, base.mul(a, b)))
 
 
 def split_quaternions():
@@ -279,24 +276,24 @@ def sign_changer(n):
 
 
 def gate(algs):
-    """The certificate of each algebra: (bound, sign), each (B, 2)."""
+    """What the signs of each algebra are read from: (value, sign), each
+    (B, 2), value the certificate's bound at n = 4 and 8 and the form's
+    margin at n = 2."""
     return core._gate_rows(np.stack([a.c for a in algs]))
 
 
 def gate_passes(algs):
-    """Whether each side of each algebra, (B, 2), has a proved bound."""
+    """Whether each side of each algebra, (B, 2), has a proved bound (a
+    definite form at n = 2)."""
     return gate(algs)[0] > 0
 
 
-def spy_on_point_dets(monkeypatch):
-    """The stacks that det_many gets from here on, less the 2-d gate's
-    own (2 B, 3, 2, 2) stack at e0, e1 and e0 + e1: those of the
-    operators at the sample points."""
+def spy_on_det_many(monkeypatch):
+    """The stacks that det_many gets from here on."""
     seen = []
 
     def spy(ms):
-        if np.shape(ms)[1:] != (3, 2, 2):
-            seen.append(ms)
+        seen.append(ms)
         return det_many(ms)
 
     monkeypatch.setattr(core, "det_many", spy)
@@ -320,54 +317,80 @@ def on_det_many(monkeypatch, call):
 
 @pytest.mark.parametrize("name", ["C", "H", "O"])
 def test_certificate_bound_is_the_least_det_on_the_sphere(name):
-    # the kept bound, |m| - r at n = 2 and |det L_{e0}| lam_min(Q)^(n/2)
-    # at n = 4 and 8, is at most every sampled |det|, within 1e-13 of the
-    # Hadamard bound of the operator's det, and is the least |det| on
-    # the unit sphere: 1 for X and X_{K,K}; for X_{S,T} (L_x = L_{Sx} T,
-    # R_y = R_{Ty} S) s_min(S)^n |det T| and s_min(T)^n |det S|, with
-    # S F^-1 and T F^-1 in place of S and T once transported
+    # the kept bound |det L_{e0}| lam_min(Q)^(n/2) at n = 4 and 8 is at
+    # most every sampled |det|, within 1e-13 of the Hadamard bound of the
+    # operator's det, and is the least |det| on the unit sphere: 1 for X
+    # and X_{K,K}; for X_{S,T} (L_x = L_{Sx} T, R_y = R_{Ty} S) s_min(S)^n
+    # |det T| and s_min(T)^n |det S|, with S F^-1 and T F^-1 in place of
+    # S and T once transported.  The kept margin at n = 2 is scale-free:
+    # the least |det| on the unit circle over the greatest, at most the
+    # least sampled |det| over the greatest, and so (s_min(S) /
+    # s_max(S))^2 and (s_min(T) / s_max(T))^2, as det L_x = |S x|^2 det T
     algs = isotope_family(name, 11)
     n = algs[0].dim
-    bound, _ = gate(algs)
-    assert (bound > 0).all()
+    value, _ = gate(algs)
+    assert (value > 0).all()
     pts = core._sample_points(n, 1000, 0)
-    for alg, low in zip(algs, bound):
+    for alg, low in zip(algs, value):
         for side, ops in zip(low, (left_mult_many(alg, pts),
                                    right_mult_many(alg, pts))):
-            hadamard = np.prod(np.linalg.norm(ops, axis=-2), axis=-1)
-            assert np.all(side <= np.abs(det_many(ops)) + 1e-13 * hadamard)
+            d = np.abs(det_many(ops))
+            if n == 2:
+                assert side <= d.min() / d.max() + 1e-13
+            else:
+                hadamard = np.prod(np.linalg.norm(ops, axis=-2), axis=-1)
+                assert np.all(side <= d + 1e-13 * hadamard)
     k = np.diag([1.0] + [-1.0] * (n - 1))
     want = [(1.0, 1.0), (1.0, 1.0)]
     for s, t, f in family_operators(n, 11):
         g = np.linalg.inv(f)
-        least = [np.linalg.svd(m, compute_uv=False)[-1] ** n
-                 for m in (s, t, s @ g, t @ g, k @ g)]
-        ds, dt = abs(np.linalg.det(s)), abs(np.linalg.det(t))
+        sv = [np.linalg.svd(m, compute_uv=False)
+              for m in (s, t, s @ g, t @ g, k @ g)]
+        if n == 2:
+            least = [(v[-1] / v[0]) ** 2 for v in sv]
+            ds = dt = 1.0
+        else:
+            least = [v[-1] ** n for v in sv]
+            ds, dt = abs(np.linalg.det(s)), abs(np.linalg.det(t))
         want += [(least[0] * dt, least[1] * ds),
                  (least[2] * dt, least[3] * ds), (least[4], least[4])]
     want = np.array(want)
-    assert np.all(np.abs(bound - want) <= 1e-11 * want)
+    assert np.all(np.abs(value - want) <= 1e-11 * want)
 
 
 @pytest.mark.parametrize("name", ["C", "H", "O"])
 def test_certified_calls_make_no_det_many_call(monkeypatch, name):
-    # sign_pair at samples=100 (102, 104 or 108 points) and is_division at
-    # its default 1,000 read the kept bound and signs
-    calls = spy_on_point_dets(monkeypatch)
-    for alg in isotope_family(name, 16):
+    # sign_pair at samples=100 (104 or 108 points) and is_division at its
+    # default 1,000 read the kept bound and signs.  At n = 2 no call
+    # reaches det_many at any sample count, on an Algebra or a stack
+    calls = spy_on_det_many(monkeypatch)
+    algs = isotope_family(name, 16)
+    for alg in algs:
         sign_pair(alg, samples=100)
         assert is_division(alg) == "probably_division"
     assert calls == []
-    sign_pair(classical(name), samples=8)          # the spy sees the rest
-    assert calls
+    if name != "C":
+        sign_pair(classical(name), samples=8)      # the spy sees the rest
+        assert calls
+        return
+    stack = np.stack([a.c for a in algs])
+    for samples in (8, 100, 1000):
+        for alg in (Algebra(a.c) for a in algs):   # nothing kept yet
+            sign_pair(alg, samples=samples)
+            assert is_division(Algebra(alg.c), samples=samples) == \
+                "probably_division"
+        core.sign_pair_many(stack, samples)
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["C", "H", "O"])
 def test_one_gate_per_algebra(monkeypatch, name):
-    # the certificate is kept on the Algebra: sign_pair and is_division
-    # share one gate call, at any point count from _CLOSED_FORM_POINTS,
-    # seed and tol.  The decision at tol is not kept: after a certified
-    # call, a tol above half the bound gets det_many's outcome
+    # what the signs are read from is kept on the Algebra: sign_pair and
+    # is_division share one gate call, at any point count from
+    # _CLOSED_FORM_POINTS (any at n = 2), seed and tol.  The decision at
+    # tol is not kept: after a certified call, a tol above half the bound
+    # gets det_many's outcome, and at n = 2 a tol at the least margin
+    # gets DegenerateSign naming that side and margin
     calls = []
     helper = "_forms2d" if name == "C" else "_clifford_gate"
     real = getattr(core, helper)
@@ -386,6 +409,14 @@ def test_one_gate_per_algebra(monkeypatch, name):
         assert is_division(alg, samples=100, seed=np.random.default_rng(
             3)) == "probably_division"
         bound, sign = alg._gate
+        if n == 2:
+            side = int(bound[0].argmin())
+            tol = float(bound[0, side])
+            assert outcome(lambda: sign_pair(alg, tol=tol)) == (
+                DegenerateSign, f"|form margin of det {'LR'[side]}_a| = "
+                f"{tol:.3e} <= tol = {tol:.3e} on algebra 0 of the stack")
+            assert sign_pair(alg, tol=tol / 2) == tuple(sign[0])
+            continue
         pts = core._sample_points(n, 100, 0)
         tol = float(np.abs(core._sampled_dets(alg.c[None], pts)).min())
         assert (bound > 0).all() and tol > bound.min() / 2
@@ -416,7 +447,9 @@ def test_a_new_algebra_starts_without_a_gate():
                     Algebra(alg.c), doubled):
             assert new._gate is None
         sign_pair(doubled)
-        assert np.array_equal(doubled._gate[0], 2.0 ** n * bound)
+        # the bound scales as a det does; the 2-d margin is scale-free
+        assert np.array_equal(doubled._gate[0],
+                              (1.0 if n == 2 else 2.0 ** n) * bound)
         assert np.array_equal(doubled._gate[1], sign)
         with pytest.raises(TypeError):
             Algebra(alg.c, _gate=alg._gate)
@@ -442,21 +475,26 @@ def test_a_decorated_algebra_computes_its_own_kappa(H):
 
 @pytest.mark.parametrize("name", ["C", "H", "O"])
 def test_a_generator_seed_advances_alike_on_both_paths(monkeypatch, name):
-    # the certified path draws its points as the det_many path does
+    # the certified path draws its points as the det_many path does; at
+    # n = 2 no point is drawn, so a Generator seed is left where it was
+    # and gives the outcome of an int seed
     alg = isotope_family(name, 17)[3]
     assert gate_passes([alg]).all()
     for call in (lambda rng: sign_pair(alg, samples=100, seed=rng),
                  lambda rng: is_division(alg, seed=rng)):
         rngs = np.random.default_rng(7), np.random.default_rng(7)
-        assert outcome(lambda: call(rngs[0])) == on_det_many(
-            monkeypatch, lambda: call(rngs[1]))
+        if name == "C":
+            assert outcome(lambda: call(rngs[0])) == outcome(lambda: call(0))
+        else:
+            assert outcome(lambda: call(rngs[0])) == on_det_many(
+                monkeypatch, lambda: call(rngs[1]))
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("lam", [2.0 ** 20, 2.0 ** -20, -1.0, 1e80, 1e-80,
                                  1e160])
-@pytest.mark.parametrize("name", ["C", "H", "O"])
+@pytest.mark.parametrize("name", ["H", "O"])
 def test_closed_form_verdicts_and_signs_at_any_scale(monkeypatch, name,
                                                      lam):
     # the certificate where the gate passes with room, det_many elsewhere
@@ -473,6 +511,42 @@ def test_closed_form_verdicts_and_signs_at_any_scale(monkeypatch, name,
                     is_division(alg, samples=samples))
 
         assert decide() == on_det_many(monkeypatch, decide)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lam", [2.0 ** 20, 2.0 ** -20, 1e80, 1e-80, 1e160,
+                                 1e-300, -1.0, -1e-80])
+def test_2d_decisions_are_scale_free(lam):
+    # lam A is A transported along I / lam, so at n = 2 every sign,
+    # verdict, block and exponent of lam A is that of A, at every sample
+    # count, also where a determinant of lam A leaves the float range; a
+    # mixed stack (blocks ++ and --, transports) keeps its signs row by
+    # row.  The planted zero divisor of C, split C and sign_changer(2)
+    # are refused at every sample count
+    algs = isotope_family("C", 12)[:5]
+    c = np.stack([a.c for a in algs])
+    for samples in (8, 100, 1000):
+        assert np.array_equal(core.sign_pair_many(lam * c, samples),
+                              core.sign_pair_many(c, samples))
+        for a in algs:
+            scaled = Algebra(lam * a.c)
+            assert sign_pair(scaled, samples=samples) == sign_pair(
+                a, samples=samples)
+            assert is_division(scaled, samples=samples) == "probably_division"
+    assert all(is_division(Algebra(lam * a.c), "exact2d") == "division"
+               for a in algs)
+    forms = [normal_form_2d_many(x)[0] for x in (c, lam * c)]
+    assert [[(f.i, f.j, f.block) for f in fs] for fs in forms] == \
+        [[(f.i, f.j, f.block) for f in forms[0]]] * 2
+    for bad in (planted_zero_divisor("C"), split_complex(), sign_changer(2)):
+        scaled = Algebra(lam * bad.c)
+        for samples in (8, 100, 1000):
+            with pytest.raises((DegenerateSign, SignInconsistent)):
+                sign_pair(scaled, samples=samples)
+            assert is_division(scaled, samples=samples) == "not_division"
+        assert is_division(scaled, "exact2d") == "not_division"
+        with pytest.raises(NotDivision):
+            normal_form_2d_many(scaled.c[None])
 
 
 @pytest.mark.parametrize("name", ["H", "O"])
@@ -523,17 +597,18 @@ def test_closed_form_member_is_its_single_call(monkeypatch):
     # by member: det_many sees the operators of the refused members
     # only, each member's signs are those of its single call, certified
     # or not, and a member with L_{e0} = 0 (degenerate) or with signs
-    # that vary is named by its index in the whole stack.  In 2-d the
-    # planted zero divisor still gets ++ from its sample points, 1e160 C
-    # has determinants out of the float range, and sign_changer(2) is
-    # the split complex numbers
-    seen = spy_on_point_dets(monkeypatch)
-    for name in ("C", "H", "O"):
+    # that vary is named by its index in the whole stack.  In 2-d no
+    # member reaches det_many, at any sample count: the isotopes, 1e160 C
+    # and 1e-300 C get their signs from their forms, and the planted zero
+    # divisor and the member with L_{e0} = 0 (semidefinite forms), and
+    # sign_changer(2), the split complex numbers (an indefinite one), are
+    # named by their index in the whole stack
+    seen = spy_on_det_many(monkeypatch)
+    for name in ("H", "O"):
         base = classical(name).c
         n = len(base)
-        refused = [planted_zero_divisor(name), Algebra(1e160 * base)]
-        if name != "C":
-            refused.append(Algebra(base + 0.05 * np.ones_like(base)))
+        refused = [planted_zero_divisor(name), Algebra(1e160 * base),
+                   Algebra(base + 0.05 * np.ones_like(base))]
         if name == "H":
             refused.append(split_quaternions())
         algs = isotope_family(name, 14)[:6] + refused
@@ -563,6 +638,31 @@ def test_closed_form_member_is_its_single_call(monkeypatch):
             # a bound of 0 certifies nothing, also at a negative tol
             with pytest.raises(SignInconsistent):
                 core.sign_pair_many(changer[None], samples, tol=-1.0)
+    base = classical("C").c
+    algs = isotope_family("C", 14)[:6] + [Algebra(1e160 * base),
+                                          Algebra(1e-300 * base)]
+    assert gate_passes(algs).all()
+    c = np.stack([a.c for a in algs])
+    degenerate = (r"^\|form margin of det L_a\| = 0\.000e\+00 <= tol = "
+                  r"1\.000e-09 on algebra {} of the stack$")
+    refused = [(planted_zero_divisor("C").c, DegenerateSign, degenerate),
+               (base * (np.arange(2) > 0)[:, None, None], DegenerateSign,
+                degenerate),
+               (sign_changer(2).c, SignInconsistent, "^determinant signs "
+                "vary over nonzero points of algebra {} of the stack$")]
+    seen.clear()
+    for samples in (8, 100, 1000):
+        many = core.sign_pair_many(c, samples)
+        assert [tuple(p) for p in many.tolist()] == [
+            sign_pair(Algebra(a.c), samples=samples) for a in algs]
+        for bad, error, message in refused:
+            for k in (0, 3, len(c)):
+                with pytest.raises(error, match=message.format(k)):
+                    core.sign_pair_many(np.insert(c, k, bad, axis=0),
+                                        samples)
+        with pytest.raises(SignInconsistent):
+            core.sign_pair_many(sign_changer(2).c[None], samples, tol=-1.0)
+    assert seen == []
 
 
 def rotation(angle):
@@ -576,40 +676,44 @@ def ill_isotope(cond, theta, phi):
     with entries near k, while det R_y = |T y|^2 has ratio 1 / cond^2."""
     k = np.sqrt(cond)
     t = rotation(theta) @ np.diag([k, 1 / k]) @ rotation(phi)
-    return isotope(classical("C"), np.eye(2), t, tol=0.0)
+    # isotope's singular test would refuse T from cond 1e17 on
+    return Algebra(core._pull_back(classical("C").c, np.eye(2), t))
 
 
 def test_the_2d_gate_margin_is_above_the_rounding():
-    # an L side of C_{I,T}, whose form is |x|^2 at every cond(T), passes
-    # the ratio test, but each ad - bc cancels products near cond(T): the
-    # gate admits it at 1e8 with the least value 1, and refuses it from
-    # 1e14, where the three determinants are rounded by 1e-2 to 1
+    # an L side of C_{I,T}, whose form is |x|^2 at every cond(T), has
+    # margin 1, but each ad - bc cancels products near cond(T): the form
+    # test reads margin 1 at 1e8, and 0 from 1e14, where d1, d2 and h are
+    # rounded by 1e-2 to 1, so sign_pair refuses that side there even at
+    # tol = 0.  The R side, of ratio 1 / cond^2, is below the rounding,
+    # and refused, at every cond
     for cond in (1e8, 1e14, 1e15, 1e16):
         for theta in (0.3, 0.7):
-            c = ill_isotope(cond, theta, 1.1).c[None]
-            low, high, _, _ = core._forms2d(c)
-            assert low[0] > core._CLIFFORD_TOL * high[0]
-            bound = core._gate_rows(c)[0][0]
-            assert bound[1] == 0.0
+            alg = ill_isotope(cond, theta, 1.1)
+            margin, sign = core._forms2d(alg.c[None])
+            assert margin[0, 1] == 0.0
             if cond == 1e8:
-                assert abs(bound[0] - 1.0) < 1e-8
+                assert abs(margin[0, 0] - 1.0) < 1e-8 and sign[0, 0] == 1
             else:
-                assert bound[0] == 0.0
+                assert margin[0, 0] == 0.0
+            with pytest.raises(DegenerateSign, match="^.form margin of det "
+                               + ("R" if cond == 1e8 else "L")):
+                sign_pair(alg, tol=0.0)
 
 
-def test_the_2d_gate_margin_holds_among_subnormal_dets(monkeypatch):
-    # where the entries' products fall among the subnormal floats, their
-    # rounding is absolute, not a multiple of eps times size: at tol = 0
-    # the certified signs are still those of det_many alone
+def test_the_2d_gate_margin_holds_among_subnormal_dets():
+    # entries from 1e-162.5 to 1e-160 have products among the subnormal
+    # floats, whose rounding is absolute, not a multiple of eps times
+    # size; at unit scale they have none, so at tol = 0 such a tensor
+    # 2^-k A gets the margins of A bit for bit, and the outcome of A
     rng = np.random.default_rng(21)
     for _ in range(300):
-        alg = Algebra(rng.uniform(-2.0, 2.0, (2, 2, 2))
-                      * 10.0 ** rng.uniform(-162.5, -160.0))
-
-        def decide():
-            return outcome(lambda: sign_pair(alg, tol=0.0))
-
-        assert decide() == on_det_many(monkeypatch, decide)
+        c = rng.uniform(-2.0, 2.0, (2, 2, 2))
+        alg = Algebra(np.ldexp(c, -int(rng.integers(533, 541))))
+        assert np.abs(alg.c).max() < 1e-160
+        assert np.array_equal(gate([alg])[0], gate([Algebra(c)])[0])
+        assert outcome(lambda: sign_pair(alg, tol=0.0)) == outcome(
+            lambda: sign_pair(Algebra(c), tol=0.0))
 
 
 @pytest.mark.parametrize("n", [3, 5, 16])
@@ -623,7 +727,11 @@ def test_other_dimensions_take_det_many(monkeypatch, n):
     assert outcome(lambda: core.sign_pair_many(c, 100)) == want
 
 
-# 2-d tensors for the certificate's relations, each with its kind
+# 2-d tensors for the relations of the form test, each with its kind;
+# "planted" is the planted zero divisor of C, at the default or at drawn
+# a and b, "isotope" is C_{S,T} with |det S|, |det T| > 1e-3, "spread" has
+# entries over 330 orders of magnitude, so that some of its products at
+# unit scale are subnormal or 0
 FORM_TENSORS = st.one_of(
     st.tuples(st.just("uniform"),
               st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8).map(
@@ -632,36 +740,58 @@ FORM_TENSORS = st.one_of(
         lambda t: (1 - t) * core._complex_tensor() + t * split_complex().c)),
     st.tuples(st.just("ill"), st.builds(
         lambda e, theta, phi: ill_isotope(10.0 ** e, theta, phi).c,
-        st.floats(8.0, 16.0), st.floats(0.0, 3.2), st.floats(0.0, 3.2))),
-    st.just("planted").map(lambda k: (k, planted_zero_divisor("C").c)))
+        st.floats(8.0, 20.0), st.floats(0.0, 3.2), st.floats(0.0, 3.2))),
+    st.tuples(st.just("planted"), st.one_of(
+        st.just(planted_zero_divisor("C").c),
+        st.builds(lambda a, b: planted_zero_divisor(
+            "C", np.array([np.cos(a), np.sin(a)]),
+            np.array([np.cos(b), np.sin(b)])).c,
+            st.floats(0.0, 6.3), st.floats(0.0, 6.3)))),
+    st.tuples(st.just("isotope"), st.lists(
+        st.floats(-2.0, 2.0), min_size=8, max_size=8).map(
+            lambda v: np.reshape(v, (2, 2, 2))).filter(
+                lambda st_: (np.abs(np.linalg.det(st_)) > 1e-3).all()).map(
+                    lambda st_: isotope(classical("C"), *st_).c)),
+    st.tuples(st.just("spread"), st.lists(
+        st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 330.0)),
+        min_size=8, max_size=8).map(
+            lambda v: np.reshape([x * 10.0 ** -e for x, e in v], (2, 2, 2)))))
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=250, derandomize=True, deadline=None)
 @given(FORM_TENSORS, st.sampled_from([1.0, 2.0 ** 20, 2.0 ** -20, 1e80,
-                                      1e-80, -1.0]))
-def test_the_2d_certificate_is_the_exact_test_at_the_gate_ratio(kind_c, lam):
-    # the gate admits both sides of a 2-d algebra only where exact2d at
-    # _CLIFFORD_TOL says division, and exactly there for the mixtures,
-    # whose operators are the size of their forms; never the planted
-    # zero divisor (a margin relative to the form's size).  The certified
-    # verdicts and signs, or the exception raised, are those of det_many
-    # alone, also on the ill-conditioned isotopes C_{I,T}
+                                      1e-80, 1e160, 1e-300, -1.0]))
+def test_the_2d_form_signs_hold_at_every_unit_point(kind_c, lam):
+    # one decision at n = 2, at tols 0, 1e-9 and 0.25: sign_pair, sampled
+    # is_division and exact2d agree.  Where sign_pair gives signs,
+    # det_many at 1,002 unit points, computed directly on the tensor at
+    # unit scale, carries them; the planted zero divisor never gets
+    # signs; and a mixture (1 - t) C + t (split C), whose two forms are
+    # a0^2 - c[1, 1, 0] a1^2 with c[1, 1, 0] = 2 t - 1, is decided
+    # exactly at the ratio 1 - 2 t, except within the rounding of 1 - 2 t
+    # and of the form
     kind, c = kind_c
     alg = Algebra(lam * c)
-    admitted = gate_passes([alg]).all()
-    exact = is_division(alg, "exact2d", tol=core._CLIFFORD_TOL) == "division"
-    assert admitted <= exact
-    assert admitted == exact or kind != "mixture"
-    assert not (kind == "planted" and admitted)
-    for samples in (100, 1000):
-        def decide():
-            return (outcome(lambda: sign_pair(alg, samples=samples)),
-                    is_division(alg, samples=samples))
-
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(core, "_CLOSED_FORM_POINTS", np.inf)
-            want = decide()
-        assert decide() == want
+    unit = Algebra(alg.c / max(np.abs(alg.c).max(), 1e-300))
+    pts = core._sample_points(2, 1000, 0)
+    signs = [np.sign(det_many(ops)) for ops in (left_mult_many(unit, pts),
+                                                right_mult_many(unit, pts))]
+    ratio = -c[1, 1, 0]
+    for tol in (0.0, 1e-9, 0.25):
+        got = outcome(lambda: sign_pair(alg, tol=tol))
+        verdicts = (is_division(alg, tol=tol),
+                    is_division(alg, "exact2d", tol=tol))
+        if isinstance(got, SignPair):
+            assert kind != "planted"
+            assert verdicts == ("probably_division", "division")
+            assert all(np.all(d == sign) for d, sign in zip(signs, got))
+        else:
+            assert verdicts == ("not_division", "not_division")
+        if kind == "mixture" and abs(abs(ratio) - tol) > 1e-15 \
+                and abs(ratio) > 1e-13:
+            assert (got if isinstance(got, SignPair) else got[0]) == (
+                (1, 1) if ratio > tol else
+                SignInconsistent if ratio < -tol else DegenerateSign)
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)

@@ -113,13 +113,29 @@ def test_operator_stacks_must_match():
         transport_many(alg, s[0])
 
 
-def test_degenerate_point_names_algebra_and_point(C):
-    # componentwise product: L at the first basis vector is diag(1, 0)
-    c = np.zeros((2, 2, 2))
-    c[0, 0, 0] = c[1, 1, 1] = 1.0
-    with pytest.raises(DegenerateSign,
-                       match=r"det L_a.*algebra 1 .*sample point 0"):
-        sign_pair_many(np.stack([C.c, c]), samples=8)
+def test_degenerate_point_names_algebra_and_point(C, H):
+    # componentwise product: L at the first basis vector is diag(1, 0, ..)
+    # and has det 0, which at n = 4 names its sample point.  At n = 2 no
+    # point is drawn: det L_a = a0 a1 takes both signs, and its form says
+    # so, naming the algebra; the member with e_1 x = 0, whose det L_a =
+    # a0^2 is semidefinite, is named with its side and margin
+    for base in (C, H):
+        n = base.dim
+        c = np.zeros((n, n, n))
+        c[range(n), range(n), range(n)] = 1.0
+        if n == 4:
+            with pytest.raises(DegenerateSign,
+                               match=r"det L_a.*algebra 1 .*sample point 0"):
+                sign_pair_many(np.stack([base.c, c]), samples=8)
+            continue
+        with pytest.raises(SignInconsistent, match="of algebra 1 of the "
+                           "stack$"):
+            sign_pair_many(np.stack([base.c, c]), samples=8)
+        c[1] = 0.0
+        with pytest.raises(DegenerateSign, match=r"^\|form margin of det "
+                           r"L_a\| = 0\.000e\+00 <= tol = 1\.000e-09 on "
+                           "algebra 1 of the stack$"):
+            sign_pair_many(np.stack([base.c, c]), samples=8)
 
 
 def test_split_complex_member_is_inconsistent(C):
@@ -816,14 +832,19 @@ def test_fail_at_counts_a_stacked_mask_flat():
         fail_at(bad, DegenerateSign, message)
     assert np.unravel_index(got[0], bad.shape) == (1, 1, 3)
     # and sign_pair_many names that triple: in algebra 1, e_0 x = x and
-    # e_1 x = 0, so det L_a = a_0^2 vanishes at point 1 (a = e_1) and
-    # det R_a at every point; side L comes first in flat order
-    c = np.stack([classical("C").c] * 3)
-    c[1] = 0.0
-    c[1, 0] = np.eye(2)
-    with pytest.raises(DegenerateSign, match=r"det L_a\| = 0\.000e\+00 .* on "
-                       "algebra 1 of the stack at sample point 1,"):
-        sign_pair_many(c, samples=3)
+    # e_i x = 0 for i > 0, so at n = 4 det L_a = a_0^4 vanishes at point 1
+    # (a = e_1) and det R_a at every point; side L comes first in flat
+    # order.  At n = 2 the mask is [algebra, side], and the semidefinite
+    # form det L_a = a_0^2 is named first
+    for name in ("H", "C"):
+        c = np.stack([classical(name).c] * 3)
+        n = c.shape[-1]
+        c[1] = 0.0
+        c[1, 0] = np.eye(n)
+        where = " at sample point 1," if n == 4 else "$"
+        with pytest.raises(DegenerateSign, match=r"det L_a\| = 0\.000e\+00 "
+                           f".* on algebra 1 of the stack{where}"):
+            sign_pair_many(c, samples=3)
 
 
 @pytest.mark.parametrize("n", DIMS)
@@ -867,14 +888,13 @@ FAILURES_AT_TOL = {
     1e-2: [
         ("core-sign-constancy", 0, "DegenerateSign: |det| = 4.711e-03 <= "
          "tol = 1.000e-02 at batch index 398"),
-        ("core-transport-invariance", 0, "DegenerateSign: |det R_a| = "
-         "9.561e-03 <= tol = 1.000e-02 on algebra 0 of the stack at sample "
-         "point 4, a = [-0.829  0.559]"),
-        ("core-isotope-sign-law", 0, "SingularOperator: S[0] is singular at "
-         "tol 1.0e-02"),
-        ("core-unital-blocks", 0, "DegenerateSign: |det L_a| = 6.292e-03 <= "
-         "tol = 1.000e-02 on algebra 0 of the stack at sample point 4, "
-         "a = [-0.829  0.559]"),
+        ("core-transport-invariance", 0, "DegenerateSign: |form margin of "
+         "det L_a| = 8.706e-04 <= tol = 1.000e-02 on algebra 0 of the "
+         "stack"),
+        ("core-isotope-sign-law", 0, "DegenerateSign: |form margin of det "
+         "R_a| = 1.411e-03 <= tol = 1.000e-02 on algebra 0 of the stack"),
+        ("core-unital-blocks", 0, "DegenerateSign: |form margin of det L_a| "
+         "= 1.955e-03 <= tol = 1.000e-02 on algebra 0 of the stack"),
         ("dim2-round-trip", 0, "NotDivision: the exact dimension-2 test "
          "rejects this algebra at stack index 0"),
         ("dim2-density", 0, "NotDivision: the exact dimension-2 test "
@@ -888,18 +908,15 @@ FAILURES_AT_TOL = {
     5e-2: [
         ("core-sign-constancy", 0, "DegenerateSign: |det| = 3.761e-02 <= "
          "tol = 5.000e-02 at batch index 45"),
-        ("core-transport-invariance", 0, "DegenerateSign: |det R_a| = "
-         "4.138e-02 <= tol = 5.000e-02 on algebra 0 of the stack at sample "
-         "point 4, a = [-0.829  0.559]"),
-        ("core-isotope-sign-law", 0, "DegenerateSign: |det R_a| = 4.138e-02 "
-         "<= tol = 5.000e-02 on algebra 0 of the stack at sample point 4, "
-         "a = [-0.829  0.559]"),
-        ("core-opposition", 0, "DegenerateSign: |det R_a| = 4.138e-02 <= "
-         "tol = 5.000e-02 on algebra 0 of the stack at sample point 4, "
-         "a = [-0.829  0.559]"),
-        ("core-unital-blocks", 0, "DegenerateSign: |det L_a| = 6.292e-03 <= "
-         "tol = 5.000e-02 on algebra 0 of the stack at sample point 4, "
-         "a = [-0.829  0.559]"),
+        ("core-transport-invariance", 0, "DegenerateSign: |form margin of "
+         "det R_a| = 1.053e-02 <= tol = 5.000e-02 on algebra 0 of the "
+         "stack"),
+        ("core-isotope-sign-law", 0, "DegenerateSign: |form margin of det "
+         "R_a| = 1.053e-02 <= tol = 5.000e-02 on algebra 0 of the stack"),
+        ("core-opposition", 0, "DegenerateSign: |form margin of det R_a| = "
+         "1.053e-02 <= tol = 5.000e-02 on algebra 0 of the stack"),
+        ("core-unital-blocks", 0, "DegenerateSign: |form margin of det L_a| "
+         "= 1.955e-03 <= tol = 5.000e-02 on algebra 0 of the stack"),
         ("core-morphism-injective", 8, "accepted a singular morphism"),
         ("decorated-block-shift", 0, "DegenerateSign: |det R_a| = 3.427e-02 "
          "<= tol = 5.000e-02 on algebra 0 of the stack at sample point 7, "
