@@ -58,8 +58,8 @@ class Algebra(_Frozen):
     """A real algebra presented by its structure-constant tensor.
 
     The tensor is read-only, so what depends on it alone is computed
-    once and kept: _gate holds _gate_rows of it, one value and one sign
-    per side, filled by the first sign_pair or is_division that reads it.
+    once and kept: _gate holds _gate_rows of it, a margin and a sign per
+    side, filled by the first sign_pair or is_division that reads it.
     """
 
     c: np.ndarray
@@ -197,17 +197,17 @@ def sign_pair_many(tensors, samples: int = 100, tol: float = DEFAULT_TOL,
     SignInconsistent naming the first algebra whose signs vary.  A
     negative ``samples`` is a ValueError.
 
-    At n = 2 no point is drawn, and ``samples`` and ``seed`` do nothing:
-    det L_a and det R_a are binary quadratic forms, decided at a tol
-    relative to their size by _definite2d, whose DegenerateSign names a
-    side and its margin.  At n = 4 and 8, from _CLOSED_FORM_POINTS
-    points up, the stack goes through _gate_rows once, and an algebra
-    whose sides keep a proved least |det| on the unit sphere above
-    2 max(tol, 0) (room for rounding), an isotope of H or O or a
-    transport of one, gets the signs of det L_{e0} and det R_{e0}, as
-    det_many gives them at every point.  The others, and every algebra
-    at fewer points or of another dimension, get det_many's determinant
-    at each point; matkit._decides makes every comparison.
+    _gate_rows keeps per side a scale-free margin, (least |det| /
+    greatest |det|)^(2/n) on the unit sphere, and a sign.  At n = 2 no
+    point is drawn, and ``samples`` and ``seed`` do nothing: the margins
+    of the forms det L_a and det R_a decide (_definite2d), and
+    DegenerateSign names a side and its margin.  At n = 4 and 8, from
+    _CLOSED_FORM_POINTS points up, an algebra with both margins above
+    max(tol, 0), an isotope of H or O or a transport of one, gets the
+    signs of det L_{e0} and det R_{e0}, which every det has, so lam A
+    gets A's.  The others, and every algebra at fewer points or of
+    another dimension, compare det_many's determinant at each point with
+    max(tol, 0); matkit._decides makes every comparison.
     """
     c = _finite_stack(tensors, lambda s: len(s) == 4 and len(set(s[1:])) == 1,
                       "a (B, n, n, n) tensor stack", "structure constants")
@@ -217,8 +217,8 @@ def sign_pair_many(tensors, samples: int = 100, tol: float = DEFAULT_TOL,
 def _signs(c: np.ndarray, samples: int, tol: float, seed,
            gate) -> np.ndarray:
     """sign_pair_many of a valid tensor stack c (B, n, n, n).  gate()
-    gives _gate_rows(c); it is called at n = 2, and at n = 4 and 8 where
-    the certificate is tried, from _CLOSED_FORM_POINTS points up."""
+    gives _gate_rows(c), whose margins decide at tol: at n = 2, and at
+    n = 4 and 8 from _CLOSED_FORM_POINTS points up."""
     n = c.shape[-1]
     if n == 1:
         raise DimensionOne("the double sign needs dimension at least 2")
@@ -228,9 +228,9 @@ def _signs(c: np.ndarray, samples: int, tol: float, seed,
     pts = _sample_points(n, samples, seed)
     if n not in (4, 8) or len(pts) < _CLOSED_FORM_POINTS:
         return _sampled_signs(c, pts, tol, np.arange(len(c)))
-    bound, sign = gate()
+    margin, sign = gate()
     signs = np.array(sign)                          # right where certified
-    rest = np.flatnonzero(~_decides(bound, 2 * tol).all(axis=1))
+    rest = np.flatnonzero(~_decides(margin, tol).all(axis=1))
     if len(rest):
         signs[rest] = _sampled_signs(c[rest], pts, tol, rest)
     return signs
@@ -288,22 +288,19 @@ def _sampled_dets(c: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 def _gate_rows(c: np.ndarray):
     """What the signs of each tensor of a stack (B, n, n, n), n = 2, 4 or
-    8, are read from: (value, sign), each (B, 2), L before R, sign that
-    of det L_{e0} (det R_{e0}).  At n = 2 value is the margin of the
-    form (_forms2d); at n = 4 and 8 a proved least |det L_x| (|det R_x|)
-    on the unit sphere, |det L_{e0}| lambda_min(Q)^(n/2) where the side
-    passes _clifford_gate and 0 elsewhere, above which every det of the
-    side has the sign.
+    8, are read from: (margin, sign), each (B, 2), L before R, sign that
+    of det L_{e0} (det R_{e0}).  margin > 0 proves the sign of every det
+    L_x (det R_x), x != 0, and is then (least / greatest |det L_x| on the
+    unit sphere)^(2/n), scale-free: at n = 2 the form's (_forms2d), at
+    n = 4 and 8 _clifford_gate's ratio where the side passes, else 0.
     """
     n = c.shape[-1]
     if n == 2:
         return _forms2d(c)
-    ok, _, d0, lam = _clifford_gate(np.concatenate([c, c.swapaxes(1, 2)]))
-    with np.errstate(over="ignore"):
-        low = np.abs(d0) * lam ** (n // 2)
-    bound = np.where(ok, low, 0.0)
+    ok, d0, ratio = _clifford_gate(np.concatenate([c, c.swapaxes(1, 2)]))
+    margin = np.where(ok, ratio, 0.0)
     sign = np.where(d0 > 0, 1, -1)
-    return tuple(v.reshape(2, -1).T for v in (bound, sign))
+    return tuple(v.reshape(2, -1).T for v in (margin, sign))
 
 
 def _algebra_gate(alg: Algebra):
@@ -319,7 +316,7 @@ def _algebra_gate(alg: Algebra):
 
 def _clifford_gate(c: np.ndarray):
     """The Clifford test of the left multiplications of each tensor of a
-    stack (B, n, n, n), n = 4 or 8: (ok, defect, det L_{e0}, lambda_min).
+    stack (B, n, n, n), n = 4 or 8: (ok, det L_{e0}, ratio).
 
     With M_i = L_{e_i} L_{e0}^-1 (so M_0 = I and a_0 = 1), a_i = tr M_i
     / n, J_i = M_i - a_i I and q_ij = -tr(J_i J_j + J_j J_i) / (2 n) for
@@ -327,23 +324,25 @@ def _clifford_gate(c: np.ndarray):
     + J_j J_i = -2 q_ij I with q positive definite.  Then M_x has the
     eigenvalues a(x) +- i sqrt(q(x)), n / 2 times each, so det L_x =
     det L_{e0} (x^T Q x)^(n/2) with Q = a a^T + q (q on e_1..e_{n-1}),
-    and |det L_x| >= |det L_{e0}| lambda_min(Q)^(n/2) for unit x.  defect
-    is max|J_i J_j + J_j J_i + 2 q_ij I| / max|J_i J_j + J_j J_i|, and ok
-    holds where det L_{e0} is finite and not zero, defect is at most
-    _CLIFFORD_TOL and lambda_min > 0 (where q, the Schur complement of
-    Q_00 = 1, is positive definite); lambda_min is 1 where ok fails first.
+    and ratio = lambda_min(Q) / lambda_max(Q) is (least / greatest |det
+    L_x| on the unit sphere)^(2/n).  defect is max|J_i J_j + J_j J_i +
+    2 q_ij I| / max|J_i J_j + J_j J_i|, and ok holds where det L_{e0} is
+    not zero, defect is at most _CLIFFORD_TOL and ratio is above it (q,
+    the Schur complement of Q_00 = 1, is positive definite above the
+    rounding); ratio is 1 where ok fails first.
 
-    Each tensor is first brought to unit scale (_unit_scaled).  det
-    L_{e0} is LAPACK's at that scale; where it is not zero the inverse,
-    an LU of the same matrix, meets no zero pivot.
+    Each tensor is first brought to unit scale (_unit_scaled), which
+    leaves M_i and the sign of det L_{e0} alone.  Where that det,
+    LAPACK's, is not zero the inverse, an LU of the same matrix, meets no
+    zero pivot.
     """
     n = c.shape[-1]
-    u, e = _unit_scaled(c)
+    u, _ = _unit_scaled(c)
     ell = u.swapaxes(-1, -2)                                    # L_{e_i}
     eye = np.eye(n)
+    d0 = np.linalg.det(ell[:, 0])
+    ok = d0 != 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        d0 = np.ldexp(np.linalg.det(ell[:, 0]), n * e)
-        ok = np.isfinite(d0) & (d0 != 0)
         m = ell[:, 1:] @ np.linalg.inv(np.where(ok[:, None, None],
                                                 ell[:, 0], eye))[:, None]
         a = np.einsum("...ii->...", m) / n
@@ -359,16 +358,17 @@ def _clifford_gate(c: np.ndarray):
         big_q = a[:, :, None] * a[:, None, :]
         big_q[:, 1:, 1:] += q
     ok &= defect <= _CLIFFORD_TOL
-    lam = np.linalg.eigvalsh(np.where(ok[:, None, None], big_q, eye))[:, 0]
-    ok &= lam > 0
-    return ok, defect, d0, lam
+    lam = np.linalg.eigvalsh(np.where(ok[:, None, None], big_q, eye))
+    ratio = lam[:, 0] / lam[:, -1]                  # lambda_max >= Q_00 = 1
+    ok &= ratio > _CLIFFORD_TOL
+    return ok, d0, ratio
 
 
-def _unit_scaled(c: np.ndarray):
-    """Each tensor of a stack (B, n, n, n) divided, exactly, by 2^e, e
-    (B,) the exponents of their largest |entry|: (tensors, e)."""
-    _, e = np.frexp(np.abs(c).max(axis=(1, 2, 3)))
-    return np.ldexp(c, -e[:, None, None, None]), e
+def _unit_scaled(x: np.ndarray):
+    """Each member of a stack (B, ...) divided, exactly, by 2^e, e (B,)
+    the exponents of their largest |entry|: (stack, e)."""
+    _, e = np.frexp(np.abs(x).max(axis=tuple(range(1, x.ndim))))
+    return np.ldexp(x, -e.reshape((-1,) + (1,) * (x.ndim - 1))), e
 
 
 def isotope(alg: Algebra, s_op, t_op, tol: float = DEFAULT_TOL) -> Algebra:

@@ -18,12 +18,12 @@ from .errors import DegenerateSign, SingularInput, fail_at
 # unit: absolute, on an object at unit scale by construction; budget: a
 # convergence bound on a unit-scale residual; scale-dependent absolute:
 # absolute on an input that may be rescaled, still to be made relative.
-# tol is of that kind in the |det| cut-offs of the signs, all _decides,
-# where a negative tol acts as 0; in 2-d it is relative, on the margin
-# of a form.  _CLIFFORD_TOL admits a 4-d or 8-d tensor to the
-# certificate, which gives det_many's signs (no verdict): the defect of
-# 100 transported isotopes of H and of O was at most 8e-13, that of H
-# and O plus 1e-6 N(0, 1) noise at least 2e-6.
+# tol is of that kind on the sampled |det| of the signs; on each kept
+# sign margin (core._gate_rows, n = 2, 4, 8) it is relative.  All are
+# _decides, where a negative tol acts as 0.  _CLIFFORD_TOL admits a 4-d
+# or 8-d tensor to the certificate, which gives det_many's signs: the
+# defect of 100 transported isotopes of H and of O was at most 8e-13,
+# that of H and O plus 1e-6 N(0, 1) noise at least 2e-6.
 # relative: default tol, times the size each function states (see above)
 DEFAULT_TOL = 1e-9
 # relative: least s_min / s_max (polar_decompose, dim2._split)
@@ -56,7 +56,7 @@ _REAL_ROOT_TOL = 1e-8
 _IDEMPOTENT_FLOOR = 1e-10
 # relative: idempotents nearer than this times |z| are one
 _SAME_IDEMPOTENT = 1e-6
-# relative: largest Clifford defect at n = 4 and 8 (core._clifford_gate)
+# relative: largest Clifford defect, least lambda_min / lambda_max of Q
 _CLIFFORD_TOL = 1e-10
 # relative: least | |m| - r | of a 2-d form with a margin (core._forms2d),
 # times the sum of the moduli of its products, which bounds their rounding

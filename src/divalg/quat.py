@@ -26,6 +26,7 @@ from .core import (
     _Frozen,
     _gate_residuals,
     _pull_back,
+    _unit_scaled,
     classical,
     isotope_many,
     left_mult_many,
@@ -382,9 +383,7 @@ def quat_normal_form_many(s_ops, t_ops, tol: float = DEFAULT_TOL):
     # max|entry| into [0.5, 1), so that no determinant leaves the float
     # range: 2^-p S and 2^-q T give the object of S and T, and their
     # isomorphism times 2^(p+q) is the isomorphism of S and T
-    st = np.concatenate([s, t])
-    _, exps = np.frexp(np.abs(st).max(axis=(1, 2)))
-    st = np.ldexp(st, -exps[:, None, None])
+    st, exps = _unit_scaled(np.concatenate([s, t]))
     flips = np.linalg.det(st) < 0
     i_s, i_t = flips[:n], flips[n:]
     alphas, betas = np.where(i_t, -1, 1), np.where(i_s, -1, 1)

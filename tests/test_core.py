@@ -16,7 +16,8 @@ from divalg.decorated import DecoratedAlgebra, kappa
 from divalg.dim2 import normal_form_2d_many
 from divalg.errors import DegenerateSign, DimensionOne, ModeMismatch, \
     NonConvergence, NotDivision, SignInconsistent, SingularOperator, ZeroMap
-from divalg.matkit import det_many, random_invertible, random_invertible_many
+from divalg.matkit import det_many, random_invertible, \
+    random_invertible_many, random_rotation_many
 from divalg.samples import random_division
 
 E0, E1, E2, E3 = np.eye(4)
@@ -122,20 +123,13 @@ def test_sign_pair_split_complex_is_inconsistent():
 @pytest.mark.parametrize("name", ["C", "H"])
 @pytest.mark.parametrize("lam", [1e-80, 1e80, 1e160])
 def test_sign_decisions_at_extreme_scales(name, lam):
-    # C is decided from its forms at unit scale, so it gets its own answer
-    # at every scale.  H still gets the absolute |det| cut-off of its
-    # sampled signs (ROADMAP item 1): 1e-80 H is refused, and at 1e160
-    # every LAPACK determinant overflows to +inf, which is a sign (and
-    # warns of the overflow), so the pair stays ++
+    # C is decided from its forms and H, from 100 points up, from its
+    # certificate, both scale-free margins read at unit scale: each gets
+    # its own answer at every scale
     alg = Algebra(lam * classical(name).c)
-    with np.errstate(over="ignore"):
-        if lam < 1.0 and name == "H":
-            with pytest.raises(DegenerateSign):
-                sign_pair(alg)
-            assert is_division(alg) == "not_division"
-        else:
-            assert sign_pair(alg) == (1, 1)
-            assert is_division(alg) == "probably_division"
+    for samples in (100, 1000):
+        assert sign_pair(alg, samples=samples) == (1, 1)
+        assert is_division(alg, samples=samples) == "probably_division"
 
 
 @pytest.mark.parametrize("samples", [8, 100, 1000])
@@ -218,13 +212,15 @@ def test_rescaled_identity_operators_are_not_singular(O, build):
 
 def test_nan_determinant_is_never_a_sign_or_a_pass(O):
     # at this scale the operator entries overflow, and some sampled dets
-    # of L_a come out NaN: they are degenerate, not a sign or a pass
+    # of L_a come out NaN: they are degenerate, not a sign or a pass.
+    # From 100 points the certificate, read at unit scale, gives O's ++
     alg = Algebra(1.7e308 * O.c)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DegenerateSign, match=r"^det L_a is not a number "
                            "on algebra 0 of the stack at sample point"):
-            sign_pair(alg)
-        assert is_division(alg) == "not_division"
+            sign_pair(alg, samples=8)
+        assert is_division(alg, samples=8) == "not_division"
+    assert sign_pair(alg, samples=100) == (1, 1)
 
 
 # --- the double sign of 2-d algebras from their forms, and the certified
@@ -276,15 +272,13 @@ def sign_changer(n):
 
 
 def gate(algs):
-    """What the signs of each algebra are read from: (value, sign), each
-    (B, 2), value the certificate's bound at n = 4 and 8 and the form's
-    margin at n = 2."""
+    """What the signs of each algebra are read from: (margin, sign), each
+    (B, 2), margin scale-free at n = 2, 4 and 8."""
     return core._gate_rows(np.stack([a.c for a in algs]))
 
 
 def gate_passes(algs):
-    """Whether each side of each algebra, (B, 2), has a proved bound (a
-    definite form at n = 2)."""
+    """Whether each side of each algebra, (B, 2), has a proved sign."""
     return gate(algs)[0] > 0
 
 
@@ -317,51 +311,38 @@ def on_det_many(monkeypatch, call):
 
 @pytest.mark.parametrize("name", ["C", "H", "O"])
 def test_certificate_bound_is_the_least_det_on_the_sphere(name):
-    # the kept bound |det L_{e0}| lam_min(Q)^(n/2) at n = 4 and 8 is at
-    # most every sampled |det|, within 1e-13 of the Hadamard bound of the
-    # operator's det, and is the least |det| on the unit sphere: 1 for X
-    # and X_{K,K}; for X_{S,T} (L_x = L_{Sx} T, R_y = R_{Ty} S) s_min(S)^n
-    # |det T| and s_min(T)^n |det S|, with S F^-1 and T F^-1 in place of
-    # S and T once transported.  The kept margin at n = 2 is scale-free:
-    # the least |det| on the unit circle over the greatest, at most the
-    # least sampled |det| over the greatest, and so (s_min(S) /
-    # s_max(S))^2 and (s_min(T) / s_max(T))^2, as det L_x = |S x|^2 det T
+    # the kept margin is one formula at n = 2, 4 and 8: (least |det| /
+    # greatest |det| on the unit sphere)^(2/n), at most that ratio of the
+    # sampled |det|.  For X and X_{K,K} it is 1; for X_{S,T} (L_x = L_{Sx}
+    # T, R_y = R_{Ty} S, so |det L_x| = |S x|^n |det T|) it is (s_min(S) /
+    # s_max(S))^2 and (s_min(T) / s_max(T))^2, with S F^-1 and T F^-1 in
+    # place of S and T once transported
     algs = isotope_family(name, 11)
     n = algs[0].dim
-    value, _ = gate(algs)
-    assert (value > 0).all()
+    margin, _ = gate(algs)
+    assert (margin > 0).all()
     pts = core._sample_points(n, 1000, 0)
-    for alg, low in zip(algs, value):
-        for side, ops in zip(low, (left_mult_many(alg, pts),
-                                   right_mult_many(alg, pts))):
+    for alg, kept in zip(algs, margin):
+        for side, ops in zip(kept, (left_mult_many(alg, pts),
+                                    right_mult_many(alg, pts))):
             d = np.abs(det_many(ops))
-            if n == 2:
-                assert side <= d.min() / d.max() + 1e-13
-            else:
-                hadamard = np.prod(np.linalg.norm(ops, axis=-2), axis=-1)
-                assert np.all(side <= d + 1e-13 * hadamard)
+            assert side <= (d.min() / d.max()) ** (2 / n) + 1e-13
     k = np.diag([1.0] + [-1.0] * (n - 1))
     want = [(1.0, 1.0), (1.0, 1.0)]
     for s, t, f in family_operators(n, 11):
         g = np.linalg.inv(f)
-        sv = [np.linalg.svd(m, compute_uv=False)
-              for m in (s, t, s @ g, t @ g, k @ g)]
-        if n == 2:
-            least = [(v[-1] / v[0]) ** 2 for v in sv]
-            ds = dt = 1.0
-        else:
-            least = [v[-1] ** n for v in sv]
-            ds, dt = abs(np.linalg.det(s)), abs(np.linalg.det(t))
-        want += [(least[0] * dt, least[1] * ds),
-                 (least[2] * dt, least[3] * ds), (least[4], least[4])]
+        ratio = [(v[-1] / v[0]) ** 2 for v in (
+            np.linalg.svd(m, compute_uv=False)
+            for m in (s, t, s @ g, t @ g, k @ g))]
+        want += [ratio[:2], ratio[2:4], (ratio[4], ratio[4])]
     want = np.array(want)
-    assert np.all(np.abs(value - want) <= 1e-11 * want)
+    assert np.all(np.abs(margin - want) <= 1e-11 * want)
 
 
 @pytest.mark.parametrize("name", ["C", "H", "O"])
 def test_certified_calls_make_no_det_many_call(monkeypatch, name):
     # sign_pair at samples=100 (104 or 108 points) and is_division at its
-    # default 1,000 read the kept bound and signs.  At n = 2 no call
+    # default 1,000 read the kept margins and signs.  At n = 2 no call
     # reaches det_many at any sample count, on an Algebra or a stack
     calls = spy_on_det_many(monkeypatch)
     algs = isotope_family(name, 16)
@@ -388,9 +369,10 @@ def test_one_gate_per_algebra(monkeypatch, name):
     # what the signs are read from is kept on the Algebra: sign_pair and
     # is_division share one gate call, at any point count from
     # _CLOSED_FORM_POINTS (any at n = 2), seed and tol.  The decision at
-    # tol is not kept: after a certified call, a tol above half the bound
-    # gets det_many's outcome, and at n = 2 a tol at the least margin
-    # gets DegenerateSign naming that side and margin
+    # tol is not kept: after a certified call, a tol at the least margin
+    # gets det_many's outcome at n = 4 and 8, and DegenerateSign naming
+    # that side and margin at n = 2; half of it gets the kept signs
+    seen = spy_on_det_many(monkeypatch)
     calls = []
     helper = "_forms2d" if name == "C" else "_clifford_gate"
     real = getattr(core, helper)
@@ -408,22 +390,22 @@ def test_one_gate_per_algebra(monkeypatch, name):
         assert is_division(alg) == "probably_division"
         assert is_division(alg, samples=100, seed=np.random.default_rng(
             3)) == "probably_division"
-        bound, sign = alg._gate
-        if n == 2:
-            side = int(bound[0].argmin())
-            tol = float(bound[0, side])
-            assert outcome(lambda: sign_pair(alg, tol=tol)) == (
-                DegenerateSign, f"|form margin of det {'LR'[side]}_a| = "
-                f"{tol:.3e} <= tol = {tol:.3e} on algebra 0 of the stack")
-            assert sign_pair(alg, tol=tol / 2) == tuple(sign[0])
-            continue
-        pts = core._sample_points(n, 100, 0)
-        tol = float(np.abs(core._sampled_dets(alg.c[None], pts)).min())
-        assert (bound > 0).all() and tol > bound.min() / 2
+        margin, sign = alg._gate
+        side = int(margin[0].argmin())
+        tol = float(margin[0, side])
+        seen.clear()
         got = outcome(lambda: sign_pair(alg, tol=tol))
-        assert got[0] is DegenerateSign
         assert got == on_det_many(monkeypatch,
                                   lambda: sign_pair(alg, tol=tol))
+        if n == 2:
+            assert not seen and got == (
+                DegenerateSign, f"|form margin of det {'LR'[side]}_a| = "
+                f"{tol:.3e} <= tol = {tol:.3e} on algebra 0 of the stack")
+        else:
+            assert len(seen) == 4           # two sides, on both paths
+        seen.clear()
+        assert sign_pair(alg, tol=tol / 2) == tuple(sign[0])
+        assert not seen
     sides = 1 if name == "C" else 2             # _forms2d pairs them itself
     assert calls == [(sides, n, n, n)] * len(algs)
 
@@ -438,8 +420,8 @@ def test_a_new_algebra_starts_without_a_gate():
         shown = repr(alg)
         assert alg._gate is None
         sign_pair(alg)
-        bound, sign = alg._gate
-        assert (bound > 0).all() and repr(alg) == shown
+        margin, sign = alg._gate
+        assert (margin > 0).all() and repr(alg) == shown
         assert not any(v.flags.writeable for v in alg._gate)
         s, t, f = family_operators(n, 16)[0]
         doubled = dataclasses.replace(alg, c=2 * alg.c)
@@ -447,9 +429,8 @@ def test_a_new_algebra_starts_without_a_gate():
                     Algebra(alg.c), doubled):
             assert new._gate is None
         sign_pair(doubled)
-        # the bound scales as a det does; the 2-d margin is scale-free
-        assert np.array_equal(doubled._gate[0],
-                              (1.0 if n == 2 else 2.0 ** n) * bound)
+        # the margin is read at unit scale, so it keeps its bits
+        assert np.array_equal(doubled._gate[0], margin)
         assert np.array_equal(doubled._gate[1], sign)
         with pytest.raises(TypeError):
             Algebra(alg.c, _gate=alg._gate)
@@ -497,20 +478,25 @@ def test_a_generator_seed_advances_alike_on_both_paths(monkeypatch, name):
 @pytest.mark.parametrize("name", ["H", "O"])
 def test_closed_form_verdicts_and_signs_at_any_scale(monkeypatch, name,
                                                      lam):
-    # the certificate where the gate passes with room, det_many elsewhere
-    # (a determinant out of the float range, or a bound at most 2 tol): the
-    # verdicts and signs, or the exception raised, are those of det_many
-    # alone, at sign_pair's default point count and at is_division's
+    # every member passes the gate, whose margins are scale-free, so at
+    # sign_pair's default point count and at is_division's lam A gets the
+    # signs and verdict of A.  det_many alone refuses exactly the members
+    # whose sampled |det| fall to tol: all of them below lam = 1, none
+    # above, where a det out of the float range is +-inf, still a sign
     for alg, samples in itertools.product(isotope_family(name, 12)[:5],
                                           (100, 1000)):
-        alg = Algebra(lam * alg.c)
+        scaled = Algebra(lam * alg.c)
 
-        def decide():
-            got = outcome(lambda: sign_pair(alg, samples=samples))
+        def decide(a):
+            got = outcome(lambda: sign_pair(a, samples=samples))
             return (got if isinstance(got, SignPair) else got[0],
-                    is_division(alg, samples=samples))
+                    is_division(a, samples=samples))
 
-        assert decide() == on_det_many(monkeypatch, decide)
+        want = decide(alg)
+        assert isinstance(want[0], SignPair)
+        assert decide(scaled) == want
+        refused = on_det_many(monkeypatch, lambda: decide(scaled)) != want
+        assert refused == (abs(lam) < 1.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -549,6 +535,60 @@ def test_2d_decisions_are_scale_free(lam):
             normal_form_2d_many(scaled.c[None])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lam", [2.0 ** 20, 2.0 ** -20, 1e80, 1e-80, 1e160,
+                                 1e-300, -1.0, -1e-80])
+def test_certified_decisions_are_scale_free(lam):
+    # lam A is A transported along I / lam, and the certificate reads its
+    # margins at unit scale, so from 100 points every sign and verdict of
+    # lam A at n = 4 and 8 is that of A, also where a determinant of lam A
+    # leaves the float range or falls to tol; a stack of them keeps its
+    # signs row by row.  Under a power of two the kept gate keeps its bits
+    for name in ("H", "O"):
+        algs = isotope_family(name, 12)
+        assert gate_passes(algs).all()
+        c = np.stack([a.c for a in algs])
+        if abs(np.frexp(lam)[0]) == 0.5:
+            assert all(np.array_equal(x, y)
+                       for x, y in zip(core._gate_rows(lam * c),
+                                       core._gate_rows(c)))
+        for samples in (100, 1000):
+            assert np.array_equal(core.sign_pair_many(lam * c, samples),
+                                  core.sign_pair_many(c, samples))
+            for a in algs:
+                scaled = Algebra(lam * a.c)
+                assert sign_pair(scaled, samples=samples) == sign_pair(
+                    a, samples=samples)
+                assert is_division(scaled, samples=samples) == \
+                    is_division(a, samples=samples) == "probably_division"
+
+
+@pytest.mark.parametrize("name", ["H", "O"])
+def test_the_certificate_margin_is_above_the_rounding(monkeypatch, name):
+    # X_{S,I} with singular values of S 1, ..., 1, 1e-6 has an L margin
+    # of 1e-12, which the Clifford test reads within 2e-4 but which is
+    # below its floor _CLIFFORD_TOL: the gate refuses that side, so
+    # sign_pair takes det_many at every point, at tol 0 too, and gets its
+    # outcome.  The R side, |det R_y| = |y|^n |det S|, keeps margin 1,
+    # read within cond(S) times the rounding
+    n = classical(name).dim
+    u, v = random_rotation_many(n, 2, 5)
+    s = u @ np.diag([1.0] * (n - 1) + [1e-6]) @ v
+    alg = isotope(classical(name), s, np.eye(n))
+    _, d0, ratio = core._clifford_gate(alg.c[None])
+    assert abs(ratio[0] - 1e-12) < 2e-16 and d0[0] > 0
+    margin, _ = gate([alg])
+    assert margin[0, 0] == 0.0 and abs(margin[0, 1] - 1.0) < 1e-9
+    seen = spy_on_det_many(monkeypatch)
+    for tol in (0.0, 1e-9):
+        for samples in (100, 1000):
+            seen.clear()
+            got = sign_pair(alg, samples=samples, tol=tol)
+            assert len(seen) == 2
+            assert got == (1, 1) == on_det_many(
+                monkeypatch, lambda: sign_pair(alg, samples=samples, tol=tol))
+
+
 @pytest.mark.parametrize("name", ["H", "O"])
 def test_the_gate_refuses_what_is_no_isotope(monkeypatch, name):
     # perturbed algebras have a Clifford defect near 0.1, far above the
@@ -575,8 +615,8 @@ def test_the_gate_refuses_what_is_no_isotope(monkeypatch, name):
 def test_a_closed_form_out_of_range_is_det_manys(monkeypatch, name):
     # X_{S,I} with S e_0 = e_0 / 10 has |det L_{e0}| = 10^-n times the
     # largest, and is scaled so that the largest is 2^1026: det_many
-    # gives some points +-inf, and the certificate, whose bound is at
-    # most |det L_{e0}|, gives the signs that det_many gives
+    # gives some points +-inf, and the certificate, read at unit scale,
+    # gives the signs that det_many gives
     n = classical(name).dim
     alg = isotope(classical(name), np.diag([0.1] + [1.0] * (n - 1)),
                   np.eye(n))
@@ -597,7 +637,8 @@ def test_closed_form_member_is_its_single_call(monkeypatch):
     # by member: det_many sees the operators of the refused members
     # only, each member's signs are those of its single call, certified
     # or not, and a member with L_{e0} = 0 (degenerate) or with signs
-    # that vary is named by its index in the whole stack.  In 2-d no
+    # that vary is named by its index in the whole stack.  1e160 X and
+    # 1e-80 X are certified, at unit scale, as X is.  In 2-d no
     # member reaches det_many, at any sample count: the isotopes, 1e160 C
     # and 1e-300 C get their signs from their forms, and the planted zero
     # divisor and the member with L_{e0} = 0 (semidefinite forms), and
@@ -607,13 +648,15 @@ def test_closed_form_member_is_its_single_call(monkeypatch):
     for name in ("H", "O"):
         base = classical(name).c
         n = len(base)
-        refused = [planted_zero_divisor(name), Algebra(1e160 * base),
+        refused = [planted_zero_divisor(name),
                    Algebra(base + 0.05 * np.ones_like(base))]
         if name == "H":
             refused.append(split_quaternions())
-        algs = isotope_family(name, 14)[:6] + refused
+        algs = isotope_family(name, 14)[:6] + [Algebra(1e160 * base),
+                                               Algebra(1e-80 * base)]
+        algs += refused
         ok = gate_passes(algs).all(axis=1)
-        assert ok[:6].all() and not ok[6:].any()
+        assert ok[:8].all() and not ok[8:].any()
         c = np.stack([a.c for a in algs])
         zero = base * (np.arange(n) > 0)[:, None, None]
         changer = sign_changer(n).c
@@ -635,7 +678,7 @@ def test_closed_form_member_is_its_single_call(monkeypatch):
                                "of the stack$"):
                 core.sign_pair_many(np.concatenate([c, changer[None]]),
                                     samples)
-            # a bound of 0 certifies nothing, also at a negative tol
+            # a margin of 0 certifies nothing, also at a negative tol
             with pytest.raises(SignInconsistent):
                 core.sign_pair_many(changer[None], samples, tol=-1.0)
     base = classical("C").c
@@ -714,6 +757,30 @@ def test_the_2d_gate_margin_holds_among_subnormal_dets():
         assert np.array_equal(gate([alg])[0], gate([Algebra(c)])[0])
         assert outcome(lambda: sign_pair(alg, tol=0.0)) == outcome(
             lambda: sign_pair(Algebra(c), tol=0.0))
+
+
+def test_the_2d_gate_margin_floor_refuses_subnormal_rounding():
+    # at unit scale this tensor has the entries 1/2 and 1/32, and 32, 128
+    # and 18 times the least subnormal 2^-1074 =: u.  Every product of its
+    # forms is subnormal, so its rounding is absolute.  The forms are
+    # squares, det L_a = (4 a0 + 3/4 a1)^2 u and det R_a = (8 a0 + 3/4
+    # a1)^2 u, so it has zero divisors; rounded, each 9/16 u of a1^2
+    # reads u, a definite form whose margin, near 1/129, is above the
+    # rounding relative to the sum of the products but not above the
+    # floor, the least normal float: both sides are refused, at tol 0
+    # too, and at every scale 2^k that keeps the entries exact
+    c = np.zeros((2, 2, 2))
+    c[0, 0, 0] = 0.5
+    c[1, 0, 0] = c[0, 1, 0] = 1 / 32
+    c[0, 1, 1], c[1, 0, 1], c[1, 1, 1] = np.ldexp([32.0, 128.0, 18.0], -1074)
+    for k in (0, 600, 1000):
+        alg = Algebra(np.ldexp(c, k))
+        assert np.array_equal(gate([alg])[0], [[0.0, 0.0]])
+        for tol in (0.0, 1e-9):
+            with pytest.raises(DegenerateSign, match=r"^\|form margin of "
+                               r"det L_a\| = 0\.000e\+00 <= tol"):
+                sign_pair(alg, tol=tol)
+            assert is_division(alg, "exact2d", tol=tol) == "not_division"
 
 
 @pytest.mark.parametrize("n", [3, 5, 16])
@@ -796,52 +863,76 @@ def test_the_2d_form_signs_hold_at_every_unit_point(kind_c, lam):
 
 @settings(max_examples=120, derandomize=True, deadline=None)
 @given(st.sampled_from(["H", "O"]), st.booleans(), st.integers(0, 2 ** 16),
-       st.sampled_from([1.0, 2.0 ** 20, 2.0 ** -20, 1e80, 1e-80, -1.0]),
-       st.sampled_from([("tol", 0.0), ("tol", 1e-9), ("half bound", 0.4),
-                        ("half bound", 0.6), ("half bound", 1.01),
-                        ("half bound", 3.0)]),
+       st.sampled_from([1.0, 2.0 ** 20, 2.0 ** -20, 1e80, 1e-80, 1e160,
+                        1e-300, -1.0]),
+       st.sampled_from([("tol", 0.0), ("tol", 1e-9), ("margin", 0.5),
+                        ("margin", 1.0), ("margin", 2.0)]),
        st.integers(0, 1))
-def test_the_certificate_is_det_manys_where_2_tol_meets_the_bound(
-        name, moved, seed, lam, tol_of, side):
-    # the certificate decides at 2 tol and det_many at tol, by one rule
-    # (matkit._decides): at tols on both sides of half the kept bound of
-    # either side, on isotopes X_{S,T} of H and O and their transports,
-    # the verdicts and signs, or the exception raised, are those of
-    # det_many alone
+def test_the_certificate_signs_hold_at_every_unit_point(name, moved, seed,
+                                                       lam, tol_of, side):
+    # one decision at n = 4 and 8, as at n = 2: on isotopes X_{S,T} of H
+    # and O and their transports, at tols 0 and 1e-9 and on both sides of
+    # the margin of either side, sign_pair and sampled is_division agree.
+    # Where both margins are above max(tol, 0), sign_pair gives the kept
+    # signs, and det_many at 1,004 or 1,008 unit points, computed directly
+    # on the tensor at unit scale, carries them; elsewhere the outcome is
+    # det_many's alone
     n = classical(name).dim
     s, t, f = random_invertible_many(n, 3, seed, max_cond=20.0)
     alg = isotope(classical(name), s, t)
     alg = Algebra(lam * (transport(alg, f) if moved else alg).c)
-    unit, k = tol_of
-    tol = k if unit == "tol" else float(k * gate([alg])[0][0, side] / 2)
+    unit = Algebra(alg.c / np.abs(alg.c).max())
+    pts = core._sample_points(n, 1000, 0)
+    signs = [np.sign(det_many(ops)) for ops in (left_mult_many(unit, pts),
+                                                right_mult_many(unit, pts))]
+    margin, sign = gate([alg])
+    assert (margin > 0).all()
+    kind, k = tol_of
+    tol = k if kind == "tol" else float(k * margin[0, side])
     for samples in (100, 1000):
         def decide():
-            return (outcome(lambda: sign_pair(alg, samples, tol)),
-                    is_division(alg, samples=samples, tol=tol))
+            got = outcome(lambda: sign_pair(alg, samples, tol))
+            verdict = is_division(alg, samples=samples, tol=tol)
+            assert verdict == ("probably_division"
+                               if isinstance(got, SignPair) else
+                               "not_division")
+            return got
 
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(core, "_CLOSED_FORM_POINTS", np.inf)
-            want = decide()
-        assert decide() == want
+        got = decide()
+        if (margin > max(tol, 0.0)).all():
+            assert got == tuple(sign[0])
+            assert all(np.all(d == e) for d, e in zip(signs, sign[0]))
+        else:
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(core, "_CLOSED_FORM_POINTS", np.inf)
+                assert got == decide()
 
 
 @pytest.mark.parametrize("name, lam", [("H", 1e-3), ("H", 1e-2),
                                        ("O", 1e-3), ("O", 1e-2)])
 def test_closed_form_degenerate_messages_are_det_manys(monkeypatch, name,
                                                        lam):
-    # scale-dependent refusals (ROADMAP item 1): where the bound is at
-    # most 2 tol, det_many names the same point with the same |det|
+    # lam X, whose every |det| is |lam|^n, at most tol but for 1e-2 H:
+    # det_many alone refuses it, naming point 0, and the certificate,
+    # whose margin is 1 at every scale, gives X's ++
     alg = Algebra(lam * classical(name).c)
     assert gate_passes([alg]).all()
     for samples in (100, 1000):
-        got = outcome(lambda: sign_pair(alg, samples=samples))
-        assert got == on_det_many(monkeypatch,
-                                  lambda: sign_pair(alg, samples=samples))
-    # and on an isotope at a tol that e_0 passes and some point does not
+        assert sign_pair(alg, samples=samples) == (1, 1)
+        got = on_det_many(monkeypatch,
+                          lambda: sign_pair(alg, samples=samples))
+        if abs(lam) ** alg.dim > 1e-9:
+            assert got == (1, 1)
+        else:
+            assert got[0] is DegenerateSign and "sample point 0," in got[1]
+    # and on an isotope at a tol above its margins that e_0 passes and
+    # some point does not: the certificate refuses it, and det_many names
+    # the same point with the same |det|
     iso = isotope_family(name, 15)[3]
     d = np.abs(core._sampled_dets(iso.c[None],
                                   core._sample_points(iso.dim, 1000, 0)))[0]
     tol = float(0.5 * (d.min() + d[:, 0].min()))
+    assert not (gate([iso])[0] > tol).all()
     got = outcome(lambda: sign_pair(iso, samples=1000, tol=tol))
     assert got[0] is DegenerateSign and "sample point 0," not in got[1]
     assert got == on_det_many(monkeypatch,
@@ -851,13 +942,14 @@ def test_closed_form_degenerate_messages_are_det_manys(monkeypatch, name,
 @pytest.mark.parametrize("samples", [8, 100])
 def test_a_determinant_between_the_cut_off_and_twice_it_is_a_sign(samples):
     # tol between half the least sampled |det| and that |det|: every
-    # sampled determinant decides, and at 100 samples 2 tol is above the
-    # kept bound, so the call takes det_many at every point
+    # sampled determinant decides.  That tol is above 1, and so above
+    # every margin, so at 100 samples too the call takes det_many at every
+    # point
     alg = isotope_family("O", 18)[3]
     d = core._sampled_dets(alg.c[None],
                            core._sample_points(alg.dim, samples, 0))[0]
     tol = 0.75 * float(np.abs(d).min())
-    assert not (gate([alg])[0] > 2 * tol).any()
+    assert tol > 1.0 and (gate([alg])[0] <= 1.0).all()
     assert sign_pair(alg, samples, tol) == SignPair(*np.sign(d[:, 0]))
     assert is_division(alg, samples=samples, tol=tol) == "probably_division"
 
