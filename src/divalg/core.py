@@ -59,7 +59,8 @@ class Algebra(_Frozen):
 
     The tensor is read-only, so what depends on it alone is computed
     once and kept: _gate holds _gate_rows of it, a margin and a sign per
-    side, filled by the first sign_pair or is_division that reads it.
+    side, filled by the first sign_pair, is_division or (n = 2)
+    normal_form_2d that reads it.
     """
 
     c: np.ndarray
@@ -567,7 +568,8 @@ def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
     mode='exact2d' (dimension 2 only): det L_a and det R_a are binary
     quadratic forms in a; the algebra is division exactly when both are
     definite.  'division' where both margins are above max(tol, 0)
-    (_definite2d), a scale-free test, and 'not_division' otherwise.
+    (_definite2d), a scale-free test, and 'not_division' otherwise.  The
+    margins are the ones sign_pair keeps on the Algebra (Algebra._gate).
 
     mode='sampled': the verdict of sign_pair at the same points, the
     basis vectors and ``samples`` seeded random unit vectors (shared
@@ -585,7 +587,7 @@ def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
     if mode == "exact2d":
         if alg.dim != 2:
             raise ModeMismatch("exact2d applies to dimension 2 only")
-        return "division" if _definite2d(_forms2d(alg.c[None]), tol)[0] \
+        return "division" if _definite2d(_algebra_gate(alg), tol)[0] \
             else "not_division"
     if mode != "sampled":
         raise ModeMismatch(f"unknown mode {mode!r}")

@@ -24,14 +24,15 @@ positive, the rotation part of the polar decomposition is
 multiplication by w = alpha / |alpha|, and the SPD determinant-1 factor
 is L(conj w) M / sqrt(det M), the pair (|alpha|, conj(w) beta) /
 sqrt(det M).  Each step of the reduction is array arithmetic on a
-stack of algebras.  normal_form_2d is its B=1 call, and so are the
+stack of algebras.  normal_form_2d shares it with normal_form_2d_many,
+deciding division from the form margins kept on the Algebra; the
 single-algebra steps unitalize and iso_to_c and the single-matrix step
-split_scalar_spd.
+split_scalar_spd are B=1 calls of its steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .core import (
     Algebra,
     SignPair,
     _Frozen,
+    _algebra_gate,
     _definite2d,
     _forms2d,
     _gate_residuals,
@@ -117,12 +119,19 @@ def _exponents(i, j) -> tuple[int, int]:
 
 @dataclass(frozen=True, eq=False)
 class NormalForm2D(_Frozen):
-    """Exponents (i, j) plus the SPD determinant-1 pair (a, b)."""
+    """Exponents (i, j) plus the SPD determinant-1 pair (a, b).
+
+    The tensor of build2d(nf) depends on these fields alone, so it is
+    built once and kept read-only in _built: a form that
+    normal_form_2d(_many) returns keeps the tensor its final gate built,
+    and one from the public constructor gets it on its first build2d.
+    """
 
     i: int
     j: int
     a: np.ndarray
     b: np.ndarray
+    _built: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         i, j = _exponents(self.i, self.j)
@@ -189,9 +198,10 @@ def _remove_twist(c: np.ndarray, a: np.ndarray, tol: float):
     R_a and L_a are tested with near_singular, which rescaling leaves
     alone.  Both unit laws of u are verified.
     """
-    ra = _left_stack(c.swapaxes(1, 2), a[:, None])[:, 0]
-    la = _left_stack(c, a[:, None])[:, 0]
-    ops = np.stack([ra, la], axis=1)                          # [b, side]
+    # R_a as L_a of the opposite tensor, both sides in one contraction
+    ops = _left_stack(np.stack([c.swapaxes(1, 2), c], axis=1),
+                      a[:, None, None])[:, :, 0]              # [b, side]
+    ra, la = ops[:, 0], ops[:, 1]
     singular = near_singular(ops, tol)
     fail_at(singular.any(axis=1), SingularOperator,
             lambda k: f"{'R_a' if singular[k, 0] else 'L_a'} is "
@@ -199,11 +209,9 @@ def _remove_twist(c: np.ndarray, a: np.ndarray, tol: float):
     inv = np.linalg.inv(ops)
     out = _pull_back(c, inv[:, 0], inv[:, 1])
     u = (la @ a[:, :, None])[:, :, 0]
-    eye = np.eye(c.shape[-1])
-    defect = np.maximum(
-        np.abs(_left_stack(out, u[:, None])[:, 0] - eye).max(axis=(1, 2)),
-        np.abs(_left_stack(out.swapaxes(1, 2), u[:, None])[:, 0]
-               - eye).max(axis=(1, 2)))
+    laws = _left_stack(np.stack([out, out.swapaxes(1, 2)], axis=1),
+                       u[:, None, None])[:, :, 0]             # L_u, R_u
+    defect = np.abs(laws - np.eye(c.shape[-1])).max(axis=(1, 2, 3))
     fail_at(defect > 100.0 * max(tol, _UNIT_LAW_FLOOR), NonConvergence,
             lambda k: f"unit laws fail at {defect[k]:.3e} after removing "
                       f"the twist at stack index {k}")
@@ -293,10 +301,16 @@ def _build_tensors(i, j, a, b) -> np.ndarray:
 
 
 def build2d(nf: NormalForm2D) -> Algebra:
-    """The algebra the normal form encodes (an explicit isotope of C)."""
-    c = _build_tensors(np.array([nf.i], dtype=bool),
-                       np.array([nf.j], dtype=bool), nf.a[None], nf.b[None])
-    return Algebra._trusted(c=c[0], label=f"C[{nf.i}{nf.j}]")
+    """The algebra the normal form encodes (an explicit isotope of C).
+
+    Its tensor is the one nf keeps (NormalForm2D._built), built here on
+    the first call for a form from the public constructor.
+    """
+    if nf._built is None:
+        nf._freeze(_built=_build_tensors(
+            np.array([nf.i], dtype=bool), np.array([nf.j], dtype=bool),
+            nf.a[None], nf.b[None])[0])
+    return Algebra._trusted(c=nf._built, label=f"C[{nf.i}{nf.j}]")
 
 
 def _gram_matches(mats: np.ndarray, x, y, tol: float) -> np.ndarray:
@@ -403,9 +417,13 @@ def normal_form_2d(alg: Algebra, tol: float = DEFAULT_TOL
 
     Returns (nf, iso) with iso a verified isomorphism from alg onto
     build2d(nf).  The B=1 case of normal_form_2d_many, whose errors it
-    raises (ValueError for another dimension than 2).
+    raises (ValueError for another dimension than 2): the two share one
+    reduction, which here decides division from the form margins kept
+    on alg (Algebra._gate), those that sign_pair and is_division read,
+    computing them only where no call has yet.
     """
-    forms, isos, _ = normal_form_2d_many(alg.c[None], tol)
+    c = _tensor_stack(alg.c[None])
+    forms, isos, _ = _reduce(c, _algebra_gate(alg), tol)
     return forms[0], isos[0]
 
 
@@ -431,9 +449,19 @@ def normal_form_2d_many(tensors, tol: float = DEFAULT_TOL
     NoImaginaryUnit or NonConvergence naming the stack index of the
     first member that fails a stage.
     """
-    c = _finite_stack(tensors, lambda s: len(s) == 4 and s[1:] == (2, 2, 2),
-                      "a (B, 2, 2, 2) tensor stack", "structure constants")
-    fail_at(~_definite2d(_forms2d(c), tol), NotDivision,
+    c = _tensor_stack(tensors)
+    return _reduce(c, _forms2d(c), tol)
+
+
+def _tensor_stack(tensors) -> np.ndarray:
+    return _finite_stack(tensors, lambda s: len(s) == 4 and s[1:] == (2, 2, 2),
+                         "a (B, 2, 2, 2) tensor stack", "structure constants")
+
+
+def _reduce(c: np.ndarray, gate, tol: float):
+    """normal_form_2d_many of a valid stack c, deciding division from
+    gate, the form margins _forms2d(c)."""
+    fail_at(~_definite2d(gate, tol), NotDivision,
             lambda k: "the exact dimension-2 test rejects this algebra at "
                       f"stack index {k}")
     # 2^-e A reduces as A does, exactly, with 2^-e times its isomorphism
@@ -470,11 +498,15 @@ def normal_form_2d_many(tensors, tol: float = DEFAULT_TOL
     both = i & j
     a = _matrix((a2[0], np.where(both, np.conj(a2[1]), a2[1])))
     b = _matrix((b2[0], np.where(both, np.conj(b2[1]), b2[1])))
-    # the closed-form split makes a and b SPD with determinant 1
-    forms = [NormalForm2D._trusted(i=ik, j=jk, a=ak, b=bk) for ik, jk, ak, bk
-             in zip(i.astype(int).tolist(), j.astype(int).tolist(), a, b)]
+    # the closed-form split makes a and b SPD with determinant 1; each
+    # form keeps the tensor of build2d that the final gate reads
+    built = _build_tensors(i, j, a, b)
+    forms = [NormalForm2D._trusted(i=ik, j=jk, a=ak, b=bk, _built=ck)
+             for ik, jk, ak, bk, ck in zip(i.astype(int).tolist(),
+                                           j.astype(int).tolist(), a, b,
+                                           built)]
     isos = _matrix((w * phi1[0], w * phi1[1]))                # L(w) phi1
-    res = morphism_residual_many(isos, scaled, _build_tensors(i, j, a, b))
+    res = morphism_residual_many(isos, scaled, built)
     _gate_residuals(res, isos, scaled, tol)
     # the residual of 2^e isos from A is 2^(2e) res, exactly
     return forms, np.ldexp(isos, exps[:, None, None]), np.ldexp(res, 2 * exps)

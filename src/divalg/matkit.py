@@ -8,6 +8,8 @@ decompositions call fixed LAPACK routines.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateSign, SingularInput, fail_at
@@ -165,6 +167,15 @@ def polar_decompose(m) -> tuple[np.ndarray, np.ndarray]:
     the smallest singular value is below _POLAR_TOL times the largest.
     """
     a = _as_square(m, 3) if np.ndim(m) == 3 else as_matrix(m)
+    u, s, o = _polar_svd(a)
+    p = (u * s[..., None, :]) @ u.swapaxes(-1, -2)
+    return 0.5 * (p + p.swapaxes(-1, -2)), o
+
+
+def _polar_svd(a: np.ndarray):
+    """The SVD step of polar_decompose on a valid matrix (n, n) or stack
+    (B, n, n): (u, s, o), o = u v^T the orthogonal factor, or
+    SingularInput where s_min <= _POLAR_TOL s_max."""
     u, s, vt = np.linalg.svd(a)
     rows = s.reshape(-1, s.shape[-1])
     fail_at(s[..., -1] <= _POLAR_TOL * s[..., 0],
@@ -172,9 +183,7 @@ def polar_decompose(m) -> tuple[np.ndarray, np.ndarray]:
             lambda i: f"singular values span {rows[i, 0]:.3e}.."
                       f"{rows[i, -1]:.3e}"
                       + (f" at stack index {i}" if a.ndim == 3 else ""))
-    p = (u * s[..., None, :]) @ u.swapaxes(-1, -2)
-    o = u @ vt
-    return 0.5 * (p + p.swapaxes(-1, -2)), o
+    return u, s, u @ vt
 
 
 def is_spd1(m, tol: float = DEFAULT_TOL) -> bool:
@@ -276,7 +285,9 @@ def squared_norms(xs) -> np.ndarray:
     (B, n, n) stack.  Each is summed as the dot product x @ x of the
     flattened member, which is how np.linalg.norm sums one vector or
     matrix, so a stacked check reports what a loop would."""
-    flat = np.ascontiguousarray(xs).reshape(len(xs), 1, -1)
+    xs = np.ascontiguousarray(xs)
+    # the member size spelt out: reshape cannot infer it for an empty stack
+    flat = xs.reshape(len(xs), 1, math.prod(xs.shape[1:]))
     return (flat @ flat.swapaxes(1, 2))[:, 0, 0]
 
 

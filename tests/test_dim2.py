@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divalg import dim2
+from divalg import core, dim2
 from divalg.core import Algebra, classical, is_division, is_morphism, \
     isotope, morphism_residual, sign_pair, transport
 from divalg.dim2 import K2, NormalForm2D, ROT3, build2d, c2_elements, \
@@ -297,6 +299,61 @@ def test_stacked_normal_forms_equal_single_calls_bit_for_bit():
         nf, iso = normal_form_2d(Algebra(t))
         assert np.array_equal(nf.a, f1.a) and np.array_equal(iso, iso1)
         assert res1 == morphism_residual(iso1, Algebra(t), build2d(f1))
+
+
+def test_a_normal_form_reads_the_margins_kept_on_its_algebra(monkeypatch):
+    # the form margins are computed once per Algebra: by sign_pair, read
+    # by normal_form_2d; or by normal_form_2d, read by sign_pair and
+    # is_division
+    alg = Algebra(random_2d_division(3).c)
+    calls = []
+    real = core._forms2d
+
+    def spy(c):
+        calls.append(len(c))
+        return real(c)
+
+    monkeypatch.setattr(core, "_forms2d", spy)
+    monkeypatch.setattr(dim2, "_forms2d", spy)
+    sign_pair(alg)
+    assert calls == [1]
+    nf, iso = normal_form_2d(alg)
+    assert calls == [1]
+    fresh = Algebra(alg.c)
+    nf2, iso2 = normal_form_2d(fresh)
+    sign_pair(fresh)
+    assert is_division(fresh, mode="exact2d") == "division"
+    assert calls == [1, 1]
+    assert np.array_equal(nf.a, nf2.a) and np.array_equal(nf.b, nf2.b)
+    assert np.array_equal(iso, iso2)
+
+
+def test_normal_form_of_a_4d_algebra_is_refused_before_its_gate():
+    alg = Algebra(classical("H").c)
+    with pytest.raises(ValueError, match=re.escape(
+            "expected a (B, 2, 2, 2) tensor stack, got shape (1, 4, 4, 4)")):
+        normal_form_2d(alg)
+    assert alg._gate is None
+
+
+def test_build2d_reads_the_tensor_the_reduction_built(monkeypatch):
+    calls = []
+    real = dim2._build_tensors
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(dim2, "_build_tensors", spy)
+    nf, _ = normal_form_2d(random_2d_division(5))
+    assert calls == [1]                          # the final gate's
+    alg = build2d(nf)
+    assert calls == [1]
+    # a form from the constructor builds its tensor on its first build2d
+    own = NormalForm2D(nf.i, nf.j, nf.a, nf.b)
+    assert build2d(own).c.tobytes() == alg.c.tobytes()
+    assert build2d(own).c.tobytes() == alg.c.tobytes()
+    assert calls == [1, 1]
 
 
 @pytest.mark.parametrize("block", BLOCKS)

@@ -131,6 +131,28 @@ def test_functor_h_block(seed, block):
     assert sign_pair(alg, samples=16) == (alpha, beta)
 
 
+def test_functor_h_reads_the_tensor_of_the_reduced_block(monkeypatch):
+    # an object from quat_normal_form keeps the tensor its final gate
+    # built, which functor_h returns in that block; any other block is
+    # one _functor_h_stack call
+    alpha, beta, x, _ = quat_normal_form(*random_quat_pair(4))
+    calls = []
+    real = quat._functor_h_stack
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(quat, "_functor_h_stack", spy)
+    got = functor_h(alpha, beta, x)
+    assert calls == []
+    other = functor_h(-alpha, beta, x)
+    assert calls == [1]
+    assert sign_pair(other) == (-alpha, beta)
+    assert got.c.tobytes() == \
+        quat.functor_h_many(alpha, beta, [x])[0].tobytes()
+
+
 def test_functoriality_of_k(H):
     s = random_unit_vectors(4, 1, 12)[0]
     x = random_z_object(13)

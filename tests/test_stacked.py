@@ -329,12 +329,13 @@ def test_morphism_residual_many_rectangular_c_in_h(C, H):
 
 def test_normal_form_of_a_pair_is_unchanged_by_stacking_its_steps(
         monkeypatch):
-    # quat_normal_form takes one polar decomposition and one isoclinic
-    # split, each on the stack [S, T]; each factor of the split is what
-    # a single so4_factor call on its polar part gives
+    # quat_normal_form takes one polar factor (the SVD step it shares
+    # with polar_decompose) and one isoclinic split, each on the stack
+    # [S, T]; each factor of the split is what a single so4_factor call
+    # on its polar part gives
     h = classical("H")
     polars, splits = [], []
-    real_polar, real_split = quat.polar_decompose, quat._so4_split
+    real_polar, real_split = quat._polar_svd, quat._so4_split
 
     def polar_spy(m):
         polars.append(len(m))
@@ -344,7 +345,7 @@ def test_normal_form_of_a_pair_is_unchanged_by_stacking_its_steps(
         splits.append(real_split(o, tol))
         return splits[-1]
 
-    monkeypatch.setattr(quat, "polar_decompose", polar_spy)
+    monkeypatch.setattr(quat, "_polar_svd", polar_spy)
     monkeypatch.setattr(quat, "_so4_split", split_spy)
     for seed in range(5):
         s, t = random_quat_pair(seed)
@@ -362,6 +363,23 @@ def test_normal_form_of_a_pair_is_unchanged_by_stacking_its_steps(
             ok, bk = so4_factor(o @ quat._conj_matrix()
                                 if np.linalg.det(m) < 0 else o)
             assert np.array_equal(a[k], ok) and np.array_equal(b[k], bk)
+
+
+@pytest.mark.parametrize("call, shapes", [
+    (lambda: quat.quat_normal_form_many(np.zeros((0, 4, 4)),
+                                        np.zeros((0, 4, 4))),
+     [(0,), (0,), (0,), (0, 4, 4), (0,)]),
+    (lambda: k_map_many(np.zeros((0, 4))), [(0, 4, 4)]),
+    (lambda: rep_normalize_many(np.zeros((0, 4))), [(0, 4)]),
+    (lambda: so4_factor(np.zeros((0, 4, 4))), [(0, 4), (0, 4)]),
+    (lambda: functor_h_many(1, 1, []), [(0, 4, 4, 4)]),
+], ids=["quat-normal-form", "k-map", "rep-normalize", "so4-factor",
+        "functor-h"])
+def test_an_empty_quaternion_stack_gives_empty_stacks(call, shapes):
+    # quat_normal_form_many's objects are a list, of shape (0,) here
+    out = call()
+    assert [np.shape(v) for v in
+            (out if isinstance(out, tuple) else (out,))] == shapes
 
 
 @pytest.mark.parametrize("max_cond", [50.0, 10.0])

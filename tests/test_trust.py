@@ -4,9 +4,13 @@ Algebra, ZObject, NormalForm2D and GroupElement2D are validated and
 copied by their public constructors.  Library functions build the
 objects they return trusted, from parts that are valid by construction:
 every stored field must be, bit for bit, what the public constructor
-stores for the same parts, and every stored array is read-only.  The
-singular-operator tests are relative to the operator's column norms, so
-a rescaled identity is never singular.
+stores for the same parts, and every stored array is read-only.  A
+field the constructor does not take keeps what a reader computes from
+the other fields (Algebra._gate, NormalForm2D._built, ZObject._built):
+it is at its default, or bit for bit what that reader gives on the
+rebuilt object, and read-only.  The singular-operator tests are relative
+to the operator's column norms, so a rescaled identity is never
+singular.
 """
 
 import dataclasses
@@ -15,40 +19,71 @@ import numpy as np
 import pytest
 
 from divalg import quat
-from divalg.core import Algebra, classical, is_division, isotope, \
-    opposite, transport
+from divalg.core import Algebra, _gate_rows, classical, is_division, \
+    isotope, opposite, sign_pair, transport
 from divalg.decorated import decorate, functor_i, kappa
-from divalg.dim2 import GroupElement2D, NormalForm2D, build2d, \
-    c2_elements, d3_elements, normal_form_2d, normal_form_2d_many, \
-    unitalize
+from divalg.dim2 import GroupElement2D, NormalForm2D, _build_tensors, \
+    build2d, c2_elements, d3_elements, normal_form_2d, \
+    normal_form_2d_many, unitalize
 from divalg.errors import BadSplit, SingularOperator
 from divalg.matkit import random_invertible, random_spd1_many
-from divalg.quat import ZObject, functor_h, k_map, quat_normal_form, \
-    z_action
+from divalg.quat import ZObject, functor_h, functor_h_many, k_map, \
+    quat_normal_form, z_action
 from divalg.samples import decorated_corpus, random_2d_division, \
     random_division, random_normal_form_many, random_quat_pair, \
     random_z_object
 
 
+# The reader of each field that the constructors do not take, on an
+# object and the field's value: what the field must hold, bit for bit,
+# where it is not at its default.  A ZObject keeps the block its tensor
+# is of, which the reader takes from the value.
+READERS = {
+    (Algebra, "_gate"): lambda alg, _: _gate_rows(alg.c[None]),
+    (NormalForm2D, "_built"): lambda nf, _: _build_tensors(
+        np.array([nf.i], dtype=bool), np.array([nf.j], dtype=bool),
+        nf.a[None], nf.b[None])[0],
+    (ZObject, "_built"): lambda x, kept: kept[:2] + (
+        functor_h_many(*kept[:2], [x])[0],),
+}
+
+
+def assert_bits(g, w, name):
+    """g equals w: arrays bit for bit in dtype, shape and C layout, g's
+    read-only; tuples member by member; anything else in type and
+    value."""
+    if isinstance(w, np.ndarray):
+        assert not g.flags.writeable, name
+        assert g.flags.c_contiguous, name
+        assert (g.dtype, g.shape) == (w.dtype, w.shape), name
+        assert g.tobytes() == w.tobytes(), name
+    elif isinstance(w, tuple):
+        assert type(g) is tuple and len(g) == len(w), name
+        for gk, wk in zip(g, w):
+            assert_bits(gk, wk, name)
+    else:
+        assert type(g) is type(w) and g == w, name
+
+
 def assert_same(got, want):
-    """Equal fields, arrays equal bit for bit in dtype, shape and C
-    layout, and got's arrays read-only."""
+    """Equal fields, as assert_bits compares them.  A field the
+    constructor does not take is, in got and in want, at its default or
+    what its reader (READERS) computes from want."""
     assert type(got) is type(want)
     for f in dataclasses.fields(got):
         g, w = getattr(got, f.name), getattr(want, f.name)
-        if isinstance(w, np.ndarray):
-            assert not g.flags.writeable, f.name
-            assert g.flags.c_contiguous, f.name
-            assert (g.dtype, g.shape) == (w.dtype, w.shape), f.name
-            assert g.tobytes() == w.tobytes(), f.name
-        else:
-            assert type(g) is type(w) and g == w, f.name
+        if f.init:
+            assert_bits(g, w, f.name)
+            continue
+        read = READERS[type(got), f.name]
+        for kept in (g, w):
+            if kept is not f.default:
+                assert_bits(kept, read(want, kept), f.name)
 
 
 def rebuilt(obj):
     """obj through its public constructor, from its own fields; a field
-    the constructor does not take (Algebra._gate) starts at its default,
-    which assert_same then compares."""
+    the constructor does not take starts at its default."""
     return type(obj)(**{f.name: getattr(obj, f.name)
                         for f in dataclasses.fields(obj) if f.init})
 
@@ -84,6 +119,9 @@ def test_core_producers_match_the_public_constructor(seed):
         s, t, f = (random_invertible(alg.dim, rng) for _ in range(3))
         for out in (isotope(alg, s, t), transport(alg, f), opposite(alg)):
             assert_same(out, rebuilt(out))
+            sign_pair(out)                       # keeps the gate on out
+            assert out._gate is not None
+            assert_same(out, rebuilt(out))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -91,13 +129,20 @@ def test_dim2_producers_match_the_public_constructor(seed):
     rng = np.random.default_rng(seed)
     tensors = np.stack([random_2d_division(rng).c for _ in range(4)])
     forms, _, _ = normal_form_2d_many(tensors)
-    forms.append(normal_form_2d(Algebra(tensors[0]))[0])
+    alg = Algebra(tensors[0])
+    forms.append(normal_form_2d(alg)[0])
+    assert alg._gate is not None                # read, and kept, by it
+    assert_same(alg, rebuilt(alg))
+    # the reductions keep the tensors their final gates built
+    assert all(nf._built is not None for nf in forms)
     forms.append(random_normal_form_many(1, rng)[0])
     forms.append(random_normal_form_many(1, rng, block=(1, 1))[0])
     forms.append(random_normal_form_many(1, rng, block=(np.int64(1), 0))[0])
     for nf in forms:
         assert_same(nf, rebuilt(nf))
         assert_same(build2d(nf), rebuilt(build2d(nf)))
+        assert nf._built is not None            # kept by build2d
+        assert_same(nf, rebuilt(nf))
     unital, _ = unitalize(Algebra(tensors[1]), rng.standard_normal(2))
     assert_same(unital, rebuilt(unital))
 
@@ -114,6 +159,7 @@ def test_random_2d_division_matches_a_public_constructor_loop():
         gen_a, gen_b = np.random.default_rng(seed), \
             np.random.default_rng(seed)
         got, want = random_2d_division(gen_a), reference(gen_b)
+        assert got._gate is not None and want._gate is not None
         assert_same(got, want)
         assert gen_a.bit_generator.state == gen_b.bit_generator.state
 
@@ -129,14 +175,17 @@ def test_quat_producers_match_the_public_constructor(seed, z_parts):
     made = [random_z_object(rng), random_z_object(rng, trivial_spd=True)]
     x = made[0]
     made.append(z_action(rng.standard_normal(4), x))
-    made.append(quat_normal_form(*random_quat_pair(rng))[2])
+    alpha, beta, z, _ = quat_normal_form(*random_quat_pair(rng))
+    made.append(z)
+    assert z._built[:2] == (alpha, beta)
     parts = list(z_parts)
     assert len(parts) == len(made)
     for obj, args in zip(made, parts):
         assert_same(obj, ZObject(*args))
-    for block in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        alg = functor_h(*block, x)
-        assert_same(alg, rebuilt(alg))
+    for obj in (x, z):
+        for block in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            alg = functor_h(*block, obj)
+            assert_same(alg, rebuilt(alg))
 
 
 def test_functor_i_images_match_the_checked_isotope():
