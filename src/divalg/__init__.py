@@ -19,9 +19,8 @@ _EXPORTS = {
              "sign_pair", "sign_pair_many", "transport", "transport_many"),
     "decorated": ("DecoratedAlgebra", "decorate", "forget", "functor_i",
                   "functor_i_many", "kappa"),
-    "dim2": ("NormalForm2D", "automorphisms_2d", "build2d", "hom2d",
-             "iso_to_c", "normal_form_2d", "normal_form_2d_many",
-             "split_scalar_spd", "unitalize"),
+    "dim2": ("NormalForm2D", "build2d", "hom2d", "normal_form_2d",
+             "normal_form_2d_many"),
     "equadratic": ("central_idempotents", "functor_g", "im_e",
                    "is_e_quadratic"),
     "errors": ("DivalgError",),

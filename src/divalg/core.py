@@ -11,6 +11,7 @@ and O.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -131,31 +132,10 @@ def _left_stack(c: np.ndarray, batch: np.ndarray) -> np.ndarray:
     return rows.reshape(*rows.shape[:-1], n, n).swapaxes(-1, -2)
 
 
-# How many sample-point sets _sample_points keeps, one per (dim, samples,
-# seed) with an int seed.
-_POINT_SETS_CACHED = 16
-
-
-def _sample_points(dim: int, samples: int, seed) -> np.ndarray:
-    """The dim basis vectors, then ``samples`` seeded random unit vectors.
-
-    An int seed always gives the same points, so they are cached
-    (_POINT_SETS_CACHED sets at most) and shared read-only; any other
-    seed (a Generator, a sequence, None) draws afresh on every call.
-    """
-    if isinstance(seed, (int, np.integer)):
-        return _cached_points(dim, samples, int(seed))
-    return _draw_points(dim, samples, seed)
-
-
-@lru_cache(maxsize=_POINT_SETS_CACHED)
-def _cached_points(dim: int, samples: int, seed: int) -> np.ndarray:
-    pts = _draw_points(dim, samples, seed)
-    pts.setflags(write=False)
-    return pts
-
-
-def _draw_points(dim: int, samples: int, seed) -> np.ndarray:
+def _sample_points(dim: int, samples: int, seed: int) -> np.ndarray:
+    """The dim basis vectors, then ``samples`` random unit vectors drawn
+    from np.random.default_rng(seed): the same points for the same
+    seed, drawn afresh on every call."""
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((samples, dim)) if samples else \
         np.empty((0, dim))
@@ -164,20 +144,18 @@ def _draw_points(dim: int, samples: int, seed) -> np.ndarray:
 
 
 def sign_pair(alg: Algebra, samples: int = 100, tol: float = DEFAULT_TOL,
-              seed=0) -> SignPair:
+              seed: int = 0) -> SignPair:
     """Double sign of a division algebra.
 
     Evaluates sign det L_a and sign det R_a at the basis vectors plus
     ``samples`` seeded random unit vectors and demands that each family
     is single-valued.  Disagreement raises SignInconsistent (the input
     cannot be a division algebra), and any |det| <= max(tol, 0) raises
-    DegenerateSign.  For an int seed the points are cached per
-    (dimension, samples, seed), the most recent few sets kept, and
-    shared read-only by every call; a Generator seed draws new points
-    on each call.  The B=1 case of sign_pair_many, which decides a 2-d
-    algebra from its forms and certifies an isotope of H or O from det
-    L_{e0} and det R_{e0}; both are computed once per Algebra and kept on
-    it (Algebra._gate), while the decision at ``tol`` is taken afresh.
+    DegenerateSign.  ``seed`` is an integer, anything else a TypeError.
+    The B=1 case of sign_pair_many, which decides a 2-d algebra from its
+    forms and certifies an isotope of H or O from det L_{e0} and det
+    R_{e0}; both are computed once per Algebra and kept on it
+    (Algebra._gate), while the decision at ``tol`` is taken afresh.
     """
     ell, r = _signs(alg.c[None], samples, tol, seed,
                     lambda: _algebra_gate(alg))[0]
@@ -185,7 +163,7 @@ def sign_pair(alg: Algebra, samples: int = 100, tol: float = DEFAULT_TOL,
 
 
 def sign_pair_many(tensors, samples: int = 100, tol: float = DEFAULT_TOL,
-                   seed=0) -> np.ndarray:
+                   seed: int = 0) -> np.ndarray:
     """Double signs of a stack of algebras of one dimension.
 
     ``tensors`` has shape (B, n, n, n); the result has shape (B, 2), row
@@ -196,19 +174,21 @@ def sign_pair_many(tensors, samples: int = 100, tol: float = DEFAULT_TOL,
     index in the stack) and the sample point of the first |det| <=
     max(tol, 0) (or determinant that is not a number), and
     SignInconsistent naming the first algebra whose signs vary.  A
-    negative ``samples`` is a ValueError.
+    negative ``samples`` is a ValueError, and a ``seed`` that is no
+    integer a TypeError, before any work.
 
     _gate_rows keeps per side a scale-free margin, (least |det| /
     greatest |det|)^(2/n) on the unit sphere, and a sign.  At n = 2 no
-    point is drawn, and ``samples`` and ``seed`` do nothing: the margins
-    of the forms det L_a and det R_a decide (_definite2d), and
+    point is drawn, and ``samples`` and ``seed`` are only checked: the
+    margins of the forms det L_a and det R_a decide (_definite2d), and
     DegenerateSign names a side and its margin.  At n = 4 and 8, from
     _CLOSED_FORM_POINTS points up, an algebra with both margins above
     max(tol, 0), an isotope of H or O or a transport of one, gets the
     signs of det L_{e0} and det R_{e0}, which every det has, so lam A
     gets A's.  The others, and every algebra at fewer points or of
     another dimension, compare det_many's determinant at each point with
-    max(tol, 0); matkit._decides makes every comparison.
+    max(tol, 0); matkit._decides makes every comparison.  Only these
+    draw the points (_sample_points), once per call.
     """
     c = _finite_stack(tensors, lambda s: len(s) == 4 and len(set(s[1:])) == 1,
                       "a (B, n, n, n) tensor stack", "structure constants")
@@ -219,21 +199,24 @@ def _signs(c: np.ndarray, samples: int, tol: float, seed,
            gate) -> np.ndarray:
     """sign_pair_many of a valid tensor stack c (B, n, n, n).  gate()
     gives _gate_rows(c), whose margins decide at tol: at n = 2, and at
-    n = 4 and 8 from _CLOSED_FORM_POINTS points up."""
+    n = 4 and 8 from _CLOSED_FORM_POINTS points up.  Points are drawn
+    only for the members left undecided."""
+    seed = operator.index(seed)
     n = c.shape[-1]
     if n == 1:
         raise DimensionOne("the double sign needs dimension at least 2")
     _check_samples(samples)
     if n == 2:
         return _definite2d(gate(), tol, named=True)
-    pts = _sample_points(n, samples, seed)
-    if n not in (4, 8) or len(pts) < _CLOSED_FORM_POINTS:
-        return _sampled_signs(c, pts, tol, np.arange(len(c)))
-    margin, sign = gate()
-    signs = np.array(sign)                          # right where certified
-    rest = np.flatnonzero(~_decides(margin, tol).all(axis=1))
+    if n in (4, 8) and n + samples >= _CLOSED_FORM_POINTS:
+        margin, sign = gate()
+        signs = np.array(sign)                      # right where certified
+        rest = np.flatnonzero(~_decides(margin, tol).all(axis=1))
+    else:
+        signs, rest = np.empty((len(c), 2), int), np.arange(len(c))
     if len(rest):
-        signs[rest] = _sampled_signs(c[rest], pts, tol, rest)
+        signs[rest] = _sampled_signs(c[rest], _sample_points(n, samples, seed),
+                                     tol, rest)
     return signs
 
 
@@ -561,7 +544,7 @@ def is_morphism(f, a: Algebra, b: Algebra, tol: float = DEFAULT_TOL) -> bool:
 
 
 def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
-                tol: float = DEFAULT_TOL, seed=0) -> str:
+                tol: float = DEFAULT_TOL, seed: int = 0) -> str:
     """Division check; returns one of 'division', 'not_division',
     'probably_division'.
 
@@ -572,8 +555,8 @@ def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
     margins are the ones sign_pair keeps on the Algebra (Algebra._gate).
 
     mode='sampled': the verdict of sign_pair at the same points, the
-    basis vectors and ``samples`` seeded random unit vectors (shared
-    read-only for an int seed, drawn afresh for a Generator).  A
+    basis vectors and ``samples`` random unit vectors drawn from the
+    integer ``seed``, only where the certificate leaves it undecided.  A
     determinant with |det| <= max(tol, 0), or one that is not a number,
     gives 'not_division', and so does a sign change: for n >= 2 the unit
     sphere is connected, so det L_a or det R_a vanishes between two

@@ -25,9 +25,8 @@ multiplication by w = alpha / |alpha|, and the SPD determinant-1 factor
 is L(conj w) M / sqrt(det M), the pair (|alpha|, conj(w) beta) /
 sqrt(det M).  Each step of the reduction is array arithmetic on a
 stack of algebras.  normal_form_2d shares it with normal_form_2d_many,
-deciding division from the form margins kept on the Algebra; the
-single-algebra steps unitalize and iso_to_c and the single-matrix step
-split_scalar_spd are B=1 calls of its steps.
+deciding division from the form margins kept on the Algebra, and
+hom2d compares the tensors the normal forms keep.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from .errors import (
     fail_at,
 )
 from .matkit import DEFAULT_TOL, _POLAR_TOL, _SPD1_TOL, _STAGE_BUDGET, \
-    _UNIT_FLOOR, _UNIT_LAW_FLOOR, _finite_stack, as_matrix, gram, is_spd1, \
+    _UNIT_FLOOR, _UNIT_LAW_FLOOR, _finite_stack, gram, is_spd1, \
     near_singular
 
 K2 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -69,7 +68,8 @@ ROT3 = 0.5 * np.array([[-1.0, -np.sqrt(3.0)], [np.sqrt(3.0), -1.0]])
 
 @dataclass(frozen=True, eq=False)
 class GroupElement2D(_Frozen):
-    """An element of C2 = <K> or D3 = <R, K> as a concrete 2x2 matrix."""
+    """An element of C2 = <K> or D3 = <R, K> as a concrete 2x2 matrix,
+    one within _UNIT_FLOOR of an element of its group in every entry."""
 
     matrix: np.ndarray
     group: str
@@ -77,7 +77,12 @@ class GroupElement2D(_Frozen):
     def __post_init__(self):
         if self.group not in ("C2", "D3"):
             raise ValueError("group must be 'C2' or 'D3'")
-        self._freeze(matrix=np.asarray(self.matrix, dtype=float).copy())
+        m = np.asarray(self.matrix, dtype=float)
+        # a NaN entry is within no distance of an element
+        if m.shape != (2, 2) or not (np.abs(_GROUPS[self.group][0] - m).max(
+                axis=(1, 2)) <= _UNIT_FLOOR).any():
+            raise ValueError(f"matrix is no element of {self.group}")
+        self._freeze(matrix=m.copy())
 
     def __repr__(self):
         return f"<{self.group} element {np.round(self.matrix, 6).tolist()}>"
@@ -344,9 +349,9 @@ def hom2d(src: NormalForm2D, dst: NormalForm2D, tol: float = DEFAULT_TOL
     empty for the structural reason that the block is an isomorphism
     invariant; an empty return value means same block, different
     congruence orbits).  Every returned element is double-checked as an
-    algebra morphism between the built algebras: all group elements are
-    tested at once, by one stacked gram and one morphism_residual_many
-    call.
+    algebra morphism between the built algebras, the tensors each form
+    keeps (build2d): all group elements are tested at once, by one
+    stacked gram and one morphism_residual_many call.
     """
     if (src.i, src.j) != (dst.i, dst.j):
         raise BlockMismatch(
@@ -354,61 +359,10 @@ def hom2d(src: NormalForm2D, dst: NormalForm2D, tol: float = DEFAULT_TOL
             "no morphisms exist across blocks")
     mats, elements = _GROUPS["D3" if (src.i, src.j) == (1, 1) else "C2"]
     ok = _gram_matches(mats, (src.a, src.b), (dst.a, dst.b), tol)
-    built = _build_tensors(np.array([src.i, dst.i], dtype=bool),
-                           np.array([src.j, dst.j], dtype=bool),
-                           np.stack([src.a, dst.a]), np.stack([src.b, dst.b]))
-    a, b = (np.broadcast_to(t, (len(mats),) + t.shape) for t in built)
+    a, b = (np.broadcast_to(build2d(nf).c, (len(mats), 2, 2, 2))
+            for nf in (src, dst))
     ok &= morphism_residual_many(mats, a, b) <= max(tol, _UNIT_FLOOR)
     return [g for g, keep in zip(elements, ok) if keep]
-
-
-def automorphisms_2d(nf: NormalForm2D, tol: float = DEFAULT_TOL
-                     ) -> list[GroupElement2D]:
-    """The automorphism group of a normal form (hom2d to itself)."""
-    return hom2d(nf, nf, tol)
-
-
-def unitalize(alg: Algebra, a, tol: float = DEFAULT_TOL
-              ) -> tuple[Algebra, np.ndarray]:
-    """Remove the operator twist at a: the (R_a^-1, L_a^-1) isotope.
-
-    For a division algebra the result has two-sided unity a*a (computed
-    in the original algebra); both unit laws are verified before
-    returning.  R_a and L_a are tested for singularity relative to their
-    column norms, so a rescaled algebra passes as the original does.
-    Any dimension; the B=1 case of the reduction's twist removal.
-    """
-    out, u, _, _ = _remove_twist(alg.c[None],
-                                 np.asarray(a, dtype=float)[None], tol)
-    return Algebra._trusted(c=out[0], label="unital"), u[0]
-
-
-def iso_to_c(alg: Algebra, u, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Basis change from a unital 2-dimensional division algebra onto C.
-
-    Completes the square on w*w for a basis vector w independent of the
-    unity u, producing v with v*v = -u; the map (u, v) -> (1, i) is then
-    an isomorphism.  Both signs of v qualify; the one with positive
-    second coordinate is chosen (positive first as the measure-zero
-    tiebreak), which pins iso_to_c(C, 1) = I exactly.
-    """
-    basis = _basis_of_c(alg.c[None], np.asarray(u, dtype=float)[None], tol)
-    return _matrix(_inverse(basis))[0]
-
-
-def split_scalar_spd(m) -> tuple[complex, np.ndarray]:
-    """Factor m with det m > 0 as (complex scalar) * (SPD det 1).
-
-    The rotation part of the polar decomposition is multiplication by
-    the unit complex number w = alpha / |alpha|; pulling it out leaves
-    the SPD factor L(conj w) m, and the determinant supplies the
-    modulus.  Closed form, no decomposition routine.
-    """
-    a = as_matrix(m)
-    if a.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
-    scalar, spd = _split(_pair(a[None]))
-    return complex(scalar[0]), _matrix(spd)[0]
 
 
 def normal_form_2d(alg: Algebra, tol: float = DEFAULT_TOL

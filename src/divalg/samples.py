@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Algebra, classical, is_division, isotope, \
+from .core import Algebra, _ALLOWED_DIMS, classical, is_division, isotope, \
     left_mult_many, right_mult_many, transport
 from .decorated import DecoratedAlgebra, decorate, kappa
 from .dim2 import NormalForm2D, _exponents
@@ -41,8 +41,12 @@ def random_division(dim: int, seed=0) -> Algebra:
 
     Dimension 2 draws raw structure constants; 4 and 8 take random
     isotopes of the quaternions and octonions, which stay division
-    algebras because both isotopy operators are invertible.
+    algebras because both isotopy operators are invertible.  Any other
+    dimension is a ValueError, raised before a number is drawn.
     """
+    if dim not in _ALLOWED_DIMS:
+        raise ValueError(f"dimension must be one of {_ALLOWED_DIMS}, "
+                         f"got {dim!r}")
     rng = np.random.default_rng(seed)
     if dim == 1:
         return Algebra(np.ones((1, 1, 1)), label="R")

@@ -14,8 +14,8 @@ from divalg.core import (classical, isotope, opposite, transport, left_mult,
                          sign_pair, SignPair, find_unities, is_morphism,
                          morphism_residual)
 from divalg.decorated import decorate, kappa, functor_i
-from divalg.dim2 import (NormalForm2D, build2d, hom2d, automorphisms_2d,
-                         c2_elements, d3_elements, normal_form_2d)
+from divalg.dim2 import (NormalForm2D, build2d, hom2d, c2_elements,
+                         d3_elements, normal_form_2d)
 from divalg.equadratic import (central_idempotents, idempotent_residual,
                                im_e, functor_g)
 from divalg.matkit import sign_det_many, random_invertible, \
@@ -159,7 +159,7 @@ def test_criterion_07_dim2_hom_sets():
     rng = np.random.default_rng(107)
     for k in range(50):
         nf = random_normal_form_many(1, rng, block=c2_blocks[k % 3])[0]
-        assert len(automorphisms_2d(nf)) <= 2
+        assert len(hom2d(nf, nf)) <= 2
 
     for i, j in EXPONENTS:
         group = d3_elements() if (i, j) == (1, 1) else c2_elements()
@@ -251,16 +251,17 @@ def test_criterion_09_quaternion_suite():
 
 def test_criterion_10_separation_evidence():
     eye = np.eye(2)
-    top_order = len(automorphisms_2d(NormalForm2D(1, 1, eye, eye)))
+    top = NormalForm2D(1, 1, eye, eye)
+    top_order = len(hom2d(top, top))
     assert top_order == 6
 
     rng = np.random.default_rng(110)
     c2_blocks = [(0, 0), (0, 1), (1, 0)]
-    orders = [len(automorphisms_2d(NormalForm2D(i, j, eye, eye)))
-              for i, j in c2_blocks]
+    orders = [len(hom2d(nf, nf)) for nf in (NormalForm2D(i, j, eye, eye)
+                                            for i, j in c2_blocks)]
     for k in range(50):
         nf = random_normal_form_many(1, rng, block=c2_blocks[k % 3])[0]
-        orders.append(len(automorphisms_2d(nf)))
+        orders.append(len(hom2d(nf, nf)))
     assert max(orders) == 2
     _line(10, "separation-evidence",
           f"|Aut| = {top_order} at the top object, "

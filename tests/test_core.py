@@ -388,8 +388,7 @@ def test_one_gate_per_algebra(monkeypatch, name):
     for alg in algs:
         assert isinstance(sign_pair(alg, samples=100), SignPair)
         assert is_division(alg) == "probably_division"
-        assert is_division(alg, samples=100, seed=np.random.default_rng(
-            3)) == "probably_division"
+        assert is_division(alg, samples=100, seed=3) == "probably_division"
         margin, sign = alg._gate
         side = int(margin[0].argmin())
         tol = float(margin[0, side])
@@ -455,21 +454,53 @@ def test_a_decorated_algebra_computes_its_own_kappa(H):
 
 
 @pytest.mark.parametrize("name", ["C", "H", "O"])
-def test_a_generator_seed_advances_alike_on_both_paths(monkeypatch, name):
-    # the certified path draws its points as the det_many path does; at
-    # n = 2 no point is drawn, so a Generator seed is left where it was
-    # and gives the outcome of an int seed
-    alg = isotope_family(name, 17)[3]
-    assert gate_passes([alg]).all()
-    for call in (lambda rng: sign_pair(alg, samples=100, seed=rng),
-                 lambda rng: is_division(alg, seed=rng)):
-        rngs = np.random.default_rng(7), np.random.default_rng(7)
-        if name == "C":
-            assert outcome(lambda: call(rngs[0])) == outcome(lambda: call(0))
-        else:
-            assert outcome(lambda: call(rngs[0])) == on_det_many(
-                monkeypatch, lambda: call(rngs[1]))
-        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+def test_a_seed_that_is_no_integer_is_refused_before_any_work(name):
+    # the points come from np.random.default_rng of an integer; anything
+    # else is a TypeError before the gate is computed or a point drawn,
+    # on the certified path and at n = 2 too, where no point is drawn
+    alg = Algebra(isotope_family(name, 17)[3].c)
+    calls = (lambda seed: sign_pair(alg, samples=100, seed=seed),
+             lambda seed: core.sign_pair_many(alg.c[None],
+                                              seed=seed).tolist(),
+             lambda seed: is_division(alg, seed=seed),
+             lambda seed: sign_pair(alg, samples=8, seed=seed))
+    for call, seed in itertools.product(calls, [
+            np.random.default_rng(3), None, 3.0, [3]]):
+        with pytest.raises(TypeError):
+            call(seed)
+        assert alg._gate is None
+    for call in calls:
+        assert outcome(lambda: call(np.int64(3))) == outcome(lambda: call(3))
+
+
+@pytest.mark.parametrize("name", ["H", "O"])
+def test_points_are_drawn_only_for_undecided_members(monkeypatch, name):
+    # certified calls draw no point; a stack with one member the gate
+    # refuses draws one set, for that member alone
+    drawn = []
+    real = core._sample_points
+
+    def spy(*args):
+        drawn.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(core, "_sample_points", spy)
+    algs = [Algebra(a.c) for a in isotope_family(name, 17)]
+    assert gate_passes(algs).all()
+    for alg in algs:
+        assert isinstance(sign_pair(alg, samples=100), SignPair)
+        assert is_division(alg) == "probably_division"
+    stack = np.stack([a.c for a in algs])
+    signs = core.sign_pair_many(stack)
+    assert drawn == []
+    noisy = stack[0] + 0.05 * np.random.default_rng(1).standard_normal(
+        stack[0].shape)
+    mixed = np.concatenate([stack, noisy[None]])
+    assert not gate_passes([Algebra(noisy)]).all()
+    got = core.sign_pair_many(mixed, seed=5)
+    assert drawn == [(stack.shape[-1], 100, 5)]
+    assert np.array_equal(got[:-1], signs)
+    assert got[-1].tolist() == list(sign_pair(Algebra(noisy), seed=5))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

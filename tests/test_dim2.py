@@ -9,11 +9,11 @@ from divalg import core, dim2
 from divalg.core import Algebra, classical, is_division, is_morphism, \
     isotope, morphism_residual, sign_pair, transport
 from divalg.dim2 import K2, NormalForm2D, ROT3, build2d, c2_elements, \
-    d3_elements, groupoid_hom, hom2d, iso_to_c, normal_form_2d, \
-    normal_form_2d_many, split_scalar_spd, unitalize
+    d3_elements, groupoid_hom, hom2d, normal_form_2d, normal_form_2d_many
 from divalg.errors import BlockMismatch, NoImaginaryUnit, NonConvergence, \
     NotDivision, SingularOperator
-from divalg.matkit import is_spd1, random_invertible, random_spd1_many
+from divalg.matkit import DEFAULT_TOL, is_spd1, random_invertible, \
+    random_spd1_many
 from divalg.samples import random_2d_division, random_normal_form_many
 
 EYE = np.eye(2)
@@ -124,8 +124,30 @@ def test_hom2d_agrees_with_direct_morphism_check():
         assert any(np.allclose(e.matrix, m) for e in got)
 
 
+def remove_twist(alg, a):
+    """The reduction's twist removal at a, on one algebra: the
+    (R_a^-1, L_a^-1)-isotope and its unity a a."""
+    out, u, _, _ = dim2._remove_twist(
+        alg.c[None], np.asarray(a, dtype=float)[None], DEFAULT_TOL)
+    return Algebra(out[0]), u[0]
+
+
+def onto_c(alg, u):
+    """The reduction's map of a unital 2-d algebra with unity u onto C."""
+    basis = dim2._basis_of_c(alg.c[None], np.asarray(u, dtype=float)[None],
+                             DEFAULT_TOL)
+    return dim2._matrix(dim2._inverse(basis))[0]
+
+
+def split_scalar_spd(m):
+    """The reduction's split of a map with det > 0 as (complex scalar,
+    SPD det-1 factor)."""
+    scalar, spd = dim2._split(dim2._pair(np.asarray(m, dtype=float)[None]))
+    return complex(scalar[0]), dim2._matrix(spd)[0]
+
+
 def test_unitalize_complex_at_i(C):
-    alg, u = unitalize(C, [0.0, 1.0])
+    alg, u = remove_twist(C, [0.0, 1.0])
     assert np.allclose(u, [-1.0, 0.0])
     x = np.array([0.3, -1.2])
     assert np.allclose(alg.mul(u, x), x, atol=1e-12)
@@ -136,7 +158,7 @@ def test_unitalize_quaternion_twist(H, rng):
     s, t = random_invertible(4, rng), random_invertible(4, rng)
     alg = isotope(H, s, t)
     a = rng.standard_normal(4)
-    out, u = unitalize(alg, a)
+    out, u = remove_twist(alg, a)
     eye = np.eye(4)
     for x in eye:
         assert np.allclose(out.mul(u, x), x, atol=1e-9)
@@ -145,24 +167,24 @@ def test_unitalize_quaternion_twist(H, rng):
 
 def test_unitalize_rejects_zero(C):
     with pytest.raises(SingularOperator):
-        unitalize(C, [0.0, 0.0])
+        remove_twist(C, [0.0, 0.0])
 
 
 def test_iso_to_c_fixed_point(C):
-    assert np.array_equal(iso_to_c(C, [1.0, 0.0]), EYE)
+    assert np.array_equal(onto_c(C, [1.0, 0.0]), EYE)
 
 
 def test_iso_to_c_transported(C, rng):
     f = random_invertible(2, rng)
     alg = transport(C, f)
-    phi = iso_to_c(alg, f @ np.array([1.0, 0.0]))
+    phi = onto_c(alg, f @ np.array([1.0, 0.0]))
     assert is_morphism(phi, alg, C, 1e-9)
     assert np.allclose(phi @ f @ np.array([1.0, 0.0]), [1.0, 0.0])
 
 
 def test_iso_to_c_rejects_split_complex():
     with pytest.raises(NoImaginaryUnit):
-        iso_to_c(split_complex(), [1.0, 0.0])
+        onto_c(split_complex(), [1.0, 0.0])
 
 
 def test_split_scalar_spd_oracle():
@@ -356,6 +378,27 @@ def test_build2d_reads_the_tensor_the_reduction_built(monkeypatch):
     assert calls == [1, 1]
 
 
+def test_hom2d_reads_the_tensors_the_forms_keep(monkeypatch):
+    calls = []
+    real = dim2._build_tensors
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(dim2, "_build_tensors", spy)
+    nf, _ = normal_form_2d(random_2d_division(5))
+    want = [g.matrix.tolist() for g in hom2d(nf, nf)]
+    assert calls == [1]                          # the final gate's
+    assert EYE.tolist() in want
+    # two forms from the constructor build one tensor each, on the first
+    # hom2d; the next reads both
+    src, dst = (NormalForm2D(nf.i, nf.j, nf.a, nf.b) for _ in range(2))
+    for _ in range(2):
+        assert [g.matrix.tolist() for g in hom2d(src, dst)] == want
+        assert calls == [1, 1, 1]
+
+
 @pytest.mark.parametrize("block", BLOCKS)
 def test_normal_form_pinned_to_the_svd_reduction(block):
     seed, a, b, iso_ref = PINNED[block]
@@ -378,9 +421,9 @@ def test_rescaled_complex_numbers_reduce_to_the_identity_form(C, scale):
 
 def test_rescaled_unitalize_and_iso_to_c(C):
     for scale in (1e-5, 1e5):
-        unital, u = unitalize(Algebra(scale * C.c), [1.0, 0.0])
+        unital, u = remove_twist(Algebra(scale * C.c), [1.0, 0.0])
         assert np.allclose(unital.c, C.c / scale, rtol=1e-12, atol=0.0)
-        assert np.allclose(iso_to_c(unital, u), EYE / scale, rtol=1e-12,
+        assert np.allclose(onto_c(unital, u), EYE / scale, rtol=1e-12,
                            atol=0.0)
 
 

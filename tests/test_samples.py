@@ -94,6 +94,15 @@ def test_random_division_and_quat_pair_keep_their_stream():
         assert state(gen) == state(ref)
 
 
+@pytest.mark.parametrize("dim", [0, 3, 16])
+def test_random_division_refuses_other_dimensions(dim):
+    # before a number is drawn, so the caller's generator is untouched
+    gen, ref = twin(0)
+    with pytest.raises(ValueError, match=r"one of \(1, 2, 4, 8\)"):
+        random_division(dim, gen)
+    assert state(gen) == state(ref)
+
+
 def gen_doc(capsys, *argv):
     assert main(["gen", *argv]) == 0
     return json.loads(capsys.readouterr().out)

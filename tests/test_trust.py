@@ -23,8 +23,7 @@ from divalg.core import Algebra, _gate_rows, classical, is_division, \
     isotope, opposite, sign_pair, transport
 from divalg.decorated import decorate, functor_i, kappa
 from divalg.dim2 import GroupElement2D, NormalForm2D, _build_tensors, \
-    build2d, c2_elements, d3_elements, normal_form_2d, \
-    normal_form_2d_many, unitalize
+    build2d, c2_elements, d3_elements, normal_form_2d, normal_form_2d_many
 from divalg.errors import BadSplit, SingularOperator
 from divalg.matkit import random_invertible, random_spd1_many
 from divalg.quat import ZObject, functor_h, functor_h_many, k_map, \
@@ -143,8 +142,6 @@ def test_dim2_producers_match_the_public_constructor(seed):
         assert_same(build2d(nf), rebuilt(build2d(nf)))
         assert nf._built is not None            # kept by build2d
         assert_same(nf, rebuilt(nf))
-    unital, _ = unitalize(Algebra(tensors[1]), rng.standard_normal(2))
-    assert_same(unital, rebuilt(unital))
 
 
 def test_random_2d_division_matches_a_public_constructor_loop():
@@ -227,6 +224,8 @@ def test_public_constructors_copy_their_inputs():
                     np.diag([-1.0, -1.0, 1.0, 1.0]), np.eye(4)),
     lambda: ZObject(np.ones(3), np.ones(3), np.eye(4), np.eye(4)),
     lambda: GroupElement2D(np.eye(2), "C3"),
+    lambda: GroupElement2D(np.eye(3), "C2"),
+    lambda: GroupElement2D(np.full((2, 2), np.nan), "D3"),
     lambda: random_normal_form_many(1, 0, block=(2, 0))[0],
     lambda: random_normal_form_many(1, 0, block=(True, 0))[0],
     lambda: k_map(np.ones(3)),
@@ -234,6 +233,7 @@ def test_public_constructors_copy_their_inputs():
 ], ids=["non-finite", "non-cubic", "dimension-3", "exponent-2",
         "exponent-float", "exponent-bool", "exponent-numpy-float",
         "non-spd-a", "non-spd-c", "non-quaternion", "group",
+        "group-element-shape", "group-element-nan",
         "sample-exponent", "sample-exponent-bool", "k-map-shape",
         "normal-form-dimension"])
 def test_public_boundaries_reject_bad_input(make):
