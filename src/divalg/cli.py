@@ -213,12 +213,14 @@ def _at_least_zero(parse):
     return checked
 
 
-def _add_common(p, samples=False):
-    p.add_argument("--tol", type=_at_least_zero(float), default=DEFAULT_TOL)
-    p.add_argument("--seed", type=int, default=0)
+def _add_common(p, *options):
+    """--json, and those of --tol, --seed and --samples named in options."""
+    for name, parse, default in (("tol", _at_least_zero(float), DEFAULT_TOL),
+                                 ("seed", int, 0),
+                                 ("samples", _at_least_zero(int), 1000)):
+        if name in options:
+            p.add_argument(f"--{name}", type=parse, default=default)
     p.add_argument("--json", action="store_true")
-    if samples:
-        p.add_argument("--samples", type=_at_least_zero(int), default=1000)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,19 +232,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sign-pair", help="double sign of an algebra file")
     p.add_argument("file")
-    _add_common(p, samples=True)
+    _add_common(p, "tol", "seed", "samples")
     p.set_defaults(fn=cmd_sign_pair)
 
     p = sub.add_parser("block", help="block label of an algebra file")
     p.add_argument("file")
-    _add_common(p, samples=True)
+    _add_common(p, "tol", "seed", "samples")
     p.set_defaults(fn=cmd_block)
 
     p = sub.add_parser("isotope", help="isotope by an operator pair file")
     p.add_argument("file")
     p.add_argument("pair")
     p.add_argument("-o", "--out")
-    _add_common(p)
+    _add_common(p, "tol")
     p.set_defaults(fn=cmd_isotope)
 
     p = sub.add_parser("opposite", help="opposite algebra")
@@ -255,23 +257,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--mode", choices=("sampled", "exact2d"),
                    default="sampled")
-    _add_common(p, samples=True)
+    _add_common(p, "tol", "seed", "samples")
     p.set_defaults(fn=cmd_divcheck)
 
     p = sub.add_parser("equad", help="idempotent splitting of an algebra")
     p.add_argument("file")
-    _add_common(p)
+    _add_common(p, "tol")
     p.set_defaults(fn=cmd_equad)
 
     p = sub.add_parser("classify2d", help="2-d normal form reduction")
     p.add_argument("file")
-    _add_common(p)
+    _add_common(p, "tol")
     p.set_defaults(fn=cmd_classify2d)
 
     p = sub.add_parser("hom2d", help="morphisms between 2-d normal forms")
     p.add_argument("src")
     p.add_argument("dst")
-    _add_common(p)
+    _add_common(p, "tol")
     p.set_defaults(fn=cmd_hom2d)
 
     p = sub.add_parser("quat", help="quaternion isotope commands")
@@ -279,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = qsub.add_parser("normal-form",
                         help="reduce an operator pair to a block object")
     q.add_argument("pair")
-    _add_common(q)
+    _add_common(q, "tol")
     q.set_defaults(fn=cmd_quat_normal_form)
 
     p = sub.add_parser("gen", help="emit sample documents")
@@ -287,12 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
                                     "decorated", "pair"))
     p.add_argument("--name", choices=("C", "H", "O"), default="H")
     p.add_argument("-o", "--out")
-    _add_common(p)
+    _add_common(p, "seed")
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("verify", help="run the full invariant suite")
     p.add_argument("--only", help="comma-separated check names")
-    _add_common(p, samples=True)
+    _add_common(p, "tol", "seed", "samples")
     p.set_defaults(fn=cmd_verify)
 
     return ap

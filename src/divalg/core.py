@@ -30,7 +30,7 @@ from .errors import (
 )
 from .matkit import DEFAULT_TOL, _CLIFFORD_TOL, _GATE_FLOOR, \
     _FORM_ROUNDING, _UNIT_LAW_FLOOR, _decides, _finite_stack, \
-    det_many, near_singular
+    _undecided, det_many, near_singular
 
 _ALLOWED_DIMS = (1, 2, 4, 8)
 
@@ -157,8 +157,8 @@ def sign_pair(alg: Algebra, samples: int = 100, tol: float = DEFAULT_TOL,
     R_{e0}; both are computed once per Algebra and kept on it
     (Algebra._gate), while the decision at ``tol`` is taken afresh.
     """
-    ell, r = _signs(alg.c[None], samples, tol, seed,
-                    lambda: _algebra_gate(alg))[0]
+    ell, r = _raised(*_signs(alg.c[None], samples, tol, seed,
+                             lambda: _algebra_gate(alg)))[0]
     return SignPair(int(ell), int(r))
 
 
@@ -169,80 +169,102 @@ def sign_pair_many(tensors, samples: int = 100, tol: float = DEFAULT_TOL,
     ``tensors`` has shape (B, n, n, n); the result has shape (B, 2), row
     b holding (sign det L, sign det R) of algebra b as +1 or -1, taken
     at the same points as sign_pair(..., samples, tol, seed).  Raises
-    ValueError when the stack has another shape or a non-finite entry,
-    DimensionOne when n = 1, DegenerateSign naming the algebra (its
-    index in the stack) and the sample point of the first |det| <=
-    max(tol, 0) (or determinant that is not a number), and
-    SignInconsistent naming the first algebra whose signs vary.  A
-    negative ``samples`` is a ValueError, and a ``seed`` that is no
-    integer a TypeError, before any work.
+    ValueError when the stack has another shape, a non-finite entry or
+    n not 1, 2, 4 or 8 (no other n has a division algebra), DimensionOne
+    when n = 1, and else _raised's errors, which name the algebra by its
+    index in the stack.  A negative ``samples`` is a ValueError, and a
+    ``seed`` that is no integer a TypeError, before any work.
 
     _gate_rows keeps per side a scale-free margin, (least |det| /
     greatest |det|)^(2/n) on the unit sphere, and a sign.  At n = 2 no
     point is drawn, and ``samples`` and ``seed`` are only checked: the
-    margins of the forms det L_a and det R_a decide (_definite2d), and
-    DegenerateSign names a side and its margin.  At n = 4 and 8, from
-    _CLOSED_FORM_POINTS points up, an algebra with both margins above
-    max(tol, 0), an isotope of H or O or a transport of one, gets the
-    signs of det L_{e0} and det R_{e0}, which every det has, so lam A
-    gets A's.  The others, and every algebra at fewer points or of
-    another dimension, compare det_many's determinant at each point with
-    max(tol, 0); matkit._decides makes every comparison.  Only these
+    margins of the forms det L_a and det R_a decide.  At n = 4 and 8,
+    from _CLOSED_FORM_POINTS points up, an algebra with both margins
+    above max(tol, 0), an isotope of H or O or a transport of one, gets
+    the signs of det L_{e0} and det R_{e0}, which every det has, so lam
+    A gets A's.  The others, and every algebra at fewer points, compare
+    det_many's determinant at each point with max(tol, 0).  Only these
     draw the points (_sample_points), once per call.
     """
     c = _finite_stack(tensors, lambda s: len(s) == 4 and len(set(s[1:])) == 1,
                       "a (B, n, n, n) tensor stack", "structure constants")
-    return _signs(c, samples, tol, seed, lambda: _gate_rows(c))
+    return _raised(*_signs(c, samples, tol, seed, lambda: _gate_rows(c)))
 
 
-def _signs(c: np.ndarray, samples: int, tol: float, seed,
-           gate) -> np.ndarray:
-    """sign_pair_many of a valid tensor stack c (B, n, n, n).  gate()
-    gives _gate_rows(c), whose margins decide at tol: at n = 2, and at
-    n = 4 and 8 from _CLOSED_FORM_POINTS points up.  Points are drawn
-    only for the members left undecided."""
-    seed = operator.index(seed)
+# The faults of a member in _signs (0: none), the worse the greater
+_VARIES, _DEGENERATE = 1, 2
+
+
+def _signs(c: np.ndarray, samples: int, tol: float, seed, gate):
+    """The double sign of each member of a valid tensor stack c (B, n,
+    n, n), or why it has none: (signs, fault, why).  fault (B,) is
+    _DEGENERATE where a value, a form margin (n = 2) or a sampled det,
+    decides no sign at tol (matkit._decides), else _VARIES where a side
+    has a form margin below 0 or two sampled signs, else 0, and signs
+    (B, 2) holds its signs.  why(b) words member b's first such value, L
+    before R, point by point.  gate() gives _gate_rows(c), whose margins
+    decide at n = 2, and at n = 4 and 8 from _CLOSED_FORM_POINTS points
+    up; only the members left undecided draw points.  Bad arguments and
+    n = 1 raise before any work."""
+    seed = _checked_seed(seed, samples)
     n = c.shape[-1]
+    if n not in _ALLOWED_DIMS:
+        raise ValueError(f"dimension must be one of {_ALLOWED_DIMS}")
     if n == 1:
         raise DimensionOne("the double sign needs dimension at least 2")
-    _check_samples(samples)
-    if n == 2:
-        return _definite2d(gate(), tol, named=True)
-    if n in (4, 8) and n + samples >= _CLOSED_FORM_POINTS:
+    if n == 2 or n + samples >= _CLOSED_FORM_POINTS:
         margin, sign = gate()
+        decided = _decides(margin, tol)
+        if n == 2:
+            def why(b):
+                side = decided[b].argmin()
+                return _undecided(f"form margin of det {'LR'[side]}_a",
+                                  margin[b, side], tol,
+                                  f"on algebra {b} of the stack")
+            fault = np.where(decided, margin < 0, _DEGENERATE).max(axis=1)
+            return sign, fault, why
         signs = np.array(sign)                      # right where certified
-        rest = np.flatnonzero(~_decides(margin, tol).all(axis=1))
+        rest = np.flatnonzero(~decided.all(axis=1))
     else:
         signs, rest = np.empty((len(c), 2), int), np.arange(len(c))
-    if len(rest):
-        signs[rest] = _sampled_signs(c[rest], _sample_points(n, samples, seed),
-                                     tol, rest)
+    fault = np.zeros(len(c), int)
+    if not len(rest):
+        return signs, fault, None
+    pts = _sample_points(n, samples, seed)
+    d = _sampled_dets(c[rest], pts)                          # [b, side, point]
+    decided = _decides(d, tol)
+    sampled = np.where(d > 0, 1, -1)
+    fault[rest] = np.where(decided.all(axis=2), (
+        sampled != sampled[..., :1]).any(axis=2), _DEGENERATE).max(axis=1)
+    signs[rest] = sampled[..., 0]
+
+    def why(b):
+        k = np.searchsorted(rest, b)
+        side, p = np.unravel_index(decided[k].argmin(), decided[k].shape)
+        return _undecided(f"det {'LR'[side]}_a", d[k, side, p], tol,
+                          f"on algebra {b} of the stack at sample point "
+                          f"{p}, a = {np.array2string(pts[p], precision=3)}")
+    return signs, fault, why
+
+
+def _raised(signs: np.ndarray, fault: np.ndarray, why) -> np.ndarray:
+    """The signs of an outcome of _signs that has no fault, or the
+    exception of its faults: DegenerateSign for the first degenerate
+    member (why), then SignInconsistent for the first whose signs vary."""
+    if np.count_nonzero(fault):
+        fail_at(fault == _DEGENERATE, DegenerateSign, why)
+        fail_at(fault == _VARIES, SignInconsistent,
+                lambda b: "determinant signs vary over nonzero points of "
+                          f"algebra {b} of the stack")
     return signs
 
 
-def _sampled_signs(c: np.ndarray, pts: np.ndarray, tol: float,
-                   index: np.ndarray) -> np.ndarray:
-    """The signs of each tensor of a stack at every point of pts, from
-    det_many; the errors name tensor b as algebra index[b] of the
-    stack."""
-    d = _sampled_dets(c, pts)                                # [b, side, point]
-
-    def describe(i):
-        b, side, p = np.unravel_index(i, d.shape)
-        return f"det {'LR'[side]}_a", (
-            f"on algebra {index[b]} of the stack at sample point {p}, "
-            f"a = {np.array2string(pts[p], precision=3)}")
-
-    signs = _decides(d, tol, describe)
-    fail_at((signs != signs[..., :1]).any(axis=2), SignInconsistent,
-            lambda i: "determinant signs vary over nonzero points of "
-                      f"algebra {index[i // 2]} of the stack")
-    return signs[..., 0].copy()                 # not a view of every point
-
-
-def _check_samples(samples: int) -> None:
+def _checked_seed(seed, samples: int) -> int:
+    """seed as an int, TypeError if it is none, ValueError if samples < 0."""
+    seed = operator.index(seed)
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
+    return seed
 
 
 # Least number of sample points at which sign_pair_many tries the
@@ -550,9 +572,9 @@ def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
 
     mode='exact2d' (dimension 2 only): det L_a and det R_a are binary
     quadratic forms in a; the algebra is division exactly when both are
-    definite.  'division' where both margins are above max(tol, 0)
-    (_definite2d), a scale-free test, and 'not_division' otherwise.  The
-    margins are the ones sign_pair keeps on the Algebra (Algebra._gate).
+    definite.  'division' where both margins are above max(tol, 0), a
+    scale-free test, and 'not_division' otherwise.  The margins are the
+    ones sign_pair keeps on the Algebra (Algebra._gate).
 
     mode='sampled': the verdict of sign_pair at the same points, the
     basis vectors and ``samples`` random unit vectors drawn from the
@@ -561,27 +583,24 @@ def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
     gives 'not_division', and so does a sign change: for n >= 2 the unit
     sphere is connected, so det L_a or det R_a vanishes between two
     points of opposite sign.  Otherwise 'probably_division'.  At n = 2
-    that is exact2d's test, where ``samples`` and ``seed`` do nothing.
-    In dimension 1 the one structure constant decides, at any scale:
-    'division' when it is not zero.  A negative ``samples`` is a
-    ValueError.  The verdict is sign_pair's, and it reads what sign_pair
-    keeps on the Algebra, so an algebra that goes through both pays once.
+    that is exact2d's test.  In dimension 1 the one structure constant
+    decides, at any scale: 'division' when it is not zero.  Both modes
+    read the fault that sign_pair raises (_signs), and what it keeps on
+    the Algebra.  A negative ``samples`` is a ValueError and a ``seed``
+    that is no integer a TypeError, in every mode and dimension, also
+    where neither is read.
     """
-    if mode == "exact2d":
-        if alg.dim != 2:
-            raise ModeMismatch("exact2d applies to dimension 2 only")
-        return "division" if _definite2d(_algebra_gate(alg), tol)[0] \
-            else "not_division"
-    if mode != "sampled":
+    if mode not in ("sampled", "exact2d"):
         raise ModeMismatch(f"unknown mode {mode!r}")
-    _check_samples(samples)
+    if mode == "exact2d" and alg.dim != 2:
+        raise ModeMismatch("exact2d applies to dimension 2 only")
     if alg.dim == 1:
+        _checked_seed(seed, samples)
         return "division" if alg.c[0, 0, 0] != 0 else "not_division"
-    try:
-        _signs(alg.c[None], samples, tol, seed, lambda: _algebra_gate(alg))
-    except (DegenerateSign, SignInconsistent):
+    if _signs(alg.c[None], samples, tol, seed,
+              lambda: _algebra_gate(alg))[1][0]:
         return "not_division"
-    return "probably_division"
+    return "division" if mode == "exact2d" else "probably_division"
 
 
 def _forms2d(c: np.ndarray):
@@ -616,25 +635,6 @@ def _forms2d(c: np.ndarray):
         size, np.finfo(float).tiny)
     margin = np.divide(low, two_m + two_r, out=np.zeros_like(low), where=ok)
     return margin, np.sign(d1).astype(int)    # not 0 where margin is above 0
-
-
-def _definite2d(gate, tol: float, named: bool = False) -> np.ndarray:
-    """The one 2-d decision, on gate = (margin, sign) of _forms2d of B
-    algebras: whether both forms of each are definite at tol, margin >
-    max(tol, 0) (matkit._decides), (B,).  named: the signs (B, 2), or
-    DegenerateSign naming the side, margin and algebra of the first
-    |margin| <= max(tol, 0), then SignInconsistent naming the first
-    algebra with a margin below -max(tol, 0), a form of both signs."""
-    margin, sign = gate
-    if not named:
-        definite = _decides(margin, tol) & (margin > 0)
-        return definite[:, 0] & definite[:, 1]
-    _decides(margin, tol, lambda i: (f"form margin of det {'LR'[i % 2]}_a",
-                                     f"on algebra {i // 2} of the stack"))
-    fail_at(margin < 0, SignInconsistent,
-            lambda i: "determinant signs vary over nonzero points of "
-                      f"algebra {i // 2} of the stack")
-    return sign
 
 
 def find_unities(alg: Algebra, tol: float = DEFAULT_TOL) -> dict:

@@ -40,11 +40,11 @@ from .core import (
     SignPair,
     _Frozen,
     _algebra_gate,
-    _definite2d,
     _forms2d,
     _gate_residuals,
     _left_stack,
     _pull_back,
+    _signs,
     _unit_scaled,
     classical,
     morphism_residual_many,
@@ -414,8 +414,9 @@ def _tensor_stack(tensors) -> np.ndarray:
 
 def _reduce(c: np.ndarray, gate, tol: float):
     """normal_form_2d_many of a valid stack c, deciding division from
-    gate, the form margins _forms2d(c)."""
-    fail_at(~_definite2d(gate, tol), NotDivision,
+    gate, the form margins _forms2d(c), by the fault that sign_pair
+    raises and exact2d reads (core._signs)."""
+    fail_at(_signs(c, 0, tol, 0, lambda: gate)[1] > 0, NotDivision,
             lambda k: "the exact dimension-2 test rejects this algebra at "
                       f"stack index {k}")
     # 2^-e A reduces as A does, exactly, with 2^-e times its isomorphism

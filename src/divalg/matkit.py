@@ -21,9 +21,10 @@ from .errors import DegenerateSign, SingularInput, fail_at
 # convergence bound on a unit-scale residual; scale-dependent absolute:
 # absolute on an input that may be rescaled, still to be made relative.
 # tol is of that kind on the sampled |det| of the signs; on each kept
-# sign margin (core._gate_rows, n = 2, 4, 8) it is relative.  All are
-# _decides, where a negative tol acts as 0.  _CLIFFORD_TOL admits a 4-d
-# or 8-d tensor to the certificate, which gives det_many's signs: the
+# sign margin (core._gate_rows, n = 2, 4, 8) it is relative.  Both, and
+# near_singular's tol, are the predicate _decides, where a negative tol
+# acts as 0; _undecided words a refusal.  _CLIFFORD_TOL admits a 4-d or
+# 8-d tensor to the certificate, which gives det_many's signs: the
 # defect of 100 transported isotopes of H and of O was at most 8e-13,
 # that of H and O plus 1e-6 N(0, 1) noise at least 2e-6.
 # relative: default tol, times the size each function states (see above)
@@ -95,29 +96,24 @@ def sign_det_many(ms, tol: float = DEFAULT_TOL) -> np.ndarray:
     ValueError for another shape or a non-finite entry, and
     DegenerateSign, naming the batch index of the first offender, when
     |det| <= max(tol, 0) or the determinant is not a number."""
-    return _decides(det_many(_as_square(ms, 3)), tol,
-                    lambda i: ("det", f"at batch index {i}"))
+    d = det_many(_as_square(ms, 3))
+    fail_at(~_decides(d, tol), DegenerateSign,
+            lambda i: _undecided("det", d[i], tol, f"at batch index {i}"))
+    return np.where(d > 0, 1, -1)
 
 
-def _decides(x, tol: float, describe=None) -> np.ndarray:
+def _decides(x, tol: float) -> np.ndarray:
     """Whether each |x| is above max(tol, 0), never where x is NaN: the
-    one cut-off of the signs, their certificate and near_singular.  With
-    describe, the signs (+1 or -1) of the determinants x, or
-    DegenerateSign for the first that fails, named (name, where) by
-    describe(i) with the cut-off applied."""
-    cut = max(tol, 0.0)
-    decided = np.abs(x) > cut
-    if describe is None:
-        return decided
+    one cut-off of the signs, their certificate and near_singular."""
+    return np.abs(x) > max(tol, 0.0)
 
-    def why(i):
-        name, where = describe(i)
-        if np.isnan(x.flat[i]):
-            return f"{name} is not a number {where}"
-        return f"|{name}| = {abs(x.flat[i]):.3e} <= tol = {cut:.3e} {where}"
 
-    fail_at(~decided, DegenerateSign, why)
-    return np.where(x > 0, 1, -1)
+def _undecided(name: str, x: float, tol: float, where: str) -> str:
+    """Why the value x of name, which _decides refuses at tol, decides no
+    sign: the message of DegenerateSign, with the cut-off applied."""
+    if np.isnan(x):
+        return f"{name} is not a number {where}"
+    return f"|{name}| = {abs(x):.3e} <= tol = {max(tol, 0.0):.3e} {where}"
 
 
 def det_many(ms) -> np.ndarray:

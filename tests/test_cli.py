@@ -369,6 +369,25 @@ def test_bad_tolerance_or_sample_count_is_usage_error(
     assert option in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["isotope", "a.json", "pair.json", "--seed", "3"],
+    ["opposite", "a.json", "--seed", "3"],
+    ["equad", "a.json", "--seed", "3"],
+    ["classify2d", "a.json", "--seed", "3"],
+    ["hom2d", "a.json", "a.json", "--seed", "3"],
+    ["quat", "normal-form", "pair.json", "--seed", "3"],
+    ["opposite", "a.json", "--tol", "1"],
+    ["gen", "classical", "--tol", "1"]])
+def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
+    # each command declares only the options it reads: argparse refuses
+    # the others before any file is opened
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in \
+        capsys.readouterr().err
+
+
 def test_zero_tolerance_and_sample_count_are_allowed(capsys, h_file):
     code, out = run(capsys, "sign-pair", h_file, "--tol", "0",
                     "--samples", "0")

@@ -815,14 +815,44 @@ def test_the_2d_gate_margin_floor_refuses_subnormal_rounding():
 
 
 @pytest.mark.parametrize("n", [3, 5, 16])
-def test_other_dimensions_take_det_many(monkeypatch, n):
-    # the certificate is proved at n = 2, 4 and 8 only: a stack of any
-    # other dimension gets det_many at each point, from 100 points up,
-    # and the gate is never called
+def test_other_dimensions_are_refused(monkeypatch, n):
+    # only n = 1, 2, 4 and 8 have division algebras: at odd n det L_{-a}
+    # = -det L_a, so no sign is ever decided, and at n = 16 every algebra
+    # has zero divisors.  Another n is a ValueError before any work; n =
+    # 1 is DimensionOne
     c = np.random.default_rng(n).standard_normal((2, n, n, n))
-    want = on_det_many(monkeypatch, lambda: core.sign_pair_many(c, 100))
+    seen = spy_on_det_many(monkeypatch)
     monkeypatch.setattr(core, "_gate_rows", None)
-    assert outcome(lambda: core.sign_pair_many(c, 100)) == want
+    for samples in (8, 100):
+        with pytest.raises(ValueError, match=r"^dimension must be one of "
+                           r"\(1, 2, 4, 8\)$"):
+            core.sign_pair_many(c, samples)
+    assert seen == []
+    with pytest.raises(DimensionOne):
+        core.sign_pair_many(np.ones((2, 1, 1, 1)))
+
+
+@pytest.mark.parametrize("samples", [8, 100])
+def test_a_degenerate_member_is_named_before_one_whose_signs_vary(samples):
+    # across a stack every DegenerateSign comes before every
+    # SignInconsistent, whatever the order of the members: the split
+    # complex numbers (a form of both signs) before C with e_1 x = 0 (a
+    # semidefinite form), and sign_changer before X with L_{e0} = 0
+    semi = classical("C").c * (np.arange(2) > 0)[:, None, None]
+    with pytest.raises(DegenerateSign, match=r"^\|form margin of det L_a\| = "
+                       r"0\.000e\+00 <= tol = 1\.000e-09 on algebra 1 of "
+                       "the stack$"):
+        core.sign_pair_many(np.stack([split_complex().c, semi]), samples)
+    for n in (4, 8):
+        zero = classical({4: "H", 8: "O"}[n]).c * (
+            np.arange(n) > 0)[:, None, None]
+        changer = sign_changer(n).c
+        assert outcome(lambda: core.sign_pair_many(changer[None], samples)
+                       )[0] is SignInconsistent
+        with pytest.raises(DegenerateSign, match=r"^\|det L_a\| = 0\.000e\+00 "
+                           "<= tol = 1.000e-09 on algebra 1 of the stack at "
+                           "sample point 0,"):
+            core.sign_pair_many(np.stack([changer, zero]), samples)
 
 
 # 2-d tensors for the relations of the form test, each with its kind;
@@ -990,6 +1020,39 @@ def test_negative_sample_count_is_rejected(H):
         sign_pair(H, samples=-1)
     with pytest.raises(ValueError, match="samples"):
         is_division(H, samples=-3)
+
+
+@pytest.mark.parametrize("n, mode", [(1, "sampled"), (2, "exact2d"),
+                                     (4, "sampled")])
+def test_every_mode_and_dimension_checks_seed_and_samples(monkeypatch, n,
+                                                          mode):
+    # a seed that is no integer and a negative sample count are refused
+    # before any work, also at n = 1, where the one constant decides, and
+    # in exact2d, which reads neither; each call checks them once
+    alg = Algebra(classical({2: "C", 4: "H"}[n]).c if n > 1
+                  else np.ones((1, 1, 1)))
+    for seed in (None, np.random.default_rng(1), 3.0):
+        with pytest.raises(TypeError):
+            is_division(alg, mode, seed=seed)
+    with pytest.raises(ValueError, match="samples"):
+        is_division(alg, mode, samples=-1)
+    if n == 1:
+        with pytest.raises(TypeError):
+            sign_pair(alg, seed=None)
+        with pytest.raises(ValueError, match="samples"):
+            sign_pair(alg, samples=-1)
+    assert alg._gate is None
+    checks = []
+    real = core._checked_seed
+
+    def spy(*args):
+        checks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(core, "_checked_seed", spy)
+    assert is_division(alg, mode, seed=np.int64(3)) == (
+        "probably_division" if mode == "sampled" and n > 1 else "division")
+    assert len(checks) == 1
 
 
 def test_componentwise_product_is_not_division():
