@@ -30,7 +30,7 @@ from .errors import (
 )
 from .matkit import DEFAULT_TOL, _CLIFFORD_TOL, _GATE_FLOOR, \
     _FORM_ROUNDING, _UNIT_LAW_FLOOR, _decides, _finite_stack, \
-    _undecided, det_many, near_singular
+    _undecided, det_many, near_singular, random_unit_vectors
 
 _ALLOWED_DIMS = (1, 2, 4, 8)
 
@@ -69,13 +69,10 @@ class Algebra(_Frozen):
     _gate: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        if c.ndim != 3 or len(set(c.shape)) != 1:
-            raise ValueError(f"structure tensor must be cubic, got {c.shape}")
+        c = _finite_stack(self.c, lambda s: len(s) == 3 and len(set(s)) == 1,
+                          "a cubic structure tensor", "structure constants")
         if c.shape[0] not in _ALLOWED_DIMS:
             raise ValueError(f"dimension must be one of {_ALLOWED_DIMS}")
-        if not np.isfinite(c).all():
-            raise ValueError("structure constants must be finite")
         self._freeze(c=c.copy())
 
     @property
@@ -133,14 +130,10 @@ def _left_stack(c: np.ndarray, batch: np.ndarray) -> np.ndarray:
 
 
 def _sample_points(dim: int, samples: int, seed: int) -> np.ndarray:
-    """The dim basis vectors, then ``samples`` random unit vectors drawn
-    from np.random.default_rng(seed): the same points for the same
-    seed, drawn afresh on every call."""
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((samples, dim)) if samples else \
-        np.empty((0, dim))
-    pts = np.vstack([np.eye(dim), pts])
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    """The dim basis vectors, then random_unit_vectors(dim, samples,
+    seed): the same points for the same seed, drawn afresh on every
+    call."""
+    return np.vstack([np.eye(dim), random_unit_vectors(dim, samples, seed)])
 
 
 def sign_pair(alg: Algebra, samples: int = 100, tol: float = DEFAULT_TOL,

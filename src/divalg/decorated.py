@@ -105,8 +105,8 @@ def functor_i(i: int, j: int, x: DecoratedAlgebra) -> DecoratedAlgebra:
     if (i, j) == (0, 0):
         return x
     k = kappa(x)
-    c, _ = functor_i_many(i, j, x.alg.c[None], k[None])
-    alg = Algebra._trusted(c=c[0], label=_tag(x.alg.label, "isotope"))
+    c = functor_i_many(i, j, x.alg.c[None], k[None])[0]
+    alg = Algebra._trusted(c=c, label=_tag(x.alg.label, "isotope"))
     return DecoratedAlgebra._trusted(alg=alg, u=x.u, v=x.v, _kappa=k)
 
 
@@ -117,20 +117,19 @@ def functor_i_many(i: int, j: int, tensors, kappas):
     ``tensors`` has shape (B, n, n, n) and ``kappas`` (B, n, n).  Returns
     the image tensors, entry b the tensor of A_b twisted by
     (kappa_b^i, kappa_b^j) from one contraction, bit for bit what
-    functor_i gives, and the images' reflections, which are the given
-    ``kappas`` themselves: the functors keep U and V.  (0, 0) returns
-    both stacks as given.
+    functor_i gives.  The images keep U and V, so their reflections are
+    the given ``kappas``.  (0, 0) returns ``tensors`` as given.
     """
     if i not in (0, 1) or j not in (0, 1):
         raise ValueError("functor indices must be 0 or 1")
     tensors = np.asarray(tensors, dtype=float)
-    kappas = np.asarray(kappas, dtype=float)
     if i == 0 and j == 0:
-        return tensors, kappas
+        return tensors
+    kappas = np.asarray(kappas, dtype=float)
     eye = np.broadcast_to(np.eye(kappas.shape[-1]), kappas.shape)
     s, t = (kappas if f else eye for f in (i, j))
     # kappa is an involution, so s and t are invertible without a check
-    return _pull_back(tensors, s, t), kappas
+    return _pull_back(tensors, s, t)
 
 
 def forget(x: DecoratedAlgebra) -> Algebra:

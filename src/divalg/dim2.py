@@ -238,9 +238,8 @@ def _basis_of_c(c: np.ndarray, u: np.ndarray, tol: float):
     m = np.argmin(np.abs(u), axis=1)
     o = 1 - m
     ww = c[rows, m, m]                                   # w w
-    # [u w] is singular only for u = 0, as |u_o| >= |u_m|
-    fail_at(u[rows, o] == 0.0, np.linalg.LinAlgError,
-            lambda k: f"Singular matrix at stack index {k}")
+    # u_o != 0: |u_o| >= |u_m|, and u = e0 e0, the first column of L_e0,
+    # is nonzero, as _reduce's exact 2-d test refuses det L_e0 = 0
     c0 = ww[rows, o] / u[rows, o]
     c1 = ww[rows, m] - c0 * u[rows, m]
     mu = c0 + 0.25 * c1 * c1

@@ -233,6 +233,13 @@ def random_rotation_many(n: int, count: int, seed=0) -> np.ndarray:
     return q
 
 
+def random_unit_vectors(n: int, count: int, seed=0) -> np.ndarray:
+    """``count`` seeded random unit vectors of length n, shape (count, n):
+    one block of standard normal draws, each row normalized."""
+    x = np.random.default_rng(seed).standard_normal((count, n))
+    return x / np.sqrt(squared_norms(x))[:, None]
+
+
 def random_invertible(n: int, seed=0, max_cond: float = 50.0) -> np.ndarray:
     """Seeded random invertible matrix with bounded condition number.
 

@@ -157,7 +157,8 @@ class ZObject(_Frozen):
         for name, m in zip("cd", cd):
             if m.shape != (4, 4) or not is_spd1(m, _SPD1_TOL):
                 raise ValueError(f"{name} must be 4x4 SPD with det 1")
-        self._freeze(**_z_fields(*ab, *cd))
+        (x,), _ = _z_objects(ab, np.stack(cd))
+        self._freeze(a=x.a, b=x.b, c=x.c, d=x.d)
 
     def __repr__(self):
         return (f"<ZObject a={np.round(self.a, 4)} b={np.round(self.b, 4)} "
@@ -171,31 +172,18 @@ class ZObject(_Frozen):
                     and np.max(np.abs(self.d - eye)) <= _IS_Y_TOL)
 
 
-def _z_fields(a, b, c, d) -> dict:
-    """The fields ZObject stores for parts (a, b, c, d), for both ways of
-    building one.  The B=1 case of _z_stacks."""
-    ab, cd, _ = _z_stacks(np.array([a, b], dtype=float), np.stack([c, d]))
-    return dict(a=ab[0], b=ab[1], c=cd[0], d=cd[1])
-
-
-def _z_stacks(ab: np.ndarray, cd: np.ndarray):
-    """Stored parts of a stack of quaternion parts (a or b) and of one of
-    matrix parts (c or d): the quaternions made representatives, the
-    matrices symmetrized; then the signs (+1.0 or -1.0) that the
-    representatives applied after normalizing."""
-    reps, eps = _rep_many(ab)
-    return reps, 0.5 * (cd + cd.swapaxes(1, 2)), eps
-
-
 def _z_objects(ab: np.ndarray, cd: np.ndarray):
     """The n objects of parts stacked as a[0], ..., a[n-1], b[0], ...,
-    b[n-1] and c[0], ..., c[n-1], d[0], ..., d[n-1], stored as
-    _z_stacks makes them, and what _z_stacks made."""
-    stacks = _z_stacks(ab, cd)
-    ab, cd, _ = stacks
-    n = len(ab) // 2
-    return [ZObject._trusted(a=ab[k], b=ab[n + k], c=cd[k], d=cd[n + k])
-            for k in range(n)], stacks
+    b[n-1] and c[0], ..., c[n-1], d[0], ..., d[n-1], for every way of
+    building one: the quaternions made representatives, the matrices
+    symmetrized.  Returns the objects and (representatives, symmetrized
+    matrices, the signs (+1.0 or -1.0) that the representatives applied
+    after normalizing)."""
+    reps, eps = _rep_many(ab)
+    cd = 0.5 * (cd + cd.swapaxes(1, 2))
+    n = len(reps) // 2
+    return [ZObject._trusted(a=reps[k], b=reps[n + k], c=cd[k], d=cd[n + k])
+            for k in range(n)], (reps, cd, eps)
 
 
 def z_action(s, x: ZObject) -> ZObject:
@@ -205,8 +193,9 @@ def z_action(s, x: ZObject) -> ZObject:
     acting by s then t equals acting by ts coordinatewise.
     """
     k = k_map(s)
-    return ZObject._trusted(**_z_fields(k @ x.a, k @ x.b, k @ x.c @ k.T,
-                                        k @ x.d @ k.T))
+    (y,), _ = _z_objects(np.stack([k @ x.a, k @ x.b]),
+                         np.stack([k @ x.c @ k.T, k @ x.d @ k.T]))
+    return y
 
 
 def functor_h(alpha: int, beta: int, x: ZObject) -> Algebra:

@@ -15,7 +15,7 @@ from .dim2 import NormalForm2D, _exponents
 from .equadratic import functor_g
 from .errors import NotDivision
 from .matkit import random_invertible_many, random_rotation_many, \
-    random_spd1_many, squared_norms
+    random_spd1_many, random_unit_vectors
 from .quat import ZObject, _z_objects
 
 _MAX_COND = 20.0        # bound on the condition of the isotope operators
@@ -215,13 +215,6 @@ def random_normal_form_many(count: int, seed=0,
     # random_spd1_many draws are SPD with determinant 1 by construction
     return [NormalForm2D._trusted(i=i, j=j, a=a[k], b=b[k])
             for k, (i, j) in enumerate(blocks)]
-
-
-def random_unit_vectors(n: int, count: int, seed=0) -> np.ndarray:
-    """``count`` random unit vectors of length n, shape (count, n): one
-    block of standard normal draws, each row normalized."""
-    x = np.random.default_rng(seed).standard_normal((count, n))
-    return x / np.sqrt(squared_norms(x))[:, None]
 
 
 def random_z_object(seed=0, trivial_spd: bool = False) -> ZObject:

@@ -259,6 +259,15 @@ def test_verify_unknown_check_is_input_error(capsys, only):
     assert only.split(",")[-1] in captured.err
 
 
+@pytest.mark.parametrize("only", ["", "core-opposition,"])
+def test_verify_empty_check_name_is_input_error(capsys, only):
+    # an empty entry names no check, so it selects none, not all
+    code = main(["verify", "--only", only])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "unknown check name(s): ''" in captured.err
+
+
 def test_failing_check_exits_one(capsys):
     code, out = run(capsys, "verify", "--only", "dim2-separation",
                     "--tol", "1e-30")
@@ -377,14 +386,17 @@ def test_bad_tolerance_or_sample_count_is_usage_error(
     ["hom2d", "a.json", "a.json", "--seed", "3"],
     ["quat", "normal-form", "pair.json", "--seed", "3"],
     ["opposite", "a.json", "--tol", "1"],
-    ["gen", "classical", "--tol", "1"]])
+    ["gen", "classical", "--tol", "1"],
+    ["opposite", "a.json", "--json"],
+    ["gen", "classical", "--json"]])
 def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
     # each command declares only the options it reads: argparse refuses
     # the others before any file is opened
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in \
+    flag = next(k for k, word in enumerate(argv) if word.startswith("--"))
+    assert f"unrecognized arguments: {' '.join(argv[flag:])}" in \
         capsys.readouterr().err
 
 

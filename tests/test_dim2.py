@@ -231,6 +231,18 @@ def test_normal_form_rejects_non_division():
         normal_form_2d(split_complex())
 
 
+@pytest.mark.parametrize("tol", [1e-9, 5e-2])
+def test_a_zero_square_of_e0_is_refused_before_the_basis_of_c(tol):
+    # e0 e0 = 0 is the first column of L_e0, so det L_e0 = 0 and the
+    # exact 2-d test refuses the tensor before u = e0 e0 is divided by
+    c = classical("C").c.copy()
+    c[0, 0, :] = 0.0
+    with pytest.raises(NotDivision):
+        normal_form_2d(Algebra(c), tol)
+    with pytest.raises(NotDivision, match="stack index 1"):
+        normal_form_2d_many(np.stack([classical("C").c, c]), tol)
+
+
 def test_normal_form_deterministic():
     alg = random_2d_division(99)
     f1, i1 = normal_form_2d(alg)

@@ -18,7 +18,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from divalg import quat
+from divalg import quat, samples
 from divalg.core import Algebra, _gate_rows, classical, is_division, \
     isotope, opposite, sign_pair, transport
 from divalg.decorated import decorate, functor_i, kappa
@@ -91,19 +91,21 @@ def rebuilt(obj):
 def z_parts(monkeypatch):
     """The parts every ZObject construction starts from, in call order.
 
-    Every construction stores what quat._z_stacks makes of the parts of
+    Every construction stores what quat._z_objects makes of the parts of
     n objects, stacked as a[0], ..., a[n-1], b[0], ..., b[n-1] and
-    c[0], ..., c[n-1], d[0], ..., d[n-1] (n = 1 through _z_fields).
+    c[0], ..., c[n-1], d[0], ..., d[n-1].  samples imports it by name,
+    so the spy replaces both bindings.
     """
     seen = []
-    stacks = quat._z_stacks
+    objects = quat._z_objects
 
     def spy(ab, cd):
         n = len(ab) // 2
         seen.extend((ab[k], ab[n + k], cd[k], cd[n + k]) for k in range(n))
-        return stacks(ab, cd)
+        return objects(ab, cd)
 
-    monkeypatch.setattr(quat, "_z_stacks", spy)
+    for module in (quat, samples):
+        monkeypatch.setattr(module, "_z_objects", spy)
     return seen
 
 
