@@ -129,11 +129,10 @@ def cmd_hom2d(args) -> int:
     dst = _load_normal_form(args.dst, args.tol)
     homs = hom2d(src, dst, args.tol)
     doc = {"command": "hom2d", "count": len(homs),
-           "group": homs[0].group if homs else
-           ("D3" if (src.i, src.j) == (1, 1) else "C2"),
-           "morphisms": [g.matrix.tolist() for g in homs]}
+           "group": "D3" if (src.i, src.j) == (1, 1) else "C2",
+           "morphisms": homs.tolist()}
     lines = [f"{len(homs)} morphisms"]
-    lines += [_mat(g.matrix) for g in homs]
+    lines += [_mat(g) for g in homs]
     _emit(doc, "\n".join(lines), args.json)
     return 0
 
@@ -218,7 +217,7 @@ def _at_least_zero(parse):
 def _add_common(p, *options):
     """Those of --tol, --seed, --samples and --json named in options."""
     for name, parse, default in (("tol", _at_least_zero(float), DEFAULT_TOL),
-                                 ("seed", int, 0),
+                                 ("seed", _at_least_zero(int), 0),
                                  ("samples", _at_least_zero(int), 1000)):
         if name in options:
             p.add_argument(f"--{name}", type=parse, default=default)

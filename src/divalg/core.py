@@ -144,7 +144,8 @@ def sign_pair(alg: Algebra, samples: int = 100, tol: float = DEFAULT_TOL,
     ``samples`` seeded random unit vectors and demands that each family
     is single-valued.  Disagreement raises SignInconsistent (the input
     cannot be a division algebra), and any |det| <= max(tol, 0) raises
-    DegenerateSign.  ``seed`` is an integer, anything else a TypeError.
+    DegenerateSign.  ``seed`` is a non-negative integer: a negative one
+    is a ValueError, anything else a TypeError.
     The B=1 case of sign_pair_many, which decides a 2-d algebra from its
     forms and certifies an isotope of H or O from det L_{e0} and det
     R_{e0}; both are computed once per Algebra and kept on it
@@ -165,8 +166,9 @@ def sign_pair_many(tensors, samples: int = 100, tol: float = DEFAULT_TOL,
     ValueError when the stack has another shape, a non-finite entry or
     n not 1, 2, 4 or 8 (no other n has a division algebra), DimensionOne
     when n = 1, and else _raised's errors, which name the algebra by its
-    index in the stack.  A negative ``samples`` is a ValueError, and a
-    ``seed`` that is no integer a TypeError, before any work.
+    index in the stack.  A negative ``samples`` or ``seed`` is a
+    ValueError, and a ``seed`` that is no integer a TypeError, before
+    any work.
 
     _gate_rows keeps per side a scale-free margin, (least |det| /
     greatest |det|)^(2/n) on the unit sphere, and a sign.  At n = 2 no
@@ -253,8 +255,11 @@ def _raised(signs: np.ndarray, fault: np.ndarray, why) -> np.ndarray:
 
 
 def _checked_seed(seed, samples: int) -> int:
-    """seed as an int, TypeError if it is none, ValueError if samples < 0."""
+    """seed as an int, TypeError if it is none, ValueError if it or
+    samples is negative."""
     seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
     return seed
@@ -579,9 +584,9 @@ def is_division(alg: Algebra, mode: str = "sampled", samples: int = 1000,
     that is exact2d's test.  In dimension 1 the one structure constant
     decides, at any scale: 'division' when it is not zero.  Both modes
     read the fault that sign_pair raises (_signs), and what it keeps on
-    the Algebra.  A negative ``samples`` is a ValueError and a ``seed``
-    that is no integer a TypeError, in every mode and dimension, also
-    where neither is read.
+    the Algebra.  A negative ``samples`` or ``seed`` is a ValueError and
+    a ``seed`` that is no integer a TypeError, in every mode and
+    dimension, also where neither is read.
     """
     if mode not in ("sampled", "exact2d"):
         raise ModeMismatch(f"unknown mode {mode!r}")

@@ -7,9 +7,10 @@ the left instead, C_{KA, KB}.  K is the conjugation of C and the block
 of the normal form is ((-1)^j, (-1)^i).
 
 Morphisms between normal forms are simultaneous congruences by the
-two-element group {I, K} on the three blocks with a positive sign, and
-by the six-element dihedral group generated by K and the rotation R by
-2 pi / 3 on the (1, 1) block, so hom-sets are enumerated exactly.
+two-element group C2 = {I, K} on the three blocks with a positive sign,
+and by the six-element dihedral group D3 generated by K and the
+rotation R by 2 pi / 3 on the (1, 1) block, so hom-sets are enumerated
+exactly.
 
 The reduction runs in closed complex form.  Reading R^2 as C (e_0 = 1,
 e_1 = i), every real-linear map [[a, b], [c, d]] is z -> alpha z +
@@ -66,50 +67,18 @@ K2 = np.array([[1.0, 0.0], [0.0, -1.0]])
 ROT3 = 0.5 * np.array([[-1.0, -np.sqrt(3.0)], [np.sqrt(3.0), -1.0]])
 
 
-@dataclass(frozen=True, eq=False)
-class GroupElement2D(_Frozen):
-    """An element of C2 = <K> or D3 = <R, K> as a concrete 2x2 matrix,
-    one within _UNIT_FLOOR of an element of its group in every entry."""
-
-    matrix: np.ndarray
-    group: str
-
-    def __post_init__(self):
-        if self.group not in ("C2", "D3"):
-            raise ValueError("group must be 'C2' or 'D3'")
-        m = np.asarray(self.matrix, dtype=float)
-        # a NaN entry is within no distance of an element
-        if m.shape != (2, 2) or not (np.abs(_GROUPS[self.group][0] - m).max(
-                axis=(1, 2)) <= _UNIT_FLOOR).any():
-            raise ValueError(f"matrix is no element of {self.group}")
-        self._freeze(matrix=m.copy())
-
-    def __repr__(self):
-        return f"<{self.group} element {np.round(self.matrix, 6).tolist()}>"
-
-
-def _group(name: str, mats) -> tuple[np.ndarray, tuple[GroupElement2D, ...]]:
+def _read_only(mats) -> np.ndarray:
     stack = np.array(mats)
     stack.setflags(write=False)
-    return stack, tuple(GroupElement2D._trusted(matrix=m, group=name)
-                        for m in stack)
+    return stack
 
 
-# Each group once, as a read-only (order, 2, 2) stack and as elements in
-# the same order; the elements are frozen, so callers share them.
+# C2 = <K> and D3 = <R, K> as read-only (order, 2, 2) stacks, in the order
+# hom-sets list their elements: (I, K) and (I, R, R^2, K, RK, R^2 K)
 _R2 = ROT3 @ ROT3
-_GROUPS = {
-    "C2": _group("C2", [np.eye(2), K2]),
-    "D3": _group("D3", [np.eye(2), ROT3, _R2, K2, ROT3 @ K2, _R2 @ K2]),
-}
-
-
-def c2_elements() -> list[GroupElement2D]:
-    return list(_GROUPS["C2"][1])
-
-
-def d3_elements() -> list[GroupElement2D]:
-    return list(_GROUPS["D3"][1])
+C2 = _read_only([np.eye(2), K2])
+D3 = _read_only([np.eye(2), ROT3, _R2, K2, ROT3 @ K2, _R2 @ K2])
+_GROUPS = {"C2": C2, "D3": D3}
 
 
 def _exponents(i, j) -> tuple[int, int]:
@@ -317,51 +286,48 @@ def build2d(nf: NormalForm2D) -> Algebra:
     return Algebra._trusted(c=nf._built, label=f"C[{nf.i}{nf.j}]")
 
 
-def _gram_matches(mats: np.ndarray, x, y, tol: float) -> np.ndarray:
-    """Mask of the group matrices g with (g A g^t, g B g^t) = y, x = (A, B),
-    at tol in every entry; one stacked gram."""
-    src = np.asarray(x, dtype=float)[None]                     # [1, 2, ., .]
-    dst = np.asarray(y, dtype=float)[None]
-    grams = gram(mats[:, None], src)                           # [g, 2, ., .]
-    return np.abs(grams - dst).max(axis=(1, 2, 3)) <= tol
-
-
-def groupoid_hom(group: str, x, y, tol: float = DEFAULT_TOL
-                 ) -> list[GroupElement2D]:
-    """Elements g of the finite group with (g A g^t, g B g^t) = y.
+def groupoid_hom(group: str, x, y, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The elements g of the group named ``group``, "C2" or "D3", with
+    (g A g^t, g B g^t) = y, x = (A, B), as a fresh (k, 2, 2) stack in
+    group order.
 
     x and y are pairs of 2x2 matrices; the enumeration is exact (the
-    groups have 2 and 6 elements), never a numerical search.
+    groups have 2 and 6 elements), never a numerical search: one stacked
+    gram, compared in every entry at max(tol, _UNIT_FLOOR), as R's
+    entries are irrational and so only rounded.
     """
     if group not in _GROUPS:
         raise ValueError("group must be 'C2' or 'D3'")
-    mats, elements = _GROUPS[group]
-    return [g for g, ok in zip(elements, _gram_matches(mats, x, y, tol))
-            if ok]
+    mats = _GROUPS[group]
+    src = np.asarray(x, dtype=float)[None]                     # [1, 2, ., .]
+    dst = np.asarray(y, dtype=float)[None]
+    grams = gram(mats[:, None], src)                           # [g, 2, ., .]
+    return mats[np.abs(grams - dst).max(axis=(1, 2, 3))
+                <= max(tol, _UNIT_FLOOR)]
 
 
 def hom2d(src: NormalForm2D, dst: NormalForm2D, tol: float = DEFAULT_TOL
-          ) -> list[GroupElement2D]:
-    """All isomorphisms src -> dst between normal forms.
+          ) -> np.ndarray:
+    """All isomorphisms src -> dst between normal forms, as a (k, 2, 2)
+    stack of elements of C2, or of D3 on the (1, 1) block, in group order.
 
     Raises BlockMismatch when the blocks differ (the hom-set is then
     empty for the structural reason that the block is an isomorphism
     invariant; an empty return value means same block, different
-    congruence orbits).  Every returned element is double-checked as an
-    algebra morphism between the built algebras, the tensors each form
-    keeps (build2d): all group elements are tested at once, by one
-    stacked gram and one morphism_residual_many call.
+    congruence orbits).  The elements groupoid_hom matches are
+    double-checked as algebra morphisms between the built algebras, the
+    tensors each form keeps (build2d), by one morphism_residual_many
+    call, at max(tol, _UNIT_FLOOR).
     """
     if (src.i, src.j) != (dst.i, dst.j):
         raise BlockMismatch(
             f"blocks {src.block.block} and {dst.block.block} differ; "
             "no morphisms exist across blocks")
-    mats, elements = _GROUPS["D3" if (src.i, src.j) == (1, 1) else "C2"]
-    ok = _gram_matches(mats, (src.a, src.b), (dst.a, dst.b), tol)
+    mats = groupoid_hom("D3" if (src.i, src.j) == (1, 1) else "C2",
+                        (src.a, src.b), (dst.a, dst.b), tol)
     a, b = (np.broadcast_to(build2d(nf).c, (len(mats), 2, 2, 2))
             for nf in (src, dst))
-    ok &= morphism_residual_many(mats, a, b) <= max(tol, _UNIT_FLOOR)
-    return [g for g, keep in zip(elements, ok) if keep]
+    return mats[morphism_residual_many(mats, a, b) <= max(tol, _UNIT_FLOOR)]
 
 
 def normal_form_2d(alg: Algebra, tol: float = DEFAULT_TOL

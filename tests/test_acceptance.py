@@ -14,8 +14,7 @@ from divalg.core import (classical, isotope, opposite, transport, left_mult,
                          sign_pair, SignPair, find_unities, is_morphism,
                          morphism_residual)
 from divalg.decorated import decorate, kappa, functor_i
-from divalg.dim2 import (NormalForm2D, build2d, hom2d, c2_elements,
-                         d3_elements, normal_form_2d)
+from divalg.dim2 import C2, D3, NormalForm2D, build2d, hom2d, normal_form_2d
 from divalg.equadratic import (central_idempotents, idempotent_residual,
                                im_e, functor_g)
 from divalg.matkit import sign_det_many, random_invertible, \
@@ -153,7 +152,7 @@ def test_criterion_07_dim2_hom_sets():
     assert len(auts) == 6
     a_top = build2d(top)
     for g in auts:
-        assert morphism_residual(g.matrix, a_top, a_top) <= 1e-12
+        assert morphism_residual(g, a_top, a_top) <= 1e-12
 
     c2_blocks = [(0, 0), (0, 1), (1, 0)]
     rng = np.random.default_rng(107)
@@ -162,19 +161,18 @@ def test_criterion_07_dim2_hom_sets():
         assert len(hom2d(nf, nf)) <= 2
 
     for i, j in EXPONENTS:
-        group = d3_elements() if (i, j) == (1, 1) else c2_elements()
+        group = D3 if (i, j) == (1, 1) else C2
         for k in range(20):
             x = random_normal_form_many(1, rng, block=(i, j))[0]
             if k % 2:
-                g = group[int(rng.integers(0, len(group)))].matrix
+                g = group[int(rng.integers(0, len(group)))]
                 y = NormalForm2D(i, j, g @ x.a @ g.T, g @ x.b @ g.T)
             else:
                 y = random_normal_form_many(1, rng, block=(i, j))[0]
-            via_api = {tuple(np.round(m.matrix, 9).ravel())
-                       for m in hom2d(x, y)}
+            via_api = {tuple(np.round(m, 9).ravel()) for m in hom2d(x, y)}
             ax, ay = build2d(x), build2d(y)
-            direct = {tuple(np.round(h.matrix, 9).ravel())
-                      for h in group if is_morphism(h.matrix, ax, ay)}
+            direct = {tuple(np.round(h, 9).ravel())
+                      for h in group if is_morphism(h, ax, ay)}
             assert via_api == direct
     _line(7, "dim2-hom-sets", "D3 at the top object, C2 elsewhere")
 
@@ -192,7 +190,7 @@ def test_criterion_08_dim2_round_trip():
     for k in range(40):
         source = random_normal_form_many(1, rng, block=EXPONENTS[k % 4])[0]
         nf, _ = normal_form_2d(build2d(source))
-        assert hom2d(nf, source)
+        assert len(hom2d(nf, source)) > 0
     _line(8, "dim2-round-trip", f"100 reductions, residual {worst:.1e}")
 
 

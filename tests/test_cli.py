@@ -163,12 +163,14 @@ def test_hom2d_identity_d3_pair(capsys, tmp_path):
     path.write_text(json.dumps({"i": 1, "j": 1,
                                 "A": np.eye(2).tolist(),
                                 "B": np.eye(2).tolist()}))
-    code, out = run(capsys, "hom2d", str(path), str(path), "--json")
-    doc = json.loads(out)
-    assert code == 0
-    assert doc["count"] == 6
-    assert doc["group"] == "D3"
-    assert len(doc["morphisms"]) == 6
+    for tol in ([], ["--tol", "0"]):
+        code, out = run(capsys, "hom2d", str(path), str(path), "--json",
+                        *tol)
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["count"] == 6
+        assert doc["group"] == "D3"
+        assert len(doc["morphisms"]) == 6
 
 
 def test_hom2d_accepts_algebra_documents(capsys, tmp_path):
@@ -269,17 +271,17 @@ def test_verify_empty_check_name_is_input_error(capsys, only):
 
 
 def test_failing_check_exits_one(capsys):
-    code, out = run(capsys, "verify", "--only", "dim2-separation",
+    code, out = run(capsys, "verify", "--only", "equad-uniqueness",
                     "--tol", "1e-30")
     assert code == 1
     lines = out.strip().splitlines()
-    assert lines[1].startswith("FAIL  dim2-separation")
-    assert lines[-1].startswith("1 checks, 1 failures: dim2-separation")
+    assert lines[1].startswith("FAIL  equad-uniqueness")
+    assert lines[-1].startswith("1 checks, 1 failures: equad-uniqueness")
 
 
 @pytest.mark.parametrize("tol, only, raised", [
     # returns a failed verdict, and raises NotEQuadratic
-    ("1e-30", "dim2-separation,equad-decomposition", "NotEQuadratic"),
+    ("1e-30", "equad-uniqueness,equad-decomposition", "NotEQuadratic"),
     # raises DegenerateSign, and raises NotDivision
     ("1e-2", "core-sign-constancy,dim2-density", "DegenerateSign"),
 ])
@@ -369,13 +371,23 @@ def test_exponent_that_is_not_the_integer_0_or_1_is_input_error(
 @pytest.mark.parametrize("command", [["sign-pair"], ["divcheck"]])
 @pytest.mark.parametrize("option, value", [
     ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1e-9"),
-    ("--samples", "-1")])
+    ("--samples", "-1"), ("--seed", "-1")])
 def test_bad_tolerance_or_sample_count_is_usage_error(
         capsys, h_file, command, option, value):
     with pytest.raises(SystemExit) as exc:
         main(command + [h_file, option, value])
     assert exc.value.code == 2
     assert option in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["block", "a.json", "--samples", "8"], ["gen", "random2d"], ["verify"]])
+def test_negative_seed_is_usage_error(capsys, argv):
+    # refused by argparse, before any file is opened or point drawn
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

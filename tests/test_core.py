@@ -1036,6 +1036,13 @@ def test_every_mode_and_dimension_checks_seed_and_samples(monkeypatch, n,
             is_division(alg, mode, seed=seed)
     with pytest.raises(ValueError, match="samples"):
         is_division(alg, mode, samples=-1)
+    # a negative seed too, whether the points would be drawn (8 samples
+    # at n = 4) or not (100, where the gate certifies H)
+    for samples in (8, 100):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            is_division(alg, mode, samples=samples, seed=-1)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            sign_pair(alg, samples=samples, seed=-1)
     if n == 1:
         with pytest.raises(TypeError):
             sign_pair(alg, seed=None)

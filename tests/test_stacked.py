@@ -440,7 +440,7 @@ def dim2_loop(name, tol):
                 nf2, iso = normal_form_2d(alg, tol)
                 if (nf2.i, nf2.j) != (nf.i, nf.j):
                     return False, 1.0, count, "block changed in the round trip"
-                if not hom2d(nf2, nf, tol):
+                if len(hom2d(nf2, nf, tol)) == 0:
                     return False, 1.0, count, "reduced form left the orbit"
             else:
                 alg = random_2d_division(rng)
@@ -939,9 +939,6 @@ FAILURES_AT_TOL = {
          "with quadratic squares"),
         ("equad-block-structure", 0, "NotEQuadratic: no central idempotent "
          "with quadratic squares"),
-        # item 0, the (1,1) identity form, is the failing item
-        ("dim2-separation", 0, "expected 6 automorphisms, got 2"),
-        ("dim2-round-trip", 0, "reduced form left the orbit"),
     ],
 }
 

@@ -1,7 +1,7 @@
 """The construction contract of the value classes.
 
-Algebra, ZObject, NormalForm2D and GroupElement2D are validated and
-copied by their public constructors.  Library functions build the
+Algebra, ZObject and NormalForm2D are validated and copied by their
+public constructors.  Library functions build the
 objects they return trusted, from parts that are valid by construction:
 every stored field must be, bit for bit, what the public constructor
 stores for the same parts, and every stored array is read-only.  A
@@ -22,8 +22,8 @@ from divalg import quat, samples
 from divalg.core import Algebra, _gate_rows, classical, is_division, \
     isotope, opposite, sign_pair, transport
 from divalg.decorated import decorate, functor_i, kappa
-from divalg.dim2 import GroupElement2D, NormalForm2D, _build_tensors, \
-    build2d, c2_elements, d3_elements, normal_form_2d, normal_form_2d_many
+from divalg.dim2 import NormalForm2D, _build_tensors, build2d, \
+    groupoid_hom, normal_form_2d, normal_form_2d_many
 from divalg.errors import BadSplit, SingularOperator
 from divalg.matkit import random_invertible, random_spd1_many
 from divalg.quat import ZObject, functor_h, functor_h_many, k_map, \
@@ -163,11 +163,6 @@ def test_random_2d_division_matches_a_public_constructor_loop():
         assert gen_a.bit_generator.state == gen_b.bit_generator.state
 
 
-def test_group_elements_match_the_public_constructor():
-    for g in c2_elements() + d3_elements():
-        assert_same(g, rebuilt(g))
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_quat_producers_match_the_public_constructor(seed, z_parts):
     rng = np.random.default_rng(seed)
@@ -203,11 +198,10 @@ def test_public_constructors_copy_their_inputs():
     c = classical("H").c.copy()
     a, b = np.eye(2), random_spd1_many(2, 1, 3)[0]
     q, d = np.array([0.0, 2.0, 0.0, 0.0]), random_spd1_many(4, 1, 4)[0]
-    m = np.array([[1.0, 0.0], [0.0, -1.0]])
     objs = [Algebra(c), NormalForm2D(0, 1, a, b),
-            ZObject(q, q, np.eye(4), d), GroupElement2D(m, "C2")]
+            ZObject(q, q, np.eye(4), d)]
     before = [dataclasses.replace(o) for o in objs]
-    for arr in (c, a, b, q, d, m):
+    for arr in (c, a, b, q, d):
         arr += 1.0
     for o, o0 in zip(objs, before):
         assert_same(o, o0)
@@ -225,9 +219,7 @@ def test_public_constructors_copy_their_inputs():
     lambda: ZObject(np.eye(4)[0], np.eye(4)[1],
                     np.diag([-1.0, -1.0, 1.0, 1.0]), np.eye(4)),
     lambda: ZObject(np.ones(3), np.ones(3), np.eye(4), np.eye(4)),
-    lambda: GroupElement2D(np.eye(2), "C3"),
-    lambda: GroupElement2D(np.eye(3), "C2"),
-    lambda: GroupElement2D(np.full((2, 2), np.nan), "D3"),
+    lambda: groupoid_hom("C3", (np.eye(2),) * 2, (np.eye(2),) * 2),
     lambda: random_normal_form_many(1, 0, block=(2, 0))[0],
     lambda: random_normal_form_many(1, 0, block=(True, 0))[0],
     lambda: k_map(np.ones(3)),
@@ -235,7 +227,6 @@ def test_public_constructors_copy_their_inputs():
 ], ids=["non-finite", "non-cubic", "dimension-3", "exponent-2",
         "exponent-float", "exponent-bool", "exponent-numpy-float",
         "non-spd-a", "non-spd-c", "non-quaternion", "group",
-        "group-element-shape", "group-element-nan",
         "sample-exponent", "sample-exponent-bool", "k-map-shape",
         "normal-form-dimension"])
 def test_public_boundaries_reject_bad_input(make):
